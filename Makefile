@@ -9,10 +9,7 @@ FUZZTIME ?= 10s
 COV_FLOOR_COHERENCE := 85
 COV_FLOOR_ORACLE := 85
 
-# Allowed fractional events/sec regression before bench-ratchet fails.
-RATCHET_THRESHOLD ?= 0.10
-
-.PHONY: all build test race vet lint check bench bench-json bench-ratchet equiv sweep oracle fuzz cover smoke loadtest soak serve-bench serve-ratchet
+.PHONY: all build test race vet lint check bench equiv sweep oracle fuzz cover smoke loadtest soak
 
 all: check
 
@@ -24,10 +21,13 @@ test:
 
 # The sweep engine's determinism tests double as its race-detector
 # certification: worker pools at parallel=8 must produce byte-identical
-# aggregates with no data races. The serving layer (worker pool, batcher,
-# coalescer) joins the same certification.
+# aggregates with no data races. The serving layer (in-flight table, run
+# queue, worker pool) joins the same certification; its package run
+# includes the 50k-job cold daemon soak, and the run-queue stress tests
+# repeat so a rare producer/consumer interleaving gets its chances.
 race:
 	$(GO) test -race ./internal/sweep/... ./internal/sim/... ./internal/service/... ./internal/load/...
+	$(GO) test -race -count=10 -run 'TestQueueStress|TestQueueOrderUnderConcurrentPush' ./internal/service
 
 vet:
 	$(GO) vet ./...
@@ -86,23 +86,9 @@ equiv:
 
 check: vet lint build test race oracle fuzz equiv loadtest
 
-# bench-json writes BENCH_sim.json: simulated-cycles and trace-events per
-# wall-second over a calibrated invalidation run, plus the E1 miss
-# latencies as a correctness fingerprint. CI uploads it as an artifact.
-bench-json:
-	$(GO) run ./cmd/simbench -o BENCH_sim.json
-
-# bench-ratchet is the committed-baseline performance ratchet: rerun the
-# throughput workload and fail if events/sec fall more than
-# RATCHET_THRESHOLD below the committed BENCH_sim.json, or if the E1
-# latency fingerprint (deterministic simulated cycles) shifts at all.
-# After an intentional engine change, refresh the baseline with
-# `make bench-json` and commit the new BENCH_sim.json alongside it.
-bench-ratchet:
-	$(GO) run ./cmd/simbench -compare BENCH_sim.json -threshold $(RATCHET_THRESHOLD)
-
-bench: bench-json
-	$(GO) test -bench=. -benchtime=1x .
+# bench runs the layered benchmark BENCHMARK.json declares (bench/README.md).
+bench:
+	$(GO) run ./bench
 
 sweep:
 	$(GO) run ./cmd/invalsweep -experiment all
@@ -127,17 +113,3 @@ loadtest:
 # uninterrupted control run. See scripts/dsmload_soak.sh.
 soak:
 	bash scripts/dsmload_soak.sh
-
-# serve-bench writes BENCH_serve.json: closed-loop warm-cache serving
-# throughput and latency percentiles, plus the deterministic cache-study
-# hit-rate cells as a correctness fingerprint (mirrors bench-json for the
-# event engine).
-serve-bench:
-	$(GO) run ./cmd/dsmload -bench -o BENCH_serve.json
-
-# serve-ratchet replays the serving benchmark and fails on >threshold req/s,
-# p99 or hit-rate regression against the committed BENCH_serve.json, or on
-# ANY drift in the deterministic study cells. Refresh the baseline with
-# `make serve-bench` after an intentional serving-layer change.
-serve-ratchet:
-	$(GO) run ./cmd/dsmload -bench -compare BENCH_serve.json -threshold $(RATCHET_THRESHOLD)

@@ -12,8 +12,6 @@
 //	dsmload                          # self-host a daemon, warm, run, verify
 //	dsmload -addr http://host:8077   # drive an external daemon
 //	dsmload -study                   # LRU capacity vs hit rate study (deterministic)
-//	dsmload -bench -o BENCH_serve.json            # write a serving benchmark snapshot
-//	dsmload -bench -compare BENCH_serve.json      # CI ratchet: fail on >threshold regression
 //
 // Determinism contract: same -seed/-mix/-requests/-universe produce the
 // identical request schedule, and against a warm daemon (the default
@@ -32,7 +30,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -64,12 +61,6 @@ func main() {
 		study = flag.Bool("study", false, "run the deterministic LRU capacity vs hit-rate study and exit")
 		sCSV  = flag.Bool("study-csv", false, "emit the study as CSV instead of an aligned table")
 
-		bench     = flag.Bool("bench", false, "run the serving benchmark (self-hosted daemon) and write/compare a snapshot")
-		out       = flag.String("o", "", "benchmark snapshot output file (- for stdout; default BENCH_serve.json unless -compare is set)")
-		compare   = flag.String("compare", "", "baseline snapshot to ratchet against (exit 1 on regression)")
-		threshold = flag.Float64("threshold", 0.10, "allowed relative regression for -compare")
-		reps      = flag.Int("reps", 3, "benchmark repetitions (best wall time wins)")
-
 		// Self-hosted daemon knobs (ignored with -addr).
 		workers    = flag.Int("workers", 4, "self-hosted daemon: engine worker pool size")
 		cache      = flag.Int("cache", 0, "self-hosted daemon: memory cache entries (0 = unbounded)")
@@ -90,14 +81,6 @@ func main() {
 
 	if *study {
 		runStudy(*seed, *sCSV)
-		return
-	}
-	if *bench {
-		runBench(ctx, load.BenchConfig{
-			Requests: *requests, Universe: *universe, Clients: *clients,
-			Reps: *reps, Seed: *seed, Workers: *workers,
-			Template: load.PointTemplate{K: *k, Scheme: *scheme, D: *d, Pattern: *pattern, Trials: *trials},
-		}, *out, *compare, *threshold)
 		return
 	}
 
@@ -232,60 +215,4 @@ func runStudy(seed uint64, asCSV bool) {
 		return
 	}
 	fmt.Println(t.String())
-}
-
-// runBench measures the serving benchmark and writes or ratchets the
-// snapshot, mirroring simbench's flow for BENCH_sim.json.
-func runBench(ctx context.Context, cfg load.BenchConfig, out, compare string, threshold float64) {
-	snap, err := load.RunServeBench(ctx, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	snap.Generated = time.Now().UTC().Format(time.RFC3339)
-	snap.GoVersion = runtime.Version()
-	snap.CPUs = runtime.NumCPU()
-
-	for _, r := range snap.Runs {
-		fmt.Printf("%-40s %8.0f req/s  p50 %6.0fus  p99 %6.0fus  hit %.3f\n",
-			r.Name, r.RequestsPerSec, r.P50Micros, r.P99Micros, r.HitRate)
-	}
-
-	if compare != "" {
-		raw, err := os.ReadFile(compare)
-		if err != nil {
-			log.Fatalf("ratchet baseline: %v", err)
-		}
-		var base load.ServeSnapshot
-		if err := json.Unmarshal(raw, &base); err != nil {
-			log.Fatalf("ratchet baseline %s: %v", compare, err)
-		}
-		if failures := load.RatchetServe(&base, snap, threshold); len(failures) > 0 {
-			for _, f := range failures {
-				fmt.Fprintln(os.Stderr, "dsmload: REGRESSION: "+f)
-			}
-			log.Fatalf("%d ratchet failure(s)", len(failures))
-		}
-		fmt.Printf("ratchet ok: within %.0f%% of %s\n", threshold*100, compare)
-	}
-
-	dest := out
-	if dest == "" {
-		if compare != "" {
-			return
-		}
-		dest = "BENCH_serve.json"
-	}
-	enc, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		log.Fatal(err)
-	}
-	enc = append(enc, '\n')
-	if dest == "-" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(dest, enc, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %s\n", dest)
 }

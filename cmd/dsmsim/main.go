@@ -26,12 +26,6 @@ import (
 	"repro/internal/workload"
 )
 
-func newSeededRNG() *sim.RNG { return sim.NewRNG(1) }
-
-func topologyCoord(x, y int) topology.Coord { return topology.Coord{X: x, Y: y} }
-
-func topologyNode(n int) topology.NodeID { return topology.NodeID(n) }
-
 // blockHomedAt picks a block whose home is the given node.
 func blockHomedAt(m *coherence.Machine, home topology.NodeID) directory.BlockID {
 	return directory.BlockID(uint64(home) + uint64(m.Mesh.Nodes()))
@@ -44,7 +38,7 @@ func main() {
 		k        = flag.Int("k", 16, "mesh dimension (k x k)")
 		d        = flag.Int("d", 8, "number of sharers to invalidate")
 		scheme   = flag.String("scheme", "MI-MA-ec", "invalidation scheme")
-		pattern  = flag.String("pattern", "random", "sharer placement: random|clustered|column|row")
+		pattern  = flag.String("pattern", "random", "sharer placement: random|clustered|column|row|diagonal")
 		trials   = flag.Int("trials", 10, "independent transactions")
 		seed     = flag.Uint64("seed", 1, "placement seed")
 		vct      = flag.Bool("vct", false, "virtual cut-through deferred delivery for gather worms")
@@ -59,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pat, err := parsePattern(*pattern)
+	pat, err := workload.ParsePattern(*pattern)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,8 +93,8 @@ func main() {
 func traceOneTransaction(s grouping.Scheme, k, d int) {
 	m := coherence.NewMachine(coherence.DefaultParams(k, s))
 	m.Trace(func(e coherence.TraceEvent) { fmt.Println(e) })
-	rng := newSeededRNG()
-	home := m.Mesh.ID(topologyCoord(k/2, k/2))
+	rng := sim.NewRNG(1)
+	home := m.Mesh.ID(topology.Coord{X: k / 2, Y: k / 2})
 	block := blockHomedAt(m, home)
 	taken := map[int]bool{int(home): true}
 	issued := 0
@@ -111,7 +105,7 @@ func traceOneTransaction(s grouping.Scheme, k, d int) {
 		}
 		taken[n] = true
 		done := false
-		m.Read(topologyNode(n), block, func() { done = true })
+		m.Read(topology.NodeID(n), block, func() { done = true })
 		m.Engine.Run()
 		if !done {
 			log.Fatal("read did not complete")
@@ -127,7 +121,7 @@ func traceOneTransaction(s grouping.Scheme, k, d int) {
 	}
 	fmt.Printf("--- write by node %d invalidating %d sharers under %v ---\n", writer, d, s)
 	done := false
-	m.Write(topologyNode(writer), block, func() { done = true })
+	m.Write(topology.NodeID(writer), block, func() { done = true })
 	m.Engine.Run()
 	if !done {
 		log.Fatal("write did not complete")
@@ -140,8 +134,8 @@ func traceOneTransaction(s grouping.Scheme, k, d int) {
 // visible.
 func printHeatmaps(s grouping.Scheme, k, d int) {
 	m := coherence.NewMachine(coherence.DefaultParams(k, s))
-	rng := newSeededRNG()
-	home := m.Mesh.ID(topologyCoord(k/2, k/2))
+	rng := sim.NewRNG(1)
+	home := m.Mesh.ID(topology.Coord{X: k / 2, Y: k / 2})
 	for i := 0; i < 8; i++ {
 		block := directory.BlockID(uint64(home) + uint64(i+1)*uint64(m.Mesh.Nodes()))
 		taken := map[int]bool{int(home): true}
@@ -153,7 +147,7 @@ func printHeatmaps(s grouping.Scheme, k, d int) {
 			}
 			taken[n] = true
 			done := false
-			m.Read(topologyNode(n), block, func() { done = true })
+			m.Read(topology.NodeID(n), block, func() { done = true })
 			m.Engine.Run()
 			if !done {
 				log.Fatal("read incomplete")
@@ -168,7 +162,7 @@ func printHeatmaps(s grouping.Scheme, k, d int) {
 			}
 		}
 		done := false
-		m.Write(topologyNode(writer), block, func() { done = true })
+		m.Write(topology.NodeID(writer), block, func() { done = true })
 		m.Engine.Run()
 		if !done {
 			log.Fatal("write incomplete")
@@ -180,20 +174,4 @@ func printHeatmaps(s grouping.Scheme, k, d int) {
 	fmt.Println()
 	fmt.Print(report.Heatmap("reply-network Y-link utilization",
 		m.Net.DimUtilization(network.Reply, 'y'), k, k))
-}
-
-func parsePattern(s string) (workload.Pattern, error) {
-	switch s {
-	case "random":
-		return workload.RandomPlacement, nil
-	case "clustered":
-		return workload.ClusteredPlacement, nil
-	case "column":
-		return workload.ColumnPlacement, nil
-	case "row":
-		return workload.RowPlacement, nil
-	case "diagonal":
-		return workload.DiagonalPlacement, nil
-	}
-	return 0, fmt.Errorf("unknown pattern %q", s)
 }

@@ -1,6 +1,6 @@
 // Command dsmsimd is the simulation-as-a-service daemon: a long-running
 // HTTP/JSON server that runs sweep points and whole paper experiments
-// through a priority job queue, a coalescing batcher and a
+// through a priority job queue, an in-flight coalescing table and a
 // content-addressed result cache. Because every point is deterministic, a
 // result is an immutable value named by its fingerprint — identical
 // requests coalesce onto one engine run, repeats are cache hits, and the
@@ -31,8 +31,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8077", "listen address (port 0 picks an ephemeral port, printed at startup)")
 		workers    = flag.Int("workers", 4, "engine worker pool size")
-		batch      = flag.Int("batch", 16, "coalescing batch size (requests per flush)")
-		batchWait  = flag.Duration("batch-wait", 2*time.Millisecond, "max time a batch waits before flushing (0 disables batching)")
 		queueDepth = flag.Int("queue-depth", 1024, "run queue bound; beyond it submissions get 503")
 		cache      = flag.Int("cache", 4096, "in-memory result cache entries (0 = unbounded)")
 		data       = flag.String("data", "", "data directory for the durable result store, job journal and checkpoints (empty = memory only)")
@@ -46,8 +44,6 @@ func main() {
 
 	cfg := service.Config{
 		Workers:        *workers,
-		BatchSize:      *batch,
-		BatchWait:      *batchWait,
 		QueueDepth:     *queueDepth,
 		DefaultTimeout: *timeout,
 	}
@@ -79,8 +75,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dsmsimd: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "dsmsimd: serving on %s (workers=%d batch=%d/%s cache=%d data=%q)\n",
-		daemon.Addr(), *workers, *batch, *batchWait, *cache, *data)
+	fmt.Fprintf(os.Stderr, "dsmsimd: serving on %s (workers=%d cache=%d data=%q)\n",
+		daemon.Addr(), *workers, *cache, *data)
 
 	<-ctx.Done()
 

@@ -145,7 +145,7 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 				m.Write(n, op.Block, next)
 			}
 		case OpCompute:
-			m.Engine.After(op.Cycles, next)
+			m.Engine.AfterCall(op.Cycles, sim.CallFunc, next, 0)
 		case OpBarrier:
 			arrive := bar.arrive
 			if w.WormBarriers {
@@ -162,9 +162,9 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 			panic("apps: unknown op kind")
 		}
 	}
-	for i, prog := range w.Programs {
-		i, prog := i, prog
-		m.Engine.At(m.Engine.Now(), func() { exec(topology.NodeID(i), prog, 0) })
+	begin := func(_ any, i int32) { exec(topology.NodeID(i), w.Programs[i], 0) }
+	for i := range w.Programs {
+		m.Engine.AtCall(m.Engine.Now(), begin, nil, int32(i))
 	}
 	m.Engine.Run()
 	if remaining != 0 {
@@ -229,11 +229,15 @@ func (b *barrier) arrive(resume func()) {
 	}
 	waiters := b.waiting
 	b.waiting = nil
-	b.engine.After(b.cost, func() {
-		for _, w := range waiters {
-			w()
-		}
-	})
+	b.engine.AfterCall(b.cost, releaseWaiters, waiters, 0)
+}
+
+// releaseWaiters is the barrier's release event; arg is the []func() of
+// resumptions.
+func releaseWaiters(arg any, _ int32) {
+	for _, w := range arg.([]func()) {
+		w()
+	}
 }
 
 func (b *barrier) waitingCount() int { return len(b.waiting) }

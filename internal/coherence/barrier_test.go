@@ -16,9 +16,9 @@ func runBarrierEpisode(t *testing.T, m *Machine, stagger sim.Time) []bool {
 	for n := 0; n < m.Mesh.Nodes(); n++ {
 		n := n
 		at := m.Engine.Now() + sim.Time(n)*stagger
-		m.Engine.At(at, func() {
+		m.Engine.AtCall(at, sim.CallFunc, func() {
 			m.BarrierArrive(topology.NodeID(n), func() { resumed[n] = true })
-		})
+		}, 0)
 	}
 	m.Engine.Run()
 	for n, ok := range resumed {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/directory"
 	"repro/internal/grouping"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -86,7 +87,7 @@ func TestRCMultipleBufferedWrites(t *testing.T) {
 		m.WriteAsync(writer, b, func() { count++ })
 	}
 	fenced := false
-	m.Engine.After(1, func() { m.Fence(writer, func() { fenced = true }) })
+	m.Engine.AfterCall(1, sim.CallFunc, func() { m.Fence(writer, func() { fenced = true }) }, 0)
 	m.Engine.Run()
 	if count != 6 {
 		t.Fatalf("issued %d writes, want 6", count)

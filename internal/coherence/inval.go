@@ -238,26 +238,10 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, b directo
 			txn.ackArrived(m)
 		}
 		m.server(home).do(m.Params.CacheInvalidate, func() {
-			if op := m.op(home, b); op != nil && !op.write {
-				// The home's own fill for this block is still in flight. If
-				// the presence bit proves the self-directed read was served
-				// (directory-targeted case), defer the local invalidation
-				// until the fill lands, exactly as sharerInval does for
-				// remote sharers. Under broadcast/coarse targeting — or
-				// whenever presence bits can go stale under a pending miss
-				// (see deferSafe) — the home may be uncached with its read
-				// still queued behind this very transaction; squash the
-				// miss instead.
-				if !txn.broadcast && m.deferSafe() {
-					op.afterFill = append(op.afterFill, homeInval)
-					return
-				}
-				if !op.squashed {
-					op.squashed = true
-					if m.OnSquash != nil {
-						m.OnSquash(home, b)
-					}
-				}
+			// The home's own fill for this block may still be in flight.
+			if op := m.deferOrSquash(home, b, !txn.broadcast); op != nil {
+				op.afterFill = append(op.afterFill, homeInval)
+				return
 			}
 			homeInval()
 		})

@@ -83,6 +83,7 @@ type Machine struct {
 	fnWriteIssue       func(any, int32)
 	fnSendReadReq      func(any, int32)
 	fnSendWriteReq     func(any, int32)
+	fnTxnDeadline      func(any, int32)
 	// freeMsgs pools retired protocol messages (bounded; see freeMsg).
 	freeMsgs []*msg
 	// freeOps pools retired pendingOps (bounded; see freeOp).
@@ -115,23 +116,11 @@ type server struct {
 // cost cycles of its own, and accounts the cost as occupancy.
 //
 //simcheck:noalloc
-func (s *server) do(cost sim.Time, fn func()) {
-	start := s.engine.Now()
-	if s.busyUntil > start {
-		start = s.busyUntil
-	}
-	if s.rec != nil {
-		s.rec.Emit(trace.Event{At: s.engine.Now(), Kind: trace.KindServerBusy,
-			Node: s.node, A: uint64(start), B: uint64(start + cost)})
-	}
-	s.busyUntil = start + cost
-	*s.busyTotal += cost
-	s.engine.At(s.busyUntil, fn)
-}
+func (s *server) do(cost sim.Time, fn func()) { s.doCall(cost, sim.CallFunc, fn, 0) }
 
-// doCall is do for a pre-bound callback: the same occupancy accounting,
-// but scheduling (fn, arg, i) directly so the hot protocol paths run
-// without a per-task closure allocation.
+// doCall is do for a pre-bound callback: it schedules (fn, arg, i)
+// directly, so the hot protocol paths run without a per-task closure
+// allocation.
 //
 //simcheck:noalloc
 func (s *server) doCall(cost sim.Time, fn func(any, int32), arg any, i int32) {

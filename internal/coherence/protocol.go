@@ -30,7 +30,7 @@ type pendingOp struct {
 	// the home before the invalidating write, so the load consumes it —
 	// ordered just before that write — but the line is not installed.
 	// Directory-targeted invalidations never squash; they defer through
-	// afterFill instead (see sharerInval).
+	// afterFill instead (see deferOrSquash).
 	squashed bool
 	// hasCopy carries the upgrading-write snapshot (Shared copy held at
 	// issue) from the cache-access stage to the request send.
@@ -463,48 +463,62 @@ func (m *Machine) deferSafe() bool {
 	return m.Params.CacheLines == 0 && !m.Params.DataForwarding
 }
 
+// deferOrSquash is the one stale-fill rule: what an invalidation of b
+// arriving at n does about n's own outstanding read of b. Such an
+// invalidation overtook the read's reply (virtual networks are unordered
+// relative to each other): handling it now and then filling would install
+// a stale Shared copy after the writer's grant. Two remedies, chosen by
+// what can be proved about the fill:
+//
+// Directory-targeted invalidation (the common case): the home snapshotted
+// n from the presence vector, so it served the read before this
+// transaction started and the fill is in flight on the reply network — it
+// cannot be queued behind the transaction. The caller defers its whole
+// invalidation (and the acknowledgment) until the fill lands: install,
+// then invalidate, then acknowledge. The race closes invisibly — the node
+// ends uncached and the write waits for the ack, exactly as if the fill
+// had beaten the invalidation. deferOrSquash returns the read, and the
+// caller appends its continuation to the read's afterFill.
+//
+// Broadcast/coarse-vector invalidations and recovery retries (targeted
+// false) can reach a node whose request is still *queued* at the home
+// behind this very transaction — the home itself may be such a node —
+// and deferring the ack would then deadlock. So the miss is squashed
+// instead: acknowledge now, and when the reply lands consume its data
+// without installing the line (see requesterReply for why that load is
+// still legal). Bounded caches and data forwarding void the
+// targeted-implies-served proof the same way — see deferSafe — and also
+// squash. deferOrSquash then returns nil, as it does when no read is
+// pending, and the caller invalidates now.
+//
+// Writes are exempt from both: a pending writer is never a target of its
+// own transaction, and another writer's fill installs Modified via its own
+// grant, never a stale Shared copy.
+func (m *Machine) deferOrSquash(n topology.NodeID, b directory.BlockID, targeted bool) *pendingOp {
+	op := m.op(n, b)
+	if op == nil || op.write {
+		return nil
+	}
+	if targeted && m.deferSafe() {
+		return op
+	}
+	if !op.squashed {
+		op.squashed = true
+		if m.OnSquash != nil {
+			m.OnSquash(n, b)
+		}
+	}
+	return nil
+}
+
 // sharerInval handles an invalidation arriving at a sharer, under any
 // framework: unicast (UI-UA), multicast copy (MI-UA, BR), or i-reserve
 // copy / final (MI-MA). Update transactions (write-update protocol)
 // refresh the local copy instead of dropping it.
 func (m *Machine) sharerInval(n topology.NodeID, pm *msg, final bool) {
-	if op := m.op(n, pm.block); op != nil && !op.write {
-		// The invalidation overtook our own read reply (virtual networks
-		// are unordered relative to each other): handling it now and then
-		// filling would install a stale Shared copy after the writer's
-		// grant. Two remedies, chosen by what we can prove about the fill:
-		//
-		// Directory-targeted invalidation (the common case): the home
-		// snapshotted us from the presence vector, so it served our read
-		// before this transaction started and the fill is in flight on the
-		// reply network — it cannot be queued behind the transaction.
-		// Defer the whole invalidation (and its acknowledgment) until the
-		// fill lands: install, then invalidate, then acknowledge. The race
-		// closes invisibly — the node ends uncached and the write waits for
-		// the ack, exactly as if the fill had beaten the invalidation.
-		//
-		// Broadcast/coarse-vector invalidations and recovery retries can
-		// reach a node whose request is still *queued* at the home behind
-		// this very transaction; deferring the ack would then deadlock. So
-		// the miss is squashed instead: acknowledge now, and when the
-		// reply lands consume its data without installing the line (see
-		// requesterReply for why that load is still legal). Bounded caches
-		// and data forwarding void the targeted-implies-served proof the
-		// same way — see deferSafe — and also squash.
-		//
-		// Writes are exempt from both: a pending writer is never a target
-		// of its own transaction, and another writer's fill installs
-		// Modified via its own grant, never a stale Shared copy.
-		if !pm.retry && !pm.txn.broadcast && m.deferSafe() {
-			op.afterFill = append(op.afterFill, func() { m.sharerInvalNow(n, pm, final) })
-			return
-		}
-		if !op.squashed {
-			op.squashed = true
-			if m.OnSquash != nil {
-				m.OnSquash(n, pm.block)
-			}
-		}
+	if op := m.deferOrSquash(n, pm.block, !pm.retry && !pm.txn.broadcast); op != nil {
+		op.afterFill = append(op.afterFill, func() { m.sharerInvalNow(n, pm, final) })
+		return
 	}
 	m.sharerInvalNow(n, pm, final)
 }
@@ -672,6 +686,7 @@ func (m *Machine) initHandlers() {
 		rq.typ, rq.block, rq.from, rq.hasCopy, rq.tok = writeReq, op.block, n, op.hasCopy, op.tok
 		m.send(writeReq, n, m.Home(op.block), rq)
 	}
+	m.fnTxnDeadline = func(a any, _ int32) { m.txnDeadline(a.(*invalTxn)) }
 	//simcheck:noalloc
 	m.fnHomeRecv = func(a any, _ int32) {
 		pm := a.(*msg)

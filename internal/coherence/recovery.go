@@ -40,7 +40,7 @@ func (m *Machine) armTxnDeadline(t *invalTxn) {
 		shift = 6
 	}
 	d := m.Params.Recovery.Timeout << uint(shift)
-	t.deadline = m.Engine.After(d, func() { m.txnDeadline(t) })
+	t.deadline = m.Engine.AfterCall(d, m.fnTxnDeadline, t, 0)
 }
 
 // txnDeadline fires when t's acknowledgments failed to drain in time:

@@ -89,25 +89,14 @@ func (m *Machine) recvTreeInval(n topology.NodeID, pm *msg) {
 			ctx.selfDone = true
 			m.treeMaybeAck(ctx)
 		}
+		// Deferring past our own pending fill holds back only our own
+		// invalidation — and with it the combined ack. Forwarding to
+		// children is NOT deferred: the subtree's sharers must not wait on
+		// our fill.
 		deferred := false
-		if op := m.op(n, pm.block); op != nil && !op.write {
-			// Same reply-race handling as sharerInval: a directory-targeted
-			// tree invalidation proves our read was served (fill in flight),
-			// so defer our own invalidation — and with it the combined ack —
-			// past the fill. Forwarding to children is NOT deferred: the
-			// subtree's sharers must not wait on our fill. Under
-			// broadcast/coarse targeting, or whenever presence bits can go
-			// stale under a pending miss (see deferSafe), our fill is not
-			// provably in flight; squash the miss instead.
-			if !ctx.txn.broadcast && m.deferSafe() {
-				op.afterFill = append(op.afterFill, selfInval)
-				deferred = true
-			} else if !op.squashed {
-				op.squashed = true
-				if m.OnSquash != nil {
-					m.OnSquash(n, pm.block)
-				}
-			}
+		if op := m.deferOrSquash(n, pm.block, !ctx.txn.broadcast); op != nil {
+			op.afterFill = append(op.afterFill, selfInval)
+			deferred = true
 		}
 		for _, c := range kids {
 			c := c

@@ -832,11 +832,11 @@ func FigWormBarrier() *report.Table {
 		// amortized).
 		for ep := 0; ep < 2; ep++ {
 			left := m.Mesh.Nodes()
+			arrive := func(_ any, n int32) {
+				m.BarrierArrive(topology.NodeID(n), func() { left-- })
+			}
 			for n := 0; n < m.Mesh.Nodes(); n++ {
-				n := n
-				m.Engine.At(m.Engine.Now(), func() {
-					m.BarrierArrive(topology.NodeID(n), func() { left-- })
-				})
+				m.Engine.AtCall(m.Engine.Now(), arrive, nil, int32(n))
 			}
 			m.Engine.Run()
 			if left != 0 {

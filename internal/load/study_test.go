@@ -69,14 +69,3 @@ func TestCacheStudyMonotone(t *testing.T) {
 		}
 	}
 }
-
-// TestStudyHitRatesFlattening: the snapshot map mirrors the table cells.
-func TestStudyHitRatesFlattening(t *testing.T) {
-	m := StudyHitRates(StudyConfig{Seed: 1})
-	if len(m) != 9 {
-		t.Fatalf("%d cells; want 9", len(m))
-	}
-	if got := m["zipf=1.400/cap=256"]; got != "0.932" {
-		t.Fatalf("zipf=1.400/cap=256 = %q; want 0.932", got)
-	}
-}

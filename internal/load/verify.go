@@ -233,17 +233,15 @@ func CounterTable(res *Result, v *Verification) *report.Table {
 // counterDelta subtracts counters field by field.
 func counterDelta(before, after service.Counters) service.Counters {
 	return service.Counters{
-		Requests:        after.Requests - before.Requests,
-		CacheHits:       after.CacheHits - before.CacheHits,
-		Coalesced:       after.Coalesced - before.Coalesced,
-		Runs:            after.Runs - before.Runs,
-		DuplicateRuns:   after.DuplicateRuns - before.DuplicateRuns,
-		Partial:         after.Partial - before.Partial,
-		Batches:         after.Batches - before.Batches,
-		BatchedRequests: after.BatchedRequests - before.BatchedRequests,
-		JobsAccepted:    after.JobsAccepted - before.JobsAccepted,
-		JobsCompleted:   after.JobsCompleted - before.JobsCompleted,
-		JobsFailed:      after.JobsFailed - before.JobsFailed,
-		Shed:            after.Shed - before.Shed,
+		Requests:      after.Requests - before.Requests,
+		CacheHits:     after.CacheHits - before.CacheHits,
+		Coalesced:     after.Coalesced - before.Coalesced,
+		Runs:          after.Runs - before.Runs,
+		DuplicateRuns: after.DuplicateRuns - before.DuplicateRuns,
+		Partial:       after.Partial - before.Partial,
+		JobsAccepted:  after.JobsAccepted - before.JobsAccepted,
+		JobsCompleted: after.JobsCompleted - before.JobsCompleted,
+		JobsFailed:    after.JobsFailed - before.JobsFailed,
+		Shed:          after.Shed - before.Shed,
 	}
 }

@@ -186,9 +186,6 @@ type watchdog struct {
 	interval   sim.Time
 	maxStrikes int
 	onStall    func(diagnosis string)
-	// tick is the bound tick callback, allocated once at StartWatchdog so
-	// re-arming on the injection hot path does not allocate.
-	tick func()
 
 	armed     bool
 	fired     bool
@@ -218,7 +215,6 @@ func (n *Network) StartWatchdog(interval sim.Time, maxStrikes int, onStall func(
 		onStall = func(d string) { panic("network: liveness watchdog: no progress\n" + d) }
 	}
 	n.wd = &watchdog{interval: interval, maxStrikes: maxStrikes, onStall: onStall}
-	n.wd.tick = n.watchdogTick
 }
 
 // WatchdogFired reports whether the liveness watchdog has raised a stall.
@@ -234,10 +230,12 @@ func (n *Network) armWatchdog() {
 	wd.armed = true
 	wd.strikes = 0
 	wd.lastTicks = n.beacon.Ticks()
-	n.Engine.After(wd.interval, wd.tick)
+	n.Engine.AfterCall(wd.interval, watchdogTick, n, 0)
 }
 
-func (n *Network) watchdogTick() {
+// watchdogTick is the watchdog's event handler; arg is the *Network.
+func watchdogTick(arg any, _ int32) {
+	n := arg.(*Network)
 	wd := n.wd
 	wd.armed = false
 	if wd.fired || n.outstanding == 0 {
@@ -256,7 +254,7 @@ func (n *Network) watchdogTick() {
 		}
 	}
 	wd.armed = true
-	n.Engine.After(wd.interval, wd.tick)
+	n.Engine.AfterCall(wd.interval, watchdogTick, n, 0)
 }
 
 // ProgressTicks exposes the network's progress beacon reading (header

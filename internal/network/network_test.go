@@ -275,7 +275,7 @@ func launchGatherAfterReserve(t *testing.T, vct bool, delay sim.Time) (*rig, top
 	g := &Worm{Kind: Gather, VN: Reply, Path: rev, Dest: dests,
 		HeaderFlits: r.n.Cfg.HeaderFlits(2), TxnID: txn}
 	r.n.Inject(g)
-	r.e.After(delay, func() { r.n.PostAck(s1, txn) })
+	r.e.AfterCall(delay, sim.CallFunc, func() { r.n.PostAck(s1, txn) }, 0)
 	r.e.Run()
 	return r, home
 }
@@ -497,7 +497,7 @@ func TestManyRandomWormsDrainCleanly(t *testing.T) {
 		vn := VN(rng.Intn(2))
 		w := r.unicastWorm(routing.ECube, vn, src, dst, rng.Intn(20))
 		at := sim.Time(rng.Intn(2000))
-		r.e.At(at, func() { r.n.Inject(w) })
+		r.e.AtCall(at, sim.CallFunc, func() { r.n.Inject(w) }, 0)
 	}
 	r.e.Run()
 	if got := len(r.got); got != count {
@@ -685,7 +685,7 @@ func TestMultidestSoakConservation(t *testing.T) {
 		wantDeliveries += len(w.Destinations())
 		worms = append(worms, w)
 		at := sim.Time(rng.Intn(3000))
-		r.e.At(at, func() { r.n.Inject(w) })
+		r.e.AtCall(at, sim.CallFunc, func() { r.n.Inject(w) }, 0)
 	}
 	r.e.Run()
 	if r.n.Outstanding() != 0 {

@@ -39,8 +39,9 @@ type RequestMetric struct {
 	Source Source `json:"source"`
 	// Priority is the job priority the request carried.
 	Priority int `json:"priority"`
-	// BatchSize is the size of the batcher flush that carried this request
-	// (0 for cache hits served before batching).
+	// BatchSize is the number of requests the engine run that produced this
+	// result served — its leader plus everyone coalesced onto it (0 for
+	// cache hits).
 	BatchSize int `json:"batch_size"`
 	// QueueWaitMicros is the time from submission to engine-run start (or
 	// to cache delivery), in microseconds.
@@ -72,10 +73,6 @@ type Counters struct {
 	// firing. Shed requests are not counted in Requests (they never
 	// resolved).
 	Shed uint64 `json:"shed"`
-	// Batches and BatchedRequests size the coalescing windows: their ratio
-	// is the mean flush size.
-	Batches         uint64 `json:"batches"`
-	BatchedRequests uint64 `json:"batched_requests"`
 	// JobsAccepted / JobsCompleted / JobsFailed count whole jobs.
 	JobsAccepted  uint64 `json:"jobs_accepted"`
 	JobsCompleted uint64 `json:"jobs_completed"`
@@ -152,14 +149,6 @@ func (l *MetricLog) Record(m RequestMetric) {
 	if m.Partial {
 		l.counters.Partial++
 	}
-}
-
-// RecordBatch accounts one batcher flush of n requests.
-func (l *MetricLog) RecordBatch(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.counters.Batches++
-	l.counters.BatchedRequests += uint64(n)
 }
 
 // RecordShed accounts n point requests refused by the full run queue.

@@ -29,7 +29,6 @@ func TestResolveShedsAtQueueDepth(t *testing.T) {
 	}
 	svc := newTestService(t, Config{
 		Workers:    1,
-		BatchSize:  1, // no coalescing window: every submission dispatches alone
 		QueueDepth: 1,
 		RunPoint:   blocking,
 	})
@@ -54,8 +53,8 @@ func TestResolveShedsAtQueueDepth(t *testing.T) {
 		t.Fatal("worker never picked up the first point")
 	}
 
-	// Second distinct point fills the one-deep queue. The push happens on
-	// the batcher goroutine, so wait until the depth is observable.
+	// Second distinct point fills the one-deep queue. It is pushed from the
+	// client goroutine, so wait until the depth is observable.
 	second := make(chan res, 1)
 	resolve(2, second)
 	deadline := time.After(10 * time.Second)

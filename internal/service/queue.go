@@ -1,14 +1,14 @@
 package service
 
-//simcheck:allow-file nogoroutine -- the run queue hands work to the worker pool over a token channel
+//simcheck:allow-file nogoroutine -- the run queue hands work to the worker pool under a mutex and condition variable
 
 import (
 	"container/heap"
-	"context"
 	"errors"
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/sweep"
 )
 
@@ -20,6 +20,32 @@ var ErrQueueFull = errors.New("service: run queue full")
 // ErrDraining reports that the service stopped accepting work.
 var ErrDraining = errors.New("service: draining, not accepting new work")
 
+// request is one in-flight point resolution: a point, where it came from,
+// and the channel its outcome is delivered on. The outcome channel is
+// buffered so a delivering worker never blocks on a waiter that gave up.
+type request struct {
+	p        sweep.Point
+	fp       string
+	job      string
+	priority int
+	enqueued time.Time
+	out      chan outcome
+}
+
+// outcome is what a waiter receives: the measures, how they were produced,
+// and the timing attribution for its metric row. coll is the engine's raw
+// metrics collector, handed to exactly one waiter (the run leader) so a
+// shared collector is never merged twice into one aggregate.
+type outcome struct {
+	m         sweep.Measures
+	coll      *metrics.Collector
+	source    Source
+	batchSize int
+	queueWait time.Duration
+	runTime   time.Duration
+	err       error
+}
+
 // run is one unique engine execution: the representative point plus every
 // request waiting on its result. waiters is guarded by the owning Service's
 // mutex (the queue only moves runs around).
@@ -30,58 +56,77 @@ type run struct {
 	seq      uint64
 	budget   time.Duration
 	waiters  []*request
-	// running marks that a worker picked the run up; late waiters may
-	// still attach until done.
-	running bool
 }
 
 // runQueue is a bounded priority queue: higher priority first, FIFO within
-// a priority (seq breaks ties). Tokens mirror the heap size so workers can
-// block on a channel while the heap itself stays mutex-guarded.
+// a priority (seq breaks ties). The heap, its bound and the closed flag all
+// change under mu, and workers block on ready, so a worker can never be
+// woken for a run that is not yet in the heap.
 type runQueue struct {
 	mu     sync.Mutex
+	ready  *sync.Cond // signalled on push and close; L is &mu
 	heap   runHeap
-	tokens chan struct{}
+	bound  int
+	closed bool
 }
 
 func newRunQueue(depth int) *runQueue {
 	if depth <= 0 {
 		depth = 1024
 	}
-	return &runQueue{tokens: make(chan struct{}, depth)}
+	q := &runQueue{bound: depth}
+	q.ready = sync.NewCond(&q.mu)
+	return q
 }
 
-// push enqueues a run; it fails with ErrQueueFull at the depth bound.
+// push enqueues a run; it fails with ErrQueueFull at the depth bound and
+// with ErrDraining once the queue is closed.
 func (q *runQueue) push(r *run) error {
-	select {
-	case q.tokens <- struct{}{}:
-	default:
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return ErrDraining
+	}
+	if len(q.heap) >= q.bound {
 		return ErrQueueFull
 	}
-	q.mu.Lock()
 	heap.Push(&q.heap, r)
-	q.mu.Unlock()
+	q.ready.Signal()
 	return nil
 }
 
-// pop blocks for the highest-priority run, or returns nil when ctx ends.
-func (q *runQueue) pop(ctx context.Context) *run {
-	select {
-	case <-q.tokens:
-	case <-ctx.Done():
+// pop blocks for the highest-priority run, or returns nil once the queue
+// is closed.
+func (q *runQueue) pop() *run {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.heap) == 0 && !q.closed {
+		q.ready.Wait()
+	}
+	if q.closed {
 		return nil
 	}
+	return heap.Pop(&q.heap).(*run)
+}
+
+// close ends the queue: every blocked and future pop returns nil, every
+// future push fails, and the runs still queued are handed back (in no
+// particular order) so the caller can give their waiters a terminal answer.
+func (q *runQueue) close() []*run {
 	q.mu.Lock()
-	r := heap.Pop(&q.heap).(*run)
-	q.mu.Unlock()
-	return r
+	defer q.mu.Unlock()
+	q.closed = true
+	stranded := q.heap
+	q.heap = nil
+	q.ready.Broadcast()
+	return stranded
 }
 
 // depth returns the number of queued runs.
 func (q *runQueue) depth() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return q.heap.Len()
+	return len(q.heap)
 }
 
 // runHeap implements heap.Interface: max priority first, then FIFO.

@@ -6,14 +6,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/metrics"
+	"repro/internal/sweep"
 )
 
 // newTestDaemon stands up a full daemon stack — service, wired experiment
@@ -70,7 +75,7 @@ func TestExperimentEndpointByteIdentical(t *testing.T) {
 	// The batch CLI's rendering: the experiment run with the direct engine.
 	direct := experiments.Runners(8, 16, 2)["latency"]().String() + "\n"
 
-	_, ts := newTestDaemon(t, Config{Workers: 4, BatchSize: 4, BatchWait: time.Millisecond})
+	_, ts := newTestDaemon(t, Config{Workers: 4})
 	req := ExperimentRequest{Name: "latency", K: 8, Trials: 2}
 	resp, body := postJSON(t, ts.URL+"/v1/experiments", req)
 	if resp.StatusCode != http.StatusOK {
@@ -91,7 +96,7 @@ func TestExperimentEndpointByteIdentical(t *testing.T) {
 // output for the same experiment.
 func TestExperimentEndpointCSV(t *testing.T) {
 	direct := experiments.Runners(8, 16, 2)["latency"]().CSV()
-	_, ts := newTestDaemon(t, Config{Workers: 4, BatchSize: 1})
+	_, ts := newTestDaemon(t, Config{Workers: 4})
 	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "latency", K: 8, Trials: 2, CSV: true})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("experiment: %s: %s", resp.Status, body)
@@ -103,7 +108,7 @@ func TestExperimentEndpointCSV(t *testing.T) {
 
 // TestExperimentEndpointUnknownName: bad names are a 400, not a panic.
 func TestExperimentEndpointUnknownName(t *testing.T) {
-	_, ts := newTestDaemon(t, Config{Workers: 1, BatchSize: 1})
+	_, ts := newTestDaemon(t, Config{Workers: 1})
 	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "nope"})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown experiment: %s: %s", resp.Status, body)
@@ -113,7 +118,7 @@ func TestExperimentEndpointUnknownName(t *testing.T) {
 // TestJobOverHTTP: submit a point job with ?wait=1, fetch its result by
 // fingerprint, and read the flat metrics CSV.
 func TestJobOverHTTP(t *testing.T) {
-	_, ts := newTestDaemon(t, Config{Workers: 2, BatchSize: 1})
+	_, ts := newTestDaemon(t, Config{Workers: 2})
 	jr := JobRequest{Points: []PointSpec{{
 		K: 4, Scheme: "MI-UA-ec", D: 2, Pattern: "random", Trials: 2, Seed: 7,
 	}}}
@@ -186,7 +191,7 @@ func TestJobOverHTTP(t *testing.T) {
 // TestJobOverHTTPAsyncAndStatus: async submission returns an ID;
 // /v1/jobs/{id}?wait=1 blocks to the terminal status; /v1/jobs lists it.
 func TestJobOverHTTPAsyncAndStatus(t *testing.T) {
-	_, ts := newTestDaemon(t, Config{Workers: 1, BatchSize: 1})
+	_, ts := newTestDaemon(t, Config{Workers: 1})
 	jr := JobRequest{ID: "async-1", Points: []PointSpec{{
 		K: 4, Scheme: "UI-UA", D: 3, Pattern: "clustered", Trials: 2, Seed: 9,
 	}}}
@@ -229,7 +234,7 @@ func TestJobOverHTTPAsyncAndStatus(t *testing.T) {
 // TestJobOverHTTPStream: ?stream=1 emits NDJSON progress frames and a
 // terminal result frame.
 func TestJobOverHTTPStream(t *testing.T) {
-	_, ts := newTestDaemon(t, Config{Workers: 2, BatchSize: 1})
+	_, ts := newTestDaemon(t, Config{Workers: 2})
 	jr := JobRequest{Points: []PointSpec{
 		{K: 4, Scheme: "MI-MA-ec", D: 2, Pattern: "random", Trials: 2, Seed: 3},
 		{K: 4, Scheme: "MI-MA-ec", D: 3, Pattern: "random", Trials: 2, Seed: 3},
@@ -262,7 +267,7 @@ func TestJobOverHTTPStream(t *testing.T) {
 
 // TestBadRequests: malformed bodies and invalid points are 400s.
 func TestBadRequests(t *testing.T) {
-	_, ts := newTestDaemon(t, Config{Workers: 1, BatchSize: 1})
+	_, ts := newTestDaemon(t, Config{Workers: 1})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader("{oops"))
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +293,7 @@ func TestBadRequests(t *testing.T) {
 
 // TestHealthEndpoint: ok while serving, 503 once draining.
 func TestHealthEndpoint(t *testing.T) {
-	svc, ts := newTestDaemon(t, Config{Workers: 1, BatchSize: 1})
+	svc, ts := newTestDaemon(t, Config{Workers: 1})
 	resp, _ := getBody(t, ts.URL+"/healthz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %s; want 200", resp.Status)
@@ -309,5 +314,62 @@ func TestHealthEndpoint(t *testing.T) {
 	}}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("job while draining: %s (%s); want 503", resp.Status, body)
+	}
+}
+
+// TestColdDaemonSoak pushes 50 000 distinct one-point jobs through a real
+// daemon whose store starts empty, so every request is a miss that crosses
+// the in-flight table, the run queue and the worker pool. The engine is a
+// no-op: the dispatch path is the whole workload, and it must survive it.
+func TestColdDaemonSoak(t *testing.T) {
+	const jobs, clients = 50_000, 8
+	d, err := StartDaemon(DaemonConfig{Service: Config{
+		Workers: 4,
+		RunPoint: func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+			return sweep.Measures{Completed: p.Trials}, nil
+		},
+	}})
+	if err != nil {
+		t.Fatalf("StartDaemon: %v", err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := d.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	}()
+
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				seed := next.Add(1)
+				if seed > jobs {
+					return
+				}
+				body := fmt.Sprintf(`{"points":[{"k":4,"scheme":"UI-UA","d":2,"pattern":"random","trials":1,"seed":%d}]}`, seed)
+				resp, err := http.Post(d.BaseURL()+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
+				if err != nil {
+					t.Errorf("job %d: %v", seed, err)
+					return
+				}
+				_, _ = io.Copy(io.Discard, resp.Body) // drained so the connection is reused
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("job %d: %s", seed, resp.Status)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	c, _ := d.Service().Metrics().Snapshot()
+	if c.Runs != jobs || c.Requests != jobs || c.DuplicateRuns != 0 || c.Shed != 0 {
+		t.Fatalf("runs=%d requests=%d dup=%d shed=%d; want %d/%d/0/0", c.Runs, c.Requests, c.DuplicateRuns, c.Shed, jobs, jobs)
 	}
 }

@@ -1,6 +1,6 @@
 // Package service is the simulation-as-a-service layer: a long-running
-// daemon core that wraps the sweep engine behind a priority job queue, a
-// coalescing batcher and a content-addressed result cache.
+// daemon core that wraps the sweep engine behind a priority job queue, an
+// in-flight coalescing table and a content-addressed result cache.
 //
 // The whole design leans on one property the rest of the repository spent
 // eight PRs proving: every (config, seed) point is deterministic, so a
@@ -15,16 +15,19 @@
 //     the same bytes, so the journal only records *what* was in flight,
 //     never partial state.
 //
-// A point request flows: Resolve -> cache probe -> batcher (size/maxWait
-// coalescing window) -> in-flight dedup -> priority run queue -> bounded
-// worker pool -> engine (sweep.RunPointDirect) -> store + fan-out to every
-// waiter. Jobs (point lists) run through sweep.Run with the service
-// substituted as Options.RunPoint, so job-level ordering, retry, progress
-// and checkpointing are the sweep engine's existing machinery, not a
-// reimplementation.
+// A point request flows through five stages: Resolve probes the store; a
+// miss looks its fingerprint up in the in-flight table and either attaches
+// to the run already there or creates one; a new run enters the bounded
+// priority queue; a worker of the bounded pool pops it and calls the engine
+// (sweep.RunPointDirect); the result is stored and fanned out to every
+// waiter. The in-flight table is the only coalescer and the queue bound the
+// only load shedder. Jobs (point lists) run through sweep.Run with the
+// service substituted as Options.RunPoint, so job-level ordering, retry,
+// progress and checkpointing are the sweep engine's existing machinery, not
+// a reimplementation.
 package service
 
-//simcheck:allow-file nogoroutine -- the worker pool and job runner are goroutines by design; see DESIGN.md section 16
+//simcheck:allow-file determinism,nogoroutine -- the worker pool and job runner are goroutines by design, and the request metrics time queue wait and engine run on the wall clock; see DESIGN.md section 16
 
 import (
 	"context"
@@ -45,20 +48,11 @@ import (
 type Config struct {
 	// Workers bounds the engine worker pool (default 4).
 	Workers int
-	// BatchSize flushes a coalescing batch when it holds this many
-	// requests (default 16).
-	BatchSize int
-	// BatchWait flushes a nonempty batch this long after it opened
-	// (default 2ms; <= 0 disables the window and flushes every submission
-	// immediately).
-	BatchWait time.Duration
 	// QueueDepth bounds the run queue; dispatches beyond it fail with
 	// ErrQueueFull (default 1024).
 	QueueDepth int
 	// Store is the result cache (default an unbounded MemoryStore).
 	Store ResultStore
-	// Clock abstracts time for tests (default WallClock).
-	Clock Clock
 	// RunPoint is the engine (default sweep.RunPointDirect; tests fake it).
 	RunPoint func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector)
 	// DataDir, when nonempty, enables durability: the job journal
@@ -124,10 +118,8 @@ type JobStatus struct {
 // Service is the daemon core. Create with New, stop with Drain.
 type Service struct {
 	cfg     Config
-	clock   Clock
 	store   ResultStore
 	metrics *MetricLog
-	batcher *batcher
 	queue   *runQueue
 
 	baseCtx context.Context
@@ -149,27 +141,13 @@ type jobState struct {
 	done   chan struct{}
 }
 
-// New starts a service: the batcher pump and the worker pool begin
-// immediately. If cfg.DataDir holds a journal from a previous run, its
-// unfinished jobs are resubmitted (their sweep checkpoints and the result
-// store make that cheap: finished points are hits, only lost work re-runs).
+// New starts a service: the worker pool begins immediately. If cfg.DataDir
+// holds a journal from a previous run, its unfinished jobs are resubmitted
+// (their sweep checkpoints and the result store make that cheap: finished
+// points are hits, only lost work re-runs).
 func New(cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 16
-	}
-	if cfg.BatchWait < 0 {
-		cfg.BatchWait = 0
-	}
-	if cfg.BatchWait == 0 && cfg.BatchSize > 1 {
-		// Without a wait bound a partial batch would starve; no window
-		// means no batching.
-		cfg.BatchSize = 1
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = WallClock()
 	}
 	if cfg.Store == nil {
 		cfg.Store = NewMemoryStore(0)
@@ -185,7 +163,6 @@ func New(cfg Config) (*Service, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:      cfg,
-		clock:    cfg.Clock,
 		store:    cfg.Store,
 		metrics:  NewMetricLog(cfg.MetricCap),
 		queue:    newRunQueue(cfg.QueueDepth),
@@ -194,13 +171,13 @@ func New(cfg Config) (*Service, error) {
 		inflight: map[string]*run{},
 		jobs:     map[string]*jobState{},
 	}
-	s.batcher = newBatcher(cfg.BatchSize, cfg.BatchWait, cfg.Clock, s.dispatchBatch)
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
 		go s.worker() //simcheck:allow nogoroutine -- the bounded engine worker pool
 	}
 	if err := s.resumeJournal(); err != nil {
 		s.cancel()
+		s.queue.close()
 		return nil, err
 	}
 	return s, nil
@@ -222,22 +199,23 @@ func (s *Service) Draining() bool {
 	return s.draining
 }
 
-// Resolve serves one point: cache probe, then the coalescing batcher, then
-// (for the batch leader) an engine run on the worker pool. It blocks until
-// the result is available or ctx ends. The returned collector is non-nil
-// only for the request whose engine run produced the result.
+// Resolve serves one point: store probe, then the in-flight table (attach
+// to the run already computing this fingerprint, or create and queue one),
+// then an engine run on the worker pool. It blocks until the result is
+// available or ctx ends. The returned collector is non-nil only for the
+// request whose engine run produced the result.
 func (s *Service) Resolve(ctx context.Context, p sweep.Point, priority int, job string) (sweep.Measures, *metrics.Collector, Source, error) {
 	if p.Tune != nil {
 		return sweep.Measures{}, nil, "", errors.New("service: points with Tune functions are not cacheable; run them through the batch CLIs")
 	}
 	fp := p.Fingerprint()
-	enq := s.clock.Now()
+	enq := time.Now()
 	if m, ok, err := s.store.Get(fp); err != nil {
 		return sweep.Measures{}, nil, "", err
 	} else if ok {
 		s.metrics.Record(RequestMetric{
 			Job: job, Fingerprint: fp, Source: SourceCache, Priority: priority,
-			QueueWaitMicros: s.clock.Now().Sub(enq).Microseconds(),
+			QueueWaitMicros: time.Since(enq).Microseconds(),
 		})
 		return m, nil, SourceCache, nil
 	}
@@ -246,7 +224,10 @@ func (s *Service) Resolve(ctx context.Context, p sweep.Point, priority int, job 
 		enqueued: enq,
 		out:      make(chan outcome, 1),
 	}
-	if err := s.batcher.submit(ctx, req); err != nil {
+	if err := s.admit(req); err != nil {
+		if errors.Is(err, ErrQueueFull) {
+			s.metrics.RecordShed(1)
+		}
 		return sweep.Measures{}, nil, "", err
 	}
 	select {
@@ -269,59 +250,53 @@ func (s *Service) Resolve(ctx context.Context, p sweep.Point, priority int, job 
 	}
 }
 
-// dispatchBatch is the batcher's flush hook: group the batch by
-// fingerprint, attach waiters to in-flight runs, and enqueue one new run
-// per novel fingerprint. Runs inside the single batcher goroutine.
-func (s *Service) dispatchBatch(batch []*request) {
-	s.metrics.RecordBatch(len(batch))
-	size := len(batch)
-	var fresh []*run
+// admit is the coalescing step. In one critical section a request either
+// attaches to the in-flight run of its fingerprint or becomes the leader of
+// a new run on the queue, so a fingerprint never has two runs between
+// admission and delivery. It fails with ErrQueueFull at the queue bound and
+// ErrDraining once the queue is closed; a failed request leaves no trace.
+func (s *Service) admit(r *request) error {
 	s.mu.Lock()
-	for _, r := range batch {
-		r := r
-		if rn, ok := s.inflight[r.fp]; ok {
-			rn.waiters = append(rn.waiters, r)
-			continue
-		}
-		// A result may have landed in the store between the cache probe
-		// and this flush (a just-finished identical run). Serve it now
-		// rather than re-running; the probe is cheap for the memory store.
-		if m, ok, err := s.store.Get(r.fp); err == nil && ok {
-			r.out <- outcome{m: m, source: SourceCache, batchSize: size,
-				queueWait: s.clock.Now().Sub(r.enqueued)}
-			continue
-		}
-		rn := &run{
-			fp: r.fp, p: r.p, priority: r.priority,
-			seq:     s.runSeq,
-			budget:  s.cfg.DefaultTimeout,
-			waiters: []*request{r},
-		}
-		s.runSeq++
-		s.inflight[r.fp] = rn
-		fresh = append(fresh, rn)
+	defer s.mu.Unlock()
+	if rn, ok := s.inflight[r.fp]; ok {
+		rn.waiters = append(rn.waiters, r)
+		return nil
 	}
-	s.mu.Unlock()
-	for _, rn := range fresh {
-		if err := s.queue.push(rn); err != nil {
-			s.failRun(rn, err)
-		}
+	// Workers store a result before they clear its table entry, so a run
+	// that finished between the caller's store probe and this lock has left
+	// its result in the store. Serve it rather than run the point twice.
+	if m, ok, err := s.store.Get(r.fp); err == nil && ok {
+		r.out <- outcome{m: m, source: SourceCache, queueWait: time.Since(r.enqueued)}
+		return nil
 	}
+	rn := &run{
+		fp: r.fp, p: r.p, priority: r.priority,
+		seq:     s.runSeq,
+		budget:  s.cfg.DefaultTimeout,
+		waiters: []*request{r},
+	}
+	if err := s.queue.push(rn); err != nil {
+		return err
+	}
+	s.runSeq++
+	s.inflight[r.fp] = rn
+	return nil
 }
 
-// failRun delivers an error to every waiter of a run and clears it from
-// the in-flight table. Queue-full failures are the shedder firing, which
-// the counters track so load tests can reconcile client-observed sheds.
-func (s *Service) failRun(rn *run, err error) {
+// finish clears a run from the in-flight table and returns its waiters;
+// after it no request can attach to the run.
+func (s *Service) finish(rn *run) []*request {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	delete(s.inflight, rn.fp)
 	waiters := rn.waiters
 	rn.waiters = nil
-	s.mu.Unlock()
-	if errors.Is(err, ErrQueueFull) {
-		s.metrics.RecordShed(len(waiters))
-	}
-	for _, w := range waiters {
+	return waiters
+}
+
+// failRun delivers an error to every waiter of a run.
+func (s *Service) failRun(rn *run, err error) {
+	for _, w := range s.finish(rn) {
 		w.out <- outcome{err: err}
 	}
 }
@@ -331,19 +306,15 @@ func (s *Service) failRun(rn *run, err error) {
 func (s *Service) worker() {
 	defer s.workers.Done()
 	for {
-		rn := s.queue.pop(s.baseCtx)
+		rn := s.queue.pop()
 		if rn == nil {
 			return
 		}
-		s.mu.Lock()
-		rn.running = true
-		s.mu.Unlock()
-
 		if m, ok, err := s.store.Get(rn.fp); err == nil && ok {
-			// Shouldn't happen — dispatch dedups — but serving the stored
+			// Shouldn't happen — admit dedups — but serving the stored
 			// value is always correct, so prefer it and count the anomaly.
 			s.metrics.RecordDuplicateRun()
-			s.deliver(rn, m, nil, 0, s.clock.Now())
+			s.deliver(rn, m, nil, 0, time.Now())
 			continue
 		}
 
@@ -352,10 +323,10 @@ func (s *Service) worker() {
 		if rn.budget > 0 {
 			rctx, cancel = context.WithTimeout(s.baseCtx, rn.budget)
 		}
-		started := s.clock.Now()
+		started := time.Now()
 		meas, coll := s.cfg.RunPoint(rctx, rn.p)
 		cancel()
-		runTime := s.clock.Now().Sub(started)
+		runTime := time.Since(started)
 
 		if meas.Completed >= rn.p.Trials {
 			if err := s.store.Put(rn.fp, meas); err != nil {
@@ -370,11 +341,7 @@ func (s *Service) worker() {
 // deliver fans a finished run out: the first waiter is the leader (source
 // "run", owns the collector), the rest coalesced.
 func (s *Service) deliver(rn *run, m sweep.Measures, coll *metrics.Collector, runTime time.Duration, started time.Time) {
-	s.mu.Lock()
-	delete(s.inflight, rn.fp)
-	waiters := rn.waiters
-	rn.waiters = nil
-	s.mu.Unlock()
+	waiters := s.finish(rn)
 	for i, w := range waiters {
 		o := outcome{
 			m: m, source: SourceCoalesced,
@@ -390,53 +357,11 @@ func (s *Service) deliver(rn *run, m sweep.Measures, coll *metrics.Collector, ru
 	}
 }
 
-// Submit registers a job and runs it asynchronously; use Wait or Status to
-// observe it. Fails with ErrDraining once a drain has begun.
-func (s *Service) Submit(spec JobSpec) (string, error) {
-	if err := validateSpec(&spec); err != nil {
-		return "", err
-	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return "", ErrDraining
-	}
-	if spec.ID == "" {
-		s.jobSeq++
-		spec.ID = fmt.Sprintf("job-%06d", s.jobSeq)
-	}
-	if _, ok := s.jobs[spec.ID]; ok {
-		s.mu.Unlock()
-		return "", fmt.Errorf("service: duplicate job id %q", spec.ID)
-	}
-	st := &jobState{
-		spec: spec,
-		status: JobStatus{
-			ID: spec.ID, State: "running", Total: len(spec.Points),
-			Priority: spec.Priority,
-		},
-		done: make(chan struct{}),
-	}
-	s.jobs[spec.ID] = st
-	s.mu.Unlock()
-	s.metrics.RecordJob(true, false, false)
-	if err := s.saveJournal(); err != nil {
-		return "", err
-	}
-	s.jobsWG.Add(1)
-	go func() { //simcheck:allow nogoroutine -- one runner goroutine per accepted job
-		defer s.jobsWG.Done()
-		res, err := s.runJob(s.baseCtx, spec, nil)
-		s.finishJob(st, res, err)
-	}()
-	return spec.ID, nil
-}
-
-// RunJob runs a job synchronously on the caller's goroutine, streaming
-// sweep progress to onProgress (may be nil). The caller's ctx bounds the
-// wait; the service's own lifetime bounds the work.
-func (s *Service) RunJob(ctx context.Context, spec JobSpec, onProgress func(sweep.Progress)) (*JobResult, error) {
-	if err := validateSpec(&spec); err != nil {
+// register admits a job: it validates the spec, assigns an ID when the
+// caller gave none, records the job as running and journals it. Fails with
+// ErrDraining once a drain has begun.
+func (s *Service) register(spec *JobSpec) (*jobState, error) {
+	if err := validateSpec(spec); err != nil {
 		return nil, err
 	}
 	s.mu.Lock()
@@ -453,7 +378,7 @@ func (s *Service) RunJob(ctx context.Context, spec JobSpec, onProgress func(swee
 		return nil, fmt.Errorf("service: duplicate job id %q", spec.ID)
 	}
 	st := &jobState{
-		spec: spec,
+		spec: *spec,
 		status: JobStatus{
 			ID: spec.ID, State: "running", Total: len(spec.Points),
 			Priority: spec.Priority,
@@ -464,6 +389,33 @@ func (s *Service) RunJob(ctx context.Context, spec JobSpec, onProgress func(swee
 	s.mu.Unlock()
 	s.metrics.RecordJob(true, false, false)
 	if err := s.saveJournal(); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// Submit registers a job and runs it asynchronously; use Wait or Status to
+// observe it. Fails with ErrDraining once a drain has begun.
+func (s *Service) Submit(spec JobSpec) (string, error) {
+	st, err := s.register(&spec)
+	if err != nil {
+		return "", err
+	}
+	s.jobsWG.Add(1)
+	go func() { //simcheck:allow nogoroutine -- one runner goroutine per accepted job
+		defer s.jobsWG.Done()
+		res, err := s.runJob(s.baseCtx, spec, nil)
+		s.finishJob(st, res, err)
+	}()
+	return spec.ID, nil
+}
+
+// RunJob runs a job synchronously on the caller's goroutine, streaming
+// sweep progress to onProgress (may be nil). The caller's ctx bounds the
+// wait; the service's own lifetime bounds the work.
+func (s *Service) RunJob(ctx context.Context, spec JobSpec, onProgress func(sweep.Progress)) (*JobResult, error) {
+	st, err := s.register(&spec)
+	if err != nil {
 		return nil, err
 	}
 	res, err := s.runJob(ctx, spec, onProgress)
@@ -647,9 +599,9 @@ func (s *Service) Jobs() []JobStatus {
 }
 
 // Drain performs graceful shutdown: stop accepting jobs, give in-flight
-// jobs until ctx ends to finish, then cancel them (the sweep engine stops
-// at trial boundaries and its checkpoints flush after every completed
-// point), stop the batcher and the worker pool, and write the final
+// jobs until ctx ends to finish, then close the run queue and cancel them
+// (the sweep engine stops at trial boundaries and its checkpoints flush
+// after every completed point), stop the worker pool, and write the final
 // journal. A later New over the same DataDir resumes whatever was cut off.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
@@ -668,32 +620,17 @@ func (s *Service) Drain(ctx context.Context) error {
 	select {
 	case <-finished:
 	case <-ctx.Done():
-		// Grace expired: cancel in-flight work and wait for it to unwind.
-		s.cancel()
-		<-finished
+		// Grace expired: whatever still runs is cancelled below.
 	}
+	// The queue closes before the cancel so that a worker whose run is cut
+	// off finds nothing more to start, and every run still queued gets a
+	// terminal answer rather than a cancelled engine run.
+	stranded := s.queue.close()
 	s.cancel()
-	s.batcher.stop()
-	s.workers.Wait()
-	// Any runs stranded in the queue after cancellation get a terminal
-	// answer so no waiter hangs.
-	for {
-		rn := func() *run {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.queue.heap.Len() == 0 {
-				return nil
-			}
-			return s.queue.heap[0]
-		}()
-		if rn == nil {
-			break
-		}
-		popped := s.queue.pop(context.Background())
-		if popped == nil {
-			break
-		}
-		s.failRun(popped, ErrDraining)
+	for _, rn := range stranded {
+		s.failRun(rn, ErrDraining)
 	}
+	<-finished
+	s.workers.Wait()
 	return s.saveJournal()
 }

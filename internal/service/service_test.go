@@ -8,6 +8,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,10 +18,89 @@ import (
 	"repro/internal/sweep"
 )
 
+// testPoint builds a small valid point; variant separates distinct contents.
+func testPoint(index, variant int) sweep.Point {
+	return sweep.Point{
+		Index: index, K: 4, Scheme: 1, D: 2 + variant%10,
+		Pattern: 0, Trials: 2, Seed: uint64(100 + variant),
+	}
+}
+
 // enginePoint is a real, small engine point for end-to-end determinism
 // checks (4x4 mesh, 2 sharers, 2 trials — milliseconds of work).
 func enginePoint() sweep.Point {
 	return sweep.Point{Index: 0, K: 4, Scheme: 1, D: 2, Pattern: 0, Trials: 2, Seed: 7}
+}
+
+type engineFunc = func(context.Context, sweep.Point) (sweep.Measures, *metrics.Collector)
+
+// countingEngine is a fake RunPoint that counts executions and returns
+// deterministic measures derived from the point, so coalesced and cached
+// answers are distinguishable per point but identical within one.
+func countingEngine(runs *atomic.Int64) engineFunc {
+	return func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+		runs.Add(1)
+		return sweep.Measures{
+			HomeMsgs:  float64(p.D),
+			Messages:  float64(p.Seed),
+			Completed: p.Trials,
+		}, metrics.NewCollector(p.K * p.K)
+	}
+}
+
+// gatedEngine holds every run of inner until release is closed (or the
+// service cancels the run), which keeps the in-flight window open for as
+// long as a test needs to fill it.
+func gatedEngine(release <-chan struct{}, inner engineFunc) engineFunc {
+	return func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+		select {
+		case <-release:
+			return inner(ctx, p)
+		case <-ctx.Done():
+			return sweep.Measures{}, nil
+		}
+	}
+}
+
+// awaitWaiters blocks until the in-flight table holds want waiters in
+// total: with the engine gated, that is the moment every client of the test
+// has registered and none has been answered.
+func awaitWaiters(t *testing.T, svc *Service, want int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got := 0
+		svc.mu.Lock()
+		for _, rn := range svc.inflight {
+			got += len(rn.waiters)
+		}
+		svc.mu.Unlock()
+		if got == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d waiters in flight; want %d", got, want)
+		}
+		runtime.Gosched()
+	}
+}
+
+func newTestService(t *testing.T, cfg Config) *Service {
+	t.Helper()
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		// Tests that exercise Drain themselves leave the service already
+		// drained; only a fresh drain failing is a test failure.
+		if err := svc.Drain(ctx); err != nil && !errors.Is(err, ErrDraining) {
+			t.Errorf("Drain: %v", err)
+		}
+	})
+	return svc
 }
 
 func mustJSON(t *testing.T, v any) string {
@@ -40,8 +120,9 @@ func TestDeterminismGate(t *testing.T) {
 	direct, _ := sweep.RunPointDirect(context.Background(), p)
 	want := mustJSON(t, direct)
 
+	release := make(chan struct{})
 	svc := newTestService(t, Config{
-		Workers: 2, BatchSize: 2, BatchWait: time.Hour, Clock: newFakeClock(),
+		Workers: 2, RunPoint: gatedEngine(release, sweep.RunPointDirect),
 	})
 
 	// Two concurrent identical submissions: one run + one coalesced.
@@ -60,6 +141,8 @@ func TestDeterminismGate(t *testing.T) {
 			got[i], srcs[i] = m, src
 		}(i)
 	}
+	awaitWaiters(t, svc, 2)
+	close(release)
 	wg.Wait()
 
 	// A third submission after completion: a cache hit.
@@ -80,21 +163,20 @@ func TestDeterminismGate(t *testing.T) {
 	}
 }
 
-// TestLoadCoalescing is the issue's load gate: 64 concurrent clients over 8
-// distinct points must see >= 85%% cache+coalesce hit rate, exactly 8
-// engine runs, and zero duplicate runs.
+// TestLoadCoalescing is the load gate: 64 concurrent clients over 8
+// distinct points, all registered before the engine is let go, must see one
+// run per point and everyone else coalesced — exactly 8 engine runs, >= 85%
+// hit rate, zero duplicate runs.
 func TestLoadCoalescing(t *testing.T) {
 	const clients, points = 64, 8
 	var runs atomic.Int64
+	release := make(chan struct{})
 	svc := newTestService(t, Config{
-		Workers:   4,
-		BatchSize: 16,
-		BatchWait: 5 * time.Millisecond, // wall clock: exercises the real timer path
-		RunPoint: func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+		Workers: 4,
+		RunPoint: gatedEngine(release, func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
 			runs.Add(1)
-			time.Sleep(time.Millisecond) // hold the in-flight window open
 			return sweep.Measures{Messages: float64(p.Seed), Completed: p.Trials}, nil
-		},
+		}),
 	})
 
 	var wg sync.WaitGroup
@@ -113,6 +195,8 @@ func TestLoadCoalescing(t *testing.T) {
 			}
 		}(i)
 	}
+	awaitWaiters(t, svc, clients)
+	close(release)
 	wg.Wait()
 
 	if got := runs.Load(); got != points {
@@ -125,9 +209,120 @@ func TestLoadCoalescing(t *testing.T) {
 	if counters.Requests != clients {
 		t.Fatalf("Requests = %d; want %d", counters.Requests, clients)
 	}
+	if counters.Runs != points || counters.Coalesced != clients-points {
+		t.Fatalf("runs=%d coalesced=%d; want %d + %d", counters.Runs, counters.Coalesced, points, clients-points)
+	}
 	if hr := counters.HitRate(); hr < 0.85 {
 		t.Fatalf("hit rate %.3f; want >= 0.85 (cache %d + coalesced %d of %d)",
 			hr, counters.CacheHits, counters.Coalesced, counters.Requests)
+	}
+}
+
+// TestCoalescesIdenticalSubmissions is the coalescing contract: N
+// concurrent submissions of the identical point produce exactly one engine
+// run, one "run" source, and N-1 "coalesced" sources, all with identical
+// measures, and the engine's collector goes to the run leader alone.
+func TestCoalescesIdenticalSubmissions(t *testing.T) {
+	const n = 8
+	var runs atomic.Int64
+	release := make(chan struct{})
+	svc := newTestService(t, Config{
+		Workers:  2,
+		RunPoint: gatedEngine(release, countingEngine(&runs)),
+	})
+	p := testPoint(0, 1)
+
+	var wg sync.WaitGroup
+	sources := make([]Source, n)
+	results := make([]sweep.Measures, n)
+	colls := make([]*metrics.Collector, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, coll, src, err := svc.Resolve(context.Background(), p, 0, "t")
+			if err != nil {
+				t.Errorf("Resolve %d: %v", i, err)
+				return
+			}
+			sources[i], results[i], colls[i] = src, m, coll
+		}(i)
+	}
+	awaitWaiters(t, svc, n)
+	close(release)
+	wg.Wait()
+
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("engine ran %d times; want exactly 1", got)
+	}
+	var ran, coalesced, collectors int
+	for i := 0; i < n; i++ {
+		switch sources[i] {
+		case SourceRun:
+			ran++
+		case SourceCoalesced:
+			coalesced++
+		default:
+			t.Fatalf("request %d served from %q", i, sources[i])
+		}
+		if colls[i] != nil {
+			collectors++
+		}
+		if !measuresEqual(results[i], results[0]) {
+			t.Fatalf("request %d got different measures", i)
+		}
+	}
+	if ran != 1 || coalesced != n-1 {
+		t.Fatalf("sources: %d run + %d coalesced; want 1 + %d", ran, coalesced, n-1)
+	}
+	if collectors != 1 {
+		t.Fatalf("%d requests received the engine collector; want exactly the run leader", collectors)
+	}
+	counters, recs := svc.Metrics().Snapshot()
+	if counters.DuplicateRuns != 0 {
+		t.Fatalf("DuplicateRuns = %d; want 0", counters.DuplicateRuns)
+	}
+	for _, r := range recs {
+		if r.BatchSize != n {
+			t.Fatalf("metric row %d has batch_size %d; want %d (requests served by the run)", r.Seq, r.BatchSize, n)
+		}
+	}
+}
+
+// TestDistinctPointsNeverCoalesce: different contents submitted together
+// each get their own engine run.
+func TestDistinctPointsNeverCoalesce(t *testing.T) {
+	const n = 4
+	var runs atomic.Int64
+	svc := newTestService(t, Config{Workers: 2, RunPoint: countingEngine(&runs)})
+
+	var wg sync.WaitGroup
+	sources := make([]Source, n)
+	measures := make([]sweep.Measures, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			m, _, src, err := svc.Resolve(context.Background(), testPoint(0, i), 0, "t")
+			if err != nil {
+				t.Errorf("Resolve %d: %v", i, err)
+				return
+			}
+			sources[i], measures[i] = src, m
+		}(i)
+	}
+	wg.Wait()
+
+	if got := runs.Load(); got != n {
+		t.Fatalf("engine ran %d times for %d distinct points; want %d", got, n, n)
+	}
+	for i := 0; i < n; i++ {
+		if sources[i] != SourceRun {
+			t.Fatalf("request %d served from %q; distinct points must each run", i, sources[i])
+		}
+		if measures[i].Messages != float64(100+i) {
+			t.Fatalf("request %d got measures for another point (Messages=%v)", i, measures[i].Messages)
+		}
 	}
 }
 
@@ -137,7 +332,7 @@ func TestLoadCoalescing(t *testing.T) {
 func TestJobRunsThroughSweepEngine(t *testing.T) {
 	var runs atomic.Int64
 	svc := newTestService(t, Config{
-		Workers: 2, BatchSize: 1, BatchWait: 0,
+		Workers:  2,
 		RunPoint: countingEngine(&runs),
 	})
 	points := make([]sweep.Point, 4)
@@ -185,7 +380,7 @@ func TestJobRunsThroughSweepEngine(t *testing.T) {
 
 // TestSubmitValidation: malformed specs are rejected at admission.
 func TestSubmitValidation(t *testing.T) {
-	svc := newTestService(t, Config{Workers: 1, BatchSize: 1})
+	svc := newTestService(t, Config{Workers: 1})
 	if _, err := svc.Submit(JobSpec{}); err == nil {
 		t.Fatal("empty job accepted")
 	}
@@ -223,7 +418,7 @@ func TestDrainPersistsAndResumesJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc1, err := New(Config{
-		Workers: 1, BatchSize: 1, DataDir: dir, Store: disk,
+		Workers: 1, DataDir: dir, Store: disk,
 		RunPoint: blockingEngine,
 	})
 	if err != nil {
@@ -278,7 +473,7 @@ func TestDrainPersistsAndResumesJobs(t *testing.T) {
 	close(release)
 	var phase2Runs atomic.Int64
 	svc2, err := New(Config{
-		Workers: 1, BatchSize: 1, DataDir: dir, Store: disk,
+		Workers: 1, DataDir: dir, Store: disk,
 		RunPoint: func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
 			if p.Index == 0 {
 				t.Error("resumed job re-ran point 0 despite the stored result")
@@ -346,7 +541,7 @@ func TestQueuePriorityOrder(t *testing.T) {
 	q.push(&run{fp: "low2", priority: 0, seq: 2})
 	order := []string{}
 	for i := 0; i < 3; i++ {
-		order = append(order, q.pop(context.Background()).fp)
+		order = append(order, q.pop().fp)
 	}
 	want := []string{"hi", "low", "low2"}
 	for i := range want {
@@ -356,10 +551,75 @@ func TestQueuePriorityOrder(t *testing.T) {
 	}
 }
 
+// TestDrainFailsQueuedRuns: a drain that finds runs still waiting for a
+// worker answers every one of their waiters with ErrDraining and leaves the
+// queue empty.
+func TestDrainFailsQueuedRuns(t *testing.T) {
+	started := make(chan struct{}, 1)
+	svc, err := New(Config{
+		Workers: 1,
+		// The one run that reaches the engine stays there until the drain
+		// cancels it.
+		RunPoint: func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+			started <- struct{}{}
+			<-ctx.Done()
+			return sweep.Measures{}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(variant int, out chan<- error) {
+		go func() {
+			_, _, _, err := svc.Resolve(context.Background(), testPoint(0, variant), 0, "drain")
+			out <- err
+		}()
+	}
+	busy := make(chan error, 1)
+	resolve(0, busy)
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never picked up the first point")
+	}
+	// Behind the busy worker: two waiters sharing one queued run, and a
+	// second queued run with one.
+	queued := make(chan error, 3)
+	resolve(1, queued)
+	resolve(1, queued)
+	resolve(2, queued)
+	awaitWaiters(t, svc, 4)
+	if d := svc.QueueDepth(); d != 2 {
+		t.Fatalf("queue depth %d before the drain; want 2", d)
+	}
+
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := svc.Drain(expired); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	for i := 0; i < cap(queued); i++ {
+		select {
+		case err := <-queued:
+			if !errors.Is(err, ErrDraining) {
+				t.Fatalf("queued waiter %d: err=%v; want ErrDraining", i, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("queued waiter %d never answered", i)
+		}
+	}
+	if err := <-busy; err != nil {
+		t.Fatalf("the run the drain cancelled: err=%v; want its partial result", err)
+	}
+	if d := svc.QueueDepth(); d != 0 {
+		t.Fatalf("queue depth %d after the drain; want 0", d)
+	}
+}
+
 // TestDrainingRejectsSubmissions: after Drain begins, new jobs fail with
 // ErrDraining.
 func TestDrainingRejectsSubmissions(t *testing.T) {
-	svc, err := New(Config{Workers: 1, BatchSize: 1})
+	svc, err := New(Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,11 @@ func TestQueueZeroDelaySelfReschedule(t *testing.T) {
 		order = append(order, depth)
 		depth++
 		if depth < 5 {
-			e.After(0, chain)
+			afterFunc(e, 0, chain)
 		}
 	}
-	e.At(7, chain)
-	e.At(7, func() { order = append(order, 100) })
+	atFunc(e, 7, chain)
+	atFunc(e, 7, func() { order = append(order, 100) })
 	e.Run()
 	if e.Now() != 7 {
 		t.Fatalf("clock moved to %d; zero-delay chain must stay at 7", e.Now())
@@ -46,9 +46,9 @@ func TestQueueZeroDelaySelfReschedule(t *testing.T) {
 func TestQueueCancelThenReschedule(t *testing.T) {
 	e := NewEngine()
 	var fired []string
-	h := e.At(10, func() { fired = append(fired, "old") })
+	h := atFunc(e, 10, func() { fired = append(fired, "old") })
 	e.Cancel(h)
-	e.At(5, func() { fired = append(fired, "new") })
+	atFunc(e, 5, func() { fired = append(fired, "new") })
 	// Cancelling the same handle again (and the zero handle) stays a no-op.
 	e.Cancel(h)
 	e.Cancel(Handle{})
@@ -69,7 +69,7 @@ func TestQueueFarFutureOverflowSpill(t *testing.T) {
 	// near events, then a middle band that lands inside the window only
 	// after the first rebase.
 	for _, at := range []Time{500_000, 100_000, 2048, 1024, 3, 1023} {
-		e.At(at, rec)
+		atFunc(e, at, rec)
 	}
 	e.Run()
 	want := []Time{3, 1023, 1024, 2048, 100_000, 500_000}
@@ -93,11 +93,11 @@ func TestQueueWindowWraparound(t *testing.T) {
 		fired = append(fired, e.Now())
 		hop++
 		if hop < hops {
-			e.After(step, walk)
-			e.After(step, func() { fired = append(fired, e.Now()) })
+			afterFunc(e, step, walk)
+			afterFunc(e, step, func() { fired = append(fired, e.Now()) })
 		}
 	}
-	e.At(0, walk)
+	atFunc(e, 0, walk)
 	e.Run()
 	at := Time(0)
 	i := 0
@@ -125,10 +125,10 @@ func TestQueueWindowWraparound(t *testing.T) {
 func TestQueueCancelRecycledHandle(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	old := e.At(1, func() { fired++ })
+	old := atFunc(e, 1, func() { fired++ })
 	e.Run()
 	// The slot is now free; the next schedule reuses it.
-	fresh := e.At(2, func() { fired += 10 })
+	fresh := atFunc(e, 2, func() { fired += 10 })
 	if old.slot != fresh.slot {
 		t.Fatalf("expected slot reuse (old %d, fresh %d)", old.slot, fresh.slot)
 	}
@@ -147,9 +147,9 @@ func TestQueueCancelRecycledHandle(t *testing.T) {
 func TestQueueCancelOverflowEvent(t *testing.T) {
 	e := NewEngine()
 	var fired []Time
-	h := e.At(50_000, func() { fired = append(fired, e.Now()) })
-	e.At(60_000, func() { fired = append(fired, e.Now()) })
-	e.At(1, func() { fired = append(fired, e.Now()) })
+	h := atFunc(e, 50_000, func() { fired = append(fired, e.Now()) })
+	atFunc(e, 60_000, func() { fired = append(fired, e.Now()) })
+	atFunc(e, 1, func() { fired = append(fired, e.Now()) })
 	e.Cancel(h)
 	e.Run()
 	if len(fired) != 2 || fired[0] != 1 || fired[1] != 60_000 {

@@ -44,10 +44,9 @@ const (
 type event struct {
 	at  Time
 	seq uint64
-	// Exactly one of fn / fnArg is set. fnArg carries its arguments in
-	// arg/argI, letting hot callers schedule without allocating a closure.
-	fn        func()
-	fnArg     func(arg any, i int32)
+	// fn carries its arguments in arg/argI, letting hot callers schedule
+	// without allocating a closure.
+	fn        func(arg any, i int32)
 	arg       any
 	argI      int32
 	next      int32 // free-list link
@@ -130,42 +129,31 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // live counter is exact.
 func (e *Engine) Pending() int { return e.live }
 
-// At schedules fn to run at absolute time t. Scheduling in the past (t less
-// than Now) panics: it always indicates a model bug, never a recoverable
-// runtime condition.
-//
-//simcheck:noalloc
-func (e *Engine) At(t Time, fn func()) Handle {
-	return e.schedule(t, fn, nil, nil, 0)
-}
-
-// After schedules fn to run d cycles from now.
-//
-//simcheck:noalloc
-func (e *Engine) After(d Time, fn func()) Handle {
-	return e.schedule(e.now+d, fn, nil, nil, 0)
-}
-
-// AtCall schedules fn(arg, i) at absolute time t. It is the
-// closure-free scheduling path: callers keep one long-lived fn and pass
-// per-event state through arg and i, so the hot path allocates nothing.
+// AtCall schedules fn(arg, i) at absolute time t. Callers keep one
+// long-lived fn and pass per-event state through arg and i, so the hot path
+// allocates nothing. Scheduling in the past (t less than Now) panics: it
+// always indicates a model bug, never a recoverable runtime condition.
 //
 //simcheck:noalloc
 func (e *Engine) AtCall(t Time, fn func(arg any, i int32), arg any, i int32) Handle {
-	return e.schedule(t, nil, fn, arg, i)
+	return e.schedule(t, fn, arg, i)
 }
 
-// AfterCall schedules fn(arg, i) to run d cycles from now, without
-// allocating a closure.
+// AfterCall schedules fn(arg, i) to run d cycles from now.
 //
 //simcheck:noalloc
 func (e *Engine) AfterCall(d Time, fn func(arg any, i int32), arg any, i int32) Handle {
-	return e.schedule(e.now+d, nil, fn, arg, i)
+	return e.schedule(e.now+d, fn, arg, i)
 }
+
+// CallFunc is the AtCall/AfterCall handler for a caller whose per-event
+// state is itself a continuation: pass the func() as arg. A func value is
+// pointer-shaped, so boxing it allocates nothing.
+func CallFunc(fn any, _ int32) { fn.(func())() }
 
 //
 //simcheck:noalloc
-func (e *Engine) schedule(t Time, fn func(), fnArg func(any, int32), arg any, argI int32) Handle {
+func (e *Engine) schedule(t Time, fn func(any, int32), arg any, argI int32) Handle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
@@ -184,7 +172,7 @@ func (e *Engine) schedule(t Time, fn func(), fnArg func(any, int32), arg any, ar
 	}
 	ev := &e.events[idx]
 	ev.at, ev.seq = t, seq
-	ev.fn, ev.fnArg, ev.arg, ev.argI = fn, fnArg, arg, argI
+	ev.fn, ev.arg, ev.argI = fn, arg, argI
 	ev.cancelled = false
 	e.live++
 	if t < e.base+numBuckets {
@@ -239,7 +227,7 @@ func (e *Engine) Cancel(h Handle) {
 		return
 	}
 	ev.cancelled = true
-	ev.fn, ev.fnArg, ev.arg = nil, nil, nil
+	ev.fn, ev.arg = nil, nil
 	e.live--
 }
 
@@ -277,7 +265,7 @@ func (e *Engine) freeSlot(idx int32) {
 	if ev.gen == 0 {
 		ev.gen = 1
 	}
-	ev.fn, ev.fnArg, ev.arg = nil, nil, nil
+	ev.fn, ev.arg = nil, nil
 	ev.cancelled = false
 	ev.next = e.free
 	e.free = idx
@@ -431,7 +419,7 @@ func (e *Engine) Step() bool {
 		idx := e.buckets[e.cur][e.curPos]
 		ev := &e.events[idx]
 		t := ev.at
-		fn, fnArg, arg, argI := ev.fn, ev.fnArg, ev.arg, ev.argI
+		fn, arg, argI := ev.fn, ev.arg, ev.argI
 		e.curPos++
 		e.bucketed--
 		e.freeSlot(idx)
@@ -448,11 +436,7 @@ func (e *Engine) Step() bool {
 		if e.probe != nil {
 			e.probe(e.now, e.fired, e.live)
 		}
-		if fnArg != nil {
-			fnArg(arg, argI)
-		} else {
-			fn()
-		}
+		fn(arg, argI)
 		return true
 	}
 }

@@ -6,12 +6,18 @@ import (
 	"testing/quick"
 )
 
+// atFunc and afterFunc schedule a plain closure, for the tests that want
+// one; the engine itself only knows (fn, arg, i) events.
+func atFunc(e *Engine, t Time, fn func()) Handle { return e.AtCall(t, CallFunc, fn, 0) }
+
+func afterFunc(e *Engine, d Time, fn func()) Handle { return e.AfterCall(d, CallFunc, fn, 0) }
+
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine()
 	var order []Time
 	for _, at := range []Time{30, 10, 20} {
 		at := at
-		e.At(at, func() { order = append(order, at) })
+		atFunc(e, at, func() { order = append(order, at) })
 	}
 	if got := e.Run(); got != 3 {
 		t.Fatalf("Run executed %d events, want 3", got)
@@ -32,7 +38,7 @@ func TestEngineSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(5, func() { order = append(order, i) })
+		atFunc(e, 5, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -45,8 +51,8 @@ func TestEngineSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 func TestEngineAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine()
 	var fired Time
-	e.At(100, func() {
-		e.After(50, func() { fired = e.Now() })
+	atFunc(e, 100, func() {
+		afterFunc(e, 50, func() { fired = e.Now() })
 	})
 	e.Run()
 	if fired != 150 {
@@ -56,13 +62,13 @@ func TestEngineAfterSchedulesRelative(t *testing.T) {
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {
+	atFunc(e, 100, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func() {})
+		atFunc(e, 50, func() {})
 	})
 	e.Run()
 }
@@ -70,7 +76,7 @@ func TestEngineSchedulingInPastPanics(t *testing.T) {
 func TestEngineCancelPreventsFiring(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	ev := e.At(10, func() { fired = true })
+	ev := atFunc(e, 10, func() { fired = true })
 	e.Cancel(ev)
 	if !e.Cancelled(ev) {
 		t.Fatal("Cancelled() = false after Cancel")
@@ -83,7 +89,7 @@ func TestEngineCancelPreventsFiring(t *testing.T) {
 
 func TestEngineCancelFiredEventIsNoop(t *testing.T) {
 	e := NewEngine()
-	ev := e.At(10, func() {})
+	ev := atFunc(e, 10, func() {})
 	e.Run()
 	e.Cancel(ev) // must not panic or mark cancelled
 	if e.Cancelled(ev) {
@@ -95,7 +101,7 @@ func TestEngineHaltStopsRun(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := Time(1); i <= 10; i++ {
-		e.At(i, func() {
+		atFunc(e, i, func() {
 			count++
 			if count == 3 {
 				e.Halt()
@@ -116,7 +122,7 @@ func TestEngineRunUntilRespectsLimit(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{5, 10, 15, 20} {
 		at := at
-		e.At(at, func() { fired = append(fired, at) })
+		atFunc(e, at, func() { fired = append(fired, at) })
 	}
 	n := e.RunUntil(12)
 	if n != 2 {
@@ -152,9 +158,9 @@ func TestEngineStepEmptyQueue(t *testing.T) {
 func TestEngineFiredCounts(t *testing.T) {
 	e := NewEngine()
 	for i := Time(1); i <= 5; i++ {
-		e.At(i, func() {})
+		atFunc(e, i, func() {})
 	}
-	ev := e.At(6, func() {})
+	ev := atFunc(e, 6, func() {})
 	e.Cancel(ev)
 	e.Run()
 	if e.Fired() != 5 {
@@ -172,10 +178,10 @@ func TestEventChainDeterminism(t *testing.T) {
 		spawn = func() {
 			trace = append(trace, e.Now())
 			if len(trace) < 100 {
-				e.After(Time(1+rng.Intn(10)), spawn)
+				afterFunc(e, Time(1+rng.Intn(10)), spawn)
 			}
 		}
-		e.At(0, spawn)
+		atFunc(e, 0, spawn)
 		e.Run()
 		return trace
 	}
@@ -444,7 +450,7 @@ func TestChaosShufflesTiesDeterministically(t *testing.T) {
 		var order []int
 		for i := 0; i < 20; i++ {
 			i := i
-			e.At(5, func() { order = append(order, i) })
+			atFunc(e, 5, func() { order = append(order, i) })
 		}
 		e.Run()
 		return order
@@ -489,7 +495,7 @@ func TestChaosPreservesTimeOrder(t *testing.T) {
 	rng := NewRNG(4)
 	for i := 0; i < 200; i++ {
 		at := Time(rng.Intn(50))
-		e.At(at, func() { times = append(times, at) })
+		atFunc(e, at, func() { times = append(times, at) })
 	}
 	e.Run()
 	for i := 1; i < len(times); i++ {
@@ -507,7 +513,7 @@ func TestEngineCancelRemovesFromPending(t *testing.T) {
 	e := NewEngine()
 	var evs []Handle
 	for i := 0; i < 100; i++ {
-		evs = append(evs, e.At(Time(i+1), func() { t.Fatal("cancelled event fired") }))
+		evs = append(evs, atFunc(e, Time(i+1), func() { t.Fatal("cancelled event fired") }))
 	}
 	if e.Pending() != 100 {
 		t.Fatalf("Pending = %d, want 100", e.Pending())
@@ -533,7 +539,7 @@ func TestEngineCancelInterleaved(t *testing.T) {
 	var evs []Handle
 	for i := 0; i < 50; i++ {
 		i := i
-		evs = append(evs, e.At(Time(i+1), func() { fired = append(fired, i) }))
+		evs = append(evs, atFunc(e, Time(i+1), func() { fired = append(fired, i) }))
 	}
 	for i := 0; i < 50; i += 2 {
 		e.Cancel(evs[i])

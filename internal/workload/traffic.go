@@ -90,28 +90,32 @@ func RunTraffic(cfg TrafficConfig) TrafficResult {
 		}
 		return sim.Time(gap)
 	}
-	var schedule func(src topology.NodeID, at sim.Time)
-	schedule = func(src topology.NodeID, at sim.Time) {
-		if at > cfg.Duration {
-			return
+	// inject is every source's injection event (i is the source): send one
+	// worm, then schedule the source's next injection while the window is
+	// open.
+	var inject func(_ any, i int32)
+	schedule := func(src topology.NodeID, at sim.Time) {
+		if at <= cfg.Duration {
+			engine.AtCall(at, inject, nil, int32(src))
 		}
-		engine.At(at, func() {
-			dst := topology.NodeID(rng.Intn(mesh.Nodes()))
-			if dst == src {
-				dst = topology.NodeID((int(dst) + 1) % mesh.Nodes())
-			}
-			path := routing.ECube.UnicastPath(mesh, src, dst)
-			dests := make([]bool, len(path))
-			dests[len(path)-1] = true
-			net.Inject(&network.Worm{
-				Kind: network.Unicast, VN: network.Request,
-				Path: path, Dest: dests,
-				HeaderFlits:  ncfg.HeaderFlits(1),
-				PayloadFlits: cfg.PayloadFlits,
-			})
-			res.Injected++
-			schedule(src, at+nextGap())
+	}
+	inject = func(_ any, i int32) {
+		src := topology.NodeID(i)
+		dst := topology.NodeID(rng.Intn(mesh.Nodes()))
+		if dst == src {
+			dst = topology.NodeID((int(dst) + 1) % mesh.Nodes())
+		}
+		path := routing.ECube.UnicastPath(mesh, src, dst)
+		dests := make([]bool, len(path))
+		dests[len(path)-1] = true
+		net.Inject(&network.Worm{
+			Kind: network.Unicast, VN: network.Request,
+			Path: path, Dest: dests,
+			HeaderFlits:  ncfg.HeaderFlits(1),
+			PayloadFlits: cfg.PayloadFlits,
 		})
+		res.Injected++
+		schedule(src, engine.Now()+nextGap())
 	}
 	for n := 0; n < mesh.Nodes(); n++ {
 		schedule(topology.NodeID(n), nextGap())
