@@ -78,11 +78,15 @@ cover:
 
 # equiv replays the event-engine gates: the calendar-queue-vs-reference
 # equivalence harness (200 randomized schedule/cancel/reschedule scripts),
-# the queue edge-case suite, and the byte-identical golden experiment
-# tables. Any engine change must pass this before it ships.
+# the queue edge-case suite, the byte-identical golden experiment tables,
+# and the functional-install-vs-simulated-reads property test (sharers
+# installed by Machine.InstallSharer must leave the machine, and the write
+# that follows, exactly as simulated read misses do). Any engine change must
+# pass this before it ships.
 equiv:
 	$(GO) test ./internal/sim -run 'TestEngineEquivalence|TestQueue|TestEngineAllocs' -count=1
 	$(GO) test ./internal/experiments -run TestGoldenTablesSeed -count=1
+	$(GO) test ./internal/workload -run TestInstallSharerMatchesSimulatedReads -count=1
 
 check: vet lint build test race oracle fuzz equiv loadtest
 

@@ -133,3 +133,18 @@ func TestGoldenChaosDiffersFromScheduleOrder(t *testing.T) {
 		t.Fatalf("chaos run did not complete: %+v", res)
 	}
 }
+
+// TestFaultRecoveryRowsStaySimulated pins the one golden table that depends
+// on the sharer-installing reads being simulated: fault decisions hash worm
+// IDs and absolute time, so a faulted RunInval must fall back from
+// Machine.InstallSharer to real read misses and keep E26's committed rows.
+func TestFaultRecoveryRowsStaySimulated(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_seed_tables.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := FigFaultRecovery(8, 6, 3).String()
+	if !strings.Contains(string(golden), got) {
+		t.Fatalf("E26 no longer matches its golden rows:\n%s", got)
+	}
+}

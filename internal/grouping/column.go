@@ -27,33 +27,38 @@ func columnGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.Nod
 	}
 	hc := m.Coord(home)
 
-	// Partition: per-column up/down lists, plus home-row sharers.
+	// Partition: per-column up/down lists indexed by X, plus home-row
+	// sharers.
 	type colSet struct {
-		x    int
 		up   []topology.NodeID // y > homeY, ascending
 		down []topology.NodeID // y < homeY, descending
 	}
-	cols := map[int]*colSet{}
+	cols := make([]colSet, m.Width())
 	var rowEast, rowWest []topology.NodeID // home-row sharers by side
 	for _, sh := range sharers {
 		c := m.Coord(sh)
-		if c.Y == hc.Y {
-			if c.X > hc.X {
-				rowEast = append(rowEast, sh)
-			} else {
-				rowWest = append(rowWest, sh)
-			}
+		switch {
+		case c.Y > hc.Y:
+			cols[c.X].up = append(cols[c.X].up, sh)
+		case c.Y < hc.Y:
+			cols[c.X].down = append(cols[c.X].down, sh)
+		case c.X > hc.X:
+			rowEast = append(rowEast, sh)
+		default:
+			rowWest = append(rowWest, sh)
+		}
+	}
+	// The outermost occupied column on each side of the home (-1 = none).
+	maxEast, minWest := -1, -1
+	for x := range cols {
+		if len(cols[x].up)+len(cols[x].down) == 0 {
 			continue
 		}
-		cs := cols[c.X]
-		if cs == nil {
-			cs = &colSet{x: c.X}
-			cols[c.X] = cs
+		if x > hc.X {
+			maxEast = x
 		}
-		if c.Y > hc.Y {
-			cs.up = append(cs.up, sh)
-		} else {
-			cs.down = append(cs.down, sh)
+		if x < hc.X && minWest == -1 {
+			minWest = x
 		}
 	}
 	sortByY := func(nodes []topology.NodeID, asc bool) {
@@ -77,26 +82,11 @@ func columnGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.Nod
 	sortByX(rowEast, true)
 	sortByX(rowWest, false)
 
-	var colXs []int
-	for x := range cols {
-		colXs = append(colXs, x)
-	}
-	sort.Ints(colXs)
-
 	// Merged scheme: fold home-row sharers into the outermost column worm
 	// on their side (its row segment passes over them). Leftovers beyond
 	// the outermost column get a dedicated pure-row worm.
 	var prefixEast, prefixWest []topology.NodeID // folded row members per side
 	if merged {
-		var maxEast, minWest = -1, -1
-		for _, x := range colXs {
-			if x > hc.X && x > maxEast {
-				maxEast = x
-			}
-			if x < hc.X && (minWest == -1 || x < minWest) {
-				minWest = x
-			}
-		}
 		var leftoverEast, leftoverWest []topology.NodeID
 		for _, sh := range rowEast {
 			if maxEast != -1 && m.Coord(sh).X <= maxEast {
@@ -120,17 +110,16 @@ func columnGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.Nod
 		sortByY(members, asc)
 		var wp []topology.NodeID
 		switch {
-		case merged && x > hc.X && len(prefixEast) > 0 && x == outermost(colXs, hc.X, true):
+		case merged && x > hc.X && len(prefixEast) > 0 && x == maxEast:
 			wp = append(append(wp, prefixEast...), members...)
-		case merged && x < hc.X && len(prefixWest) > 0 && x == outermost(colXs, hc.X, false):
+		case merged && x < hc.X && len(prefixWest) > 0 && x == minWest:
 			wp = append(append(wp, prefixWest...), members...)
 		default:
 			wp = members
 		}
 		groups = append(groups, buildGroup(routing.ECube, m, home, wp))
 	}
-	for _, x := range colXs {
-		cs := cols[x]
+	for x, cs := range cols {
 		foldedUp := false
 		if len(cs.up) > 0 {
 			emitColumn(x, cs.up, true)
@@ -168,40 +157,22 @@ func columnGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.Nod
 	return groups
 }
 
-// outermost returns the largest column > homeX (east=true) or the smallest
-// column < homeX (east=false) among xs, or -1 when that side has none.
-func outermost(xs []int, homeX int, east bool) int {
-	out := -1
-	for _, x := range xs {
-		if east && x > homeX && x > out {
-			out = x
-		}
-		if !east && x < homeX && (out == -1 || x < out) {
-			out = x
-		}
-	}
-	return out
-}
-
 // torusColumnGroups builds one ring worm per sharer column: along the home
 // row (shortest way around) to the column, then north around the column
 // ring, visiting members in ring order from the home row.
 func torusColumnGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
 	hc := m.Coord(home)
 	h := m.Height()
-	byCol := map[int][]topology.NodeID{}
+	byCol := make([][]topology.NodeID, m.Width())
 	for _, sh := range sharers {
 		c := m.Coord(sh)
 		byCol[c.X] = append(byCol[c.X], sh)
 	}
-	var cols []int
-	for x := range byCol {
-		cols = append(cols, x)
-	}
-	sort.Ints(cols)
 	var groups []Group
-	for _, x := range cols {
-		members := byCol[x]
+	for _, members := range byCol {
+		if len(members) == 0 {
+			continue
+		}
 		// Ring order from the home row; a member on the home row itself
 		// (offset 0) is the entry point and comes first. Sweep whichever
 		// direction covers the members in fewer hops, and keep the whole

@@ -19,7 +19,7 @@ package grouping
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -139,21 +139,19 @@ func (g Group) ReversePath() []topology.NodeID {
 // into worms under the scheme. The result is deterministic. An empty
 // sharer set yields nil.
 func Groups(s Scheme, m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
-	seen := make(map[topology.NodeID]bool, len(sharers))
-	for _, sh := range sharers {
-		if sh == home {
-			panic("grouping: home listed as sharer")
-		}
-		if seen[sh] {
-			panic("grouping: duplicate sharer")
-		}
-		seen[sh] = true
-	}
 	if len(sharers) == 0 {
 		return nil
 	}
 	ordered := append([]topology.NodeID(nil), sharers...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i] < ordered[j] })
+	slices.Sort(ordered)
+	for i, sh := range ordered {
+		if sh == home {
+			panic("grouping: home listed as sharer")
+		}
+		if i > 0 && sh == ordered[i-1] {
+			panic("grouping: duplicate sharer")
+		}
+	}
 
 	switch s {
 	case UIUA:

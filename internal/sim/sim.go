@@ -118,6 +118,11 @@ func NewEngine() *Engine {
 // shuffle. Call before scheduling; per-seed runs remain deterministic.
 func (e *Engine) Chaos(seed uint64) { e.chaos = NewRNG(seed) }
 
+// Chaotic reports whether chaos ordering is on: every scheduled event then
+// draws from the tie-break RNG, so skipping events changes the order of all
+// later ones.
+func (e *Engine) Chaotic() bool { return e.chaos != nil }
+
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 

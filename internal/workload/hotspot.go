@@ -121,7 +121,7 @@ func RunHotSpot(cfg HotSpotConfig) HotSpotResult {
 		for _, s := range sharers {
 			// A home may read its own block too; the protocol invalidates
 			// that copy locally during the transaction.
-			runOp(m, false, s, b)
+			installSharer(m, s, b)
 		}
 		// Writers must be distinct nodes: each processor supports a single
 		// outstanding operation (sequential consistency).

@@ -108,8 +108,9 @@ type InvalResult struct {
 	HomeMsgs float64
 	// Groups is the mean number of request worms per transaction.
 	Groups float64
-	// FlitHops is the mean network flit-hops consumed per transaction,
-	// inval and ack traffic only.
+	// FlitHops is the mean network flit-hops consumed per transaction: every
+	// worm injected during the write, the writeReq/writeReply pair included
+	// alongside the invalidation and acknowledgment traffic.
 	FlitHops float64
 	// Messages is the mean total protocol messages per transaction
 	// (invalidation worms plus acknowledgments).
@@ -129,11 +130,15 @@ type InvalResult struct {
 	Fallbacks float64
 	Purges    float64
 	// Metrics is the machine's full collector, for callers that aggregate
-	// across experiments (the sweep engine merges these).
+	// across experiments (the sweep engine merges these). Sharers installed
+	// functionally (installSharer) leave no trace in it: ReadMiss,
+	// ReadLatency, Occupancy and MsgsSent/MsgsRecv then carry the measured
+	// writes only, not the d reads that set each one up.
 	Metrics *metrics.Collector
 	// EngineEvents and EngineCycles are the machine's total fired-event
-	// count and final clock reading — the denominators of the simulator's
-	// own throughput benchmark (cmd/simbench).
+	// count and final clock reading (the benchmark's sim.events_per_txn is
+	// EngineEvents over Completed). Both exclude functionally installed
+	// sharers, which fire no event and advance no clock.
 	EngineEvents uint64
 	EngineCycles uint64
 }
@@ -195,7 +200,7 @@ func RunInval(cfg InvalConfig) InvalResult {
 		writer := pickWriter(m.Mesh, rng, home, sharers)
 
 		for _, s := range sharers {
-			runOp(m, false, s, block)
+			installSharer(m, s, block)
 		}
 		before := m.Net.Stats()
 		beforeFallbacks := m.Metrics.Fallbacks
@@ -215,8 +220,8 @@ func RunInval(cfg InvalConfig) InvalResult {
 		drops += float64(after.Dropped - before.Dropped)
 		fallbacks += float64(m.Metrics.Fallbacks - beforeFallbacks)
 		purges += float64(after.Purged - before.Purged)
-		// Total flit-hops during the write minus the writeReq/writeReply
-		// pair, leaving the invalidation traffic.
+		// Total flit-hops during the write: the writeReq/writeReply pair
+		// plus the invalidation and acknowledgment traffic.
 		flitHops += float64(after.FlitHops - before.FlitHops)
 	}
 	if n := float64(res.Completed); n > 0 {
@@ -245,10 +250,22 @@ func runOp(m *coherence.Machine, write bool, n topology.NodeID, b directory.Bloc
 	}
 	m.Engine.Run()
 	if !done {
-		panic("workload: operation did not complete (deadlock?)")
+		panic(fmt.Sprintf("workload: operation did not complete (deadlock? write=%v node=%d block=%d)\n%s",
+			write, n, b, m.Net.Diagnose()))
 	}
 	if !m.Quiesced() {
-		panic("workload: network traffic outstanding after operation")
+		panic(fmt.Sprintf("workload: network traffic outstanding after operation (write=%v node=%d block=%d)\n%s",
+			write, n, b, m.Net.Diagnose()))
+	}
+}
+
+// installSharer makes n a sharer of b ahead of a measured operation: set-up,
+// not measurement. The machine installs the state functionally when nothing
+// could tell the difference (coherence.Machine.InstallSharer) and the read
+// miss is simulated otherwise.
+func installSharer(m *coherence.Machine, n topology.NodeID, b directory.BlockID) {
+	if !m.InstallSharer(n, b) {
+		runOp(m, false, n, b)
 	}
 }
 
