@@ -99,8 +99,9 @@ sweep:
 
 # smoke drives the dsmsimd daemon end to end: serve the E4 latency table
 # byte-identical to the batch CLI, repeat it from the cache, run a point
-# job, then SIGTERM and assert a clean drain with the journal and results
-# persisted. See scripts/dsmsimd_smoke.sh.
+# job, then SIGTERM and assert a clean drain that leaves results/ filled,
+# jobs/ empty and nothing else in the data directory. See
+# scripts/dsmsimd_smoke.sh.
 smoke:
 	bash scripts/dsmsimd_smoke.sh
 

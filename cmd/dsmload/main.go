@@ -29,7 +29,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -95,18 +94,13 @@ func main() {
 
 	baseURL := *addr
 	if baseURL == "" {
-		cfg := service.Config{Workers: *workers, QueueDepth: *queueDepth}
-		if *data != "" {
-			disk, err := service.NewDiskStore(filepath.Join(*data, "results"))
-			if err != nil {
-				log.Fatal(err)
-			}
-			cfg.Store = service.NewTieredStore(service.NewMemoryStore(*cache), disk)
-			cfg.DataDir = *data
-		} else {
-			cfg.Store = service.NewMemoryStore(*cache)
+		store, err := service.OpenStore(*data, *cache)
+		if err != nil {
+			log.Fatal(err)
 		}
-		daemon, err := service.StartDaemon(service.DaemonConfig{Service: cfg})
+		daemon, err := service.StartDaemon(service.DaemonConfig{Service: service.Config{
+			Workers: *workers, QueueDepth: *queueDepth, Store: store, DataDir: *data,
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,9 +7,9 @@
 // tables the daemon serves are byte-identical to the invalsweep CLI's.
 //
 // SIGINT/SIGTERM drains gracefully: intake closes, in-flight jobs get the
-// -drain-grace budget to finish (their sweep checkpoints flush after every
-// completed point regardless), the job journal persists, and a restart
-// over the same -data directory resumes whatever was cut off.
+// -drain-grace budget to finish (every point they completed is already in
+// the result store), a job cut off keeps its file under -data's jobs/, and
+// a restart over the same -data directory resumes whatever was cut off.
 package main
 
 //simcheck:allow-file nogoroutine -- the daemon is a server; concurrency is confined to internal/service and net/http
@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -33,7 +32,7 @@ func main() {
 		workers    = flag.Int("workers", 4, "engine worker pool size")
 		queueDepth = flag.Int("queue-depth", 1024, "run queue bound; beyond it submissions get 503")
 		cache      = flag.Int("cache", 4096, "in-memory result cache entries (0 = unbounded)")
-		data       = flag.String("data", "", "data directory for the durable result store, job journal and checkpoints (empty = memory only)")
+		data       = flag.String("data", "", "data directory: results/ is the durable result store, jobs/ holds one file per unfinished job (empty = memory only)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight jobs before cancelling them")
 		timeout    = flag.Duration("point-timeout", 0, "default per-point wall-clock budget (0 = none)")
 		k          = flag.Int("k", 16, "default mesh dimension for the experiment endpoint")
@@ -42,21 +41,17 @@ func main() {
 	)
 	flag.Parse()
 
+	store, err := service.OpenStore(*data, *cache)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "dsmsimd: %v\n", err)
+		os.Exit(1)
+	}
 	cfg := service.Config{
 		Workers:        *workers,
 		QueueDepth:     *queueDepth,
 		DefaultTimeout: *timeout,
-	}
-	if *data != "" {
-		disk, err := service.NewDiskStore(filepath.Join(*data, "results"))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dsmsimd: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.Store = service.NewTieredStore(service.NewMemoryStore(*cache), disk)
-		cfg.DataDir = *data
-	} else {
-		cfg.Store = service.NewMemoryStore(*cache)
+		Store:          store,
+		DataDir:        *data,
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -2,8 +2,8 @@
 // evaluation (see DESIGN.md section 5 for the experiment index and
 // EXPERIMENTS.md for recorded results). Each function runs the relevant
 // workloads on the cycle-level simulator and renders a report table; the
-// benches in bench_test.go and the cmd/ tools are thin wrappers over this
-// package.
+// cmd/ tools and the daemon's experiment endpoint are thin wrappers over
+// this package.
 package experiments
 
 import (
@@ -48,7 +48,8 @@ var SweepContext = context.Background()
 // grids are statically well-formed, so any error other than interruption (a
 // corrupt resume target, say) is surfaced as a panic rather than threaded
 // through every figure signature. Interruption degrades to a partial table
-// with a stderr warning.
+// with a stderr warning; a partial point that neither an interruption nor a
+// point timeout explains means the runner failed, and panics like an error.
 func runSweep(points []sweep.Point) []sweep.Result {
 	sum, err := sweep.Run(SweepContext, points, Sweep)
 	if errors.Is(err, context.Canceled) {
@@ -58,6 +59,9 @@ func runSweep(points []sweep.Point) []sweep.Result {
 		panic(fmt.Sprintf("experiments: sweep failed: %v", err))
 	}
 	if sum.Partial > 0 {
+		if Sweep.PointTimeout == 0 && SweepContext.Err() == nil {
+			panic(fmt.Sprintf("experiments: the point runner returned no result for %d/%d points with no timeout set and no interruption", sum.Partial, len(sum.Results)))
+		}
 		// A table built from timed-out points averages only the completed
 		// trials (or prints 0.0 when none finished) — never let that pass
 		// for a full measurement silently.

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/grouping"
+	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/sweep"
 )
@@ -236,6 +238,24 @@ func TestCongestionMatchesPaperClaim(t *testing.T) {
 	if repRatio := cell(t, tab, 1, 3); repRatio < 3 {
 		t.Fatalf("reply Y-link home-column ratio = %v, want >> 1", repRatio)
 	}
+}
+
+// TestUnexplainedPartialPanics: a point runner that hands back no result
+// with no point timeout set and no interruption has failed, and a table built
+// from its zeros would be an invented one — runSweep panics instead (a 500
+// from the daemon, a non-zero exit from the CLIs).
+func TestUnexplainedPartialPanics(t *testing.T) {
+	saved := Sweep
+	defer func() { Sweep = saved }()
+	Sweep = sweep.Options{Parallel: 2, RunPoint: func(context.Context, sweep.Point) (sweep.Measures, *metrics.Collector) {
+		return sweep.Measures{}, nil
+	}}
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("a table was rendered from points nobody measured")
+		}
+	}()
+	FigLatencyVsSharers(4, 1)
 }
 
 // TestFiguresParallelInvariant renders representative figures — one

@@ -59,7 +59,6 @@ type Counters struct {
 	CacheHits     int `json:"cache_hits"`
 	Coalesced     int `json:"coalesced"`
 	EngineRuns    int `json:"engine_runs"`
-	Resumed       int `json:"resumed"`
 	PartialPoints int `json:"partial_points"`
 	ResultHits    int `json:"result_hits"`
 	ResultMisses  int `json:"result_misses"`
@@ -292,8 +291,6 @@ func foldJob(c *Counters, res *service.JobResult) {
 			c.Coalesced++
 		case service.SourceRun:
 			c.EngineRuns++
-		case service.SourceResumed:
-			c.Resumed++
 		default:
 			// Point never started (cancelled before dispatch).
 		}

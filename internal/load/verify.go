@@ -36,8 +36,7 @@ func (v *Verification) failf(format string, args ...any) {
 //   - DuplicateRuns never moved: coalescing plus the content-addressed
 //     cache must prevent any double engine run.
 //   - The per-source CSV rows attributed to this run's jobs agree exactly
-//     with the client-side counters (cache hits, coalesced, engine runs,
-//     resumed).
+//     with the client-side counters (cache hits, coalesced, engine runs).
 //   - The server's shed counter moved at least as much as the client saw
 //     503s (other clients may shed too, never fewer).
 //   - Streaming percentiles of the run's server-side queue-wait column stay
@@ -73,8 +72,8 @@ func Verify(res *Result, metricsCSV string) *Verification {
 	// Attribute rows to this run by its job naming scheme — "<prefix>-r<seq>"
 	// for sync submits, "<prefix>-a<seq>" for async ones. The warm job
 	// ("<prefix>-warm") and other clients' jobs stay out of the tally.
-	prefix := jobPrefixOf(res)
-	var bySource [4]int // cache, run, coalesced, resumed
+	prefix := res.JobPrefix
+	var bySource [3]int // cache, run, coalesced
 	queueWaits := []float64{}
 	for _, row := range rows {
 		if prefix == "" ||
@@ -89,8 +88,6 @@ func Verify(res *Result, metricsCSV string) *Verification {
 			bySource[1]++
 		case service.SourceCoalesced:
 			bySource[2]++
-		case service.SourceResumed:
-			bySource[3]++
 		default:
 			v.failf("metrics row for job %q has unknown source %q", row.job, row.source)
 		}
@@ -99,7 +96,7 @@ func Verify(res *Result, metricsCSV string) *Verification {
 
 	hasExperiments := res.Experiment > 0
 	if !hasExperiments && prefix != "" {
-		wantRows := res.CacheHits + res.EngineRuns + res.Coalesced + res.Resumed
+		wantRows := res.CacheHits + res.EngineRuns + res.Coalesced
 		if v.CSVRows != wantRows {
 			v.failf("metrics CSV holds %d rows for prefix %q, client served %d points (ring evicted rows? raise MetricCap or shorten the run)",
 				v.CSVRows, prefix, wantRows)
@@ -112,9 +109,6 @@ func Verify(res *Result, metricsCSV string) *Verification {
 			}
 			if bySource[2] != res.Coalesced {
 				v.failf("CSV coalesced rows %d != client coalesced %d", bySource[2], res.Coalesced)
-			}
-			if bySource[3] != res.Resumed {
-				v.failf("CSV resumed rows %d != client resumed %d", bySource[3], res.Resumed)
 			}
 		}
 	}
@@ -144,11 +138,6 @@ func Verify(res *Result, metricsCSV string) *Verification {
 	}
 	return v
 }
-
-// jobPrefixOf recovers the run's job prefix from its recorded IDs; the
-// runner names jobs "<prefix>-r<seq>"/"<prefix>-a<seq>"/"<prefix>-warm",
-// and the Result keeps the prefix itself.
-func jobPrefixOf(res *Result) string { return res.JobPrefix }
 
 // metricRow is one parsed line of the /v1/metrics CSV.
 type metricRow struct {

@@ -68,9 +68,6 @@ func (ps PointSpec) Point(index int) (sweep.Point, error) {
 
 // Spec converts a job request into a validated JobSpec.
 func (jr JobRequest) Spec() (JobSpec, error) {
-	if len(jr.Points) == 0 {
-		return JobSpec{}, fmt.Errorf("service: job has no points")
-	}
 	spec := JobSpec{
 		ID:       jr.ID,
 		Priority: jr.Priority,
@@ -84,7 +81,7 @@ func (jr JobRequest) Spec() (JobSpec, error) {
 		}
 		spec.Points[i] = p
 	}
-	return spec, nil
+	return spec, validateSpec(&spec)
 }
 
 // ExperimentRequest asks the daemon to run one named paper experiment
@@ -121,7 +118,6 @@ type ProgressEvent struct {
 	Done        int        `json:"done,omitempty"`
 	Total       int        `json:"total,omitempty"`
 	Partial     int        `json:"partial,omitempty"`
-	Resumed     int        `json:"resumed,omitempty"`
 	Quarantined int        `json:"quarantined,omitempty"`
 	ElapsedMS   int64      `json:"elapsed_ms,omitempty"`
 	Result      *JobResult `json:"result,omitempty"`

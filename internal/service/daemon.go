@@ -117,8 +117,8 @@ func (d *Daemon) Err() error {
 }
 
 // Shutdown stops accepting connections, then drains the service; ctx
-// bounds both phases (in-flight jobs get until it ends, then are cancelled
-// and journaled for resume).
+// bounds both phases (in-flight jobs get until it ends, then are cancelled;
+// their journal files stay, for a restart to resume).
 func (d *Daemon) Shutdown(ctx context.Context) error {
 	httpErr := d.server.Shutdown(ctx)
 	drainErr := d.svc.Drain(ctx)

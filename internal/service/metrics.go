@@ -19,9 +19,6 @@ const (
 	// SourceCoalesced means the request piggybacked on another request's
 	// engine run of the identical point.
 	SourceCoalesced Source = "coalesced"
-	// SourceResumed means the job's own sweep checkpoint satisfied the
-	// point without consulting the service at all.
-	SourceResumed Source = "resumed"
 )
 
 // RequestMetric is one per-point serving record. The struct is deliberately
@@ -140,9 +137,6 @@ func (l *MetricLog) Record(m RequestMetric) {
 		l.counters.Runs++
 	case SourceCoalesced:
 		l.counters.Coalesced++
-	case SourceResumed:
-		// A checkpoint hit is neither a cache hit nor a run; it is counted
-		// in Requests only.
 	default:
 		panic("service: unknown request source " + string(m.Source))
 	}

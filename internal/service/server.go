@@ -124,7 +124,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, spec JobSpec)
 	res, err := s.svc.RunJob(r.Context(), spec, func(p sweep.Progress) {
 		emit(ProgressEvent{
 			Type: "progress", Done: p.Done, Total: p.Total,
-			Partial: p.Partial, Resumed: p.Resumed, Quarantined: p.Quarantined,
+			Partial: p.Partial, Quarantined: p.Quarantined,
 			ElapsedMS: p.Elapsed.Milliseconds(),
 		})
 	})
@@ -229,6 +229,10 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if req.Trials == 0 {
 		req.Trials = s.DefaultTrials
 	}
+	if req.K < 2 || req.D < 1 || req.Trials < 1 {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("experiment wants k >= 2, d >= 1, trials >= 1; got k=%d d=%d trials=%d", req.K, req.D, req.Trials)})
+		return
+	}
 	runners := experiments.Runners(req.K, req.D, req.Trials)
 	run, ok := runners[req.Name]
 	if !ok {
@@ -267,10 +271,15 @@ func runExperiment(run func() *report.Table) (t *report.Table, err error) {
 // WireExperiments points the experiment layer's package globals at the
 // service, so every Fig*/Table* call — including the daemon's experiment
 // endpoint — resolves its points through the cache and coalescer instead of
-// running the engine inline. Call once at daemon startup, before serving.
+// running the engine inline. Points that carry a Tune function have no
+// fingerprint to cache under and run the engine inline, exactly as the batch
+// CLI does. Call once at daemon startup, before serving.
 func WireExperiments(svc *Service, ctx context.Context) {
 	experiments.SweepContext = ctx
 	experiments.Sweep.RunPoint = func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+		if p.Tune != nil {
+			return sweep.RunPointDirect(pctx, p)
+		}
 		m, coll, _, err := svc.Resolve(pctx, p, 0, "experiment")
 		if err != nil {
 			return sweep.Measures{}, nil

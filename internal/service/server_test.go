@@ -8,8 +8,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,26 +72,30 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 
 // TestExperimentEndpointByteIdentical is the serving contract for whole
 // experiments: the daemon's table equals the batch CLI's output
-// (table.String()+"\n") byte for byte, and a repeat request is served from
-// the cache without touching the engine again.
+// (table.String()+"\n") byte for byte — for a grid served through the cache
+// and for the grids whose points carry a Tune function and run inline — and
+// a repeat request is byte-identical again.
 func TestExperimentEndpointByteIdentical(t *testing.T) {
-	// The batch CLI's rendering: the experiment run with the direct engine.
-	direct := experiments.Runners(8, 16, 2)["latency"]().String() + "\n"
+	for _, name := range []string{"latency", "torus", "limdir"} {
+		t.Run(name, func(t *testing.T) {
+			// The batch CLI's rendering: the experiment run with the direct engine.
+			direct := experiments.Runners(8, 16, 2)[name]().String() + "\n"
 
-	_, ts := newTestDaemon(t, Config{Workers: 4})
-	req := ExperimentRequest{Name: "latency", K: 8, Trials: 2}
-	resp, body := postJSON(t, ts.URL+"/v1/experiments", req)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("experiment: %s: %s", resp.Status, body)
-	}
-	if string(body) != direct {
-		t.Fatalf("daemon table differs from the direct CLI table:\n--- daemon ---\n%s--- direct ---\n%s", body, direct)
-	}
+			_, ts := newTestDaemon(t, Config{Workers: 4})
+			req := ExperimentRequest{Name: name, K: 8, Trials: 2}
+			resp, body := postJSON(t, ts.URL+"/v1/experiments", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("experiment: %s: %s", resp.Status, body)
+			}
+			if string(body) != direct {
+				t.Fatalf("daemon table differs from the direct CLI table:\n--- daemon ---\n%s--- direct ---\n%s", body, direct)
+			}
 
-	// Run it again: byte-identical and all cache hits.
-	resp2, body2 := postJSON(t, ts.URL+"/v1/experiments", req)
-	if resp2.StatusCode != http.StatusOK || !bytes.Equal(body2, body) {
-		t.Fatalf("repeated experiment not byte-identical (status %s)", resp2.Status)
+			resp2, body2 := postJSON(t, ts.URL+"/v1/experiments", req)
+			if resp2.StatusCode != http.StatusOK || !bytes.Equal(body2, body) {
+				t.Fatalf("repeated experiment not byte-identical (status %s)", resp2.Status)
+			}
+		})
 	}
 }
 
@@ -106,12 +113,85 @@ func TestExperimentEndpointCSV(t *testing.T) {
 	}
 }
 
-// TestExperimentEndpointUnknownName: bad names are a 400, not a panic.
+// TestExperimentEndpointUnknownName: bad names and sizes no mesh has are a
+// 400, not a panic.
 func TestExperimentEndpointUnknownName(t *testing.T) {
 	_, ts := newTestDaemon(t, Config{Workers: 1})
-	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "nope"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown experiment: %s: %s", resp.Status, body)
+	for _, req := range []ExperimentRequest{
+		{Name: "nope"},
+		{Name: "latency", K: 1},
+		{Name: "latency", K: 8, D: -1},
+		{Name: "latency", K: 8, Trials: -1},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/experiments", req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("experiment %+v: %s: %s; want 400", req, resp.Status, body)
+		}
+	}
+}
+
+// TestExperimentPanicIsAnError: a size the request validation lets through
+// but the simulator refuses (d sharers on a mesh too small for them) panics
+// on a service worker ("tree") or on a sweep.Each goroutine ("hotspot").
+// Either way the request gets a 500 and the daemon answers the next one.
+func TestExperimentPanicIsAnError(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{Workers: 2})
+	for _, req := range []ExperimentRequest{
+		{Name: "tree", K: 4, Trials: 1},
+		{Name: "hotspot", K: 3, D: 16},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/experiments", req)
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("experiment %+v: %s: %s; want 500", req, resp.Status, body)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "latency", K: 8, Trials: 1})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("experiment after the panics: %s: %s", resp.Status, body)
+	}
+}
+
+// TestHostileJobIDs: a job ID arrives from outside and names a file under
+// the data directory, so anything but a plain name is a 400 that registers
+// nothing and writes nothing — in the data directory or above it.
+func TestHostileJobIDs(t *testing.T) {
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "deep", "er", "data")
+	svc, ts := newTestDaemon(t, Config{Workers: 1, DataDir: dir})
+	tree := func() []string {
+		var paths []string
+		filepath.WalkDir(parent, func(path string, d fs.DirEntry, err error) error {
+			paths = append(paths, path)
+			return err
+		})
+		return paths
+	}
+	before := tree()
+	point := []PointSpec{{K: 4, Scheme: "UI-UA", D: 2, Pattern: "random", Trials: 1, Seed: 1}}
+	for _, id := range []string{
+		"../x", "../../../escaped", "a/b", ".hidden", "..", strings.Repeat("x", 65), "nul\x00byte", "sp ace",
+	} {
+		for _, mode := range []string{"", "?wait=1", "?stream=1"} {
+			resp, body := postJSON(t, ts.URL+"/v1/jobs"+mode, JobRequest{ID: id, Points: point})
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("job id %q (%s): %s: %s; want 400", id, mode, resp.Status, body)
+			}
+		}
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused IDs left table entries: %+v", jobs)
+	}
+	if after := tree(); !slices.Equal(after, before) {
+		t.Fatalf("refused IDs changed the disk:\nbefore %v\nafter  %v", before, after)
+	}
+	// The longest and oddest legal name is accepted and leaves nothing behind.
+	legal := strings.Repeat("x", 61) + "._-"
+	resp, body := postJSON(t, ts.URL+"/v1/jobs?wait=1", JobRequest{ID: legal, Points: point})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("job id %q: %s: %s; want 200", legal, resp.Status, body)
+	}
+	if after := tree(); !slices.Equal(after, before) {
+		t.Fatalf("a finished job left files behind:\nbefore %v\nafter  %v", before, after)
 	}
 }
 

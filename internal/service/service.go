@@ -11,9 +11,9 @@
 //   - Caching needs no invalidation: a stored result can never go stale.
 //   - Coalescing needs no consistency story: every waiter on a fingerprint
 //     gets the byte-identical answer the engine would have given it alone.
-//   - Crash recovery needs no replay log: re-running a lost point yields
-//     the same bytes, so the journal only records *what* was in flight,
-//     never partial state.
+//   - Crash recovery needs no replay log and no checkpoint: a result is
+//     stored before it is delivered and a lost point re-runs to the same
+//     bytes, so the journal only records *what* was asked, never partial state.
 //
 // A point request flows through five stages: Resolve probes the store; a
 // miss looks its fingerprint up in the in-flight table and either attaches
@@ -22,9 +22,9 @@
 // (sweep.RunPointDirect); the result is stored and fanned out to every
 // waiter. The in-flight table is the only coalescer and the queue bound the
 // only load shedder. Jobs (point lists) run through sweep.Run with the
-// service substituted as Options.RunPoint, so job-level ordering, retry,
-// progress and checkpointing are the sweep engine's existing machinery, not
-// a reimplementation.
+// service substituted as Options.RunPoint, so job-level ordering, retry and
+// progress are the sweep engine's existing machinery, not a
+// reimplementation.
 package service
 
 //simcheck:allow-file determinism,nogoroutine -- the worker pool and job runner are goroutines by design, and the request metrics time queue wait and engine run on the wall clock; see DESIGN.md section 16
@@ -34,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 	"time"
@@ -55,9 +54,9 @@ type Config struct {
 	Store ResultStore
 	// RunPoint is the engine (default sweep.RunPointDirect; tests fake it).
 	RunPoint func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector)
-	// DataDir, when nonempty, enables durability: the job journal
-	// (jobs.json) and per-job sweep checkpoints live here, so a drained or
-	// killed daemon resumes its unfinished jobs on restart.
+	// DataDir, when nonempty, enables durability: every accepted job keeps
+	// a jobs/<id>.json file here until it finishes, so a drained or killed
+	// daemon resumes its unfinished jobs on restart (see OpenStore).
 	DataDir string
 	// MetricCap bounds the per-request metric ring (default 4096).
 	MetricCap int
@@ -96,12 +95,11 @@ type JobResult struct {
 	Results   []PointResult `json:"results"`
 	Completed int           `json:"completed"`
 	Partial   int           `json:"partial"`
-	// CacheHits / Coalesced / Runs / Resumed break down how the job's
-	// points were served.
+	// CacheHits / Coalesced / Runs break down how the job's points were
+	// served.
 	CacheHits int `json:"cache_hits"`
 	Coalesced int `json:"coalesced"`
 	Runs      int `json:"runs"`
-	Resumed   int `json:"resumed"`
 }
 
 // JobStatus is the queryable state of a submitted job.
@@ -129,11 +127,17 @@ type Service struct {
 
 	mu       sync.Mutex
 	inflight map[string]*run
-	jobs     map[string]*jobState
-	jobSeq   uint64
-	runSeq   uint64
-	draining bool
+	// jobs holds the running jobs plus the jobRetention (MetricLog's default
+	// ring) most recently finished, whose IDs finished keeps in completion order.
+	jobs      map[string]*jobState
+	finished  [jobRetention]string
+	finishedN uint64
+	jobSeq    uint64
+	runSeq    uint64
+	draining  bool
 }
+
+const jobRetention = 4096
 
 type jobState struct {
 	spec   JobSpec
@@ -142,9 +146,9 @@ type jobState struct {
 }
 
 // New starts a service: the worker pool begins immediately. If cfg.DataDir
-// holds a journal from a previous run, its unfinished jobs are resubmitted
-// (their sweep checkpoints and the result store make that cheap: finished
-// points are hits, only lost work re-runs).
+// holds job files from a previous run, those jobs are resubmitted (the
+// result store makes that cheap: finished points are hits, only lost work
+// re-runs).
 func New(cfg Config) (*Service, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
@@ -154,11 +158,6 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.RunPoint == nil {
 		cfg.RunPoint = sweep.RunPointDirect
-	}
-	if cfg.DataDir != "" {
-		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: data dir: %w", err)
-		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
@@ -175,7 +174,7 @@ func New(cfg Config) (*Service, error) {
 		s.workers.Add(1)
 		go s.worker() //simcheck:allow nogoroutine -- the bounded engine worker pool
 	}
-	if err := s.resumeJournal(); err != nil {
+	if err := s.resumeJobs(); err != nil {
 		s.cancel()
 		s.queue.close()
 		return nil, err
@@ -324,18 +323,32 @@ func (s *Service) worker() {
 			rctx, cancel = context.WithTimeout(s.baseCtx, rn.budget)
 		}
 		started := time.Now()
-		meas, coll := s.cfg.RunPoint(rctx, rn.p)
+		meas, coll, err := s.runEngine(rctx, rn.p)
 		cancel()
 		runTime := time.Since(started)
 
-		if meas.Completed >= rn.p.Trials {
-			if err := s.store.Put(rn.fp, meas); err != nil {
-				s.failRun(rn, err)
-				continue
-			}
+		if err == nil && meas.Completed >= rn.p.Trials {
+			err = s.store.Put(rn.fp, meas)
+		}
+		if err != nil {
+			s.failRun(rn, err)
+			continue
 		}
 		s.deliver(rn, meas, coll, runTime, started)
 	}
+}
+
+// runEngine calls the engine, turning a panic (the simulator's answer to a
+// point it cannot build) into an error: a bad point fails its own run, not
+// the daemon and every job in it.
+func (s *Service) runEngine(ctx context.Context, p sweep.Point) (m sweep.Measures, coll *metrics.Collector, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("service: engine panic: %v", r)
+		}
+	}()
+	m, coll = s.cfg.RunPoint(ctx, p)
+	return m, coll, nil
 }
 
 // deliver fans a finished run out: the first waiter is the leader (source
@@ -357,9 +370,9 @@ func (s *Service) deliver(rn *run, m sweep.Measures, coll *metrics.Collector, ru
 	}
 }
 
-// register admits a job: it validates the spec, assigns an ID when the
-// caller gave none, records the job as running and journals it. Fails with
-// ErrDraining once a drain has begun.
+// register admits a job: it validates the spec, assigns an unused ID when
+// the caller gave none, records the job as running and journals it. Fails
+// with ErrDraining once a drain has begun, and leaves no trace when it fails.
 func (s *Service) register(spec *JobSpec) (*jobState, error) {
 	if err := validateSpec(spec); err != nil {
 		return nil, err
@@ -369,9 +382,11 @@ func (s *Service) register(spec *JobSpec) (*jobState, error) {
 		s.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if spec.ID == "" {
+	for spec.ID == "" {
 		s.jobSeq++
-		spec.ID = fmt.Sprintf("job-%06d", s.jobSeq)
+		if id := fmt.Sprintf("job-%06d", s.jobSeq); s.jobs[id] == nil {
+			spec.ID = id
+		}
 	}
 	if _, ok := s.jobs[spec.ID]; ok {
 		s.mu.Unlock()
@@ -385,12 +400,21 @@ func (s *Service) register(spec *JobSpec) (*jobState, error) {
 		},
 		done: make(chan struct{}),
 	}
-	s.jobs[spec.ID] = st
+	s.jobs[spec.ID] = st // reserves the ID while the file is written
 	s.mu.Unlock()
-	s.metrics.RecordJob(true, false, false)
-	if err := s.saveJournal(); err != nil {
-		return nil, err
+	var err error
+	if s.cfg.DataDir != "" {
+		err = sweep.AtomicWriteJSON(s.jobPath(spec.ID), jobFile{Version: journalVersion, Job: st.spec})
 	}
+	if err != nil {
+		s.mu.Lock()
+		delete(s.jobs, spec.ID)
+		st.status.State, st.status.Error = "failed", err.Error()
+		close(st.done) // releases a Wait that raced the reservation
+		s.mu.Unlock()
+		return nil, fmt.Errorf("service: journal: %w", err)
+	}
+	s.metrics.RecordJob(true, false, false)
 	return st, nil
 }
 
@@ -423,8 +447,12 @@ func (s *Service) RunJob(ctx context.Context, spec JobSpec, onProgress func(swee
 	return res, err
 }
 
-// validateSpec normalizes and checks a job spec.
+// validateSpec checks a job spec. The ID arrives from outside and names a
+// file, so anything but a plain name is refused (empty means "assign one").
 func validateSpec(spec *JobSpec) error {
+	if spec.ID != "" && !validJobID(spec.ID) {
+		return fmt.Errorf("service: job id %q: want 1-64 characters of [A-Za-z0-9._-], the first not a dot", spec.ID)
+	}
 	if len(spec.Points) == 0 {
 		return errors.New("service: job has no points")
 	}
@@ -444,14 +472,17 @@ func validateSpec(spec *JobSpec) error {
 
 // runJob executes the job's points as a sweep with the service as the
 // point runner — the job queue rides on the sweep engine's worker
-// machinery, ordering, retry and checkpoint logic rather than duplicating
-// it.
+// machinery, ordering and retry logic rather than duplicating it. A point
+// shed, drained or cancelled comes back partial; a run that itself failed
+// (engine panic, store error) fails the job with that error.
 func (s *Service) runJob(ctx context.Context, spec JobSpec, onProgress func(sweep.Progress)) (*JobResult, error) {
 	timeout := spec.Timeout
 	if timeout == 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
 	sources := make([]Source, len(spec.Points))
+	var runErr error
+	var runFailed sync.Once
 	opts := sweep.Options{
 		// The sweep workers only wait on the service pool, so match its
 		// width: enough to keep every engine worker fed, no more.
@@ -461,33 +492,26 @@ func (s *Service) runJob(ctx context.Context, spec JobSpec, onProgress func(swee
 		RunPoint: func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
 			m, coll, src, err := s.Resolve(pctx, p, spec.Priority, spec.ID)
 			if err != nil {
-				// Resolve fails only on store errors, drain or context end;
-				// report the point as not-run so the sweep marks it partial.
-				sources[p.Index] = src
+				if !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrDraining) && pctx.Err() == nil {
+					runFailed.Do(func() { runErr = err })
+				}
+				// Report the point as not-run so the sweep marks it partial.
 				return sweep.Measures{}, nil
 			}
 			sources[p.Index] = src
 			return m, coll
 		},
 	}
-	if s.cfg.DataDir != "" {
-		opts.CheckpointPath = filepath.Join(s.cfg.DataDir, "ckpt-"+spec.ID+".json")
-		opts.Resume = true
-	}
 	sum, err := sweep.Run(ctx, spec.Points, opts)
 	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		return nil, err
 	}
+	if runErr != nil {
+		err = runErr
+	}
 	res := &JobResult{ID: spec.ID, Results: make([]PointResult, len(sum.Results))}
 	for i, r := range sum.Results {
 		src := sources[i]
-		if r.Resumed {
-			src = SourceResumed
-			s.metrics.Record(RequestMetric{
-				Job: spec.ID, Fingerprint: r.Point.Fingerprint(),
-				Source: SourceResumed, Priority: spec.Priority,
-			})
-		}
 		res.Results[i] = PointResult{
 			Index:       i,
 			Fingerprint: r.Point.Fingerprint(),
@@ -509,8 +533,6 @@ func (s *Service) runJob(ctx context.Context, spec JobSpec, onProgress func(swee
 			res.Coalesced++
 		case SourceRun:
 			res.Runs++
-		case SourceResumed:
-			res.Resumed++
 		default:
 			// Point never started (cancelled before dispatch).
 		}
@@ -518,37 +540,29 @@ func (s *Service) runJob(ctx context.Context, spec JobSpec, onProgress func(swee
 	return res, err
 }
 
-// finishJob records a job's terminal state and rewrites the journal
-// without it.
+// finishJob records a job's terminal state, evicts the oldest finished job
+// past the retention bound and removes the job's journal file — unless a
+// drain cut the job off: then the file stays and a restart resumes the job.
 func (s *Service) finishJob(st *jobState, res *JobResult, err error) {
 	s.mu.Lock()
-	if err != nil && !errors.Is(err, context.Canceled) {
-		st.status.State = "failed"
-		st.status.Error = err.Error()
-	} else if err != nil {
-		// Cancelled (drain or client): journal keeps the spec so a restart
-		// resumes it; status reflects the interruption.
-		st.status.State = "failed"
-		st.status.Error = "interrupted: " + err.Error()
-	} else {
-		st.status.State = "done"
+	st.status.State = "done"
+	if err != nil {
+		st.status.State, st.status.Error = "failed", err.Error()
 	}
 	if res != nil {
 		st.status.Result = res
 		st.status.Done = res.Completed
 	}
+	slot := &s.finished[s.finishedN%jobRetention]
+	delete(s.jobs, *slot) // finished jobRetention jobs ago ("" until the ring wraps)
+	*slot = st.spec.ID
+	s.finishedN++
 	close(st.done)
 	s.mu.Unlock()
 	s.metrics.RecordJob(false, err == nil, err != nil)
-	// Completed jobs leave the journal; interrupted ones stay for resume.
-	if err == nil {
-		if jerr := s.saveJournal(); jerr != nil {
-			fmt.Fprintf(os.Stderr, "service: journal save: %v\n", jerr)
-		}
-		if s.cfg.DataDir != "" {
-			// The per-job checkpoint is subsumed by the result store once
-			// the job finished cleanly.
-			os.Remove(filepath.Join(s.cfg.DataDir, "ckpt-"+st.spec.ID+".json"))
+	if s.cfg.DataDir != "" && s.baseCtx.Err() == nil {
+		if rerr := os.Remove(s.jobPath(st.spec.ID)); rerr != nil {
+			fmt.Fprintf(os.Stderr, "service: journal: %v\n", rerr)
 		}
 	}
 }
@@ -582,7 +596,7 @@ func (s *Service) Status(id string) (JobStatus, bool) {
 	return st.status, true
 }
 
-// Jobs lists every known job, by ID.
+// Jobs lists every job in the table (running, or recently finished), by ID.
 func (s *Service) Jobs() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -600,9 +614,9 @@ func (s *Service) Jobs() []JobStatus {
 
 // Drain performs graceful shutdown: stop accepting jobs, give in-flight
 // jobs until ctx ends to finish, then close the run queue and cancel them
-// (the sweep engine stops at trial boundaries and its checkpoints flush
-// after every completed point), stop the worker pool, and write the final
-// journal. A later New over the same DataDir resumes whatever was cut off.
+// (the sweep engine stops at trial boundaries; every point that completed is
+// already in the store) and stop the worker pool. Jobs cut off keep their
+// journal files, so a later New over the same DataDir resumes them.
 func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -632,5 +646,5 @@ func (s *Service) Drain(ctx context.Context) error {
 	}
 	<-finished
 	s.workers.Wait()
-	return s.saveJournal()
+	return nil
 }

@@ -6,9 +6,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -392,26 +394,43 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestDrainPersistsAndResumesJobs is the graceful-drain contract: a drain
-// that cuts a job off journals its spec, and a new service over the same
-// data directory finishes it — with already-completed points served from
-// the store rather than re-run.
+// durableFiles walks a data directory and fails the test on any file that is
+// not one of the two durable artefacts — results/<fingerprint>.json and
+// jobs/<id>.json. It returns the job IDs found under jobs/.
+func durableFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	jobs := []string{}
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		sub, name := filepath.Split(rel)
+		id, isJSON := strings.CutSuffix(name, ".json")
+		switch {
+		case sub == "results/" && isJSON && strings.Trim(id, "0123456789abcdef") == "":
+		case sub == "jobs/" && isJSON && validJobID(id):
+			jobs = append(jobs, id)
+		default:
+			t.Errorf("data directory holds %s; want only results/*.json and jobs/<id>.json", rel)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("walk %s: %v", dir, err)
+	}
+	return jobs
+}
+
+// TestDrainPersistsAndResumesJobs is the restart-equivalence contract: a
+// drain that cuts a job off leaves its spec in jobs/<id>.json and nothing
+// else beside the result store, and a new service over the same data
+// directory finishes it — with the point that had completed served from the
+// store as a cache hit, never re-run.
 func TestDrainPersistsAndResumesJobs(t *testing.T) {
 	dir := t.TempDir()
-	release := make(chan struct{})
-	var phase1Runs atomic.Int64
-	blockingEngine := func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
-		if p.Index == 0 {
-			phase1Runs.Add(1)
-			return sweep.Measures{Messages: float64(p.Seed), Completed: p.Trials}, nil
-		}
-		// Later points block until cancelled — the job is mid-flight.
-		select {
-		case <-release:
-			return sweep.Measures{Messages: float64(p.Seed), Completed: p.Trials}, nil
-		case <-ctx.Done():
-			return sweep.Measures{}, nil
-		}
+	done := func(p sweep.Point) sweep.Measures {
+		return sweep.Measures{Messages: float64(p.Seed), Completed: p.Trials}
 	}
 	disk, err := NewDiskStore(filepath.Join(dir, "results"))
 	if err != nil {
@@ -419,12 +438,19 @@ func TestDrainPersistsAndResumesJobs(t *testing.T) {
 	}
 	svc1, err := New(Config{
 		Workers: 1, DataDir: dir, Store: disk,
-		RunPoint: blockingEngine,
+		RunPoint: func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+			if p.Index == 0 {
+				return done(p), nil
+			}
+			// Later points block until cancelled — the job is mid-flight.
+			<-ctx.Done()
+			return sweep.Measures{}, nil
+		},
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	points := []sweep.Point{testPoint(0, 0), testPoint(1, 1)}
+	points := []sweep.Point{testPoint(0, 0), testPoint(1, 1), testPoint(2, 2)}
 	id, err := svc1.Submit(JobSpec{ID: "drainy", Points: points})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
@@ -443,6 +469,9 @@ func TestDrainPersistsAndResumesJobs(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if jobs := durableFiles(t, dir); len(jobs) != 1 || jobs[0] != "drainy" {
+		t.Fatalf("job files while running = %v; want [drainy]", jobs)
+	}
 
 	// Drain with an already-expired grace: cancel immediately.
 	expired, cancel := context.WithCancel(context.Background())
@@ -455,22 +484,24 @@ func TestDrainPersistsAndResumesJobs(t *testing.T) {
 		t.Fatalf("drained job state = %+v; want interrupted/failed", st)
 	}
 
-	// The journal must still carry the job spec.
-	data, err := os.ReadFile(filepath.Join(dir, "jobs.json"))
+	// The interrupted job's file must still carry its spec.
+	if jobs := durableFiles(t, dir); len(jobs) != 1 || jobs[0] != "drainy" {
+		t.Fatalf("job files after the drain = %v; want [drainy]", jobs)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "jobs", "drainy.json"))
 	if err != nil {
-		t.Fatalf("journal: %v", err)
+		t.Fatalf("job file: %v", err)
 	}
-	var doc journalDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("journal decode: %v", err)
+	var jf jobFile
+	if err := json.Unmarshal(data, &jf); err != nil {
+		t.Fatalf("job file decode: %v", err)
 	}
-	if len(doc.Jobs) != 1 || doc.Jobs[0].ID != "drainy" {
-		t.Fatalf("journal jobs = %+v; want the interrupted job", doc.Jobs)
+	if jf.Version != journalVersion || jf.Job.ID != "drainy" || len(jf.Job.Points) != len(points) {
+		t.Fatalf("job file = %+v; want the interrupted job's spec", jf)
 	}
 
 	// Restart over the same directory with an unblocked engine. The
 	// resumed job must finish without re-running point 0.
-	close(release)
 	var phase2Runs atomic.Int64
 	svc2, err := New(Config{
 		Workers: 1, DataDir: dir, Store: disk,
@@ -479,7 +510,7 @@ func TestDrainPersistsAndResumesJobs(t *testing.T) {
 				t.Error("resumed job re-ran point 0 despite the stored result")
 			}
 			phase2Runs.Add(1)
-			return sweep.Measures{Messages: float64(p.Seed), Completed: p.Trials}, nil
+			return done(p), nil
 		},
 	})
 	if err != nil {
@@ -494,26 +525,177 @@ func TestDrainPersistsAndResumesJobs(t *testing.T) {
 	if st2.State != "done" || st2.Result == nil {
 		t.Fatalf("resumed job state = %+v; want done with a result", st2)
 	}
-	if st2.Result.Results[0].Measures.Messages != float64(100) {
-		t.Fatal("resumed job lost point 0's measures")
+	r0 := st2.Result.Results[0]
+	if r0.Source != SourceCache || !measuresEqual(r0.Measures, done(points[0])) {
+		t.Fatalf("resumed point 0 = %+v; want the stored measures served as a cache hit", r0)
+	}
+	if got := phase2Runs.Load(); got != 2 || st2.Result.Runs != 2 || st2.Result.CacheHits != 1 {
+		t.Fatalf("restart ran the engine %d times (job: %d runs, %d hits); want 2 runs and 1 hit", got, st2.Result.Runs, st2.Result.CacheHits)
+	}
+	if c, _ := svc2.Metrics().Snapshot(); c.DuplicateRuns != 0 {
+		t.Fatalf("DuplicateRuns = %d; want 0", c.DuplicateRuns)
 	}
 	if err := svc2.Drain(context.Background()); err != nil {
 		t.Fatalf("final Drain: %v", err)
 	}
-	// Cleanly finished: the journal no longer lists the job.
-	data, err = os.ReadFile(filepath.Join(dir, "jobs.json"))
+	// Cleanly finished: jobs/ is empty, results/ holds the three points.
+	if jobs := durableFiles(t, dir); len(jobs) != 0 {
+		t.Fatalf("job files after a clean finish = %v; want none", jobs)
+	}
+	if n, _ := disk.Len(); n != len(points) {
+		t.Fatalf("store holds %d results; want %d", n, len(points))
+	}
+}
+
+// blockedService starts a durable service whose engine blocks until the
+// service is cancelled, submits one job to it, and drains it with no grace —
+// leaving that job's file behind for a restart to resume.
+func blockedService(t *testing.T, dir string, spec JobSpec) string {
+	t.Helper()
+	svc, err := New(Config{
+		Workers: 1, DataDir: dir,
+		RunPoint: func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+			<-ctx.Done()
+			return sweep.Measures{}, nil
+		},
+	})
 	if err != nil {
-		t.Fatalf("journal after finish: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	doc = journalDoc{}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("journal decode: %v", err)
+	id, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
 	}
-	if len(doc.Jobs) != 0 {
-		t.Fatalf("journal still lists %d jobs after clean finish", len(doc.Jobs))
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := svc.Drain(expired); err != nil {
+		t.Fatalf("Drain: %v", err)
 	}
-	if errors.Is(err, context.Canceled) {
-		t.Fatal("unreachable")
+	return id
+}
+
+// TestAutoIDSkipsJobsFromBeforeTheRestart: the ID sequence restarts with the process, so
+// the first anonymous submission after a restart that resumed job-000001
+// must be given an ID that is not in the table.
+func TestAutoIDSkipsJobsFromBeforeTheRestart(t *testing.T) {
+	dir := t.TempDir()
+	first := blockedService(t, dir, JobSpec{Points: []sweep.Point{testPoint(0, 0)}})
+	if first != "job-000001" {
+		t.Fatalf("first anonymous job named %q; want job-000001", first)
+	}
+	var runs atomic.Int64
+	svc := newTestService(t, Config{Workers: 1, DataDir: dir, RunPoint: countingEngine(&runs)})
+	if _, ok := svc.Status(first); !ok {
+		t.Fatalf("restart did not resume %s", first)
+	}
+	second, err := svc.Submit(JobSpec{Points: []sweep.Point{testPoint(0, 1)}})
+	if err != nil {
+		t.Fatalf("anonymous Submit after the resume: %v", err)
+	}
+	if second == first {
+		t.Fatalf("anonymous job reused the resumed job's ID %q", second)
+	}
+	for _, id := range []string{first, second} {
+		if st, err := svc.Wait(context.Background(), id); err != nil || st.State != "done" {
+			t.Fatalf("job %s: %+v, %v; want done", id, st, err)
+		}
+	}
+}
+
+// TestFailedJournalWriteLeavesNoTrace: a job whose journal file cannot be
+// written is refused outright — no table entry stuck in "running" with a
+// done channel nobody closes, no accepted-job tick.
+func TestFailedJournalWriteLeavesNoTrace(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	svc := newTestService(t, Config{Workers: 1, DataDir: dir})
+	// Put a regular file where the data directory was: every write under it
+	// now fails.
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(JobSpec{ID: "doomed", Points: []sweep.Point{testPoint(0, 0)}}); err == nil {
+		t.Fatal("Submit succeeded although the journal write failed")
+	}
+	if jobs := svc.Jobs(); len(jobs) != 0 {
+		t.Fatalf("refused job left a table entry: %+v", jobs)
+	}
+	if c, _ := svc.Metrics().Snapshot(); c.JobsAccepted != 0 {
+		t.Fatalf("JobsAccepted = %d after a refused job; want 0", c.JobsAccepted)
+	}
+}
+
+// TestLegacyJournalRefused: a jobs.json from a build that kept one
+// whole-document journal gets no second loader. An empty one (what a clean
+// drain of that build leaves) is removed; one that lists jobs stops New with
+// the file named in the error.
+func TestLegacyJournalRefused(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "jobs.json")
+	if err := os.WriteFile(legacy, []byte(`{"version":1,"jobs":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	svc := newTestService(t, Config{Workers: 1, DataDir: dir})
+	if err := svc.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if jobs := durableFiles(t, dir); len(jobs) != 0 {
+		t.Fatalf("job files = %v; want none", jobs)
+	}
+
+	if err := os.WriteFile(legacy, []byte(`{"version":1,"jobs":[{"id":"old","points":[]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Workers: 1, DataDir: dir}); err == nil || !strings.Contains(err.Error(), legacy) {
+		t.Fatalf("New over a non-empty legacy journal: err=%v; want a refusal naming %s", err, legacy)
+	}
+}
+
+// TestEnginePanicFailsTheJobNotTheService: a panicking engine run fails its
+// own job with the panic text, and the service runs the next job normally.
+func TestEnginePanicFailsTheJobNotTheService(t *testing.T) {
+	svc := newTestService(t, Config{
+		Workers: 1,
+		RunPoint: func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+			if p.D == 3 {
+				panic("workload: D=3 is cursed")
+			}
+			return sweep.Measures{Completed: p.Trials}, nil
+		},
+	})
+	res, err := svc.RunJob(context.Background(), JobSpec{ID: "bad", Points: []sweep.Point{testPoint(0, 1)}}, nil)
+	if err == nil || !strings.Contains(err.Error(), "D=3 is cursed") {
+		t.Fatalf("panicking job: res=%+v err=%v; want the panic text", res, err)
+	}
+	if st, _ := svc.Status("bad"); st.State != "failed" || !strings.Contains(st.Error, "D=3 is cursed") {
+		t.Fatalf("panicking job status = %+v; want failed with the panic text", st)
+	}
+	res, err = svc.RunJob(context.Background(), JobSpec{ID: "good", Points: []sweep.Point{testPoint(0, 0)}}, nil)
+	if err != nil || res.Completed != 1 {
+		t.Fatalf("job after the panic: res=%+v err=%v; want it to complete", res, err)
+	}
+}
+
+// TestJobTableRetention: the table keeps the jobRetention most recently
+// finished jobs; the oldest beyond that answers like an unknown ID.
+func TestJobTableRetention(t *testing.T) {
+	var runs atomic.Int64
+	svc := newTestService(t, Config{Workers: 1, RunPoint: countingEngine(&runs)})
+	for i := 0; i <= jobRetention; i++ {
+		if _, err := svc.RunJob(context.Background(), JobSpec{Points: []sweep.Point{testPoint(0, 0)}}, nil); err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+	}
+	if got := len(svc.Jobs()); got != jobRetention {
+		t.Fatalf("%d jobs listed after %d finished; want %d", got, jobRetention+1, jobRetention)
+	}
+	if _, ok := svc.Status("job-000001"); ok {
+		t.Fatal("the oldest finished job is still in the table")
+	}
+	if _, ok := svc.Status("job-000002"); !ok {
+		t.Fatal("the second-oldest finished job was evicted too")
 	}
 }
 

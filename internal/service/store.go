@@ -234,3 +234,17 @@ func (s *TieredStore) Put(fp string, m sweep.Measures) error {
 
 // Len implements ResultStore: the durable store's count.
 func (s *TieredStore) Len() (int, error) { return s.back.Len() }
+
+// OpenStore builds the store a daemon runs on: a memory LRU of cache entries
+// (0 = unbounded), over a DiskStore in dataDir/results when dataDir is set.
+func OpenStore(dataDir string, cache int) (ResultStore, error) {
+	mem := NewMemoryStore(cache)
+	if dataDir == "" {
+		return mem, nil
+	}
+	disk, err := NewDiskStore(filepath.Join(dataDir, "results"))
+	if err != nil {
+		return nil, err
+	}
+	return NewTieredStore(mem, disk), nil
+}

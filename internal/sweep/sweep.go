@@ -145,7 +145,7 @@ type Options struct {
 	// RunPoint substitutes the point runner; nil runs the engine directly
 	// (RunPointDirect). The serving layer (internal/service) intercepts
 	// here to route points through its content-addressed cache and
-	// coalescing batcher; tests use it to fake the engine. A substitute
+	// in-flight coalescing table; tests use it to fake the engine. A substitute
 	// must preserve the engine's contract: identical points yield identical
 	// Measures, and a context-cancelled run returns Measures.Completed <
 	// Point.Trials.
@@ -204,7 +204,8 @@ func RunPointDirect(ctx context.Context, p Point) (Measures, *metrics.Collector)
 // Run executes every point and returns the merged summary. It returns early
 // (with the results gathered so far and ctx.Err) when ctx is cancelled:
 // queued points are abandoned, in-flight points stop at their next trial
-// boundary and are marked Partial.
+// boundary and are marked Partial. A point runner's panic is re-raised on the
+// calling goroutine once the other workers have finished.
 func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -216,13 +217,6 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 		if points[i].Trials < 1 {
 			return nil, fmt.Errorf("sweep: point %d has Trials %d (must be >= 1)", i, points[i].Trials)
 		}
-	}
-	parallel := opts.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(points) {
-		parallel = len(points)
 	}
 	run := opts.RunPoint
 	if run == nil {
@@ -262,63 +256,47 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 		res  Result
 		coll *metrics.Collector
 	}
-	jobs := make(chan int)
 	results := make(chan outcome) // the single aggregation channel
-
-	var wg sync.WaitGroup
-	for w := 0; w < parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				p := points[i]
-				runOnce := func(budget time.Duration) (Measures, *metrics.Collector) {
-					pctx := ctx
-					cancel := func() {}
-					if budget > 0 {
-						pctx, cancel = context.WithTimeout(ctx, budget)
-					}
-					defer cancel()
-					return run(pctx, p)
-				}
-				t0 := time.Now() //simcheck:allow determinism -- per-point wall-clock timing for reports
-				meas, coll := runOnce(opts.PointTimeout)
-				res := Result{Point: p, Ran: true}
-				if meas.Completed < p.Trials && opts.PointTimeout > 0 && ctx.Err() == nil {
-					// The point hit its own timeout (the sweep itself was not
-					// cancelled): retry once from scratch with a doubled
-					// budget. Determinism is unharmed — the rerun replays the
-					// same seeds, and a completed retry's result is identical
-					// to what an untimed run would have produced.
-					res.Retried = true
-					meas, coll = runOnce(2 * opts.PointTimeout)
-					if meas.Completed < p.Trials && ctx.Err() == nil {
-						res.Quarantined = true
-					}
-				}
-				res.Measures = meas
-				res.Partial = meas.Completed < p.Trials
-				res.Elapsed = time.Since(t0) //simcheck:allow determinism -- wall-clock elapsed, reporting only
-				results <- outcome{res: res, coll: coll}
-			}
-		}()
-	}
+	var workerPanic any
 	go func() {
-		defer close(jobs)
-		for i := range points {
-			if _, ok := resumed[i]; ok {
-				continue
-			}
-			select {
-			case jobs <- i:
-			case <-ctx.Done():
+		defer func() {
+			workerPanic = recover() // Each re-raised it here; Run hands it on below
+			close(results)
+		}()
+		Each(opts.Parallel, len(points), func(i int) {
+			if _, ok := resumed[i]; ok || ctx.Err() != nil {
 				return
 			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
+			p := points[i]
+			runOnce := func(budget time.Duration) (Measures, *metrics.Collector) {
+				pctx := ctx
+				cancel := func() {}
+				if budget > 0 {
+					pctx, cancel = context.WithTimeout(ctx, budget)
+				}
+				defer cancel()
+				return run(pctx, p)
+			}
+			t0 := time.Now() //simcheck:allow determinism -- per-point wall-clock timing for reports
+			meas, coll := runOnce(opts.PointTimeout)
+			res := Result{Point: p, Ran: true}
+			if meas.Completed < p.Trials && opts.PointTimeout > 0 && ctx.Err() == nil {
+				// The point hit its own timeout (the sweep itself was not
+				// cancelled): retry once from scratch with a doubled
+				// budget. Determinism is unharmed — the rerun replays the
+				// same seeds, and a completed retry's result is identical
+				// to what an untimed run would have produced.
+				res.Retried = true
+				meas, coll = runOnce(2 * opts.PointTimeout)
+				if meas.Completed < p.Trials && ctx.Err() == nil {
+					res.Quarantined = true
+				}
+			}
+			res.Measures = meas
+			res.Partial = meas.Completed < p.Trials
+			res.Elapsed = time.Since(t0) //simcheck:allow determinism -- wall-clock elapsed, reporting only
+			results <- outcome{res: res, coll: coll}
+		})
 	}()
 
 	collectors := make([]*metrics.Collector, len(points))
@@ -357,6 +335,9 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 			})
 		}
 	}
+	if workerPanic != nil {
+		panic(workerPanic)
+	}
 	// Merge per-point collectors in point order: the aggregate is then
 	// independent of completion order.
 	for _, c := range collectors {
@@ -371,7 +352,9 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 // experiment cells that do not fit the Point grid (application runs,
 // hot-spot bursts): fn must write its result only to its own index's slot,
 // and determinism then follows from indexing rather than scheduling order.
-// parallel <= 0 means runtime.GOMAXPROCS(0).
+// parallel <= 0 means runtime.GOMAXPROCS(0). A panic in fn is re-raised on
+// the calling goroutine, where a recover can see it, once the other workers
+// have finished.
 func Each(parallel, n int, fn func(i int)) {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
@@ -387,12 +370,22 @@ func Each(parallel, n int, fn func(i int)) {
 	}
 	jobs := make(chan int)
 	var wg sync.WaitGroup
+	var once sync.Once
+	var panicked any
+	call := func(i int) {
+		defer func() {
+			if v := recover(); v != nil {
+				once.Do(func() { panicked = v })
+			}
+		}()
+		fn(i)
+	}
 	for w := 0; w < parallel; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				fn(i)
+				call(i)
 			}
 		}()
 	}
@@ -401,4 +394,7 @@ func Each(parallel, n int, fn func(i int)) {
 	}
 	close(jobs)
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 }

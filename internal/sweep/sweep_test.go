@@ -286,3 +286,46 @@ func TestEachCoversAllIndices(t *testing.T) {
 	}
 	Each(4, 0, func(int) { t.Fatal("fn called for empty range") })
 }
+
+// TestWorkerPanicReachesTheCaller: a panic in a pool goroutine of Each or Run
+// is re-raised on the calling goroutine — where a recover can see it — after
+// the other cells have run, rather than killing the process from a goroutine
+// nobody can guard.
+func TestWorkerPanicReachesTheCaller(t *testing.T) {
+	caught := func(fn func()) (v any) {
+		defer func() { v = recover() }()
+		fn()
+		return nil
+	}
+	for _, par := range []int{1, 4} {
+		var ran atomic.Int64
+		v := caught(func() {
+			Each(par, 20, func(i int) {
+				if i == 3 {
+					panic("cell 3 is cursed")
+				}
+				ran.Add(1)
+			})
+		})
+		if v != "cell 3 is cursed" {
+			t.Fatalf("Each parallel=%d: recovered %v; want the cell's panic", par, v)
+		}
+		if par > 1 && ran.Load() != 19 {
+			t.Fatalf("Each parallel=%d: %d other cells ran; want 19", par, ran.Load())
+		}
+	}
+	v := caught(func() {
+		_, _ = Run(context.Background(), testPoints(8), Options{
+			Parallel: 4,
+			RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
+				if p.Index == 5 {
+					panic("point 5 is cursed")
+				}
+				return Measures{Completed: p.Trials}, nil
+			},
+		})
+	})
+	if v != "point 5 is cursed" {
+		t.Fatalf("Run: recovered %v; want the point runner's panic", v)
+	}
+}

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Soak / crash-recovery test for the serving stack (wired into `make soak`):
-# kill a daemon mid-load and prove the journal loses nothing.
+# kill a daemon mid-load and prove nothing is lost. The data directory holds
+# two things only: results/ (the content-addressed store, which is also the
+# checkpoint) and jobs/<id>.json, one file per accepted-but-unfinished job.
 #
 #   A. start a durable daemon with one worker and a short drain grace, fire
 #      an async-only dsmload schedule with -no-async-wait (submissions land,
 #      jobs keep running), then SIGTERM while the engine is still chewing —
-#      the grace expires, in-flight jobs are interrupted and stay journaled,
-#   B. restart over the same data dir, wait for the journal resume to finish
-#      every job, and assert zero duplicate engine runs and zero failed jobs,
+#      the grace expires, in-flight jobs are interrupted and keep their files,
+#   B. restart over the same data dir, wait for the resumed jobs to finish,
+#      and assert zero duplicate engine runs and zero failed jobs,
 #   C. run the identical schedule uninterrupted against a fresh daemon and
 #      assert the persisted result set is byte-identical — the interrupted
 #      path lost nothing and invented nothing.
@@ -66,6 +68,17 @@ stop_daemon() {
   fi
 }
 
+only_durable_artefacts() { # $1 = data dir
+  local extra
+  extra="$(find "$1" -mindepth 1 ! -path "$1/results" ! -path "$1/results/*.json" \
+    ! -path "$1/jobs" ! -path "$1/jobs/*.json")"
+  if [ -n "$extra" ]; then
+    echo "data directory holds more than results/*.json and jobs/*.json:" >&2
+    echo "$extra" >&2
+    exit 1
+  fi
+}
+
 wait_jobs_done() {
   # NB: grep -c over a here-string, not `echo | grep -q`: under pipefail a
   # -q early exit SIGPIPEs the echo and poisons the pipeline status.
@@ -87,23 +100,26 @@ echo "== A: async load, SIGTERM mid-execution =="
 start_daemon "$work/dataA"
 "$work/dsmload" "${loadargs[@]}" -no-async-wait -verify=false >"$work/runA.txt"
 stop_daemon
-if ! grep -q '"soak-a' "$work/dataA/jobs.json"; then
-  echo "no interrupted jobs in the journal; the kill landed after all work finished" >&2
-  cat "$work/dataA/jobs.json" >&2
+only_durable_artefacts "$work/dataA"
+interrupted=$(find "$work/dataA/jobs" -name 'soak-a*.json' | wc -l)
+if [ "$interrupted" -eq 0 ]; then
+  echo "no interrupted jobs under jobs/; the kill landed after all work finished" >&2
+  ls -la "$work/dataA/jobs" >&2
   exit 1
 fi
-echo "   interrupted jobs journaled: $(grep -c '"id"' "$work/dataA/jobs.json")"
+echo "   interrupted jobs journaled: $interrupted"
 
-echo "== B: restart resumes the journal to completion =="
+echo "== B: restart resumes the interrupted jobs to completion =="
 start_daemon "$work/dataA"
 wait_jobs_done
 "$work/dsmsimctl" -addr "$url" stats >"$work/statsB.json"
 grep -q '"duplicate_runs": 0' "$work/statsB.json"
 grep -q '"jobs_failed": 0' "$work/statsB.json"
 stop_daemon
-if grep -q '"soak-a' "$work/dataA/jobs.json"; then
-  echo "journal still holds unfinished jobs after resume:" >&2
-  cat "$work/dataA/jobs.json" >&2
+only_durable_artefacts "$work/dataA"
+if [ -n "$(ls -A "$work/dataA/jobs")" ]; then
+  echo "jobs/ still holds unfinished jobs after resume:" >&2
+  ls -la "$work/dataA/jobs" >&2
   exit 1
 fi
 
@@ -112,6 +128,7 @@ start_daemon "$work/dataB"
 "$work/dsmload" "${loadargs[@]}" >"$work/runC.txt"
 grep -q "verify ok" "$work/runC.txt"
 stop_daemon
+only_durable_artefacts "$work/dataB"
 
 echo "== interrupted and uninterrupted result sets are byte-identical =="
 diff -r "$work/dataA/results" "$work/dataB/results"

@@ -7,8 +7,8 @@
 #      byte-identical to a direct invalsweep run,
 #   3. repeat the request and assert the cached reply is byte-identical,
 #   4. submit a point job and check it completes with zero duplicate runs,
-#   5. SIGTERM the daemon and assert a clean (exit 0) drain with the job
-#      journal and persisted results on disk.
+#   5. SIGTERM the daemon and assert a clean (exit 0) drain that leaves the
+#      persisted results, an empty jobs/ and nothing else in the data directory.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -75,8 +75,10 @@ if [ "$status" -ne 0 ]; then
 fi
 grep -q "drained cleanly" "$work/daemon.log"
 
-echo "== durable state written =="
-test -f "$work/data/jobs.json"
+echo "== durable state: results/ filled, jobs/ empty, nothing else =="
 ls "$work/data/results/"*.json >/dev/null
+test -d "$work/data/jobs"
+test -z "$(ls -A "$work/data/jobs")"
+test "$(ls -A "$work/data" | sort | tr '\n' ' ')" = "jobs results "
 
 echo "dsmsimd smoke: OK"
