@@ -117,7 +117,9 @@ func NewMetricLog(capacity int) *MetricLog {
 }
 
 // Record appends one request record (assigning its Seq) and folds it into
-// the counters.
+// the counters. The ring grows to its capacity once, then rows overwrite.
+//
+//simcheck:noalloc
 func (l *MetricLog) Record(m RequestMetric) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -175,7 +177,19 @@ func (l *MetricLog) RecordJob(accepted, completed, failed bool) {
 	}
 }
 
-// Snapshot returns the counters and the retained records, oldest first.
+// Counters returns the running totals and touches nothing else, so its cost
+// does not depend on how many records the ring retains: the accessor for
+// /v1/stats and every caller that does not need the records.
+//
+//simcheck:noalloc
+func (l *MetricLog) Counters() Counters {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.counters
+}
+
+// Snapshot returns the counters and a copy of the retained records, oldest
+// first: O(capacity) by design, for /v1/metrics.
 func (l *MetricLog) Snapshot() (Counters, []RequestMetric) {
 	l.mu.Lock()
 	defer l.mu.Unlock()

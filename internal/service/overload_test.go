@@ -76,7 +76,7 @@ func TestResolveShedsAtQueueDepth(t *testing.T) {
 			t.Fatalf("overload Resolve %d: err=%v; want ErrQueueFull", i, err)
 		}
 	}
-	counters, _ := svc.Metrics().Snapshot()
+	counters := svc.Metrics().Counters()
 	if counters.Shed != shedWant {
 		t.Fatalf("Shed = %d after %d refusals; want %d", counters.Shed, shedWant, shedWant)
 	}
@@ -96,7 +96,7 @@ func TestResolveShedsAtQueueDepth(t *testing.T) {
 
 	// Final ledger: 2 resolved (both engine runs), 3 shed, and the shed
 	// requests stay out of Requests so ShedRate is shed/arrivals = 3/5.
-	counters, _ = svc.Metrics().Snapshot()
+	counters = svc.Metrics().Counters()
 	if counters.Requests != 2 || counters.Runs != 2 {
 		t.Fatalf("requests=%d runs=%d; want 2/2", counters.Requests, counters.Runs)
 	}

@@ -160,6 +160,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
+	if !validFingerprint(fp) {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("fingerprint %q is not lowercase hex", fp)})
+		return
+	}
 	m, ok, err := s.svc.Store().Get(fp)
 	if err != nil {
 		writeError(w, err)
@@ -173,7 +177,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the per-request metric log as flat CSV (the default)
-// or, with ?format=json, as a JSON document with the counters attached.
+// or, with ?format=json, as a JSON document with the counters attached. It
+// copies the whole ring, O(MetricCap), by design; pollers want /v1/stats.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "json" {
 		counters, recs := s.svc.Metrics().Snapshot()
@@ -188,8 +193,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, s.svc.Metrics().Table().CSV())
 }
 
+// handleStats serves the counters and the store and queue sizes. Every read
+// is O(1), so polling it costs the same on a fresh daemon and a busy one.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	counters, _ := s.svc.Metrics().Snapshot()
+	counters := s.svc.Metrics().Counters()
 	storeLen, err := s.svc.Store().Len()
 	if err != nil {
 		writeError(w, err)

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -448,8 +449,171 @@ func TestColdDaemonSoak(t *testing.T) {
 	}
 	wg.Wait()
 
-	c, _ := d.Service().Metrics().Snapshot()
+	c := d.Service().Metrics().Counters()
 	if c.Runs != jobs || c.Requests != jobs || c.DuplicateRuns != 0 || c.Shed != 0 {
 		t.Fatalf("runs=%d requests=%d dup=%d shed=%d; want %d/%d/0/0", c.Runs, c.Requests, c.DuplicateRuns, c.Shed, jobs, jobs)
+	}
+}
+
+// TestStatsBodyGolden pins the /v1/stats document for a fixed counter state
+// byte for byte (the string is the build before Counters() existed): what the
+// endpoint reads changed, what it says must not.
+func TestStatsBodyGolden(t *testing.T) {
+	svc, ts := newTestDaemon(t, Config{Workers: 1})
+	l := svc.Metrics()
+	for _, src := range []Source{SourceCache, SourceRun, SourceCache, SourceRun, SourceCache} {
+		l.Record(RequestMetric{Source: src})
+	}
+	l.Record(RequestMetric{Source: SourceCoalesced, Partial: true})
+	l.RecordShed(2)
+	l.RecordJob(true, false, false)
+	l.RecordJob(true, true, false)
+	l.RecordJob(false, false, true)
+	if err := svc.Store().Put("ab", meas(1)); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{
+ "counters": {
+  "requests": 6,
+  "cache_hits": 3,
+  "coalesced": 1,
+  "runs": 2,
+  "duplicate_runs": 0,
+  "partial": 1,
+  "shed": 2,
+  "jobs_accepted": 2,
+  "jobs_completed": 1,
+  "jobs_failed": 1
+ },
+ "hit_rate": 0.6666666666666666,
+ "shed_rate": 0.25,
+ "queue_depth": 0,
+ "store_len": 1,
+ "draining": false
+}
+`
+	resp, body := getBody(t, ts.URL+"/v1/stats")
+	if resp.StatusCode != http.StatusOK || string(body) != want {
+		t.Fatalf("stats: %s\n%s\nwant\n%s", resp.Status, body, want)
+	}
+}
+
+// TestStatsCostIndependentOfHistory: a stats poll is charged for the
+// counters it reads, not for the records the daemon has served. With the
+// metric ring full at 16 rows and at 4096 rows (393 KB), the bytes one
+// /v1/stats call allocates must be the same and small.
+func TestStatsCostIndependentOfHistory(t *testing.T) {
+	perCall := func(capacity int) uint64 {
+		svc := newTestService(t, Config{Workers: 1, MetricCap: capacity})
+		for i := 0; i < capacity; i++ {
+			svc.Metrics().Record(RequestMetric{Job: "fill", Fingerprint: "ab", Source: SourceCache})
+		}
+		h := NewServer(svc).Handler()
+		call := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/stats", nil))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("stats: %d: %s", rec.Code, rec.Body)
+			}
+		}
+		call() // one-time set-up (mux, encoder caches) stays out of the count
+		const calls = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			call()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / calls
+	}
+	small, full := perCall(16), perCall(4096)
+	t.Logf("bytes allocated per /v1/stats call: %d at MetricCap 16, %d at 4096", small, full)
+	if small >= 16<<10 || full >= 16<<10 {
+		t.Errorf("a stats call allocates %d B (ring of 16) / %d B (ring of 4096); want < 16 KB", small, full)
+	}
+	if diff := max(small, full) - min(small, full); diff > 1<<10 {
+		t.Errorf("a stats call allocates %d B over a ring of 16 and %d B over a ring of 4096; the cost must not depend on history", small, full)
+	}
+}
+
+// TestResultRejectsMalformedFingerprints: a fingerprint that is not lowercase
+// hex is refused before any store sees it, with one status and one body
+// whatever the daemon runs on; a well-formed unknown one is a plain 404.
+func TestResultRejectsMalformedFingerprints(t *testing.T) {
+	disk := func() *DiskStore {
+		d, err := NewDiskStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	stores := []struct {
+		name  string
+		store ResultStore
+	}{
+		{"memory", NewMemoryStore(0)},
+		{"disk", disk()},
+		{"tiered", NewTieredStore(NewMemoryStore(0), disk())},
+	}
+	cases := []struct {
+		fp   string
+		code int
+	}{
+		{"zz", http.StatusBadRequest},
+		{"ABCDEF", http.StatusBadRequest},
+		{"..%2Fx", http.StatusBadRequest},
+		{strings.Repeat("0f", 32), http.StatusNotFound},
+	}
+	bodies := map[string]string{} // fp -> the first store's answer
+	for _, st := range stores {
+		_, ts := newTestDaemon(t, Config{Workers: 1, Store: st.store})
+		for _, tc := range cases {
+			resp, body := getBody(t, ts.URL+"/v1/results/"+tc.fp)
+			if resp.StatusCode != tc.code {
+				t.Errorf("%s store, fingerprint %q: %s: %s; want %d", st.name, tc.fp, resp.Status, body, tc.code)
+			}
+			if first, ok := bodies[tc.fp]; !ok {
+				bodies[tc.fp] = string(body)
+			} else if string(body) != first {
+				t.Errorf("%s store, fingerprint %q: body %s; the memory store answered %s", st.name, tc.fp, body, first)
+			}
+		}
+	}
+}
+
+// TestOneFingerprintPerRequest: the fingerprint a ?wait=1 reply reports, the
+// one in the request's metric row and the key the result is stored under are
+// one string — on the run that computes the point and on the hit after it.
+func TestOneFingerprintPerRequest(t *testing.T) {
+	store := NewMemoryStore(0)
+	svc, ts := newTestDaemon(t, Config{Workers: 1, Store: store})
+	spec := PointSpec{K: 4, Scheme: "UI-UA", D: 2, Pattern: "random", Trials: 1, Seed: 1}
+	p, err := spec.Point(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := p.Fingerprint()
+	for i, source := range []Source{SourceRun, SourceCache} {
+		resp, body := postJSON(t, ts.URL+"/v1/jobs?wait=1", JobRequest{Points: []PointSpec{spec}})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("job: %s: %s", resp.Status, body)
+		}
+		var res JobResult
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatal(err)
+		}
+		_, rows := svc.Metrics().Snapshot()
+		if len(res.Results) != 1 || len(rows) != i+1 {
+			t.Fatalf("request %d: %d results, %d metric rows", i, len(res.Results), len(rows))
+		}
+		if got := res.Results[0]; got.Fingerprint != want || got.Source != source {
+			t.Errorf("request %d: reply has %s from %s; want %s from %s", i, got.Fingerprint, got.Source, want, source)
+		}
+		if rows[i].Fingerprint != want {
+			t.Errorf("request %d: metric row has fingerprint %s; want %s", i, rows[i].Fingerprint, want)
+		}
+	}
+	if _, ok := store.byFP[want]; !ok || len(store.byFP) != 1 {
+		t.Errorf("store keys %v; want exactly %s", store.byFP, want)
 	}
 }

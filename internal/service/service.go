@@ -207,7 +207,13 @@ func (s *Service) Resolve(ctx context.Context, p sweep.Point, priority int, job 
 	if p.Tune != nil {
 		return sweep.Measures{}, nil, "", errors.New("service: points with Tune functions are not cacheable; run them through the batch CLIs")
 	}
-	fp := p.Fingerprint()
+	return s.resolve(ctx, p, p.Fingerprint(), priority, job)
+}
+
+// resolve is Resolve for a caller that already holds p's fingerprint: fp is
+// the store key, the coalescing key and the metric row's fingerprint, so a
+// request computes it once.
+func (s *Service) resolve(ctx context.Context, p sweep.Point, fp string, priority int, job string) (sweep.Measures, *metrics.Collector, Source, error) {
 	enq := time.Now()
 	if m, ok, err := s.store.Get(fp); err != nil {
 		return sweep.Measures{}, nil, "", err
@@ -481,6 +487,12 @@ func (s *Service) runJob(ctx context.Context, spec JobSpec, onProgress func(swee
 		timeout = s.cfg.DefaultTimeout
 	}
 	sources := make([]Source, len(spec.Points))
+	// One fingerprint per point per request, carried to the store, the
+	// metric row and the PointResult (validateSpec checked Index == position).
+	fps := make([]string, len(spec.Points))
+	for i := range spec.Points {
+		fps[i] = spec.Points[i].Fingerprint()
+	}
 	var runErr error
 	var runFailed sync.Once
 	opts := sweep.Options{
@@ -490,7 +502,7 @@ func (s *Service) runJob(ctx context.Context, spec JobSpec, onProgress func(swee
 		PointTimeout: timeout,
 		OnProgress:   onProgress,
 		RunPoint: func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
-			m, coll, src, err := s.Resolve(pctx, p, spec.Priority, spec.ID)
+			m, coll, src, err := s.resolve(pctx, p, fps[p.Index], spec.Priority, spec.ID)
 			if err != nil {
 				if !errors.Is(err, ErrQueueFull) && !errors.Is(err, ErrDraining) && pctx.Err() == nil {
 					runFailed.Do(func() { runErr = err })
@@ -514,7 +526,7 @@ func (s *Service) runJob(ctx context.Context, spec JobSpec, onProgress func(swee
 		src := sources[i]
 		res.Results[i] = PointResult{
 			Index:       i,
-			Fingerprint: r.Point.Fingerprint(),
+			Fingerprint: fps[i],
 			Source:      src,
 			Measures:    r.Measures,
 			Partial:     r.Partial,

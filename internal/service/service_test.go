@@ -204,7 +204,7 @@ func TestLoadCoalescing(t *testing.T) {
 	if got := runs.Load(); got != points {
 		t.Fatalf("engine ran %d times for %d distinct points; want exactly %d (zero duplicates)", got, points, points)
 	}
-	counters, _ := svc.Metrics().Snapshot()
+	counters := svc.Metrics().Counters()
 	if counters.DuplicateRuns != 0 {
 		t.Fatalf("DuplicateRuns = %d; want 0", counters.DuplicateRuns)
 	}
@@ -532,7 +532,7 @@ func TestDrainPersistsAndResumesJobs(t *testing.T) {
 	if got := phase2Runs.Load(); got != 2 || st2.Result.Runs != 2 || st2.Result.CacheHits != 1 {
 		t.Fatalf("restart ran the engine %d times (job: %d runs, %d hits); want 2 runs and 1 hit", got, st2.Result.Runs, st2.Result.CacheHits)
 	}
-	if c, _ := svc2.Metrics().Snapshot(); c.DuplicateRuns != 0 {
+	if c := svc2.Metrics().Counters(); c.DuplicateRuns != 0 {
 		t.Fatalf("DuplicateRuns = %d; want 0", c.DuplicateRuns)
 	}
 	if err := svc2.Drain(context.Background()); err != nil {
@@ -622,7 +622,7 @@ func TestFailedJournalWriteLeavesNoTrace(t *testing.T) {
 	if jobs := svc.Jobs(); len(jobs) != 0 {
 		t.Fatalf("refused job left a table entry: %+v", jobs)
 	}
-	if c, _ := svc.Metrics().Snapshot(); c.JobsAccepted != 0 {
+	if c := svc.Metrics().Counters(); c.JobsAccepted != 0 {
 		t.Fatalf("JobsAccepted = %d after a refused job; want 0", c.JobsAccepted)
 	}
 }

@@ -116,10 +116,13 @@ type diskResult struct {
 // DiskStore is an on-disk ResultStore: one JSON file per fingerprint,
 // written atomically (sweep.AtomicWriteJSON, the checkpoint write path), so
 // a crash mid-put never leaves a torn entry. The directory is the cache:
-// restarting the daemon over the same directory starts warm.
+// restarting the daemon over the same directory starts warm. The store owns
+// the directory while it is open: it counts the entries once, at open, and
+// keeps the count as it creates files.
 type DiskStore struct {
 	mu  sync.Mutex
 	dir string
+	n   int // result files in dir; guarded by mu
 }
 
 // NewDiskStore opens (creating if needed) a result directory.
@@ -127,14 +130,30 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: result dir: %w", err)
 	}
-	return &DiskStore{dir: dir}, nil
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("service: result dir: %w", err)
+	}
+	s := &DiskStore{dir: dir}
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
+			s.n++
+		}
+	}
+	return s, nil
+}
+
+// validFingerprint reports whether fp has the shape Point.Fingerprint
+// produces: nonempty lowercase hex.
+func validFingerprint(fp string) bool {
+	return fp != "" && strings.Trim(fp, "0123456789abcdef") == ""
 }
 
 // path maps a fingerprint to its file. Fingerprints are lowercase hex
 // (Point.Fingerprint), so they are safe as file names; anything else is
 // rejected to keep the store from being used as a path-traversal gadget.
 func (s *DiskStore) path(fp string) (string, error) {
-	if fp == "" || strings.Trim(fp, "0123456789abcdef") != "" {
+	if !validFingerprint(fp) {
 		return "", fmt.Errorf("service: invalid fingerprint %q", fp)
 	}
 	return filepath.Join(s.dir, fp+".json"), nil
@@ -179,22 +198,18 @@ func (s *DiskStore) Put(fp string, m sweep.Measures) error {
 		}
 		return nil
 	}
-	return sweep.AtomicWriteJSON(p, diskResult{Version: diskResultVersion, Fingerprint: fp, Measures: m})
+	if err := sweep.AtomicWriteJSON(p, diskResult{Version: diskResultVersion, Fingerprint: fp, Measures: m}); err != nil {
+		return err
+	}
+	s.n++
+	return nil
 }
 
 // Len implements ResultStore.
 func (s *DiskStore) Len() (int, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".json") {
-			n++
-		}
-	}
-	return n, nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.n, nil
 }
 
 // TieredStore layers a fast store (memory LRU) over a durable one (disk):

@@ -4,10 +4,12 @@ package service
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sweep"
@@ -292,5 +294,63 @@ func TestTieredStoreWritesThrough(t *testing.T) {
 	}
 	if n, _ := s.Len(); n != 1 {
 		t.Fatalf("Len = %d; want the durable store's count, 1", n)
+	}
+}
+
+// TestDiskStoreLenCountsCreatedFiles: the store counts its directory once,
+// at open, and from then on only a Put that creates a file moves the count —
+// not a repeated Put, not a refused one — also when Puts race.
+func TestDiskStoreLenCountsCreatedFiles(t *testing.T) {
+	dir := t.TempDir()
+	fp := func(i int) string { return fmt.Sprintf("%064x", i) }
+	wantLen := func(s *DiskStore, want int) {
+		t.Helper()
+		if n, err := s.Len(); err != nil || n != want {
+			t.Fatalf("Len = %d, %v; want %d", n, err, want)
+		}
+	}
+	s1, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s1.Put(fp(i), meas(float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantLen(s1, 3)
+
+	s2, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLen(s2, 3) // counted from the populated directory
+	if err := s2.Put(fp(1), meas(1)); err != nil {
+		t.Fatalf("duplicate Put: %v", err)
+	}
+	wantLen(s2, 3)
+	if err := s2.Put(fp(1), meas(9)); !errors.Is(err, ErrImmutable) {
+		t.Fatalf("conflicting Put: %v; want ErrImmutable", err)
+	}
+	wantLen(s2, 3)
+
+	const writers, each = 4, 8
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if err := s2.Put(fp(100+w*each+i), meas(1)); err != nil {
+					t.Errorf("Put: %v", err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	wantLen(s2, 3+writers*each)
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 3+writers*each {
+		t.Fatalf("directory holds %d entries, %v; want %d", len(entries), err, 3+writers*each)
 	}
 }

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"math"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -61,6 +62,30 @@ func TestFingerprintStableAndContentAddressed(t *testing.T) {
 		mutate(&q)
 		if q.Fingerprint() == fp {
 			t.Errorf("mutating %s did not change the fingerprint", name)
+		}
+	}
+}
+
+// TestFingerprintPinned holds literal fingerprints: they name the files of
+// every dsmsimd -data directory in existence, so an encoder change that moves
+// one makes stored results unaddressable. A change here is a format break,
+// never a re-pin.
+func TestFingerprintPinned(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Point)
+		want   string
+	}{
+		{"plain", func(*Point) {}, "f41f35dedb162ef499d1f2354a459a32f490556065962179f277f18a16ae7d76"},
+		{"chaos seed", func(p *Point) { p.ChaosSeed = 7 }, "6fc06f62fc1d18bef5581b4692d290744096fa811e9e05e8fcce4e97afde5f08"},
+		{"faults", func(p *Point) { p.Faults = &faults.Config{DropRate: 0.1, Seed: 9} }, "e8e6371d9952b38bc896c98876ff8bb53f732098a6a7c4208e968aa72c767006"},
+		{"max seed", func(p *Point) { p.Seed = math.MaxUint64 }, "0daeb5c2d0c42a2890d466f91a3220d579e77e0a789b47650f84fcb6ef80abd2"},
+	}
+	for _, tc := range cases {
+		p := basePoint()
+		tc.mutate(&p)
+		if got := p.Fingerprint(); got != tc.want {
+			t.Errorf("%s: fingerprint %s; want %s", tc.name, got, tc.want)
 		}
 	}
 }
