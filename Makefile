@@ -81,12 +81,15 @@ cover:
 # the queue edge-case suite, the byte-identical golden experiment tables,
 # and the functional-install-vs-simulated-reads property test (sharers
 # installed by Machine.InstallSharer must leave the machine, and the write
-# that follows, exactly as simulated read misses do). Any engine change must
-# pass this before it ships.
+# that follows, exactly as simulated read misses do), and the two worm
+# allocation ratchets (a pooled unicast allocates nothing; a traffic run's
+# allocations do not grow with its length). Any engine change must pass this
+# before it ships.
 equiv:
 	$(GO) test ./internal/sim -run 'TestEngineEquivalence|TestQueue|TestEngineAllocs' -count=1
 	$(GO) test ./internal/experiments -run TestGoldenTablesSeed -count=1
-	$(GO) test ./internal/workload -run TestInstallSharerMatchesSimulatedReads -count=1
+	$(GO) test ./internal/network -run TestWormAllocsPerUnicast -count=1
+	$(GO) test ./internal/workload -run 'TestInstallSharerMatchesSimulatedReads|TestTrafficAllocsIndependentOfLength' -count=1
 
 check: vet lint build test race oracle fuzz equiv loadtest
 

@@ -180,24 +180,23 @@ func reversed(path []topology.NodeID) []topology.NodeID {
 func (m *Machine) injectBarrierWorm(kind barKind, row, episode int, txn uint64,
 	path []topology.NodeID, wk network.Kind) {
 	m.Metrics.MsgsSent[path[0]]++
-	dests := make([]bool, len(path))
+	w := m.Net.NewWorm()
+	dests := w.TakeDestBuf(len(path))
 	for i := 1; i < len(path); i++ {
 		dests[i] = true
 	}
-	vn := network.Request
+	w.Kind = wk
+	w.VN = network.Request
 	if wk == network.Gather {
-		vn = network.Reply
+		w.VN = network.Reply
 	}
-	m.Net.Inject(&network.Worm{
-		Kind:         wk,
-		VN:           vn,
-		Path:         path,
-		Dest:         dests,
-		HeaderFlits:  m.Params.Net.HeaderFlits(len(path) - 1),
-		PayloadFlits: m.Params.controlFlits(),
-		TxnID:        txn,
-		Tag:          &msg{typ: barrier, bar: &barMsg{kind: kind, row: row, episode: episode}},
-	})
+	w.Path = path
+	w.Dest = dests
+	w.HeaderFlits = m.Params.Net.HeaderFlits(len(path) - 1)
+	w.PayloadFlits = m.Params.controlFlits()
+	w.TxnID = txn
+	w.Tag = &msg{typ: barrier, bar: &barMsg{kind: kind, row: row, episode: episode}}
+	m.Net.Inject(w)
 }
 
 // barrierArrive processes node n's arrival in the current episode.

@@ -97,15 +97,14 @@ func (m *Machine) sendForward(home topology.NodeID, b directory.BlockID, g group
 	if len(g.Members) == 1 {
 		kind = network.Unicast
 	}
-	w := &network.Worm{
-		Kind:         kind,
-		VN:           network.Request,
-		Path:         g.Path,
-		Dest:         destFlags(g.Path, g.Members),
-		HeaderFlits:  m.Params.Net.HeaderFlits(len(g.Members)),
-		PayloadFlits: m.Params.dataFlits(),
-		Tag:          &msg{typ: fwdData, block: b, from: home, fwd: st},
-	}
+	w := m.Net.NewWorm()
+	w.Kind = kind
+	w.VN = network.Request
+	w.Path = g.Path
+	w.Dest = destFlagsInto(w.TakeDestBuf(len(g.Path)), g.Path, g.Members)
+	w.HeaderFlits = m.Params.Net.HeaderFlits(len(g.Members))
+	w.PayloadFlits = m.Params.dataFlits()
+	w.Tag = &msg{typ: fwdData, block: b, from: home, fwd: st}
 	m.Net.Inject(w)
 }
 

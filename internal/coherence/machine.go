@@ -344,15 +344,11 @@ func (m *Machine) sendGather(txn *invalTxn, gi int) {
 	}
 }
 
-// destFlags marks each member's occurrence on the path in visit order (the
-// path may pass through a later member's node before its turn; matching
-// sequentially keeps the flags aligned with the worm's header stripping).
-func destFlags(path []topology.NodeID, members []topology.NodeID) []bool {
-	return destFlagsInto(make([]bool, len(path)), path, members)
-}
-
-// destFlagsInto is destFlags writing into a caller-provided all-false slice
-// of len(path) (typically a pooled worm's destination buffer).
+// destFlagsInto marks each member's occurrence on the path in visit order
+// (the path may pass through a later member's node before its turn;
+// matching sequentially keeps the flags aligned with the worm's header
+// stripping), writing into a caller-provided all-false slice of len(path):
+// a pooled worm's destination buffer.
 func destFlagsInto(dests []bool, path []topology.NodeID, members []topology.NodeID) []bool {
 	mi := 0
 	for i, nd := range path {

@@ -11,6 +11,9 @@ import (
 // tail crosses it.
 type channel struct {
 	busy bool
+	// set is the channel set this lane belongs to, so a release needs no
+	// path lookup.
+	set *vcSet
 
 	// stats
 	flits     sim.Counter // flits that crossed this channel
@@ -62,26 +65,21 @@ const (
 // what the model captures.
 //
 // The set is passive: tryAcquire and release manage lane state, and the
-// Network dispatches granted waiters (see grantVC), keeping the hot path
-// free of closure allocations.
+// Network dispatches granted waiters (see dispatchVC), keeping the hot path
+// free of closure allocations. Sets are stored by value in the Network's
+// flat per-VN arrays; a set with nil chans is an absent link.
 type vcSet struct {
 	chans   []channel
 	waiters sim.FIFO[waiter]
 }
 
-func newVCSet(lanes int) *vcSet {
-	return &vcSet{chans: make([]channel, lanes)}
-}
-
-//
-//simcheck:noalloc
-func (s *vcSet) hasFree() bool {
+// init gives the set its lanes, each pointing back at the set. s must not
+// move afterwards (the Network's arrays are never resized).
+func (s *vcSet) init(lanes int) {
+	s.chans = make([]channel, lanes)
 	for i := range s.chans {
-		if !s.chans[i].busy {
-			return true
-		}
+		s.chans[i].set = s
 	}
-	return false
 }
 
 // tryAcquire grants a free lane, or returns nil when every lane is busy
@@ -135,10 +133,6 @@ type consumptionPool struct {
 func newConsumptionPool(n int) *consumptionPool {
 	return &consumptionPool{total: n}
 }
-
-//
-//simcheck:noalloc
-func (p *consumptionPool) hasFree() bool { return p.inUse < p.total }
 
 // tryAcquire takes a token when one is free.
 //

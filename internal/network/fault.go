@@ -1,8 +1,6 @@
 package network
 
 import (
-	"sort"
-
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -71,7 +69,7 @@ type HardFaultInjector interface {
 //
 //simcheck:noalloc
 func (n *Network) purgeWorm(w *Worm, hop int) {
-	if w.state == wormDone || w.state == wormKilled || w.state == wormDraining {
+	if !w.killable() {
 		return
 	}
 	n.stats.Purged++
@@ -85,11 +83,10 @@ func (n *Network) purgeWorm(w *Worm, hop int) {
 // holds is released immediately (the abrupt-tail semantics of a killed
 // worm), consumption channels at partially-streamed destinations are freed
 // without delivering the truncated copies, and the worm is retired without
-// an OnDeliver callback. Draining and completed worms are past the point of
-// no return and are left to finish.
-func (n *Network) killWorm(w *Worm) {
-	if w.state == wormDone || w.state == wormKilled || w.state == wormDraining {
-		return
+// an OnDeliver callback. It reports whether it killed w.
+func (n *Network) killWorm(w *Worm) bool {
+	if !w.killable() {
+		return false
 	}
 	now := n.Engine.Now()
 	w.state = wormKilled
@@ -97,15 +94,9 @@ func (n *Network) killWorm(w *Worm) {
 		n.traceWorm(trace.KindWormKill, 0, w, w.Path[w.hopIdx], uint64(w.hopIdx), 0, "")
 	}
 	for j := w.heldFrom; j < len(w.Path); j++ {
-		lane := w.lanes[j]
-		if lane == nil {
-			continue
-		}
-		w.lanes[j] = nil
-		if j == 0 || w.wasReinjectedAt(j) {
-			n.releaseLane(n.injection[w.VN][w.Path[j]], lane, now)
-		} else {
-			n.releaseLane(n.linkSet(w, j-1), lane, now)
+		if lane := w.lanes[j]; lane != nil {
+			w.lanes[j] = nil
+			n.releaseLane(lane, now)
 		}
 	}
 	// Park heldFrom past the end so any already-scheduled staggered release
@@ -117,9 +108,16 @@ func (n *Network) killWorm(w *Worm) {
 		n.releaseCons(w.consHeld[k].pool)
 	}
 	w.consHeld = w.consHeld[:0]
-	n.outstanding--
-	delete(n.inFlight, w.ID)
+	n.unregister(w)
 	n.beacon.Mark()
+	return true
+}
+
+// killable reports whether w can still be killed: it is in flight (not
+// completed, killed or recycled) and not draining, which is past the point
+// of no return.
+func (w *Worm) killable() bool {
+	return w.slot != 0 && w.state != wormKilled && w.state != wormDraining
 }
 
 // AbortTxn cancels transaction txn at the fabric level: every in-flight
@@ -133,22 +131,23 @@ func (n *Network) killWorm(w *Worm) {
 // i-ack timeout fired calls AbortTxn before falling back to per-sharer
 // unicast invalidations under a fresh retry generation.
 func (n *Network) AbortTxn(txn uint64) int {
-	ids := make([]uint64, 0, len(n.inFlight))
-	for id, w := range n.inFlight {
+	type victim struct {
+		w  *Worm
+		id uint64
+	}
+	var victims []victim
+	for _, w := range n.inFlightByID() {
 		if w.TxnID == txn && w.Expendable {
-			ids = append(ids, id)
+			victims = append(victims, victim{w, w.ID})
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	killed := 0
-	for _, id := range ids {
-		w := n.inFlight[id]
-		if w == nil {
-			continue
-		}
-		before := w.state
-		n.killWorm(w)
-		if before != wormDone && before != wormDraining {
+	for _, v := range victims {
+		// A kill hands lanes to waiting worms, which can retire (and even
+		// recycle and reissue) a later victim before its turn: only a worm
+		// still carrying its ID may die here, and killWorm skips it unless
+		// it is still in flight.
+		if v.w.ID == v.id && n.killWorm(v.w) {
 			killed++
 			n.stats.Aborted++
 		}
@@ -238,7 +237,7 @@ func watchdogTick(arg any, _ int32) {
 	n := arg.(*Network)
 	wd := n.wd
 	wd.armed = false
-	if wd.fired || n.outstanding == 0 {
+	if wd.fired || len(n.inFlight) == 0 {
 		// Quiesced: disarm until the next injection.
 		return
 	}

@@ -114,11 +114,12 @@ type Network struct {
 	// never perturbs the schedule either way.
 	Rec *trace.Recorder
 
-	// injection[vn][node] and links[vn][node][port] are the wormhole
-	// channel sets; cons[node] the consumption pools; iack[node] the
-	// i-ack buffer files.
-	injection [numVNs][]*vcSet
-	links     [numVNs][][]*vcSet
+	// injection[vn][node] and links[vn][node*NumPorts+port] are the
+	// wormhole channel sets, stored by value (an absent link has nil
+	// chans); cons[node] the consumption pools; iack[node] the i-ack
+	// buffer files.
+	injection [numVNs][]vcSet
+	links     [numVNs][]vcSet
 	cons      []*consumptionPool
 	iack      []*iackFile
 
@@ -139,11 +140,12 @@ type Network struct {
 	// freeWorms pools retired worms created by NewWorm for reuse.
 	freeWorms []*Worm
 
-	nextID      uint64
-	outstanding int
-	stats       Stats
-	// inFlight tracks injected worms until completion, for Diagnose.
-	inFlight map[uint64]*Worm
+	nextID uint64
+	stats  Stats
+	// inFlight holds every injected worm until it completes or is killed,
+	// for Outstanding, Diagnose and AbortTxn. Order is arbitrary: a worm
+	// records its position in slot, and removal swaps in the last entry.
+	inFlight []*Worm
 	// beacon counts forward-progress marks (header advances, channel
 	// releases, completions) for the liveness watchdog.
 	beacon sim.Beacon
@@ -167,18 +169,16 @@ func New(engine *sim.Engine, mesh *topology.Mesh, cfg Config) *Network {
 	n := &Network{
 		Engine: engine, Mesh: mesh, Cfg: cfg,
 		meshW: mesh.Width(), meshH: mesh.Height(),
-		inFlight: make(map[uint64]*Worm),
 	}
 	nodes := mesh.Nodes()
-	for vn := 0; vn < int(numVNs); vn++ {
-		n.injection[vn] = make([]*vcSet, nodes)
-		n.links[vn] = make([][]*vcSet, nodes)
-		for id := 0; id < nodes; id++ {
-			n.injection[vn][id] = newVCSet(1)
-			n.links[vn][id] = make([]*vcSet, topology.NumPorts)
+	for vn := VN(0); vn < numVNs; vn++ {
+		n.injection[vn] = make([]vcSet, nodes)
+		n.links[vn] = make([]vcSet, nodes*int(topology.NumPorts))
+		for id := topology.NodeID(0); int(id) < nodes; id++ {
+			n.injection[vn][id].init(1)
 			for p := topology.East; p <= topology.South; p++ {
-				if _, ok := mesh.Neighbor(topology.NodeID(id), p); ok {
-					n.links[vn][id][p] = newVCSet(cfg.VirtualChannels)
+				if _, ok := mesh.Neighbor(id, p); ok {
+					n.link(vn, id, p).init(cfg.VirtualChannels)
 				}
 			}
 		}
@@ -238,7 +238,7 @@ func New(engine *sim.Engine, mesh *topology.Mesh, cfg Config) *Network {
 
 // Outstanding returns the number of injected worms not yet fully consumed.
 // A positive value after the event queue drains indicates deadlock.
-func (n *Network) Outstanding() int { return n.outstanding }
+func (n *Network) Outstanding() int { return len(n.inFlight) }
 
 // Stats returns a copy of the aggregate counters.
 func (n *Network) Stats() Stats { return n.stats }
@@ -275,14 +275,15 @@ func (n *Network) recycleWorm(w *Worm) {
 	if w.ownsDest {
 		w.destBuf = w.Dest[:0]
 	}
+	// The reset zeroes slot as well as ID, so nothing can mistake a
+	// recycled worm for the live worm it was.
 	*w = Worm{
-		pooled:       true,
-		pathBuf:      w.pathBuf,
-		destBuf:      w.destBuf,
-		held:         w.held[:0],
-		lanes:        w.lanes[:0],
-		consHeld:     w.consHeld[:0],
-		reinjectedAt: w.reinjectedAt[:0],
+		pooled:   true,
+		pathBuf:  w.pathBuf,
+		destBuf:  w.destBuf,
+		held:     w.held[:0],
+		lanes:    w.lanes[:0],
+		consHeld: w.consHeld[:0],
 	}
 	n.freeWorms = append(n.freeWorms, w)
 }
@@ -317,13 +318,22 @@ func (n *Network) schedWormAt(t sim.Time, fn func(any, int32), w *Worm, i int32)
 	n.Engine.AtCall(t, fn, w, i)
 }
 
-// linkSet returns the virtual channel set from Path[i] to Path[i+1] of w.
+// link returns the channel set of node's outgoing link through port on vn
+// (nil chans when the link is absent).
+//
+//simcheck:noalloc
+func (n *Network) link(vn VN, node topology.NodeID, port topology.Port) *vcSet {
+	return &n.links[vn][int(node)*int(topology.NumPorts)+int(port)]
+}
+
+// linkSet returns the virtual channel set from Path[i] to Path[i+1] of w,
+// for acquisition; a held lane is released through its own set.
 //
 //simcheck:noalloc
 func (n *Network) linkSet(w *Worm, i int) *vcSet {
 	from, to := w.Path[i], w.Path[i+1]
-	set := n.links[w.VN][from][n.portBetween(from, to)]
-	if set == nil {
+	set := n.link(w.VN, from, n.portBetween(from, to))
+	if set.chans == nil {
 		panic("network: no link between consecutive path nodes")
 	}
 	return set
@@ -397,10 +407,9 @@ func (n *Network) Inject(w *Worm) {
 	w.heldFrom = 0
 	w.hopIdx = 0
 	w.consHeld = w.consHeld[:0]
-	w.reinjectedAt = w.reinjectedAt[:0]
-	n.outstanding++
+	n.inFlight = append(n.inFlight, w)
+	w.slot = len(n.inFlight)
 	n.stats.Injected++
-	n.inFlight[w.ID] = w
 	n.stats.FlitHops += uint64(w.Flits()) * uint64(w.Hops())
 	n.armWatchdog()
 	if n.Rec != nil {
@@ -412,7 +421,7 @@ func (n *Network) Inject(w *Worm) {
 		n.schedWorm(n.Cfg.InjectDelay+sim.Time(w.Flits())*n.Cfg.FlitCycles, n.fnLocalDeliver, w, 0)
 		return
 	}
-	inj := n.injection[w.VN][w.Source()]
+	inj := &n.injection[w.VN][w.Source()]
 	lane := inj.tryAcquire(n.Engine.Now())
 	if lane == nil {
 		if n.Rec != nil {
@@ -422,7 +431,7 @@ func (n *Network) Inject(w *Worm) {
 		inj.waiters.Push(waiter{w: w, act: actInject})
 		return
 	}
-	n.grantInjection(w, 0, inj, lane, false, false)
+	n.grantInjection(w, 0, lane, false, false)
 }
 
 // grantInjection runs when w is granted an injection-port lane: at the
@@ -430,10 +439,10 @@ func (n *Network) Inject(w *Worm) {
 // gather worm (reinject == true, i is the park index).
 //
 //simcheck:noalloc
-func (n *Network) grantInjection(w *Worm, i int32, s *vcSet, lane *channel, wasBlocked, reinject bool) {
+func (n *Network) grantInjection(w *Worm, i int32, lane *channel, wasBlocked, reinject bool) {
 	now := n.Engine.Now()
 	if w.state == wormKilled {
-		n.releaseLane(s, lane, now)
+		n.releaseLane(lane, now)
 		return
 	}
 	ii := int(i)
@@ -454,13 +463,12 @@ func (n *Network) grantInjection(w *Worm, i int32, s *vcSet, lane *channel, wasB
 		n.traceWorm(trace.KindWormResume, 0, w, w.Path[ii], uint64(ii), 0, "")
 		n.traceWorm(trace.KindWormHold, uint8(w.VN), w, w.Path[ii], uint64(ii), uint64(w.Path[ii]), "")
 	}
+	// The parked copy occupies the injection channel as index i; the lane
+	// knows its set, so releaseIndex releases the right channel.
 	w.held[ii] = now
 	w.lanes[ii] = lane
 	w.heldFrom = ii
 	lane.flits.Add(uint64(w.Flits()))
-	// The parked copy occupies the injection channel as index i; mark it
-	// with a sentinel so releaseIndex releases the right channel.
-	w.reinjectedAt = append(w.reinjectedAt, ii)
 	n.schedWorm(n.Cfg.InjectDelay, n.fnRequestNext, w, i)
 }
 
@@ -691,14 +699,14 @@ func (n *Network) PostAck(node topology.NodeID, txn uint64) {
 //simcheck:noalloc
 func (n *Network) reinjectGather(w *Worm) {
 	i := w.hopIdx
-	inj := n.injection[w.VN][w.Path[i]]
+	inj := &n.injection[w.VN][w.Path[i]]
 	lane := inj.tryAcquire(n.Engine.Now())
 	if lane == nil {
 		n.wormRef(w)
 		inj.waiters.Push(waiter{w: w, i: int32(i), act: actReinject})
 		return
 	}
-	n.grantInjection(w, int32(i), inj, lane, false, true)
+	n.grantInjection(w, int32(i), lane, false, true)
 }
 
 // requestNext moves w's header from Path[i] toward Path[i+1], or begins the
@@ -768,7 +776,7 @@ func (n *Network) acquireLink(w *Worm, i int) {
 		set.waiters.Push(waiter{w: w, i: int32(i), act: actLink})
 		return
 	}
-	n.grantLink(w, int32(i), set, lane, false)
+	n.grantLink(w, int32(i), lane, false)
 }
 
 // grantLink runs when w is granted a lane on the link from Path[i] to
@@ -776,10 +784,10 @@ func (n *Network) acquireLink(w *Worm, i int) {
 // tail.
 //
 //simcheck:noalloc
-func (n *Network) grantLink(w *Worm, i int32, s *vcSet, lane *channel, wasBlocked bool) {
+func (n *Network) grantLink(w *Worm, i int32, lane *channel, wasBlocked bool) {
 	now := n.Engine.Now()
 	if w.state == wormKilled {
-		n.releaseLane(s, lane, now)
+		n.releaseLane(lane, now)
 		return
 	}
 	ii := int(i)
@@ -787,7 +795,7 @@ func (n *Network) grantLink(w *Worm, i int32, s *vcSet, lane *channel, wasBlocke
 		// The link died while the worm was queued for it: hand the lane back
 		// and purge. (requestNext caught deaths that predate the request.)
 		if ds := n.Hard.DeadAt(now); ds.LinkDead(w.Path[ii], w.Path[ii+1]) {
-			n.releaseLane(s, lane, now)
+			n.releaseLane(lane, now)
 			n.purgeWorm(w, ii)
 			return
 		}
@@ -814,26 +822,27 @@ func (n *Network) grantLink(w *Worm, i int32, s *vcSet, lane *channel, wasBlocke
 // already re-acquired by release's direct hand-off).
 //
 //simcheck:noalloc
-func (n *Network) dispatchVC(s *vcSet, wt waiter, lane *channel) {
+func (n *Network) dispatchVC(wt waiter, lane *channel) {
 	switch wt.act {
 	case actInject:
-		n.grantInjection(wt.w, wt.i, s, lane, true, false)
+		n.grantInjection(wt.w, wt.i, lane, true, false)
 	case actReinject:
-		n.grantInjection(wt.w, wt.i, s, lane, true, true)
+		n.grantInjection(wt.w, wt.i, lane, true, true)
 	case actLink:
-		n.grantLink(wt.w, wt.i, s, lane, true)
+		n.grantLink(wt.w, wt.i, lane, true)
 	default:
 		panic("network: bad waiter action on channel set")
 	}
 	n.wormUnref(wt.w)
 }
 
-// releaseLane frees lane c of set s and dispatches the next waiter, if any.
+// releaseLane frees lane c of its own set and dispatches the set's next
+// waiter, if any: an O(1) step that needs no path lookup.
 //
 //simcheck:noalloc
-func (n *Network) releaseLane(s *vcSet, c *channel, now sim.Time) {
-	if wt, ok := s.release(c, now); ok {
-		n.dispatchVC(s, wt, c)
+func (n *Network) releaseLane(c *channel, now sim.Time) {
+	if wt, ok := c.set.release(c, now); ok {
+		n.dispatchVC(wt, c)
 	}
 }
 
@@ -901,14 +910,27 @@ func (n *Network) drain(w *Worm) {
 //simcheck:noalloc
 func (n *Network) finishWorm(w *Worm) {
 	w.state = wormDone
-	n.outstanding--
-	delete(n.inFlight, w.ID)
+	n.unregister(w)
 	n.stats.Completed++
 	n.beacon.Mark()
 	if n.Rec != nil {
 		n.traceWorm(trace.KindWormDone, trace.FlagFinal, w, w.Final(), uint64(len(w.Path)-1), 0, "")
 	}
 	n.OnDeliver(Delivery{Node: w.Final(), Worm: w, Final: true})
+}
+
+// unregister removes a retiring worm from the in-flight registry by moving
+// the last entry into its slot.
+//
+//simcheck:noalloc
+func (n *Network) unregister(w *Worm) {
+	last := len(n.inFlight) - 1
+	moved := n.inFlight[last]
+	n.inFlight[w.slot-1] = moved
+	moved.slot = w.slot
+	n.inFlight[last] = nil
+	n.inFlight = n.inFlight[:last]
+	w.slot = 0
 }
 
 // releaseIndex releases w's channel index j (0 or a re-injection point =
@@ -923,16 +945,11 @@ func (n *Network) releaseIndex(w *Worm, j int, now sim.Time) {
 	}
 	w.heldFrom++
 	n.beacon.Mark()
-	injectionLane := j == 0 || w.wasReinjectedAt(j)
 	lane := w.lanes[j]
-	if injectionLane {
-		n.releaseLane(n.injection[w.VN][w.Path[j]], lane, now)
-	} else {
-		n.releaseLane(n.linkSet(w, j-1), lane, now)
-	}
+	n.releaseLane(lane, now)
 	if n.Rec != nil {
 		from := w.Path[j]
-		if !injectionLane {
+		if lane.set != &n.injection[w.VN][from] {
 			from = w.Path[j-1]
 		}
 		n.traceWorm(trace.KindWormRelease, uint8(w.VN), w, w.Path[j], uint64(j), uint64(from), "")
@@ -956,31 +973,17 @@ func (n *Network) releaseIndex(w *Worm, j int, now sim.Time) {
 	}
 }
 
-func (w *Worm) wasReinjectedAt(j int) bool {
-	for _, r := range w.reinjectedAt {
-		if r == j {
-			return true
-		}
-	}
-	return false
-}
-
 // AvgLinkUtilization returns the mean busy fraction over all link channels
 // up to the current time.
 func (n *Network) AvgLinkUtilization() float64 {
 	now := n.Engine.Now()
 	var sum float64
 	var count int
-	for vn := 0; vn < int(numVNs); vn++ {
-		for _, ports := range n.links[vn] {
-			for _, set := range ports {
-				if set == nil {
-					continue
-				}
-				for i := range set.chans {
-					sum += set.chans[i].utilization(now)
-					count++
-				}
+	for vn := range n.links {
+		for s := range n.links[vn] {
+			for _, c := range n.links[vn][s].chans {
+				sum += c.utilization(now)
+				count++
 			}
 		}
 	}
@@ -995,16 +998,11 @@ func (n *Network) AvgLinkUtilization() float64 {
 func (n *Network) MaxLinkUtilization() float64 {
 	now := n.Engine.Now()
 	var max float64
-	for vn := 0; vn < int(numVNs); vn++ {
-		for _, ports := range n.links[vn] {
-			for _, set := range ports {
-				if set == nil {
-					continue
-				}
-				for i := range set.chans {
-					if u := set.chans[i].utilization(now); u > max {
-						max = u
-					}
+	for vn := range n.links {
+		for s := range n.links[vn] {
+			for _, c := range n.links[vn][s].chans {
+				if u := c.utilization(now); u > max {
+					max = u
 				}
 			}
 		}
@@ -1029,26 +1027,25 @@ func (n *Network) PeakIAckUse(node topology.NodeID) int {
 // (deadlock). The output names the worm, its position on its path, and
 // its blocking resource.
 func (n *Network) Diagnose() string {
-	if n.outstanding == 0 {
+	if len(n.inFlight) == 0 {
 		return "network: quiesced, no worms in flight"
 	}
-	ids := make([]uint64, 0, len(n.inFlight))
-	for id := range n.inFlight {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var b strings.Builder
-	fmt.Fprintf(&b, "network: %d worm(s) in flight\n", n.outstanding)
-	for _, id := range ids {
-		w := n.inFlight[id]
-		if w.state == wormDone {
-			continue
-		}
+	fmt.Fprintf(&b, "network: %d worm(s) in flight\n", len(n.inFlight))
+	for _, w := range n.inFlightByID() {
 		fmt.Fprintf(&b, "  worm %d (%v, %v vn) at hop %d/%d of %v->%v: %s\n",
 			w.ID, w.Kind, w.VN, w.hopIdx, w.Hops(),
 			n.Mesh.Coord(w.Source()), n.Mesh.Coord(w.Final()), n.describeWait(w))
 	}
 	return b.String()
+}
+
+// inFlightByID returns a copy of the in-flight registry in ascending worm
+// ID (injection) order, the order Diagnose reports and AbortTxn kills in.
+func (n *Network) inFlightByID() []*Worm {
+	ws := append([]*Worm(nil), n.inFlight...)
+	sort.Slice(ws, func(i, j int) bool { return ws[i].ID < ws[j].ID })
+	return ws
 }
 
 // describeWait names the resource a worm is blocked on.
@@ -1090,8 +1087,8 @@ func (n *Network) LinkUtilization(node topology.NodeID, port topology.Port, vn V
 	if port < topology.East || port > topology.South {
 		return 0
 	}
-	set := n.links[vn][node][port]
-	if set == nil {
+	set := n.link(vn, node, port)
+	if set.chans == nil {
 		return 0
 	}
 	now := n.Engine.Now()
@@ -1117,7 +1114,7 @@ func (n *Network) DimUtilization(vn VN, dim byte) []float64 {
 		var sum float64
 		var cnt int
 		for _, p := range ports {
-			if n.links[vn][id][p] != nil {
+			if n.link(vn, topology.NodeID(id), p).chans != nil {
 				sum += n.LinkUtilization(topology.NodeID(id), p, vn)
 				cnt++
 			}

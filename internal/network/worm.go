@@ -118,14 +118,14 @@ type Worm struct {
 	state      wormState
 	hopIdx     int // path index of the header's current router
 	injectedAt sim.Time
-	// reinjectedAt records path indexes where a VCT-parked gather worm was
-	// re-injected; those channel indexes map to injection channels, not
-	// link channels.
-	reinjectedAt []int
+	// slot is 1 + the worm's index in Network.inFlight while it is in
+	// flight, and 0 before injection and once retired or recycled.
+	slot int
 	// held[i] is the acquisition time of channel index i (0 = injection
-	// channel, i >= 1 = link into Path[i]); lanes[i] is the virtual
-	// channel lane granted for that index; heldFrom marks the lowest
-	// still-held channel index.
+	// channel, i >= 1 = link into Path[i], or the injection channel of a
+	// VCT-parked gather re-injected at Path[i]); lanes[i] is the virtual
+	// channel lane granted for that index, which knows its own set;
+	// heldFrom marks the lowest still-held channel index.
 	held     []sim.Time
 	lanes    []*channel
 	heldFrom int
@@ -137,11 +137,11 @@ type Worm struct {
 	// Pooling state. refs counts live references from scheduled engine
 	// callbacks, resource-queue waiters and i-ack parks; a pooled worm is
 	// recycled once it is done (or killed) and refs drains to zero. pooled
-	// marks worms obtained from Network.NewWorm — only those recycle, so
-	// caller-constructed worms (tests, one-shot traffic) stay inspectable
-	// after completion. ownsPath/ownsDest mark Path/Dest as pool-owned
-	// buffers to reclaim; borrowed slices (e.g. a grouping.Group's path)
-	// are dropped instead.
+	// marks worms obtained from Network.NewWorm — only those recycle. Every
+	// production worm is pooled; worm literals are a test convenience and
+	// stay inspectable after completion. ownsPath/ownsDest mark Path/Dest
+	// as pool-owned buffers to reclaim; borrowed slices (e.g. a
+	// grouping.Group's path) are dropped instead.
 	refs     int32
 	pooled   bool
 	ownsPath bool

@@ -34,8 +34,8 @@ type TrafficConfig struct {
 // TrafficResult reports the experiment's measurements.
 type TrafficResult struct {
 	Config TrafficConfig
-	// Injected and Delivered count worms; they match unless the run was
-	// cut off while saturated.
+	// Injected and Delivered count worms. They always match: the run
+	// drains the fabric, and RunTraffic panics if a worm is undelivered.
 	Injected, Delivered uint64
 	// Latency samples per-worm network latency (inject to consume).
 	Latency sim.Sample
@@ -91,29 +91,32 @@ func RunTraffic(cfg TrafficConfig) TrafficResult {
 		return sim.Time(gap)
 	}
 	// inject is every source's injection event (i is the source): send one
-	// worm, then schedule the source's next injection while the window is
-	// open.
+	// pooled worm, then schedule the source's next injection while the
+	// window is open.
 	var inject func(_ any, i int32)
 	schedule := func(src topology.NodeID, at sim.Time) {
 		if at <= cfg.Duration {
 			engine.AtCall(at, inject, nil, int32(src))
 		}
 	}
+	//simcheck:noalloc
 	inject = func(_ any, i int32) {
 		src := topology.NodeID(i)
 		dst := topology.NodeID(rng.Intn(mesh.Nodes()))
 		if dst == src {
 			dst = topology.NodeID((int(dst) + 1) % mesh.Nodes())
 		}
-		path := routing.ECube.UnicastPath(mesh, src, dst)
-		dests := make([]bool, len(path))
+		w := net.NewWorm()
+		path := routing.ECube.UnicastPathInto(w.TakePathBuf(), mesh, src, dst)
+		dests := w.TakeDestBuf(len(path))
 		dests[len(path)-1] = true
-		net.Inject(&network.Worm{
-			Kind: network.Unicast, VN: network.Request,
-			Path: path, Dest: dests,
-			HeaderFlits:  ncfg.HeaderFlits(1),
-			PayloadFlits: cfg.PayloadFlits,
-		})
+		w.Kind = network.Unicast
+		w.VN = network.Request
+		w.Path = path
+		w.Dest = dests
+		w.HeaderFlits = ncfg.HeaderFlits(1)
+		w.PayloadFlits = cfg.PayloadFlits
+		net.Inject(w)
 		res.Injected++
 		schedule(src, engine.Now()+nextGap())
 	}

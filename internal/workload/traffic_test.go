@@ -1,6 +1,10 @@
 package workload
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 func TestTrafficLowLoadMatchesUncontendedLatency(t *testing.T) {
 	res := RunTraffic(TrafficConfig{K: 8, Rate: 0.5, Duration: 20000})
@@ -46,6 +50,32 @@ func TestTrafficDeterministic(t *testing.T) {
 	b := RunTraffic(TrafficConfig{K: 8, Rate: 5, Duration: 10000, Seed: 3})
 	if a.Injected != b.Injected || a.Latency.Mean() != b.Latency.Mean() {
 		t.Fatal("traffic runs nondeterministic")
+	}
+}
+
+// TestTrafficAllocsIndependentOfLength pins the pooled traffic worm: a run
+// four times as long delivers about four times the worms, yet allocates
+// almost nothing more. What remains (about 0.04 per extra worm at this
+// load) is amortised growth that stops once the run has seen its peak:
+// the latency sample, the engine's calendar buckets and the waiter queues.
+// A worm built as a literal (path, flags and per-worm lane bookkeeping)
+// costs about eight allocations. The rate is below saturation, where the
+// worm pool stays bounded.
+func TestTrafficAllocsIndependentOfLength(t *testing.T) {
+	run := func(d sim.Time) (allocs float64, delivered uint64) {
+		cfg := TrafficConfig{K: 8, Rate: 5, Duration: d}
+		allocs = testing.AllocsPerRun(1, func() { delivered = RunTraffic(cfg).Delivered })
+		return allocs, delivered
+	}
+	shortAllocs, shortWorms := run(20000)
+	longAllocs, longWorms := run(80000)
+	if longWorms < 3*shortWorms {
+		t.Fatalf("delivered %d worms at 80 000 cycles vs %d at 20 000", longWorms, shortWorms)
+	}
+	perWorm := (longAllocs - shortAllocs) / float64(longWorms-shortWorms)
+	if perWorm >= 0.05 {
+		t.Fatalf("%.3f allocations per extra delivered worm (%v for %d worms, %v for %d), want < 0.05",
+			perWorm, shortAllocs, shortWorms, longAllocs, longWorms)
 	}
 }
 
