@@ -57,6 +57,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if *iackBufs < 1 || *cons < 1 {
+		log.Fatalf("-iackbufs %d, -cons %d: each wants >= 1", *iackBufs, *cons)
+	}
 	if *trace {
 		traceOneTransaction(s, *k, *d)
 		return
@@ -67,11 +70,7 @@ func main() {
 	}
 	res := workload.RunInval(workload.InvalConfig{
 		K: *k, Scheme: s, D: *d, Pattern: pat, Trials: *trials, Seed: *seed,
-		Tune: func(p *coherence.Params) {
-			p.Net.VCTDeferred = *vct
-			p.Net.IAckBuffers = *iackBufs
-			p.Net.ConsumptionChannels = *cons
-		},
+		Tune: &coherence.Variant{VCTDeferred: *vct, IAckBuffers: *iackBufs, ConsumptionChannels: *cons},
 	})
 
 	t := report.NewTable(

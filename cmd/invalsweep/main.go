@@ -14,12 +14,16 @@
 // occupancy (E27, the trace-derived busy-time profile), all.
 //
 // Sweeps run on a worker pool (-parallel, default all cores); the tables
-// are byte-identical at any worker count. Long sweeps can checkpoint
-// completed points (-checkpoint sweep.json) and pick up where they left
-// off after a kill (-resume). Progress goes to stderr (-progress=false to
-// silence); stdout carries only the tables. An interrupt (ctrl-C) stops the
-// sweep at the next trial boundary, flushes the checkpoint, and emits the
-// partial table instead of dying mid-run.
+// are byte-identical at any worker count. Every sweep point is looked up in
+// a content-addressed result store before it runs, and stored once it
+// completes: in memory for the run by default, so a point two experiments
+// share runs once, or in the directory -data names, so a rerun (after a kill,
+// or of another experiment) runs only the points not stored yet. dsmsimd
+// -data over the same directory serves those results. Progress goes to
+// stderr (-progress=false to silence), followed by one "N points from the
+// store, M run" line; stdout carries only the tables. An interrupt (ctrl-C)
+// stops the sweep at the next trial boundary and emits the partial table
+// instead of dying mid-run.
 package main
 
 import (
@@ -30,10 +34,13 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/metrics"
 	"repro/internal/report"
+	"repro/internal/service"
 	"repro/internal/sweep"
 )
 
@@ -41,27 +48,27 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("invalsweep: ")
 	var (
-		exp        = flag.String("experiment", "all", "which experiment to run")
-		k          = flag.Int("k", 16, "mesh dimension for the sweeps")
-		d          = flag.Int("d", 16, "sharers for fixed-d experiments")
-		trials     = flag.Int("trials", 10, "trials per configuration")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		parallel   = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines")
-		progress   = flag.Bool("progress", true, "report sweep progress on stderr")
-		timeout    = flag.Duration("point-timeout", 0, "wall-clock budget per sweep point (0 = none); overrunning points are marked partial")
-		checkpoint = flag.String("checkpoint", "", "JSON file to checkpoint completed sweep points to")
-		resume     = flag.Bool("resume", false, "resume from -checkpoint, skipping completed points")
+		exp      = flag.String("experiment", "all", "which experiment to run")
+		k        = flag.Int("k", 16, "mesh dimension for the sweeps")
+		d        = flag.Int("d", 16, "sharers for fixed-d experiments")
+		trials   = flag.Int("trials", 10, "trials per configuration")
+		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines")
+		progress = flag.Bool("progress", true, "report sweep progress on stderr")
+		timeout  = flag.Duration("point-timeout", 0, "wall-clock budget per sweep point (0 = none); overrunning points are marked partial")
+		data     = flag.String("data", "", "result directory: stored points are not rerun, completed ones are stored (empty = in memory for this run)")
 	)
 	flag.Parse()
 
-	if *checkpoint != "" && *exp == "all" {
-		log.Fatal("-checkpoint needs a single -experiment (each experiment is its own sweep)")
+	store, err := service.OpenStore(*data, 0)
+	if err != nil {
+		log.Fatal(err)
 	}
+	runner := &storeRunner{store: store}
 	experiments.Sweep = sweep.Options{
-		Parallel:       *parallel,
-		PointTimeout:   *timeout,
-		CheckpointPath: *checkpoint,
-		Resume:         *resume,
+		Parallel:     *parallel,
+		PointTimeout: *timeout,
+		RunPoint:     runner.run,
 	}
 	if err := experiments.Sweep.Validate(); err != nil {
 		log.Fatal(err)
@@ -69,11 +76,13 @@ func main() {
 	if *progress {
 		experiments.Sweep.OnProgress = sweep.Reporter(os.Stderr, time.Second)
 	}
-	// First ctrl-C cancels the sweep gracefully (checkpoint flushed, partial
-	// table emitted); a second one falls back to the default kill.
+	// First ctrl-C cancels the sweep gracefully (partial table emitted, every
+	// completed point already stored); a second one falls back to the default
+	// kill.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	experiments.SweepContext = ctx
+	defer func() { log.Printf("%d points from the store, %d run", runner.hits.Load(), runner.runs.Load()) }()
 
 	runners := experiments.Runners(*k, *d, *trials)
 	order := experiments.RunnerOrder
@@ -100,4 +109,35 @@ func main() {
 		log.Fatalf("unknown experiment %q (want one of %v or all)", *exp, order)
 	}
 	emit(run())
+}
+
+// storeRunner is the sweep's point runner over a result store: a point
+// whose fingerprint is stored is served from the store, any other runs on
+// the engine and is stored if it completed. A point the per-point timeout or
+// an interrupt cut short is never stored, so a rerun re-attempts it. A store
+// error, a conflicting result included (ErrImmutable: the engine was not
+// deterministic), panics, the experiment layer's error convention.
+type storeRunner struct {
+	store      service.ResultStore
+	hits, runs atomic.Int64
+}
+
+func (r *storeRunner) run(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+	fp := p.Fingerprint()
+	m, ok, err := r.store.Get(fp)
+	if err != nil {
+		panic(err)
+	}
+	if ok {
+		r.hits.Add(1)
+		return m, nil
+	}
+	r.runs.Add(1)
+	m, coll := sweep.RunPointDirect(ctx, p)
+	if m.Completed >= p.Trials {
+		if err := r.store.Put(fp, m); err != nil {
+			panic(err)
+		}
+	}
+	return m, coll
 }

@@ -1,0 +1,195 @@
+package main
+
+import (
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/coherence"
+	"repro/internal/experiments"
+	"repro/internal/grouping"
+	"repro/internal/metrics"
+	"repro/internal/service"
+	"repro/internal/sweep"
+)
+
+// useSweep points the experiment layer at run (nil = the bare engine) on two
+// workers under ctx, and restores the globals when the test ends.
+func useSweep(t *testing.T, ctx context.Context, run func(context.Context, sweep.Point) (sweep.Measures, *metrics.Collector)) {
+	t.Helper()
+	saved, savedCtx := experiments.Sweep, experiments.SweepContext
+	t.Cleanup(func() { experiments.Sweep, experiments.SweepContext = saved, savedCtx })
+	experiments.Sweep = sweep.Options{Parallel: 2, RunPoint: run}
+	experiments.SweepContext = ctx
+}
+
+// render concatenates the named experiments' tables at k=8, trials=2.
+func render(names ...string) string {
+	runners := experiments.Runners(8, 16, 2)
+	var b strings.Builder
+	for _, name := range names {
+		b.WriteString(runners[name]().String())
+	}
+	return b.String()
+}
+
+// direct renders the named experiments on the bare engine.
+func direct(t *testing.T, names ...string) string {
+	t.Helper()
+	useSweep(t, context.Background(), nil)
+	return render(names...)
+}
+
+// openRunner opens a store runner over the result directory dir.
+func openRunner(t *testing.T, dir string) *storeRunner {
+	t.Helper()
+	store, err := service.OpenStore(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &storeRunner{store: store}
+}
+
+// TestDataRerunRunsNothing: a second run over the same -data directory runs
+// no point and prints the tables the bare engine prints, default machines and
+// variants alike.
+func TestDataRerunRunsNothing(t *testing.T) {
+	names := []string{"latency", "torus", "limdir"}
+	want := direct(t, names...)
+	dir := t.TempDir()
+
+	first := openRunner(t, dir)
+	useSweep(t, context.Background(), first.run)
+	if got := render(names...); got != want {
+		t.Fatalf("first -data run differs from the bare engine:\n%s\nvs\n%s", got, want)
+	}
+	if first.runs.Load() == 0 {
+		t.Fatal("the first run over an empty directory ran nothing")
+	}
+
+	second := openRunner(t, dir)
+	experiments.Sweep.RunPoint = second.run
+	if got := render(names...); got != want {
+		t.Fatalf("rerun differs from the first run:\n%s\nvs\n%s", got, want)
+	}
+	if n := second.runs.Load(); n != 0 {
+		t.Fatalf("the rerun ran %d points; want all from the store", n)
+	}
+	if second.hits.Load() != first.hits.Load()+first.runs.Load() {
+		t.Fatalf("rerun served %d points; the first run resolved %d", second.hits.Load(), first.hits.Load()+first.runs.Load())
+	}
+}
+
+// TestSharedPointRunsOnce: the torus figure's mesh cells are E4 latency
+// points, so after latency only its 12 torus cells run.
+func TestSharedPointRunsOnce(t *testing.T) {
+	r := &storeRunner{store: service.NewMemoryStore(0)}
+	useSweep(t, context.Background(), r.run)
+	render("latency")
+	ran := r.runs.Load()
+	if r.hits.Load() != 0 {
+		t.Fatalf("latency alone had %d store hits; its points are distinct", r.hits.Load())
+	}
+	render("torus")
+	if hits, runs := r.hits.Load(), r.runs.Load()-ran; hits != 12 || runs != 12 {
+		t.Fatalf("torus after latency: %d points from the store, %d run; want 12 and 12", hits, runs)
+	}
+}
+
+// TestInterruptedRerunIsByteIdentical: a run cancelled mid-sweep has stored
+// the points it completed; the rerun runs only the rest and prints the
+// uninterrupted tables.
+func TestInterruptedRerunIsByteIdentical(t *testing.T) {
+	want := direct(t, "latency")
+	dir := t.TempDir()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cut := openRunner(t, dir)
+	useSweep(t, ctx, func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+		if cut.runs.Load() == 20 {
+			cancel()
+		}
+		return cut.run(pctx, p)
+	})
+	experiments.Sweep.Parallel = 1
+	if render("latency") == want {
+		t.Fatal("the cancelled run printed the full tables")
+	}
+
+	rerun := openRunner(t, dir)
+	useSweep(t, context.Background(), rerun.run)
+	if got := render("latency"); got != want {
+		t.Fatalf("rerun after an interrupt differs from an uninterrupted run:\n%s\nvs\n%s", got, want)
+	}
+	if hits, runs := rerun.hits.Load(), rerun.runs.Load(); hits != 20 || hits+runs != 63 {
+		t.Fatalf("rerun: %d points from the store, %d run; want the 20 completed before the interrupt and 43 run", hits, runs)
+	}
+}
+
+// TestTorusTwinsAreDistinctEntries: a mesh cell and its torus twin differ only
+// in their machine variant, and each gets its own store entry.
+func TestTorusTwinsAreDistinctEntries(t *testing.T) {
+	store := service.NewMemoryStore(0)
+	r := &storeRunner{store: store}
+	useSweep(t, context.Background(), r.run)
+	render("torus")
+	if n, _ := store.Len(); n != 24 || r.runs.Load() != 24 {
+		t.Fatalf("torus figure: %d store entries after %d runs; want one per cell, 24", n, r.runs.Load())
+	}
+	mesh := sweep.Point{K: 8, Scheme: grouping.MIMAEC, D: 16, Trials: 2, Seed: 16 + 7}
+	torus := mesh
+	torus.Tune = &coherence.Variant{Torus: true}
+	mm, meshOK, _ := store.Get(mesh.Fingerprint())
+	tm, torusOK, _ := store.Get(torus.Fingerprint())
+	if !meshOK || !torusOK || reflect.DeepEqual(mm, tm) {
+		t.Fatalf("mesh stored %v, torus stored %v; want two different results", meshOK, torusOK)
+	}
+}
+
+// TestQuarantinedPointsAreNotStored: a point that blows its budget twice is
+// quarantined and never stored, so the next run re-attempts it.
+func TestQuarantinedPointsAreNotStored(t *testing.T) {
+	want := direct(t, "torus")
+	store := service.NewMemoryStore(0)
+	r := &storeRunner{store: store}
+	useSweep(t, context.Background(), r.run)
+	experiments.Sweep.PointTimeout = time.Nanosecond
+	render("torus")
+	if n, _ := store.Len(); n != 0 {
+		t.Fatalf("%d timed-out points were stored", n)
+	}
+	experiments.Sweep.PointTimeout = 0
+	ran := r.runs.Load()
+	if got := render("torus"); got != want {
+		t.Fatalf("rerun after the timeouts differs from the bare engine:\n%s\nvs\n%s", got, want)
+	}
+	if runs := r.runs.Load() - ran; runs != 24 {
+		t.Fatalf("the rerun ran %d points; want all 24 re-attempted", runs)
+	}
+}
+
+// TestCorruptResultIsLoud: a damaged result file stops the run with an error
+// naming its fingerprint; it is never served and never silently rerun.
+func TestCorruptResultIsLoud(t *testing.T) {
+	dir := t.TempDir()
+	useSweep(t, context.Background(), openRunner(t, dir).run)
+	render("limdir")
+	p := sweep.Point{K: 8, Scheme: grouping.BR, D: 6, Trials: 5, Seed: 1, Tune: &coherence.Variant{DirPointers: 4}}
+	fp := p.Fingerprint()
+	if err := os.WriteFile(filepath.Join(dir, "results", fp+".json"), []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	experiments.Sweep.RunPoint = openRunner(t, dir).run
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), fp) {
+			t.Fatalf("rerun over a corrupt entry: recovered %v; want an error naming %s", r, fp)
+		}
+	}()
+	render("limdir")
+}

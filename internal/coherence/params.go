@@ -161,6 +161,55 @@ func DefaultParams(k int, scheme grouping.Scheme) Params {
 	}
 }
 
+// Variant names a machine that differs from DefaultParams in the parameters
+// the ablations vary (torus, limited directories, bounded caches, i-ack
+// depth, consumption and virtual channels, VCT). It is data, not code, so a
+// sweep point that carries one can be serialised and fingerprinted. Every
+// field's zero value means DefaultParams' value: a nil or empty Variant is
+// the default machine.
+type Variant struct {
+	Torus               bool `json:"torus,omitempty"`
+	DirPointers         int  `json:"dir_pointers,omitempty"`
+	DirCoarseRegion     int  `json:"dir_coarse_region,omitempty"`
+	CacheLines          int  `json:"cache_lines,omitempty"`
+	IAckBuffers         int  `json:"iack_buffers,omitempty"`
+	ConsumptionChannels int  `json:"consumption_channels,omitempty"`
+	VirtualChannels     int  `json:"virtual_channels,omitempty"`
+	VCTDeferred         bool `json:"vct_deferred,omitempty"`
+}
+
+// Apply overrides p with the variant's non-zero fields. A nil variant
+// changes nothing.
+func (v *Variant) Apply(p *Params) {
+	if v == nil {
+		return
+	}
+	if v.Torus {
+		p.Torus = true
+	}
+	if v.DirPointers != 0 {
+		p.DirPointers = v.DirPointers
+	}
+	if v.DirCoarseRegion != 0 {
+		p.DirCoarseRegion = v.DirCoarseRegion
+	}
+	if v.CacheLines != 0 {
+		p.CacheLines = v.CacheLines
+	}
+	if v.IAckBuffers != 0 {
+		p.Net.IAckBuffers = v.IAckBuffers
+	}
+	if v.ConsumptionChannels != 0 {
+		p.Net.ConsumptionChannels = v.ConsumptionChannels
+	}
+	if v.VirtualChannels != 0 {
+		p.Net.VirtualChannels = v.VirtualChannels
+	}
+	if v.VCTDeferred {
+		p.Net.VCTDeferred = true
+	}
+}
+
 // Recovery configures the i-ack timeout/retry machinery of the home node.
 // Recovery covers every scheme except UMC: the unicast-tree comparator runs
 // its forwarding in software at intermediate nodes, so a home-driven retry

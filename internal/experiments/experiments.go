@@ -30,7 +30,8 @@ import (
 )
 
 // Sweep controls how the figure sweeps execute: worker count, per-point
-// timeout, progress reporting and checkpoint/resume. The CLIs overwrite it
+// timeout, progress reporting and the point runner (invalsweep's runs over
+// its result store, the daemon's through the service). The CLIs overwrite it
 // from their flags before rendering. Parallel execution changes wall-clock
 // time only — every figure is byte-identical at any worker count, because
 // each sweep point runs on an isolated machine with its own seed and
@@ -39,15 +40,15 @@ var Sweep = sweep.Options{Parallel: runtime.GOMAXPROCS(0)}
 
 // SweepContext cancels in-flight experiment sweeps; the CLIs wire it to
 // signal.NotifyContext so an interrupt (ctrl-C) stops the workers at their
-// next trial boundary, flushes the final checkpoint (sweep.Run checkpoints
-// after every completed point) and lets the caller render whatever points
-// finished — a partial report instead of a dead terminal.
+// next trial boundary and lets the caller render whatever points finished —
+// a partial report instead of a dead terminal. A point runner over a result
+// store has stored every point that completed, so a rerun resumes there.
 var SweepContext = context.Background()
 
 // runSweep executes points under the package sweep options. Experiment
-// grids are statically well-formed, so any error other than interruption (a
-// corrupt resume target, say) is surfaced as a panic rather than threaded
-// through every figure signature. Interruption degrades to a partial table
+// grids are statically well-formed, so any error other than interruption is
+// surfaced as a panic rather than threaded through every figure signature
+// (a point runner reports its own failures the same way). Interruption degrades to a partial table
 // with a stderr warning; a partial point that neither an interruption nor a
 // point timeout explains means the runner failed, and panics like an error.
 func runSweep(points []sweep.Point) []sweep.Result {
@@ -69,7 +70,7 @@ func runSweep(points []sweep.Point) []sweep.Result {
 			sum.Partial, len(sum.Results))
 	}
 	if sum.Quarantined > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: warning: %d points quarantined (timed out twice); inspect the checkpoint for their indices\n",
+		fmt.Fprintf(os.Stderr, "sweep: warning: %d points quarantined (timed out twice); they are not stored, so a rerun retries them\n",
 			sum.Quarantined)
 	}
 	return sum.Results
@@ -246,10 +247,7 @@ func FigIAckBuffers(k, d, writers int) *report.Table {
 		results[i] = workload.RunHotSpot(workload.HotSpotConfig{
 			K: k, Scheme: grouping.MIMAEC, D: d, Writers: writers,
 			OverlapSharers: true, DistinctHomes: true, BusyJitter: c.jitter,
-			Tune: func(p *coherence.Params) {
-				p.Net.IAckBuffers = c.bufs
-				p.Net.VCTDeferred = c.vct
-			},
+			Tune: &coherence.Variant{IAckBuffers: c.bufs, VCTDeferred: c.vct},
 		})
 	})
 	for i, c := range cells {
@@ -382,12 +380,9 @@ func AblationConsumptionChannels(k, d, writers int) *report.Table {
 		results[i] = workload.RunHotSpot(workload.HotSpotConfig{
 			K: k, Scheme: grouping.MIMAEC, D: d, Writers: writers,
 			OverlapSharers: true, DistinctHomes: true,
-			Tune: func(p *coherence.Params) {
-				p.Net.ConsumptionChannels = c
-				// VCT keeps one-buffer corner cases live-locked-free while
-				// the consumption channels are the varied resource.
-				p.Net.VCTDeferred = true
-			},
+			// VCT keeps one-buffer corner cases live-locked-free while the
+			// consumption channels are the varied resource.
+			Tune: &coherence.Variant{ConsumptionChannels: c, VCTDeferred: true},
 		})
 	})
 	for i, c := range chans {
@@ -540,9 +535,7 @@ func FigVirtualChannels(k, d, writers int) *report.Table {
 		results[i] = workload.RunHotSpot(workload.HotSpotConfig{
 			K: k, Scheme: s, D: d, Writers: writers,
 			OverlapSharers: true, DistinctHomes: true,
-			Tune: func(p *coherence.Params) {
-				p.Net.VirtualChannels = vcs
-			},
+			Tune: &coherence.Variant{VirtualChannels: vcs},
 		})
 	})
 	for i, vcs := range vcss {
@@ -581,14 +574,10 @@ func FigLimitedDirectory(k int) *report.Table {
 	}
 	var pts []sweep.Point
 	for _, cfg := range configs {
-		cfg := cfg
 		for _, s := range schemes {
 			pts = append(pts, sweep.Point{
 				Index: len(pts), K: k, Scheme: s, D: 6, Trials: 5, Seed: 1,
-				Tune: func(p *coherence.Params) {
-					p.DirPointers = cfg.pointers
-					p.DirCoarseRegion = cfg.coarse
-				},
+				Tune: &coherence.Variant{DirPointers: cfg.pointers, DirCoarseRegion: cfg.coarse},
 			})
 		}
 	}
@@ -792,12 +781,11 @@ func FigTorus(k, trials int) *report.Table {
 	var pts []sweep.Point
 	for _, d := range ds {
 		for _, torus := range []bool{false, true} {
-			torus := torus
 			for _, s := range schemes {
 				pts = append(pts, sweep.Point{
 					Index: len(pts), K: k, Scheme: s, D: d, Trials: trials,
 					Seed: uint64(d) + 7,
-					Tune: func(p *coherence.Params) { p.Torus = torus },
+					Tune: &coherence.Variant{Torus: torus},
 				})
 			}
 		}

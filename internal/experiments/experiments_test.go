@@ -260,7 +260,7 @@ func TestUnexplainedPartialPanics(t *testing.T) {
 
 // TestFiguresParallelInvariant renders representative figures — one
 // sweep-engine figure, one eachCell fan-out figure and the torus figure
-// with its per-cell Tune closures — at 1 and 8 workers and requires
+// with its per-cell machine variants — at 1 and 8 workers and requires
 // byte-identical tables. GOMAXPROCS may be 1 on the test runner, so this
 // forces a genuinely concurrent configuration regardless of hardware.
 func TestFiguresParallelInvariant(t *testing.T) {

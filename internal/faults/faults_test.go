@@ -125,9 +125,9 @@ func TestSeedsDecorrelated(t *testing.T) {
 
 // TestConfigFieldsParticipate sweeps every Config field by reflection: each
 // field, set alone to a nonzero value, must change the config's JSON form
-// (the sweep checkpoint fingerprint serializes faults configs — a field
-// invisible to JSON would let a resumed sweep silently run different
-// faults), and must flip Enabled() unless it is a pure parameter. The
+// (a sweep point's fingerprint serializes its faults config — a field
+// invisible to JSON would let the result store serve one fault mix's result
+// for another), and must flip Enabled() unless it is a pure parameter. The
 // allowlist pins exactly which fields are parameters: Seed (selects, never
 // injects), the two transient-duration knobs, and the hard-failure death
 // window. A new Config field added without wiring it into Enabled() or the
@@ -163,7 +163,7 @@ func TestConfigFieldsParticipate(t *testing.T) {
 			t.Fatal(err)
 		}
 		if string(got) == string(zeroJSON) {
-			t.Errorf("field %s does not serialize: checkpoint fingerprints cannot see it", f.Name)
+			t.Errorf("field %s does not serialize: point fingerprints cannot see it", f.Name)
 		}
 		if cfg.Enabled() != !paramOnly[f.Name] {
 			if paramOnly[f.Name] {

@@ -24,7 +24,7 @@ type jobFile struct {
 }
 
 // validJobID reports whether id is safe as a file name under jobs/. No
-// leading dot: that prefix belongs to AtomicWriteJSON's temporaries.
+// leading dot: that prefix belongs to atomicWriteJSON's temporaries.
 func validJobID(id string) bool {
 	const plain = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._-"
 	return len(id) >= 1 && len(id) <= 64 && id[0] != '.' && strings.Trim(id, plain) == ""

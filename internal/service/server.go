@@ -278,18 +278,19 @@ func runExperiment(run func() *report.Table) (t *report.Table, err error) {
 // WireExperiments points the experiment layer's package globals at the
 // service, so every Fig*/Table* call — including the daemon's experiment
 // endpoint — resolves its points through the cache and coalescer instead of
-// running the engine inline. Points that carry a Tune function have no
-// fingerprint to cache under and run the engine inline, exactly as the batch
-// CLI does. Call once at daemon startup, before serving.
+// running the engine inline. A point whose own context ended comes back
+// not-run, for the sweep to mark partial; any other failure panics with the
+// service's error, which runExperiment reports. Call once at daemon startup,
+// before serving.
 func WireExperiments(svc *Service, ctx context.Context) {
 	experiments.SweepContext = ctx
 	experiments.Sweep.RunPoint = func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
-		if p.Tune != nil {
-			return sweep.RunPointDirect(pctx, p)
-		}
 		m, coll, _, err := svc.Resolve(pctx, p, 0, "experiment")
 		if err != nil {
-			return sweep.Measures{}, nil
+			if pctx.Err() != nil {
+				return sweep.Measures{}, nil
+			}
+			panic(err)
 		}
 		return m, coll
 	}

@@ -6,6 +6,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -73,9 +74,10 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 
 // TestExperimentEndpointByteIdentical is the serving contract for whole
 // experiments: the daemon's table equals the batch CLI's output
-// (table.String()+"\n") byte for byte — for a grid served through the cache
-// and for the grids whose points carry a Tune function and run inline — and
-// a repeat request is byte-identical again.
+// (table.String()+"\n") byte for byte — for a default-machine grid and for
+// grids whose points carry a machine variant (torus, limited directories) —
+// and a repeat request is byte-identical again and served from the store
+// without one engine run.
 func TestExperimentEndpointByteIdentical(t *testing.T) {
 	for _, name := range []string{"latency", "torus", "limdir"} {
 		t.Run(name, func(t *testing.T) {
@@ -91,12 +93,47 @@ func TestExperimentEndpointByteIdentical(t *testing.T) {
 			if string(body) != direct {
 				t.Fatalf("daemon table differs from the direct CLI table:\n--- daemon ---\n%s--- direct ---\n%s", body, direct)
 			}
+			runs := engineRuns(t, ts.URL)
+			if runs == 0 {
+				t.Fatal("the first call ran no point through the service")
+			}
 
 			resp2, body2 := postJSON(t, ts.URL+"/v1/experiments", req)
 			if resp2.StatusCode != http.StatusOK || !bytes.Equal(body2, body) {
 				t.Fatalf("repeated experiment not byte-identical (status %s)", resp2.Status)
 			}
+			if again := engineRuns(t, ts.URL); again != runs {
+				t.Fatalf("the repeat ran the engine %d times; want every point from the store", again-runs)
+			}
 		})
+	}
+}
+
+// engineRuns reads the daemon's engine-run counter from /v1/stats.
+func engineRuns(t *testing.T, base string) uint64 {
+	t.Helper()
+	resp, body := getBody(t, base+"/v1/stats")
+	var stats StatsResponse
+	if err := json.Unmarshal(body, &stats); resp.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("stats: %s: %s (%v)", resp.Status, body, err)
+	}
+	return stats.Counters.Runs
+}
+
+// failingStore is a result store whose every Get fails.
+type failingStore struct{ ResultStore }
+
+func (failingStore) Get(string) (sweep.Measures, bool, error) {
+	return sweep.Measures{}, false, errors.New("disk on fire")
+}
+
+// TestExperimentEndpointReportsTheFailure: when a point cannot be resolved,
+// the 500 names the error the service hit, not a generic "no result".
+func TestExperimentEndpointReportsTheFailure(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{Workers: 1, Store: failingStore{NewMemoryStore(0)}})
+	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "latency", K: 8, Trials: 1})
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "disk on fire") {
+		t.Fatalf("experiment over a failing store: %s: %s; want a 500 naming the store error", resp.Status, body)
 	}
 }
 

@@ -204,9 +204,6 @@ func (s *Service) Draining() bool {
 // available or ctx ends. The returned collector is non-nil only for the
 // request whose engine run produced the result.
 func (s *Service) Resolve(ctx context.Context, p sweep.Point, priority int, job string) (sweep.Measures, *metrics.Collector, Source, error) {
-	if p.Tune != nil {
-		return sweep.Measures{}, nil, "", errors.New("service: points with Tune functions are not cacheable; run them through the batch CLIs")
-	}
 	return s.resolve(ctx, p, p.Fingerprint(), priority, job)
 }
 
@@ -410,7 +407,7 @@ func (s *Service) register(spec *JobSpec) (*jobState, error) {
 	s.mu.Unlock()
 	var err error
 	if s.cfg.DataDir != "" {
-		err = sweep.AtomicWriteJSON(s.jobPath(spec.ID), jobFile{Version: journalVersion, Job: st.spec})
+		err = atomicWriteJSON(s.jobPath(spec.ID), jobFile{Version: journalVersion, Job: st.spec})
 	}
 	if err != nil {
 		s.mu.Lock()
@@ -468,9 +465,6 @@ func validateSpec(spec *JobSpec) error {
 	for i := range spec.Points {
 		if spec.Points[i].Index != i {
 			return fmt.Errorf("service: point %d has Index %d (must equal position)", i, spec.Points[i].Index)
-		}
-		if spec.Points[i].Tune != nil {
-			return errors.New("service: points with Tune functions are not servable")
 		}
 	}
 	return nil

@@ -105,8 +105,7 @@ func (s *MemoryStore) Len() (int, error) {
 // incompatibly.
 const diskResultVersion = 1
 
-// diskResult is the JSON document stored per fingerprint, reusing the
-// checkpoint codec's Measures encoding and atomic write path.
+// diskResult is the JSON document stored per fingerprint.
 type diskResult struct {
 	Version     int            `json:"version"`
 	Fingerprint string         `json:"fingerprint"`
@@ -114,9 +113,9 @@ type diskResult struct {
 }
 
 // DiskStore is an on-disk ResultStore: one JSON file per fingerprint,
-// written atomically (sweep.AtomicWriteJSON, the checkpoint write path), so
-// a crash mid-put never leaves a torn entry. The directory is the cache:
-// restarting the daemon over the same directory starts warm. The store owns
+// written atomically (atomicWriteJSON), so a crash mid-put never leaves a
+// torn entry. The directory is the cache: restarting the daemon, or rerunning
+// invalsweep, over the same directory starts warm. The store owns
 // the directory while it is open: it counts the entries once, at open, and
 // keeps the count as it creates files.
 type DiskStore struct {
@@ -198,7 +197,7 @@ func (s *DiskStore) Put(fp string, m sweep.Measures) error {
 		}
 		return nil
 	}
-	if err := sweep.AtomicWriteJSON(p, diskResult{Version: diskResultVersion, Fingerprint: fp, Measures: m}); err != nil {
+	if err := atomicWriteJSON(p, diskResult{Version: diskResultVersion, Fingerprint: fp, Measures: m}); err != nil {
 		return err
 	}
 	s.n++
@@ -250,8 +249,9 @@ func (s *TieredStore) Put(fp string, m sweep.Measures) error {
 // Len implements ResultStore: the durable store's count.
 func (s *TieredStore) Len() (int, error) { return s.back.Len() }
 
-// OpenStore builds the store a daemon runs on: a memory LRU of cache entries
-// (0 = unbounded), over a DiskStore in dataDir/results when dataDir is set.
+// OpenStore builds the store a daemon or invalsweep runs on: a memory LRU of
+// cache entries (0 = unbounded), over a DiskStore in dataDir/results when
+// dataDir is set.
 func OpenStore(dataDir string, cache int) (ResultStore, error) {
 	mem := NewMemoryStore(cache)
 	if dataDir == "" {
@@ -262,4 +262,33 @@ func OpenStore(dataDir string, cache int) (ResultStore, error) {
 		return nil, err
 	}
 	return NewTieredStore(mem, disk), nil
+}
+
+// atomicWriteJSON marshals v with indentation and writes it to path
+// atomically: write a temp file in the same directory, then rename it over
+// the target. A crash mid-write leaves the previous file intact. The result
+// store and the job journal persist through it.
+func atomicWriteJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	if _, err := tmp.Write(append(data, '\n')); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	return nil
 }

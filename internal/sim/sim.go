@@ -468,7 +468,18 @@ func (e *Engine) RunUntil(limit Time) uint64 {
 	e.halted = false
 	for !e.halted {
 		t, ok := e.nextTime()
-		if !ok || t > limit {
+		if !ok {
+			break
+		}
+		if t > limit {
+			if e.cur >= 0 {
+				// nextTime selected a bucket past the limit. Unselect it, so an
+				// event scheduled before it in the meantime still fires first;
+				// its entries before curPos are cancelled slots already freed.
+				b := e.buckets[e.cur]
+				e.buckets[e.cur] = b[:copy(b, b[e.curPos:])]
+				e.cur, e.curPos = -1, 0
+			}
 			break
 		}
 		e.Step()

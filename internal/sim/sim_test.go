@@ -140,6 +140,24 @@ func TestEngineRunUntilRespectsLimit(t *testing.T) {
 	}
 }
 
+// TestEngineRunUntilLeavesNoBucketSelected: RunUntil stops in front of an
+// event past its limit; an event scheduled afterwards, earlier than that one,
+// must still fire first.
+func TestEngineRunUntilLeavesNoBucketSelected(t *testing.T) {
+	e := NewEngine()
+	var fired []Time
+	record := func() { fired = append(fired, e.Now()) }
+	cancelled := atFunc(e, 100, record)
+	atFunc(e, 100, record)
+	e.Cancel(cancelled)
+	e.RunUntil(10)
+	atFunc(e, 50, record)
+	e.Run()
+	if len(fired) != 2 || fired[0] != 50 || fired[1] != 100 {
+		t.Fatalf("fire order %v; want [50 100]", fired)
+	}
+}
+
 func TestEngineRunUntilEmptyQueueAdvancesClock(t *testing.T) {
 	e := NewEngine()
 	e.RunUntil(42)

@@ -50,8 +50,8 @@ func (s *Sample) Values() []float64 {
 }
 
 // MarshalJSON encodes the sample as its raw observation array, which is the
-// full state: sum, min and max are derived on decode. Used by the sweep
-// checkpoint format.
+// full state: sum, min and max are derived on decode. Used by the result
+// store's format.
 func (s Sample) MarshalJSON() ([]byte, error) {
 	if s.values == nil {
 		return []byte("[]"), nil

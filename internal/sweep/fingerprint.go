@@ -7,21 +7,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+
+	"repro/internal/coherence"
 )
 
 // Fingerprint returns the canonical content hash of the computation a point
 // selects: a hex SHA-256 over the sorted-key JSON form of every field
 // except Index (the point's grid position, which does not influence the
-// result — the seed is already derived by the time a point exists) and Tune
-// (functions cannot be serialized; callers mixing Tune behaviors must not
-// share fingerprinted caches, the same caveat the checkpoint fingerprint
-// carries).
+// result — the seed is already derived by the time a point exists). An
+// empty Tune names the default machine, as a nil one does, so both hash
+// alike; a point without a variant hashes as it did before variants existed.
 //
 // Because identical (config, seed) points are deterministic, a fingerprint
 // names an immutable value: two points with equal fingerprints produce
 // byte-identical Measures. That is what makes it safe as the coalescing and
-// content-addressed-cache key of the serving layer (internal/service) and
-// as the dedup key for quarantined checkpoint entries.
+// content-addressed-cache key of the result store (internal/service), which
+// the daemon and invalsweep -data share.
 //
 // The hash is computed over canonical JSON — object keys sorted at every
 // nesting depth, numbers kept verbatim (no float64 round-trip, so full
@@ -30,7 +31,9 @@ import (
 func (p Point) Fingerprint() string {
 	q := p
 	q.Index = 0
-	q.Tune = nil
+	if q.Tune != nil && *q.Tune == (coherence.Variant{}) {
+		q.Tune = nil
+	}
 	b, err := json.Marshal(q)
 	if err != nil {
 		panic(fmt.Sprintf("sweep: point not serializable: %v", err))

@@ -3,16 +3,14 @@ package sweep
 import (
 	"context"
 	"math"
-	"path/filepath"
+	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/coherence"
 	"repro/internal/faults"
 	"repro/internal/grouping"
-	"repro/internal/metrics"
 	"repro/internal/workload"
 )
 
@@ -39,11 +37,11 @@ func TestFingerprintStableAndContentAddressed(t *testing.T) {
 	if q.Fingerprint() != fp {
 		t.Error("Index changed the fingerprint; it must not")
 	}
-	// Tune is excluded (unserializable), like the checkpoint fingerprint.
+	// An empty variant is the default machine.
 	q = p
-	q.Tune = func(*coherence.Params) {}
+	q.Tune = &coherence.Variant{}
 	if q.Fingerprint() != fp {
-		t.Error("Tune changed the fingerprint; it must not")
+		t.Error("an empty Tune changed the fingerprint; it must not")
 	}
 
 	// Every content field must change the hash.
@@ -56,6 +54,7 @@ func TestFingerprintStableAndContentAddressed(t *testing.T) {
 		"Seed":      func(p *Point) { p.Seed = 43 },
 		"ChaosSeed": func(p *Point) { p.ChaosSeed = 7 },
 		"Faults":    func(p *Point) { p.Faults = &faults.Config{DropRate: 0.1, Seed: 9} },
+		"Tune":      func(p *Point) { p.Tune = &coherence.Variant{Torus: true} },
 	}
 	for name, mutate := range mutations {
 		q := basePoint()
@@ -80,6 +79,7 @@ func TestFingerprintPinned(t *testing.T) {
 		{"chaos seed", func(p *Point) { p.ChaosSeed = 7 }, "6fc06f62fc1d18bef5581b4692d290744096fa811e9e05e8fcce4e97afde5f08"},
 		{"faults", func(p *Point) { p.Faults = &faults.Config{DropRate: 0.1, Seed: 9} }, "e8e6371d9952b38bc896c98876ff8bb53f732098a6a7c4208e968aa72c767006"},
 		{"max seed", func(p *Point) { p.Seed = math.MaxUint64 }, "0daeb5c2d0c42a2890d466f91a3220d579e77e0a789b47650f84fcb6ef80abd2"},
+		{"torus", func(p *Point) { p.Tune = &coherence.Variant{Torus: true} }, "cbd693a0569c5fc079ffa907330d3400defd55a70c5b772cdc6056da8df21855"},
 	}
 	for _, tc := range cases {
 		p := basePoint()
@@ -87,6 +87,49 @@ func TestFingerprintPinned(t *testing.T) {
 		if got := p.Fingerprint(); got != tc.want {
 			t.Errorf("%s: fingerprint %s; want %s", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestVariantFieldsAreData walks coherence.Variant by reflection. Each field,
+// set alone to a nonzero value, must be omitted from JSON while zero (so a
+// point without it keeps its fingerprint), must change the Params Apply
+// builds (so it is not dead data), and must change the point's fingerprint
+// (so the result store never serves one machine's result for another). A
+// new field that misses any of the three fails here.
+func TestVariantFieldsAreData(t *testing.T) {
+	base := coherence.DefaultParams(8, grouping.MIMAEC)
+	fp := basePoint().Fingerprint()
+	typ := reflect.TypeOf(coherence.Variant{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !strings.HasSuffix(f.Tag.Get("json"), ",omitempty") {
+			t.Errorf("field %s: json tag %q lacks omitempty", f.Name, f.Tag.Get("json"))
+		}
+		var v coherence.Variant
+		fv := reflect.ValueOf(&v).Elem().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool:
+			fv.SetBool(true)
+		case reflect.Int:
+			fv.SetInt(7) // no default Params value is 7
+		default:
+			t.Fatalf("field %s: unhandled kind %v — extend this test", f.Name, f.Type.Kind())
+		}
+		p := base
+		v.Apply(&p)
+		if reflect.DeepEqual(p, base) {
+			t.Errorf("field %s: Apply leaves the default Params unchanged", f.Name)
+		}
+		q := basePoint()
+		q.Tune = &v
+		if q.Fingerprint() == fp {
+			t.Errorf("field %s: the fingerprint does not see it", f.Name)
+		}
+	}
+	p := base
+	(*coherence.Variant)(nil).Apply(&p)
+	if !reflect.DeepEqual(p, base) {
+		t.Error("a nil variant changed the Params")
 	}
 }
 
@@ -126,8 +169,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero value", Options{}, ""},
 		{"negative parallel", Options{Parallel: -2}, "Parallel"},
 		{"negative timeout", Options{PointTimeout: -time.Second}, "PointTimeout"},
-		{"resume without checkpoint", Options{Resume: true}, "CheckpointPath"},
-		{"resume with checkpoint", Options{Resume: true, CheckpointPath: "x.json"}, ""},
 	}
 	for _, tc := range cases {
 		err := tc.opts.Validate()
@@ -148,70 +189,5 @@ func TestRunRejectsInvalidOptions(t *testing.T) {
 	_, err := Run(context.Background(), pts, Options{PointTimeout: -1})
 	if err == nil || !strings.Contains(err.Error(), "PointTimeout") {
 		t.Fatalf("Run accepted a negative PointTimeout: %v", err)
-	}
-}
-
-// TestResumeDedupsQuarantinedByFingerprint builds a grid where two
-// positions name the identical computation, runs it with a runner that
-// completes the first copy but quarantines the second, then resumes: the
-// quarantined position must be satisfied from its completed twin's result
-// instead of re-running.
-func TestResumeDedupsQuarantinedByFingerprint(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sweep.json")
-	// Same content at indices 0 and 2 (same explicit seed); index 1 differs.
-	pts := []Point{
-		{Index: 0, K: 4, Scheme: grouping.UIUA, D: 2, Trials: 2, Seed: 5},
-		{Index: 1, K: 4, Scheme: grouping.BR, D: 2, Trials: 2, Seed: 6},
-		{Index: 2, K: 4, Scheme: grouping.UIUA, D: 2, Trials: 2, Seed: 5},
-	}
-	if pts[0].Fingerprint() != pts[2].Fingerprint() {
-		t.Fatal("test premise broken: twin points must share a fingerprint")
-	}
-	measures := Measures{HomeMsgs: 7.5, Completed: 2}
-	first, err := Run(context.Background(), pts, Options{
-		Parallel:       1,
-		PointTimeout:   time.Hour,
-		CheckpointPath: ckpt,
-		RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
-			if p.Index == 2 {
-				// Never completes: times out on the first try and on the
-				// doubled-budget retry, so the point quarantines.
-				return Measures{Completed: 0}, nil
-			}
-			return measures, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first.Quarantined != 1 {
-		t.Fatalf("setup sweep quarantined %d points, want 1", first.Quarantined)
-	}
-
-	var reran atomic.Int64
-	second, err := Run(context.Background(), pts, Options{
-		Parallel:       1,
-		CheckpointPath: ckpt,
-		Resume:         true,
-		RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
-			reran.Add(1)
-			return measures, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := reran.Load(); n != 0 {
-		t.Errorf("resume re-ran %d points; the quarantined twin should have been deduped", n)
-	}
-	if second.Resumed != 3 {
-		t.Errorf("resumed %d points, want 3", second.Resumed)
-	}
-	r2 := second.Results[2]
-	if !r2.Resumed || r2.Partial || r2.Quarantined {
-		t.Errorf("quarantined twin result = %+v; want clean resumed result", r2)
-	}
-	if r2.Measures.HomeMsgs != measures.HomeMsgs || r2.Measures.Completed != measures.Completed {
-		t.Errorf("quarantined twin measures = %+v, want the completed twin's %+v", r2.Measures, measures)
 	}
 }

@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"repro/internal/coherence"
 	"repro/internal/faults"
 	"repro/internal/grouping"
 	"repro/internal/sim"
@@ -37,8 +36,6 @@ type GridConfig struct {
 	// index) on its own splitmix stream — independent fault schedules per
 	// point, reproducible at any worker count.
 	Faults *faults.Config
-	// Tune adjusts every point's machine parameters.
-	Tune func(*coherence.Params)
 }
 
 // chaosStreamOffset and faultStreamOffset separate the chaos- and
@@ -68,7 +65,6 @@ func Grid(cfg GridConfig) []Point {
 					Index: idx, K: k, Scheme: s, D: d,
 					Pattern: cfg.Pattern, Trials: trials,
 					Seed: sim.DeriveSeed(cfg.BaseSeed, uint64(idx)),
-					Tune: cfg.Tune,
 				}
 				if cfg.Chaos {
 					p.ChaosSeed = sim.DeriveSeed(cfg.BaseSeed+chaosStreamOffset, uint64(idx))

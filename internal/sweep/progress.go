@@ -10,12 +10,10 @@ import (
 // Progress is a snapshot of a running sweep, delivered to
 // Options.OnProgress after every completed point.
 type Progress struct {
-	// Done and Total count points (Done includes resumed ones).
+	// Done and Total count points.
 	Done, Total int
 	// Partial counts points stopped early by timeout or cancellation.
 	Partial int
-	// Resumed counts points satisfied from the checkpoint.
-	Resumed int
 	// Quarantined counts points that timed out even on their doubled-budget
 	// retry (a subset of Partial).
 	Quarantined int
@@ -23,16 +21,13 @@ type Progress struct {
 	Last Point
 	// Elapsed is wall-clock time since Run started.
 	Elapsed time.Duration
-	// PointsPerSec is the throughput over freshly run points.
+	// PointsPerSec is the throughput so far.
 	PointsPerSec float64
 }
 
 // String renders a one-line status suitable for a terminal.
 func (p Progress) String() string {
 	s := fmt.Sprintf("%d/%d points", p.Done, p.Total)
-	if p.Resumed > 0 {
-		s += fmt.Sprintf(" (%d resumed)", p.Resumed)
-	}
 	if p.Partial > 0 {
 		s += fmt.Sprintf(" (%d partial)", p.Partial)
 	}

@@ -2,8 +2,6 @@ package sweep
 
 import (
 	"context"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -50,17 +48,13 @@ func TestPointTimeoutRetriesOnce(t *testing.T) {
 
 // TestPointTimeoutQuarantines: a point that blows the retry budget too is
 // quarantined — its partial result kept, the flag set, the summary counting
-// it — and a checkpoint records it distinctly without treating it as
-// resumable.
+// it.
 func TestPointTimeoutQuarantines(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.json")
 	pts := testPoints(3)
 	var slowRuns atomic.Int64
 	opts := Options{
-		Parallel:       1,
-		PointTimeout:   10 * time.Millisecond,
-		CheckpointPath: path,
+		Parallel:     1,
+		PointTimeout: 10 * time.Millisecond,
 		RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
 			if p.Index == 1 {
 				// Pathologically slow every time.
@@ -85,27 +79,6 @@ func TestPointTimeoutQuarantines(t *testing.T) {
 	if sum.Quarantined != 1 || sum.Partial != 1 {
 		t.Fatalf("summary counts wrong: quarantined=%d partial=%d", sum.Quarantined, sum.Partial)
 	}
-
-	// The checkpoint must mention the quarantined point (flagged) but a
-	// resumed run must re-attempt it rather than trust its partial result.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"quarantined": true`) {
-		t.Fatalf("checkpoint does not flag the quarantined point:\n%s", data)
-	}
-	opts.Resume = true
-	sum2, err := Run(context.Background(), pts, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slowRuns.Load() != 4 {
-		t.Fatalf("resume did not re-attempt the quarantined point (slow runs %d)", slowRuns.Load())
-	}
-	if sum2.Resumed != 2 {
-		t.Fatalf("resume did not serve the healthy points from the checkpoint (resumed %d)", sum2.Resumed)
-	}
 }
 
 // TestQuarantineRendersInProgress: the operator-facing status line must call
@@ -117,71 +90,5 @@ func TestQuarantineRendersInProgress(t *testing.T) {
 	}
 	if s := (Progress{Done: 1, Total: 2}).String(); strings.Contains(s, "quarantined") {
 		t.Fatalf("clean progress line mentions quarantine: %q", s)
-	}
-}
-
-// TestCheckpointCorruptionRecovers: a truncated checkpoint file (crash or
-// full disk mid-write) must not kill a resume — the sweep warns, discards
-// the file, and re-runs every point.
-func TestCheckpointCorruptionRecovers(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.json")
-	pts := testPoints(4)
-
-	// Produce a valid checkpoint, then truncate it mid-document.
-	if _, err := Run(context.Background(), pts, Options{
-		CheckpointPath: path,
-		RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
-			return Measures{Completed: p.Trials}, nil
-		},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var calls atomic.Int64
-	sum, err := Run(context.Background(), pts, Options{
-		CheckpointPath: path, Resume: true,
-		RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
-			calls.Add(1)
-			return Measures{Completed: p.Trials}, nil
-		},
-	})
-	if err != nil {
-		t.Fatalf("corrupt checkpoint failed the sweep: %v", err)
-	}
-	if sum.Resumed != 0 || calls.Load() != int64(len(pts)) {
-		t.Fatalf("corrupt checkpoint partially trusted: resumed=%d calls=%d", sum.Resumed, calls.Load())
-	}
-	// The rerun must have rewritten a healthy checkpoint.
-	sum2, err := Run(context.Background(), pts, Options{
-		CheckpointPath: path, Resume: true,
-		RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
-			t.Fatalf("point %d re-ran despite repaired checkpoint", p.Index)
-			return Measures{}, nil
-		},
-	})
-	if err != nil || sum2.Resumed != len(pts) {
-		t.Fatalf("repaired checkpoint not usable: err=%v resumed=%d", err, sum2.Resumed)
-	}
-
-	// Garbage that is not even JSON recovers the same way.
-	if err := os.WriteFile(path, []byte("not json at all{{{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sum3, err := Run(context.Background(), pts, Options{
-		CheckpointPath: path, Resume: true,
-		RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
-			return Measures{Completed: p.Trials}, nil
-		},
-	})
-	if err != nil || sum3.Resumed != 0 || sum3.Completed != len(pts) {
-		t.Fatalf("garbage checkpoint not recovered: err=%v %+v", err, sum3)
 	}
 }

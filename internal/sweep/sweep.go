@@ -12,10 +12,11 @@
 // regression test in determinism_test.go pins this property, including
 // under chaos event ordering.
 //
-// Robustness: Run honors context cancellation, supports a wall-clock
+// Robustness: Run honors context cancellation and supports a wall-clock
 // per-point timeout that marks a point's result partial instead of failing
-// the sweep, and can checkpoint completed points to a JSON file so a killed
-// sweep resumes at the first unfinished point (see checkpoint.go).
+// the sweep. Run keeps no durable state of its own: a point is named by its
+// content (Point.Fingerprint), so a caller that wants a killed sweep to
+// resume substitutes Options.RunPoint with one that serves stored results.
 package sweep
 
 import (
@@ -34,8 +35,8 @@ import (
 )
 
 // Point is one cell of a sweep grid. Index must equal the point's position
-// in the slice passed to Run; it keys checkpoint entries and seed
-// derivation, so it must be stable across resumed runs.
+// in the slice passed to Run; every other field says what the point
+// computes.
 type Point struct {
 	Index   int              `json:"index"`
 	K       int              `json:"k"`
@@ -49,13 +50,11 @@ type Point struct {
 	ChaosSeed uint64 `json:"chaos_seed,omitempty"`
 	// Faults, when non-nil and enabled, injects deterministic faults into
 	// the point's fabric and arms the protocol recovery machinery (see
-	// internal/faults). It serializes into the checkpoint fingerprint, so a
-	// resumed sweep must use the same fault mix it was started with.
+	// internal/faults).
 	Faults *faults.Config `json:"faults,omitempty"`
-	// Tune adjusts machine parameters before construction. It is not part
-	// of the checkpoint fingerprint (functions cannot be serialized):
-	// resuming a sweep whose Tune behavior changed is the caller's bug.
-	Tune func(*coherence.Params) `json:"-"`
+	// Tune, when non-nil, is the machine variant the point runs on instead
+	// of DefaultParams.
+	Tune *coherence.Variant `json:"tune,omitempty"`
 }
 
 // Measures is the serializable outcome of one point — the per-transaction
@@ -68,13 +67,13 @@ type Measures struct {
 	Messages  float64    `json:"messages"`
 	Completed int        `json:"completed"`
 	// Retries and Drops are the fault-recovery means (per transaction and
-	// per trial respectively); zero for fault-free points, so old
-	// checkpoints without the fields load unchanged.
+	// per trial respectively); zero for fault-free points, so stored results
+	// without the fields load unchanged.
 	Retries float64 `json:"retries,omitempty"`
 	Drops   float64 `json:"drops,omitempty"`
 	// Fallbacks and Purges are the hard-fault degradation means (MI->UI
 	// group fallbacks and dead-link worm purges per trial); zero without
-	// hard faults, so old checkpoints load unchanged.
+	// hard faults, so stored results without the fields load unchanged.
 	Fallbacks float64 `json:"fallbacks,omitempty"`
 	Purges    float64 `json:"purges,omitempty"`
 }
@@ -101,28 +100,26 @@ type Result struct {
 	Measures Measures `json:"measures"`
 	// Partial marks a point stopped early by cancellation or the per-point
 	// timeout: Measures covers only Measures.Completed of Point.Trials
-	// trials. Partial points are re-run on resume.
+	// trials.
 	Partial bool `json:"partial,omitempty"`
 	// Retried marks a point that hit the per-point timeout on its first
 	// attempt and was re-run with a doubled budget.
 	Retried bool `json:"retried,omitempty"`
 	// Quarantined marks a point that timed out on the retry as well: its
 	// result stays partial, the sweep moves on, and the point is flagged in
-	// the checkpoint and progress output so the operator can investigate
-	// (typically a pathological configuration, not a transient).
+	// the progress output so the operator can investigate (typically a
+	// pathological configuration, not a transient).
 	Quarantined bool `json:"quarantined,omitempty"`
-	// Resumed marks a result loaded from a checkpoint rather than run.
-	Resumed bool `json:"-"`
 	// Elapsed is the wall-clock run time of the point. It is deliberately
 	// excluded from serialization: it is the one nondeterministic field.
 	Elapsed time.Duration `json:"-"`
-	// Ran reports whether the point executed (or was resumed) at all;
-	// false means the sweep was cancelled before the point started.
+	// Ran reports whether the point runner was called at all; false means
+	// the sweep was cancelled before the point started.
 	Ran bool `json:"-"`
 }
 
 // Options configures Run. The zero value runs with GOMAXPROCS workers, no
-// timeout, no progress reporting and no checkpointing.
+// timeout and no progress reporting.
 type Options struct {
 	// Parallel is the worker count; <= 0 means runtime.GOMAXPROCS(0).
 	Parallel int
@@ -135,20 +132,12 @@ type Options struct {
 	// OnProgress, when set, receives a Progress update after every
 	// completed point. It is called from a single goroutine.
 	OnProgress func(Progress)
-	// CheckpointPath, when nonempty, persists completed points to this JSON
-	// file after each point, so a killed sweep can be resumed.
-	CheckpointPath string
-	// Resume loads CheckpointPath (if it exists) and skips the points it
-	// records as complete. The checkpoint's point-grid fingerprint must
-	// match, otherwise Run fails rather than mixing incompatible sweeps.
-	Resume bool
 	// RunPoint substitutes the point runner; nil runs the engine directly
-	// (RunPointDirect). The serving layer (internal/service) intercepts
-	// here to route points through its content-addressed cache and
-	// in-flight coalescing table; tests use it to fake the engine. A substitute
-	// must preserve the engine's contract: identical points yield identical
-	// Measures, and a context-cancelled run returns Measures.Completed <
-	// Point.Trials.
+	// (RunPointDirect). The serving layer (internal/service) and invalsweep
+	// intercept here to route points through the content-addressed result
+	// store; tests use it to fake the engine. A substitute must preserve the
+	// engine's contract: identical points yield identical Measures, and a
+	// context-cancelled run returns Measures.Completed < Point.Trials.
 	RunPoint func(ctx context.Context, p Point) (Measures, *metrics.Collector)
 }
 
@@ -163,9 +152,6 @@ func (o Options) Validate() error {
 	if o.PointTimeout < 0 {
 		return fmt.Errorf("sweep: PointTimeout is %v; want >= 0 (0 means no timeout)", o.PointTimeout)
 	}
-	if o.Resume && o.CheckpointPath == "" {
-		return fmt.Errorf("sweep: Resume requires CheckpointPath")
-	}
 	return nil
 }
 
@@ -174,17 +160,15 @@ type Summary struct {
 	// Results holds one entry per point, in point order regardless of
 	// completion order.
 	Results []Result
-	// Agg is the merge, in point order, of the per-point machines'
-	// metrics.Collector state — for freshly run points only (checkpoints
-	// store Measures, not raw collectors).
+	// Agg is the merge, in point order, of the collectors the point runner
+	// returned (a runner serving stored Measures returns none).
 	Agg *metrics.Collector
 	// Elapsed is the sweep's wall-clock duration.
 	Elapsed time.Duration
-	// Completed counts points with a result (fresh or resumed); Partial
-	// counts results marked partial; Resumed counts checkpoint hits;
-	// Quarantined counts points that timed out even on their doubled-budget
-	// retry.
-	Completed, Partial, Resumed, Quarantined int
+	// Completed counts points with a result; Partial counts results marked
+	// partial; Quarantined counts points that timed out even on their
+	// doubled-budget retry.
+	Completed, Partial, Quarantined int
 }
 
 // RunPointDirect is the production point runner: one isolated machine per
@@ -223,18 +207,6 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 		run = RunPointDirect
 	}
 
-	var ck *checkpoint
-	resumed := map[int]savedResult{}
-	if opts.CheckpointPath != "" {
-		ck = newCheckpoint(opts.CheckpointPath, points)
-		if opts.Resume {
-			var err error
-			if resumed, err = ck.load(); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	start := time.Now() //simcheck:allow determinism -- wall-clock ETA reporting, not simulation state
 	sum := &Summary{
 		Results: make([]Result, len(points)),
@@ -242,14 +214,6 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 	}
 	for i, p := range points {
 		sum.Results[i] = Result{Point: p}
-		if sr, ok := resumed[i]; ok {
-			sum.Results[i] = Result{Point: p, Measures: sr.Measures, Resumed: true, Ran: true}
-			sum.Resumed++
-			sum.Completed++
-			if ck != nil {
-				ck.record(sum.Results[i])
-			}
-		}
 	}
 
 	type outcome struct {
@@ -264,7 +228,7 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 			close(results)
 		}()
 		Each(opts.Parallel, len(points), func(i int) {
-			if _, ok := resumed[i]; ok || ctx.Err() != nil {
+			if ctx.Err() != nil {
 				return
 			}
 			p := points[i]
@@ -311,27 +275,16 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 		if out.res.Quarantined {
 			sum.Quarantined++
 		}
-		// Complete points checkpoint as resumable; quarantined points are
-		// recorded too — flagged, never resumed from — so a later `-resume`
-		// run re-attempts them and the operator can see which cells of the
-		// grid repeatedly blow their budget.
-		if ck != nil && (!out.res.Partial || out.res.Quarantined) {
-			ck.record(out.res)
-			if err := ck.save(); err != nil {
-				return sum, fmt.Errorf("sweep: checkpoint save: %w", err)
-			}
-		}
 		if opts.OnProgress != nil {
 			elapsed := time.Since(start) //simcheck:allow determinism -- wall-clock elapsed, reporting only
 			opts.OnProgress(Progress{
 				Done:         sum.Completed,
 				Total:        len(points),
 				Partial:      sum.Partial,
-				Resumed:      sum.Resumed,
 				Quarantined:  sum.Quarantined,
 				Last:         out.res.Point,
 				Elapsed:      elapsed,
-				PointsPerSec: float64(sum.Completed-sum.Resumed) / elapsed.Seconds(),
+				PointsPerSec: float64(sum.Completed) / elapsed.Seconds(),
 			})
 		}
 	}

@@ -2,9 +2,6 @@ package sweep
 
 import (
 	"context"
-	"os"
-	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -142,102 +139,6 @@ func TestRunPointTimeoutMarksPartial(t *testing.T) {
 	// The slow point must not have poisoned its neighbors.
 	if sum.Results[0].Partial || sum.Results[2].Partial || sum.Completed != 3 {
 		t.Fatalf("timeout leaked into other points: %+v", sum)
-	}
-}
-
-func TestCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.json")
-	pts := testPoints(6)
-
-	// First run: cancel after 3 points have completed.
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	var mu sync.Mutex
-	ran1 := map[int]bool{}
-	_, err := Run(ctx, pts, Options{
-		Parallel:       1,
-		CheckpointPath: path,
-		RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
-			mu.Lock()
-			ran1[p.Index] = true
-			mu.Unlock()
-			if calls.Add(1) == 3 {
-				cancel()
-			}
-			return Measures{HomeMsgs: 100 + float64(p.Index), Completed: p.Trials}, nil
-		},
-	})
-	if err != context.Canceled {
-		t.Fatalf("first run err = %v", err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("checkpoint not written: %v", err)
-	}
-
-	// Second run resumes: completed points are served from the file.
-	ran2 := map[int]bool{}
-	sum, err := Run(context.Background(), pts, Options{
-		Parallel:       1,
-		CheckpointPath: path,
-		Resume:         true,
-		RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
-			mu.Lock()
-			ran2[p.Index] = true
-			mu.Unlock()
-			return Measures{HomeMsgs: 100 + float64(p.Index), Completed: p.Trials}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Resumed == 0 || sum.Completed != len(pts) {
-		t.Fatalf("resumed=%d completed=%d", sum.Resumed, sum.Completed)
-	}
-	for i := range pts {
-		if ran1[i] && ran2[i] {
-			t.Fatalf("point %d re-ran despite checkpoint", i)
-		}
-		if sum.Results[i].Measures.HomeMsgs != 100+float64(i) {
-			t.Fatalf("point %d measures wrong after resume: %+v", i, sum.Results[i].Measures)
-		}
-	}
-
-	// A grid mismatch must refuse to resume.
-	other := testPoints(6)
-	other[0].Seed = 999
-	if _, err := Run(context.Background(), other, Options{CheckpointPath: path, Resume: true}); err == nil {
-		t.Fatal("resumed a checkpoint for a different grid")
-	}
-}
-
-func TestCheckpointRoundTripsMeasures(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.json")
-	pts := Grid(GridConfig{
-		Ks: []int{4}, Schemes: []grouping.Scheme{grouping.MIMAEC}, Ds: []int{3},
-		Trials: 3, BaseSeed: 7,
-	})
-	fresh, err := Run(context.Background(), pts, Options{CheckpointPath: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Run(context.Background(), pts, Options{
-		CheckpointPath: path, Resume: true,
-		RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
-			t.Fatalf("point %d re-ran despite full checkpoint", p.Index)
-			return Measures{}, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := fresh.Results[0].Measures, resumed.Results[0].Measures
-	if a.Latency.Mean() != b.Latency.Mean() || a.Latency.N() != b.Latency.N() ||
-		a.Latency.Min() != b.Latency.Min() || a.Latency.Max() != b.Latency.Max() ||
-		a.HomeMsgs != b.HomeMsgs || a.FlitHops != b.FlitHops ||
-		a.Groups != b.Groups || a.Messages != b.Messages || a.Completed != b.Completed {
-		t.Fatalf("measures did not survive the checkpoint round trip:\n%+v\n%+v", a, b)
 	}
 }
 

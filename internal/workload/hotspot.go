@@ -45,8 +45,9 @@ type HotSpotConfig struct {
 	// Recorder, when non-nil, attaches cycle-level event tracing to the
 	// machine; results are identical to an untraced run.
 	Recorder *trace.Recorder
-	// Tune adjusts machine parameters before construction.
-	Tune func(*coherence.Params)
+	// Tune, when non-nil, is the machine variant to build instead of
+	// DefaultParams.
+	Tune *coherence.Variant `json:"tune,omitempty"`
 }
 
 // HotSpotResult reports the concurrent-invalidation measurements.
@@ -73,9 +74,7 @@ func RunHotSpot(cfg HotSpotConfig) HotSpotResult {
 		panic("workload: need at least one writer")
 	}
 	p := coherence.DefaultParams(cfg.K, cfg.Scheme)
-	if cfg.Tune != nil {
-		cfg.Tune(&p)
-	}
+	cfg.Tune.Apply(&p)
 	m := coherence.NewMachine(p)
 	if cfg.Recorder != nil {
 		m.AttachTrace(cfg.Recorder)

@@ -152,7 +152,7 @@ func TestRunInvalStillSimulatesObservedReads(t *testing.T) {
 	}{
 		{"faults", InvalConfig{Faults: &faults.Config{Seed: 9, DropRate: 0.05}}},
 		{"chaos", InvalConfig{ChaosSeed: 0xC4A05}},
-		{"bounded caches", InvalConfig{Tune: func(p *coherence.Params) { p.CacheLines = 64 }}},
+		{"bounded caches", InvalConfig{Tune: &coherence.Variant{CacheLines: 64}}},
 	} {
 		cfg := tc.cfg
 		cfg.K, cfg.Scheme, cfg.D, cfg.Trials = 8, grouping.MIMAEC, d, trials

@@ -89,8 +89,9 @@ type InvalConfig struct {
 	// machine. Recording is observational only: a traced run produces
 	// results identical to an untraced one.
 	Recorder *trace.Recorder
-	// Tune, when set, adjusts the machine parameters before construction.
-	Tune func(*coherence.Params)
+	// Tune, when non-nil, is the machine variant to build instead of
+	// DefaultParams.
+	Tune *coherence.Variant `json:"tune,omitempty"`
 	// Interrupt, when set, is polled before each trial; returning true stops
 	// the experiment early. The result then covers only the completed trials
 	// (Completed < Trials) — the sweep engine's per-point timeout and
@@ -161,9 +162,7 @@ func RunInval(cfg InvalConfig) InvalResult {
 		p.Recovery = coherence.DefaultRecovery()
 		p.Fault = faults.New(*cfg.Faults)
 	}
-	if cfg.Tune != nil {
-		cfg.Tune(&p)
-	}
+	cfg.Tune.Apply(&p)
 	m := coherence.NewMachine(p)
 	if cfg.Recorder != nil {
 		m.AttachTrace(cfg.Recorder)

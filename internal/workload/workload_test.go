@@ -227,10 +227,7 @@ func TestHotSpotVCTWithTinyBuffers(t *testing.T) {
 	// VCT deferred delivery must still drain everything.
 	res := RunHotSpot(HotSpotConfig{
 		K: 8, Scheme: grouping.MIMAEC, D: 6, Writers: 4,
-		Tune: func(p *coherence.Params) {
-			p.Net.IAckBuffers = 1
-			p.Net.VCTDeferred = true
-		},
+		Tune: &coherence.Variant{IAckBuffers: 1, VCTDeferred: true},
 	})
 	if res.Latency.N() != 4 {
 		t.Fatalf("completed %d transactions, want 4", res.Latency.N())

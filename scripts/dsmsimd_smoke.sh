@@ -8,7 +8,11 @@
 #   3. repeat the request and assert the cached reply is byte-identical,
 #   4. submit a point job and check it completes with zero duplicate runs,
 #   5. SIGTERM the daemon and assert a clean (exit 0) drain that leaves the
-#      persisted results, an empty jobs/ and nothing else in the data directory.
+#      persisted results, an empty jobs/ and nothing else in the data directory,
+#   6. run invalsweep twice over one -data directory and assert identical
+#      tables with zero engine runs the second time,
+#   7. start the daemon over that directory and assert it serves the same
+#      table with zero engine runs.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -28,22 +32,40 @@ go build -o "$work/invalsweep" ./cmd/invalsweep
 addr="127.0.0.1:18077"
 url="http://$addr"
 
-echo "== starting daemon =="
-"$work/dsmsimd" -addr "$addr" -data "$work/data" -workers 4 2>"$work/daemon.log" &
-daemon_pid=$!
+# start_daemon DATA_DIR: start dsmsimd over DATA_DIR and wait until healthy.
+start_daemon() {
+  "$work/dsmsimd" -addr "$addr" -data "$1" -workers 4 2>"$work/daemon.log" &
+  daemon_pid=$!
+  for _ in $(seq 1 100); do
+    if "$work/dsmsimctl" -addr "$url" health >/dev/null 2>&1; then
+      break
+    fi
+    if ! kill -0 "$daemon_pid" 2>/dev/null; then
+      echo "daemon exited before becoming healthy:" >&2
+      cat "$work/daemon.log" >&2
+      exit 1
+    fi
+    sleep 0.1
+  done
+  "$work/dsmsimctl" -addr "$url" health >/dev/null
+}
 
-for _ in $(seq 1 100); do
-  if "$work/dsmsimctl" -addr "$url" health >/dev/null 2>&1; then
-    break
-  fi
-  if ! kill -0 "$daemon_pid" 2>/dev/null; then
-    echo "daemon exited before becoming healthy:" >&2
+# stop_daemon: SIGTERM the daemon and require a clean drain.
+stop_daemon() {
+  kill -TERM "$daemon_pid"
+  status=0
+  wait "$daemon_pid" || status=$?
+  daemon_pid=""
+  if [ "$status" -ne 0 ]; then
+    echo "daemon drain exited $status:" >&2
     cat "$work/daemon.log" >&2
     exit 1
   fi
-  sleep 0.1
-done
-"$work/dsmsimctl" -addr "$url" health >/dev/null
+  grep -q "drained cleanly" "$work/daemon.log"
+}
+
+echo "== starting daemon =="
+start_daemon "$work/data"
 
 echo "== experiment byte-identity (daemon vs invalsweep) =="
 "$work/invalsweep" -experiment latency -k 8 -trials 2 -progress=false >"$work/direct.txt"
@@ -64,21 +86,29 @@ echo "== stats: no duplicate engine runs =="
 grep -q '"duplicate_runs": 0' "$work/stats.json"
 
 echo "== SIGTERM: clean drain =="
-kill -TERM "$daemon_pid"
-wait "$daemon_pid"
-status=$?
-daemon_pid=""
-if [ "$status" -ne 0 ]; then
-  echo "daemon drain exited $status:" >&2
-  cat "$work/daemon.log" >&2
-  exit 1
-fi
-grep -q "drained cleanly" "$work/daemon.log"
+stop_daemon
 
 echo "== durable state: results/ filled, jobs/ empty, nothing else =="
 ls "$work/data/results/"*.json >/dev/null
 test -d "$work/data/jobs"
 test -z "$(ls -A "$work/data/jobs")"
 test "$(ls -A "$work/data" | sort | tr '\n' ' ')" = "jobs results "
+
+echo "== invalsweep -data: a rerun runs nothing =="
+sweep() {
+  "$work/invalsweep" -experiment torus -k 8 -trials 2 -progress=false -data "$work/batch"
+}
+sweep >"$work/batch1.txt" 2>"$work/batch1.err"
+sweep >"$work/batch2.txt" 2>"$work/batch2.err"
+cmp "$work/batch1.txt" "$work/batch2.txt"
+grep -q ' 0 run$' "$work/batch2.err"
+
+echo "== dsmsimd over the batch directory serves it with zero engine runs =="
+start_daemon "$work/batch"
+"$work/dsmsimctl" -addr "$url" experiment -name torus -k 8 -trials 2 >"$work/batch_served.txt"
+cmp "$work/batch1.txt" "$work/batch_served.txt"
+"$work/dsmsimctl" -addr "$url" stats >"$work/batch_stats.json"
+grep -q '"runs": 0,' "$work/batch_stats.json"
+stop_daemon
 
 echo "dsmsimd smoke: OK"
