@@ -61,6 +61,7 @@ oracle:
 fuzz:
 	$(GO) test ./internal/oracle -run='^$$' -fuzz='^FuzzProtocol$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/oracle -run='^$$' -fuzz='^FuzzProtocolFaults$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/service -run='^$$' -fuzz='^FuzzJobRequest$$' -fuzztime=$(FUZZTIME)
 
 # cover enforces the coverage ratchet on the protocol core and the oracle.
 cover:

@@ -49,7 +49,7 @@ func main() {
 		universe = flag.Int("universe", 32, "distinct points requests draw from")
 		zipfS    = flag.Float64("zipf", 1.0, "Zipf popularity exponent over the universe (0 = uniform)")
 		mixSpec  = flag.String("mix", "", "request mix, e.g. run=6,async=1,result=2,stats=1 (default that blend)")
-		expName  = flag.String("experiment-name", "", "experiment to run for experiment-kind requests (required iff the mix includes them)")
+		expName  = flag.String("experiment-name", "", "grid experiment (e.g. latency) to run for experiment-kind requests, at the daemon's default size (required iff the mix includes them)")
 		prefix   = flag.String("prefix", "", "job-ID prefix (must be unique per daemon lifetime; default derives from the PID)")
 		timeout  = flag.Duration("timeout", 0, "per-point job timeout sent with submissions (0 = daemon default)")
 		warm     = flag.Bool("warm", true, "run one job over the whole universe first so the load run hits a warm cache")

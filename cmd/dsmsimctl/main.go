@@ -19,6 +19,7 @@ import (
 	"net/http"
 	"os"
 
+	"repro/internal/experiments"
 	"repro/internal/service"
 )
 
@@ -99,9 +100,9 @@ func postJSON(addr, path string, v any) error {
 func cmdExperiment(addr string, args []string) error {
 	fs := flag.NewFlagSet("experiment", flag.ExitOnError)
 	name := fs.String("name", "", "experiment name (see invalsweep -experiment)")
-	k := fs.Int("k", 0, "mesh dimension (0 = daemon default)")
-	d := fs.Int("d", 0, "sharers (0 = daemon default)")
-	trials := fs.Int("trials", 0, "trials (0 = daemon default)")
+	k := fs.Int("k", 0, fmt.Sprintf("mesh dimension (0 = invalsweep's default, %d)", experiments.DefaultK))
+	d := fs.Int("d", 0, fmt.Sprintf("sharers (0 = invalsweep's default, %d)", experiments.DefaultD))
+	trials := fs.Int("trials", 0, fmt.Sprintf("trials (0 = invalsweep's default, %d)", experiments.DefaultTrials))
 	csv := fs.Bool("csv", false, "emit CSV instead of the aligned table")
 	fs.Parse(args)
 	if *name == "" {

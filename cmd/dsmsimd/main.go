@@ -9,7 +9,10 @@
 // SIGINT/SIGTERM drains gracefully: intake closes, in-flight jobs get the
 // -drain-grace budget to finish (every point they completed is already in
 // the result store), a job cut off keeps its file under -data's jobs/, and
-// a restart over the same -data directory resumes whatever was cut off.
+// a restart over the same -data directory resumes whatever was cut off. An
+// experiment the drain cuts off gets an error status, never a partial table.
+// An experiment request carries its own k, d and trials (zero: invalsweep's
+// defaults).
 package main
 
 //simcheck:allow-file nogoroutine -- the daemon is a server; concurrency is confined to internal/service and net/http
@@ -35,9 +38,6 @@ func main() {
 		data       = flag.String("data", "", "data directory: results/ is the durable result store, jobs/ holds one file per unfinished job (empty = memory only)")
 		drainGrace = flag.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight jobs before cancelling them")
 		timeout    = flag.Duration("point-timeout", 0, "default per-point wall-clock budget (0 = none)")
-		k          = flag.Int("k", 16, "default mesh dimension for the experiment endpoint")
-		d          = flag.Int("d", 16, "default sharers for the experiment endpoint")
-		trials     = flag.Int("trials", 10, "default trials for the experiment endpoint")
 	)
 	flag.Parse()
 
@@ -57,15 +57,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	daemon, err := service.StartDaemon(service.DaemonConfig{
-		Service:         cfg,
-		Addr:            *addr,
-		DefaultK:        *k,
-		DefaultD:        *d,
-		DefaultTrials:   *trials,
-		WireExperiments: true,
-		ExperimentsCtx:  ctx,
-	})
+	daemon, err := service.StartDaemon(service.DaemonConfig{Service: cfg, Addr: *addr})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsmsimd: %v\n", err)
 		os.Exit(1)

@@ -1,17 +1,20 @@
-// Command invalsweep regenerates the paper's synthetic-workload figures:
-// the sharer-count sweeps (latency / occupancy / traffic), the mesh-size
-// sweep, the i-ack buffer sensitivity study, the hot-spot burst experiment
-// and the placement and consumption-channel ablations.
+// Command invalsweep regenerates the paper's evaluation: the sharer-count
+// sweeps (latency / occupancy / traffic), the mesh-size sweep, the i-ack
+// buffer sensitivity study, the hot-spot burst experiment, the placement and
+// consumption-channel ablations, and the application tables.
 //
 // Usage:
 //
 //	invalsweep -experiment latency -k 16 -trials 10
+//	invalsweep -experiment table6    # application characteristics only
 //	invalsweep -experiment all -csv
 //
 // Experiments: latency, homemsgs (E5, home messages per transaction),
 // traffic, meshsize, buffers, hotspot, placement, cons, table4, table5,
 // faults, degraded (E28, graceful degradation under permanent link death),
-// occupancy (E27, the trace-derived busy-time profile), all.
+// occupancy (E27, the trace-derived busy-time profile), table6 (application
+// characteristics), apps (E9, application execution time per framework),
+// all; see experiments.RunnerOrder for the full list.
 //
 // Sweeps run on a worker pool (-parallel, default all cores); the tables
 // are byte-identical at any worker count. Every sweep point is looked up in
@@ -39,7 +42,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/report"
 	"repro/internal/service"
 	"repro/internal/sweep"
 )
@@ -49,9 +51,9 @@ func main() {
 	log.SetPrefix("invalsweep: ")
 	var (
 		exp      = flag.String("experiment", "all", "which experiment to run")
-		k        = flag.Int("k", 16, "mesh dimension for the sweeps")
-		d        = flag.Int("d", 16, "sharers for fixed-d experiments")
-		trials   = flag.Int("trials", 10, "trials per configuration")
+		k        = flag.Int("k", experiments.DefaultK, "mesh dimension for the sweeps")
+		d        = flag.Int("d", experiments.DefaultD, "sharers for fixed-d experiments")
+		trials   = flag.Int("trials", experiments.DefaultTrials, "trials per configuration")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		parallel = flag.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker goroutines")
 		progress = flag.Bool("progress", true, "report sweep progress on stderr")
@@ -65,50 +67,45 @@ func main() {
 		log.Fatal(err)
 	}
 	runner := &storeRunner{store: store}
-	experiments.Sweep = sweep.Options{
-		Parallel:     *parallel,
-		PointTimeout: *timeout,
-		RunPoint:     runner.run,
-	}
-	if err := experiments.Sweep.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	if *progress {
-		experiments.Sweep.OnProgress = sweep.Reporter(os.Stderr, time.Second)
-	}
 	// First ctrl-C cancels the sweep gracefully (partial table emitted, every
 	// completed point already stored); a second one falls back to the default
 	// kill.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	experiments.SweepContext = ctx
-	defer func() { log.Printf("%d points from the store, %d run", runner.hits.Load(), runner.runs.Load()) }()
+	lab := experiments.Lab{Ctx: ctx, Sweep: sweep.Options{
+		Parallel:     *parallel,
+		PointTimeout: *timeout,
+		RunPoint:     runner.run,
+	}}
+	if err := lab.Sweep.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	if *progress {
+		lab.Sweep.OnProgress = sweep.Reporter(os.Stderr, time.Second)
+	}
+	tally := func() { log.Printf("%d points from the store, %d run", runner.hits.Load(), runner.runs.Load()) }
+	defer tally()
 
-	runners := experiments.Runners(*k, *d, *trials)
-	order := experiments.RunnerOrder
-
-	emit := func(t *report.Table) {
+	names := []string{*exp}
+	if *exp == "all" {
+		names = experiments.RunnerOrder
+	}
+	for _, name := range names {
+		if ctx.Err() != nil {
+			log.Printf("interrupted; skipping remaining experiments from %q on", name)
+			break
+		}
+		t, err := lab.Run(name, *k, *d, *trials)
+		if err != nil {
+			tally()
+			log.Fatal(err)
+		}
 		if *csv {
 			fmt.Fprint(os.Stdout, t.CSV())
 		} else {
 			fmt.Fprintln(os.Stdout, t.String())
 		}
 	}
-	if *exp == "all" {
-		for _, name := range order {
-			if ctx.Err() != nil {
-				log.Printf("interrupted; skipping remaining experiments from %q on", name)
-				break
-			}
-			emit(runners[name]())
-		}
-		return
-	}
-	run, ok := runners[*exp]
-	if !ok {
-		log.Fatalf("unknown experiment %q (want one of %v or all)", *exp, order)
-	}
-	emit(run())
 }
 
 // storeRunner is the sweep's point runner over a result store: a point
@@ -116,7 +113,8 @@ func main() {
 // the engine and is stored if it completed. A point the per-point timeout or
 // an interrupt cut short is never stored, so a rerun re-attempts it. A store
 // error, a conflicting result included (ErrImmutable: the engine was not
-// deterministic), panics, the experiment layer's error convention.
+// deterministic), panics, the experiment layer's error convention, and
+// Lab.Run returns it as the run's error.
 type storeRunner struct {
 	store      service.ResultStore
 	hits, runs atomic.Int64

@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -18,22 +17,22 @@ import (
 	"repro/internal/sweep"
 )
 
-// useSweep points the experiment layer at run (nil = the bare engine) on two
-// workers under ctx, and restores the globals when the test ends.
-func useSweep(t *testing.T, ctx context.Context, run func(context.Context, sweep.Point) (sweep.Measures, *metrics.Collector)) {
-	t.Helper()
-	saved, savedCtx := experiments.Sweep, experiments.SweepContext
-	t.Cleanup(func() { experiments.Sweep, experiments.SweepContext = saved, savedCtx })
-	experiments.Sweep = sweep.Options{Parallel: 2, RunPoint: run}
-	experiments.SweepContext = ctx
+// lab runs the experiments on run (nil = the bare engine) on two workers
+// under ctx.
+func lab(ctx context.Context, run func(context.Context, sweep.Point) (sweep.Measures, *metrics.Collector)) experiments.Lab {
+	return experiments.Lab{Ctx: ctx, Sweep: sweep.Options{Parallel: 2, RunPoint: run}}
 }
 
 // render concatenates the named experiments' tables at k=8, trials=2.
-func render(names ...string) string {
-	runners := experiments.Runners(8, 16, 2)
+func render(t *testing.T, l experiments.Lab, names ...string) string {
+	t.Helper()
 	var b strings.Builder
 	for _, name := range names {
-		b.WriteString(runners[name]().String())
+		tab, err := l.Run(name, 8, 16, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.WriteString(tab.String())
 	}
 	return b.String()
 }
@@ -41,8 +40,7 @@ func render(names ...string) string {
 // direct renders the named experiments on the bare engine.
 func direct(t *testing.T, names ...string) string {
 	t.Helper()
-	useSweep(t, context.Background(), nil)
-	return render(names...)
+	return render(t, lab(context.Background(), nil), names...)
 }
 
 // openRunner opens a store runner over the result directory dir.
@@ -64,8 +62,7 @@ func TestDataRerunRunsNothing(t *testing.T) {
 	dir := t.TempDir()
 
 	first := openRunner(t, dir)
-	useSweep(t, context.Background(), first.run)
-	if got := render(names...); got != want {
+	if got := render(t, lab(context.Background(), first.run), names...); got != want {
 		t.Fatalf("first -data run differs from the bare engine:\n%s\nvs\n%s", got, want)
 	}
 	if first.runs.Load() == 0 {
@@ -73,8 +70,7 @@ func TestDataRerunRunsNothing(t *testing.T) {
 	}
 
 	second := openRunner(t, dir)
-	experiments.Sweep.RunPoint = second.run
-	if got := render(names...); got != want {
+	if got := render(t, lab(context.Background(), second.run), names...); got != want {
 		t.Fatalf("rerun differs from the first run:\n%s\nvs\n%s", got, want)
 	}
 	if n := second.runs.Load(); n != 0 {
@@ -89,13 +85,13 @@ func TestDataRerunRunsNothing(t *testing.T) {
 // points, so after latency only its 12 torus cells run.
 func TestSharedPointRunsOnce(t *testing.T) {
 	r := &storeRunner{store: service.NewMemoryStore(0)}
-	useSweep(t, context.Background(), r.run)
-	render("latency")
+	l := lab(context.Background(), r.run)
+	render(t, l, "latency")
 	ran := r.runs.Load()
 	if r.hits.Load() != 0 {
 		t.Fatalf("latency alone had %d store hits; its points are distinct", r.hits.Load())
 	}
-	render("torus")
+	render(t, l, "torus")
 	if hits, runs := r.hits.Load(), r.runs.Load()-ran; hits != 12 || runs != 12 {
 		t.Fatalf("torus after latency: %d points from the store, %d run; want 12 and 12", hits, runs)
 	}
@@ -111,20 +107,19 @@ func TestInterruptedRerunIsByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cut := openRunner(t, dir)
-	useSweep(t, ctx, func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+	l := lab(ctx, func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
 		if cut.runs.Load() == 20 {
 			cancel()
 		}
 		return cut.run(pctx, p)
 	})
-	experiments.Sweep.Parallel = 1
-	if render("latency") == want {
+	l.Sweep.Parallel = 1
+	if render(t, l, "latency") == want {
 		t.Fatal("the cancelled run printed the full tables")
 	}
 
 	rerun := openRunner(t, dir)
-	useSweep(t, context.Background(), rerun.run)
-	if got := render("latency"); got != want {
+	if got := render(t, lab(context.Background(), rerun.run), "latency"); got != want {
 		t.Fatalf("rerun after an interrupt differs from an uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
 	if hits, runs := rerun.hits.Load(), rerun.runs.Load(); hits != 20 || hits+runs != 63 {
@@ -137,8 +132,7 @@ func TestInterruptedRerunIsByteIdentical(t *testing.T) {
 func TestTorusTwinsAreDistinctEntries(t *testing.T) {
 	store := service.NewMemoryStore(0)
 	r := &storeRunner{store: store}
-	useSweep(t, context.Background(), r.run)
-	render("torus")
+	render(t, lab(context.Background(), r.run), "torus")
 	if n, _ := store.Len(); n != 24 || r.runs.Load() != 24 {
 		t.Fatalf("torus figure: %d store entries after %d runs; want one per cell, 24", n, r.runs.Load())
 	}
@@ -158,15 +152,15 @@ func TestQuarantinedPointsAreNotStored(t *testing.T) {
 	want := direct(t, "torus")
 	store := service.NewMemoryStore(0)
 	r := &storeRunner{store: store}
-	useSweep(t, context.Background(), r.run)
-	experiments.Sweep.PointTimeout = time.Nanosecond
-	render("torus")
+	l := lab(context.Background(), r.run)
+	l.Sweep.PointTimeout = time.Nanosecond
+	render(t, l, "torus")
 	if n, _ := store.Len(); n != 0 {
 		t.Fatalf("%d timed-out points were stored", n)
 	}
-	experiments.Sweep.PointTimeout = 0
+	l.Sweep.PointTimeout = 0
 	ran := r.runs.Load()
-	if got := render("torus"); got != want {
+	if got := render(t, l, "torus"); got != want {
 		t.Fatalf("rerun after the timeouts differs from the bare engine:\n%s\nvs\n%s", got, want)
 	}
 	if runs := r.runs.Load() - ran; runs != 24 {
@@ -178,18 +172,14 @@ func TestQuarantinedPointsAreNotStored(t *testing.T) {
 // naming its fingerprint; it is never served and never silently rerun.
 func TestCorruptResultIsLoud(t *testing.T) {
 	dir := t.TempDir()
-	useSweep(t, context.Background(), openRunner(t, dir).run)
-	render("limdir")
+	render(t, lab(context.Background(), openRunner(t, dir).run), "limdir")
 	p := sweep.Point{K: 8, Scheme: grouping.BR, D: 6, Trials: 5, Seed: 1, Tune: &coherence.Variant{DirPointers: 4}}
 	fp := p.Fingerprint()
 	if err := os.WriteFile(filepath.Join(dir, "results", fp+".json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	experiments.Sweep.RunPoint = openRunner(t, dir).run
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), fp) {
-			t.Fatalf("rerun over a corrupt entry: recovered %v; want an error naming %s", r, fp)
-		}
-	}()
-	render("limdir")
+	tab, err := lab(context.Background(), openRunner(t, dir).run).Run("limdir", 8, 16, 2)
+	if tab != nil || err == nil || !strings.Contains(err.Error(), fp) {
+		t.Fatalf("rerun over a corrupt entry: err %v; want no table and an error naming %s", err, fp)
+	}
 }

@@ -12,7 +12,7 @@ import (
 // run), and across the degraded rows the degradation machinery must engage
 // at least once for a multidestination framework.
 func TestFigDegradedMesh(t *testing.T) {
-	tab := FigDegradedMesh(8, 6, 3)
+	tab := Lab{}.FigDegradedMesh(8, 6, 3)
 	if tab.Rows() != len(DeadLinkCounts) {
 		t.Fatalf("rows = %d, want %d", tab.Rows(), len(DeadLinkCounts))
 	}
@@ -43,13 +43,8 @@ func TestFigDegradedMesh(t *testing.T) {
 // 8 sweep workers: per-point seeded dead sets make the degraded rows as
 // schedule-independent as the healthy ones.
 func TestFigDegradedMeshParallelInvariant(t *testing.T) {
-	saved := Sweep
-	defer func() { Sweep = saved }()
-
-	Sweep = sweep.Options{Parallel: 1}
-	seq := FigDegradedMesh(8, 6, 2).String()
-	Sweep = sweep.Options{Parallel: 8}
-	par := FigDegradedMesh(8, 6, 2).String()
+	seq := Lab{Sweep: sweep.Options{Parallel: 1}}.FigDegradedMesh(8, 6, 2).String()
+	par := Lab{Sweep: sweep.Options{Parallel: 8}}.FigDegradedMesh(8, 6, 2).String()
 	if seq != par {
 		t.Errorf("E28 differs between 1 and 8 workers:\n%s\nvs\n%s", seq, par)
 	}

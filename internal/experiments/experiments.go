@@ -1,9 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (see DESIGN.md section 5 for the experiment index and
-// EXPERIMENTS.md for recorded results). Each function runs the relevant
-// workloads on the cycle-level simulator and renders a report table; the
-// cmd/ tools and the daemon's experiment endpoint are thin wrappers over
-// this package.
+// EXPERIMENTS.md for recorded results). Each figure runs the relevant
+// workloads on the cycle-level simulator and renders a report table. A
+// figure that sweeps points or fans cells over workers is a method of Lab,
+// the value that says how it runs — context, workers, timeout, progress and
+// point runner — so no state is shared between callers: invalsweep builds
+// one Lab over its result store, and the daemon's experiment endpoint builds
+// one per request over its own service. Lab.Run is the one entry point by
+// name (RunnerOrder lists the names).
 package experiments
 
 import (
@@ -11,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sync/atomic" //simcheck:allow nogoroutine -- interrupt-skip tally for eachCell; reporting only, never simulation state
 
 	"repro/internal/apps"
@@ -29,45 +32,65 @@ import (
 	"repro/internal/workload"
 )
 
-// Sweep controls how the figure sweeps execute: worker count, per-point
-// timeout, progress reporting and the point runner (invalsweep's runs over
-// its result store, the daemon's through the service). The CLIs overwrite it
-// from their flags before rendering. Parallel execution changes wall-clock
-// time only — every figure is byte-identical at any worker count, because
-// each sweep point runs on an isolated machine with its own seed and
+// DefaultK, DefaultD and DefaultTrials are the mesh side, sharer count and
+// trial count of an experiment whose caller names none: invalsweep's flag
+// defaults and the daemon's experiment endpoint both read them, so the two
+// render the same tables.
+const (
+	DefaultK      = 16
+	DefaultD      = 16
+	DefaultTrials = 10
+)
+
+// Lab runs experiments: Ctx cancels its sweeps (nil never does) and Sweep
+// sets their workers, per-point timeout, progress and point runner —
+// invalsweep's runs over its result store, the daemon's through its
+// service. The zero Lab runs on every core on the bare engine. A cancelled
+// sweep stops its workers at the next trial boundary and the figure renders
+// the points that finished (a runner over a result store has stored them,
+// so a rerun resumes there). Every figure is byte-identical at any worker
+// count: each point runs on an isolated machine with its own seed, and
 // results merge in point order (see internal/sweep).
-var Sweep = sweep.Options{Parallel: runtime.GOMAXPROCS(0)}
+type Lab struct {
+	Ctx   context.Context
+	Sweep sweep.Options
+}
 
-// SweepContext cancels in-flight experiment sweeps; the CLIs wire it to
-// signal.NotifyContext so an interrupt (ctrl-C) stops the workers at their
-// next trial boundary and lets the caller render whatever points finished —
-// a partial report instead of a dead terminal. A point runner over a result
-// store has stored every point that completed, so a rerun resumes there.
-var SweepContext = context.Background()
+func (l Lab) ctx() context.Context {
+	if l.Ctx == nil {
+		return context.Background()
+	}
+	return l.Ctx
+}
 
-// runSweep executes points under the package sweep options. Experiment
-// grids are statically well-formed, so any error other than interruption is
+// runSweep executes points under the lab's sweep options. Experiment grids
+// are statically well-formed, so any error other than interruption is
 // surfaced as a panic rather than threaded through every figure signature
-// (a point runner reports its own failures the same way). Interruption degrades to a partial table
-// with a stderr warning; a partial point that neither an interruption nor a
-// point timeout explains means the runner failed, and panics like an error.
-func runSweep(points []sweep.Point) []sweep.Result {
-	sum, err := sweep.Run(SweepContext, points, Sweep)
-	if errors.Is(err, context.Canceled) {
+// (a point runner reports its own failures the same way); Run turns it back
+// into an error. Interruption degrades to a partial table with a stderr
+// warning; a partial point that neither an interruption nor a point timeout
+// explains means the runner failed, and panics like an error.
+func (l Lab) runSweep(points []sweep.Point) []sweep.Result {
+	ctx := l.ctx()
+	sum, err := sweep.Run(ctx, points, l.Sweep)
+	if err != nil && !errors.Is(err, ctx.Err()) {
+		panic(fmt.Errorf("experiments: sweep failed: %w", err))
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep: interrupted: %d/%d points completed; the table covers only those (zeros elsewhere)\n",
 			sum.Completed, len(sum.Results))
-	} else if err != nil {
-		panic(fmt.Sprintf("experiments: sweep failed: %v", err))
 	}
 	if sum.Partial > 0 {
-		if Sweep.PointTimeout == 0 && SweepContext.Err() == nil {
+		switch {
+		case l.Sweep.PointTimeout > 0:
+			// A table built from timed-out points averages only the
+			// completed trials (or prints 0.0 when none finished) — never let
+			// that pass for a full measurement silently.
+			fmt.Fprintf(os.Stderr, "sweep: warning: %d/%d points hit the point timeout; their table cells cover only completed trials (0.0 if none)\n",
+				sum.Partial, len(sum.Results))
+		case err == nil:
 			panic(fmt.Sprintf("experiments: the point runner returned no result for %d/%d points with no timeout set and no interruption", sum.Partial, len(sum.Results)))
 		}
-		// A table built from timed-out points averages only the completed
-		// trials (or prints 0.0 when none finished) — never let that pass
-		// for a full measurement silently.
-		fmt.Fprintf(os.Stderr, "sweep: warning: %d/%d points hit the point timeout; their table cells cover only completed trials (0.0 if none)\n",
-			sum.Partial, len(sum.Results))
 	}
 	if sum.Quarantined > 0 {
 		fmt.Fprintf(os.Stderr, "sweep: warning: %d points quarantined (timed out twice); they are not stored, so a rerun retries them\n",
@@ -76,16 +99,17 @@ func runSweep(points []sweep.Point) []sweep.Result {
 	return sum.Results
 }
 
-// eachCell runs fn over [0, n) cells on the configured worker pool (for
+// eachCell runs fn over [0, n) cells on the lab's worker pool (for
 // experiment shapes that do not fit the Point grid: application runs,
 // hot-spot bursts). Each cell builds its own machine and writes only its
 // own result slot, so ordering is irrelevant to the output. Cells left
-// unstarted when SweepContext is cancelled are skipped with a warning —
+// unstarted when the lab's context is cancelled are skipped with a warning —
 // their table cells render zero.
-func eachCell(n int, fn func(i int)) {
+func (l Lab) eachCell(n int, fn func(i int)) {
+	ctx := l.ctx()
 	var skipped atomic.Int64
-	sweep.Each(Sweep.Parallel, n, func(i int) {
-		if SweepContext.Err() != nil {
+	sweep.Each(l.Sweep.Parallel, n, func(i int) {
+		if ctx.Err() != nil {
 			skipped.Add(1)
 			return
 		}
@@ -115,7 +139,7 @@ type SweepPoint struct {
 // per-point seed keeps the historical per-d value (d + 7) so the recorded
 // EXPERIMENTS.md tables regenerate unchanged; ad-hoc grids built through
 // sweep.Grid derive seeds from a base seed via splitmix instead.
-func SharerSweep(k int, ds []int, schemes []grouping.Scheme, trials int) []SweepPoint {
+func (l Lab) SharerSweep(k int, ds []int, schemes []grouping.Scheme, trials int) []SweepPoint {
 	var pts []sweep.Point
 	for _, s := range schemes {
 		for _, d := range ds {
@@ -126,7 +150,7 @@ func SharerSweep(k int, ds []int, schemes []grouping.Scheme, trials int) []Sweep
 		}
 	}
 	var out []SweepPoint
-	for _, r := range runSweep(pts) {
+	for _, r := range l.runSweep(pts) {
 		out = append(out, SweepPoint{Scheme: r.Point.Scheme, D: r.Point.D, Res: r.Measures})
 	}
 	return out
@@ -156,8 +180,8 @@ func sweepTable(title string, points []SweepPoint, ds []int,
 }
 
 // FigLatencyVsSharers renders E4: mean invalidation latency versus d.
-func FigLatencyVsSharers(k, trials int) *report.Table {
-	points := SharerSweep(k, SharerCounts, CompareSchemes, trials)
+func (l Lab) FigLatencyVsSharers(k, trials int) *report.Table {
+	points := l.SharerSweep(k, SharerCounts, CompareSchemes, trials)
 	return sweepTable(
 		fmt.Sprintf("E4: invalidation latency (cycles) vs sharers, %dx%d mesh, random placement", k, k),
 		points, SharerCounts, CompareSchemes,
@@ -165,8 +189,8 @@ func FigLatencyVsSharers(k, trials int) *report.Table {
 }
 
 // FigOccupancyVsSharers renders E5: home messages (occupancy proxy) vs d.
-func FigOccupancyVsSharers(k, trials int) *report.Table {
-	points := SharerSweep(k, SharerCounts, CompareSchemes, trials)
+func (l Lab) FigOccupancyVsSharers(k, trials int) *report.Table {
+	points := l.SharerSweep(k, SharerCounts, CompareSchemes, trials)
 	return sweepTable(
 		fmt.Sprintf("E5: home-node messages per transaction vs sharers, %dx%d mesh", k, k),
 		points, SharerCounts, CompareSchemes,
@@ -174,8 +198,8 @@ func FigOccupancyVsSharers(k, trials int) *report.Table {
 }
 
 // FigTrafficVsSharers renders E6: network flit-hops per transaction vs d.
-func FigTrafficVsSharers(k, trials int) *report.Table {
-	points := SharerSweep(k, SharerCounts, CompareSchemes, trials)
+func (l Lab) FigTrafficVsSharers(k, trials int) *report.Table {
+	points := l.SharerSweep(k, SharerCounts, CompareSchemes, trials)
 	return sweepTable(
 		fmt.Sprintf("E6: network flit-hops per transaction vs sharers, %dx%d mesh", k, k),
 		points, SharerCounts, CompareSchemes,
@@ -186,7 +210,7 @@ func FigTrafficVsSharers(k, trials int) *report.Table {
 var MeshSizes = []int{4, 8, 16, 32}
 
 // FigLatencyVsMeshSize renders E7: latency at fixed d as the mesh grows.
-func FigLatencyVsMeshSize(d, trials int) *report.Table {
+func (l Lab) FigLatencyVsMeshSize(d, trials int) *report.Table {
 	cols := []string{"k"}
 	for _, s := range CompareSchemes {
 		cols = append(cols, s.String())
@@ -206,7 +230,7 @@ func FigLatencyVsMeshSize(d, trials int) *report.Table {
 			})
 		}
 	}
-	results := runSweep(pts)
+	results := l.runSweep(pts)
 	for i, k := range MeshSizes {
 		row := []any{k}
 		for j := range CompareSchemes {
@@ -224,7 +248,7 @@ func FigLatencyVsMeshSize(d, trials int) *report.Table {
 // the load axis shows when VCT deferred delivery pays off: a gather worm
 // only catches an unposted ack when some sharers post late relative to the
 // group's launch node.
-func FigIAckBuffers(k, d, writers int) *report.Table {
+func (l Lab) FigIAckBuffers(k, d, writers int) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("E8: %d concurrent MI-MA-ec invalidations, %dx%d mesh, d=%d: i-ack buffer sensitivity", writers, k, k, d),
 		"buffers", "mode", "sharer load", "mean latency", "makespan", "gather waits")
@@ -242,7 +266,7 @@ func FigIAckBuffers(k, d, writers int) *report.Table {
 		}
 	}
 	results := make([]workload.HotSpotResult, len(cells))
-	eachCell(len(cells), func(i int) {
+	l.eachCell(len(cells), func(i int) {
 		c := cells[i]
 		results[i] = workload.RunHotSpot(workload.HotSpotConfig{
 			K: k, Scheme: grouping.MIMAEC, D: d, Writers: writers,
@@ -269,7 +293,7 @@ func FigIAckBuffers(k, d, writers int) *report.Table {
 var HotSpotWriters = []int{1, 2, 4, 8}
 
 // FigHotSpot renders E10: concurrent invalidation bursts at one home.
-func FigHotSpot(k, d int) *report.Table {
+func (l Lab) FigHotSpot(k, d int) *report.Table {
 	cols := []string{"writers"}
 	for _, s := range CompareSchemes {
 		cols = append(cols, s.String())
@@ -277,7 +301,7 @@ func FigHotSpot(k, d int) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("E10: makespan (cycles) of concurrent invalidation bursts, %dx%d mesh, d=%d", k, k, d), cols...)
 	results := make([]workload.HotSpotResult, len(HotSpotWriters)*len(CompareSchemes))
-	eachCell(len(results), func(i int) {
+	l.eachCell(len(results), func(i int) {
 		w := HotSpotWriters[i/len(CompareSchemes)]
 		s := CompareSchemes[i%len(CompareSchemes)]
 		results[i] = workload.RunHotSpot(workload.HotSpotConfig{K: k, Scheme: s, D: d, Writers: w})
@@ -299,14 +323,14 @@ func FigHotSpot(k, d int) *report.Table {
 // aggregates, shown per node here. The rows come out of map-keyed
 // collectors (metrics.InvalLatencyByHome) rendered in ascending home order
 // via report.SortedKeys, the discipline the maporder analyzer enforces.
-func FigHomePlacement(k, d, trials int) *report.Table {
+func (l Lab) FigHomePlacement(k, d, trials int) *report.Table {
 	mesh := topology.NewSquareMesh(k)
 	homes := make([]topology.NodeID, 0, k)
 	for i := 0; i < k; i++ {
 		homes = append(homes, mesh.ID(topology.Coord{X: i, Y: i}))
 	}
 	results := make([]workload.InvalResult, len(homes))
-	eachCell(len(results), func(i int) {
+	l.eachCell(len(results), func(i int) {
 		h := homes[i]
 		results[i] = workload.RunInval(workload.InvalConfig{
 			K: k, Scheme: grouping.MIMAEC, D: d,
@@ -332,7 +356,7 @@ func FigHomePlacement(k, d, trials int) *report.Table {
 
 // AblationPlacement renders E11: sensitivity of each multidestination
 // scheme to sharer placement.
-func AblationPlacement(k, d, trials int) *report.Table {
+func (l Lab) AblationPlacement(k, d, trials int) *report.Table {
 	pats := []workload.Pattern{
 		workload.RandomPlacement, workload.ClusteredPlacement,
 		workload.ColumnPlacement, workload.RowPlacement, workload.DiagonalPlacement,
@@ -353,7 +377,7 @@ func AblationPlacement(k, d, trials int) *report.Table {
 			})
 		}
 	}
-	results := runSweep(pts)
+	results := l.runSweep(pts)
 	for i, pat := range pats {
 		row := []any{pat.String()}
 		for j := range schemes {
@@ -369,13 +393,13 @@ func AblationPlacement(k, d, trials int) *report.Table {
 // the router interface needs before multidestination worms stop starving
 // (the paper relies on 4 for deadlock freedom; fewer also throttles
 // throughput [2]).
-func AblationConsumptionChannels(k, d, writers int) *report.Table {
+func (l Lab) AblationConsumptionChannels(k, d, writers int) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("E12: consumption channels ablation, %d concurrent MI-MA-ec invalidations, %dx%d mesh, d=%d", writers, k, k, d),
 		"consumption channels", "mean latency", "makespan")
 	chans := []int{1, 2, 4, 8}
 	results := make([]workload.HotSpotResult, len(chans))
-	eachCell(len(chans), func(i int) {
+	l.eachCell(len(chans), func(i int) {
 		c := chans[i]
 		results[i] = workload.RunHotSpot(workload.HotSpotConfig{
 			K: k, Scheme: grouping.MIMAEC, D: d, Writers: writers,
@@ -433,13 +457,13 @@ func PaperApps() []apps.Workload {
 
 // Table6 renders the application characteristics (paper Table 6) measured
 // under the UI-UA baseline on a 4x4 mesh.
-func Table6() *report.Table {
+func (l Lab) Table6() *report.Table {
 	t := report.NewTable("Table 6: application characteristics (16 processors, UI-UA baseline)",
 		"application", "shared reads", "shared writes", "barriers",
 		"inval txns", "avg sharers", "max sharers", "exec cycles")
 	ws := PaperApps()
 	results := make([]apps.RunResult, len(ws))
-	eachCell(len(ws), func(i int) {
+	l.eachCell(len(ws), func(i int) {
 		m := coherence.NewMachine(coherence.DefaultParams(4, grouping.UIUA))
 		results[i] = apps.Run(m, ws[i])
 	})
@@ -457,7 +481,7 @@ var AppSchemes = []grouping.Scheme{grouping.UIUA, grouping.MIUAEC, grouping.MIMA
 
 // FigApplications renders E9: application execution time under each
 // framework, normalized to UI-UA.
-func FigApplications() *report.Table {
+func (l Lab) FigApplications() *report.Table {
 	cols := []string{"application"}
 	for _, s := range AppSchemes {
 		cols = append(cols, s.String())
@@ -466,7 +490,7 @@ func FigApplications() *report.Table {
 	t := report.NewTable("E9: normalized application execution time (16 processors, 4x4 mesh)", cols...)
 	ws := PaperApps()
 	results := make([]apps.RunResult, len(ws)*len(AppSchemes))
-	eachCell(len(results), func(i int) {
+	l.eachCell(len(results), func(i int) {
 		w := ws[i/len(AppSchemes)]
 		s := AppSchemes[i%len(AppSchemes)]
 		m := coherence.NewMachine(coherence.DefaultParams(4, s))
@@ -518,7 +542,7 @@ func FigConsistency() *report.Table {
 // FigVirtualChannels renders E14: hot-spot bursts under 1, 2 and 4 virtual
 // channels per link, for the baseline and MI-MA frameworks. Extra lanes
 // relieve the serialization that blocked worms impose on physical links.
-func FigVirtualChannels(k, d, writers int) *report.Table {
+func (l Lab) FigVirtualChannels(k, d, writers int) *report.Table {
 	schemes := []grouping.Scheme{grouping.UIUA, grouping.MIMAEC, grouping.MIMATM}
 	cols := []string{"virtual channels"}
 	for _, s := range schemes {
@@ -529,7 +553,7 @@ func FigVirtualChannels(k, d, writers int) *report.Table {
 			writers, k, k, d), cols...)
 	vcss := []int{1, 2, 4}
 	results := make([]workload.HotSpotResult, len(vcss)*len(schemes))
-	eachCell(len(results), func(i int) {
+	l.eachCell(len(results), func(i int) {
 		vcs := vcss[i/len(schemes)]
 		s := schemes[i%len(schemes)]
 		results[i] = workload.RunHotSpot(workload.HotSpotConfig{
@@ -552,7 +576,7 @@ func FigVirtualChannels(k, d, writers int) *report.Table {
 // directories (Dir_i-B). Once the pointer count overflows, invalidations
 // broadcast to every node — the regime the BR framework [29] was designed
 // for, and where multidestination worms dwarf unicast.
-func FigLimitedDirectory(k int) *report.Table {
+func (l Lab) FigLimitedDirectory(k int) *report.Table {
 	schemes := []grouping.Scheme{grouping.UIUA, grouping.MIUAEC, grouping.MIMAEC, grouping.MIMATM, grouping.BR}
 	cols := []string{"directory", "mean targets"}
 	for _, s := range schemes {
@@ -581,7 +605,7 @@ func FigLimitedDirectory(k int) *report.Table {
 			})
 		}
 	}
-	results := runSweep(pts)
+	results := l.runSweep(pts)
 	for i, cfg := range configs {
 		row := []any{cfg.label, 0.0}
 		for j := range schemes {
@@ -736,7 +760,7 @@ func FigOfferedLoad(k int) *report.Table {
 // tree matches MI-MA's logarithmic home occupancy but pays processor
 // involvement at every internal tree node, where a worm pays only router
 // latency — the quantitative form of the paper's related-work argument.
-func FigSoftwareTree(k, trials int) *report.Table {
+func (l Lab) FigSoftwareTree(k, trials int) *report.Table {
 	schemes := []grouping.Scheme{grouping.UIUA, grouping.UMC, grouping.MIMAECRC, grouping.MIMATM}
 	cols := []string{"d"}
 	for _, s := range schemes {
@@ -753,7 +777,7 @@ func FigSoftwareTree(k, trials int) *report.Table {
 			})
 		}
 	}
-	results := runSweep(pts)
+	results := l.runSweep(pts)
 	for i, d := range SharerCounts {
 		row := []any{d}
 		for j := range schemes {
@@ -769,7 +793,7 @@ func FigSoftwareTree(k, trials int) *report.Table {
 // BRCP papers' topology). Wraparound halves average distances and turns
 // every column into a ring one worm can sweep, removing the mesh's
 // up/down column split — worm counts drop toward one per sharer column.
-func FigTorus(k, trials int) *report.Table {
+func (l Lab) FigTorus(k, trials int) *report.Table {
 	schemes := []grouping.Scheme{grouping.UIUA, grouping.MIMAEC, grouping.MIMAECRC}
 	cols := []string{"d", "topology"}
 	for _, s := range schemes {
@@ -790,7 +814,7 @@ func FigTorus(k, trials int) *report.Table {
 			}
 		}
 	}
-	results := runSweep(pts)
+	results := l.runSweep(pts)
 	i := 0
 	for _, d := range ds {
 		for _, name := range []string{"mesh", "torus"} {
@@ -1037,7 +1061,7 @@ var FaultSchemes = []grouping.Scheme{grouping.UIUA, grouping.MIUAEC, grouping.MI
 // fault-free advantage erodes as the rate climbs — and the retry columns
 // show how hard the machinery worked. Fault schedules are seeded per point,
 // so the table is byte-identical at any -parallel.
-func FigFaultRecovery(k, d, trials int) *report.Table {
+func (l Lab) FigFaultRecovery(k, d, trials int) *report.Table {
 	cols := []string{"drop rate"}
 	for _, s := range FaultSchemes {
 		cols = append(cols, s.String()+" lat", s.String()+" retries")
@@ -1063,7 +1087,7 @@ func FigFaultRecovery(k, d, trials int) *report.Table {
 			pts = append(pts, p)
 		}
 	}
-	results := runSweep(pts)
+	results := l.runSweep(pts)
 	for i, rate := range FaultRates {
 		row := []any{report.Float3(rate)}
 		for j := range FaultSchemes {
@@ -1094,7 +1118,7 @@ var DeadLinkCounts = []int{0, 1, 2, 4}
 // actually engaged. The row with zero dead links runs the fault-free
 // simulator untouched and must match the healthy tables. Dead sets are
 // seeded per point, so the table is byte-identical at any -parallel.
-func FigDegradedMesh(k, d, trials int) *report.Table {
+func (l Lab) FigDegradedMesh(k, d, trials int) *report.Table {
 	cols := []string{"dead links"}
 	for _, s := range FaultSchemes {
 		cols = append(cols, s.String()+" lat", s.String()+" fallbacks", s.String()+" purges")
@@ -1120,7 +1144,7 @@ func FigDegradedMesh(k, d, trials int) *report.Table {
 			pts = append(pts, p)
 		}
 	}
-	results := runSweep(pts)
+	results := l.runSweep(pts)
 	for i, n := range DeadLinkCounts {
 		row := []any{n}
 		for j := range FaultSchemes {
@@ -1144,7 +1168,7 @@ func FigDegradedMesh(k, d, trials int) *report.Table {
 // Tracing is observational, so the burst measurements match an untraced
 // run cycle-for-cycle; cells run on the worker pool and the table is
 // byte-identical at any -parallel.
-func FigOccupancyProfile(k, d, writers int) *report.Table {
+func (l Lab) FigOccupancyProfile(k, d, writers int) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("E27: trace-derived occupancy profile, %d-writer hot-spot burst, %dx%d mesh, d=%d", writers, k, k, d),
 		"scheme", "makespan", "home busy", "home share", "home max task",
@@ -1154,7 +1178,7 @@ func FigOccupancyProfile(k, d, writers int) *report.Table {
 		prof *trace.Profile
 	}
 	cells := make([]cell, len(CompareSchemes))
-	eachCell(len(CompareSchemes), func(i int) {
+	l.eachCell(len(CompareSchemes), func(i int) {
 		rec := trace.NewRecorder(1 << 16)
 		res := workload.RunHotSpot(workload.HotSpotConfig{
 			K: k, Scheme: CompareSchemes[i], D: d, Writers: writers,

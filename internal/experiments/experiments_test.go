@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -52,7 +54,7 @@ func TestSharerSweepSmall(t *testing.T) {
 	// A small sweep must produce the paper's orderings at its largest d.
 	ds := []int{4, 12}
 	schemes := []grouping.Scheme{grouping.UIUA, grouping.MIMAEC, grouping.MIMATM}
-	points := SharerSweep(8, ds, schemes, 3)
+	points := Lab{}.SharerSweep(8, ds, schemes, 3)
 	if len(points) != len(ds)*len(schemes) {
 		t.Fatalf("points = %d", len(points))
 	}
@@ -80,7 +82,7 @@ func TestSharerSweepSmall(t *testing.T) {
 }
 
 func TestFigLatencyVsSharersRendering(t *testing.T) {
-	tab := FigLatencyVsSharers(8, 1)
+	tab := Lab{}.FigLatencyVsSharers(8, 1)
 	if tab.Rows() != len(SharerCounts) {
 		t.Fatalf("rows = %d, want %d", tab.Rows(), len(SharerCounts))
 	}
@@ -94,7 +96,7 @@ func TestFigLatencyVsSharersRendering(t *testing.T) {
 }
 
 func TestFigIAckBuffersShape(t *testing.T) {
-	tab := FigIAckBuffers(8, 8, 2)
+	tab := Lab{}.FigIAckBuffers(8, 8, 2)
 	if tab.Rows() != 16 {
 		t.Fatalf("rows = %d, want 16", tab.Rows())
 	}
@@ -117,7 +119,7 @@ func TestFigIAckBuffersShape(t *testing.T) {
 }
 
 func TestFigLimitedDirectoryShape(t *testing.T) {
-	tab := FigLimitedDirectory(8)
+	tab := Lab{}.FigLimitedDirectory(8)
 	if tab.Rows() != 6 {
 		t.Fatalf("rows = %d, want 6", tab.Rows())
 	}
@@ -142,7 +144,7 @@ func TestFigLimitedDirectoryShape(t *testing.T) {
 }
 
 func TestCSVExportParses(t *testing.T) {
-	tab := FigVirtualChannels(8, 8, 2)
+	tab := Lab{}.FigVirtualChannels(8, 8, 2)
 	csv := tab.CSV()
 	lines := strings.Split(strings.TrimRight(csv, "\n"), "\n")
 	if len(lines) != tab.Rows()+1 {
@@ -162,6 +164,7 @@ func TestAllExperimentsRender(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-sized experiment suite")
 	}
+	var l Lab
 	cases := []struct {
 		name string
 		gen  func() *report.Table
@@ -169,19 +172,19 @@ func TestAllExperimentsRender(t *testing.T) {
 	}{
 		{"Table4", Table4, 8},
 		{"Table5", Table5, 9},
-		{"Table6", Table6, 3},
-		{"E4", func() *report.Table { return FigLatencyVsSharers(8, 2) }, len(SharerCounts)},
-		{"E5", func() *report.Table { return FigOccupancyVsSharers(8, 2) }, len(SharerCounts)},
-		{"E6", func() *report.Table { return FigTrafficVsSharers(8, 2) }, len(SharerCounts)},
-		{"E7", func() *report.Table { return FigLatencyVsMeshSize(8, 2) }, len(MeshSizes)},
-		{"E8", func() *report.Table { return FigIAckBuffers(8, 8, 2) }, 16},
-		{"E9", FigApplications, 3},
-		{"E10", func() *report.Table { return FigHotSpot(8, 8) }, len(HotSpotWriters)},
-		{"E11", func() *report.Table { return AblationPlacement(8, 8, 2) }, 5},
-		{"E12", func() *report.Table { return AblationConsumptionChannels(8, 8, 2) }, 4},
+		{"Table6", l.Table6, 3},
+		{"E4", func() *report.Table { return l.FigLatencyVsSharers(8, 2) }, len(SharerCounts)},
+		{"E5", func() *report.Table { return l.FigOccupancyVsSharers(8, 2) }, len(SharerCounts)},
+		{"E6", func() *report.Table { return l.FigTrafficVsSharers(8, 2) }, len(SharerCounts)},
+		{"E7", func() *report.Table { return l.FigLatencyVsMeshSize(8, 2) }, len(MeshSizes)},
+		{"E8", func() *report.Table { return l.FigIAckBuffers(8, 8, 2) }, 16},
+		{"E9", l.FigApplications, 3},
+		{"E10", func() *report.Table { return l.FigHotSpot(8, 8) }, len(HotSpotWriters)},
+		{"E11", func() *report.Table { return l.AblationPlacement(8, 8, 2) }, 5},
+		{"E12", func() *report.Table { return l.AblationConsumptionChannels(8, 8, 2) }, 4},
 		{"E13", FigConsistency, 3},
-		{"E14", func() *report.Table { return FigVirtualChannels(8, 8, 2) }, 3},
-		{"E15", func() *report.Table { return FigLimitedDirectory(8) }, 6},
+		{"E14", func() *report.Table { return l.FigVirtualChannels(8, 8, 2) }, 3},
+		{"E15", func() *report.Table { return l.FigLimitedDirectory(8) }, 6},
 		{"E16", FigDataForwarding, 12},
 		{"E17", FigInvalSizeDistribution, 3},
 		{"E18", FigWriteUpdate, 12},
@@ -201,7 +204,7 @@ func TestAllExperimentsRender(t *testing.T) {
 }
 
 func TestOccupancyProfileShape(t *testing.T) {
-	tab := FigOccupancyProfile(8, 8, 4)
+	tab := Lab{}.FigOccupancyProfile(8, 8, 4)
 	if tab.Rows() != len(CompareSchemes) {
 		t.Fatalf("rows = %d, want %d", tab.Rows(), len(CompareSchemes))
 	}
@@ -245,17 +248,94 @@ func TestCongestionMatchesPaperClaim(t *testing.T) {
 // from its zeros would be an invented one — runSweep panics instead (a 500
 // from the daemon, a non-zero exit from the CLIs).
 func TestUnexplainedPartialPanics(t *testing.T) {
-	saved := Sweep
-	defer func() { Sweep = saved }()
-	Sweep = sweep.Options{Parallel: 2, RunPoint: func(context.Context, sweep.Point) (sweep.Measures, *metrics.Collector) {
+	l := Lab{Sweep: sweep.Options{Parallel: 2, RunPoint: func(context.Context, sweep.Point) (sweep.Measures, *metrics.Collector) {
 		return sweep.Measures{}, nil
-	}}
+	}}}
 	defer func() {
 		if r := recover(); r == nil {
 			t.Fatal("a table was rendered from points nobody measured")
 		}
 	}()
-	FigLatencyVsSharers(4, 1)
+	l.FigLatencyVsSharers(4, 1)
+}
+
+// captureStderr returns what fn writes to os.Stderr.
+func captureStderr(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stderr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	fn()
+	os.Stderr = saved
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestInterruptedSweepBlamesTheInterrupt: a sweep cancelled mid-run with no
+// point timeout set renders its partial table and says it was interrupted —
+// never that points hit a timeout nobody set.
+func TestInterruptedSweepBlamesTheInterrupt(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var calls int
+	l := Lab{Ctx: ctx, Sweep: sweep.Options{Parallel: 1, RunPoint: func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+		if calls++; calls == 5 {
+			cancel()
+		}
+		return sweep.RunPointDirect(pctx, p)
+	}}}
+	var err error
+	stderr := captureStderr(t, func() { _, err = l.Run("latency", 8, DefaultD, 1) })
+	if err != nil {
+		t.Fatalf("interrupted run: %v; want the partial table", err)
+	}
+	if !strings.Contains(stderr, "interrupted") || strings.Contains(stderr, "point timeout") {
+		t.Fatalf("stderr after an interrupt with no timeout set:\n%s\nwant the interrupted line and no point-timeout line", stderr)
+	}
+}
+
+// TestRunUnknownName: a name RunnerOrder does not list is an error callers
+// can tell apart from a failed run.
+func TestRunUnknownName(t *testing.T) {
+	if _, err := (Lab{}).Run("nope", 8, 16, 2); !errors.Is(err, ErrUnknownExperiment) {
+		t.Fatalf("Run(nope): %v; want ErrUnknownExperiment", err)
+	}
+}
+
+// TestRunWrapsRunnerErrors: a point runner's panic with an error comes back
+// from Run as an error that still matches it, so the daemon can map a drain
+// to 503.
+func TestRunWrapsRunnerErrors(t *testing.T) {
+	sentinel := errors.New("runner down")
+	l := Lab{Sweep: sweep.Options{Parallel: 2, RunPoint: func(context.Context, sweep.Point) (sweep.Measures, *metrics.Collector) {
+		panic(sentinel)
+	}}}
+	if tab, err := l.Run("latency", 8, 16, 1); tab != nil || !errors.Is(err, sentinel) {
+		t.Fatalf("Run over a failing runner: table %v, err %v; want no table and an error wrapping the runner's", tab != nil, err)
+	}
+}
+
+// TestRunnerOrderNamesEveryRunner: RunnerOrder is the registry's presentation
+// order, each name exactly once.
+func TestRunnerOrderNamesEveryRunner(t *testing.T) {
+	runners := Lab{}.runners(8, 16, 2)
+	seen := map[string]bool{}
+	for _, name := range RunnerOrder {
+		if seen[name] || runners[name] == nil {
+			t.Errorf("RunnerOrder name %q is repeated or has no runner", name)
+		}
+		seen[name] = true
+	}
+	if len(seen) != len(runners) {
+		t.Errorf("RunnerOrder lists %d names; there are %d runners", len(seen), len(runners))
+	}
 }
 
 // TestFiguresParallelInvariant renders representative figures — one
@@ -264,21 +344,16 @@ func TestUnexplainedPartialPanics(t *testing.T) {
 // byte-identical tables. GOMAXPROCS may be 1 on the test runner, so this
 // forces a genuinely concurrent configuration regardless of hardware.
 func TestFiguresParallelInvariant(t *testing.T) {
-	saved := Sweep
-	defer func() { Sweep = saved }()
-
-	figures := map[string]func() string{
-		"latency":   func() string { return FigLatencyVsSharers(8, 2).String() },
-		"hotspot":   func() string { return FigHotSpot(4, 3).String() },
-		"torus":     func() string { return FigTorus(8, 2).String() },
-		"limdir":    func() string { return FigLimitedDirectory(4).String() },
-		"occupancy": func() string { return FigOccupancyProfile(8, 6, 3).String() },
+	figures := map[string]func(l Lab) string{
+		"latency":   func(l Lab) string { return l.FigLatencyVsSharers(8, 2).String() },
+		"hotspot":   func(l Lab) string { return l.FigHotSpot(4, 3).String() },
+		"torus":     func(l Lab) string { return l.FigTorus(8, 2).String() },
+		"limdir":    func(l Lab) string { return l.FigLimitedDirectory(4).String() },
+		"occupancy": func(l Lab) string { return l.FigOccupancyProfile(8, 6, 3).String() },
 	}
 	for name, render := range figures {
-		Sweep = sweep.Options{Parallel: 1}
-		seq := render()
-		Sweep = sweep.Options{Parallel: 8}
-		par := render()
+		seq := render(Lab{Sweep: sweep.Options{Parallel: 1}})
+		par := render(Lab{Sweep: sweep.Options{Parallel: 8}})
 		if seq != par {
 			t.Errorf("%s: table differs between 1 and 8 workers:\n%s\nvs\n%s", name, seq, par)
 		}

@@ -50,7 +50,7 @@ func TestGoldenDeterminism(t *testing.T) {
 // already-covered rows is nearly free.
 func TestGoldenShapeLatencyScaling(t *testing.T) {
 	ds := []int{4, 16, 32}
-	pts := SharerSweep(8, ds, []grouping.Scheme{grouping.UIUA, grouping.MIUAEC}, 5)
+	pts := Lab{}.SharerSweep(8, ds, []grouping.Scheme{grouping.UIUA, grouping.MIUAEC}, 5)
 	lat := map[grouping.Scheme]map[int]float64{}
 	for _, p := range pts {
 		if lat[p.Scheme] == nil {
@@ -89,7 +89,7 @@ func TestGoldenShapeLatencyScaling(t *testing.T) {
 // strictly fewer messages as soon as groups cover multiple sharers.
 func TestGoldenShapeHomeMessages(t *testing.T) {
 	multis := []grouping.Scheme{grouping.MIUAEC, grouping.MIMAEC, grouping.MIMAECRC, grouping.MIMATM}
-	pts := SharerSweep(8, []int{16}, append([]grouping.Scheme{grouping.UIUA}, multis...), 5)
+	pts := Lab{}.SharerSweep(8, []int{16}, append([]grouping.Scheme{grouping.UIUA}, multis...), 5)
 	home := map[grouping.Scheme]float64{}
 	for _, p := range pts {
 		home[p.Scheme] = p.Res.HomeMsgs

@@ -27,7 +27,7 @@ var updateGolden = flag.Bool("update-golden", false,
 func seedGoldenTables() string {
 	var b strings.Builder
 
-	points := SharerSweep(8, SharerCounts, CompareSchemes, 3)
+	points := Lab{}.SharerSweep(8, SharerCounts, CompareSchemes, 3)
 	b.WriteString(sweepTable(
 		"E4: invalidation latency (cycles) vs sharers, 8x8 mesh, random placement",
 		points, SharerCounts, CompareSchemes,
@@ -44,10 +44,10 @@ func seedGoldenTables() string {
 		func(r sweep.Measures) float64 { return r.FlitHops }).String())
 	b.WriteString("\n")
 
-	b.WriteString(FigFaultRecovery(8, 6, 3).String())
+	b.WriteString(Lab{}.FigFaultRecovery(8, 6, 3).String())
 	b.WriteString("\n")
 
-	b.WriteString(FigOccupancyProfile(8, 6, 3).String())
+	b.WriteString(Lab{}.FigOccupancyProfile(8, 6, 3).String())
 	b.WriteString("\n")
 
 	chaos := report.NewTable(
@@ -143,7 +143,7 @@ func TestFaultRecoveryRowsStaySimulated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := FigFaultRecovery(8, 6, 3).String()
+	got := Lab{}.FigFaultRecovery(8, 6, 3).String()
 	if !strings.Contains(string(golden), got) {
 		t.Fatalf("E26 no longer matches its golden rows:\n%s", got)
 	}

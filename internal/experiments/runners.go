@@ -1,10 +1,15 @@
 package experiments
 
-import "repro/internal/report"
+import (
+	"errors"
+	"fmt"
+
+	"repro/internal/report"
+)
 
 // RunnerOrder lists every named experiment in presentation order — the
 // order `invalsweep -experiment all` renders them. The serving daemon's
-// experiment endpoint resolves names against the same registry, which is
+// experiment endpoint resolves names through the same Lab.Run, which is
 // what makes a table served over HTTP byte-identical to the one the batch
 // CLI prints.
 var RunnerOrder = []string{
@@ -12,41 +17,66 @@ var RunnerOrder = []string{
 	"meshsize", "buffers", "hotspot", "placement", "homes", "cons", "vcs",
 	"limdir", "consistency", "forwarding", "invalsize", "update", "load",
 	"tree", "torus", "barrier", "sharing", "congestion", "threehop",
-	"faults", "degraded", "occupancy",
+	"faults", "degraded", "occupancy", "table6", "apps",
 }
 
-// Runners returns the named experiment table builders, parameterized by
-// the mesh dimension, sharer count and trial count the CLIs expose as
-// flags. Axes a figure fixes by design (writer counts, buffer sweep sizes)
-// keep their historical constants so recorded tables regenerate unchanged.
-func Runners(k, d, trials int) map[string]func() *report.Table {
+// ErrUnknownExperiment is Run's answer to a name RunnerOrder does not list.
+var ErrUnknownExperiment = errors.New("unknown experiment")
+
+// Run renders the named experiment at mesh dimension k, d sharers and
+// trials trials per configuration. Axes a figure fixes by design (writer
+// counts, buffer sweep sizes) keep their historical constants so recorded
+// tables regenerate unchanged. The experiment layer reports a failure by
+// panicking; Run recovers it into the returned error, wrapping a panic value
+// that is itself an error so callers can still match it with errors.Is.
+func (l Lab) Run(name string, k, d, trials int) (t *report.Table, err error) {
+	build, ok := l.runners(k, d, trials)[name]
+	if !ok {
+		return nil, fmt.Errorf("%w %q (want one of %v)", ErrUnknownExperiment, name, RunnerOrder)
+	}
+	defer func() {
+		switch r := recover().(type) {
+		case nil:
+		case error:
+			err = fmt.Errorf("experiment %s failed: %w", name, r)
+		default:
+			err = fmt.Errorf("experiment %s failed: %v", name, r)
+		}
+	}()
+	return build(), nil
+}
+
+// runners maps every RunnerOrder name to its table builder.
+func (l Lab) runners(k, d, trials int) map[string]func() *report.Table {
 	return map[string]func() *report.Table{
-		"latency":     func() *report.Table { return FigLatencyVsSharers(k, trials) },
-		"homemsgs":    func() *report.Table { return FigOccupancyVsSharers(k, trials) },
-		"occupancy":   func() *report.Table { return FigOccupancyProfile(k, d, 8) },
-		"traffic":     func() *report.Table { return FigTrafficVsSharers(k, trials) },
-		"meshsize":    func() *report.Table { return FigLatencyVsMeshSize(d, trials) },
-		"buffers":     func() *report.Table { return FigIAckBuffers(k, d, 4) },
-		"hotspot":     func() *report.Table { return FigHotSpot(k, d) },
-		"placement":   func() *report.Table { return AblationPlacement(k, d, trials) },
-		"homes":       func() *report.Table { return FigHomePlacement(k, d, trials) },
-		"cons":        func() *report.Table { return AblationConsumptionChannels(k, d, 4) },
+		"latency":     func() *report.Table { return l.FigLatencyVsSharers(k, trials) },
+		"homemsgs":    func() *report.Table { return l.FigOccupancyVsSharers(k, trials) },
+		"occupancy":   func() *report.Table { return l.FigOccupancyProfile(k, d, 8) },
+		"traffic":     func() *report.Table { return l.FigTrafficVsSharers(k, trials) },
+		"meshsize":    func() *report.Table { return l.FigLatencyVsMeshSize(d, trials) },
+		"buffers":     func() *report.Table { return l.FigIAckBuffers(k, d, 4) },
+		"hotspot":     func() *report.Table { return l.FigHotSpot(k, d) },
+		"placement":   func() *report.Table { return l.AblationPlacement(k, d, trials) },
+		"homes":       func() *report.Table { return l.FigHomePlacement(k, d, trials) },
+		"cons":        func() *report.Table { return l.AblationConsumptionChannels(k, d, 4) },
 		"table4":      Table4,
 		"table5":      Table5,
-		"vcs":         func() *report.Table { return FigVirtualChannels(k, d, 8) },
-		"limdir":      func() *report.Table { return FigLimitedDirectory(8) },
+		"table6":      l.Table6,
+		"apps":        l.FigApplications,
+		"vcs":         func() *report.Table { return l.FigVirtualChannels(k, d, 8) },
+		"limdir":      func() *report.Table { return l.FigLimitedDirectory(8) },
 		"consistency": FigConsistency,
 		"forwarding":  FigDataForwarding,
 		"invalsize":   FigInvalSizeDistribution,
 		"update":      FigWriteUpdate,
 		"load":        func() *report.Table { return FigOfferedLoad(k) },
-		"tree":        func() *report.Table { return FigSoftwareTree(k, trials) },
-		"torus":       func() *report.Table { return FigTorus(k, trials) },
+		"tree":        func() *report.Table { return l.FigSoftwareTree(k, trials) },
+		"torus":       func() *report.Table { return l.FigTorus(k, trials) },
 		"barrier":     FigWormBarrier,
 		"sharing":     FigSharingDependence,
 		"congestion":  func() *report.Table { return FigCongestion(k, d, 8) },
 		"threehop":    FigThreeHop,
-		"faults":      func() *report.Table { return FigFaultRecovery(k, d, trials) },
-		"degraded":    func() *report.Table { return FigDegradedMesh(k, d, trials) },
+		"faults":      func() *report.Table { return l.FigFaultRecovery(k, d, trials) },
+		"degraded":    func() *report.Table { return l.FigDegradedMesh(k, d, trials) },
 	}
 }

@@ -32,7 +32,8 @@ type Config struct {
 	// (submitting a duplicate job ID is an error).
 	JobPrefix string
 	// ExperimentName is the named experiment KindExperiment requests run;
-	// required iff the schedule contains any.
+	// required iff the schedule contains any. Verify expects it to sweep a
+	// point grid (latency does; table4 does not).
 	ExperimentName string
 	// Timeout is the per-point job timeout sent with submissions (0 = the
 	// daemon's default).

@@ -39,6 +39,11 @@ func (v *Verification) failf(format string, args ...any) {
 //     with the client-side counters (cache hits, coalesced, engine runs).
 //   - The server's shed counter moved at least as much as the client saw
 //     503s (other clients may shed too, never fewer).
+//   - Experiment requests resolved points through the service: the server's
+//     request counter moved past the points the client's own jobs account
+//     for. An experiment served beside the service would leave it there. So
+//     would one that sweeps no point grid (table4, the application tables),
+//     which is why ExperimentName should name a grid experiment (latency).
 //   - Streaming percentiles of the run's server-side queue-wait column stay
 //     within the histogram's documented error bound of the exact sort-based
 //     reference over the same rows.
@@ -61,6 +66,10 @@ func Verify(res *Result, metricsCSV string) *Verification {
 	}
 	if int(v.ServerDelta.Shed) < res.Shed {
 		v.failf("server shed counter moved %d, client saw %d sheds", v.ServerDelta.Shed, res.Shed)
+	}
+	if res.Experiment > 0 && v.ServerDelta.Requests <= uint64(res.PointsServed) {
+		v.failf("%d experiment requests resolved no point through the service: server requests moved %d, the client's own jobs account for %d",
+			res.Experiment, v.ServerDelta.Requests, res.PointsServed)
 	}
 
 	rows, err := parseMetricsCSV(metricsCSV)

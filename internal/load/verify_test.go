@@ -96,6 +96,25 @@ func TestVerifyShedReconciliation(t *testing.T) {
 	}
 }
 
+// TestVerifyCatchesBypassedExperiment: experiment requests that left the
+// server's request counter where the client's own jobs put it were served
+// beside the service, and fail; ones that resolved their grid pass.
+func TestVerifyCatchesBypassedExperiment(t *testing.T) {
+	csv := verifyCSVHeader +
+		"1,t-r000000,aa,cache,0,0,120,0,false\n" +
+		"2,t-r000001,bb,run,0,1,450,900,false\n"
+	res := verifyResult()
+	res.Experiment = 4
+	if v := Verify(res, csv); v.OK() || !strings.Contains(strings.Join(v.Failures, " "), "experiment") {
+		t.Fatalf("a bypassed experiment passed: %v", v.Failures)
+	}
+	res.After.Counters.Requests += 63
+	res.After.Counters.Runs += 63
+	if v := Verify(res, csv); !v.OK() {
+		t.Fatalf("an experiment that resolved its 63 points failed: %v", v.Failures)
+	}
+}
+
 // TestVerifyBadCSV: malformed documents fail loudly.
 func TestVerifyBadCSV(t *testing.T) {
 	for name, csv := range map[string]string{

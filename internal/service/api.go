@@ -34,6 +34,12 @@ type JobRequest struct {
 	TimeoutMS int64       `json:"timeout_ms,omitempty"`
 }
 
+// maxK bounds the mesh side a request may ask for, on the job and the
+// experiment endpoints alike. The largest k the repository runs is 32; a
+// side far above it would ask the simulator for a machine whose allocation
+// alone exhausts memory, a crash no recover can turn into an error.
+const maxK = 64
+
 // Point compiles a PointSpec into an engine point at the given grid index.
 func (ps PointSpec) Point(index int) (sweep.Point, error) {
 	scheme, err := grouping.Parse(ps.Scheme)
@@ -44,8 +50,8 @@ func (ps PointSpec) Point(index int) (sweep.Point, error) {
 	if err != nil {
 		return sweep.Point{}, err
 	}
-	if ps.K < 2 {
-		return sweep.Point{}, fmt.Errorf("service: k=%d; want a mesh side >= 2", ps.K)
+	if ps.K < 2 || ps.K > maxK {
+		return sweep.Point{}, fmt.Errorf("service: k=%d; want a mesh side in 2..%d", ps.K, maxK)
 	}
 	if ps.D < 1 || ps.D > ps.K*ps.K-2 {
 		return sweep.Point{}, fmt.Errorf("service: d=%d out of range for a %dx%d mesh (1..%d)", ps.D, ps.K, ps.K, ps.K*ps.K-2)

@@ -8,14 +8,14 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sync/atomic"
-
-	"repro/internal/experiments"
+	"time"
 )
 
-// DaemonConfig assembles a whole serving daemon: the service core, its HTTP
-// server and the experiment-layer wiring, with an injectable listen address
-// so tests and the load harness can self-host on an ephemeral port.
+// DaemonConfig assembles a whole serving daemon — the service core and its
+// HTTP server — with an injectable listen address so tests and the load
+// harness can self-host on an ephemeral port. Every daemon serves its
+// experiment endpoint through its own service, so any number of them can
+// share a process.
 type DaemonConfig struct {
 	// Service configures the core (see Config).
 	Service Config
@@ -23,17 +23,6 @@ type DaemonConfig struct {
 	// (the default when empty), which is the test hook: start, read Addr(),
 	// point a client at it.
 	Addr string
-	// DefaultK / DefaultD / DefaultTrials are the experiment endpoint's
-	// defaults (zero keeps the server's own: 16/16/10).
-	DefaultK, DefaultD, DefaultTrials int
-	// WireExperiments routes the experiment layer's package globals through
-	// the service. It mutates process-wide state (experiments.Sweep), so
-	// only one daemon per process may set it — the second StartDaemon with
-	// it set fails.
-	WireExperiments bool
-	// ExperimentsCtx bounds experiment-endpoint sweeps when wired
-	// (default context.Background()).
-	ExperimentsCtx context.Context
 }
 
 // Daemon is a running service + HTTP server pair. Stop it with Shutdown.
@@ -44,8 +33,10 @@ type Daemon struct {
 	err      chan error
 }
 
-// experimentsWired guards the process-wide experiment-layer globals.
-var experimentsWired atomic.Bool
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that opens connections and trickles bytes
+// cannot hold them open indefinitely.
+const readHeaderTimeout = 10 * time.Second
 
 // StartDaemon builds the service, binds the listener and starts serving.
 // On return the daemon is accepting connections — there is no race between
@@ -58,31 +49,6 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.WireExperiments {
-		if !experimentsWired.CompareAndSwap(false, true) {
-			_ = svc.Drain(context.Background())
-			return nil, errors.New("service: experiments already wired to another daemon in this process")
-		}
-		ectx := cfg.ExperimentsCtx
-		if ectx == nil {
-			ectx = context.Background()
-		}
-		WireExperiments(svc, ectx)
-		if err := experiments.Sweep.Validate(); err != nil {
-			_ = svc.Drain(context.Background())
-			return nil, fmt.Errorf("service: experiment wiring: %w", err)
-		}
-	}
-	srv := NewServer(svc)
-	if cfg.DefaultK > 0 {
-		srv.DefaultK = cfg.DefaultK
-	}
-	if cfg.DefaultD > 0 {
-		srv.DefaultD = cfg.DefaultD
-	}
-	if cfg.DefaultTrials > 0 {
-		srv.DefaultTrials = cfg.DefaultTrials
-	}
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		_ = svc.Drain(context.Background())
@@ -90,7 +56,7 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	}
 	d := &Daemon{
 		svc:      svc,
-		server:   &http.Server{Handler: srv.Handler()},
+		server:   &http.Server{Handler: NewServer(svc).Handler(), ReadHeaderTimeout: readHeaderTimeout},
 		listener: ln,
 		err:      make(chan error, 1),
 	}

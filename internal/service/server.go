@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
-	"repro/internal/report"
 	"repro/internal/sweep"
 )
 
@@ -20,14 +19,34 @@ import (
 // paper's aligned tables) out. Create with NewServer and mount Handler.
 type Server struct {
 	svc *Service
-	// Experiment defaults when a request leaves them zero — the invalsweep
-	// CLI's own defaults, so the daemon's tables match the batch tool's.
-	DefaultK, DefaultD, DefaultTrials int
 }
 
 // NewServer wraps a service.
 func NewServer(svc *Service) *Server {
-	return &Server{svc: svc, DefaultK: 16, DefaultD: 16, DefaultTrials: 10}
+	return &Server{svc: svc}
+}
+
+// maxBodyBytes bounds a POST body; a larger one is refused with 413 before
+// it is decoded. The largest body an in-repo client sends is dsmload's warm
+// job over its whole universe, about 100 bytes per point (3 KB at the
+// default 32 points), so 1 MiB admits a warm job of some 10 000 points.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON body of a POST into v. It answers 413 for a
+// body over maxBodyBytes and 400 for any other malformed one, and reports
+// whether v holds the request.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, code, map[string]string{"error": "bad " + what + " request: " + err.Error()})
+	return false
 }
 
 // Handler returns the daemon's route table.
@@ -78,8 +97,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 //	?stream=1  block, streaming NDJSON progress frames, then the result
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var jr JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&jr); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad job request: " + err.Error()})
+	if !decodeBody(w, r, "job", &jr) {
 		return
 	}
 	spec, err := jr.Spec()
@@ -213,14 +231,15 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExperiment runs one named paper experiment (the invalsweep CLI's
-// catalog) through the daemon's cache and returns the table byte-identical
-// to the CLI's output: aligned text (String()+"\n") or CSV. The experiment
-// layer's globals are wired to the service by the daemon at startup, so
-// repeated or concurrent identical requests coalesce like any other points.
+// catalog) and returns the table byte-identical to the CLI's output: aligned
+// text (String()+"\n") or CSV. Each request runs on its own Lab, whose
+// context is the request's and whose point runner is this daemon's service,
+// so repeated or concurrent identical requests coalesce like any other
+// points, and a sweep's table is only ever built from points the service
+// resolved.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "bad experiment request: " + err.Error()})
+	if !decodeBody(w, r, "experiment", &req) {
 		return
 	}
 	if s.svc.Draining() {
@@ -228,25 +247,27 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.K == 0 {
-		req.K = s.DefaultK
+		req.K = experiments.DefaultK
 	}
 	if req.D == 0 {
-		req.D = s.DefaultD
+		req.D = experiments.DefaultD
 	}
 	if req.Trials == 0 {
-		req.Trials = s.DefaultTrials
+		req.Trials = experiments.DefaultTrials
 	}
-	if req.K < 2 || req.D < 1 || req.Trials < 1 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("experiment wants k >= 2, d >= 1, trials >= 1; got k=%d d=%d trials=%d", req.K, req.D, req.Trials)})
+	if req.K < 2 || req.K > maxK || req.D < 1 || req.Trials < 1 {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("experiment wants 2 <= k <= %d, d >= 1, trials >= 1; got k=%d d=%d trials=%d", maxK, req.K, req.D, req.Trials)})
 		return
 	}
-	runners := experiments.Runners(req.K, req.D, req.Trials)
-	run, ok := runners[req.Name]
-	if !ok {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("unknown experiment %q", req.Name)})
+	lab := experiments.Lab{Ctx: r.Context(), Sweep: sweep.Options{
+		Parallel: s.svc.cfg.Workers,
+		RunPoint: s.svc.experimentPoint,
+	}}
+	table, err := lab.Run(req.Name, req.K, req.D, req.Trials)
+	if errors.Is(err, experiments.ErrUnknownExperiment) {
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	table, err := runExperiment(run)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -264,34 +285,19 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, table.String())
 }
 
-// runExperiment converts the experiment layer's panic-on-error convention
-// into an error the HTTP layer can report.
-func runExperiment(run func() *report.Table) (t *report.Table, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("experiment failed: %v", r)
+// experimentPoint is the point runner of the experiment endpoint's labs: a
+// point resolves through the store, the in-flight table and the worker pool
+// like any job's. A point whose own context ended comes back not-run, for the
+// sweep to mark partial; any other failure (ErrDraining included) panics
+// with the service's error, the experiment layer's convention, which
+// Lab.Run returns as the request's error.
+func (s *Service) experimentPoint(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+	m, coll, _, err := s.Resolve(ctx, p, 0, "experiment")
+	if err != nil {
+		if ctx.Err() != nil {
+			return sweep.Measures{}, nil
 		}
-	}()
-	return run(), nil
-}
-
-// WireExperiments points the experiment layer's package globals at the
-// service, so every Fig*/Table* call — including the daemon's experiment
-// endpoint — resolves its points through the cache and coalescer instead of
-// running the engine inline. A point whose own context ended comes back
-// not-run, for the sweep to mark partial; any other failure panics with the
-// service's error, which runExperiment reports. Call once at daemon startup,
-// before serving.
-func WireExperiments(svc *Service, ctx context.Context) {
-	experiments.SweepContext = ctx
-	experiments.Sweep.RunPoint = func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
-		m, coll, _, err := svc.Resolve(pctx, p, 0, "experiment")
-		if err != nil {
-			if pctx.Err() != nil {
-				return sweep.Measures{}, nil
-			}
-			panic(err)
-		}
-		return m, coll
+		panic(err)
 	}
+	return m, coll
 }

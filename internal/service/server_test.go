@@ -23,21 +23,46 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/metrics"
+	"repro/internal/report"
 	"repro/internal/sweep"
 )
 
-// newTestDaemon stands up a full daemon stack — service, wired experiment
-// globals, HTTP handler — and restores the experiment globals afterwards.
+// newTestDaemon stands up a full daemon stack — service and HTTP handler.
 func newTestDaemon(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	t.Helper()
 	svc := newTestService(t, cfg)
-	oldSweep, oldCtx := experiments.Sweep, experiments.SweepContext
-	t.Cleanup(func() { experiments.Sweep, experiments.SweepContext = oldSweep, oldCtx })
-	WireExperiments(svc, context.Background())
-	srv := NewServer(svc)
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(NewServer(svc).Handler())
 	t.Cleanup(ts.Close)
 	return svc, ts
+}
+
+// startDaemon starts a daemon the way dsmsimd and dsmload do, from its
+// service config alone, and shuts it down with the test.
+func startDaemon(t *testing.T, cfg Config) *Daemon {
+	t.Helper()
+	d, err := StartDaemon(DaemonConfig{Service: cfg})
+	if err != nil {
+		t.Fatalf("StartDaemon: %v", err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		// A test that drained the daemon itself leaves it drained.
+		if err := d.Shutdown(ctx); err != nil && !errors.Is(err, ErrDraining) {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
+	return d
+}
+
+// directTable renders an experiment the way invalsweep does on the bare engine.
+func directTable(t *testing.T, name string) *report.Table {
+	t.Helper()
+	tab, err := experiments.Lab{}.Run(name, 8, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab
 }
 
 func postJSON(t *testing.T, url string, v any) (*http.Response, []byte) {
@@ -82,7 +107,7 @@ func TestExperimentEndpointByteIdentical(t *testing.T) {
 	for _, name := range []string{"latency", "torus", "limdir"} {
 		t.Run(name, func(t *testing.T) {
 			// The batch CLI's rendering: the experiment run with the direct engine.
-			direct := experiments.Runners(8, 16, 2)[name]().String() + "\n"
+			direct := directTable(t, name).String() + "\n"
 
 			_, ts := newTestDaemon(t, Config{Workers: 4})
 			req := ExperimentRequest{Name: name, K: 8, Trials: 2}
@@ -109,15 +134,140 @@ func TestExperimentEndpointByteIdentical(t *testing.T) {
 	}
 }
 
-// engineRuns reads the daemon's engine-run counter from /v1/stats.
-func engineRuns(t *testing.T, base string) uint64 {
+// counters reads the daemon's counters from /v1/stats.
+func counters(t *testing.T, base string) Counters {
 	t.Helper()
 	resp, body := getBody(t, base+"/v1/stats")
 	var stats StatsResponse
 	if err := json.Unmarshal(body, &stats); resp.StatusCode != http.StatusOK || err != nil {
 		t.Fatalf("stats: %s: %s (%v)", resp.Status, body, err)
 	}
-	return stats.Counters.Runs
+	return stats.Counters
+}
+
+// engineRuns reads the daemon's engine-run counter from /v1/stats.
+func engineRuns(t *testing.T, base string) uint64 {
+	t.Helper()
+	return counters(t, base).Runs
+}
+
+// latencyGrid is the number of distinct points of the E4 latency experiment.
+var latencyGrid = uint64(len(experiments.SharerCounts) * len(experiments.CompareSchemes))
+
+// TestExperimentRunsThroughItsOwnService: a daemon started from its service
+// config alone serves experiments through that service — the first request
+// runs each point of the grid once, and an identical second one runs nothing
+// and takes every point from the store.
+func TestExperimentRunsThroughItsOwnService(t *testing.T) {
+	d := startDaemon(t, Config{Workers: 4})
+	req := ExperimentRequest{Name: "latency", K: 8, Trials: 2}
+	resp, first := postJSON(t, d.BaseURL()+"/v1/experiments", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("experiment: %s: %s", resp.Status, first)
+	}
+	c1 := counters(t, d.BaseURL())
+	if c1.Runs != latencyGrid {
+		t.Fatalf("the first request ran %d points; want the grid's %d", c1.Runs, latencyGrid)
+	}
+	resp, second := postJSON(t, d.BaseURL()+"/v1/experiments", req)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(first, second) {
+		t.Fatalf("repeat: %s; want the same table", resp.Status)
+	}
+	c2 := counters(t, d.BaseURL())
+	if c2.Runs != c1.Runs || c2.CacheHits-c1.CacheHits != latencyGrid {
+		t.Fatalf("the repeat ran %d points and hit the store %d times; want 0 and %d", c2.Runs-c1.Runs, c2.CacheHits-c1.CacheHits, latencyGrid)
+	}
+}
+
+// TestDrainCutsOffExperimentWithAnError: draining a daemon while an
+// experiment's points wait on the engine answers the experiment with a 5xx
+// and no table — never a 200 with cells nobody measured.
+func TestDrainCutsOffExperimentWithAnError(t *testing.T) {
+	release := make(chan struct{}) // never closed: every run waits for the drain
+	d := startDaemon(t, Config{Workers: 2, RunPoint: gatedEngine(release, sweep.RunPointDirect)})
+	type reply struct {
+		code int
+		body string
+		err  error
+	}
+	replies := make(chan reply, 1)
+	go func() {
+		resp, err := http.Post(d.BaseURL()+"/v1/experiments", "application/json",
+			strings.NewReader(`{"name":"latency","k":8,"trials":2}`))
+		if err != nil {
+			replies <- reply{err: err}
+			return
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		replies <- reply{code: resp.StatusCode, body: string(body), err: err}
+	}()
+	// The lab's two sweep workers each wait on a run a service worker holds.
+	awaitWaiters(t, d.Service(), 2)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	// The HTTP phase gives up on the open experiment when ctx ends; the
+	// drain then cancels its runs and refuses the points still to come.
+	_ = d.Shutdown(ctx)
+	select {
+	case r := <-replies:
+		t.Logf("the drained experiment answered %d: %s", r.code, r.body)
+		if r.err != nil || r.code/100 != 5 || strings.Contains(r.body, "E4:") {
+			t.Fatalf("experiment cut off by a drain: %d %q (err %v); want a 5xx and no table", r.code, r.body, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the experiment never answered after the drain")
+	}
+}
+
+// TestTwoDaemonsServeExperiments: two daemons in one process each serve
+// experiments through their own service and store.
+func TestTwoDaemonsServeExperiments(t *testing.T) {
+	daemons := []*Daemon{startDaemon(t, Config{Workers: 2}), startDaemon(t, Config{Workers: 2})}
+	for i, d := range daemons {
+		resp, body := postJSON(t, d.BaseURL()+"/v1/experiments", ExperimentRequest{Name: "latency", K: 8, Trials: 1})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("daemon %d: %s: %s", i, resp.Status, body)
+		}
+		if runs := engineRuns(t, d.BaseURL()); runs != latencyGrid {
+			t.Errorf("daemon %d ran %d points; want its own grid of %d", i, runs, latencyGrid)
+		}
+		if n, _ := d.Service().Store().Len(); uint64(n) != latencyGrid {
+			t.Errorf("daemon %d stored %d points; want %d", i, n, latencyGrid)
+		}
+	}
+}
+
+// TestOversizedBodyIsRefused: a POST body one byte over the bound is a 413
+// on both decoding endpoints and moves no counter; a body at the bound is
+// decoded (and refused for what it says).
+func TestOversizedBodyIsRefused(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{Workers: 1})
+	_, before := getBody(t, ts.URL+"/v1/stats")
+	for _, c := range []struct{ path, prefix string }{
+		{"/v1/jobs?wait=1", `{"points":[],"id":"`},
+		{"/v1/experiments", `{"name":"`},
+	} {
+		for size, want := range map[int]int{
+			maxBodyBytes:     http.StatusBadRequest,
+			maxBodyBytes + 1: http.StatusRequestEntityTooLarge,
+		} {
+			body := c.prefix + strings.Repeat("x", size-len(c.prefix)-2) + `"}`
+			resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Errorf("%s with a %d-byte body: %s: %.200s; want %d", c.path, len(body), resp.Status, msg, want)
+			}
+		}
+	}
+	if _, after := getBody(t, ts.URL+"/v1/stats"); !bytes.Equal(after, before) {
+		t.Fatalf("refused bodies moved the stats:\n%s\nbefore\n%s", after, before)
+	}
 }
 
 // failingStore is a result store whose every Get fails.
@@ -140,7 +290,7 @@ func TestExperimentEndpointReportsTheFailure(t *testing.T) {
 // TestExperimentEndpointCSV: the CSV rendering matches the CLI's -csv
 // output for the same experiment.
 func TestExperimentEndpointCSV(t *testing.T) {
-	direct := experiments.Runners(8, 16, 2)["latency"]().CSV()
+	direct := directTable(t, "latency").CSV()
 	_, ts := newTestDaemon(t, Config{Workers: 4})
 	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "latency", K: 8, Trials: 2, CSV: true})
 	if resp.StatusCode != http.StatusOK {
@@ -160,6 +310,7 @@ func TestExperimentEndpointUnknownName(t *testing.T) {
 		{Name: "latency", K: 1},
 		{Name: "latency", K: 8, D: -1},
 		{Name: "latency", K: 8, Trials: -1},
+		{Name: "latency", K: 100000, D: 1},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/experiments", req)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -401,6 +552,7 @@ func TestBadRequests(t *testing.T) {
 		{Points: []PointSpec{{K: 1, Scheme: "UI-UA", D: 2, Pattern: "random", Trials: 1}}},
 		{Points: []PointSpec{{K: 4, Scheme: "UI-UA", D: 99, Pattern: "random", Trials: 1}}},
 		{Points: []PointSpec{{K: 4, Scheme: "UI-UA", D: 2, Pattern: "random", Trials: 0}}},
+		{Points: []PointSpec{{K: 100000, Scheme: "UI-UA", D: 1, Pattern: "random", Trials: 1}}},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/jobs?wait=1", jr)
 		if resp.StatusCode != http.StatusBadRequest {

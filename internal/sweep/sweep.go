@@ -142,9 +142,9 @@ type Options struct {
 }
 
 // Validate checks the options for contradictions that Run would otherwise
-// surface late or silently normalize. Run calls it first; the CLIs and the
-// daemon also call it at flag-parse time so misconfigurations fail before
-// any point runs.
+// surface late or silently normalize. Run calls it first; invalsweep also
+// calls it at flag-parse time so misconfigurations fail before any point
+// runs.
 func (o Options) Validate() error {
 	if o.Parallel < 0 {
 		return fmt.Errorf("sweep: Parallel is %d; want >= 0 (0 means all cores)", o.Parallel)

@@ -9,8 +9,10 @@
 #      the client-side counters are byte-identical (the determinism
 #      contract from DESIGN.md section 17),
 #   4. open-loop run at a fixed RPS, also verified,
-#   5. check the cache-sizing study renders its full grid,
-#   6. SIGTERM the daemon and assert a clean drain.
+#   5. self-hosted run of experiment requests, verified to have resolved
+#      their points through the daemon's service,
+#   6. check the cache-sizing study renders its full grid,
+#   7. SIGTERM the daemon and assert a clean drain.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -64,6 +66,11 @@ echo "== open-loop run (verified) =="
 "$work/dsmload" -addr "$url" -seed 10 -mode open -rps 800 -requests 80 \
   -universe 12 -warm=false -prefix smokeC >"$work/run3.txt"
 grep -q "verify ok" "$work/run3.txt"
+
+echo "== self-hosted experiment run resolves through the service (verified) =="
+"$work/dsmload" -requests 6 -clients 2 -mix experiment=1,stats=1 \
+  -experiment-name latency -k 8 >"$work/run4.txt"
+grep -q "verify ok" "$work/run4.txt"
 
 echo "== cache-sizing study renders its grid =="
 "$work/dsmload" -study -study-csv >"$work/study.csv"
