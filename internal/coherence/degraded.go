@@ -106,9 +106,6 @@ func (m *Machine) planLegs(vn network.VN, src, dst topology.NodeID, ds *topology
 // the route was first planned is routed around too.
 func (m *Machine) relayForward(n topology.NodeID, pm *msg) {
 	m.Metrics.Relays++
-	if m.tracer != nil {
-		m.trace(n, "msg.relay", pm.block, "%v relayed toward node %d", pm.typ, pm.relay[len(pm.relay)-1])
-	}
 	m.server(n).do(m.Params.RecvOccupancy+m.Params.SendOccupancy, func() {
 		m.forwardLeg(n, pm)
 	})

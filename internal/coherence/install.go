@@ -58,10 +58,9 @@ func (m *Machine) InstallSharer(n topology.NodeID, b directory.BlockID) bool {
 //     absolute time, both of which the skipped reads advance;
 //   - chaos ordering: every event the reads schedule draws from the
 //     tie-break RNG that orders all later same-time events;
-//   - an attached trace.Recorder or protocol tracer: the reads are in the
-//     trace;
+//   - an attached trace.Recorder: the reads are in the recording;
 //   - bounded caches: a fill can evict a line and write it back.
 func (m *Machine) installObservable() bool {
 	return m.Net.Fault != nil || m.Engine.Chaotic() ||
-		m.Rec != nil || m.tracer != nil || m.Params.CacheLines > 0
+		m.Rec != nil || m.Params.CacheLines > 0
 }

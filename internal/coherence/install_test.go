@@ -122,11 +122,6 @@ func TestInstallSharerFallsBackWhenObservable(t *testing.T) {
 			m.AttachTrace(trace.NewRecorder(64))
 			return m
 		}},
-		{"protocol tracer", func() *Machine {
-			m := newM(t, 4, grouping.MIMAEC)
-			m.Trace(func(TraceEvent) {})
-			return m
-		}},
 		{"bounded caches", func() *Machine {
 			p := DefaultParams(4, grouping.MIMAEC)
 			p.CacheLines = 8

@@ -191,10 +191,6 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, b directo
 			txn.groups = grouping.Groups(m.Params.Scheme, m.Mesh, home, remote)
 		}
 	}
-	if m.tracer != nil {
-		m.trace(home, "txn.start", b, "txn %d: %d sharers, %d groups (update=%v broadcast=%v)",
-			txn.id, txn.sharers, len(txn.groups), txn.update, txn.broadcast)
-	}
 	if m.Rec != nil {
 		m.recTxn(trace.KindTxnStart, txn, uint64(txn.sharers), uint64(len(txn.groups)))
 	}
@@ -305,9 +301,6 @@ func (t *invalTxn) ackArrived(m *Machine) {
 // counting path (ackArrived) and the recovery path (checkRecovered) end
 // here, exactly once per transaction.
 func (t *invalTxn) complete(m *Machine) {
-	if m.tracer != nil {
-		m.trace(t.home, "txn.done", t.block, "txn %d: latency %d cycles", t.id, m.Engine.Now()-t.start)
-	}
 	if m.Rec != nil {
 		m.recTxn(trace.KindTxnDone, t, uint64(t.retries), 0)
 	}

@@ -42,8 +42,6 @@ type Machine struct {
 	// the node's Modified copy was installed under, echoed on its dirty
 	// writeback so the home can discard stale writebacks.
 	ownGens map[ownKey]uint64
-	// tracer, when set, receives protocol TraceEvents.
-	tracer func(TraceEvent)
 	// Rec, when non-nil, receives cycle-stamped protocol events (op, msg,
 	// directory, and transaction milestones). Install with AttachTrace.
 	Rec *trace.Recorder
@@ -210,9 +208,6 @@ func (m *Machine) server(n topology.NodeID) *server { return m.servers[n] }
 //simcheck:noalloc
 func (m *Machine) send(t msgType, src, dst topology.NodeID, payload *msg) {
 	m.Metrics.MsgsSent[src]++
-	if m.tracer != nil {
-		m.trace(src, "msg.send", payload.block, "%v -> node %d", t, dst) //simcheck:allow noalloc -- tracing-enabled path only
-	}
 	base := m.Params.Scheme.Base()
 	vn := vnFor(t)
 	w := m.Net.NewWorm()
@@ -259,9 +254,6 @@ func (m *Machine) send(t msgType, src, dst topology.NodeID, payload *msg) {
 func (m *Machine) sendGroup(txn *invalTxn, gi int) {
 	m.Metrics.MsgsSent[txn.home]++
 	g := txn.groups[gi]
-	if m.tracer != nil {
-		m.trace(txn.home, "msg.send", txn.block, "inval worm txn %d group %d -> %d members", txn.id, gi, len(g.Members)) //simcheck:allow noalloc -- tracing-enabled path only
-	}
 	kind := network.Multicast
 	if m.Params.Scheme.GatherAck() {
 		kind = network.Reserve
@@ -296,9 +288,6 @@ func (m *Machine) sendGroup(txn *invalTxn, gi int) {
 func (m *Machine) sendGather(txn *invalTxn, gi int) {
 	g := txn.groups[gi]
 	m.Metrics.MsgsSent[g.Last()]++
-	if m.tracer != nil {
-		m.trace(g.Last(), "msg.send", txn.block, "gather worm txn %d group %d -> home %d", txn.id, gi, txn.home) //simcheck:allow noalloc -- tracing-enabled path only
-	}
 	w := m.Net.NewWorm()
 	// The gather worm retraces the group path backwards (reply network =
 	// reverse base routing, so the path stays BRCP-conformed).

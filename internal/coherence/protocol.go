@@ -140,7 +140,6 @@ func (m *Machine) removeOp(n topology.NodeID, b directory.BlockID) {
 //simcheck:noalloc
 func (m *Machine) Read(n topology.NodeID, b directory.BlockID, done func()) {
 	issue := m.Engine.Now()
-	m.trace(n, "op.issue", b, "read")
 	var tok uint64
 	if m.Rec != nil {
 		tok = m.newOpTok()
@@ -158,7 +157,6 @@ func (m *Machine) Read(n topology.NodeID, b directory.BlockID, done func()) {
 //simcheck:noalloc
 func (m *Machine) Write(n topology.NodeID, b directory.BlockID, done func()) {
 	issue := m.Engine.Now()
-	m.trace(n, "op.issue", b, "write")
 	var tok uint64
 	if m.Rec != nil {
 		tok = m.newOpTok()
@@ -273,9 +271,6 @@ func (m *Machine) pendingWrites(n topology.NodeID) *writeBuffer {
 func (m *Machine) deliver(d network.Delivery) {
 	pm := d.Worm.Tag.(*msg)
 	m.Metrics.MsgsRecv[d.Node]++
-	if m.tracer != nil {
-		m.trace(d.Node, "msg.recv", pm.block, "%v from node %d (final=%v)", pm.typ, d.Worm.Source(), d.Final) //simcheck:allow noalloc -- tracing-enabled path only
-	}
 	if m.Rec != nil {
 		flag := trace.FlagNone
 		if d.Final {
@@ -827,7 +822,6 @@ func (m *Machine) initHandlers() {
 			if pm.typ == writeReply {
 				panic("coherence: write fill squashed")
 			}
-			m.trace(n, "op.squash", pm.block, "squashed fill consumed without install")
 		} else {
 			state := cache.SharedLine
 			if pm.typ == writeReply && m.Params.Protocol == WriteInvalidate {
@@ -844,9 +838,6 @@ func (m *Machine) initHandlers() {
 			}
 		}
 		now := m.Engine.Now()
-		if m.tracer != nil {
-			m.trace(n, "op.done", pm.block, "%v after %d cycles", pm.typ, now-simTime(op.issue)) //simcheck:allow noalloc -- tracing-enabled path only
-		}
 		if m.Rec != nil {
 			flag := trace.FlagNone
 			if pm.typ == writeReply {

@@ -63,9 +63,6 @@ func (m *Machine) txnDeadline(t *invalTxn) {
 	}
 	killed := m.Net.AbortTxn(t.id)
 	targets := sortedNodes(t.unacked)
-	m.trace(t.home, "txn.retry", t.block,
-		"txn %d retry %d (gen %d): %d worms aborted, %d sharers unacked",
-		t.id, t.retries, t.gen, killed, len(targets))
 	if m.Rec != nil {
 		m.recTxn(trace.KindTxnRetry, t, uint64(t.retries), uint64(killed))
 	}

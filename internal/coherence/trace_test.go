@@ -1,95 +1,69 @@
 package coherence
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/grouping"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
+// TestTraceCapturesTransactionLifecycle: a recorded write that invalidates
+// two sharers carries one op issue/done pair and one transaction start/done
+// pair, in the order opIssue < txnStart < txnDone < opDone, with messages
+// sent and received in between and timestamps that never go backwards.
 func TestTraceCapturesTransactionLifecycle(t *testing.T) {
 	m := newM(t, 8, grouping.MIMAEC)
-	var events []TraceEvent
-	m.Trace(func(e TraceEvent) { events = append(events, e) })
+	rec := trace.NewRecorder(1 << 12)
+	m.AttachTrace(rec)
 
 	const b = 17
 	for _, c := range []topology.Coord{{X: 3, Y: 1}, {X: 3, Y: 6}} {
 		doOp(t, m, false, m.Mesh.ID(c), b)
 	}
-	events = nil // keep only the write transaction
+	rec.Reset() // keep only the write transaction
 	doOp(t, m, true, nodeAt(m, 2, 2), b)
 
-	var kinds []string
-	for _, e := range events {
-		kinds = append(kinds, e.Kind)
-	}
-	need := map[string]int{}
-	for _, k := range kinds {
-		need[k]++
-	}
-	if need["op.issue"] != 1 || need["op.done"] != 1 {
-		t.Fatalf("op events = %v", need)
-	}
-	if need["txn.start"] != 1 || need["txn.done"] != 1 {
-		t.Fatalf("txn events = %v", need)
-	}
-	if need["msg.send"] == 0 || need["msg.recv"] == 0 {
-		t.Fatalf("message events missing: %v", need)
-	}
-	// Ordering: issue before txn.start before txn.done before op.done.
-	idx := func(kind string) int {
-		for i, k := range kinds {
-			if k == kind {
-				return i
-			}
+	events := rec.Events()
+	count := map[trace.Kind]int{}
+	first := map[trace.Kind]int{}
+	for i, e := range events {
+		if count[e.Kind] == 0 {
+			first[e.Kind] = i
 		}
-		return -1
+		count[e.Kind]++
 	}
-	if !(idx("op.issue") < idx("txn.start") && idx("txn.start") < idx("txn.done") &&
-		idx("txn.done") < idx("op.done")) {
-		t.Fatalf("event order wrong: %v", kinds)
+	if count[trace.KindOpIssue] != 1 || count[trace.KindOpDone] != 1 {
+		t.Fatalf("op events: %d issue, %d done; want one each", count[trace.KindOpIssue], count[trace.KindOpDone])
 	}
-	// Timestamps are non-decreasing.
+	if count[trace.KindTxnStart] != 1 || count[trace.KindTxnDone] != 1 {
+		t.Fatalf("txn events: %d start, %d done; want one each", count[trace.KindTxnStart], count[trace.KindTxnDone])
+	}
+	if count[trace.KindMsgSend] == 0 || count[trace.KindMsgRecv] == 0 {
+		t.Fatalf("message events missing: %d sends, %d receives", count[trace.KindMsgSend], count[trace.KindMsgRecv])
+	}
+	order := []trace.Kind{trace.KindOpIssue, trace.KindTxnStart, trace.KindTxnDone, trace.KindOpDone}
+	for i := 1; i < len(order); i++ {
+		if first[order[i-1]] >= first[order[i]] {
+			t.Fatalf("%v at event %d does not precede %v at event %d",
+				order[i-1], first[order[i-1]], order[i], first[order[i]])
+		}
+	}
 	for i := 1; i < len(events); i++ {
 		if events[i].At < events[i-1].At {
-			t.Fatal("trace timestamps went backwards")
+			t.Fatalf("event %d (%v @%d) precedes event %d (@%d) in time",
+				i, events[i].Kind, events[i].At, i-1, events[i-1].At)
 		}
 	}
 }
 
-func TestTraceStringFormat(t *testing.T) {
-	e := TraceEvent{At: 42, Node: 7, Kind: "msg.send", Block: 17, Detail: "writeReq -> node 1"}
-	s := e.String()
-	for _, want := range []string{"42", "node   7", "msg.send", "17", "writeReq"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("trace string %q missing %q", s, want)
-		}
-	}
-}
-
-func TestTraceDisabledByDefaultAndRemovable(t *testing.T) {
-	m := newM(t, 4, grouping.UIUA)
-	doOp(t, m, false, nodeAt(m, 1, 1), 3) // no tracer: must not panic
-	count := 0
-	m.Trace(func(TraceEvent) { count++ })
-	doOp(t, m, false, nodeAt(m, 2, 2), 3)
-	if count == 0 {
-		t.Fatal("tracer saw nothing")
-	}
-	m.Trace(nil)
-	before := count
-	doOp(t, m, false, nodeAt(m, 3, 3), 3)
-	if count != before {
-		t.Fatal("tracer fired after removal")
-	}
-}
-
+// TestTraceDoesNotPerturbTiming: attaching a recorder leaves the simulated
+// clock exactly where an unrecorded run leaves it.
 func TestTraceDoesNotPerturbTiming(t *testing.T) {
 	run := func(traced bool) uint64 {
 		m := newM(t, 8, grouping.MIMATM)
 		if traced {
-			m.Trace(func(TraceEvent) {})
+			m.AttachTrace(trace.NewRecorder(1 << 12))
 		}
 		const b = 17
 		for _, c := range []topology.Coord{{X: 3, Y: 1}, {X: 6, Y: 2}} {
@@ -99,6 +73,6 @@ func TestTraceDoesNotPerturbTiming(t *testing.T) {
 		return uint64(m.Engine.Now())
 	}
 	if run(false) != run(true) {
-		t.Fatal("tracing changed simulated time")
+		t.Fatal("recording changed simulated time")
 	}
 }

@@ -127,6 +127,20 @@ var CompareSchemes = grouping.AllSchemes
 // SharerCounts is the d-axis of the sharer sweeps (E4-E6).
 var SharerCounts = []int{1, 2, 4, 8, 16, 24, 32}
 
+// fitMesh returns the sharer counts of ds a k x k mesh can hold: at most
+// k*k-2, since neither the home nor the writer is a sharer. Every d-axis
+// of the sharer sweeps goes through it, so a small mesh renders the rows
+// that fit instead of failing at the first that does not.
+func fitMesh(k int, ds []int) []int {
+	var out []int
+	for _, d := range ds {
+		if d <= k*k-2 {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
 // SweepPoint is one (scheme, d) cell of the sharer sweep.
 type SweepPoint struct {
 	Scheme grouping.Scheme
@@ -179,31 +193,32 @@ func sweepTable(title string, points []SweepPoint, ds []int,
 	return t
 }
 
+// sharerFigure renders one measure of the SharerCounts sweep over every
+// CompareSchemes scheme (E4-E6).
+func (l Lab) sharerFigure(title string, k, trials int, measure func(sweep.Measures) float64) *report.Table {
+	ds := fitMesh(k, SharerCounts)
+	return sweepTable(title, l.SharerSweep(k, ds, CompareSchemes, trials), ds, CompareSchemes, measure)
+}
+
 // FigLatencyVsSharers renders E4: mean invalidation latency versus d.
 func (l Lab) FigLatencyVsSharers(k, trials int) *report.Table {
-	points := l.SharerSweep(k, SharerCounts, CompareSchemes, trials)
-	return sweepTable(
+	return l.sharerFigure(
 		fmt.Sprintf("E4: invalidation latency (cycles) vs sharers, %dx%d mesh, random placement", k, k),
-		points, SharerCounts, CompareSchemes,
-		func(r sweep.Measures) float64 { return r.Latency.Mean() })
+		k, trials, func(r sweep.Measures) float64 { return r.Latency.Mean() })
 }
 
 // FigOccupancyVsSharers renders E5: home messages (occupancy proxy) vs d.
 func (l Lab) FigOccupancyVsSharers(k, trials int) *report.Table {
-	points := l.SharerSweep(k, SharerCounts, CompareSchemes, trials)
-	return sweepTable(
+	return l.sharerFigure(
 		fmt.Sprintf("E5: home-node messages per transaction vs sharers, %dx%d mesh", k, k),
-		points, SharerCounts, CompareSchemes,
-		func(r sweep.Measures) float64 { return r.HomeMsgs })
+		k, trials, func(r sweep.Measures) float64 { return r.HomeMsgs })
 }
 
 // FigTrafficVsSharers renders E6: network flit-hops per transaction vs d.
 func (l Lab) FigTrafficVsSharers(k, trials int) *report.Table {
-	points := l.SharerSweep(k, SharerCounts, CompareSchemes, trials)
-	return sweepTable(
+	return l.sharerFigure(
 		fmt.Sprintf("E6: network flit-hops per transaction vs sharers, %dx%d mesh", k, k),
-		points, SharerCounts, CompareSchemes,
-		func(r sweep.Measures) float64 { return r.FlitHops })
+		k, trials, func(r sweep.Measures) float64 { return r.FlitHops })
 }
 
 // MeshSizes is the k-axis of E7.
@@ -768,8 +783,9 @@ func (l Lab) FigSoftwareTree(k, trials int) *report.Table {
 	}
 	t := report.NewTable(
 		fmt.Sprintf("E20: worms vs software tree multicast, %dx%d mesh, random placement", k, k), cols...)
+	ds := fitMesh(k, SharerCounts)
 	var pts []sweep.Point
-	for _, d := range SharerCounts {
+	for _, d := range ds {
 		for _, s := range schemes {
 			pts = append(pts, sweep.Point{
 				Index: len(pts), K: k, Scheme: s, D: d, Trials: trials,
@@ -778,7 +794,7 @@ func (l Lab) FigSoftwareTree(k, trials int) *report.Table {
 		}
 	}
 	results := l.runSweep(pts)
-	for i, d := range SharerCounts {
+	for i, d := range ds {
 		row := []any{d}
 		for j := range schemes {
 			m := results[i*len(schemes)+j].Measures
@@ -801,7 +817,7 @@ func (l Lab) FigTorus(k, trials int) *report.Table {
 	}
 	t := report.NewTable(
 		fmt.Sprintf("E21: mesh vs torus, %dx%d, random placement", k, k), cols...)
-	ds := []int{4, 8, 16, 32}
+	ds := fitMesh(k, []int{4, 8, 16, 32})
 	var pts []sweep.Point
 	for _, d := range ds {
 		for _, torus := range []bool{false, true} {
@@ -865,12 +881,12 @@ func FigWormBarrier() *report.Table {
 		m2 := coherence.NewMachine(coherence.DefaultParams(k, grouping.MIMAEC))
 		start := m2.Engine.Now()
 		for n := 0; n < m2.Mesh.Nodes(); n++ {
-			runBlocking(m2, false, topology.NodeID(n), 5000)
-			runBlocking(m2, true, topology.NodeID(n), 5000)
+			workload.RunOp(m2, false, topology.NodeID(n), 5000)
+			workload.RunOp(m2, true, topology.NodeID(n), 5000)
 		}
-		runBlocking(m2, true, 0, 5001)
+		workload.RunOp(m2, true, 0, 5001)
 		for n := 0; n < m2.Mesh.Nodes(); n++ {
-			runBlocking(m2, false, topology.NodeID(n), 5001)
+			workload.RunOp(m2, false, topology.NodeID(n), 5001)
 		}
 		sm := float64(m2.Engine.Now() - start)
 		t.Row("episode latency (cycles)", k, sm, worm, report.Float3(sm/worm))
@@ -890,20 +906,6 @@ func FigWormBarrier() *report.Table {
 	t.Row("APSP exec cycles (16 procs)", 4, uint64(resSM.Time), uint64(resWB.Time),
 		report.Float3(float64(resSM.Time)/float64(resWB.Time)))
 	return t
-}
-
-// runBlocking drives one operation to completion on m.
-func runBlocking(m *coherence.Machine, write bool, n topology.NodeID, b uint64) {
-	done := false
-	if write {
-		m.Write(n, directory.BlockID(b), func() { done = true })
-	} else {
-		m.Read(n, directory.BlockID(b), func() { done = true })
-	}
-	m.Engine.Run()
-	if !done {
-		panic("experiments: blocking op incomplete")
-	}
 }
 
 // FigSharingDependence renders E23: the application-level gain of
@@ -962,7 +964,7 @@ func FigCongestion(k, d, writers int) *report.Table {
 			}
 		}
 		for _, s := range sharers {
-			runBlocking(m, false, s, uint64(block))
+			workload.RunOp(m, false, s, block)
 		}
 		var writer topology.NodeID
 		for {
@@ -971,7 +973,7 @@ func FigCongestion(k, d, writers int) *report.Table {
 				break
 			}
 		}
-		runBlocking(m, true, writer, uint64(block))
+		workload.RunOp(m, true, writer, block)
 	}
 
 	hc := m.Mesh.Coord(home)
@@ -1032,8 +1034,8 @@ func FigThreeHop() *report.Table {
 			p.ReplyForwarding = fh
 			m := coherence.NewMachine(p)
 			const b = 17 // homed at (1,2)
-			runBlocking(m, true, m.Mesh.ID(tc.ow), b)
-			runBlocking(m, false, m.Mesh.ID(tc.rq), b)
+			workload.RunOp(m, true, m.Mesh.ID(tc.ow), b)
+			workload.RunOp(m, false, m.Mesh.ID(tc.rq), b)
 			lat[i] = m.Metrics.ReadMiss.Max()
 		}
 		t.Row(tc.rq.String(), tc.ow.String(), lat[0], lat[1],

@@ -86,11 +86,26 @@ func TestFigLatencyVsSharersRendering(t *testing.T) {
 	if tab.Rows() != len(SharerCounts) {
 		t.Fatalf("rows = %d, want %d", tab.Rows(), len(SharerCounts))
 	}
-	// d exceeding the 8x8 mesh capacity must have been clamped out — the
-	// sweep uses SharerCounts directly, all of which fit 62 nodes.
+	// Every SharerCounts entry fits the 8x8 mesh's 62 candidate sharers.
 	for i := range SharerCounts {
 		if cell(t, tab, i, 1) <= 0 {
 			t.Fatalf("row %d has non-positive latency", i)
+		}
+	}
+}
+
+// TestSharerSweepsFitSmallMeshes: on a 4x4 mesh (14 candidate sharers) the
+// sharer sweeps render the d rows that fit instead of failing at d=16:
+// d = 1, 2, 4, 8 for E4-E6 and E20, and d = 4, 8 on mesh and torus for E21.
+func TestSharerSweepsFitSmallMeshes(t *testing.T) {
+	for _, name := range []string{"latency", "homemsgs", "traffic", "tree", "torus"} {
+		tab, err := Lab{}.Run(name, 4, DefaultD, 1)
+		if err != nil {
+			t.Fatalf("%s at k=4: %v", name, err)
+		}
+		if tab.Rows() != 4 || tab.Cell(3, 0) != "8" {
+			t.Errorf("%s at k=4: %d rows ending at d=%s, want 4 ending at d=8",
+				name, tab.Rows(), tab.Cell(tab.Rows()-1, 0))
 		}
 	}
 }

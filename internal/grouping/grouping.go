@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/report"
 	"repro/internal/routing"
 	"repro/internal/topology"
 )
@@ -122,6 +123,34 @@ type Group struct {
 // Last returns the final member (the gather worm's launch point under
 // MI-MA).
 func (g Group) Last() topology.NodeID { return g.Members[len(g.Members)-1] }
+
+// Draw renders the mesh with the group's worm path over it, north up:
+// H the home, * a sharer on the path, S a sharer off it, + a node the worm
+// only passes through, . any other node.
+func (g Group) Draw(m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) string {
+	onPath := make(map[topology.NodeID]bool, len(g.Path))
+	for _, n := range g.Path {
+		onPath[n] = true
+	}
+	isSharer := make(map[topology.NodeID]bool, len(sharers))
+	for _, n := range sharers {
+		isSharer[n] = true
+	}
+	return report.Grid(m.Width(), m.Height(), func(x, y int) byte {
+		n := m.ID(topology.Coord{X: x, Y: y})
+		switch {
+		case n == home:
+			return 'H'
+		case isSharer[n] && onPath[n]:
+			return '*'
+		case isSharer[n]:
+			return 'S'
+		case onPath[n]:
+			return '+'
+		}
+		return '.'
+	})
+}
 
 // ReversePath returns the path reversed: the i-gather worm's route from the
 // last member back to the home node. On the reply virtual network (which

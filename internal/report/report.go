@@ -176,6 +176,23 @@ func MapTable[K cmp.Ordered, V any](title, keyCol, valCol string, m map[K]V) *Ta
 	return t
 }
 
+// Grid renders a w x h mesh one character per node, space-separated, with
+// row h-1 printed first so north is up. cell gives the character at (x, y).
+// Every mesh drawing (heatmaps, worm paths) goes through it.
+func Grid(w, h int, cell func(x, y int) byte) string {
+	var b strings.Builder
+	for y := h - 1; y >= 0; y-- {
+		for x := 0; x < w; x++ {
+			if x > 0 {
+				b.WriteByte(' ')
+			}
+			b.WriteByte(cell(x, y))
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
 // Heatmap renders a W x H grid of values as an ASCII intensity map
 // (row-major input, row 0 printed at the bottom like the mesh drawings).
 // Values are normalized to the maximum; the scale runs " .:-=+*#%@".
@@ -190,21 +207,14 @@ func Heatmap(title string, values []float64, w, h int) string {
 		}
 	}
 	const scale = " .:-=+*#%@"
-	var b strings.Builder
+	var head string
 	if title != "" {
-		fmt.Fprintf(&b, "%s (max %.4f)\n", title, max)
+		head = fmt.Sprintf("%s (max %.4f)\n", title, max)
 	}
-	for y := h - 1; y >= 0; y-- {
-		for x := 0; x < w; x++ {
-			v := values[y*w+x]
-			idx := 0
-			if max > 0 {
-				idx = int(v / max * float64(len(scale)-1))
-			}
-			b.WriteByte(scale[idx])
-			b.WriteByte(' ')
+	return head + Grid(w, h, func(x, y int) byte {
+		if max == 0 {
+			return scale[0]
 		}
-		b.WriteByte('\n')
-	}
-	return b.String()
+		return scale[int(values[y*w+x]/max*float64(len(scale)-1))]
+	})
 }

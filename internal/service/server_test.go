@@ -321,12 +321,13 @@ func TestExperimentEndpointUnknownName(t *testing.T) {
 
 // TestExperimentPanicIsAnError: a size the request validation lets through
 // but the simulator refuses (d sharers on a mesh too small for them) panics
-// on a service worker ("tree") or on a sweep.Each goroutine ("hotspot").
-// Either way the request gets a 500 and the daemon answers the next one.
+// on a service worker ("placement") or on a sweep.Each goroutine
+// ("hotspot"). Either way the request gets a 500 and the daemon answers the
+// next one.
 func TestExperimentPanicIsAnError(t *testing.T) {
 	_, ts := newTestDaemon(t, Config{Workers: 2})
 	for _, req := range []ExperimentRequest{
-		{Name: "tree", K: 4, Trials: 1},
+		{Name: "placement", K: 4, D: 16, Trials: 1},
 		{Name: "hotspot", K: 3, D: 16},
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/experiments", req)
@@ -337,6 +338,18 @@ func TestExperimentPanicIsAnError(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "latency", K: 8, Trials: 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("experiment after the panics: %s: %s", resp.Status, body)
+	}
+}
+
+// TestSharerSweepOnSmallMesh: a sharer sweep at any accepted k answers 200;
+// on a 4x4 mesh it renders the d rows the mesh can hold.
+func TestSharerSweepOnSmallMesh(t *testing.T) {
+	_, ts := newTestDaemon(t, Config{Workers: 1})
+	for _, name := range []string{"latency", "tree"} {
+		resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: name, K: 4, Trials: 1})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s at k=4: %s: %s; want 200", name, resp.Status, body)
+		}
 	}
 }
 

@@ -11,8 +11,8 @@ const FileVersion = 1
 
 // File is the on-disk form of a recording: run metadata plus the retained
 // event stream, as JSON. The format is self-describing enough for the
-// offline consumers (critical path, occupancy, Perfetto export, wormviz
-// overlay) to work from the file alone.
+// offline consumers (critical path, occupancy and its link heatmaps,
+// protocol event dump, Perfetto export) to work from the file alone.
 type File struct {
 	Version  int     `json:"version"`
 	Width    int     `json:"width"`

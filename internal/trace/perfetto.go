@@ -42,7 +42,7 @@ type pfEvent struct {
 }
 
 type pfFile struct {
-	TraceEvents     []pfEvent `json:"traceEvents"`
+	Events          []pfEvent `json:"traceEvents"`
 	DisplayTimeUnit string    `json:"displayTimeUnit"`
 }
 
@@ -191,5 +191,5 @@ func WritePerfetto(w io.Writer, events []Event) error {
 	}
 
 	enc := json.NewEncoder(w)
-	return enc.Encode(pfFile{TraceEvents: out, DisplayTimeUnit: "ns"})
+	return enc.Encode(pfFile{Events: out, DisplayTimeUnit: "ns"})
 }

@@ -89,7 +89,7 @@ func TestWritePerfettoWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var f struct {
-		TraceEvents []struct {
+		Events []struct {
 			Name string  `json:"name"`
 			Ph   string  `json:"ph"`
 			Dur  float64 `json:"dur"`
@@ -102,11 +102,11 @@ func TestWritePerfettoWellFormed(t *testing.T) {
 	if f.DisplayTimeUnit != "ns" {
 		t.Errorf("displayTimeUnit = %q, want ns", f.DisplayTimeUnit)
 	}
-	if len(f.TraceEvents) == 0 {
+	if len(f.Events) == 0 {
 		t.Fatal("no trace events rendered")
 	}
 	spans, instants, meta := 0, 0, 0
-	for _, ev := range f.TraceEvents {
+	for _, ev := range f.Events {
 		switch ev.Ph {
 		case "X":
 			spans++

@@ -109,13 +109,13 @@ func RunHotSpot(cfg HotSpotConfig) HotSpotResult {
 	// Install sharers sequentially (cold phase, unmeasured).
 	var common []topology.NodeID
 	if cfg.OverlapSharers {
-		common = placeSharers(m.Mesh, rng, center, cfg.D, RandomPlacement)
+		common = PlaceSharers(m.Mesh, rng, center, cfg.D, RandomPlacement)
 	}
 	usedWriter := map[topology.NodeID]bool{}
 	for i, b := range blocks {
 		sharers := common
 		if sharers == nil {
-			sharers = placeSharers(m.Mesh, rng, homes[i], cfg.D, RandomPlacement)
+			sharers = PlaceSharers(m.Mesh, rng, homes[i], cfg.D, RandomPlacement)
 		}
 		for _, s := range sharers {
 			// A home may read its own block too; the protocol invalidates

@@ -83,13 +83,13 @@ func compareInstall(t *testing.T, name string, p coherence.Params, pat Pattern, 
 	home := ref.Mesh.ID(topology.Coord{X: p.MeshSize / 2, Y: p.MeshSize / 2})
 	for trial := 0; trial < 2; trial++ {
 		b := directory.BlockID(uint64(home) + uint64(trial+1)*uint64(ref.Mesh.Nodes()))
-		sharers := placeSharers(ref.Mesh, rng, home, d, pat)
+		sharers := PlaceSharers(ref.Mesh, rng, home, d, pat)
 		writer := pickWriter(ref.Mesh, rng, home, sharers)
 		if trial == 1 {
 			sharers = append(sharers, home)
 		}
 		for _, n := range sharers {
-			runOp(ref, false, n, b)
+			RunOp(ref, false, n, b)
 			if !fun.InstallSharer(n, b) {
 				t.Fatalf("%s: InstallSharer fell back on a plain machine", name)
 			}
@@ -100,7 +100,7 @@ func compareInstall(t *testing.T, name string, p coherence.Params, pat Pattern, 
 		var hops [2]uint64
 		for i, m := range []*coherence.Machine{ref, fun} {
 			before := m.Net.Stats().FlitHops
-			runOp(m, true, writer, b)
+			RunOp(m, true, writer, b)
 			hops[i] = m.Net.Stats().FlitHops - before
 			if len(m.Metrics.Invals) != trial+1 {
 				t.Fatalf("%s trial %d: write produced no invalidation transaction", name, trial)

@@ -195,7 +195,7 @@ func RunInval(cfg InvalConfig) InvalResult {
 		if m.Home(block) != home {
 			panic("workload: block homing arithmetic broken")
 		}
-		sharers := placeSharers(m.Mesh, rng, home, cfg.D, cfg.Pattern)
+		sharers := PlaceSharers(m.Mesh, rng, home, cfg.D, cfg.Pattern)
 		writer := pickWriter(m.Mesh, rng, home, sharers)
 
 		for _, s := range sharers {
@@ -204,7 +204,7 @@ func RunInval(cfg InvalConfig) InvalResult {
 		before := m.Net.Stats()
 		beforeFallbacks := m.Metrics.Fallbacks
 		nInvals := len(m.Metrics.Invals)
-		runOp(m, true, writer, block)
+		RunOp(m, true, writer, block)
 		after := m.Net.Stats()
 		if len(m.Metrics.Invals) != nInvals+1 {
 			panic("workload: write did not produce an invalidation transaction")
@@ -239,8 +239,11 @@ func RunInval(cfg InvalConfig) InvalResult {
 	return res
 }
 
-// runOp drives one blocking operation to completion.
-func runOp(m *coherence.Machine, write bool, n topology.NodeID, b directory.BlockID) {
+// RunOp drives one blocking operation to completion and returns the cycles
+// it took. It panics, with the network's diagnosis, if the operation never
+// completes or leaves traffic in flight.
+func RunOp(m *coherence.Machine, write bool, n topology.NodeID, b directory.BlockID) sim.Time {
+	start := m.Engine.Now()
 	done := false
 	if write {
 		m.Write(n, b, func() { done = true })
@@ -256,6 +259,7 @@ func runOp(m *coherence.Machine, write bool, n topology.NodeID, b directory.Bloc
 		panic(fmt.Sprintf("workload: network traffic outstanding after operation (write=%v node=%d block=%d)\n%s",
 			write, n, b, m.Net.Diagnose()))
 	}
+	return m.Engine.Now() - start
 }
 
 // installSharer makes n a sharer of b ahead of a measured operation: set-up,
@@ -264,13 +268,15 @@ func runOp(m *coherence.Machine, write bool, n topology.NodeID, b directory.Bloc
 // miss is simulated otherwise.
 func installSharer(m *coherence.Machine, n topology.NodeID, b directory.BlockID) {
 	if !m.InstallSharer(n, b) {
-		runOp(m, false, n, b)
+		RunOp(m, false, n, b)
 	}
 }
 
-// placeSharers returns d distinct sharer nodes (never the home) under the
-// given placement pattern.
-func placeSharers(mesh *topology.Mesh, rng *sim.RNG, home topology.NodeID, d int, pat Pattern) []topology.NodeID {
+// PlaceSharers returns d distinct sharer nodes (never the home) under the
+// given placement pattern. RunInval draws each trial's sharers with it from
+// one RNG seeded with the config's Seed, so a fresh sim.NewRNG(Seed) here
+// reproduces trial 1's placement.
+func PlaceSharers(mesh *topology.Mesh, rng *sim.RNG, home topology.NodeID, d int, pat Pattern) []topology.NodeID {
 	switch pat {
 	case RandomPlacement:
 		var out []topology.NodeID

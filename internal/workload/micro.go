@@ -85,7 +85,7 @@ func MeasureMissTraced(p coherence.Params, kind MissKind, rec *trace.Recorder) s
 	switch kind {
 	case ReadHit:
 		b = blockHomedAt(m.Mesh.ID(topology.Coord{X: k - 1, Y: k - 1}))
-		runOp(m, false, requester, b)
+		RunOp(m, false, requester, b)
 		return measureOp(m, false, requester, b)
 	case ReadMissLocal:
 		b = blockHomedAt(requester)
@@ -100,14 +100,14 @@ func MeasureMissTraced(p coherence.Params, kind MissKind, rec *trace.Recorder) s
 		home := m.Mesh.ID(topology.Coord{X: k - 1, Y: k - 1})
 		owner := m.Mesh.ID(topology.Coord{X: k - 1, Y: 0})
 		b = blockHomedAt(home)
-		runOp(m, true, owner, b)
+		RunOp(m, true, owner, b)
 		return measureOp(m, false, requester, b)
 	case WriteMissUncached:
 		b = blockHomedAt(m.Mesh.ID(topology.Coord{X: k - 1, Y: k - 1}))
 		return measureOp(m, true, requester, b)
 	case UpgradeNoSharers:
 		b = blockHomedAt(m.Mesh.ID(topology.Coord{X: k - 1, Y: k - 1}))
-		runOp(m, false, requester, b)
+		RunOp(m, false, requester, b)
 		return measureOp(m, true, requester, b)
 	case WriteMissSharers4:
 		home := m.Mesh.ID(topology.Coord{X: k - 1, Y: k - 1})

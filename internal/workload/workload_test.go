@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/directory"
 	"repro/internal/grouping"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -73,7 +74,7 @@ func TestPlaceSharersProperties(t *testing.T) {
 	home := mesh.ID(topology.Coord{X: 4, Y: 4})
 	for _, pat := range []Pattern{RandomPlacement, ClusteredPlacement, ColumnPlacement, RowPlacement, DiagonalPlacement} {
 		for _, d := range []int{1, 5, 20} {
-			sharers := placeSharers(mesh, rng, home, d, pat)
+			sharers := PlaceSharers(mesh, rng, home, d, pat)
 			if len(sharers) != d {
 				t.Fatalf("%v d=%d: got %d sharers", pat, d, len(sharers))
 			}
@@ -94,7 +95,7 @@ func TestPlaceSharersProperties(t *testing.T) {
 func TestClusteredPlacementIsNearest(t *testing.T) {
 	mesh := topology.NewSquareMesh(8)
 	home := mesh.ID(topology.Coord{X: 4, Y: 4})
-	sharers := placeSharers(mesh, newTestRNG(), home, 4, ClusteredPlacement)
+	sharers := PlaceSharers(mesh, newTestRNG(), home, 4, ClusteredPlacement)
 	for _, s := range sharers {
 		if mesh.Distance(home, s) != 1 {
 			t.Fatalf("clustered d=4 includes non-neighbor %v", mesh.Coord(s))
@@ -247,5 +248,26 @@ func TestDiagonalPlacementFavorsPlanarAdaptive(t *testing.T) {
 	}
 	if pa.HomeMsgs >= ec.HomeMsgs {
 		t.Fatalf("PA home msgs %v not below ecube %v on diagonal", pa.HomeMsgs, ec.HomeMsgs)
+	}
+}
+
+// TestRunOpReadWrite: RunOp drives a read miss and then the write that
+// invalidates it to completion, returning nonzero cycle counts and leaving
+// the block exclusive at the writer after one invalidation transaction.
+func TestRunOpReadWrite(t *testing.T) {
+	m := coherence.NewMachine(coherence.DefaultParams(8, grouping.MIMAEC))
+	const b = 42
+	if cycles := RunOp(m, false, m.Mesh.ID(topology.Coord{X: 3, Y: 3}), b); cycles == 0 {
+		t.Fatal("zero read latency")
+	}
+	writer := m.Mesh.ID(topology.Coord{X: 6, Y: 1})
+	if cycles := RunOp(m, true, writer, b); cycles == 0 {
+		t.Fatal("zero write latency")
+	}
+	if e := m.DirEntry(b); e.State != directory.Exclusive || e.Owner != writer {
+		t.Fatalf("dir = %v owner %d, want exclusive at %d", e.State, e.Owner, writer)
+	}
+	if len(m.Metrics.Invals) != 1 {
+		t.Fatalf("inval transactions = %d, want 1", len(m.Metrics.Invals))
 	}
 }
