@@ -82,15 +82,16 @@ cover:
 # the queue edge-case suite, the byte-identical golden experiment tables,
 # and the functional-install-vs-simulated-reads property test (sharers
 # installed by Machine.InstallSharer must leave the machine, and the write
-# that follows, exactly as simulated read misses do), and the two worm
-# allocation ratchets (a pooled unicast allocates nothing; a traffic run's
-# allocations do not grow with its length). Any engine change must pass this
-# before it ships.
+# that follows, exactly as simulated read misses do), and the allocation
+# ratchets (a pooled unicast allocates nothing; a traffic run's allocations
+# do not grow with its length; an invalidation transaction allocates a fixed
+# count beyond one message per worm and one cache line per sharer). Any
+# engine change must pass this before it ships.
 equiv:
 	$(GO) test ./internal/sim -run 'TestEngineEquivalence|TestQueue|TestEngineAllocs' -count=1
 	$(GO) test ./internal/experiments -run TestGoldenTablesSeed -count=1
 	$(GO) test ./internal/network -run TestWormAllocsPerUnicast -count=1
-	$(GO) test ./internal/workload -run 'TestInstallSharerMatchesSimulatedReads|TestTrafficAllocsIndependentOfLength' -count=1
+	$(GO) test ./internal/workload -run 'TestInstallSharerMatchesSimulatedReads|TestTrafficAllocsIndependentOfLength|TestInvalAllocsPerTxn' -count=1
 
 check: vet lint build test race oracle fuzz equiv loadtest
 

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"slices"
+
 	"repro/internal/cache"
 	"repro/internal/directory"
 	"repro/internal/grouping"
@@ -41,7 +43,8 @@ func (m *Machine) recordForwardList(b directory.BlockID, victims []topology.Node
 	if m.fwdLists == nil {
 		m.fwdLists = make(map[directory.BlockID][]topology.NodeID)
 	}
-	m.fwdLists[b] = victims
+	// victims is the caller's scratch; the list outlives the transaction.
+	m.fwdLists[b] = slices.Clone(victims)
 }
 
 // forwardAfterFetch pushes the freshly fetched block to the forward list

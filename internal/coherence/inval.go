@@ -62,7 +62,11 @@ type invalTxn struct {
 	block     directory.BlockID
 	home      topology.NodeID
 	requester topology.NodeID
-	groups    []grouping.Group
+	// groups is the transaction's plan. Its members and paths live in one
+	// node arena the transaction owns for its whole life: request worms
+	// borrow each group's Path (sendGroup), so the arena is never recycled
+	// into a later plan.
+	groups []grouping.Group
 	// pendingAcks counts outstanding acknowledgments: one per sharer under
 	// unicast-ack frameworks, one per group under MI-MA, plus one for the
 	// home's own locally-invalidated copy if it had one.
@@ -102,7 +106,9 @@ type invalTxn struct {
 // is the only sharer no transaction is needed and onDone runs immediately.
 func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, b directory.BlockID,
 	requester topology.NodeID, onDone func()) {
-	var remote []topology.NodeID
+	// remote is built in machine scratch: nothing below keeps it past this
+	// call (the planner, the recovery set and the forward list copy it).
+	remote := m.scratchRemote[:0]
 	homeCopy := false
 	switch {
 	case e.Overflow:
@@ -133,7 +139,9 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, b directo
 			}
 		}
 	default:
-		for _, s := range e.Sharers.Nodes() {
+		// Filter the presence bits in place: the write index never passes
+		// the read index.
+		for _, s := range e.Sharers.AppendNodes(remote) {
 			switch s {
 			case requester:
 				// The upgrading writer keeps its copy until the grant.
@@ -144,6 +152,7 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, b directo
 			}
 		}
 	}
+	m.scratchRemote = remote
 	if m.hard != nil && len(remote) > 0 {
 		// Crashed sharers cannot acknowledge; invalidate them implicitly at
 		// the directory instead of wasting a send-and-timeout round on each.
@@ -188,7 +197,7 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, b directo
 				m.Metrics.Fallbacks++
 			}
 		} else {
-			txn.groups = grouping.Groups(m.Params.Scheme, m.Mesh, home, remote)
+			txn.groups = m.planner.Plan(m.Params.Scheme, m.Mesh, home, remote)
 		}
 	}
 	if m.Rec != nil {
@@ -247,20 +256,7 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, b directo
 		return
 	}
 	for gi := range txn.groups {
-		gi := gi
-		m.server(home).do(m.Params.SendOccupancy, func() {
-			if txn.rec && (txn.gen != 0 || txn.completed) {
-				// The deadline fired before this first-generation send even
-				// left the controller; the retry already re-covers its
-				// sharers with unicast invals.
-				return
-			}
-			if m.Params.Scheme == grouping.UIUA {
-				m.sendUnicastInval(txn, gi, txn.groups[gi].Members[0])
-				return
-			}
-			m.sendGroup(txn, gi)
-		})
+		m.server(home).doCall(m.Params.SendOccupancy, m.fnSendGroup, txn, int32(gi))
 	}
 	for _, s := range fallback {
 		s := s

@@ -60,6 +60,10 @@ type Machine struct {
 	// scratchPick is a per-node scratch bitmap reused by sendGather's
 	// pick-up-point marking (cleared after each use).
 	scratchPick []bool
+	// scratchRemote holds startInval's remote-sharer list while it plans.
+	scratchRemote []topology.NodeID
+	// planner groups every invalidation transaction's sharers into worms.
+	planner grouping.Planner
 	// hard is the bound hard-fault injector when the run carries permanent
 	// failures (nil otherwise); the protocol layer consults it to route new
 	// traffic around dead links and to suppress crashed nodes.
@@ -82,6 +86,7 @@ type Machine struct {
 	fnSendReadReq      func(any, int32)
 	fnSendWriteReq     func(any, int32)
 	fnTxnDeadline      func(any, int32)
+	fnSendGroup        func(any, int32)
 	// freeMsgs pools retired protocol messages (bounded; see freeMsg).
 	freeMsgs []*msg
 	// freeOps pools retired pendingOps (bounded; see freeOp).

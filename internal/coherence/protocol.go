@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/directory"
+	"repro/internal/grouping"
 	"repro/internal/network"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -682,6 +683,23 @@ func (m *Machine) initHandlers() {
 		m.send(writeReq, n, m.Home(op.block), rq)
 	}
 	m.fnTxnDeadline = func(a any, _ int32) { m.txnDeadline(a.(*invalTxn)) }
+	// fnSendGroup sends group i of a transaction's plan once the home's
+	// controller has paid its SendOccupancy.
+	//simcheck:noalloc
+	m.fnSendGroup = func(a any, i int32) {
+		txn, gi := a.(*invalTxn), int(i)
+		if txn.rec && (txn.gen != 0 || txn.completed) {
+			// The deadline fired before this first-generation send even
+			// left the controller; the retry already re-covers its sharers
+			// with unicast invals.
+			return
+		}
+		if m.Params.Scheme == grouping.UIUA {
+			m.sendUnicastInval(txn, gi, txn.groups[gi].Members[0])
+			return
+		}
+		m.sendGroup(txn, gi)
+	}
 	//simcheck:noalloc
 	m.fnHomeRecv = func(a any, _ int32) {
 		pm := a.(*msg)

@@ -66,16 +66,21 @@ func (p Presence) Count() int {
 }
 
 // Nodes returns the present nodes in ascending ID order.
-func (p Presence) Nodes() []topology.NodeID {
-	var out []topology.NodeID
+func (p Presence) Nodes() []topology.NodeID { return p.AppendNodes(nil) }
+
+// AppendNodes appends the present nodes to buf in ascending ID order and
+// returns the result, so a caller can reuse one buffer across lookups.
+//
+//simcheck:noalloc
+func (p Presence) AppendNodes(buf []topology.NodeID) []topology.NodeID {
 	for wi, w := range p {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
-			out = append(out, topology.NodeID(wi*64+b))
+			buf = append(buf, topology.NodeID(wi*64+b))
 			w &^= 1 << uint(b)
 		}
 	}
-	return out
+	return buf
 }
 
 // Clone returns an independent copy.

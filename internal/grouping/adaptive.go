@@ -29,29 +29,37 @@ const (
 	costPerWorm = 16
 )
 
-// groupCost scores a grouping: the critical path is approximated by the
-// longest request path there and back, and the home pays per worm.
-func groupCost(groups []Group) int {
-	maxPath := 0
-	for _, g := range groups {
-		if l := len(g.Path) - 1; l > maxPath {
-			maxPath = l
+// adaptiveGroups plans the cheapest candidate grouping under the cost
+// model; ties break toward the earliest candidate (the e-cube scheme).
+//
+//simcheck:noalloc
+func (p *Planner) adaptiveGroups(m *topology.Mesh, home topology.NodeID) {
+	best, bestCost := 0, 0
+	for i, s := range adaptCandidates {
+		p.reset()
+		p.plan(s, m, home)
+		if c := p.cost(); i == 0 || c < bestCost {
+			best, bestCost = i, c
 		}
 	}
-	return 2*maxPath*costPerHop + len(groups)*costPerWorm
+	if best != len(adaptCandidates)-1 {
+		p.reset()
+		p.plan(adaptCandidates[best], m, home)
+	}
 }
 
-// adaptiveGroups returns the cheapest candidate grouping under the cost
-// model; ties break toward the earliest candidate (the e-cube scheme).
-func adaptiveGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
-	var best []Group
-	bestCost := 0
-	for i, s := range adaptCandidates {
-		g := Groups(s, m, home, sharers)
-		c := groupCost(g)
-		if i == 0 || c < bestCost {
-			best, bestCost = g, c
+// cost scores the plan under construction: the critical path is
+// approximated by the longest request path there and back, and the home
+// pays per worm.
+//
+//simcheck:noalloc
+func (p *Planner) cost() int {
+	maxPath, start := 0, 0
+	for _, sp := range p.spans {
+		if l := sp.path - start - 1; l > maxPath {
+			maxPath = l
 		}
+		start = sp.path
 	}
-	return best
+	return 2*maxPath*costPerHop + len(p.spans)*costPerWorm
 }

@@ -72,3 +72,14 @@ func TestAdaptParseRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// groupCost scores a finished grouping with ADAPT's cost model.
+func groupCost(groups []Group) int {
+	maxPath := 0
+	for _, g := range groups {
+		if l := len(g.Path) - 1; l > maxPath {
+			maxPath = l
+		}
+	}
+	return 2*maxPath*costPerHop + len(groups)*costPerWorm
+}

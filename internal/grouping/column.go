@@ -1,7 +1,7 @@
 package grouping
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -17,41 +17,41 @@ import (
 // as intermediate destinations into the outermost column worm on their side
 // instead of getting dedicated worms, which is the minimum worm count
 // achievable under e-cube.
-func columnGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID, merged bool) []Group {
+//
+//simcheck:noalloc
+func (p *Planner) columnGroups(m *topology.Mesh, home topology.NodeID, merged bool) {
 	if m.Wrap() {
 		// On a torus every column is a ring: one worm enters the column at
 		// the home row and sweeps the whole ring in one direction, so the
 		// mesh's up/down split (and the row-column merge optimization)
 		// disappears.
-		return torusColumnGroups(m, home, sharers)
+		p.torusColumnGroups(m, home)
+		return
 	}
 	hc := m.Coord(home)
 
-	// Partition: per-column up/down lists indexed by X, plus home-row
-	// sharers.
-	type colSet struct {
-		up   []topology.NodeID // y > homeY, ascending
-		down []topology.NodeID // y < homeY, descending
-	}
-	cols := make([]colSet, m.Width())
-	var rowEast, rowWest []topology.NodeID // home-row sharers by side
-	for _, sh := range sharers {
+	// Partition: per-column up/down Y lists indexed by X, plus the X of
+	// each home-row sharer by side.
+	p.up, p.down = columns(p.up, m.Width()), columns(p.down, m.Width())
+	east, west := p.rowE[:0], p.rowW[:0]
+	for _, sh := range p.sorted {
 		c := m.Coord(sh)
 		switch {
 		case c.Y > hc.Y:
-			cols[c.X].up = append(cols[c.X].up, sh)
+			p.up[c.X] = append(p.up[c.X], c.Y)
 		case c.Y < hc.Y:
-			cols[c.X].down = append(cols[c.X].down, sh)
+			p.down[c.X] = append(p.down[c.X], c.Y)
 		case c.X > hc.X:
-			rowEast = append(rowEast, sh)
+			east = append(east, c.X)
 		default:
-			rowWest = append(rowWest, sh)
+			west = append(west, c.X)
 		}
 	}
+	p.rowE, p.rowW = east, west
 	// The outermost occupied column on each side of the home (-1 = none).
 	maxEast, minWest := -1, -1
-	for x := range cols {
-		if len(cols[x].up)+len(cols[x].down) == 0 {
+	for x := range p.up {
+		if len(p.up[x])+len(p.down[x]) == 0 {
 			continue
 		}
 		if x > hc.X {
@@ -61,168 +61,120 @@ func columnGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.Nod
 			minWest = x
 		}
 	}
-	sortByY := func(nodes []topology.NodeID, asc bool) {
-		sort.Slice(nodes, func(i, j int) bool {
-			yi, yj := m.Coord(nodes[i]).Y, m.Coord(nodes[j]).Y
-			if asc {
-				return yi < yj
-			}
-			return yi > yj
-		})
-	}
-	sortByX := func(nodes []topology.NodeID, asc bool) {
-		sort.Slice(nodes, func(i, j int) bool {
-			xi, xj := m.Coord(nodes[i]).X, m.Coord(nodes[j]).X
-			if asc {
-				return xi < xj
-			}
-			return xi > xj
-		})
-	}
-	sortByX(rowEast, true)
-	sortByX(rowWest, false)
+	// Every sort in this file orders distinct sharers by one coordinate
+	// within a row or column, so no two keys are equal and the order is
+	// unique.
+	slices.Sort(east)
+	slices.SortFunc(west, descending)
 
 	// Merged scheme: fold home-row sharers into the outermost column worm
-	// on their side (its row segment passes over them). Leftovers beyond
-	// the outermost column get a dedicated pure-row worm.
-	var prefixEast, prefixWest []topology.NodeID // folded row members per side
+	// on their side (its row segment passes over them). They are the head
+	// of each side's sorted row list; leftovers beyond the outermost column
+	// get a dedicated pure-row worm.
+	nPrefixE, nPrefixW := 0, 0
 	if merged {
-		var leftoverEast, leftoverWest []topology.NodeID
-		for _, sh := range rowEast {
-			if maxEast != -1 && m.Coord(sh).X <= maxEast {
-				prefixEast = append(prefixEast, sh)
-			} else {
-				leftoverEast = append(leftoverEast, sh)
-			}
+		for maxEast != -1 && nPrefixE < len(east) && east[nPrefixE] <= maxEast {
+			nPrefixE++
 		}
-		for _, sh := range rowWest {
-			if minWest != -1 && m.Coord(sh).X >= minWest {
-				prefixWest = append(prefixWest, sh)
-			} else {
-				leftoverWest = append(leftoverWest, sh)
-			}
+		for minWest != -1 && nPrefixW < len(west) && west[nPrefixW] >= minWest {
+			nPrefixW++
 		}
-		rowEast, rowWest = leftoverEast, leftoverWest
 	}
+	prefixE, rowE := east[:nPrefixE], east[nPrefixE:]
+	prefixW, rowW := west[:nPrefixW], west[nPrefixW:]
 
-	var groups []Group
-	emitColumn := func(x int, members []topology.NodeID, asc bool) {
-		sortByY(members, asc)
-		var wp []topology.NodeID
-		switch {
-		case merged && x > hc.X && len(prefixEast) > 0 && x == maxEast:
-			wp = append(append(wp, prefixEast...), members...)
-		case merged && x < hc.X && len(prefixWest) > 0 && x == minWest:
-			wp = append(append(wp, prefixWest...), members...)
-		default:
-			wp = members
+	for x := range p.up {
+		var prefix []int
+		switch x {
+		case maxEast:
+			prefix = prefixE
+		case minWest:
+			prefix = prefixW
 		}
-		groups = append(groups, buildGroup(routing.ECube, m, home, wp))
-	}
-	for x, cs := range cols {
-		foldedUp := false
-		if len(cs.up) > 0 {
-			emitColumn(x, cs.up, true)
-			foldedUp = true
+		up, down := p.up[x], p.down[x]
+		if len(up) > 0 {
+			slices.Sort(up)
+			p.columnGroup(m, home, prefix, x, up)
+			// The row prefix (if any) went with the up worm; the down worm
+			// carries only its column members.
+			prefix = nil
 		}
-		if len(cs.down) > 0 {
-			if foldedUp && merged {
-				// Row prefix (if any) already went with the up worm; the
-				// down worm carries only its column members.
-				groups = append(groups, buildGroup(routing.ECube, m, home, sortedCopyByY(m, cs.down, false)))
-			} else {
-				emitColumn(x, cs.down, false)
-			}
+		if len(down) > 0 {
+			slices.SortFunc(down, descending)
+			p.columnGroup(m, home, prefix, x, down)
 		}
 	}
 	// Remaining home-row sharers. Under plain column grouping each home-row
 	// sharer is the sole occupant of its presence-bit column, so it gets a
 	// dedicated worm. Under the merged scheme only sharers beyond the
 	// outermost column remain here; they share one pure-row worm per side.
-	if merged {
-		if len(rowEast) > 0 {
-			groups = append(groups, buildGroup(routing.ECube, m, home, rowEast))
-		}
-		if len(rowWest) > 0 {
-			groups = append(groups, buildGroup(routing.ECube, m, home, rowWest))
-		}
-	} else {
-		for _, sh := range rowEast {
-			groups = append(groups, buildGroup(routing.ECube, m, home, []topology.NodeID{sh}))
-		}
-		for _, sh := range rowWest {
-			groups = append(groups, buildGroup(routing.ECube, m, home, []topology.NodeID{sh}))
+	for _, row := range [2][]int{rowE, rowW} {
+		for i, x := range row {
+			p.members = append(p.members, nodeAt(m, x, hc.Y))
+			if !merged || i == len(row)-1 {
+				p.conformedGroup(routing.ECube, m, home)
+			}
 		}
 	}
-	return groups
+}
+
+// columnGroup closes one column worm: the home-row prefix sharers (their X
+// on the home row), then column x's sharers in sweep order.
+//
+//simcheck:noalloc
+func (p *Planner) columnGroup(m *topology.Mesh, home topology.NodeID, prefix []int, x int, ys []int) {
+	hy := m.Coord(home).Y
+	for _, px := range prefix {
+		p.members = append(p.members, nodeAt(m, px, hy))
+	}
+	for _, y := range ys {
+		p.members = append(p.members, nodeAt(m, x, y))
+	}
+	p.conformedGroup(routing.ECube, m, home)
 }
 
 // torusColumnGroups builds one ring worm per sharer column: along the home
-// row (shortest way around) to the column, then north around the column
-// ring, visiting members in ring order from the home row.
-func torusColumnGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
+// row (shortest way around) to the column, then around the column ring,
+// visiting members in ring order from the home row.
+//
+//simcheck:noalloc
+func (p *Planner) torusColumnGroups(m *topology.Mesh, home topology.NodeID) {
 	hc := m.Coord(home)
 	h := m.Height()
-	byCol := make([][]topology.NodeID, m.Width())
-	for _, sh := range sharers {
+	// Each column's members as ring offsets north of the home row.
+	p.up = columns(p.up, m.Width())
+	for _, sh := range p.sorted {
 		c := m.Coord(sh)
-		byCol[c.X] = append(byCol[c.X], sh)
+		p.up[c.X] = append(p.up[c.X], (c.Y-hc.Y+h)%h)
 	}
-	var groups []Group
-	for _, members := range byCol {
-		if len(members) == 0 {
+	for x, offs := range p.up {
+		if len(offs) == 0 {
 			continue
 		}
 		// Ring order from the home row; a member on the home row itself
 		// (offset 0) is the entry point and comes first. Sweep whichever
 		// direction covers the members in fewer hops, and keep the whole
 		// sweep in that one direction so the worm never revisits a node.
-		sort.Slice(members, func(i, j int) bool {
-			oi := (m.Coord(members[i]).Y - hc.Y + h) % h
-			oj := (m.Coord(members[j]).Y - hc.Y + h) % h
-			return oi < oj
-		})
-		northSpan := (m.Coord(members[len(members)-1]).Y - hc.Y + h) % h
-		southStart := 0
-		for _, mem := range members {
-			if o := (m.Coord(mem).Y - hc.Y + h) % h; o > 0 {
-				southStart = o
-				break
-			}
+		// Offsets within a column are distinct, so the sort is unique.
+		slices.Sort(offs)
+		northSpan := offs[len(offs)-1]
+		rest := offs
+		if offs[0] == 0 {
+			p.members = append(p.members, nodeAt(m, x, hc.Y))
+			rest = offs[1:]
 		}
 		southSpan := 0
-		if southStart > 0 {
-			southSpan = h - southStart
+		if len(rest) > 0 {
+			southSpan = h - rest[0]
 		}
 		if southSpan > 0 && southSpan < northSpan {
 			// Visit in descending ring offset (going south), keeping an
 			// offset-0 entry member first.
-			var entry, rest []topology.NodeID
-			for _, mem := range members {
-				if (m.Coord(mem).Y-hc.Y+h)%h == 0 {
-					entry = append(entry, mem)
-				} else {
-					rest = append(rest, mem)
-				}
-			}
-			for i, j := 0, len(rest)-1; i < j; i, j = i+1, j-1 {
-				rest[i], rest[j] = rest[j], rest[i]
-			}
-			members = append(entry, rest...)
+			slices.Reverse(rest)
 		}
-		groups = append(groups, buildGroup(routing.ECube, m, home, members))
+		for _, o := range rest {
+			p.members = append(p.members, nodeAt(m, x, (hc.Y+o)%h))
+		}
+		p.conformedGroup(routing.ECube, m, home)
 	}
-	return groups
-}
-
-func sortedCopyByY(m *topology.Mesh, nodes []topology.NodeID, asc bool) []topology.NodeID {
-	cp := append([]topology.NodeID(nil), nodes...)
-	sort.Slice(cp, func(i, j int) bool {
-		yi, yj := m.Coord(cp[i]).Y, m.Coord(cp[j]).Y
-		if asc {
-			return yi < yj
-		}
-		return yi > yj
-	})
-	return cp
 }

@@ -1,7 +1,7 @@
 package grouping
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -51,6 +51,6 @@ func GroupsAvoiding(s Scheme, m *topology.Mesh, home topology.NodeID, sharers []
 		}
 		fallback = append(fallback, g.Members...)
 	}
-	sort.Slice(fallback, func(i, j int) bool { return fallback[i] < fallback[j] })
+	slices.Sort(fallback)
 	return groups, fallback
 }

@@ -18,6 +18,7 @@
 package grouping
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -166,67 +167,186 @@ func (g Group) ReversePath() []topology.NodeID {
 
 // Groups partitions sharers (which must not contain home or duplicates)
 // into worms under the scheme. The result is deterministic. An empty
-// sharer set yields nil.
+// sharer set yields nil. It plans on a fresh Planner; callers that group
+// often keep one.
 func Groups(s Scheme, m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
+	var p Planner
+	return p.Plan(s, m, home, sharers)
+}
+
+// Planner partitions sharer sets into worms exactly as Groups does, on
+// scratch it keeps from call to call: the sorted sharer copy, the schemes'
+// per-column buckets and chains, the path search's memo, and the plan under
+// construction. A steady-state Plan therefore allocates two objects, the
+// plan's node arena and its group slice, whatever the sharer count.
+//
+// The groups a Plan returns share nothing with the planner: their Members
+// and Path are capacity-limited subslices of the call's own arena, so the
+// next Plan cannot disturb them, and the arena lives exactly as long as its
+// groups do. The zero Planner is ready to use; a Planner must not be shared
+// between goroutines.
+type Planner struct {
+	search routing.Search
+	sorted []topology.NodeID // the sharers, ascending
+	wp     []topology.NodeID // one group's waypoints: the home, then its members
+
+	// The plan under construction: every group's members and path, each
+	// concatenated in group order, and one span per closed group.
+	members []topology.NodeID
+	paths   []topology.NodeID
+	spans   []groupSpan
+
+	// Scheme scratch. up and down are per-column Y lists: column grouping's
+	// sharers above and below the home row; a torus ring's offsets and the
+	// snake's unvisited rows use up alone.
+	up, down   [][]int
+	rowE, rowW []int // column grouping's home-row sharers' X, east and west of the home
+	fwd, bwd   []int // BR: sharer positions ahead of and behind the home on the snake
+	pts        []planarPt
+	chainY     []int // planar: each open chain's last Y
+	chainOf    []int // planar: the chain each sorted point joined
+}
+
+// groupSpan closes one group of a plan under construction: the end offsets
+// of its members and path in Planner.members and Planner.paths (each starts
+// where the previous group's ends).
+type groupSpan struct {
+	members, path int
+	base          routing.Base
+	conformed     bool
+}
+
+// Plan is Groups on the planner's scratch.
+//
+//simcheck:noalloc
+func (p *Planner) Plan(s Scheme, m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
 	if len(sharers) == 0 {
 		return nil
 	}
-	ordered := append([]topology.NodeID(nil), sharers...)
-	slices.Sort(ordered)
-	for i, sh := range ordered {
+	p.sorted = append(p.sorted[:0], sharers...)
+	slices.Sort(p.sorted)
+	for i, sh := range p.sorted {
 		if sh == home {
 			panic("grouping: home listed as sharer")
 		}
-		if i > 0 && sh == ordered[i-1] {
+		if i > 0 && sh == p.sorted[i-1] {
 			panic("grouping: duplicate sharer")
 		}
 	}
+	p.reset()
+	p.plan(s, m, home)
 
-	switch s {
-	case UIUA:
-		return unicastGroups(m, home, ordered)
-	case MIUAEC, MIMAEC:
-		return columnGroups(m, home, ordered, false)
-	case MIMAECRC:
-		return columnGroups(m, home, ordered, true)
-	case MIUAPA, MIMAPA:
-		return planarGroups(m, home, ordered)
-	case MIUATM, MIMATM:
-		return snakeGroups(m, home, ordered)
-	case BR, UMC:
-		// UMC's tree lives in the coherence layer; its Groups form (like
-		// BR's ack side) is plain unicast.
-		if s == UMC {
-			return unicastGroups(m, home, ordered)
+	//simcheck:allow noalloc -- the plan's node arena, owned by the returned groups
+	arena := make([]topology.NodeID, len(p.members)+len(p.paths))
+	paths := arena[copy(arena, p.members):]
+	copy(paths, p.paths)
+	//simcheck:allow noalloc -- the plan's one group slice
+	groups := make([]Group, len(p.spans))
+	mem, path := 0, 0
+	for i, sp := range p.spans {
+		groups[i] = Group{
+			Members:   arena[mem:sp.members:sp.members],
+			Path:      paths[path:sp.path:sp.path],
+			Base:      sp.base,
+			Conformed: sp.conformed,
 		}
-		return hamiltonianGroups(m, home, ordered)
-	case ADAPT:
-		return adaptiveGroups(m, home, ordered)
-	}
-	panic("grouping: unknown scheme " + s.String())
-}
-
-// unicastGroups puts every sharer in its own single-destination group.
-func unicastGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
-	groups := make([]Group, 0, len(sharers))
-	for _, sh := range sharers {
-		groups = append(groups, Group{
-			Members:   []topology.NodeID{sh},
-			Path:      routing.ECube.UnicastPath(m, home, sh),
-			Base:      routing.ECube,
-			Conformed: true,
-		})
+		mem, path = sp.members, sp.path
 	}
 	return groups
 }
 
-// buildGroup assembles a Group from ordered waypoints, constructing and
-// checking the BRCP path. A failure here is a grouping-algorithm bug.
-func buildGroup(base routing.Base, m *topology.Mesh, home topology.NodeID, members []topology.NodeID) Group {
-	wp := append([]topology.NodeID{home}, members...)
-	path, err := base.PathThrough(m, wp)
+// reset empties the plan under construction.
+//
+//simcheck:noalloc
+func (p *Planner) reset() {
+	p.members, p.paths, p.spans = p.members[:0], p.paths[:0], p.spans[:0]
+}
+
+// plan appends scheme s's groups for p.sorted to the plan under
+// construction.
+//
+//simcheck:noalloc
+func (p *Planner) plan(s Scheme, m *topology.Mesh, home topology.NodeID) {
+	switch s {
+	case UIUA, UMC:
+		// UMC's tree lives in the coherence layer; its Groups form (like
+		// BR's ack side) is plain unicast.
+		p.unicastGroups(m, home)
+	case MIUAEC, MIMAEC:
+		p.columnGroups(m, home, false)
+	case MIMAECRC:
+		p.columnGroups(m, home, true)
+	case MIUAPA, MIMAPA:
+		p.planarGroups(m, home)
+	case MIUATM, MIMATM:
+		p.snakeGroups(m, home)
+	case BR:
+		p.hamiltonianGroups(m, home)
+	case ADAPT:
+		p.adaptiveGroups(m, home)
+	default:
+		panic("grouping: unknown scheme " + s.String())
+	}
+}
+
+// unicastGroups puts every sharer in its own single-destination group.
+//
+//simcheck:noalloc
+func (p *Planner) unicastGroups(m *topology.Mesh, home topology.NodeID) {
+	for _, sh := range p.sorted {
+		p.members = append(p.members, sh)
+		p.paths = routing.ECube.UnicastPathInto(p.paths, m, home, sh)
+		p.endGroup(routing.ECube, true)
+	}
+}
+
+// endGroup closes the open group: the members and path appended since the
+// previous group closed.
+//
+//simcheck:noalloc
+func (p *Planner) endGroup(base routing.Base, conformed bool) {
+	p.spans = append(p.spans, groupSpan{members: len(p.members), path: len(p.paths), base: base, conformed: conformed})
+}
+
+// conformedGroup closes the open group, whose members are appended, with
+// its BRCP path from home through them in order. A failure here is a
+// grouping-algorithm bug.
+//
+//simcheck:noalloc
+func (p *Planner) conformedGroup(base routing.Base, m *topology.Mesh, home topology.NodeID) {
+	open := 0
+	if n := len(p.spans); n > 0 {
+		open = p.spans[n-1].members
+	}
+	p.wp = append(p.wp[:0], home)
+	p.wp = append(p.wp, p.members[open:]...)
+	path, err := base.PathThroughInto(p.paths, &p.search, m, p.wp)
 	if err != nil {
 		panic(fmt.Sprintf("grouping: scheme produced non-conformed group: %v", err))
 	}
-	return Group{Members: members, Path: path, Base: base, Conformed: true}
+	p.paths = path
+	p.endGroup(base, true)
 }
+
+// nodeAt returns the node at (x, y).
+func nodeAt(m *topology.Mesh, x, y int) topology.NodeID {
+	return m.ID(topology.Coord{X: x, Y: y})
+}
+
+// columns returns cs as w empty per-column lists, keeping each list's
+// capacity for reuse.
+//
+//simcheck:noalloc
+func columns(cs [][]int, w int) [][]int {
+	if len(cs) < w {
+		cs = slices.Grow(cs, w-len(cs))
+	}
+	cs = cs[:w]
+	for i := range cs {
+		cs[i] = cs[i][:0]
+	}
+	return cs
+}
+
+// descending orders ints from largest to smallest (slices.SortFunc).
+func descending(a, b int) int { return cmp.Compare(b, a) }

@@ -1,7 +1,7 @@
 package grouping
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -19,52 +19,64 @@ import (
 // These paths are not base-routing conformed — that is the framework's
 // defining difference from BRCP and the reason it needs its own routing
 // support; the simulator moves worms along explicit paths either way.
-func hamiltonianGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
-	pos := func(n topology.NodeID) int {
-		c := m.Coord(n)
-		if c.Y%2 == 0 {
-			return c.Y*m.Width() + c.X
-		}
-		return c.Y*m.Width() + (m.Width() - 1 - c.X)
-	}
-	nodeAt := func(p int) topology.NodeID {
-		y := p / m.Width()
-		x := p % m.Width()
-		if y%2 != 0 {
-			x = m.Width() - 1 - x
-		}
-		return m.ID(topology.Coord{X: x, Y: y})
-	}
-	hp := pos(home)
-
-	var fwd, bwd []topology.NodeID
-	for _, sh := range sharers {
-		if pos(sh) > hp {
-			fwd = append(fwd, sh)
+//
+//simcheck:noalloc
+func (p *Planner) hamiltonianGroups(m *topology.Mesh, home topology.NodeID) {
+	hp := snakePos(m, home)
+	fwd, bwd := p.fwd[:0], p.bwd[:0]
+	for _, sh := range p.sorted {
+		if pos := snakePos(m, sh); pos > hp {
+			fwd = append(fwd, pos)
 		} else {
-			bwd = append(bwd, sh)
+			bwd = append(bwd, pos)
 		}
 	}
-	sort.Slice(fwd, func(i, j int) bool { return pos(fwd[i]) < pos(fwd[j]) })
-	sort.Slice(bwd, func(i, j int) bool { return pos(bwd[i]) > pos(bwd[j]) })
-
-	emit := func(members []topology.NodeID, dir int) Group {
-		last := pos(members[len(members)-1])
-		var path []topology.NodeID
-		for p := hp; ; p += dir {
-			path = append(path, nodeAt(p))
-			if p == last {
-				break
-			}
-		}
-		return Group{Members: members, Path: path, Base: routing.ECube, Conformed: false}
-	}
-	var groups []Group
+	p.fwd, p.bwd = fwd, bwd
+	// Positions on the snake are distinct, so both sorts are unique.
+	slices.Sort(fwd)
+	slices.SortFunc(bwd, descending)
 	if len(fwd) > 0 {
-		groups = append(groups, emit(fwd, +1))
+		p.snakeWorm(m, hp, fwd, +1)
 	}
 	if len(bwd) > 0 {
-		groups = append(groups, emit(bwd, -1))
+		p.snakeWorm(m, hp, bwd, -1)
 	}
-	return groups
+}
+
+// snakeWorm closes one BR group: the members at the given snake positions,
+// and the path along the snake from the home's position in direction dir
+// to the last member.
+//
+//simcheck:noalloc
+func (p *Planner) snakeWorm(m *topology.Mesh, hp int, members []int, dir int) {
+	for _, pos := range members {
+		p.members = append(p.members, snakeNode(m, pos))
+	}
+	last := members[len(members)-1]
+	for pos := hp; ; pos += dir {
+		p.paths = append(p.paths, snakeNode(m, pos))
+		if pos == last {
+			break
+		}
+	}
+	p.endGroup(routing.ECube, false)
+}
+
+// snakePos returns n's position on the boustrophedon: even rows run east,
+// odd rows west.
+func snakePos(m *topology.Mesh, n topology.NodeID) int {
+	c := m.Coord(n)
+	if c.Y%2 == 0 {
+		return c.Y*m.Width() + c.X
+	}
+	return c.Y*m.Width() + (m.Width() - 1 - c.X)
+}
+
+// snakeNode is snakePos's inverse.
+func snakeNode(m *topology.Mesh, pos int) topology.NodeID {
+	y, x := pos/m.Width(), pos%m.Width()
+	if y%2 != 0 {
+		x = m.Width() - 1 - x
+	}
+	return nodeAt(m, x, y)
 }

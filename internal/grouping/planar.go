@@ -1,7 +1,8 @@
 package grouping
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -15,90 +16,87 @@ import (
 // the home; within each quadrant the minimum chain cover is computed with
 // the greedy patience argument (optimal by Dilworth's theorem: the chain
 // count equals the longest antichain).
-func planarGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
+//
+//simcheck:noalloc
+func (p *Planner) planarGroups(m *topology.Mesh, home topology.NodeID) {
 	hc := m.Coord(home)
 	// Quadrant index: bit 0 = west of home, bit 1 = south of home.
 	// Boundary sharers (same row/column as home) fold into the quadrant
-	// that treats their zero offset as positive.
-	quads := [4][]topology.NodeID{}
-	for _, sh := range sharers {
-		c := m.Coord(sh)
-		q := 0
-		if c.X < hc.X {
-			q |= 1
+	// that treats their zero offset as positive. Coordinates are mirrored
+	// so every quadrant reduces to the northeast case (x and y offsets
+	// from home both non-negative).
+	for q := 0; q < 4; q++ {
+		mirrorX, mirrorY := q&1 != 0, q&2 != 0
+		pts := p.pts[:0]
+		for _, sh := range p.sorted {
+			c := m.Coord(sh)
+			if (c.X < hc.X) != mirrorX || (c.Y < hc.Y) != mirrorY {
+				continue
+			}
+			dx, dy := c.X-hc.X, c.Y-hc.Y
+			if mirrorX {
+				dx = -dx
+			}
+			if mirrorY {
+				dy = -dy
+			}
+			pts = append(pts, planarPt{x: dx, y: dy, n: sh})
 		}
-		if c.Y < hc.Y {
-			q |= 2
+		p.pts = pts
+		if len(pts) > 0 {
+			p.quadrantChains(m, home)
 		}
-		quads[q] = append(quads[q], sh)
 	}
-	var groups []Group
-	for q, members := range quads {
-		if len(members) == 0 {
-			continue
-		}
-		for _, chain := range quadrantChains(m, hc, members, q&1 != 0, q&2 != 0) {
-			groups = append(groups, buildGroup(routing.PlanarAdaptive, m, home, chain))
-		}
-	}
-	return groups
 }
 
-// quadrantChains partitions one quadrant's members into a minimum number
-// of dominance chains. Coordinates are mirrored so every quadrant reduces
-// to the northeast case (x and y offsets from home both non-negative and
-// non-decreasing along a chain).
-func quadrantChains(m *topology.Mesh, hc topology.Coord, members []topology.NodeID, mirrorX, mirrorY bool) [][]topology.NodeID {
-	type pt struct {
-		x, y int
-		n    topology.NodeID
+// planarPt is a sharer in its quadrant's mirrored coordinates.
+type planarPt struct {
+	x, y int
+	n    topology.NodeID
+}
+
+// comparePts orders points by (x, y). Distinct sharers have distinct
+// coordinates, so no two points compare equal and the order is unique.
+func comparePts(a, b planarPt) int {
+	if c := cmp.Compare(a.x, b.x); c != 0 {
+		return c
 	}
-	pts := make([]pt, len(members))
-	for i, n := range members {
-		c := m.Coord(n)
-		dx, dy := c.X-hc.X, c.Y-hc.Y
-		if mirrorX {
-			dx = -dx
-		}
-		if mirrorY {
-			dy = -dy
-		}
-		if dx < 0 || dy < 0 {
-			panic("grouping: member outside its quadrant")
-		}
-		pts[i] = pt{x: dx, y: dy, n: n}
-	}
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].x != pts[j].x {
-			return pts[i].x < pts[j].x
-		}
-		return pts[i].y < pts[j].y
-	})
+	return cmp.Compare(a.y, b.y)
+}
+
+// quadrantChains closes one group per chain of a minimum dominance-chain
+// cover of p.pts, in the order the chains open, each chain's members in
+// the order they join it.
+//
+//simcheck:noalloc
+func (p *Planner) quadrantChains(m *topology.Mesh, home topology.NodeID) {
+	slices.SortFunc(p.pts, comparePts)
 	// Greedy chain cover: append each point to the chain whose tail has the
 	// largest y still <= the point's y; otherwise open a new chain. With
 	// points sorted by (x, y) this yields the minimum number of chains.
-	type chain struct {
-		lastY int
-		nodes []topology.NodeID
-	}
-	var chains []*chain
-	for _, p := range pts {
+	lastY, chainOf := p.chainY[:0], p.chainOf[:0]
+	for _, pt := range p.pts {
 		best := -1
-		for i, ch := range chains {
-			if ch.lastY <= p.y && (best == -1 || ch.lastY > chains[best].lastY) {
+		for i, y := range lastY {
+			if y <= pt.y && (best == -1 || y > lastY[best]) {
 				best = i
 			}
 		}
 		if best == -1 {
-			chains = append(chains, &chain{lastY: p.y, nodes: []topology.NodeID{p.n}})
-			continue
+			best = len(lastY)
+			lastY = append(lastY, pt.y)
+		} else {
+			lastY[best] = pt.y
 		}
-		chains[best].lastY = p.y
-		chains[best].nodes = append(chains[best].nodes, p.n)
+		chainOf = append(chainOf, best)
 	}
-	out := make([][]topology.NodeID, len(chains))
-	for i, ch := range chains {
-		out[i] = ch.nodes
+	p.chainY, p.chainOf = lastY, chainOf
+	for c := range lastY {
+		for i, pt := range p.pts {
+			if chainOf[i] == c {
+				p.members = append(p.members, pt.n)
+			}
+		}
+		p.conformedGroup(routing.PlanarAdaptive, m, home)
 	}
-	return out
 }

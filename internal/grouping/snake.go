@@ -1,7 +1,7 @@
 package grouping
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -23,43 +23,28 @@ import (
 // there, the unreachable side spills into an additional worm. Group count
 // is therefore <= 2 typically and <= 4 in the worst case, independent of
 // the sharer count — the turn-model schemes' key property.
-func snakeGroups(m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
-	hc := m.Coord(home)
-	var east, west []topology.NodeID
-	for _, sh := range sharers {
-		if m.Coord(sh).X >= hc.X {
-			east = append(east, sh)
-		} else {
-			west = append(west, sh)
-		}
+//
+//simcheck:noalloc
+func (p *Planner) snakeGroups(m *topology.Mesh, home topology.NodeID) {
+	hx := m.Coord(home).X
+	// p.up[x] holds column x's unvisited member Ys, ascending. The sharers
+	// arrive in ascending ID, which within a column is ascending Y.
+	p.up = columns(p.up, m.Width())
+	for _, sh := range p.sorted {
+		c := m.Coord(sh)
+		p.up[c.X] = append(p.up[c.X], c.Y)
 	}
-	var groups []Group
-	groups = append(groups, snakeSide(m, home, east, true)...)
-	groups = append(groups, snakeSide(m, home, west, false)...)
-	return groups
+	p.snakeSide(m, home, hx, m.Width(), true)
+	p.snakeSide(m, home, 0, hx, false)
 }
 
-// snakeSide builds the worms for one side of the home column.
-func snakeSide(m *topology.Mesh, home topology.NodeID, members []topology.NodeID, eastSide bool) []Group {
-	if len(members) == 0 {
-		return nil
-	}
+// snakeSide builds the worms for one side of the home column: the columns
+// [lo, hi) of p.up.
+//
+//simcheck:noalloc
+func (p *Planner) snakeSide(m *topology.Mesh, home topology.NodeID, lo, hi int, eastSide bool) {
 	hc := m.Coord(home)
-
-	// remaining[x] holds that column's unvisited member y's, sorted asc.
-	remaining := map[int][]int{}
-	node := func(x, y int) topology.NodeID { return m.ID(topology.Coord{X: x, Y: y}) }
-	for _, sh := range members {
-		c := m.Coord(sh)
-		remaining[c.X] = append(remaining[c.X], c.Y)
-	}
-	for x := range remaining {
-		sort.Ints(remaining[x])
-	}
-
-	var groups []Group
-	for len(remaining) > 0 {
-		var wp []topology.NodeID
+	for p.firstColumn(lo, hi) != -1 {
 		curY, lastDir := hc.Y, 0 // lastDir: +1 north, -1 south, 0 none
 		prevX := hc.X
 
@@ -67,48 +52,42 @@ func snakeSide(m *topology.Mesh, home topology.NodeID, members []topology.NodeID
 			// The westward run travels the home row; it passes home-row
 			// sharers in descending x order and ends at the westernmost
 			// remaining column.
-			cols := sortedColumns(remaining)
-			var rowXs []int
-			for _, x := range cols {
-				if ys := remaining[x]; len(ys) > 0 && containsInt(ys, hc.Y) {
-					rowXs = append(rowXs, x)
+			for x := hi - 1; x >= lo; x-- {
+				if i, ok := slices.BinarySearch(p.up[x], hc.Y); ok {
+					p.members = append(p.members, nodeAt(m, x, hc.Y))
+					p.up[x] = slices.Delete(p.up[x], i, i+1)
+					prevX = x
 				}
 			}
-			sort.Sort(sort.Reverse(sort.IntSlice(rowXs)))
-			for _, x := range rowXs {
-				wp = append(wp, node(x, hc.Y))
-				remaining[x] = removeInt(remaining[x], hc.Y)
-				if len(remaining[x]) == 0 {
-					delete(remaining, x)
-				}
-				prevX = x
-			}
-			if len(remaining) == 0 {
-				groups = append(groups, buildGroup(routing.WestFirst, m, home, wp))
-				break
+			west := p.firstColumn(lo, hi)
+			if west == -1 {
+				p.conformedGroup(routing.WestFirst, m, home)
+				return
 			}
 			// The run continues to the westernmost remaining column even if
 			// it holds no home-row sharer.
-			if west := sortedColumns(remaining)[0]; west < prevX {
+			if west < prevX {
 				prevX = west
 			}
 		}
 
-		for _, x := range sortedColumns(remaining) {
-			if !eastSide && x >= hc.X {
-				panic("grouping: western snake found eastern column")
+		// Each column is visited once per worm, west to east; a visit only
+		// ever shrinks its own column.
+		for x := lo; x < hi; x++ {
+			ys := p.up[x]
+			if len(ys) == 0 {
+				continue
 			}
-			ys := remaining[x]
-			lo, hi := ys[0], ys[len(ys)-1]
+			yLo, yHi := ys[0], ys[len(ys)-1]
 			eSep := x > prevX
-			ascOK := curY <= lo || (eSep && lastDir != +1)
-			descOK := curY >= hi || (eSep && lastDir != -1)
+			ascOK := curY <= yLo || (eSep && lastDir != +1)
+			descOK := curY >= yHi || (eSep && lastDir != -1)
 
 			sweepAsc := true
 			switch {
 			case ascOK && descOK:
 				// Pick the cheaper entry.
-				if absInt(curY-hi) < absInt(curY-lo) {
+				if absInt(curY-yHi) < absInt(curY-yLo) {
 					sweepAsc = false
 				}
 			case ascOK:
@@ -117,25 +96,26 @@ func snakeSide(m *topology.Mesh, home topology.NodeID, members []topology.NodeID
 			default:
 				// No eastward separation and sharers on both sides of the
 				// entry row: cover the upper side now, spill the rest.
-				split := firstAtLeast(ys, curY)
-				upper := ys[split:]
-				remaining[x] = ys[:split]
-				for _, y := range upper {
-					wp = append(wp, node(x, y))
+				split, _ := slices.BinarySearch(ys, curY)
+				for _, y := range ys[split:] {
+					p.members = append(p.members, nodeAt(m, x, y))
 				}
-				curY, lastDir, prevX = upper[len(upper)-1], +1, x
+				p.up[x] = ys[:split]
+				curY, lastDir, prevX = yHi, +1, x
 				continue
 			}
 
-			order := append([]int(nil), ys...)
-			if !sweepAsc {
-				reverseInts(order)
+			entry, exit := yLo, yHi
+			if sweepAsc {
+				for _, y := range ys {
+					p.members = append(p.members, nodeAt(m, x, y))
+				}
+			} else {
+				for i := len(ys) - 1; i >= 0; i-- {
+					p.members = append(p.members, nodeAt(m, x, ys[i]))
+				}
+				entry, exit = yHi, yLo
 			}
-			for _, y := range order {
-				wp = append(wp, node(x, y))
-			}
-			exit := order[len(order)-1]
-			entry := order[0]
 			if exit != curY || entry != curY {
 				if sweepAsc {
 					lastDir = +1
@@ -144,55 +124,23 @@ func snakeSide(m *topology.Mesh, home topology.NodeID, members []topology.NodeID
 				}
 			}
 			curY, prevX = exit, x
-			delete(remaining, x)
+			p.up[x] = ys[:0]
 		}
-		// Drop columns fully consumed by the spill logic.
-		for x, ys := range remaining {
-			if len(ys) == 0 {
-				delete(remaining, x)
-			}
-		}
-		groups = append(groups, buildGroup(routing.WestFirst, m, home, wp))
+		p.conformedGroup(routing.WestFirst, m, home)
 	}
-	return groups
 }
 
-func sortedColumns(remaining map[int][]int) []int {
-	xs := make([]int, 0, len(remaining))
-	for x := range remaining {
-		xs = append(xs, x)
-	}
-	sort.Ints(xs)
-	return xs
-}
-
-func containsInt(xs []int, v int) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
+// firstColumn returns the westernmost column in [lo, hi) with unvisited
+// members, or -1.
+//
+//simcheck:noalloc
+func (p *Planner) firstColumn(lo, hi int) int {
+	for x := lo; x < hi; x++ {
+		if len(p.up[x]) > 0 {
+			return x
 		}
 	}
-	return false
-}
-
-func removeInt(xs []int, v int) []int {
-	out := xs[:0]
-	for _, x := range xs {
-		if x != v {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func firstAtLeast(sorted []int, v int) int {
-	return sort.SearchInts(sorted, v)
-}
-
-func reverseInts(xs []int) {
-	for i, j := 0, len(xs)-1; i < j; i, j = i+1, j-1 {
-		xs[i], xs[j] = xs[j], xs[i]
-	}
+	return -1
 }
 
 func absInt(v int) int {

@@ -571,12 +571,14 @@ func (n *Network) grantCons(w *Worm, i int32, pool *consumptionPool, act uint8, 
 		return
 	}
 	w.consHeld = append(w.consHeld, consRef{idx: i, pool: pool})
-	w.state = wormMoving
 	if act == actConsMulticast {
+		w.state = wormMoving
 		n.requestNext(w, ii)
 		return
 	}
-	// actConsReserve: claim an i-ack buffer entry before moving on.
+	// actConsReserve: claim an i-ack buffer entry before moving on. The worm
+	// stays blocked until iackReserved, so a wait on a full buffer file is
+	// described as one.
 	file := n.iack[w.Path[ii]]
 	if !file.reserve(w.TxnID) {
 		if n.Rec != nil {
@@ -605,6 +607,7 @@ func (n *Network) iackReserved(w *Worm, i int32, file *iackFile, wasBlocked bool
 	if wasBlocked && n.Rec != nil {
 		n.traceWorm(trace.KindWormGrant, trace.BlockIAck, w, w.Path[i], uint64(i), 0, "")
 	}
+	w.state = wormMoving
 	n.requestNext(w, int(i))
 }
 
@@ -1073,6 +1076,12 @@ func (n *Network) describeWait(w *Worm) string {
 		if w.Kind == Gather && w.Dest[i] {
 			return fmt.Sprintf("gather stalled at %v: i-ack for txn %d not posted",
 				n.Mesh.Coord(node), w.TxnID)
+		}
+		if w.Kind == Reserve && w.Dest[i] && len(w.consHeld) > 0 &&
+			w.consHeld[len(w.consHeld)-1].idx == int32(i) && n.iack[node].find(w.TxnID) < 0 {
+			// Absorbed here (the consumption channel is held) but not yet
+			// granted an i-ack entry: queued on a full buffer file.
+			return fmt.Sprintf("waiting for an i-ack buffer entry at %v", n.Mesh.Coord(node))
 		}
 		return fmt.Sprintf("waiting at %v for the link toward %v (or a consumption channel / i-ack buffer there)",
 			n.Mesh.Coord(node), n.Mesh.Coord(w.Path[i+1]))

@@ -246,6 +246,25 @@ func TestGatherCollectsPostedAcks(t *testing.T) {
 	}
 }
 
+// TestDiagnoseNamesIAckBufferWait queues a reserve worm on a full i-ack
+// buffer file: with one entry per router, the first transaction's reserve
+// worm holds s1's entry, so the second one's, absorbed at s1, must wait for
+// it. Diagnose must say so rather than call the stalled worm moving.
+func TestDiagnoseNamesIAckBufferWait(t *testing.T) {
+	r := newRig(t, 8, func(c *Config) { c.IAckBuffers = 1 })
+	s1 := r.at(3, 2)
+	r.n.Inject(r.multiWorm(t, Reserve, Request, routing.ECube,
+		[]topology.NodeID{r.at(0, 2), s1, r.at(3, 5)}, 0, 1))
+	r.e.Run()
+	r.n.Inject(r.multiWorm(t, Reserve, Request, routing.ECube,
+		[]topology.NodeID{r.at(1, 2), s1, r.at(3, 6)}, 0, 2))
+	r.e.Run()
+	diag := r.n.Diagnose()
+	if want := "waiting for an i-ack buffer entry at (3,2)"; r.n.Outstanding() != 1 || !strings.Contains(diag, want) {
+		t.Fatalf("Diagnose with %d worm(s) outstanding does not name %q:\n%s", r.n.Outstanding(), want, diag)
+	}
+}
+
 // launchGatherAfterReserve runs a full reserve+gather round where the ack at
 // s1 posts only after `delay` cycles, returning the rig for inspection.
 func launchGatherAfterReserve(t *testing.T, vct bool, delay sim.Time) (*rig, topology.NodeID) {

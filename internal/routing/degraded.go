@@ -180,8 +180,9 @@ func (b Base) RelayRoute(m *topology.Mesh, src, dst topology.NodeID, dead *topol
 // PathThroughAvoiding is PathThrough restricted to legs whose materialized
 // hops cross no dead link: the degraded re-realization used when a grouping
 // scheme tries to keep a multidestination group together around a failure.
-// It returns an error when no conformed live path visits the waypoints in
-// order; callers fall back to splitting the group.
+// It runs PathThrough's own search with the dead-link filter on. It returns
+// an error when no conformed live path visits the waypoints in order;
+// callers fall back to splitting the group.
 func (b Base) PathThroughAvoiding(m *topology.Mesh, waypoints []topology.NodeID, dead *topology.DeadSet) ([]topology.NodeID, error) {
 	if dead.Empty() {
 		return b.PathThrough(m, waypoints)
@@ -194,65 +195,21 @@ func (b Base) PathThroughAvoiding(m *topology.Mesh, waypoints []topology.NodeID,
 			return nil, fmt.Errorf("routing: waypoint %v sits behind a dead router", m.Coord(w))
 		}
 	}
-	if len(waypoints) == 1 {
-		return []topology.NodeID{waypoints[0]}, nil
-	}
-	nLegs := len(waypoints) - 1
-	states := b.stateCount()
-	deadMemo := make([][]bool, nLegs)
-	for i := range deadMemo {
-		deadMemo[i] = make([]bool, states)
-	}
-	chosen := make([]legOpt, nLegs)
-
-	var dfs func(leg int, s dfaState) bool
-	dfs = func(leg int, s dfaState) bool {
-		if leg == nLegs {
-			return true
-		}
-		if deadMemo[leg][s] {
-			return false
-		}
-		for _, opt := range legOptions(m, waypoints[leg], waypoints[leg+1]) {
-			if !legLive(m, waypoints[leg], opt, dead) {
-				continue
-			}
-			ns := b.runLeg(s, opt)
-			if ns == dfaFail {
-				continue
-			}
-			if dfs(leg+1, ns) {
-				chosen[leg] = opt
-				return true
-			}
-		}
-		deadMemo[leg][s] = true
-		return false
-	}
-	if !dfs(0, dfaStart) {
+	path, ok := new(Search).through(b, nil, m, waypoints, dead)
+	if !ok {
 		return nil, fmt.Errorf("routing: no %v-conformed live path through %d waypoints from %v",
 			b, len(waypoints), m.Coord(waypoints[0]))
-	}
-
-	path := []topology.NodeID{waypoints[0]}
-	for leg := 0; leg < nLegs; leg++ {
-		path = appendLeg(m, path, waypoints[leg], chosen[leg])
 	}
 	return path, nil
 }
 
 // legLive reports whether a leg realization's concrete hop sequence crosses
 // only live links, walking the same hops appendLeg would materialize.
+//
+//simcheck:noalloc
 func legLive(m *topology.Mesh, a topology.NodeID, opt legOpt, dead *topology.DeadSet) bool {
-	order := [2]struct {
-		mv topology.Port
-		n  int
-	}{{opt.xPort, opt.xHops}, {opt.yPort, opt.yHops}}
-	if opt.shape == shapeYX {
-		order[0], order[1] = order[1], order[0]
-	}
 	cur := a
-	for _, run := range order {
+	for _, run := range opt.runs() {
 		for i := 0; i < run.n; i++ {
 			next, ok := m.Neighbor(cur, run.mv)
 			if !ok {

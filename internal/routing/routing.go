@@ -15,6 +15,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/topology"
 )
@@ -304,6 +305,49 @@ type legOpt struct {
 	xHops, yHops int
 }
 
+// legRun is a straight run of hops in one direction.
+type legRun struct {
+	mv topology.Port
+	n  int
+}
+
+// runs returns the leg's two straight runs in travel order.
+func (o legOpt) runs() [2]legRun {
+	if o.shape == shapeYX {
+		return [2]legRun{{o.yPort, o.yHops}, {o.xPort, o.xHops}}
+	}
+	return [2]legRun{{o.xPort, o.xHops}, {o.yPort, o.yHops}}
+}
+
+// hops returns the leg's length.
+func (o legOpt) hops() int { return o.xHops + o.yHops }
+
+// legOpts holds one leg's realizations in search order: at most two shapes
+// times, on a torus, two ring directions per dimension.
+type legOpts struct {
+	n   int
+	opt [8]legOpt
+}
+
+// Search is the reusable scratch of the conformed-path search behind
+// PathThrough and PathThroughAvoiding: one flat (leg, DFA state) dead-end
+// memo and one DFS frame per leg. The zero value is ready to use. A caller
+// that searches often (the grouping planner) keeps one, so a steady-state
+// search allocates nothing but the path it is asked to grow. A Search must
+// not be shared between goroutines.
+type Search struct {
+	memo   []bool
+	frames []searchFrame
+}
+
+// searchFrame is the DFS state of one leg: its realizations, the DFA state
+// the leg starts in, and the next realization to try.
+type searchFrame struct {
+	opts legOpts
+	st   dfaState
+	next int
+}
+
 // PathThrough builds the full node path of a multidestination worm that
 // starts at waypoints[0] and visits the remaining waypoints in order,
 // choosing for every leg between the X-then-Y and Y-then-X realization so
@@ -315,78 +359,131 @@ type legOpt struct {
 // It returns an error when the waypoint sequence admits no conformed path;
 // callers (the grouping schemes) treat that as "this set needs another
 // worm". The search is a DFS over leg shapes memoized on (leg index, DFA
-// state), so it runs in O(legs x states).
+// state), so it runs in O(legs x states). The path is allocated once, at
+// its exact length.
 func (b Base) PathThrough(m *topology.Mesh, waypoints []topology.NodeID) ([]topology.NodeID, error) {
+	return b.PathThroughInto(nil, nil, m, waypoints)
+}
+
+// PathThroughInto is PathThrough appending the path to buf and searching in
+// s's scratch (a fresh Search when s is nil). A buf too short for the path
+// grows once: to exactly the path's length when buf is empty, by doubling
+// when it is a reused buffer.
+func (b Base) PathThroughInto(buf []topology.NodeID, s *Search, m *topology.Mesh, waypoints []topology.NodeID) ([]topology.NodeID, error) {
 	if len(waypoints) == 0 {
 		return nil, fmt.Errorf("routing: empty waypoint list")
 	}
-	if len(waypoints) == 1 {
-		return []topology.NodeID{waypoints[0]}, nil
+	if s == nil {
+		s = new(Search)
 	}
-	nLegs := len(waypoints) - 1
-	// dead[i][s] records that no completion exists from waypoint i in DFA
-	// state s.
-	states := b.stateCount()
-	dead := make([][]bool, nLegs)
-	for i := range dead {
-		dead[i] = make([]bool, states)
-	}
-	chosen := make([]legOpt, nLegs)
-
-	var dfs func(leg int, s dfaState) bool
-	dfs = func(leg int, s dfaState) bool {
-		if leg == nLegs {
-			return true
-		}
-		if dead[leg][s] {
-			return false
-		}
-		for _, opt := range legOptions(m, waypoints[leg], waypoints[leg+1]) {
-			ns := b.runLeg(s, opt)
-			if ns == dfaFail {
-				continue
-			}
-			if dfs(leg+1, ns) {
-				chosen[leg] = opt
-				return true
-			}
-		}
-		dead[leg][s] = true
-		return false
-	}
-	if !dfs(0, dfaStart) {
+	path, ok := s.through(b, buf, m, waypoints, nil)
+	if !ok {
 		return nil, fmt.Errorf("routing: no %v-conformed path through %d waypoints from %v",
 			b, len(waypoints), m.Coord(waypoints[0]))
-	}
-
-	path := []topology.NodeID{waypoints[0]}
-	for leg := 0; leg < nLegs; leg++ {
-		path = appendLeg(m, path, waypoints[leg], chosen[leg])
 	}
 	return path, nil
 }
 
-// legOptions enumerates a leg's concrete realizations: shape order times,
+// through is the one conformed-path search. It appends to buf the path from
+// waypoints[0] (there must be at least one) through the rest in order, and
+// reports false when the base routing admits none. With a non-nil dead set
+// a leg realization qualifies only if its hops cross no dead link (the
+// degraded re-realization, PathThroughAvoiding).
+//
+// The DFS tries each leg's realizations in legOptions order and descends on
+// the first that keeps the DFA alive, so it picks the same path a recursive
+// search would; a (leg, state) pair found to have no completion is memoized
+// and never expanded again.
+//
+//simcheck:noalloc
+func (s *Search) through(b Base, buf []topology.NodeID, m *topology.Mesh, waypoints []topology.NodeID, dead *topology.DeadSet) ([]topology.NodeID, bool) {
+	nLegs := len(waypoints) - 1
+	if nLegs == 0 {
+		buf = append(buf, waypoints[0])
+		return buf, true
+	}
+	states := b.stateCount()
+	s.memo = slices.Grow(s.memo[:0], nLegs*states)[:nLegs*states]
+	clear(s.memo)
+	s.frames = slices.Grow(s.frames[:0], nLegs)[:nLegs]
+	frames := s.frames
+
+	frames[0].st, frames[0].next = dfaStart, 0
+	legOptions(&frames[0].opts, m, waypoints[0], waypoints[1])
+	for leg := 0; leg < nLegs; {
+		f := &frames[leg]
+		if f.next == f.opts.n {
+			// Every realization failed: no completion from this leg in this
+			// state.
+			s.memo[leg*states+int(f.st)] = true
+			if leg == 0 {
+				return buf, false
+			}
+			leg--
+			continue
+		}
+		opt := f.opts.opt[f.next]
+		f.next++
+		if dead != nil && !legLive(m, waypoints[leg], opt, dead) {
+			continue
+		}
+		ns := b.runLeg(f.st, opt)
+		if ns == dfaFail {
+			continue
+		}
+		if leg+1 < nLegs {
+			if s.memo[(leg+1)*states+int(ns)] {
+				continue
+			}
+			next := &frames[leg+1]
+			next.st, next.next = ns, 0
+			legOptions(&next.opts, m, waypoints[leg+1], waypoints[leg+2])
+		}
+		leg++
+	}
+
+	// Each frame's last-tried realization is the chosen one.
+	n := 1
+	for i := range frames {
+		n += frames[i].opts.opt[frames[i].next-1].hops()
+	}
+	if cap(buf)-len(buf) < n {
+		//simcheck:allow noalloc -- a short buf grows once: exactly when empty, by doubling when reused
+		grown := make([]topology.NodeID, len(buf), max(len(buf)+n, 2*cap(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
+	buf = append(buf, waypoints[0])
+	for i := range frames {
+		buf = appendLeg(m, buf, waypoints[i], frames[i].opts.opt[frames[i].next-1])
+	}
+	return buf, true
+}
+
+// legOptions fills o with a leg's concrete realizations: shape order times,
 // on a torus, the two ways around each ring. Shorter-direction candidates
 // come first so the DFS prefers minimal legs.
-func legOptions(m *topology.Mesh, a, bn topology.NodeID) []legOpt {
+//
+//simcheck:noalloc
+func legOptions(o *legOpts, m *topology.Mesh, a, bn topology.NodeID) {
 	ca, cb := m.Coord(a), m.Coord(bn)
-	xs := dimChoices(ca.X, cb.X, m.Width(), topology.East, topology.West, m.Wrap())
-	ys := dimChoices(ca.Y, cb.Y, m.Height(), topology.North, topology.South, m.Wrap())
-	shapes := []legShape{shapeXY, shapeYX}
+	xs, nx := dimChoices(ca.X, cb.X, m.Width(), topology.East, topology.West, m.Wrap())
+	ys, ny := dimChoices(ca.Y, cb.Y, m.Height(), topology.North, topology.South, m.Wrap())
+	shapes := [2]legShape{shapeXY, shapeYX}
+	nShapes := 2
 	if ca.X == cb.X || ca.Y == cb.Y {
-		shapes = shapes[:1]
+		nShapes = 1
 	}
-	var out []legOpt
-	for _, sh := range shapes {
-		for _, x := range xs {
-			for _, y := range ys {
-				out = append(out, legOpt{shape: sh,
-					xPort: x.port, xHops: x.hops, yPort: y.port, yHops: y.hops})
+	o.n = 0
+	for _, sh := range shapes[:nShapes] {
+		for _, x := range xs[:nx] {
+			for _, y := range ys[:ny] {
+				o.opt[o.n] = legOpt{shape: sh,
+					xPort: x.port, xHops: x.hops, yPort: y.port, yHops: y.hops}
+				o.n++
 			}
 		}
 	}
-	return out
 }
 
 type dimChoice struct {
@@ -394,37 +491,35 @@ type dimChoice struct {
 	hops int
 }
 
-// dimChoices returns the ways to cover one dimension's offset: the direct
-// direction on a mesh, both ring directions (shortest first) on a torus.
-func dimChoices(from, to, size int, fwd, bwd topology.Port, wrap bool) []dimChoice {
+// dimChoices returns the ways to cover one dimension's offset and their
+// count: the direct direction on a mesh, both ring directions (shortest
+// first) on a torus.
+//
+//simcheck:noalloc
+func dimChoices(from, to, size int, fwd, bwd topology.Port, wrap bool) ([2]dimChoice, int) {
 	if from == to {
-		return []dimChoice{{port: fwd, hops: 0}}
+		return [2]dimChoice{{port: fwd, hops: 0}}, 1
 	}
 	if !wrap {
 		if to > from {
-			return []dimChoice{{port: fwd, hops: to - from}}
+			return [2]dimChoice{{port: fwd, hops: to - from}}, 1
 		}
-		return []dimChoice{{port: bwd, hops: from - to}}
+		return [2]dimChoice{{port: bwd, hops: from - to}}, 1
 	}
 	f := (to - from + size) % size
-	choices := []dimChoice{{port: fwd, hops: f}, {port: bwd, hops: size - f}}
+	choices := [2]dimChoice{{port: fwd, hops: f}, {port: bwd, hops: size - f}}
 	if choices[1].hops < choices[0].hops {
 		choices[0], choices[1] = choices[1], choices[0]
 	}
-	return choices
+	return choices, 2
 }
 
 // runLeg advances the DFA across one leg realization without materializing
 // the path.
+//
+//simcheck:noalloc
 func (b Base) runLeg(s dfaState, opt legOpt) dfaState {
-	order := [2]struct {
-		mv topology.Port
-		n  int
-	}{{opt.xPort, opt.xHops}, {opt.yPort, opt.yHops}}
-	if opt.shape == shapeYX {
-		order[0], order[1] = order[1], order[0]
-	}
-	for _, run := range order {
+	for _, run := range opt.runs() {
 		for i := 0; i < run.n; i++ {
 			s = b.step(s, run.mv)
 			if s == dfaFail {
@@ -437,16 +532,11 @@ func (b Base) runLeg(s dfaState, opt legOpt) dfaState {
 
 // appendLeg extends path (currently ending at a) with the nodes of the leg
 // realization, excluding a itself.
+//
+//simcheck:noalloc
 func appendLeg(m *topology.Mesh, path []topology.NodeID, a topology.NodeID, opt legOpt) []topology.NodeID {
-	order := [2]struct {
-		mv topology.Port
-		n  int
-	}{{opt.xPort, opt.xHops}, {opt.yPort, opt.yHops}}
-	if opt.shape == shapeYX {
-		order[0], order[1] = order[1], order[0]
-	}
 	cur := a
-	for _, run := range order {
+	for _, run := range opt.runs() {
 		for i := 0; i < run.n; i++ {
 			next, ok := m.Neighbor(cur, run.mv)
 			if !ok {

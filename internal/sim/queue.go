@@ -26,6 +26,13 @@ func (f *FIFO[T]) Pop() T {
 	var zero T
 	f.items[f.head] = zero
 	f.head++
+	if f.head == len(f.items) {
+		// Drained: rewind, so a queue that empties between bursts never
+		// grows past its largest burst.
+		f.items = f.items[:0]
+		f.head = 0
+		return v
+	}
 	// Compact once the dead prefix dominates, keeping amortized O(1) pops
 	// without unbounded growth.
 	if f.head > 32 && f.head*2 >= len(f.items) {

@@ -66,8 +66,30 @@ func (r *RNG) Float64() float64 {
 }
 
 // Perm returns a pseudo-random permutation of [0, n) using Fisher-Yates.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+func (r *RNG) Perm(n int) []int { return r.permInto(nil, n) }
+
+// Sample returns k distinct values drawn from [0, n) in random order.
+// It panics if k > n or k < 0.
+func (r *RNG) Sample(n, k int) []int { return r.SampleInto(nil, n, k) }
+
+// SampleInto is Sample drawing into buf's backing array (grown to n when
+// shorter). It shuffles all of [0, n) exactly as Perm does, with the same
+// n-1 draws, so the values and every later draw match Sample's. The result
+// is buf's array cut to k; pass it back to reuse the array.
+func (r *RNG) SampleInto(buf []int, n, k int) []int {
+	if k < 0 || k > n {
+		panic("sim: Sample k out of range")
+	}
+	return r.permInto(buf, n)[:k]
+}
+
+// permInto fills buf's backing array (grown to n when shorter) with a
+// Fisher-Yates shuffle of [0, n).
+func (r *RNG) permInto(buf []int, n int) []int {
+	if cap(buf) < n {
+		buf = make([]int, n)
+	}
+	p := buf[:n]
 	for i := range p {
 		p[i] = i
 	}
@@ -76,13 +98,4 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Sample returns k distinct values drawn from [0, n) in random order.
-// It panics if k > n or k < 0.
-func (r *RNG) Sample(n, k int) []int {
-	if k < 0 || k > n {
-		panic("sim: Sample k out of range")
-	}
-	return r.Perm(n)[:k]
 }

@@ -105,13 +105,16 @@ type Engine struct {
 	cur    int32
 	curPos int
 
-	// overflow is a binary heap of slot indices ordered by (at, seq).
-	overflow []int32
+	// overflow is a binary heap of slot indices ordered by (at, seq), and
+	// overflowAt its top's fire time (MaxTime when empty), cached so the
+	// per-event migration check reads no slab entry.
+	overflow   []int32
+	overflowAt Time
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
-	return &Engine{free: -1, cur: -1}
+	return &Engine{free: -1, cur: -1, overflowAt: MaxTime}
 }
 
 // Chaos switches same-time event ordering from FIFO to a seeded random
@@ -390,12 +393,9 @@ func (e *Engine) rebase(t Time) {
 //simcheck:noalloc
 func (e *Engine) migrate() {
 	limit := e.base + numBuckets
-	for len(e.overflow) > 0 {
+	for e.overflowAt < limit {
 		top := e.overflow[0]
 		ev := &e.events[top]
-		if ev.at >= limit {
-			break
-		}
 		e.popOverflow()
 		if ev.cancelled {
 			e.freeSlot(top)
@@ -418,7 +418,7 @@ func (e *Engine) Step() bool {
 		if e.cur < 0 {
 			// The earliest event still sits in the overflow heap: slide the
 			// window to it and retry from the buckets.
-			e.rebase(e.events[e.overflow[0]].at)
+			e.rebase(e.overflowAt)
 			continue
 		}
 		idx := e.buckets[e.cur][e.curPos]
@@ -433,7 +433,7 @@ func (e *Engine) Step() bool {
 		}
 		e.now = t
 		e.base = t
-		if len(e.overflow) > 0 {
+		if e.overflowAt < e.base+numBuckets {
 			e.migrate()
 		}
 		e.live--
@@ -504,6 +504,7 @@ func (e *Engine) pushOverflow(idx int32) {
 		e.overflow[i], e.overflow[p] = e.overflow[p], e.overflow[i]
 		i = p
 	}
+	e.overflowAt = e.events[e.overflow[0]].at
 }
 
 // popOverflow removes the heap top.
@@ -513,22 +514,26 @@ func (e *Engine) popOverflow() {
 	n := len(e.overflow) - 1
 	e.overflow[0] = e.overflow[n]
 	e.overflow = e.overflow[:n]
-	i := 0
-	for {
+	if n == 0 {
+		e.overflowAt = MaxTime
+		return
+	}
+	for i := 0; ; {
 		l, r := 2*i+1, 2*i+2
 		if l >= n {
-			return
+			break
 		}
 		c := l
 		if r < n && e.overflowLess(e.overflow[r], e.overflow[l]) {
 			c = r
 		}
 		if !e.overflowLess(e.overflow[c], e.overflow[i]) {
-			return
+			break
 		}
 		e.overflow[i], e.overflow[c] = e.overflow[c], e.overflow[i]
 		i = c
 	}
+	e.overflowAt = e.events[e.overflow[0]].at
 }
 
 //

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -383,6 +384,24 @@ func TestRNGSampleDistinct(t *testing.T) {
 			t.Fatalf("Sample not distinct in range: %v", s)
 		}
 		seen[v] = true
+	}
+}
+
+// TestRNGSampleIntoMatchesSample reuses one buffer, too short at first and
+// dirty after, across draws of varying size: every draw must equal Sample's
+// on a twin generator, and leave both generators in the same state.
+func TestRNGSampleIntoMatchesSample(t *testing.T) {
+	a, b := NewRNG(9), NewRNG(9)
+	buf := make([]int, 3)
+	for _, nk := range [][2]int{{10, 4}, {50, 50}, {7, 1}, {64, 16}, {1, 0}} {
+		want := a.Sample(nk[0], nk[1])
+		buf = b.SampleInto(buf, nk[0], nk[1])
+		if !slices.Equal(buf, want) {
+			t.Fatalf("SampleInto(%d, %d) = %v, Sample = %v", nk[0], nk[1], buf, want)
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("generators diverged after drawing %d of %d", nk[1], nk[0])
+		}
 	}
 }
 

@@ -112,6 +112,7 @@ func RunHotSpot(cfg HotSpotConfig) HotSpotResult {
 		common = PlaceSharers(m.Mesh, rng, center, cfg.D, RandomPlacement)
 	}
 	usedWriter := map[topology.NodeID]bool{}
+	var pl placer
 	for i, b := range blocks {
 		sharers := common
 		if sharers == nil {
@@ -125,7 +126,7 @@ func RunHotSpot(cfg HotSpotConfig) HotSpotResult {
 		// Writers must be distinct nodes: each processor supports a single
 		// outstanding operation (sequential consistency).
 		for {
-			w := pickWriter(m.Mesh, rng, homes[i], sharers)
+			w := pl.writer(m.Mesh, rng, homes[i], sharers)
 			if !usedWriter[w] {
 				usedWriter[w] = true
 				writers[i] = w

@@ -81,10 +81,11 @@ func compareInstall(t *testing.T, name string, p coherence.Params, pat Pattern, 
 	ref, fun := coherence.NewMachine(p), coherence.NewMachine(p)
 	rng := sim.NewRNG(seed)
 	home := ref.Mesh.ID(topology.Coord{X: p.MeshSize / 2, Y: p.MeshSize / 2})
+	var pl placer
 	for trial := 0; trial < 2; trial++ {
 		b := directory.BlockID(uint64(home) + uint64(trial+1)*uint64(ref.Mesh.Nodes()))
 		sharers := PlaceSharers(ref.Mesh, rng, home, d, pat)
-		writer := pickWriter(ref.Mesh, rng, home, sharers)
+		writer := pl.writer(ref.Mesh, rng, home, sharers)
 		if trial == 1 {
 			sharers = append(sharers, home)
 		}

@@ -185,6 +185,7 @@ func RunInval(cfg InvalConfig) InvalResult {
 	}
 
 	res := InvalResult{Config: cfg}
+	var pl placer
 	var homeMsgs, groups, flitHops, messages, retries, drops, fallbacks, purges float64
 	for trial := 0; trial < cfg.Trials; trial++ {
 		if cfg.Interrupt != nil && cfg.Interrupt() {
@@ -195,8 +196,8 @@ func RunInval(cfg InvalConfig) InvalResult {
 		if m.Home(block) != home {
 			panic("workload: block homing arithmetic broken")
 		}
-		sharers := PlaceSharers(m.Mesh, rng, home, cfg.D, cfg.Pattern)
-		writer := pickWriter(m.Mesh, rng, home, sharers)
+		sharers := pl.sharers(m.Mesh, rng, home, cfg.D, cfg.Pattern)
+		writer := pl.writer(m.Mesh, rng, home, sharers)
 
 		for _, s := range sharers {
 			installSharer(m, s, block)
@@ -273,21 +274,37 @@ func installSharer(m *coherence.Machine, n topology.NodeID, b directory.BlockID)
 }
 
 // PlaceSharers returns d distinct sharer nodes (never the home) under the
-// given placement pattern. RunInval draws each trial's sharers with it from
-// one RNG seeded with the config's Seed, so a fresh sim.NewRNG(Seed) here
-// reproduces trial 1's placement.
+// given placement pattern. RunInval draws each trial's sharers the same way
+// from one RNG seeded with the config's Seed, so a fresh sim.NewRNG(Seed)
+// here reproduces trial 1's placement.
 func PlaceSharers(mesh *topology.Mesh, rng *sim.RNG, home topology.NodeID, d int, pat Pattern) []topology.NodeID {
+	var pl placer
+	return pl.sharers(mesh, rng, home, d, pat)
+}
+
+// placer draws trial placements into buffers it reuses from trial to
+// trial: the random placement's permutation, the sharer list and the
+// writer pick's node marks.
+type placer struct {
+	perm  []int
+	nodes []topology.NodeID
+	taken []bool
+}
+
+// sharers is PlaceSharers into the placer's buffer; the result is valid
+// until the next call.
+func (pl *placer) sharers(mesh *topology.Mesh, rng *sim.RNG, home topology.NodeID, d int, pat Pattern) []topology.NodeID {
+	out := pl.nodes[:0]
 	switch pat {
 	case RandomPlacement:
-		var out []topology.NodeID
-		for _, idx := range rng.Sample(mesh.Nodes()-1, d) {
+		pl.perm = rng.SampleInto(pl.perm, mesh.Nodes()-1, d)
+		for _, idx := range pl.perm {
 			n := topology.NodeID(idx)
 			if n >= home {
 				n++
 			}
 			out = append(out, n)
 		}
-		return out
 	case ClusteredPlacement:
 		type cand struct {
 			n    topology.NodeID
@@ -305,14 +322,11 @@ func PlaceSharers(mesh *topology.Mesh, rng *sim.RNG, home topology.NodeID, d int
 			}
 			return cands[i].n < cands[j].n
 		})
-		out := make([]topology.NodeID, d)
 		for i := 0; i < d; i++ {
-			out[i] = cands[i].n
+			out = append(out, cands[i].n)
 		}
-		return out
 	case ColumnPlacement:
 		hc := mesh.Coord(home)
-		var out []topology.NodeID
 		x := (hc.X + 2) % mesh.Width()
 		for len(out) < d {
 			for y := 0; y < mesh.Height() && len(out) < d; y++ {
@@ -326,10 +340,8 @@ func PlaceSharers(mesh *topology.Mesh, rng *sim.RNG, home topology.NodeID, d int
 				x = (x + 1) % mesh.Width()
 			}
 		}
-		return out
 	case RowPlacement:
 		hc := mesh.Coord(home)
-		var out []topology.NodeID
 		y := hc.Y
 		for len(out) < d {
 			for x := 0; x < mesh.Width() && len(out) < d; x++ {
@@ -343,7 +355,6 @@ func PlaceSharers(mesh *topology.Mesh, rng *sim.RNG, home topology.NodeID, d int
 				y = (y + 1) % mesh.Height()
 			}
 		}
-		return out
 	case DiagonalPlacement:
 		hc := mesh.Coord(home)
 		type cand struct {
@@ -379,27 +390,35 @@ func PlaceSharers(mesh *topology.Mesh, rng *sim.RNG, home topology.NodeID, d int
 			}
 			return a.n < b.n
 		})
-		out := make([]topology.NodeID, d)
 		for i := 0; i < d; i++ {
-			out[i] = cands[i].n
+			out = append(out, cands[i].n)
 		}
-		return out
+	default:
+		panic("workload: unknown pattern")
 	}
-	panic("workload: unknown pattern")
+	pl.nodes = out
+	return out
 }
 
-// pickWriter chooses a random node that is neither the home nor a sharer.
-func pickWriter(mesh *topology.Mesh, rng *sim.RNG, home topology.NodeID, sharers []topology.NodeID) topology.NodeID {
-	taken := map[topology.NodeID]bool{home: true}
+// writer chooses a random node that is neither the home nor a sharer,
+// redrawing until one is free.
+func (pl *placer) writer(mesh *topology.Mesh, rng *sim.RNG, home topology.NodeID, sharers []topology.NodeID) topology.NodeID {
+	if len(pl.taken) != mesh.Nodes() {
+		pl.taken = make([]bool, mesh.Nodes())
+	}
+	pl.taken[home] = true
 	for _, s := range sharers {
-		taken[s] = true
+		pl.taken[s] = true
 	}
-	for {
-		n := topology.NodeID(rng.Intn(mesh.Nodes()))
-		if !taken[n] {
-			return n
-		}
+	n := topology.NodeID(rng.Intn(mesh.Nodes()))
+	for pl.taken[n] {
+		n = topology.NodeID(rng.Intn(mesh.Nodes()))
 	}
+	pl.taken[home] = false
+	for _, s := range sharers {
+		pl.taken[s] = false
+	}
+	return n
 }
 
 func abs(v int) int {
