@@ -78,8 +78,10 @@ cover:
 	done
 
 # equiv replays the event-engine gates: the calendar-queue-vs-reference
-# equivalence harness (200 randomized schedule/cancel/reschedule scripts),
-# the queue edge-case suite, the byte-identical golden experiment tables,
+# equivalence harness (200 randomized schedule/cancel/reschedule scripts,
+# in FIFO and in chaos ordering), the queue edge-case suite, the unicast
+# route-vs-router-walk property test (every pair, every base, meshes and
+# tori), the byte-identical golden experiment tables,
 # and the functional-install-vs-simulated-reads property test (sharers
 # installed by Machine.InstallSharer must leave the machine, and the write
 # that follows, exactly as simulated read misses do), and the allocation
@@ -89,6 +91,7 @@ cover:
 # engine change must pass this before it ships.
 equiv:
 	$(GO) test ./internal/sim -run 'TestEngineEquivalence|TestQueue|TestEngineAllocs' -count=1
+	$(GO) test ./internal/routing -run TestUnicastPathIsRouterWalk -count=1
 	$(GO) test ./internal/experiments -run TestGoldenTablesSeed -count=1
 	$(GO) test ./internal/network -run TestWormAllocsPerUnicast -count=1
 	$(GO) test ./internal/workload -run 'TestInstallSharerMatchesSimulatedReads|TestTrafficAllocsIndependentOfLength|TestInvalAllocsPerTxn' -count=1

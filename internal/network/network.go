@@ -123,8 +123,8 @@ type Network struct {
 	cons      []*consumptionPool
 	iack      []*iackFile
 
-	// meshW/meshH cache the mesh dimensions for the ID-delta port
-	// computation on the per-hop hot path.
+	// meshW/meshH cache the mesh dimensions for Inject's ID-delta port
+	// computation.
 	meshW, meshH int
 
 	// Bound event callbacks, allocated once in New: scheduling a hop is
@@ -283,6 +283,7 @@ func (n *Network) recycleWorm(w *Worm) {
 		destBuf:  w.destBuf,
 		held:     w.held[:0],
 		lanes:    w.lanes[:0],
+		sets:     w.sets[:0],
 		consHeld: w.consHeld[:0],
 	}
 	n.freeWorms = append(n.freeWorms, w)
@@ -326,49 +327,77 @@ func (n *Network) link(vn VN, node topology.NodeID, port topology.Port) *vcSet {
 	return &n.links[vn][int(node)*int(topology.NumPorts)+int(port)]
 }
 
-// linkSet returns the virtual channel set from Path[i] to Path[i+1] of w,
-// for acquisition; a held lane is released through its own set.
+// portBetween computes the outgoing port from one node to the next on a
+// path from their ID delta, reporting false when the two are not both on
+// the mesh or the delta names no port. Torus dimensions are >= 3 by
+// construction, so the delta is unambiguous (checking the row deltas first
+// also covers degenerate 1-wide meshes). An X delta whose nodes sit in
+// different rows is no hop; on a mesh that case is exactly an edge with no
+// link, which the caller rejects by the set's nil chans, but a torus has
+// every link, so there the rows are compared.
 //
 //simcheck:noalloc
-func (n *Network) linkSet(w *Worm, i int) *vcSet {
-	from, to := w.Path[i], w.Path[i+1]
-	set := n.link(w.VN, from, n.portBetween(from, to))
-	if set.chans == nil {
-		panic("network: no link between consecutive path nodes")
+func (n *Network) portBetween(from, to topology.NodeID) (topology.Port, bool) {
+	if nodes := uint(len(n.cons)); uint(from) >= nodes || uint(to) >= nodes {
+		return 0, false
 	}
-	return set
+	d := int(to) - int(from)
+	switch d {
+	case n.meshW:
+		return topology.North, true
+	case -n.meshW:
+		return topology.South, true
+	}
+	if !n.Mesh.Wrap() {
+		switch d {
+		case 1:
+			return topology.East, true
+		case -1:
+			return topology.West, true
+		}
+		return 0, false
+	}
+	switch d {
+	case -n.meshW * (n.meshH - 1):
+		return topology.North, true
+	case n.meshW * (n.meshH - 1):
+		return topology.South, true
+	}
+	if int(from)/n.meshW != int(to)/n.meshW {
+		return 0, false
+	}
+	switch d {
+	case 1, -(n.meshW - 1):
+		return topology.East, true
+	case -1, n.meshW - 1:
+		return topology.West, true
+	}
+	return 0, false
 }
 
-// portBetween computes the outgoing port from a node to an adjacent node
-// from the ID delta alone. Paths are validated hop-contiguous at Inject and
-// torus dimensions are >= 3 by construction, so the delta is unambiguous
-// (checking the row deltas first also covers degenerate 1-wide meshes).
+// resolveLinks maps each hop i of w's path, Path[i] to Path[i+1], to its
+// link's channel set in w.sets, once per worm: acquisition then reads
+// w.sets[i]. A hop that is not a link of the mesh panics.
 //
 //simcheck:noalloc
-func (n *Network) portBetween(from, to topology.NodeID) topology.Port {
-	switch int(to) - int(from) {
-	case n.meshW:
-		return topology.North
-	case -n.meshW:
-		return topology.South
-	case 1:
-		return topology.East
-	case -1:
-		return topology.West
+func (n *Network) resolveLinks(w *Worm) {
+	hops := len(w.Path) - 1
+	if cap(w.sets) < hops {
+		//simcheck:allow noalloc -- amortized capacity growth on a pooled worm
+		w.sets = make([]*vcSet, hops)
 	}
-	if n.Mesh.Wrap() {
-		switch int(to) - int(from) {
-		case -(n.meshW - 1):
-			return topology.East
-		case n.meshW - 1:
-			return topology.West
-		case -n.meshW * (n.meshH - 1):
-			return topology.North
-		case n.meshW * (n.meshH - 1):
-			return topology.South
+	w.sets = w.sets[:hops]
+	links := n.links[w.VN]
+	for i := range w.sets {
+		from := w.Path[i]
+		p, ok := n.portBetween(from, w.Path[i+1])
+		if ok {
+			w.sets[i] = &links[int(from)*int(topology.NumPorts)+int(p)]
+		}
+		if !ok || w.sets[i].chans == nil {
+			panic(fmt.Sprintf("network: worm path not hop-contiguous at %d", i+1))
 		}
 	}
-	panic("network: no link between consecutive path nodes")
 }
 
 // Inject launches w at the current simulation time. The worm's Path, Dest,
@@ -379,7 +408,8 @@ func (n *Network) Inject(w *Worm) {
 	if n.OnDeliver == nil {
 		panic("network: OnDeliver not set")
 	}
-	w.validate(n.Mesh)
+	w.validate()
+	n.resolveLinks(w)
 	w.ID = n.nextID
 	n.nextID++
 	w.net = n
@@ -768,7 +798,7 @@ func (n *Network) acquireLink(w *Worm, i int) {
 	if w.state == wormKilled {
 		return
 	}
-	set := n.linkSet(w, i)
+	set := w.sets[i]
 	w.state = wormBlocked
 	lane := set.tryAcquire(n.Engine.Now())
 	if lane == nil {

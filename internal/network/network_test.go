@@ -1,6 +1,7 @@
 package network
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -480,6 +481,59 @@ func TestWormValidation(t *testing.T) {
 	bad("not contiguous", &Worm{Path: []topology.NodeID{a, r.at(2, 0)}, Dest: []bool{false, true}, HeaderFlits: 3})
 	bad("unicast with intermediate dest", &Worm{Kind: Unicast,
 		Path: []topology.NodeID{a, b, r.at(2, 0)}, Dest: []bool{false, true, true}, HeaderFlits: 3})
+}
+
+// TestInjectRejectsNonContiguousPath pins the hop check Inject makes as it
+// resolves each hop's link set: a path step that is not a link panics,
+// while a torus's wraparound links inject and deliver.
+func TestInjectRejectsNonContiguousPath(t *testing.T) {
+	bad := func(n *Network, name string, path []topology.NodeID, wantMsg bool) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			r := recover()
+			if r == nil {
+				t.Errorf("%s: Inject did not panic", name)
+				return
+			}
+			if msg := fmt.Sprint(r); wantMsg && !strings.Contains(msg, "not hop-contiguous") {
+				t.Errorf("%s: panic %q does not say the path is not hop-contiguous", name, msg)
+			}
+		}()
+		dests := make([]bool, len(path))
+		dests[len(path)-1] = true
+		n.Inject(&Worm{Path: path, Dest: dests, HeaderFlits: 3})
+	}
+	r := newRig(t, 4, nil)
+	bad(r.n, "+1 from x=3 into the next row", []topology.NodeID{r.at(2, 0), r.at(3, 0), r.at(0, 1)}, true)
+	bad(r.n, "jump of 2", []topology.NodeID{r.at(0, 0), r.at(2, 0)}, true)
+	bad(r.n, "node beyond the mesh", []topology.NodeID{r.at(3, 3), topology.NodeID(r.m.Nodes())}, false)
+	bad(r.n, "repeated node", []topology.NodeID{r.at(1, 1), r.at(1, 1)}, false)
+
+	m := topology.NewTorus(4, 4)
+	e := sim.NewEngine()
+	n := New(e, m, DefaultConfig())
+	delivered := 0
+	n.OnDeliver = func(Delivery) { delivered++ }
+	id := func(x, y int) topology.NodeID { return m.ID(topology.Coord{X: x, Y: y}) }
+	// A torus has the x=3 -> x=0 link, but +1 from x=3 is still the next row.
+	bad(n, "torus +1 from x=3 into the next row", []topology.NodeID{id(3, 0), id(0, 1)}, true)
+	wraps := [][]topology.NodeID{
+		{id(2, 1), id(3, 1), id(0, 1), id(1, 1)}, // east across the X wrap
+		{id(1, 2), id(0, 2), id(3, 2)},           // west
+		{id(2, 2), id(2, 3), id(2, 0)},           // north across the Y wrap
+		{id(0, 0), id(0, 3), id(0, 2)},           // south
+	}
+	for _, path := range wraps {
+		dests := make([]bool, len(path))
+		dests[len(path)-1] = true
+		n.Inject(&Worm{Path: path, Dest: dests, HeaderFlits: 3})
+	}
+	e.Run()
+	if delivered != len(wraps) || n.Outstanding() != 0 {
+		t.Fatalf("torus wrap worms: %d delivered, %d outstanding; want %d and 0",
+			delivered, n.Outstanding(), len(wraps))
+	}
 }
 
 func TestUtilizationReporting(t *testing.T) {

@@ -125,9 +125,11 @@ type Worm struct {
 	// channel, i >= 1 = link into Path[i], or the injection channel of a
 	// VCT-parked gather re-injected at Path[i]); lanes[i] is the virtual
 	// channel lane granted for that index, which knows its own set;
-	// heldFrom marks the lowest still-held channel index.
+	// heldFrom marks the lowest still-held channel index. sets[i] is the
+	// link set from Path[i] to Path[i+1], resolved once at Inject.
 	held     []sim.Time
 	lanes    []*channel
+	sets     []*vcSet
 	heldFrom int
 	// consHeld lists consumption-channel tokens held at intermediate
 	// destinations (ascending path index) until the tail passes.
@@ -215,7 +217,9 @@ func (w *Worm) Destinations() []topology.NodeID {
 }
 
 // validate panics on structurally inconsistent worms: these are model bugs.
-func (w *Worm) validate(m *topology.Mesh) {
+// A path that does not follow mesh links is caught as Inject resolves its
+// hops (resolveLinks).
+func (w *Worm) validate() {
 	if len(w.Path) == 0 {
 		panic("network: worm with empty path")
 	}
@@ -230,11 +234,6 @@ func (w *Worm) validate(m *topology.Mesh) {
 	}
 	if w.HeaderFlits <= 0 {
 		panic("network: worm needs at least one header flit")
-	}
-	for i := 1; i < len(w.Path); i++ {
-		if m.Distance(w.Path[i-1], w.Path[i]) != 1 {
-			panic(fmt.Sprintf("network: worm path not hop-contiguous at %d", i))
-		}
 	}
 	if w.Kind == Unicast {
 		for i := 1; i < len(w.Path)-1; i++ {

@@ -50,43 +50,6 @@ func (b Base) String() string {
 	return fmt.Sprintf("base(%d)", int(b))
 }
 
-// NextPort returns the output port the base routing uses at cur to advance
-// toward dst, or topology.Local when cur == dst.
-//
-// Both schemes are simulated deterministically: e-cube is deterministic by
-// definition, and for west-first we fix the canonical minimal choice
-// (west hops first, then east, then the Y dimension), which is one of the
-// routes the adaptive router is permitted to take. The turn model's
-// *adaptivity* is exploited where the paper exploits it: in the extra
-// multidestination paths that PathThrough admits.
-func (b Base) NextPort(m *topology.Mesh, cur, dst topology.NodeID) topology.Port {
-	cc, cd := m.Coord(cur), m.Coord(dst)
-	switch b {
-	case ECube, PlanarAdaptive:
-		// Planar-adaptive permits any minimal path; the canonical
-		// deterministic choice is dimension order, which conforms.
-		if cc.X != cd.X {
-			return m.PortToward(cur, dst, 'x')
-		}
-		if cc.Y != cd.Y {
-			return m.PortToward(cur, dst, 'y')
-		}
-		return topology.Local
-	case WestFirst:
-		if cd.X < cc.X {
-			return topology.West
-		}
-		if cd.X > cc.X {
-			return topology.East
-		}
-		if cc.Y != cd.Y {
-			return m.PortToward(cur, dst, 'y')
-		}
-		return topology.Local
-	}
-	panic("routing: unknown base " + b.String())
-}
-
 // UnicastPath returns the node sequence (inclusive of src and dst) the base
 // routing takes from src to dst.
 func (b Base) UnicastPath(m *topology.Mesh, src, dst topology.NodeID) []topology.NodeID {
@@ -95,20 +58,32 @@ func (b Base) UnicastPath(m *topology.Mesh, src, dst topology.NodeID) []topology
 
 // UnicastPathInto appends the base path from src to dst (inclusive of both)
 // to buf and returns the result, letting callers reuse a path buffer across
-// sends instead of allocating one per worm.
+// sends instead of allocating one per worm. An off-mesh src or dst panics.
+//
+// Every base is simulated deterministically, as an X run then a Y run:
+// e-cube is deterministic by definition; planar-adaptive permits any
+// minimal path, and dimension order is one that conforms; for west-first
+// the canonical minimal choice is west hops first, then east, then the Y
+// dimension, one of the routes the adaptive router may take. The turn
+// model's *adaptivity* is exploited where the paper exploits it: in the
+// extra multidestination paths that PathThrough admits. On a torus e-cube
+// and planar-adaptive take the shorter way round each ring (forward on a
+// tie); west-first's X run never wraps, since that could turn a westward
+// offset into eastward hops.
 func (b Base) UnicastPathInto(buf []topology.NodeID, m *topology.Mesh, src, dst topology.NodeID) []topology.NodeID {
-	path := append(buf, src)
-	cur := src
-	for cur != dst {
-		p := b.NextPort(m, cur, dst)
-		next, ok := m.Neighbor(cur, p)
-		if !ok {
-			panic(fmt.Sprintf("routing: %v fell off mesh at %v toward %v", b, m.Coord(cur), m.Coord(dst)))
-		}
-		path = append(path, next)
-		cur = next
+	cs, cd := m.Coord(src), m.Coord(dst)
+	wrapX := m.Wrap()
+	switch b {
+	case ECube, PlanarAdaptive:
+	case WestFirst:
+		wrapX = false
+	default:
+		panic("routing: unknown base " + b.String())
 	}
-	return path
+	x, _ := dimChoices(cs.X, cd.X, m.Width(), topology.East, topology.West, wrapX)
+	y, _ := dimChoices(cs.Y, cd.Y, m.Height(), topology.North, topology.South, m.Wrap())
+	return appendLeg(m, append(buf, src), src,
+		legOpt{shape: shapeXY, xPort: x[0].port, xHops: x[0].hops, yPort: y[0].port, yHops: y[0].hops})
 }
 
 // Moves converts a node path into its sequence of hop directions.
@@ -531,19 +506,36 @@ func (b Base) runLeg(s dfaState, opt legOpt) dfaState {
 }
 
 // appendLeg extends path (currently ending at a) with the nodes of the leg
-// realization, excluding a itself.
+// realization, excluding a itself. Each straight run is ID arithmetic: a
+// step of ±1 (X) or ±width (Y), less a whole ring where a torus wraps.
 //
 //simcheck:noalloc
 func appendLeg(m *topology.Mesh, path []topology.NodeID, a topology.NodeID, opt legOpt) []topology.NodeID {
-	cur := a
+	c := m.Coord(a)
+	w, h := m.Width(), m.Height()
+	id := int(a)
 	for _, run := range opt.runs() {
+		// pos is the coordinate the run moves along, size its ring length,
+		// step its ID delta and ring the ID delta of one full lap.
+		pos, size, step, ring := &c.X, w, 1, w
+		if run.mv == topology.North || run.mv == topology.South {
+			pos, size, step, ring = &c.Y, h, w, w*h
+		}
+		d := 1
+		if run.mv == topology.West || run.mv == topology.South {
+			d, step = -1, -step
+		}
 		for i := 0; i < run.n; i++ {
-			next, ok := m.Neighbor(cur, run.mv)
-			if !ok {
-				panic("routing: leg fell off mesh")
+			*pos += d
+			id += step
+			if *pos < 0 || *pos == size {
+				if !m.Wrap() {
+					panic("routing: leg fell off mesh")
+				}
+				*pos -= d * size
+				id -= d * ring
 			}
-			path = append(path, next)
-			cur = next
+			path = append(path, topology.NodeID(id))
 		}
 	}
 	return path

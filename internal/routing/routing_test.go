@@ -1,6 +1,8 @@
 package routing
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,18 +15,145 @@ func at(m *topology.Mesh, x, y int) topology.NodeID {
 	return m.ID(topology.Coord{X: x, Y: y})
 }
 
-func TestECubeNextPortOrdersXFirst(t *testing.T) {
+// routerWalk is the hop-by-hop route a base router takes: at each node it
+// picks the output port toward dst and steps to that neighbor. It is the
+// oracle UnicastPathInto's per-dimension arithmetic must reproduce.
+func routerWalk(b Base, m *topology.Mesh, src, dst topology.NodeID) []topology.NodeID {
+	path := []topology.NodeID{src}
+	for cur := src; cur != dst; {
+		next, ok := m.Neighbor(cur, walkPort(b, m, cur, dst))
+		if !ok {
+			panic(fmt.Sprintf("routing: %v fell off mesh at %v toward %v", b, m.Coord(cur), m.Coord(dst)))
+		}
+		path = append(path, next)
+		cur = next
+	}
+	return path
+}
+
+// walkPort is the port a base router at cur forwards to on the way to dst:
+// X before Y, the sign of the offset for west-first's X, and the shorter
+// way round a torus ring (forward on a tie) otherwise.
+func walkPort(b Base, m *topology.Mesh, cur, dst topology.NodeID) topology.Port {
+	cc, cd := m.Coord(cur), m.Coord(dst)
+	switch {
+	case cc.X != cd.X && b == WestFirst:
+		if cd.X < cc.X {
+			return topology.West
+		}
+		return topology.East
+	case cc.X != cd.X:
+		return ringPort(cc.X, cd.X, m.Width(), m.Wrap(), topology.East, topology.West)
+	case cc.Y != cd.Y:
+		return ringPort(cc.Y, cd.Y, m.Height(), m.Wrap(), topology.North, topology.South)
+	}
+	return topology.Local
+}
+
+func ringPort(from, to, size int, wrap bool, fwd, bwd topology.Port) topology.Port {
+	if wrap {
+		if f := (to - from + size) % size; f <= size-f {
+			return fwd
+		}
+		return bwd
+	}
+	if to > from {
+		return fwd
+	}
+	return bwd
+}
+
+// TestUnicastPathIsRouterWalk checks, for every base and every (src, dst)
+// pair on meshes and tori of assorted shapes, that the per-dimension route
+// is byte-identical to the hop-by-hop router walk, appended after a reused
+// buffer's contents.
+func TestUnicastPathIsRouterWalk(t *testing.T) {
+	meshes := []*topology.Mesh{
+		topology.NewMesh(1, 1), topology.NewMesh(1, 5), topology.NewMesh(5, 1),
+		topology.NewMesh(3, 5), topology.NewMesh(4, 4), topology.NewMesh(8, 8),
+		topology.NewTorus(3, 3), topology.NewTorus(3, 5), topology.NewTorus(6, 6),
+	}
+	for _, m := range meshes {
+		for _, b := range []Base{ECube, WestFirst, PlanarAdaptive} {
+			name := fmt.Sprintf("%v/%dx%d", b, m.Width(), m.Height())
+			if m.Wrap() {
+				name += "-torus"
+			}
+			t.Run(name, func(t *testing.T) {
+				buf := []topology.NodeID{-7}
+				for src := topology.NodeID(0); int(src) < m.Nodes(); src++ {
+					for dst := topology.NodeID(0); int(dst) < m.Nodes(); dst++ {
+						want := routerWalk(b, m, src, dst)
+						buf = b.UnicastPathInto(buf[:1], m, src, dst)
+						if buf[0] != -7 || !slices.Equal(buf[1:], want) {
+							t.Fatalf("%v -> %v: UnicastPathInto = %v, router walk = %v",
+								m.Coord(src), m.Coord(dst), buf[1:], want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+func TestUnicastPathOffMeshPanics(t *testing.T) {
+	m := topology.NewSquareMesh(4)
+	for _, dst := range []topology.NodeID{16, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("UnicastPath to off-mesh node %d did not panic", dst)
+				}
+			}()
+			ECube.UnicastPath(m, 0, dst)
+		}()
+	}
+}
+
+// movesOf is the hop-direction sequence of base b's route from src to dst.
+func movesOf(b Base, m *topology.Mesh, src, dst topology.NodeID) []topology.Port {
+	return Moves(m, b.UnicastPath(m, src, dst))
+}
+
+func TestECubeUnicastPathOrdersXFirst(t *testing.T) {
 	m := mesh8()
-	src, dst := at(m, 1, 1), at(m, 4, 5)
-	if got := ECube.NextPort(m, src, dst); got != topology.East {
-		t.Fatalf("NextPort = %v, want east (X first)", got)
+	E, N := topology.East, topology.North
+	if got := movesOf(ECube, m, at(m, 1, 1), at(m, 4, 5)); !slices.Equal(got, []topology.Port{E, E, E, N, N, N, N}) {
+		t.Fatalf("moves = %v, want X first then Y", got)
 	}
-	aligned := at(m, 4, 1)
-	if got := ECube.NextPort(m, aligned, dst); got != topology.North {
-		t.Fatalf("NextPort after X done = %v, want north", got)
+	if got := ECube.UnicastPath(m, at(m, 4, 5), at(m, 4, 5)); len(got) != 1 {
+		t.Fatalf("path to self = %v, want the node alone", got)
 	}
-	if got := ECube.NextPort(m, dst, dst); got != topology.Local {
-		t.Fatalf("NextPort at destination = %v, want local", got)
+}
+
+func TestUnicastPathMeshDirections(t *testing.T) {
+	m := mesh8()
+	a, b := at(m, 2, 2), at(m, 5, 6)
+	E, W, N, S := topology.East, topology.West, topology.North, topology.South
+	if got := movesOf(ECube, m, a, b); !slices.Equal(got, []topology.Port{E, E, E, N, N, N, N}) {
+		t.Errorf("moves = %v, want east then north", got)
+	}
+	if got := movesOf(ECube, m, b, a); !slices.Equal(got, []topology.Port{W, W, W, S, S, S, S}) {
+		t.Errorf("reverse moves = %v, want west then south", got)
+	}
+}
+
+func TestTorusUnicastPathTakesShorterWay(t *testing.T) {
+	m := topology.NewTorus(8, 8)
+	a, b := at(m, 1, 0), at(m, 7, 0)
+	E, W, N := topology.East, topology.West, topology.North
+	if got := movesOf(ECube, m, a, b); !slices.Equal(got, []topology.Port{W, W}) {
+		t.Fatalf("moves = %v, want west west (wrap is shorter)", got)
+	}
+	if got := movesOf(ECube, m, b, a); !slices.Equal(got, []topology.Port{E, E}) {
+		t.Fatalf("moves = %v, want east east (wrap back)", got)
+	}
+	if got := movesOf(ECube, m, at(m, 0, 0), at(m, 4, 4)); !slices.Equal(got, []topology.Port{E, E, E, E, N, N, N, N}) {
+		t.Fatalf("half-ring moves = %v, want forward on the tie", got)
+	}
+	// West-first's X run never wraps: a westward offset is walked west.
+	if got := movesOf(WestFirst, m, b, a); !slices.Equal(got, []topology.Port{W, W, W, W, W, W}) {
+		t.Fatalf("west-first moves = %v, want six west hops", got)
 	}
 }
 

@@ -13,7 +13,10 @@ import (
 // engine. Both queues are driven in lockstep through identical randomized
 // schedule/cancel/reschedule scripts; any ordering divergence the bucketed
 // queue introduces fails here before it can silently shift a simulation
-// schedule.
+// schedule. The scripts run twice: in the default FIFO mode, and under
+// chaos ordering, where the reference draws each event's random sequence
+// from its own copy of the engine's tie-break RNG in the same schedule
+// order.
 
 // refEvent is one reference-queue entry.
 type refEvent struct {
@@ -43,11 +46,14 @@ func (h *refHeap) Pop() any {
 }
 
 // refQueue is the legacy-semantics reference: (time, seq) heap order,
-// schedule-order sequence numbers, lazy cancel.
+// schedule-order sequence numbers (random ones under chaos), lazy cancel.
 type refQueue struct {
 	h   refHeap
 	now Time
 	seq uint64
+	// chaos, when set, supplies every sequence number, as Engine.Chaos
+	// does.
+	chaos *RNG
 	// flags maps label -> cancelled marker shared with the heap entry.
 	flags map[int]*bool
 }
@@ -57,8 +63,12 @@ func newRefQueue() *refQueue { return &refQueue{flags: make(map[int]*bool)} }
 func (q *refQueue) schedule(d Time, label int) {
 	c := new(bool)
 	q.flags[label] = c
-	heap.Push(&q.h, refEvent{at: q.now + d, seq: q.seq, label: label, cancelled: c})
+	seq := q.seq
 	q.seq++
+	if q.chaos != nil {
+		seq = q.chaos.Uint64()
+	}
+	heap.Push(&q.h, refEvent{at: q.now + d, seq: seq, label: label, cancelled: c})
 }
 
 func (q *refQueue) cancel(label int) {
@@ -130,22 +140,36 @@ func (s *equivScript) remove(label int) {
 // (40 under -short, sized so the race-detector CI soak stays inside its
 // time budget), demanding identical pop order and identical drain points.
 func TestEngineEquivalenceRandomized(t *testing.T) {
+	runEquivSeeds(t, false)
+}
+
+// TestEngineEquivalenceChaos is the same lockstep check with both queues
+// under chaos ordering: same-time events fire in random-seq order, which
+// the engine keeps by inserting into its bucket chains sorted by seq.
+func TestEngineEquivalenceChaos(t *testing.T) {
+	runEquivSeeds(t, true)
+}
+
+func runEquivSeeds(t *testing.T, chaos bool) {
 	seeds := 200
 	if testing.Short() {
 		seeds = 40
 	}
 	for seed := 0; seed < seeds; seed++ {
-		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			runEquivScript(t, DeriveSeed(0xE9, uint64(seed)))
+			runEquivScript(t, DeriveSeed(0xE9, uint64(seed)), chaos)
 		})
 	}
 }
 
-func runEquivScript(t *testing.T, base uint64) {
+func runEquivScript(t *testing.T, base uint64, chaos bool) {
 	t.Helper()
 	eng := NewEngine()
 	ref := newRefQueue()
+	if chaos {
+		eng.Chaos(base)
+		ref.chaos = NewRNG(base)
+	}
 	sc := &equivScript{base: base}
 	handles := make(map[int]Handle)
 

@@ -10,9 +10,10 @@
 // The queue is a bucketed calendar queue (timing wheel): one-cycle-wide
 // buckets over a sliding window of numBuckets cycles, with a bitmap for
 // O(1) next-bucket scans and a binary heap holding the far-future overflow.
-// Events live in a free-listed slab; Handle values (slot + generation)
-// address them, so cancelling an already-fired or recycled event is a safe
-// no-op. See DESIGN.md, "Calendar-queue event engine".
+// Events live in a free-listed slab, and each bucket is a chain linked
+// through the slab itself; Handle values (slot + generation) address them,
+// so cancelling an already-fired or recycled event is a safe no-op. See
+// DESIGN.md, "Calendar-queue event engine".
 package sim
 
 import (
@@ -46,10 +47,12 @@ type event struct {
 	seq uint64
 	// fn carries its arguments in arg/argI, letting hot callers schedule
 	// without allocating a closure.
-	fn        func(arg any, i int32)
-	arg       any
-	argI      int32
-	next      int32 // free-list link
+	fn   func(arg any, i int32)
+	arg  any
+	argI int32
+	// next links the slot into its bucket's chain while pending, and into
+	// the free list once recycled; a slot is never on both (-1 ends either).
+	next      int32
 	gen       uint32
 	cancelled bool
 }
@@ -93,17 +96,18 @@ type Engine struct {
 	// base is the low edge of the bucket window [base, base+numBuckets);
 	// it trails now and snaps to now on every fire. All bucketed events
 	// have at in [now, base+numBuckets); overflow events lie at or beyond
-	// base+numBuckets (at insertion time).
+	// base+numBuckets (at insertion time). Bucket b's events form the slab
+	// chain head[b] -> next -> ... -> tail[b] (head -1 = empty), in firing
+	// order; tail is meaningful only while head is not -1.
 	base     Time
-	buckets  [numBuckets][]int32
-	btime    [numBuckets]Time // the single time of each open bucket
+	head     [numBuckets]int32
+	tail     [numBuckets]int32
 	words    [numWords]uint64 // bit b set iff bucket b is open
 	bucketed int              // entries across all buckets (incl. cancelled)
 
-	// cur/curPos track the bucket currently draining (-1 = none). Entries
-	// before curPos are consumed; zero-delay insertions land after curPos.
-	cur    int32
-	curPos int
+	// cur is the bucket currently draining (-1 = none). Its chain holds
+	// only undrained events, so a zero-delay insertion simply joins it.
+	cur int32
 
 	// overflow is a binary heap of slot indices ordered by (at, seq), and
 	// overflowAt its top's fire time (MaxTime when empty), cached so the
@@ -114,7 +118,11 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
 func NewEngine() *Engine {
-	return &Engine{free: -1, cur: -1, overflowAt: MaxTime}
+	e := &Engine{free: -1, cur: -1, overflowAt: MaxTime}
+	for i := range e.head {
+		e.head[i] = -1
+	}
+	return e
 }
 
 // Chaos switches same-time event ordering from FIFO to a seeded random
@@ -191,39 +199,59 @@ func (e *Engine) schedule(t Time, fn func(any, int32), arg any, argI int32) Hand
 	return Handle{slot: idx, gen: ev.gen}
 }
 
-// insertBucket files idx under time t. All times currently bucketed lie in
-// the half-open width-numBuckets window above now, so t's bucket either is
-// empty or already holds exactly time t.
+// insertBucket chains idx into the bucket of time t. All times currently
+// bucketed lie in the half-open width-numBuckets window above now, so t's
+// bucket either is empty or already holds exactly time t. Schedule order is
+// seq order, and overflow migration feeds buckets in (time, seq) heap order,
+// so appending keeps every chain sorted by seq; only chaos's random seqs
+// need the sorted insertion.
 //
 //simcheck:noalloc
 func (e *Engine) insertBucket(idx int32, t Time) {
 	bi := int32(t) & bucketMask
-	if len(e.buckets[bi]) == 0 && bi != e.cur {
-		e.btime[bi] = t
-		e.words[bi>>6] |= 1 << uint(bi&63)
-	}
-	e.buckets[bi] = append(e.buckets[bi], idx)
+	ev := &e.events[idx]
 	e.bucketed++
-	if e.chaos != nil && bi == e.cur {
-		// A zero-delay insertion into the draining bucket: under chaos the
-		// fresh random seq may order before events still waiting, so slot
-		// it into the undrained region by seq.
-		b := e.buckets[bi]
-		s := e.events[idx].seq
-		j := len(b) - 2
-		for j >= e.curPos && e.events[b[j]].seq > s {
-			b[j+1] = b[j]
-			j--
-		}
-		b[j+1] = idx
+	if e.head[bi] < 0 {
+		ev.next = -1
+		e.head[bi], e.tail[bi] = idx, idx
+		e.words[bi>>6] |= 1 << uint(bi&63)
+		return
 	}
+	last := e.tail[bi]
+	if e.chaos != nil && e.events[last].seq > ev.seq {
+		e.insertSorted(bi, idx)
+		return
+	}
+	ev.next = -1
+	e.events[last].next = idx
+	e.tail[bi] = idx
+}
+
+// insertSorted links idx into bucket bi's chain after every event whose seq
+// is not above its own (so equal seqs stay FIFO). The caller has seen the
+// tail's seq above it, so the walk stops before running off the chain.
+//
+//simcheck:noalloc
+func (e *Engine) insertSorted(bi, idx int32) {
+	ev := &e.events[idx]
+	p := e.head[bi]
+	if e.events[p].seq > ev.seq {
+		ev.next = p
+		e.head[bi] = idx
+		return
+	}
+	for q := e.events[p].next; e.events[q].seq <= ev.seq; q = e.events[q].next {
+		p = q
+	}
+	ev.next = e.events[p].next
+	e.events[p].next = idx
 }
 
 // Cancel prevents a pending event from firing. Cancelling an event that has
 // already fired, been cancelled, or whose slot was recycled is a no-op (the
-// generation check catches all three). Cancellation is lazy — the slot is
-// reclaimed when its bucket or the overflow heap drains past it — but
-// Pending reflects it immediately.
+// generation check catches all three). Cancellation is lazy — the slot stays
+// chained and is reclaimed when its bucket or the overflow heap drains past
+// it — but Pending reflects it immediately.
 //
 //simcheck:noalloc
 func (e *Engine) Cancel(h Handle) {
@@ -263,7 +291,8 @@ func (e *Engine) Halt() { e.halted = true }
 // schedule or cancel events.
 func (e *Engine) SetProbe(fn func(at Time, fired uint64, pending int)) { e.probe = fn }
 
-// freeSlot recycles a consumed or cancelled slot. The generation bump
+// freeSlot recycles a consumed or cancelled slot, which its caller has
+// already unlinked from its chain or the heap. The generation bump
 // invalidates every outstanding Handle to it.
 //
 //simcheck:noalloc
@@ -277,17 +306,6 @@ func (e *Engine) freeSlot(idx int32) {
 	ev.cancelled = false
 	ev.next = e.free
 	e.free = idx
-}
-
-// closeBucket retires the drained current bucket.
-//
-//simcheck:noalloc
-func (e *Engine) closeBucket() {
-	bi := e.cur
-	e.buckets[bi] = e.buckets[bi][:0]
-	e.words[bi>>6] &^= 1 << uint(bi&63)
-	e.cur = -1
-	e.curPos = 0
 }
 
 // scanBuckets returns the open bucket with the earliest time. Bucketed
@@ -310,46 +328,27 @@ func (e *Engine) scanBuckets() (int32, bool) {
 	return 0, false
 }
 
-// sortBucket orders the freshly selected bucket by sequence. Only chaos
-// mode needs it: schedule order already appends FIFO-sorted sequences, and
-// overflow migration feeds buckets in (time, seq) heap order.
-//
-//simcheck:noalloc
-func (e *Engine) sortBucket(bi int32) {
-	b := e.buckets[bi]
-	for i := 1; i < len(b); i++ {
-		x := b[i]
-		s := e.events[x].seq
-		j := i - 1
-		for j >= 0 && e.events[b[j]].seq > s {
-			b[j+1] = b[j]
-			j--
-		}
-		b[j+1] = x
-	}
-}
-
 // nextTime locates the earliest live event without consuming it, draining
-// cancelled slots it passes over. On return with ok, either cur/curPos
-// address a live bucketed event, or the buckets are empty and the overflow
-// heap's top is live (not yet migrated). It never advances base, so peeking
-// past a RunUntil limit perturbs nothing.
+// cancelled slots it passes over. On return with ok, either cur's chain
+// head is a live event, or the buckets are empty and the overflow heap's
+// top is live (not yet migrated). It never advances base, so peeking past a
+// RunUntil limit perturbs nothing.
 //
 //simcheck:noalloc
 func (e *Engine) nextTime() (Time, bool) {
 	for {
-		if e.cur >= 0 {
-			b := e.buckets[e.cur]
-			for e.curPos < len(b) {
-				idx := b[e.curPos]
-				if !e.events[idx].cancelled {
-					return e.btime[e.cur], true
+		if bi := e.cur; bi >= 0 {
+			for idx := e.head[bi]; idx >= 0; idx = e.head[bi] {
+				ev := &e.events[idx]
+				if !ev.cancelled {
+					return ev.at, true
 				}
-				e.curPos++
+				e.head[bi] = ev.next
 				e.bucketed--
 				e.freeSlot(idx)
 			}
-			e.closeBucket()
+			e.words[bi>>6] &^= 1 << uint(bi&63)
+			e.cur = -1
 		}
 		if e.bucketed > 0 {
 			bi, ok := e.scanBuckets()
@@ -357,10 +356,6 @@ func (e *Engine) nextTime() (Time, bool) {
 				panic("sim: bucket accounting out of sync")
 			}
 			e.cur = bi
-			e.curPos = 0
-			if e.chaos != nil {
-				e.sortBucket(bi)
-			}
 			continue
 		}
 		for len(e.overflow) > 0 {
@@ -421,11 +416,11 @@ func (e *Engine) Step() bool {
 			e.rebase(e.overflowAt)
 			continue
 		}
-		idx := e.buckets[e.cur][e.curPos]
+		idx := e.head[e.cur]
 		ev := &e.events[idx]
 		t := ev.at
 		fn, arg, argI := ev.fn, ev.arg, ev.argI
-		e.curPos++
+		e.head[e.cur] = ev.next // before freeSlot reuses next
 		e.bucketed--
 		e.freeSlot(idx)
 		if t < e.now {
@@ -472,14 +467,10 @@ func (e *Engine) RunUntil(limit Time) uint64 {
 			break
 		}
 		if t > limit {
-			if e.cur >= 0 {
-				// nextTime selected a bucket past the limit. Unselect it, so an
-				// event scheduled before it in the meantime still fires first;
-				// its entries before curPos are cancelled slots already freed.
-				b := e.buckets[e.cur]
-				e.buckets[e.cur] = b[:copy(b, b[e.curPos:])]
-				e.cur, e.curPos = -1, 0
-			}
+			// nextTime may have selected a bucket past the limit. Unselect
+			// it, so an event scheduled before it in the meantime still
+			// fires first; its chain stays open.
+			e.cur = -1
 			break
 		}
 		e.Step()

@@ -659,9 +659,10 @@ func TestSampleMerge(t *testing.T) {
 	}
 }
 
-// TestSampleJSONRoundTrip checks the marshal/unmarshal pair the sweep
-// checkpoint format depends on: values survive a round trip exactly and
-// an empty sample stays empty.
+// TestSampleJSONRoundTrip checks the marshal/unmarshal pair the result
+// store depends on (a sweep point's stored JSON carries its latency
+// sample): values survive a round trip exactly and an empty sample stays
+// empty.
 func TestSampleJSONRoundTrip(t *testing.T) {
 	var s Sample
 	for _, v := range []float64{3, 1, 4, 1, 5} {

@@ -64,7 +64,7 @@ type Mesh struct {
 	w, h int
 	wrap bool
 	// coords is the precomputed NodeID -> Coord table: Coord sits on the
-	// simulator's per-hop hot path, where a table lookup beats div/mod.
+	// simulator's per-route hot paths, where a table lookup beats div/mod.
 	coords []Coord
 }
 
@@ -179,46 +179,6 @@ func (m *Mesh) Neighbor(id NodeID, p Port) (NodeID, bool) {
 		c.Y = (c.Y + m.h) % m.h
 	}
 	return m.ID(c), true
-}
-
-// PortToward returns the port by which a router at `from` forwards one hop
-// toward `to` along dimension dim ('x' or 'y'). It panics if the two nodes
-// are already aligned in that dimension.
-func (m *Mesh) PortToward(from, to NodeID, dim byte) Port {
-	cf, ct := m.Coord(from), m.Coord(to)
-	switch dim {
-	case 'x':
-		if cf.X == ct.X {
-			break
-		}
-		if m.wrap {
-			fwd := (ct.X - cf.X + m.w) % m.w
-			if fwd <= m.w-fwd {
-				return East
-			}
-			return West
-		}
-		if ct.X > cf.X {
-			return East
-		}
-		return West
-	case 'y':
-		if cf.Y == ct.Y {
-			break
-		}
-		if m.wrap {
-			fwd := (ct.Y - cf.Y + m.h) % m.h
-			if fwd <= m.h-fwd {
-				return North
-			}
-			return South
-		}
-		if ct.Y > cf.Y {
-			return North
-		}
-		return South
-	}
-	panic(fmt.Sprintf("topology: PortToward %v->%v aligned in dim %c", cf, ct, dim))
 }
 
 func abs(v int) int {

@@ -188,34 +188,6 @@ func TestPortOppositeLocalPanics(t *testing.T) {
 	Local.Opposite()
 }
 
-func TestPortToward(t *testing.T) {
-	m := NewSquareMesh(8)
-	a := m.ID(Coord{2, 2})
-	b := m.ID(Coord{5, 6})
-	if got := m.PortToward(a, b, 'x'); got != East {
-		t.Errorf("PortToward x = %v, want east", got)
-	}
-	if got := m.PortToward(a, b, 'y'); got != North {
-		t.Errorf("PortToward y = %v, want north", got)
-	}
-	if got := m.PortToward(b, a, 'x'); got != West {
-		t.Errorf("PortToward reverse x = %v, want west", got)
-	}
-	if got := m.PortToward(b, a, 'y'); got != South {
-		t.Errorf("PortToward reverse y = %v, want south", got)
-	}
-}
-
-func TestPortTowardAlignedPanics(t *testing.T) {
-	m := NewSquareMesh(4)
-	defer func() {
-		if recover() == nil {
-			t.Error("PortToward on aligned nodes did not panic")
-		}
-	}()
-	m.PortToward(m.ID(Coord{1, 1}), m.ID(Coord{1, 3}), 'x')
-}
-
 func TestPortString(t *testing.T) {
 	if Local.String() != "local" || East.String() != "east" {
 		t.Error("port names wrong")

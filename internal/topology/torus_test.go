@@ -38,17 +38,6 @@ func TestTorusDistanceUsesRings(t *testing.T) {
 	}
 }
 
-func TestTorusPortTowardShortest(t *testing.T) {
-	m := NewTorus(8, 8)
-	a, b := m.ID(Coord{1, 0}), m.ID(Coord{7, 0})
-	if got := m.PortToward(a, b, 'x'); got != West {
-		t.Fatalf("PortToward = %v, want west (wrap is shorter)", got)
-	}
-	if got := m.PortToward(b, a, 'x'); got != East {
-		t.Fatalf("PortToward = %v, want east (wrap back)", got)
-	}
-}
-
 func TestTorusTooSmallPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
