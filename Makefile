@@ -81,7 +81,8 @@ cover:
 # equivalence harness (200 randomized schedule/cancel/reschedule scripts,
 # in FIFO and in chaos ordering), the queue edge-case suite, the unicast
 # route-vs-router-walk property test (every pair, every base, meshes and
-# tori), the byte-identical golden experiment tables,
+# tori), the byte-identical golden experiment tables (the seed suite and
+# the hot-spot, per-home and application figures),
 # and the functional-install-vs-simulated-reads property test (sharers
 # installed by Machine.InstallSharer must leave the machine, and the write
 # that follows, exactly as simulated read misses do), and the allocation
@@ -92,7 +93,7 @@ cover:
 equiv:
 	$(GO) test ./internal/sim -run 'TestEngineEquivalence|TestQueue|TestEngineAllocs' -count=1
 	$(GO) test ./internal/routing -run TestUnicastPathIsRouterWalk -count=1
-	$(GO) test ./internal/experiments -run TestGoldenTablesSeed -count=1
+	$(GO) test ./internal/experiments -run 'TestGoldenTablesSeed|TestGoldenCellTables' -count=1
 	$(GO) test ./internal/network -run TestWormAllocsPerUnicast -count=1
 	$(GO) test ./internal/workload -run 'TestInstallSharerMatchesSimulatedReads|TestTrafficAllocsIndependentOfLength|TestInvalAllocsPerTxn' -count=1
 

@@ -15,7 +15,7 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/golden_seed_tables.txt from the current engine")
+	"rewrite the testdata golden tables from the current engine")
 
 // seedGoldenTables renders the engine-equivalence suite: the full E4/E5/E6
 // sharer sweep over all nine grouping schemes, the E26 fault-recovery sweep
@@ -89,6 +89,46 @@ func TestGoldenTablesSeed(t *testing.T) {
 	if got != string(want) {
 		t.Fatalf("golden tables diverged from seed output:\n%s",
 			diffFirstLines(string(want), got))
+	}
+}
+
+// cellGoldenNames are the hot-spot, per-home and application figures.
+var cellGoldenNames = []string{"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing"}
+
+// TestGoldenCellTables compares cellGoldenNames at k=8, d=6, trials=2 (the
+// application figures at their fixed 4x4 size) byte-for-byte against
+// testdata/golden_cell_tables.txt, at 1 and at 8 workers. d is 6 because
+// E12's one-consumption-channel cell wedges at k=8, d=16. Regenerate
+// deliberately with: go test ./internal/experiments -run TestGoldenCellTables
+// -update-golden
+func TestGoldenCellTables(t *testing.T) {
+	path := filepath.Join("testdata", "golden_cell_tables.txt")
+	for _, parallel := range []int{1, 8} {
+		l := Lab{Sweep: sweep.Options{Parallel: parallel}}
+		var b strings.Builder
+		for _, name := range cellGoldenNames {
+			tab, err := l.Run(name, 8, 6, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(tab.String())
+			b.WriteString("\n")
+		}
+		got := b.String()
+		if *updateGolden {
+			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("updated %s (%d bytes)", path, len(got))
+			return
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update-golden to create): %v", err)
+		}
+		if got != string(want) {
+			t.Fatalf("cell tables at %d workers diverged from the golden:\n%s", parallel, diffFirstLines(string(want), got))
+		}
 	}
 }
 
