@@ -23,12 +23,13 @@ func lab(ctx context.Context, run func(context.Context, sweep.Point) (sweep.Meas
 	return experiments.Lab{Ctx: ctx, Sweep: sweep.Options{Parallel: 2, RunPoint: run}}
 }
 
-// render concatenates the named experiments' tables at k=8, trials=2.
-func render(t *testing.T, l experiments.Lab, names ...string) string {
+// render concatenates the named experiments' tables at k=8, d sharers,
+// trials=2.
+func render(t *testing.T, l experiments.Lab, d int, names ...string) string {
 	t.Helper()
 	var b strings.Builder
 	for _, name := range names {
-		tab, err := l.Run(name, 8, 16, 2)
+		tab, err := l.Run(name, 8, d, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,10 +38,10 @@ func render(t *testing.T, l experiments.Lab, names ...string) string {
 	return b.String()
 }
 
-// direct renders the named experiments on the bare engine.
+// direct renders the named experiments at d=16 on the bare engine.
 func direct(t *testing.T, names ...string) string {
 	t.Helper()
-	return render(t, lab(context.Background(), nil), names...)
+	return render(t, lab(context.Background(), nil), 16, names...)
 }
 
 // openRunner opens a store runner over the result directory dir.
@@ -54,15 +55,18 @@ func openRunner(t *testing.T, dir string) *storeRunner {
 }
 
 // TestDataRerunRunsNothing: a second run over the same -data directory runs
-// no point and prints the tables the bare engine prints, default machines and
-// variants alike.
+// no point and prints the tables the bare engine prints: default machines and
+// variants, homed transactions, hot-spot bursts and application replays alike.
+// d is 6 because E12's one-consumption-channel cell wedges at k=8, d=16.
 func TestDataRerunRunsNothing(t *testing.T) {
-	names := []string{"latency", "torus", "limdir"}
-	want := direct(t, names...)
+	names := []string{"latency", "torus", "limdir",
+		"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing"}
+	const d = 6
+	want := render(t, lab(context.Background(), nil), d, names...)
 	dir := t.TempDir()
 
 	first := openRunner(t, dir)
-	if got := render(t, lab(context.Background(), first.run), names...); got != want {
+	if got := render(t, lab(context.Background(), first.run), d, names...); got != want {
 		t.Fatalf("first -data run differs from the bare engine:\n%s\nvs\n%s", got, want)
 	}
 	if first.runs.Load() == 0 {
@@ -70,30 +74,45 @@ func TestDataRerunRunsNothing(t *testing.T) {
 	}
 
 	second := openRunner(t, dir)
-	if got := render(t, lab(context.Background(), second.run), names...); got != want {
-		t.Fatalf("rerun differs from the first run:\n%s\nvs\n%s", got, want)
+	var got strings.Builder
+	for _, name := range names {
+		hits := second.hits.Load()
+		got.WriteString(render(t, lab(context.Background(), second.run), d, name))
+		if second.hits.Load() == hits || second.runs.Load() != 0 {
+			t.Errorf("rerun of %s: %d points from the store, %d run; want some and none",
+				name, second.hits.Load()-hits, second.runs.Load())
+		}
 	}
-	if n := second.runs.Load(); n != 0 {
-		t.Fatalf("the rerun ran %d points; want all from the store", n)
+	if got.String() != want {
+		t.Fatalf("rerun differs from the first run:\n%s\nvs\n%s", got.String(), want)
 	}
 	if second.hits.Load() != first.hits.Load()+first.runs.Load() {
 		t.Fatalf("rerun served %d points; the first run resolved %d", second.hits.Load(), first.hits.Load()+first.runs.Load())
 	}
 }
 
-// TestSharedPointRunsOnce: the torus figure's mesh cells are E4 latency
-// points, so after latency only its 12 torus cells run.
+// TestSharedPointRunsOnce: a figure's cells that an earlier figure computed
+// come from the store. The torus figure's mesh cells are E4 latency points,
+// so after latency only its 12 torus cells run; E23 and Table 6 replay six of
+// E9's UI-UA and MI-MA-ec cells, so after them E9 runs only its other 6.
 func TestSharedPointRunsOnce(t *testing.T) {
-	r := &storeRunner{store: service.NewMemoryStore(0)}
-	l := lab(context.Background(), r.run)
-	render(t, l, "latency")
-	ran := r.runs.Load()
-	if r.hits.Load() != 0 {
-		t.Fatalf("latency alone had %d store hits; its points are distinct", r.hits.Load())
+	cases := []struct {
+		first, then      []string
+		wantHit, wantRun int64
+	}{
+		{[]string{"latency"}, []string{"torus"}, 12, 12},
+		{[]string{"sharing", "table6"}, []string{"apps"}, 6, 6},
 	}
-	render(t, l, "torus")
-	if hits, runs := r.hits.Load(), r.runs.Load()-ran; hits != 12 || runs != 12 {
-		t.Fatalf("torus after latency: %d points from the store, %d run; want 12 and 12", hits, runs)
+	for _, c := range cases {
+		r := &storeRunner{store: service.NewMemoryStore(0)}
+		l := lab(context.Background(), r.run)
+		render(t, l, 16, c.first...)
+		hit, ran := r.hits.Load(), r.runs.Load()
+		render(t, l, 16, c.then...)
+		if hits, runs := r.hits.Load()-hit, r.runs.Load()-ran; hits != c.wantHit || runs != c.wantRun {
+			t.Errorf("%v after %v: %d points from the store, %d run; want %d and %d",
+				c.then, c.first, hits, runs, c.wantHit, c.wantRun)
+		}
 	}
 }
 
@@ -114,12 +133,12 @@ func TestInterruptedRerunIsByteIdentical(t *testing.T) {
 		return cut.run(pctx, p)
 	})
 	l.Sweep.Parallel = 1
-	if render(t, l, "latency") == want {
+	if render(t, l, 16, "latency") == want {
 		t.Fatal("the cancelled run printed the full tables")
 	}
 
 	rerun := openRunner(t, dir)
-	if got := render(t, lab(context.Background(), rerun.run), "latency"); got != want {
+	if got := render(t, lab(context.Background(), rerun.run), 16, "latency"); got != want {
 		t.Fatalf("rerun after an interrupt differs from an uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
 	if hits, runs := rerun.hits.Load(), rerun.runs.Load(); hits != 20 || hits+runs != 63 {
@@ -132,7 +151,7 @@ func TestInterruptedRerunIsByteIdentical(t *testing.T) {
 func TestTorusTwinsAreDistinctEntries(t *testing.T) {
 	store := service.NewMemoryStore(0)
 	r := &storeRunner{store: store}
-	render(t, lab(context.Background(), r.run), "torus")
+	render(t, lab(context.Background(), r.run), 16, "torus")
 	if n, _ := store.Len(); n != 24 || r.runs.Load() != 24 {
 		t.Fatalf("torus figure: %d store entries after %d runs; want one per cell, 24", n, r.runs.Load())
 	}
@@ -154,13 +173,13 @@ func TestQuarantinedPointsAreNotStored(t *testing.T) {
 	r := &storeRunner{store: store}
 	l := lab(context.Background(), r.run)
 	l.Sweep.PointTimeout = time.Nanosecond
-	render(t, l, "torus")
+	render(t, l, 16, "torus")
 	if n, _ := store.Len(); n != 0 {
 		t.Fatalf("%d timed-out points were stored", n)
 	}
 	l.Sweep.PointTimeout = 0
 	ran := r.runs.Load()
-	if got := render(t, l, "torus"); got != want {
+	if got := render(t, l, 16, "torus"); got != want {
 		t.Fatalf("rerun after the timeouts differs from the bare engine:\n%s\nvs\n%s", got, want)
 	}
 	if runs := r.runs.Load() - ran; runs != 24 {
@@ -172,7 +191,7 @@ func TestQuarantinedPointsAreNotStored(t *testing.T) {
 // naming its fingerprint; it is never served and never silently rerun.
 func TestCorruptResultIsLoud(t *testing.T) {
 	dir := t.TempDir()
-	render(t, lab(context.Background(), openRunner(t, dir).run), "limdir")
+	render(t, lab(context.Background(), openRunner(t, dir).run), 16, "limdir")
 	p := sweep.Point{K: 8, Scheme: grouping.BR, D: 6, Trials: 5, Seed: 1, Tune: &coherence.Variant{DirPointers: 4}}
 	fp := p.Fingerprint()
 	if err := os.WriteFile(filepath.Join(dir, "results", fp+".json"), []byte("{"), 0o644); err != nil {

@@ -65,6 +65,36 @@ type Workload struct {
 	WormBarriers bool
 }
 
+// PaperNames names the paper's three applications (Table 6) in presentation
+// order.
+var PaperNames = []string{"Barnes-Hut", "LU", "APSP"}
+
+// ByName returns the named application at its published size: Barnes-Hut
+// 128 bodies / 4 steps, LU 128x128 with 8x8 blocks, APSP (Floyd-Warshall) on
+// 64 vertices, or the Jacobi stencil extension; 16 processors each.
+func ByName(name string) (Workload, error) {
+	switch name {
+	case "Barnes-Hut":
+		return BarnesHut(BarnesConfig{}), nil
+	case "LU":
+		return LU(LUConfig{}), nil
+	case "APSP":
+		return APSP(APSPConfig{}), nil
+	case "Jacobi":
+		return Jacobi(JacobiConfig{}), nil
+	}
+	return Workload{}, fmt.Errorf("apps: unknown application %q", name)
+}
+
+// Paper returns the PaperNames applications.
+func Paper() []Workload {
+	ws := make([]Workload, len(PaperNames))
+	for i, name := range PaperNames {
+		ws[i], _ = ByName(name) // every PaperNames entry is known
+	}
+	return ws
+}
+
 // Stats summarizes a workload's reference mix.
 type Stats struct {
 	Reads, Writes, Computes, Barriers uint64

@@ -2,33 +2,33 @@
 // evaluation (see DESIGN.md section 5 for the experiment index and
 // EXPERIMENTS.md for recorded results). Each figure runs the relevant
 // workloads on the cycle-level simulator and renders a report table. A
-// figure that sweeps points or fans cells over workers is a method of Lab,
-// the value that says how it runs — context, workers, timeout, progress and
-// point runner — so no state is shared between callers: invalsweep builds
-// one Lab over its result store, and the daemon's experiment endpoint builds
-// one per request over its own service. Lab.Run is the one entry point by
-// name (RunnerOrder lists the names).
+// figure whose cells are sweep points (invalidation transactions, hot-spot
+// bursts, application replays) is a method of Lab, the value that says how
+// it runs — context, workers, timeout, progress and point runner — so no
+// state is shared between callers: invalsweep builds one Lab over its result
+// store, and the daemon's experiment endpoint builds one per request over
+// its own service. Lab.Run is the one entry point by name (RunnerOrder lists
+// the names).
 package experiments
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
-	"sync/atomic" //simcheck:allow nogoroutine -- interrupt-skip tally for eachCell; reporting only, never simulation state
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/coherence"
 	"repro/internal/directory"
 	"repro/internal/faults"
 	"repro/internal/grouping"
-	"repro/internal/metrics"
 	"repro/internal/network"
 	"repro/internal/report"
 	"repro/internal/sim"
 	"repro/internal/sweep"
 	"repro/internal/topology"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -63,14 +63,17 @@ func (l Lab) ctx() context.Context {
 	return l.Ctx
 }
 
-// runSweep executes points under the lab's sweep options. Experiment grids
-// are statically well-formed, so any error other than interruption is
-// surfaced as a panic rather than threaded through every figure signature
-// (a point runner reports its own failures the same way); Run turns it back
-// into an error. Interruption degrades to a partial table with a stderr
+// runSweep numbers points in order and executes them under the lab's sweep
+// options. Experiment grids are statically well-formed, so any error other
+// than interruption is surfaced as a panic rather than threaded through
+// every figure signature (a point runner reports its own failures the same
+// way); Run turns it back into an error. Interruption degrades to a partial table with a stderr
 // warning; a partial point that neither an interruption nor a point timeout
 // explains means the runner failed, and panics like an error.
 func (l Lab) runSweep(points []sweep.Point) []sweep.Result {
+	for i := range points {
+		points[i].Index = i
+	}
 	ctx := l.ctx()
 	sum, err := sweep.Run(ctx, points, l.Sweep)
 	if err != nil && !errors.Is(err, ctx.Err()) {
@@ -99,25 +102,63 @@ func (l Lab) runSweep(points []sweep.Point) []sweep.Result {
 	return sum.Results
 }
 
-// eachCell runs fn over [0, n) cells on the lab's worker pool (for
-// experiment shapes that do not fit the Point grid: application runs,
-// hot-spot bursts). Each cell builds its own machine and writes only its
-// own result slot, so ordering is irrelevant to the output. Cells left
-// unstarted when the lab's context is cancelled are skipped with a warning —
-// their table cells render zero.
-func (l Lab) eachCell(n int, fn func(i int)) {
-	ctx := l.ctx()
-	var skipped atomic.Int64
-	sweep.Each(l.Sweep.Parallel, n, func(i int) {
-		if ctx.Err() != nil {
-			skipped.Add(1)
-			return
-		}
-		fn(i)
-	})
-	if s := skipped.Load(); s > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: interrupted: %d/%d cells skipped; their table cells are zero\n", s, n)
+// schemeCols is a header: the leading columns, then for each scheme one
+// column per suffix (the scheme's name alone when no suffix is given).
+func schemeCols(lead []string, schemes []grouping.Scheme, suffixes ...string) []string {
+	if len(suffixes) == 0 {
+		suffixes = []string{""}
 	}
+	for _, s := range schemes {
+		for _, sfx := range suffixes {
+			lead = append(lead, s.String()+sfx)
+		}
+	}
+	return lead
+}
+
+// gridRows renders row-major results as one row per label: the label, then
+// the cells of each of that row's len(results)/len(labels) results.
+func gridRows[L any](t *report.Table, labels []L, results []sweep.Result, cells func(sweep.Measures) []any) {
+	n := len(results) / len(labels)
+	for i, label := range labels {
+		row := []any{label}
+		for _, r := range results[i*n : (i+1)*n] {
+			row = append(row, cells(r.Measures)...)
+		}
+		t.Row(row...)
+	}
+}
+
+// burst is a hot-spot burst point: one trial, placement seed 1.
+func burst(k int, s grouping.Scheme, d int, hs sweep.HotSpot, tune *coherence.Variant) sweep.Point {
+	return sweep.Point{K: k, Scheme: s, D: d, Trials: 1, Seed: 1, HotSpot: &hs, Tune: tune}
+}
+
+// runApps replays each named application under each scheme on the paper's
+// 4x4 machine and returns the outcomes application-major (zero for a replay
+// an interrupt skipped).
+func (l Lab) runApps(names []string, schemes []grouping.Scheme) []sweep.AppMeasures {
+	var pts []sweep.Point
+	for _, name := range names {
+		for _, s := range schemes {
+			pts = append(pts, sweep.Point{K: 4, Scheme: s, Trials: 1, App: name})
+		}
+	}
+	out := make([]sweep.AppMeasures, len(pts))
+	for i, r := range l.runSweep(pts) {
+		if r.Measures.App != nil {
+			out[i] = *r.Measures.App
+		}
+	}
+	return out
+}
+
+// ratio is a/b, or 0 when b is 0 (a replay an interrupt skipped).
+func ratio(a, b sim.Time) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
 }
 
 // CompareSchemes is the scheme set used by the figure sweeps, in
@@ -157,10 +198,7 @@ func (l Lab) SharerSweep(k int, ds []int, schemes []grouping.Scheme, trials int)
 	var pts []sweep.Point
 	for _, s := range schemes {
 		for _, d := range ds {
-			pts = append(pts, sweep.Point{
-				Index: len(pts), K: k, Scheme: s, D: d, Trials: trials,
-				Seed: uint64(d) + 7,
-			})
+			pts = append(pts, sweep.Point{K: k, Scheme: s, D: d, Trials: trials, Seed: uint64(d) + 7})
 		}
 	}
 	var out []SweepPoint
@@ -174,11 +212,7 @@ func (l Lab) SharerSweep(k int, ds []int, schemes []grouping.Scheme, trials int)
 // scheme-columns.
 func sweepTable(title string, points []SweepPoint, ds []int,
 	schemes []grouping.Scheme, measure func(sweep.Measures) float64) *report.Table {
-	cols := []string{"d"}
-	for _, s := range schemes {
-		cols = append(cols, s.String())
-	}
-	t := report.NewTable(title, cols...)
+	t := report.NewTable(title, schemeCols([]string{"d"}, schemes)...)
 	byKey := map[[2]int]sweep.Measures{}
 	for _, p := range points {
 		byKey[[2]int{int(p.Scheme), p.D}] = p.Res
@@ -226,33 +260,16 @@ var MeshSizes = []int{4, 8, 16, 32}
 
 // FigLatencyVsMeshSize renders E7: latency at fixed d as the mesh grows.
 func (l Lab) FigLatencyVsMeshSize(d, trials int) *report.Table {
-	cols := []string{"k"}
-	for _, s := range CompareSchemes {
-		cols = append(cols, s.String())
-	}
 	t := report.NewTable(
-		fmt.Sprintf("E7: invalidation latency (cycles) vs mesh size, d=%d, random placement", d), cols...)
+		fmt.Sprintf("E7: invalidation latency (cycles) vs mesh size, d=%d, random placement", d),
+		schemeCols([]string{"k"}, CompareSchemes)...)
 	var pts []sweep.Point
 	for _, k := range MeshSizes {
-		dd := d
-		if max := k*k - 2; dd > max {
-			dd = max
-		}
 		for _, s := range CompareSchemes {
-			pts = append(pts, sweep.Point{
-				Index: len(pts), K: k, Scheme: s, D: dd, Trials: trials,
-				Seed: uint64(k),
-			})
+			pts = append(pts, sweep.Point{K: k, Scheme: s, D: min(d, k*k-2), Trials: trials, Seed: uint64(k)})
 		}
 	}
-	results := l.runSweep(pts)
-	for i, k := range MeshSizes {
-		row := []any{k}
-		for j := range CompareSchemes {
-			row = append(row, results[i*len(CompareSchemes)+j].Measures.Latency.Mean())
-		}
-		t.Row(row...)
-	}
+	gridRows(t, MeshSizes, l.runSweep(pts), func(m sweep.Measures) []any { return []any{m.Latency.Mean()} })
 	return t
 }
 
@@ -267,39 +284,28 @@ func (l Lab) FigIAckBuffers(k, d, writers int) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("E8: %d concurrent MI-MA-ec invalidations, %dx%d mesh, d=%d: i-ack buffer sensitivity", writers, k, k, d),
 		"buffers", "mode", "sharer load", "mean latency", "makespan", "gather waits")
-	type cell struct {
-		bufs   int
-		vct    bool
-		jitter sim.Time
-	}
-	var cells []cell
+	var pts []sweep.Point
 	for _, bufs := range []int{1, 2, 4, 8} {
 		for _, vct := range []bool{false, true} {
 			for _, jitter := range []sim.Time{0, 500} {
-				cells = append(cells, cell{bufs, vct, jitter})
+				pts = append(pts, burst(k, grouping.MIMAEC, d,
+					sweep.HotSpot{Writers: writers, OverlapSharers: true, DistinctHomes: true, BusyJitter: jitter},
+					&coherence.Variant{IAckBuffers: bufs, VCTDeferred: vct}))
 			}
 		}
 	}
-	results := make([]workload.HotSpotResult, len(cells))
-	l.eachCell(len(cells), func(i int) {
-		c := cells[i]
-		results[i] = workload.RunHotSpot(workload.HotSpotConfig{
-			K: k, Scheme: grouping.MIMAEC, D: d, Writers: writers,
-			OverlapSharers: true, DistinctHomes: true, BusyJitter: c.jitter,
-			Tune: &coherence.Variant{IAckBuffers: c.bufs, VCTDeferred: c.vct},
-		})
-	})
-	for i, c := range cells {
+	for _, r := range l.runSweep(pts) {
+		tune, jitter := r.Point.Tune, r.Point.HotSpot.BusyJitter
 		mode := "blocking"
-		if c.vct {
+		if tune.VCTDeferred {
 			mode = "VCT-deferred"
 		}
 		load := "idle"
-		if c.jitter > 0 {
-			load = fmt.Sprintf("jitter<%d", c.jitter)
+		if jitter > 0 {
+			load = fmt.Sprintf("jitter<%d", jitter)
 		}
-		res := results[i]
-		t.Row(c.bufs, mode, load, res.Latency.Mean(), uint64(res.Makespan), res.GatherWaits)
+		m := r.Measures
+		t.Row(tune.IAckBuffers, mode, load, m.Latency.Mean(), uint64(m.Makespan), m.GatherWaits)
 	}
 	return t
 }
@@ -309,62 +315,46 @@ var HotSpotWriters = []int{1, 2, 4, 8}
 
 // FigHotSpot renders E10: concurrent invalidation bursts at one home.
 func (l Lab) FigHotSpot(k, d int) *report.Table {
-	cols := []string{"writers"}
-	for _, s := range CompareSchemes {
-		cols = append(cols, s.String())
-	}
 	t := report.NewTable(
-		fmt.Sprintf("E10: makespan (cycles) of concurrent invalidation bursts, %dx%d mesh, d=%d", k, k, d), cols...)
-	results := make([]workload.HotSpotResult, len(HotSpotWriters)*len(CompareSchemes))
-	l.eachCell(len(results), func(i int) {
-		w := HotSpotWriters[i/len(CompareSchemes)]
-		s := CompareSchemes[i%len(CompareSchemes)]
-		results[i] = workload.RunHotSpot(workload.HotSpotConfig{K: k, Scheme: s, D: d, Writers: w})
-	})
-	for i, w := range HotSpotWriters {
-		row := []any{w}
-		for j := range CompareSchemes {
-			row = append(row, uint64(results[i*len(CompareSchemes)+j].Makespan))
+		fmt.Sprintf("E10: makespan (cycles) of concurrent invalidation bursts, %dx%d mesh, d=%d", k, k, d),
+		schemeCols([]string{"writers"}, CompareSchemes)...)
+	var pts []sweep.Point
+	for _, w := range HotSpotWriters {
+		for _, s := range CompareSchemes {
+			pts = append(pts, burst(k, s, d, sweep.HotSpot{Writers: w}, nil))
 		}
-		t.Row(row...)
 	}
+	gridRows(t, HotSpotWriters, l.runSweep(pts), makespan)
 	return t
 }
+
+// makespan is a burst's table cell.
+func makespan(m sweep.Measures) []any { return []any{uint64(m.Makespan)} }
 
 // FigHomePlacement renders the per-home-node breakdown of invalidation
 // latency and home-message load: the same d-sharer transaction rerun with
 // the block homed at every node of the mesh diagonal. Corner homes pay
 // longer worm paths than central homes — the placement effect E11
-// aggregates, shown per node here. The rows come out of map-keyed
-// collectors (metrics.InvalLatencyByHome) rendered in ascending home order
-// via report.SortedKeys, the discipline the maporder analyzer enforces.
+// aggregates, shown per node here. Each home is one point, in ascending
+// home order; a point an interrupt skipped has no row.
 func (l Lab) FigHomePlacement(k, d, trials int) *report.Table {
 	mesh := topology.NewSquareMesh(k)
-	homes := make([]topology.NodeID, 0, k)
+	var pts []sweep.Point
 	for i := 0; i < k; i++ {
-		homes = append(homes, mesh.ID(topology.Coord{X: i, Y: i}))
+		h := mesh.ID(topology.Coord{X: i, Y: i})
+		pts = append(pts, sweep.Point{K: k, Scheme: grouping.MIMAEC, D: d, Trials: trials, Seed: 1, Home: &h})
 	}
-	results := make([]workload.InvalResult, len(homes))
-	l.eachCell(len(results), func(i int) {
-		h := homes[i]
-		results[i] = workload.RunInval(workload.InvalConfig{
-			K: k, Scheme: grouping.MIMAEC, D: d,
-			Pattern: workload.RandomPlacement, Trials: trials, Home: &h,
-		})
-	})
-	agg := &metrics.Collector{}
-	for i := range results {
-		agg.Merge(results[i].Metrics)
-	}
-	byLat := agg.InvalLatencyByHome()
-	byMsgs := agg.HomeMsgsByHome()
 	t := report.NewTable(
 		fmt.Sprintf("E11b: per-home invalidation latency, diagonal homes, %dx%d mesh, d=%d (MI-MA e-cube)", k, k, d),
 		"home", "x", "y", "txns", "mean lat", "home msgs")
-	for _, h := range report.SortedKeys(byLat) {
-		s := byLat[h]
+	for _, r := range l.runSweep(pts) {
+		h, lat := *r.Point.Home, r.Measures.Latency
+		if lat.N() == 0 {
+			continue
+		}
 		c := mesh.Coord(h)
-		t.Row(h, c.X, c.Y, s.N(), s.Mean(), byMsgs[h])
+		// HomeMsgs is the per-transaction mean of an integer total.
+		t.Row(h, c.X, c.Y, lat.N(), lat.Mean(), uint64(math.Round(r.Measures.HomeMsgs*float64(lat.N()))))
 	}
 	return t
 }
@@ -377,30 +367,15 @@ func (l Lab) AblationPlacement(k, d, trials int) *report.Table {
 		workload.ColumnPlacement, workload.RowPlacement, workload.DiagonalPlacement,
 	}
 	schemes := []grouping.Scheme{grouping.MIUAEC, grouping.MIMAEC, grouping.MIMAECRC, grouping.MIMAPA, grouping.MIMATM, grouping.ADAPT}
-	cols := []string{"placement"}
-	for _, s := range schemes {
-		cols = append(cols, s.String()+" lat", s.String()+" worms")
-	}
-	t := report.NewTable(
-		fmt.Sprintf("E11: placement sensitivity, %dx%d mesh, d=%d", k, k, d), cols...)
+	t := report.NewTable(fmt.Sprintf("E11: placement sensitivity, %dx%d mesh, d=%d", k, k, d),
+		schemeCols([]string{"placement"}, schemes, " lat", " worms")...)
 	var pts []sweep.Point
 	for _, pat := range pats {
 		for _, s := range schemes {
-			pts = append(pts, sweep.Point{
-				Index: len(pts), K: k, Scheme: s, D: d, Pattern: pat, Trials: trials,
-				Seed: 1,
-			})
+			pts = append(pts, sweep.Point{K: k, Scheme: s, D: d, Pattern: pat, Trials: trials, Seed: 1})
 		}
 	}
-	results := l.runSweep(pts)
-	for i, pat := range pats {
-		row := []any{pat.String()}
-		for j := range schemes {
-			m := results[i*len(schemes)+j].Measures
-			row = append(row, m.Latency.Mean(), m.Groups)
-		}
-		t.Row(row...)
-	}
+	gridRows(t, pats, l.runSweep(pts), func(m sweep.Measures) []any { return []any{m.Latency.Mean(), m.Groups} })
 	return t
 }
 
@@ -413,20 +388,15 @@ func (l Lab) AblationConsumptionChannels(k, d, writers int) *report.Table {
 		fmt.Sprintf("E12: consumption channels ablation, %d concurrent MI-MA-ec invalidations, %dx%d mesh, d=%d", writers, k, k, d),
 		"consumption channels", "mean latency", "makespan")
 	chans := []int{1, 2, 4, 8}
-	results := make([]workload.HotSpotResult, len(chans))
-	l.eachCell(len(chans), func(i int) {
-		c := chans[i]
-		results[i] = workload.RunHotSpot(workload.HotSpotConfig{
-			K: k, Scheme: grouping.MIMAEC, D: d, Writers: writers,
-			OverlapSharers: true, DistinctHomes: true,
-			// VCT keeps one-buffer corner cases live-locked-free while the
-			// consumption channels are the varied resource.
-			Tune: &coherence.Variant{ConsumptionChannels: c, VCTDeferred: true},
-		})
-	})
-	for i, c := range chans {
-		t.Row(c, results[i].Latency.Mean(), uint64(results[i].Makespan))
+	var pts []sweep.Point
+	for _, c := range chans {
+		// VCT keeps one-buffer corner cases live-locked-free while the
+		// consumption channels are the varied resource.
+		pts = append(pts, burst(k, grouping.MIMAEC, d,
+			sweep.HotSpot{Writers: writers, OverlapSharers: true, DistinctHomes: true},
+			&coherence.Variant{ConsumptionChannels: c, VCTDeferred: true}))
 	}
+	gridRows(t, chans, l.runSweep(pts), func(m sweep.Measures) []any { return []any{m.Latency.Mean(), uint64(m.Makespan)} })
 	return t
 }
 
@@ -459,34 +429,14 @@ func Table5() *report.Table {
 	return t
 }
 
-// PaperApps returns the paper's three application workloads at their
-// published sizes: Barnes-Hut 128 bodies / 4 steps, LU 128x128 with 8x8
-// blocks, APSP (Floyd-Warshall) on 64 vertices; 16 processors each.
-func PaperApps() []apps.Workload {
-	return []apps.Workload{
-		apps.BarnesHut(apps.BarnesConfig{}),
-		apps.LU(apps.LUConfig{}),
-		apps.APSP(apps.APSPConfig{}),
-	}
-}
-
 // Table6 renders the application characteristics (paper Table 6) measured
 // under the UI-UA baseline on a 4x4 mesh.
 func (l Lab) Table6() *report.Table {
 	t := report.NewTable("Table 6: application characteristics (16 processors, UI-UA baseline)",
 		"application", "shared reads", "shared writes", "barriers",
 		"inval txns", "avg sharers", "max sharers", "exec cycles")
-	ws := PaperApps()
-	results := make([]apps.RunResult, len(ws))
-	l.eachCell(len(ws), func(i int) {
-		m := coherence.NewMachine(coherence.DefaultParams(4, grouping.UIUA))
-		results[i] = apps.Run(m, ws[i])
-	})
-	for i, w := range ws {
-		st := w.Stats()
-		res := results[i]
-		t.Row(w.Name, st.Reads, st.Writes, st.Barriers/uint64(len(w.Programs)),
-			res.Invals, res.AvgSharers, res.MaxSharers, uint64(res.Time))
+	for i, a := range l.runApps(apps.PaperNames, []grouping.Scheme{grouping.UIUA}) {
+		t.Row(apps.PaperNames[i], a.Reads, a.Writes, a.Barriers, a.Invals, a.AvgSharers, a.MaxSharers, uint64(a.Time))
 	}
 	return t
 }
@@ -497,30 +447,18 @@ var AppSchemes = []grouping.Scheme{grouping.UIUA, grouping.MIUAEC, grouping.MIMA
 // FigApplications renders E9: application execution time under each
 // framework, normalized to UI-UA.
 func (l Lab) FigApplications() *report.Table {
-	cols := []string{"application"}
-	for _, s := range AppSchemes {
-		cols = append(cols, s.String())
-	}
-	cols = append(cols, "UI-UA cycles")
-	t := report.NewTable("E9: normalized application execution time (16 processors, 4x4 mesh)", cols...)
-	ws := PaperApps()
-	results := make([]apps.RunResult, len(ws)*len(AppSchemes))
-	l.eachCell(len(results), func(i int) {
-		w := ws[i/len(AppSchemes)]
-		s := AppSchemes[i%len(AppSchemes)]
-		m := coherence.NewMachine(coherence.DefaultParams(4, s))
-		results[i] = apps.Run(m, w)
-	})
-	for i, w := range ws {
+	t := report.NewTable("E9: normalized application execution time (16 processors, 4x4 mesh)",
+		append(schemeCols([]string{"application"}, AppSchemes), "UI-UA cycles")...)
+	results := l.runApps(apps.PaperNames, AppSchemes)
+	for i, name := range apps.PaperNames {
+		cells := results[i*len(AppSchemes) : (i+1)*len(AppSchemes)]
 		// AppSchemes[0] is the UI-UA baseline every cell normalizes to.
-		base := results[i*len(AppSchemes)].Time
-		row := []any{w.Name}
-		for j := range AppSchemes {
-			res := results[i*len(AppSchemes)+j]
-			row = append(row, report.Float3(float64(res.Time)/float64(base)))
+		base := cells[0].Time
+		row := []any{name}
+		for _, a := range cells {
+			row = append(row, report.Float3(ratio(a.Time, base)))
 		}
-		row = append(row, uint64(base))
-		t.Row(row...)
+		t.Row(append(row, uint64(base))...)
 	}
 	return t
 }
@@ -533,7 +471,7 @@ func (l Lab) FigApplications() *report.Table {
 func FigConsistency() *report.Table {
 	t := report.NewTable("E13: consistency model x framework, normalized application execution time (16 processors)",
 		"application", "SC UI-UA", "SC MI-MA-ec", "RC UI-UA", "RC MI-MA-ec", "SC UI-UA cycles")
-	for _, w := range PaperApps() {
+	for _, w := range apps.Paper() {
 		var base sim.Time
 		row := []any{w.Name}
 		for _, cons := range []coherence.Consistency{coherence.SequentialConsistency, coherence.ReleaseConsistency} {
@@ -559,31 +497,18 @@ func FigConsistency() *report.Table {
 // relieve the serialization that blocked worms impose on physical links.
 func (l Lab) FigVirtualChannels(k, d, writers int) *report.Table {
 	schemes := []grouping.Scheme{grouping.UIUA, grouping.MIMAEC, grouping.MIMATM}
-	cols := []string{"virtual channels"}
-	for _, s := range schemes {
-		cols = append(cols, s.String())
-	}
 	t := report.NewTable(
 		fmt.Sprintf("E14: makespan (cycles) of %d concurrent invalidations vs virtual channels, %dx%d mesh, d=%d",
-			writers, k, k, d), cols...)
+			writers, k, k, d), schemeCols([]string{"virtual channels"}, schemes)...)
 	vcss := []int{1, 2, 4}
-	results := make([]workload.HotSpotResult, len(vcss)*len(schemes))
-	l.eachCell(len(results), func(i int) {
-		vcs := vcss[i/len(schemes)]
-		s := schemes[i%len(schemes)]
-		results[i] = workload.RunHotSpot(workload.HotSpotConfig{
-			K: k, Scheme: s, D: d, Writers: writers,
-			OverlapSharers: true, DistinctHomes: true,
-			Tune: &coherence.Variant{VirtualChannels: vcs},
-		})
-	})
-	for i, vcs := range vcss {
-		row := []any{vcs}
-		for j := range schemes {
-			row = append(row, uint64(results[i*len(schemes)+j].Makespan))
+	var pts []sweep.Point
+	for _, vcs := range vcss {
+		for _, s := range schemes {
+			pts = append(pts, burst(k, s, d, sweep.HotSpot{Writers: writers, OverlapSharers: true, DistinctHomes: true},
+				&coherence.Variant{VirtualChannels: vcs}))
 		}
-		t.Row(row...)
 	}
+	gridRows(t, vcss, l.runSweep(pts), makespan)
 	return t
 }
 
@@ -593,12 +518,8 @@ func (l Lab) FigVirtualChannels(k, d, writers int) *report.Table {
 // for, and where multidestination worms dwarf unicast.
 func (l Lab) FigLimitedDirectory(k int) *report.Table {
 	schemes := []grouping.Scheme{grouping.UIUA, grouping.MIUAEC, grouping.MIMAEC, grouping.MIMATM, grouping.BR}
-	cols := []string{"directory", "mean targets"}
-	for _, s := range schemes {
-		cols = append(cols, s.String()+" lat", s.String()+" home msgs")
-	}
-	t := report.NewTable(
-		fmt.Sprintf("E15: limited-directory invalidation (d=6 true sharers, %dx%d mesh)", k, k), cols...)
+	t := report.NewTable(fmt.Sprintf("E15: limited-directory invalidation (d=6 true sharers, %dx%d mesh)", k, k),
+		schemeCols([]string{"directory", "mean targets"}, schemes, " lat", " home msgs")...)
 	configs := []struct {
 		label    string
 		pointers int
@@ -614,10 +535,8 @@ func (l Lab) FigLimitedDirectory(k int) *report.Table {
 	var pts []sweep.Point
 	for _, cfg := range configs {
 		for _, s := range schemes {
-			pts = append(pts, sweep.Point{
-				Index: len(pts), K: k, Scheme: s, D: 6, Trials: 5, Seed: 1,
-				Tune: &coherence.Variant{DirPointers: cfg.pointers, DirCoarseRegion: cfg.coarse},
-			})
+			pts = append(pts, sweep.Point{K: k, Scheme: s, D: 6, Trials: 5, Seed: 1,
+				Tune: &coherence.Variant{DirPointers: cfg.pointers, DirCoarseRegion: cfg.coarse}})
 		}
 	}
 	results := l.runSweep(pts)
@@ -645,7 +564,7 @@ func (l Lab) FigLimitedDirectory(k int) *report.Table {
 func FigDataForwarding() *report.Table {
 	t := report.NewTable("E16: data forwarding x framework (16 processors)",
 		"application", "config", "read misses", "exec cycles", "normalized")
-	for _, w := range PaperApps() {
+	for _, w := range apps.Paper() {
 		var base sim.Time
 		for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC} {
 			for _, fwd := range []bool{false, true} {
@@ -688,7 +607,7 @@ func FigInvalSizeDistribution() *report.Table {
 	}
 	cols = append(cols, "total txns")
 	t := report.NewTable("E17: invalidation size distribution (percent of transactions, 16 processors, UI-UA)", cols...)
-	for _, w := range PaperApps() {
+	for _, w := range apps.Paper() {
 		m := coherence.NewMachine(coherence.DefaultParams(4, grouping.UIUA))
 		apps.Run(m, w)
 		counts := make([]int, len(invalSizeBuckets))
@@ -724,7 +643,7 @@ func FigInvalSizeDistribution() *report.Table {
 func FigWriteUpdate() *report.Table {
 	t := report.NewTable("E18: write-invalidate vs write-update (16 processors)",
 		"application", "config", "read misses", "write txns", "exec cycles", "normalized")
-	for _, w := range PaperApps() {
+	for _, w := range apps.Paper() {
 		var base sim.Time
 		for _, proto := range []coherence.Protocol{coherence.WriteInvalidate, coherence.WriteUpdate} {
 			for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC} {
@@ -777,31 +696,16 @@ func FigOfferedLoad(k int) *report.Table {
 // latency — the quantitative form of the paper's related-work argument.
 func (l Lab) FigSoftwareTree(k, trials int) *report.Table {
 	schemes := []grouping.Scheme{grouping.UIUA, grouping.UMC, grouping.MIMAECRC, grouping.MIMATM}
-	cols := []string{"d"}
-	for _, s := range schemes {
-		cols = append(cols, s.String()+" lat", s.String()+" home msgs")
-	}
-	t := report.NewTable(
-		fmt.Sprintf("E20: worms vs software tree multicast, %dx%d mesh, random placement", k, k), cols...)
+	t := report.NewTable(fmt.Sprintf("E20: worms vs software tree multicast, %dx%d mesh, random placement", k, k),
+		schemeCols([]string{"d"}, schemes, " lat", " home msgs")...)
 	ds := fitMesh(k, SharerCounts)
 	var pts []sweep.Point
 	for _, d := range ds {
 		for _, s := range schemes {
-			pts = append(pts, sweep.Point{
-				Index: len(pts), K: k, Scheme: s, D: d, Trials: trials,
-				Seed: uint64(d) + 7,
-			})
+			pts = append(pts, sweep.Point{K: k, Scheme: s, D: d, Trials: trials, Seed: uint64(d) + 7})
 		}
 	}
-	results := l.runSweep(pts)
-	for i, d := range ds {
-		row := []any{d}
-		for j := range schemes {
-			m := results[i*len(schemes)+j].Measures
-			row = append(row, m.Latency.Mean(), m.HomeMsgs)
-		}
-		t.Row(row...)
-	}
+	gridRows(t, ds, l.runSweep(pts), func(m sweep.Measures) []any { return []any{m.Latency.Mean(), m.HomeMsgs} })
 	return t
 }
 
@@ -811,22 +715,15 @@ func (l Lab) FigSoftwareTree(k, trials int) *report.Table {
 // up/down column split — worm counts drop toward one per sharer column.
 func (l Lab) FigTorus(k, trials int) *report.Table {
 	schemes := []grouping.Scheme{grouping.UIUA, grouping.MIMAEC, grouping.MIMAECRC}
-	cols := []string{"d", "topology"}
-	for _, s := range schemes {
-		cols = append(cols, s.String()+" lat", s.String()+" worms")
-	}
-	t := report.NewTable(
-		fmt.Sprintf("E21: mesh vs torus, %dx%d, random placement", k, k), cols...)
+	t := report.NewTable(fmt.Sprintf("E21: mesh vs torus, %dx%d, random placement", k, k),
+		schemeCols([]string{"d", "topology"}, schemes, " lat", " worms")...)
 	ds := fitMesh(k, []int{4, 8, 16, 32})
 	var pts []sweep.Point
 	for _, d := range ds {
 		for _, torus := range []bool{false, true} {
 			for _, s := range schemes {
-				pts = append(pts, sweep.Point{
-					Index: len(pts), K: k, Scheme: s, D: d, Trials: trials,
-					Seed: uint64(d) + 7,
-					Tune: &coherence.Variant{Torus: torus},
-				})
+				pts = append(pts, sweep.Point{K: k, Scheme: s, D: d, Trials: trials, Seed: uint64(d) + 7,
+					Tune: &coherence.Variant{Torus: torus}})
 			}
 		}
 	}
@@ -914,25 +811,18 @@ func FigWormBarrier() *report.Table {
 // extension (nearest-neighbor sharing, the negative control). The gain
 // tracks average invalidation size: broadcast-sharing workloads benefit,
 // pairwise producer-consumer workloads cannot.
-func FigSharingDependence() *report.Table {
+func (l Lab) FigSharingDependence() *report.Table {
 	t := report.NewTable("E23: sharing degree vs multidestination gain (16 processors)",
 		"application", "avg sharers", "UI-UA cycles", "MI-MA-ec cycles", "gain %")
-	workloads := append(PaperApps(), apps.Jacobi(apps.JacobiConfig{}))
-	for _, w := range workloads {
-		var ui, mm sim.Time
-		var avg float64
-		for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC} {
-			m := coherence.NewMachine(coherence.DefaultParams(4, s))
-			res := apps.Run(m, w)
-			if s == grouping.UIUA {
-				ui = res.Time
-				avg = res.AvgSharers
-			} else {
-				mm = res.Time
-			}
+	names := slices.Concat(apps.PaperNames, []string{"Jacobi"})
+	results := l.runApps(names, []grouping.Scheme{grouping.UIUA, grouping.MIMAEC})
+	for i, name := range names {
+		ui, mm := results[2*i], results[2*i+1]
+		gain := 0.0
+		if ui.Time > 0 {
+			gain = 100 * (1 - ratio(mm.Time, ui.Time))
 		}
-		t.Row(w.Name, avg, uint64(ui), uint64(mm),
-			100*(1-float64(mm)/float64(ui)))
+		t.Row(name, ui.AvgSharers, uint64(ui.Time), uint64(mm.Time), gain)
 	}
 	return t
 }
@@ -1064,21 +954,16 @@ var FaultSchemes = []grouping.Scheme{grouping.UIUA, grouping.MIUAEC, grouping.MI
 // show how hard the machinery worked. Fault schedules are seeded per point,
 // so the table is byte-identical at any -parallel.
 func (l Lab) FigFaultRecovery(k, d, trials int) *report.Table {
-	cols := []string{"drop rate"}
-	for _, s := range FaultSchemes {
-		cols = append(cols, s.String()+" lat", s.String()+" retries")
-	}
 	t := report.NewTable(
 		fmt.Sprintf("E26: invalidation latency and recovery retries vs fault rate, %dx%d mesh, d=%d, random placement", k, k, d),
-		cols...)
+		schemeCols([]string{"drop rate"}, FaultSchemes, " lat", " retries")...)
 	var pts []sweep.Point
+	var rates []report.Float3
 	for _, rate := range FaultRates {
+		rates = append(rates, report.Float3(rate))
 		for _, s := range FaultSchemes {
 			idx := len(pts)
-			p := sweep.Point{
-				Index: idx, K: k, Scheme: s, D: d, Trials: trials,
-				Seed: uint64(d) + 7,
-			}
+			p := sweep.Point{K: k, Scheme: s, D: d, Trials: trials, Seed: uint64(d) + 7}
 			if rate > 0 {
 				p.Faults = &faults.Config{
 					Seed:        sim.DeriveSeed(0xFA171CE5, uint64(idx)),
@@ -1089,15 +974,7 @@ func (l Lab) FigFaultRecovery(k, d, trials int) *report.Table {
 			pts = append(pts, p)
 		}
 	}
-	results := l.runSweep(pts)
-	for i, rate := range FaultRates {
-		row := []any{report.Float3(rate)}
-		for j := range FaultSchemes {
-			m := results[i*len(FaultSchemes)+j].Measures
-			row = append(row, m.Latency.Mean(), m.Retries)
-		}
-		t.Row(row...)
-	}
+	gridRows(t, rates, l.runSweep(pts), func(m sweep.Measures) []any { return []any{m.Latency.Mean(), m.Retries} })
 	return t
 }
 
@@ -1121,21 +998,14 @@ var DeadLinkCounts = []int{0, 1, 2, 4}
 // simulator untouched and must match the healthy tables. Dead sets are
 // seeded per point, so the table is byte-identical at any -parallel.
 func (l Lab) FigDegradedMesh(k, d, trials int) *report.Table {
-	cols := []string{"dead links"}
-	for _, s := range FaultSchemes {
-		cols = append(cols, s.String()+" lat", s.String()+" fallbacks", s.String()+" purges")
-	}
 	t := report.NewTable(
 		fmt.Sprintf("E28: invalidation latency and degradation activity vs dead links, %dx%d mesh, d=%d, random placement", k, k, d),
-		cols...)
+		schemeCols([]string{"dead links"}, FaultSchemes, " lat", " fallbacks", " purges")...)
 	var pts []sweep.Point
 	for _, n := range DeadLinkCounts {
 		for _, s := range FaultSchemes {
 			idx := len(pts)
-			p := sweep.Point{
-				Index: idx, K: k, Scheme: s, D: d, Trials: trials,
-				Seed: uint64(d) + 13,
-			}
+			p := sweep.Point{K: k, Scheme: s, D: d, Trials: trials, Seed: uint64(d) + 13}
 			if n > 0 {
 				p.Faults = &faults.Config{
 					Seed:        sim.DeriveSeed(0xDE67ADED, uint64(idx)),
@@ -1146,15 +1016,9 @@ func (l Lab) FigDegradedMesh(k, d, trials int) *report.Table {
 			pts = append(pts, p)
 		}
 	}
-	results := l.runSweep(pts)
-	for i, n := range DeadLinkCounts {
-		row := []any{n}
-		for j := range FaultSchemes {
-			m := results[i*len(FaultSchemes)+j].Measures
-			row = append(row, m.Latency.Mean(), m.Fallbacks, m.Purges)
-		}
-		t.Row(row...)
-	}
+	gridRows(t, DeadLinkCounts, l.runSweep(pts), func(m sweep.Measures) []any {
+		return []any{m.Latency.Mean(), m.Fallbacks, m.Purges}
+	})
 	return t
 }
 
@@ -1168,73 +1032,32 @@ func (l Lab) FigDegradedMesh(k, d, trials int) *report.Table {
 // acks cut the home's service time per transaction, so its busy share
 // drops well below UI-UA's while mean link utilization stays comparable.
 // Tracing is observational, so the burst measurements match an untraced
-// run cycle-for-cycle; cells run on the worker pool and the table is
-// byte-identical at any -parallel.
+// run cycle-for-cycle.
 func (l Lab) FigOccupancyProfile(k, d, writers int) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("E27: trace-derived occupancy profile, %d-writer hot-spot burst, %dx%d mesh, d=%d", writers, k, k, d),
 		"scheme", "makespan", "home busy", "home share", "home max task",
 		"mean link util x1000", "peak link util x1000", "peak link")
-	type cell struct {
-		res  workload.HotSpotResult
-		prof *trace.Profile
+	var pts []sweep.Point
+	for _, s := range CompareSchemes {
+		pts = append(pts, burst(k, s, d, sweep.HotSpot{Writers: writers, Occupancy: true}, nil))
 	}
-	cells := make([]cell, len(CompareSchemes))
-	l.eachCell(len(CompareSchemes), func(i int) {
-		rec := trace.NewRecorder(1 << 16)
-		res := workload.RunHotSpot(workload.HotSpotConfig{
-			K: k, Scheme: CompareSchemes[i], D: d, Writers: writers,
-			Recorder: rec,
-		})
-		cells[i] = cell{res: res, prof: trace.Occupancy(rec.Events())}
-	})
-	mesh := topology.NewMesh(k, k)
-	home := mesh.ID(topology.Coord{X: k / 2, Y: k / 2})
-	for i, s := range CompareSchemes {
-		c := cells[i]
-		if c.prof == nil {
-			// Cell skipped by an interrupt.
-			t.Row(s.String(), 0, 0, report.Float3(0), 0, 0.0, 0.0, "-")
-			continue
-		}
-		var homeUse trace.NodeUse
-		for _, n := range c.prof.Nodes {
-			if n.Node == int32(home) {
-				homeUse = n
-			}
-		}
-		// Normalize by the burst makespan: the recording starts at the
-		// burst, so the window is the burst itself, not the profile horizon
-		// (which counts absolute cycles since machine construction).
-		window := float64(c.res.Makespan)
-		links := c.prof.MeshLinks()
-		var linkSum float64
-		for _, l := range links {
-			linkSum += float64(l.Busy)
-		}
-		meanUtil := 0.0
-		if len(links) > 0 && window > 0 {
-			meanUtil = linkSum / float64(len(links)) / window
-		}
-		peak, ok := c.prof.HottestLink()
-		peakName := "-"
-		var peakUtil float64
-		if ok && window > 0 {
-			peakName = fmt.Sprintf("%d->%d vn%d", peak.From, peak.To, peak.VN)
-			peakUtil = float64(peak.Busy) / window
+	for _, r := range l.runSweep(pts) {
+		m := r.Measures
+		var o sweep.OccupancyMeasures // zero for a burst an interrupt skipped
+		if m.Occupancy != nil {
+			o = *m.Occupancy
 		}
 		homeShare := 0.0
-		if window > 0 {
-			homeShare = float64(homeUse.Busy) / window
+		if m.Makespan > 0 {
+			homeShare = float64(o.HomeBusy) / float64(m.Makespan)
 		}
-		t.Row(s.String(),
-			int64(c.res.Makespan),
-			int64(homeUse.Busy),
-			report.Float3(homeShare),
-			int64(homeUse.MaxTask),
-			meanUtil*1000,
-			peakUtil*1000,
-			peakName)
+		peak := o.PeakLink
+		if peak == "" {
+			peak = "-"
+		}
+		t.Row(r.Point.Scheme.String(), int64(m.Makespan), int64(o.HomeBusy), report.Float3(homeShare),
+			int64(o.HomeMaxTask), o.MeanLinkUtil*1000, o.PeakLinkUtil*1000, peak)
 	}
 	return t
 }

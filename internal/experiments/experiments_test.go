@@ -295,24 +295,32 @@ func captureStderr(t *testing.T, fn func()) string {
 
 // TestInterruptedSweepBlamesTheInterrupt: a sweep cancelled mid-run with no
 // point timeout set renders its partial table and says it was interrupted —
-// never that points hit a timeout nobody set.
+// never that points hit a timeout nobody set. A skipped cell renders 0, even
+// where the table divides by another skipped cell (the application tables'
+// UI-UA baseline).
 func TestInterruptedSweepBlamesTheInterrupt(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var calls int
-	l := Lab{Ctx: ctx, Sweep: sweep.Options{Parallel: 1, RunPoint: func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
-		if calls++; calls == 5 {
-			cancel()
+	for _, name := range []string{"latency", "apps", "sharing"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var calls int
+		l := Lab{Ctx: ctx, Sweep: sweep.Options{Parallel: 1, RunPoint: func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+			if calls++; calls == 5 {
+				cancel()
+			}
+			return sweep.RunPointDirect(pctx, p)
+		}}}
+		var tab *report.Table
+		var err error
+		stderr := captureStderr(t, func() { tab, err = l.Run(name, 8, DefaultD, 1) })
+		if err != nil {
+			t.Fatalf("interrupted %s: %v; want the partial table", name, err)
 		}
-		return sweep.RunPointDirect(pctx, p)
-	}}}
-	var err error
-	stderr := captureStderr(t, func() { _, err = l.Run("latency", 8, DefaultD, 1) })
-	if err != nil {
-		t.Fatalf("interrupted run: %v; want the partial table", err)
-	}
-	if !strings.Contains(stderr, "interrupted") || strings.Contains(stderr, "point timeout") {
-		t.Fatalf("stderr after an interrupt with no timeout set:\n%s\nwant the interrupted line and no point-timeout line", stderr)
+		if !strings.Contains(stderr, "interrupted") || strings.Contains(stderr, "point timeout") {
+			t.Fatalf("stderr after interrupting %s with no timeout set:\n%s\nwant the interrupted line and no point-timeout line", name, stderr)
+		}
+		if out := tab.String(); strings.Contains(out, "NaN") || strings.Contains(out, "Inf") {
+			t.Fatalf("interrupted %s renders a division by a skipped cell:\n%s", name, out)
+		}
 	}
 }
 
@@ -353,9 +361,9 @@ func TestRunnerOrderNamesEveryRunner(t *testing.T) {
 	}
 }
 
-// TestFiguresParallelInvariant renders representative figures — one
-// sweep-engine figure, one eachCell fan-out figure and the torus figure
-// with its per-cell machine variants — at 1 and 8 workers and requires
+// TestFiguresParallelInvariant renders representative figures — an
+// invalidation sweep, hot-spot bursts, the torus figure with its per-cell
+// machine variants and the traced occupancy bursts — at 1 and 8 workers and requires
 // byte-identical tables. GOMAXPROCS may be 1 on the test runner, so this
 // forces a genuinely concurrent configuration regardless of hardware.
 func TestFiguresParallelInvariant(t *testing.T) {

@@ -73,7 +73,7 @@ func (l Lab) runners(k, d, trials int) map[string]func() *report.Table {
 		"tree":        func() *report.Table { return l.FigSoftwareTree(k, trials) },
 		"torus":       func() *report.Table { return l.FigTorus(k, trials) },
 		"barrier":     FigWormBarrier,
-		"sharing":     FigSharingDependence,
+		"sharing":     l.FigSharingDependence,
 		"congestion":  func() *report.Table { return FigCongestion(k, d, 8) },
 		"threehop":    FigThreeHop,
 		"faults":      func() *report.Table { return l.FigFaultRecovery(k, d, trials) },

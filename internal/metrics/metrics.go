@@ -127,33 +127,6 @@ func (c *Collector) InvalLatency() *sim.Sample {
 	return &s
 }
 
-// InvalLatencyByHome groups invalidation latencies by the home node that
-// ran the transaction, one sample per home. Homes with no transactions have
-// no entry. The map's iteration order is randomized like any Go map; render
-// it through report.MapTable (or sort the keys) to keep output replayable.
-func (c *Collector) InvalLatencyByHome() map[topology.NodeID]*sim.Sample {
-	byHome := make(map[topology.NodeID]*sim.Sample)
-	for _, r := range c.Invals {
-		s := byHome[r.Home]
-		if s == nil {
-			s = &sim.Sample{}
-			byHome[r.Home] = s
-		}
-		s.AddTime(r.Latency())
-	}
-	return byHome
-}
-
-// HomeMsgsByHome groups the home-message tallies (the occupancy proxy [18])
-// by home node.
-func (c *Collector) HomeMsgsByHome() map[topology.NodeID]uint64 {
-	byHome := make(map[topology.NodeID]uint64)
-	for _, r := range c.Invals {
-		byHome[r.Home] += uint64(r.HomeMsgs)
-	}
-	return byHome
-}
-
 // HomeMsgsPerInval returns the mean number of home-node messages per
 // invalidation transaction.
 func (c *Collector) HomeMsgsPerInval() float64 {

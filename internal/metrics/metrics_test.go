@@ -101,29 +101,3 @@ func TestCollectorMerge(t *testing.T) {
 		t.Fatal("Merge(nil) changed the collector")
 	}
 }
-
-func TestInvalLatencyByHome(t *testing.T) {
-	c := &Collector{}
-	c.Invals = append(c.Invals,
-		InvalRecord{Home: 5, Start: 0, End: 100, HomeMsgs: 4},
-		InvalRecord{Home: 2, Start: 0, End: 50, HomeMsgs: 3},
-		InvalRecord{Home: 5, Start: 10, End: 310, HomeMsgs: 6},
-	)
-	byHome := c.InvalLatencyByHome()
-	if len(byHome) != 2 {
-		t.Fatalf("got %d homes, want 2", len(byHome))
-	}
-	if s := byHome[5]; s.N() != 2 || s.Mean() != 200 {
-		t.Fatalf("home 5: N=%d mean=%v, want N=2 mean=200", s.N(), s.Mean())
-	}
-	if s := byHome[2]; s.N() != 1 || s.Mean() != 50 {
-		t.Fatalf("home 2: N=%d mean=%v, want N=1 mean=50", s.N(), s.Mean())
-	}
-	byMsgs := c.HomeMsgsByHome()
-	if byMsgs[5] != 10 || byMsgs[2] != 3 {
-		t.Fatalf("HomeMsgsByHome = %v, want {5:10 2:3}", byMsgs)
-	}
-	if _, ok := byHome[0]; ok {
-		t.Fatal("home 0 ran no transactions but has an entry")
-	}
-}

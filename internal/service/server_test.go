@@ -99,12 +99,13 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 
 // TestExperimentEndpointByteIdentical is the serving contract for whole
 // experiments: the daemon's table equals the batch CLI's output
-// (table.String()+"\n") byte for byte — for a default-machine grid and for
-// grids whose points carry a machine variant (torus, limited directories) —
-// and a repeat request is byte-identical again and served from the store
-// without one engine run.
+// (table.String()+"\n") byte for byte — for a default-machine grid, for
+// grids whose points carry a machine variant (torus, limited directories),
+// homed transactions, hot-spot bursts and application replays — and a repeat
+// request is byte-identical again and served from the store without one
+// engine run.
 func TestExperimentEndpointByteIdentical(t *testing.T) {
-	for _, name := range []string{"latency", "torus", "limdir"} {
+	for _, name := range []string{"latency", "torus", "limdir", "hotspot", "homes", "occupancy", "apps"} {
 		t.Run(name, func(t *testing.T) {
 			// The batch CLI's rendering: the experiment run with the direct engine.
 			direct := directTable(t, name).String() + "\n"
@@ -321,9 +322,9 @@ func TestExperimentEndpointUnknownName(t *testing.T) {
 
 // TestExperimentPanicIsAnError: a size the request validation lets through
 // but the simulator refuses (d sharers on a mesh too small for them) panics
-// on a service worker ("placement") or on a sweep.Each goroutine
-// ("hotspot"). Either way the request gets a 500 and the daemon answers the
-// next one.
+// on a service worker, in an invalidation point ("placement") or a hot-spot
+// burst ("hotspot"). Either way the request gets a 500 and the daemon
+// answers the next one.
 func TestExperimentPanicIsAnError(t *testing.T) {
 	_, ts := newTestDaemon(t, Config{Workers: 2})
 	for _, req := range []ExperimentRequest{
@@ -338,6 +339,38 @@ func TestExperimentPanicIsAnError(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "latency", K: 8, Trials: 1})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("experiment after the panics: %s: %s", resp.Status, body)
+	}
+}
+
+// TestAppsExperimentIsShed: the application comparison, the most expensive
+// experiment, is bounded by the run queue like any job. With the one worker
+// held by a gated job's point and the queue full, the experiment's replays
+// are refused: a 503 (ErrQueueFull), counted as shed.
+func TestAppsExperimentIsShed(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	svc, ts := newTestDaemon(t, Config{Workers: 1, QueueDepth: 1, RunPoint: gatedEngine(release, sweep.RunPointDirect)})
+	// The first job's point takes the worker, the second's the queue.
+	for variant := 0; variant < 2; variant++ {
+		if _, err := svc.Submit(JobSpec{Points: []sweep.Point{testPoint(0, variant)}}); err != nil {
+			t.Fatal(err)
+		}
+		awaitWaiters(t, svc, variant+1)
+		deadline := time.Now().Add(10 * time.Second)
+		for svc.QueueDepth() != variant {
+			if time.Now().After(deadline) {
+				t.Fatalf("queue depth %d; want %d", svc.QueueDepth(), variant)
+			}
+			runtime.Gosched()
+		}
+	}
+	shed := counters(t, ts.URL).Shed
+	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "apps"})
+	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), ErrQueueFull.Error()) {
+		t.Fatalf("apps over a full queue: %s: %s; want 503 naming %v", resp.Status, body, ErrQueueFull)
+	}
+	if c := counters(t, ts.URL); c.Shed <= shed {
+		t.Fatalf("Shed %d after the refused experiment; want more than %d", c.Shed, shed)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/faults"
 	"repro/internal/grouping"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -55,6 +56,9 @@ func TestFingerprintStableAndContentAddressed(t *testing.T) {
 		"ChaosSeed": func(p *Point) { p.ChaosSeed = 7 },
 		"Faults":    func(p *Point) { p.Faults = &faults.Config{DropRate: 0.1, Seed: 9} },
 		"Tune":      func(p *Point) { p.Tune = &coherence.Variant{Torus: true} },
+		"Home":      func(p *Point) { h := topology.NodeID(0); p.Home = &h },
+		"HotSpot":   func(p *Point) { p.HotSpot = &HotSpot{} },
+		"App":       func(p *Point) { p.App = "LU" },
 	}
 	for name, mutate := range mutations {
 		q := basePoint()
@@ -80,6 +84,9 @@ func TestFingerprintPinned(t *testing.T) {
 		{"faults", func(p *Point) { p.Faults = &faults.Config{DropRate: 0.1, Seed: 9} }, "e8e6371d9952b38bc896c98876ff8bb53f732098a6a7c4208e968aa72c767006"},
 		{"max seed", func(p *Point) { p.Seed = math.MaxUint64 }, "0daeb5c2d0c42a2890d466f91a3220d579e77e0a789b47650f84fcb6ef80abd2"},
 		{"torus", func(p *Point) { p.Tune = &coherence.Variant{Torus: true} }, "cbd693a0569c5fc079ffa907330d3400defd55a70c5b772cdc6056da8df21855"},
+		{"burst", func(p *Point) { p.HotSpot = &HotSpot{Writers: 4, OverlapSharers: true, Occupancy: true} }, "57ebd7b8abe3b8a10d5085765007b3cd94a5deb4faaaff1d342076d4ed6a7870"},
+		{"homed", func(p *Point) { h := topology.NodeID(9); p.Home = &h }, "fff18593c691bafbf71791cdadd7e5e9c2d6bb4824c6e46b26481abad30a1f0d"},
+		{"app", func(p *Point) { p.App = "LU" }, "ef43ccea92fead5530d7f2c5f83953176d15c02714afd7c1e8a39b2f8ecfdce4"},
 	}
 	for _, tc := range cases {
 		p := basePoint()
@@ -130,6 +137,46 @@ func TestVariantFieldsAreData(t *testing.T) {
 	(*coherence.Variant)(nil).Apply(&p)
 	if !reflect.DeepEqual(p, base) {
 		t.Error("a nil variant changed the Params")
+	}
+}
+
+// TestKindFieldsAreData walks the point's workload-kind fields and the
+// HotSpot spec by reflection: each must be omitted from JSON while zero, so
+// a point without it keeps its fingerprint, and each HotSpot field, set alone
+// to a nonzero value, must change the fingerprint of a burst point.
+func TestKindFieldsAreData(t *testing.T) {
+	typ := reflect.TypeOf(Point{})
+	for _, name := range []string{"Home", "HotSpot", "App"} {
+		if f, _ := typ.FieldByName(name); !strings.HasSuffix(f.Tag.Get("json"), ",omitempty") {
+			t.Errorf("Point.%s: json tag %q lacks omitempty", name, f.Tag.Get("json"))
+		}
+	}
+	burst := basePoint()
+	burst.HotSpot = &HotSpot{}
+	fp := burst.Fingerprint()
+	typ = reflect.TypeOf(HotSpot{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if !strings.HasSuffix(f.Tag.Get("json"), ",omitempty") {
+			t.Errorf("HotSpot.%s: json tag %q lacks omitempty", f.Name, f.Tag.Get("json"))
+		}
+		var hs HotSpot
+		fv := reflect.ValueOf(&hs).Elem().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Bool:
+			fv.SetBool(true)
+		case reflect.Int:
+			fv.SetInt(7)
+		case reflect.Uint64:
+			fv.SetUint(7)
+		default:
+			t.Fatalf("HotSpot.%s: unhandled kind %v — extend this test", f.Name, f.Type.Kind())
+		}
+		q := basePoint()
+		q.HotSpot = &hs
+		if q.Fingerprint() == fp {
+			t.Errorf("HotSpot.%s: the fingerprint does not see it", f.Name)
+		}
 	}
 }
 

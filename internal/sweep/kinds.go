@@ -1,0 +1,130 @@
+package sweep
+
+import (
+	"fmt"
+
+	"repro/internal/apps"
+	"repro/internal/coherence"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/trace"
+	"repro/internal/workload"
+)
+
+// HotSpot makes a point one concurrent-write burst (workload.RunHotSpot) on
+// the point's K, Scheme, D, Seed and Tune.
+type HotSpot struct {
+	Writers        int      `json:"writers,omitempty"`
+	OverlapSharers bool     `json:"overlap_sharers,omitempty"`
+	DistinctHomes  bool     `json:"distinct_homes,omitempty"`
+	BusyJitter     sim.Time `json:"busy_jitter,omitempty"`
+	// Occupancy records the burst and folds the recording into
+	// Measures.Occupancy.
+	Occupancy bool `json:"occupancy,omitempty"`
+}
+
+// AppMeasures is an application replay's outcome, with the trace's static
+// reference counts so a table of them never regenerates the trace.
+type AppMeasures struct {
+	Time       sim.Time `json:"time"`
+	Invals     int      `json:"invals"`
+	AvgSharers float64  `json:"avg_sharers"`
+	MaxSharers int      `json:"max_sharers"`
+	Reads      uint64   `json:"reads"`
+	Writes     uint64   `json:"writes"`
+	// Barriers counts barrier episodes per processor.
+	Barriers uint64 `json:"barriers"`
+}
+
+// OccupancyMeasures is a burst's trace-derived occupancy profile: the busy
+// time and longest task of the mesh-center home's controller, and the mean
+// and peak mesh-link utilization over the burst's makespan, with the peak
+// link's name ("" when the burst used no mesh link).
+type OccupancyMeasures struct {
+	HomeBusy     sim.Time `json:"home_busy,omitempty"`
+	HomeMaxTask  sim.Time `json:"home_max_task,omitempty"`
+	MeanLinkUtil float64  `json:"mean_link_util,omitempty"`
+	PeakLinkUtil float64  `json:"peak_link_util,omitempty"`
+	PeakLink     string   `json:"peak_link,omitempty"`
+}
+
+// checkKind refuses a point that selects more than one workload, or a burst
+// or replay that is not exactly one trial.
+func (p Point) checkKind() error {
+	kinds := 0
+	for _, set := range []bool{p.Home != nil, p.HotSpot != nil, p.App != ""} {
+		if set {
+			kinds++
+		}
+	}
+	if kinds > 1 {
+		return fmt.Errorf("sets %d of Home, HotSpot and App (at most one)", kinds)
+	}
+	if (p.HotSpot != nil || p.App != "") && p.Trials != 1 {
+		return fmt.Errorf("is a burst or replay with Trials %d (must be 1)", p.Trials)
+	}
+	return nil
+}
+
+// runHotSpot runs a HotSpot point's burst.
+func runHotSpot(p Point) Measures {
+	h := p.HotSpot
+	cfg := workload.HotSpotConfig{
+		K: p.K, Scheme: p.Scheme, D: p.D, Writers: h.Writers,
+		OverlapSharers: h.OverlapSharers, DistinctHomes: h.DistinctHomes,
+		BusyJitter: h.BusyJitter, Seed: p.Seed, Tune: p.Tune,
+	}
+	if h.Occupancy {
+		cfg.Recorder = trace.NewRecorder(1 << 16)
+	}
+	res := workload.RunHotSpot(cfg)
+	m := Measures{Latency: res.Latency, Makespan: res.Makespan, GatherWaits: res.GatherWaits, Completed: 1}
+	if h.Occupancy {
+		mesh := topology.NewSquareMesh(p.K)
+		home := mesh.ID(topology.Coord{X: p.K / 2, Y: p.K / 2})
+		m.Occupancy = occupancyOf(trace.Occupancy(cfg.Recorder.Events()), home, res.Makespan)
+	}
+	return m
+}
+
+// occupancyOf folds a burst's profile at home over the burst's makespan: the
+// recording starts at the burst, so the window is the burst itself, not the
+// profile horizon (which counts absolute cycles since machine construction).
+func occupancyOf(prof *trace.Profile, home topology.NodeID, makespan sim.Time) *OccupancyMeasures {
+	o := &OccupancyMeasures{}
+	for _, n := range prof.Nodes {
+		if n.Node == int32(home) {
+			o.HomeBusy, o.HomeMaxTask = n.Busy, n.MaxTask
+		}
+	}
+	window := float64(makespan)
+	links := prof.MeshLinks()
+	var linkSum float64
+	for _, l := range links {
+		linkSum += float64(l.Busy)
+	}
+	if len(links) > 0 && window > 0 {
+		o.MeanLinkUtil = linkSum / float64(len(links)) / window
+	}
+	if peak, ok := prof.HottestLink(); ok && window > 0 {
+		o.PeakLink = fmt.Sprintf("%d->%d vn%d", peak.From, peak.To, peak.VN)
+		o.PeakLinkUtil = float64(peak.Busy) / window
+	}
+	return o
+}
+
+// runApp replays an App point's application on a K x K machine.
+func runApp(p Point) Measures {
+	w, err := apps.ByName(p.App)
+	if err != nil {
+		panic(err)
+	}
+	params := coherence.DefaultParams(p.K, p.Scheme)
+	p.Tune.Apply(&params)
+	res := apps.Run(coherence.NewMachine(params), w)
+	st := w.Stats()
+	return Measures{Completed: 1, App: &AppMeasures{
+		Time: res.Time, Invals: res.Invals, AvgSharers: res.AvgSharers, MaxSharers: res.MaxSharers,
+		Reads: st.Reads, Writes: st.Writes, Barriers: st.Barriers / uint64(len(w.Programs)),
+	}}
+}

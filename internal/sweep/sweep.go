@@ -1,8 +1,9 @@
 // Package sweep is the parallel experiment-sweep engine: it fans a grid of
-// invalidation-experiment points (scheme x mesh size x sharer distribution
-// x seed) out across a pool of worker goroutines, each running a fully
+// points out across a pool of worker goroutines, each running a fully
 // isolated sim.Engine + coherence.Machine, and merges the results through a
-// single aggregation channel into point order.
+// single aggregation channel into point order. A point is an invalidation
+// experiment (scheme x mesh size x sharer distribution x seed), optionally
+// homed at one node, or one hot-spot burst, or one application replay.
 //
 // Determinism: every point carries its own RNG seed (derived with splitmix
 // from a base seed and the point index, see sim.DeriveSeed), every point
@@ -31,6 +32,7 @@ import (
 	"repro/internal/grouping"
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -55,6 +57,14 @@ type Point struct {
 	// Tune, when non-nil, is the machine variant the point runs on instead
 	// of DefaultParams.
 	Tune *coherence.Variant `json:"tune,omitempty"`
+	// At most one of Home, HotSpot and App is set; none runs Trials
+	// invalidation transactions homed at the mesh center. Home homes them at
+	// that node instead. HotSpot makes the point one concurrent-write burst,
+	// and App names an application (apps.ByName) replayed on a K x K
+	// machine; either is one trial.
+	Home    *topology.NodeID `json:"home,omitempty"`
+	HotSpot *HotSpot         `json:"hot_spot,omitempty"`
+	App     string           `json:"app,omitempty"`
 }
 
 // Measures is the serializable outcome of one point — the per-transaction
@@ -76,6 +86,14 @@ type Measures struct {
 	// hard faults, so stored results without the fields load unchanged.
 	Fallbacks float64 `json:"fallbacks,omitempty"`
 	Purges    float64 `json:"purges,omitempty"`
+	// Makespan and GatherWaits are a burst's: the cycles from the
+	// simultaneous issue to the last write grant, and the i-gather worms that
+	// found an ack not yet posted. Occupancy is its profile, when asked for.
+	Makespan    sim.Time           `json:"makespan,omitempty"`
+	GatherWaits uint64             `json:"gather_waits,omitempty"`
+	Occupancy   *OccupancyMeasures `json:"occupancy,omitempty"`
+	// App is an application replay's outcome.
+	App *AppMeasures `json:"app,omitempty"`
 }
 
 // MeasuresOf extracts the serializable measures from an InvalResult.
@@ -172,14 +190,21 @@ type Summary struct {
 }
 
 // RunPointDirect is the production point runner: one isolated machine per
-// point via workload.RunInval. It is exported so layers that substitute
-// Options.RunPoint (the serving daemon's cache/coalesce hook) can fall
-// through to the real engine.
+// point via workload.RunInval, workload.RunHotSpot or apps.Run, by the
+// point's kind (a burst or a replay returns no collector). It is exported so
+// layers that substitute Options.RunPoint (the serving daemon's
+// cache/coalesce hook) can fall through to the real engine.
 func RunPointDirect(ctx context.Context, p Point) (Measures, *metrics.Collector) {
+	switch {
+	case p.HotSpot != nil:
+		return runHotSpot(p), nil
+	case p.App != "":
+		return runApp(p), nil
+	}
 	res := workload.RunInval(workload.InvalConfig{
 		K: p.K, Scheme: p.Scheme, D: p.D, Pattern: p.Pattern,
 		Trials: p.Trials, Seed: p.Seed, ChaosSeed: p.ChaosSeed,
-		Faults: p.Faults, Tune: p.Tune,
+		Faults: p.Faults, Tune: p.Tune, Home: p.Home,
 		Interrupt: func() bool { return ctx.Err() != nil },
 	})
 	return MeasuresOf(res), res.Metrics
@@ -200,6 +225,9 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 		}
 		if points[i].Trials < 1 {
 			return nil, fmt.Errorf("sweep: point %d has Trials %d (must be >= 1)", i, points[i].Trials)
+		}
+		if err := points[i].checkKind(); err != nil {
+			return nil, fmt.Errorf("sweep: point %d %w", i, err)
 		}
 	}
 	run := opts.RunPoint
@@ -301,10 +329,11 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 }
 
 // Each runs fn(0) .. fn(n-1) on min(parallel, n) worker goroutines and
-// returns when all have finished. It is the unordered fan-out primitive for
-// experiment cells that do not fit the Point grid (application runs,
-// hot-spot bursts): fn must write its result only to its own index's slot,
-// and determinism then follows from indexing rather than scheduling order.
+// returns when all have finished. It is Run's worker pool, and the fan-out
+// for work that is not a point and is never stored (the oracle's per-scheme
+// checks, the benchmark's warm-up runs): fn must write its result only to
+// its own index's slot, and determinism then follows from indexing rather
+// than scheduling order.
 // parallel <= 0 means runtime.GOMAXPROCS(0). A panic in fn is re-raised on
 // the calling goroutine, where a recover can see it, once the other workers
 // have finished.

@@ -30,6 +30,18 @@ func TestRunValidatesPoints(t *testing.T) {
 	if _, err := Run(context.Background(), bad, Options{}); err == nil {
 		t.Fatal("zero-trial point accepted")
 	}
+	bad = testPoints(1)
+	bad[0].Trials = 1
+	bad[0].HotSpot = &HotSpot{Writers: 2}
+	bad[0].App = "LU"
+	if _, err := Run(context.Background(), bad, Options{}); err == nil {
+		t.Fatal("a point that is both a burst and a replay accepted")
+	}
+	bad[0].App = ""
+	bad[0].Trials = 2
+	if _, err := Run(context.Background(), bad, Options{}); err == nil {
+		t.Fatal("a two-trial burst accepted")
+	}
 }
 
 func TestRunAllPointsOnce(t *testing.T) {
