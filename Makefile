@@ -82,7 +82,7 @@ cover:
 # in FIFO and in chaos ordering), the queue edge-case suite, the unicast
 # route-vs-router-walk property test (every pair, every base, meshes and
 # tori), the byte-identical golden experiment tables (the seed suite and
-# the hot-spot, per-home and application figures),
+# the hot-spot, per-home, application and offered-load figures),
 # and the functional-install-vs-simulated-reads property test (sharers
 # installed by Machine.InstallSharer must leave the machine, and the write
 # that follows, exactly as simulated read misses do), and the allocation
@@ -106,7 +106,7 @@ bench:
 sweep:
 	$(GO) run ./cmd/invalsweep -experiment all
 
-# smoke drives the dsmsimd daemon end to end: serve the E4 latency table
+# smoke drives the dsmsimd daemon end to end: serve the E4 and E19 tables
 # byte-identical to the batch CLI, repeat it from the cache, run a point
 # job, then SIGTERM and assert a clean drain that leaves results/ filled,
 # jobs/ empty and nothing else in the data directory. See

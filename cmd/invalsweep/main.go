@@ -18,10 +18,10 @@
 //
 // Sweeps run on a worker pool (-parallel, default all cores); the tables
 // are byte-identical at any worker count. The invalidation sweeps, hot-spot
-// bursts and application replays are sweep points; a few extension figures
-// (consistency, forwarding, invalsize, update, load, barrier, congestion,
-// threehop, table4, table5) build their machines inline and are never
-// stored. Every sweep point is looked up in
+// bursts, application replays and uniform-traffic runs are sweep points; a
+// few extension figures (consistency, forwarding, update, barrier,
+// congestion, threehop, table4, table5) build their machines inline and are
+// never stored. Every sweep point is looked up in
 // a content-addressed result store before it runs, and stored once it
 // completes: in memory for the run by default, so a point two experiments
 // share runs once, or in the directory -data names, so a rerun (after a kill,

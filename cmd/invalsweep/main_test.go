@@ -56,11 +56,13 @@ func openRunner(t *testing.T, dir string) *storeRunner {
 
 // TestDataRerunRunsNothing: a second run over the same -data directory runs
 // no point and prints the tables the bare engine prints: default machines and
-// variants, homed transactions, hot-spot bursts and application replays alike.
-// d is 6 because E12's one-consumption-channel cell wedges at k=8, d=16.
+// variants, homed transactions, hot-spot bursts, application replays and
+// traffic runs alike. d is 6 because E12's one-consumption-channel cell
+// wedges at k=8, d=16.
 func TestDataRerunRunsNothing(t *testing.T) {
 	names := []string{"latency", "torus", "limdir",
-		"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing"}
+		"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing",
+		"load", "invalsize"}
 	const d = 6
 	want := render(t, lab(context.Background(), nil), d, names...)
 	dir := t.TempDir()
@@ -94,7 +96,8 @@ func TestDataRerunRunsNothing(t *testing.T) {
 // TestSharedPointRunsOnce: a figure's cells that an earlier figure computed
 // come from the store. The torus figure's mesh cells are E4 latency points,
 // so after latency only its 12 torus cells run; E23 and Table 6 replay six of
-// E9's UI-UA and MI-MA-ec cells, so after them E9 runs only its other 6.
+// E9's UI-UA and MI-MA-ec cells, so after them E9 runs only its other 6; and
+// E17 reads Table 6's three replays, so after it E17 runs nothing.
 func TestSharedPointRunsOnce(t *testing.T) {
 	cases := []struct {
 		first, then      []string
@@ -102,6 +105,7 @@ func TestSharedPointRunsOnce(t *testing.T) {
 	}{
 		{[]string{"latency"}, []string{"torus"}, 12, 12},
 		{[]string{"sharing", "table6"}, []string{"apps"}, 6, 6},
+		{[]string{"table6"}, []string{"invalsize"}, 3, 0},
 	}
 	for _, c := range cases {
 		r := &storeRunner{store: service.NewMemoryStore(0)}
@@ -200,5 +204,24 @@ func TestCorruptResultIsLoud(t *testing.T) {
 	tab, err := lab(context.Background(), openRunner(t, dir).run).Run("limdir", 8, 16, 2)
 	if tab != nil || err == nil || !strings.Contains(err.Error(), fp) {
 		t.Fatalf("rerun over a corrupt entry: err %v; want no table and an error naming %s", err, fp)
+	}
+}
+
+// TestStaleReplayIsLoud: a replay stored before AppMeasures carried its
+// sharer histogram has transactions but no histogram. E17 refuses it with an
+// error naming the application and the entry, rather than printing zeros.
+func TestStaleReplayIsLoud(t *testing.T) {
+	store := service.NewMemoryStore(0)
+	lu := sweep.Point{K: 4, Scheme: grouping.UIUA, Trials: 1, App: "LU"}
+	stale := sweep.Measures{Completed: 1, App: &sweep.AppMeasures{
+		Time: 285250, Invals: 267, AvgSharers: 4.5, MaxSharers: 14, Reads: 9968, Writes: 3808, Barriers: 48,
+	}}
+	if err := store.Put(lu.Fingerprint(), stale); err != nil {
+		t.Fatal(err)
+	}
+	r := &storeRunner{store: store}
+	tab, err := lab(context.Background(), r.run).Run("invalsize", 8, 16, 2)
+	if tab != nil || err == nil || !strings.Contains(err.Error(), "LU") || !strings.Contains(err.Error(), lu.Fingerprint()) {
+		t.Fatalf("invalsize over a stale LU replay: err %v; want no table and an error naming LU and %s", err, lu.Fingerprint())
 	}
 }

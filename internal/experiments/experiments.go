@@ -3,12 +3,12 @@
 // EXPERIMENTS.md for recorded results). Each figure runs the relevant
 // workloads on the cycle-level simulator and renders a report table. A
 // figure whose cells are sweep points (invalidation transactions, hot-spot
-// bursts, application replays) is a method of Lab, the value that says how
-// it runs — context, workers, timeout, progress and point runner — so no
-// state is shared between callers: invalsweep builds one Lab over its result
-// store, and the daemon's experiment endpoint builds one per request over
-// its own service. Lab.Run is the one entry point by name (RunnerOrder lists
-// the names).
+// bursts, application replays, traffic runs) is a method of Lab, the value
+// that says how it runs — context, workers, timeout, progress and point
+// runner — so no state is shared between callers: invalsweep builds one Lab
+// over its result store, and the daemon's experiment endpoint builds one per
+// request over its own service. Lab.Run is the one entry point by name
+// (RunnerOrder lists the names).
 package experiments
 
 import (
@@ -141,7 +141,7 @@ func (l Lab) runApps(names []string, schemes []grouping.Scheme) []sweep.AppMeasu
 	var pts []sweep.Point
 	for _, name := range names {
 		for _, s := range schemes {
-			pts = append(pts, sweep.Point{K: 4, Scheme: s, Trials: 1, App: name})
+			pts = append(pts, appPoint(name, s))
 		}
 	}
 	out := make([]sweep.AppMeasures, len(pts))
@@ -151,6 +151,12 @@ func (l Lab) runApps(names []string, schemes []grouping.Scheme) []sweep.AppMeasu
 		}
 	}
 	return out
+}
+
+// appPoint is the replay of the named application under s on the paper's
+// 4x4 machine.
+func appPoint(name string, s grouping.Scheme) sweep.Point {
+	return sweep.Point{K: 4, Scheme: s, Trials: 1, App: name}
 }
 
 // ratio is a/b, or 0 when b is 0 (a replay an interrupt skipped).
@@ -599,38 +605,35 @@ var invalSizeBuckets = []struct {
 // FigInvalSizeDistribution renders E17: the distribution of invalidation
 // sizes each application produces — the "cache invalidation patterns"
 // analysis of the paper's related work [3, 16] that motivates which
-// grouping scheme pays off where.
-func FigInvalSizeDistribution() *report.Table {
+// grouping scheme pays off where. Its cells are Table 6's replays. A stored
+// replay with transactions but no sharer histogram predates the histogram,
+// and fails the figure with an error naming it rather than printing zeros.
+func (l Lab) FigInvalSizeDistribution() *report.Table {
 	cols := []string{"application"}
 	for _, b := range invalSizeBuckets {
 		cols = append(cols, b.label)
 	}
 	cols = append(cols, "total txns")
 	t := report.NewTable("E17: invalidation size distribution (percent of transactions, 16 processors, UI-UA)", cols...)
-	for _, w := range apps.Paper() {
-		m := coherence.NewMachine(coherence.DefaultParams(4, grouping.UIUA))
-		apps.Run(m, w)
-		counts := make([]int, len(invalSizeBuckets))
-		total := 0
-		for _, rec := range m.Metrics.Invals {
-			total++
-			for i, b := range invalSizeBuckets {
-				if rec.Sharers >= b.min && rec.Sharers <= b.max {
-					counts[i]++
-					break
-				}
-			}
+	for i, a := range l.runApps(apps.PaperNames, []grouping.Scheme{grouping.UIUA}) {
+		name := apps.PaperNames[i]
+		if a.Invals > 0 && len(a.Sharers) == 0 {
+			panic(fmt.Errorf("experiments: the stored %s replay %s has %d invalidations and no sharer histogram; delete it to rerun the replay",
+				name, appPoint(name, grouping.UIUA).Fingerprint(), a.Invals))
 		}
-		row := []any{w.Name}
-		for _, c := range counts {
+		row := []any{name}
+		for _, b := range invalSizeBuckets {
+			c := 0
+			for n := b.min; n <= b.max && n < len(a.Sharers); n++ {
+				c += a.Sharers[n]
+			}
 			pct := 0.0
-			if total > 0 {
-				pct = 100 * float64(c) / float64(total)
+			if a.Invals > 0 {
+				pct = 100 * float64(c) / float64(a.Invals)
 			}
 			row = append(row, pct)
 		}
-		row = append(row, total)
-		t.Row(row...)
+		t.Row(append(row, a.Invals)...)
 	}
 	return t
 }
@@ -671,20 +674,19 @@ var InjectionRates = []float64{1, 5, 10, 20, 30, 40}
 // load curve under uniform random unicast traffic, for 1 and 2 virtual
 // channels per link — the substrate validation experiment of the wormhole
 // routing literature the paper builds on [27, 33].
-func FigOfferedLoad(k int) *report.Table {
+func (l Lab) FigOfferedLoad(k int) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("E19: uniform traffic on a %dx%d mesh: latency vs offered load", k, k),
 		"rate (worms/node/kcycle)", "1 VC latency", "1 VC util", "2 VC latency", "2 VC util")
+	var pts []sweep.Point
 	for _, rate := range InjectionRates {
-		row := []any{rate}
-		for _, vcs := range []int{1, 2} {
-			res := workload.RunTraffic(workload.TrafficConfig{
-				K: k, Rate: rate, Duration: 20000, VirtualChannels: vcs,
-			})
-			row = append(row, res.Latency.Mean(), report.Float3(res.AvgLinkUtilization))
+		for _, tune := range []*coherence.Variant{nil, {VirtualChannels: 2}} {
+			pts = append(pts, sweep.Point{K: k, Trials: 1, Seed: 1, OfferedLoad: rate, Tune: tune})
 		}
-		t.Row(row...)
 	}
+	gridRows(t, InjectionRates, l.runSweep(pts), func(m sweep.Measures) []any {
+		return []any{m.TrafficLatency, report.Float3(m.LinkUtil)}
+	})
 	return t
 }
 

@@ -201,7 +201,7 @@ func TestAllExperimentsRender(t *testing.T) {
 		{"E14", func() *report.Table { return l.FigVirtualChannels(8, 8, 2) }, 3},
 		{"E15", func() *report.Table { return l.FigLimitedDirectory(8) }, 6},
 		{"E16", FigDataForwarding, 12},
-		{"E17", FigInvalSizeDistribution, 3},
+		{"E17", l.FigInvalSizeDistribution, 3},
 		{"E18", FigWriteUpdate, 12},
 	}
 	for _, tc := range cases {
@@ -293,18 +293,18 @@ func captureStderr(t *testing.T, fn func()) string {
 	return string(out)
 }
 
-// TestInterruptedSweepBlamesTheInterrupt: a sweep cancelled mid-run with no
-// point timeout set renders its partial table and says it was interrupted —
-// never that points hit a timeout nobody set. A skipped cell renders 0, even
-// where the table divides by another skipped cell (the application tables'
-// UI-UA baseline).
+// TestInterruptedSweepBlamesTheInterrupt: a sweep cancelled at its second
+// point with no point timeout set renders its partial table and says it was
+// interrupted — never that points hit a timeout nobody set. A skipped cell
+// renders 0, even where the table divides by another skipped cell (the
+// application tables' UI-UA baseline, E17's transaction total).
 func TestInterruptedSweepBlamesTheInterrupt(t *testing.T) {
-	for _, name := range []string{"latency", "apps", "sharing"} {
+	for _, name := range []string{"latency", "apps", "sharing", "load", "invalsize"} {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		var calls int
 		l := Lab{Ctx: ctx, Sweep: sweep.Options{Parallel: 1, RunPoint: func(pctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
-			if calls++; calls == 5 {
+			if calls++; calls == 2 {
 				cancel()
 			}
 			return sweep.RunPointDirect(pctx, p)

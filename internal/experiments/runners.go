@@ -67,9 +67,9 @@ func (l Lab) runners(k, d, trials int) map[string]func() *report.Table {
 		"limdir":      func() *report.Table { return l.FigLimitedDirectory(8) },
 		"consistency": FigConsistency,
 		"forwarding":  FigDataForwarding,
-		"invalsize":   FigInvalSizeDistribution,
+		"invalsize":   l.FigInvalSizeDistribution,
 		"update":      FigWriteUpdate,
-		"load":        func() *report.Table { return FigOfferedLoad(k) },
+		"load":        func() *report.Table { return l.FigOfferedLoad(k) },
 		"tree":        func() *report.Table { return l.FigSoftwareTree(k, trials) },
 		"torus":       func() *report.Table { return l.FigTorus(k, trials) },
 		"barrier":     FigWormBarrier,

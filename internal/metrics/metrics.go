@@ -79,45 +79,6 @@ func NewCollector(n int) *Collector {
 	}
 }
 
-// Merge folds other into c: records append in other's order, samples merge
-// observation-by-observation, and per-node tallies add element-wise. Node
-// slices grow to the larger machine when the two collectors come from
-// different mesh sizes (a sweep spanning several k values). Merging the
-// per-point collectors of a sweep in point order reproduces exactly the
-// collector a sequential run over the same points would have produced,
-// which is what the parallel sweep engine's aggregation channel relies on.
-func (c *Collector) Merge(other *Collector) {
-	if other == nil {
-		return
-	}
-	c.Invals = append(c.Invals, other.Invals...)
-	c.ReadLatency.Merge(&other.ReadLatency)
-	c.WriteLatency.Merge(&other.WriteLatency)
-	c.ReadMiss.Merge(&other.ReadMiss)
-	c.WriteMiss.Merge(&other.WriteMiss)
-	c.BarrierLatency.Merge(&other.BarrierLatency)
-	c.Forwards += other.Forwards
-	c.Retries += other.Retries
-	c.Fallbacks += other.Fallbacks
-	c.DupAcks += other.DupAcks
-	c.ImplicitInvals += other.ImplicitInvals
-	c.Relays += other.Relays
-	if n := len(other.Occupancy); len(c.Occupancy) < n {
-		c.Occupancy = append(c.Occupancy, make([]sim.Time, n-len(c.Occupancy))...)
-		c.MsgsSent = append(c.MsgsSent, make([]uint64, n-len(c.MsgsSent))...)
-		c.MsgsRecv = append(c.MsgsRecv, make([]uint64, n-len(c.MsgsRecv))...)
-	}
-	for i, v := range other.Occupancy {
-		c.Occupancy[i] += v
-	}
-	for i, v := range other.MsgsSent {
-		c.MsgsSent[i] += v
-	}
-	for i, v := range other.MsgsRecv {
-		c.MsgsRecv[i] += v
-	}
-}
-
 // InvalLatency returns a sample over all recorded invalidation latencies.
 func (c *Collector) InvalLatency() *sim.Sample {
 	var s sim.Sample

@@ -34,8 +34,8 @@ type request struct {
 
 // outcome is what a waiter receives: the measures, how they were produced,
 // and the timing attribution for its metric row. coll is the engine's raw
-// metrics collector, handed to exactly one waiter (the run leader) so a
-// shared collector is never merged twice into one aggregate.
+// metrics collector, handed to exactly one waiter (the run leader) so one
+// run's collector is never counted as two.
 type outcome struct {
 	m         sweep.Measures
 	coll      *metrics.Collector

@@ -101,11 +101,11 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 // experiments: the daemon's table equals the batch CLI's output
 // (table.String()+"\n") byte for byte — for a default-machine grid, for
 // grids whose points carry a machine variant (torus, limited directories),
-// homed transactions, hot-spot bursts and application replays — and a repeat
-// request is byte-identical again and served from the store without one
-// engine run.
+// homed transactions, hot-spot bursts, application replays and traffic runs —
+// and a repeat request is byte-identical again and served from the store
+// without one engine run.
 func TestExperimentEndpointByteIdentical(t *testing.T) {
-	for _, name := range []string{"latency", "torus", "limdir", "hotspot", "homes", "occupancy", "apps"} {
+	for _, name := range []string{"latency", "torus", "limdir", "hotspot", "homes", "occupancy", "apps", "load", "invalsize"} {
 		t.Run(name, func(t *testing.T) {
 			// The batch CLI's rendering: the experiment run with the direct engine.
 			direct := directTable(t, name).String() + "\n"
@@ -342,35 +342,40 @@ func TestExperimentPanicIsAnError(t *testing.T) {
 	}
 }
 
-// TestAppsExperimentIsShed: the application comparison, the most expensive
-// experiment, is bounded by the run queue like any job. With the one worker
-// held by a gated job's point and the queue full, the experiment's replays
-// are refused: a 503 (ErrQueueFull), counted as shed.
+// TestAppsExperimentIsShed: the application comparison and the offered-load
+// curve, the most expensive experiments, are bounded by the run queue like
+// any job. With the one worker held by a gated job's point and the queue
+// full, the experiment's points are refused: a 503 (ErrQueueFull), counted as
+// shed.
 func TestAppsExperimentIsShed(t *testing.T) {
-	release := make(chan struct{})
-	defer close(release)
-	svc, ts := newTestDaemon(t, Config{Workers: 1, QueueDepth: 1, RunPoint: gatedEngine(release, sweep.RunPointDirect)})
-	// The first job's point takes the worker, the second's the queue.
-	for variant := 0; variant < 2; variant++ {
-		if _, err := svc.Submit(JobSpec{Points: []sweep.Point{testPoint(0, variant)}}); err != nil {
-			t.Fatal(err)
-		}
-		awaitWaiters(t, svc, variant+1)
-		deadline := time.Now().Add(10 * time.Second)
-		for svc.QueueDepth() != variant {
-			if time.Now().After(deadline) {
-				t.Fatalf("queue depth %d; want %d", svc.QueueDepth(), variant)
+	for _, name := range []string{"apps", "load"} {
+		t.Run(name, func(t *testing.T) {
+			release := make(chan struct{})
+			defer close(release)
+			svc, ts := newTestDaemon(t, Config{Workers: 1, QueueDepth: 1, RunPoint: gatedEngine(release, sweep.RunPointDirect)})
+			// The first job's point takes the worker, the second's the queue.
+			for variant := 0; variant < 2; variant++ {
+				if _, err := svc.Submit(JobSpec{Points: []sweep.Point{testPoint(0, variant)}}); err != nil {
+					t.Fatal(err)
+				}
+				awaitWaiters(t, svc, variant+1)
+				deadline := time.Now().Add(10 * time.Second)
+				for svc.QueueDepth() != variant {
+					if time.Now().After(deadline) {
+						t.Fatalf("queue depth %d; want %d", svc.QueueDepth(), variant)
+					}
+					runtime.Gosched()
+				}
 			}
-			runtime.Gosched()
-		}
-	}
-	shed := counters(t, ts.URL).Shed
-	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "apps"})
-	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), ErrQueueFull.Error()) {
-		t.Fatalf("apps over a full queue: %s: %s; want 503 naming %v", resp.Status, body, ErrQueueFull)
-	}
-	if c := counters(t, ts.URL); c.Shed <= shed {
-		t.Fatalf("Shed %d after the refused experiment; want more than %d", c.Shed, shed)
+			shed := counters(t, ts.URL).Shed
+			resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: name})
+			if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), ErrQueueFull.Error()) {
+				t.Fatalf("%s over a full queue: %s: %s; want 503 naming %v", name, resp.Status, body, ErrQueueFull)
+			}
+			if c := counters(t, ts.URL); c.Shed <= shed {
+				t.Fatalf("Shed %d after the refused experiment; want more than %d", c.Shed, shed)
+			}
+		})
 	}
 }
 

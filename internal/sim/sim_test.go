@@ -635,30 +635,6 @@ func TestDeriveSeedProperties(t *testing.T) {
 	}
 }
 
-// TestSampleMerge checks that merging two samples is equivalent to
-// observing both value streams in one sample.
-func TestSampleMerge(t *testing.T) {
-	var a, b, all Sample
-	for i := 1; i <= 5; i++ {
-		a.Add(float64(i))
-		all.Add(float64(i))
-	}
-	for i := 10; i <= 12; i++ {
-		b.Add(float64(i))
-		all.Add(float64(i))
-	}
-	a.Merge(&b)
-	if a.N() != all.N() || a.Mean() != all.Mean() ||
-		a.Min() != all.Min() || a.Max() != all.Max() {
-		t.Fatalf("merged sample (n=%d mean=%v) != combined (n=%d mean=%v)",
-			a.N(), a.Mean(), all.N(), all.Mean())
-	}
-	a.Merge(nil) // must be a no-op
-	if a.N() != all.N() {
-		t.Fatal("Merge(nil) changed the sample")
-	}
-}
-
 // TestSampleJSONRoundTrip checks the marshal/unmarshal pair the result
 // store depends on (a sweep point's stored JSON carries its latency
 // sample): values survive a round trip exactly and an empty sample stays

@@ -31,19 +31,6 @@ func (s *Sample) Add(v float64) {
 // AddTime records a Time observation.
 func (s *Sample) AddTime(t Time) { s.Add(float64(t)) }
 
-// Merge appends every observation of other, in other's insertion order.
-// Merging partial samples in a fixed order reproduces the sample a single
-// sequential run would have built, which is what lets a parallel sweep
-// aggregate per-shard samples deterministically.
-func (s *Sample) Merge(other *Sample) {
-	if other == nil {
-		return
-	}
-	for _, v := range other.values {
-		s.Add(v)
-	}
-}
-
 // Values returns the observations in insertion order. The slice is a copy.
 func (s *Sample) Values() []float64 {
 	return append([]float64(nil), s.values...)

@@ -47,18 +47,19 @@ func TestFingerprintStableAndContentAddressed(t *testing.T) {
 
 	// Every content field must change the hash.
 	mutations := map[string]func(*Point){
-		"K":         func(p *Point) { p.K = 16 },
-		"Scheme":    func(p *Point) { p.Scheme = grouping.UIUA },
-		"D":         func(p *Point) { p.D = 8 },
-		"Pattern":   func(p *Point) { p.Pattern = workload.RowPlacement },
-		"Trials":    func(p *Point) { p.Trials = 20 },
-		"Seed":      func(p *Point) { p.Seed = 43 },
-		"ChaosSeed": func(p *Point) { p.ChaosSeed = 7 },
-		"Faults":    func(p *Point) { p.Faults = &faults.Config{DropRate: 0.1, Seed: 9} },
-		"Tune":      func(p *Point) { p.Tune = &coherence.Variant{Torus: true} },
-		"Home":      func(p *Point) { h := topology.NodeID(0); p.Home = &h },
-		"HotSpot":   func(p *Point) { p.HotSpot = &HotSpot{} },
-		"App":       func(p *Point) { p.App = "LU" },
+		"K":           func(p *Point) { p.K = 16 },
+		"Scheme":      func(p *Point) { p.Scheme = grouping.UIUA },
+		"D":           func(p *Point) { p.D = 8 },
+		"Pattern":     func(p *Point) { p.Pattern = workload.RowPlacement },
+		"Trials":      func(p *Point) { p.Trials = 20 },
+		"Seed":        func(p *Point) { p.Seed = 43 },
+		"ChaosSeed":   func(p *Point) { p.ChaosSeed = 7 },
+		"Faults":      func(p *Point) { p.Faults = &faults.Config{DropRate: 0.1, Seed: 9} },
+		"Tune":        func(p *Point) { p.Tune = &coherence.Variant{Torus: true} },
+		"Home":        func(p *Point) { h := topology.NodeID(0); p.Home = &h },
+		"HotSpot":     func(p *Point) { p.HotSpot = &HotSpot{} },
+		"App":         func(p *Point) { p.App = "LU" },
+		"OfferedLoad": func(p *Point) { p.OfferedLoad = 10 },
 	}
 	for name, mutate := range mutations {
 		q := basePoint()
@@ -87,6 +88,7 @@ func TestFingerprintPinned(t *testing.T) {
 		{"burst", func(p *Point) { p.HotSpot = &HotSpot{Writers: 4, OverlapSharers: true, Occupancy: true} }, "57ebd7b8abe3b8a10d5085765007b3cd94a5deb4faaaff1d342076d4ed6a7870"},
 		{"homed", func(p *Point) { h := topology.NodeID(9); p.Home = &h }, "fff18593c691bafbf71791cdadd7e5e9c2d6bb4824c6e46b26481abad30a1f0d"},
 		{"app", func(p *Point) { p.App = "LU" }, "ef43ccea92fead5530d7f2c5f83953176d15c02714afd7c1e8a39b2f8ecfdce4"},
+		{"traffic", func(p *Point) { p.OfferedLoad = 10; p.Tune = &coherence.Variant{VirtualChannels: 2} }, "beff022222485e52c0803494560d147a290c93414f2a066537d2275963abf870"},
 	}
 	for _, tc := range cases {
 		p := basePoint()
@@ -146,7 +148,7 @@ func TestVariantFieldsAreData(t *testing.T) {
 // to a nonzero value, must change the fingerprint of a burst point.
 func TestKindFieldsAreData(t *testing.T) {
 	typ := reflect.TypeOf(Point{})
-	for _, name := range []string{"Home", "HotSpot", "App"} {
+	for _, name := range []string{"Home", "HotSpot", "App", "OfferedLoad"} {
 		if f, _ := typ.FieldByName(name); !strings.HasSuffix(f.Tag.Get("json"), ",omitempty") {
 			t.Errorf("Point.%s: json tag %q lacks omitempty", name, f.Tag.Get("json"))
 		}

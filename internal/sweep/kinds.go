@@ -34,6 +34,9 @@ type AppMeasures struct {
 	Writes     uint64   `json:"writes"`
 	// Barriers counts barrier episodes per processor.
 	Barriers uint64 `json:"barriers"`
+	// Sharers[n] counts the invalidation transactions with n sharers, so
+	// its sum is Invals.
+	Sharers []int `json:"sharers,omitempty"`
 }
 
 // OccupancyMeasures is a burst's trace-derived occupancy profile: the busy
@@ -48,20 +51,25 @@ type OccupancyMeasures struct {
 	PeakLink     string   `json:"peak_link,omitempty"`
 }
 
-// checkKind refuses a point that selects more than one workload, or a burst
-// or replay that is not exactly one trial.
+// checkKind refuses a point that selects more than one workload, a burst,
+// replay or traffic run that is not exactly one trial, or a traffic run that
+// sets a field workload.RunTraffic cannot honour.
 func (p Point) checkKind() error {
 	kinds := 0
-	for _, set := range []bool{p.Home != nil, p.HotSpot != nil, p.App != ""} {
+	for _, set := range []bool{p.Home != nil, p.HotSpot != nil, p.App != "", p.OfferedLoad != 0} {
 		if set {
 			kinds++
 		}
 	}
 	if kinds > 1 {
-		return fmt.Errorf("sets %d of Home, HotSpot and App (at most one)", kinds)
+		return fmt.Errorf("sets %d of Home, HotSpot, App and OfferedLoad (at most one)", kinds)
 	}
-	if (p.HotSpot != nil || p.App != "") && p.Trials != 1 {
-		return fmt.Errorf("is a burst or replay with Trials %d (must be 1)", p.Trials)
+	if (p.HotSpot != nil || p.App != "" || p.OfferedLoad != 0) && p.Trials != 1 {
+		return fmt.Errorf("is a burst, replay or traffic run with Trials %d (must be 1)", p.Trials)
+	}
+	if p.OfferedLoad != 0 && (p.ChaosSeed != 0 || p.Faults != nil ||
+		p.Tune != nil && *p.Tune != (coherence.Variant{VirtualChannels: p.Tune.VirtualChannels})) {
+		return fmt.Errorf("is a traffic run with chaos, faults or a Tune field other than VirtualChannels")
 	}
 	return nil
 }
@@ -121,10 +129,29 @@ func runApp(p Point) Measures {
 	}
 	params := coherence.DefaultParams(p.K, p.Scheme)
 	p.Tune.Apply(&params)
-	res := apps.Run(coherence.NewMachine(params), w)
+	m := coherence.NewMachine(params)
+	res := apps.Run(m, w)
 	st := w.Stats()
+	var sharers []int
+	if res.Invals > 0 {
+		sharers = make([]int, res.MaxSharers+1)
+		for _, rec := range m.Metrics.Invals {
+			sharers[rec.Sharers]++
+		}
+	}
 	return Measures{Completed: 1, App: &AppMeasures{
 		Time: res.Time, Invals: res.Invals, AvgSharers: res.AvgSharers, MaxSharers: res.MaxSharers,
 		Reads: st.Reads, Writes: st.Writes, Barriers: st.Barriers / uint64(len(w.Programs)),
+		Sharers: sharers,
 	}}
+}
+
+// runTraffic runs an OfferedLoad point's uniform traffic.
+func runTraffic(p Point) Measures {
+	cfg := workload.TrafficConfig{K: p.K, Rate: p.OfferedLoad, Seed: p.Seed}
+	if p.Tune != nil {
+		cfg.VirtualChannels = p.Tune.VirtualChannels
+	}
+	res := workload.RunTraffic(cfg)
+	return Measures{Completed: 1, TrafficLatency: res.Latency.Mean(), LinkUtil: res.AvgLinkUtilization}
 }

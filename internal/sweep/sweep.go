@@ -1,9 +1,10 @@
 // Package sweep is the parallel experiment-sweep engine: it fans a grid of
 // points out across a pool of worker goroutines, each running a fully
-// isolated sim.Engine + coherence.Machine, and merges the results through a
-// single aggregation channel into point order. A point is an invalidation
-// experiment (scheme x mesh size x sharer distribution x seed), optionally
-// homed at one node, or one hot-spot burst, or one application replay.
+// isolated simulation, and gathers the results through a single aggregation
+// channel into point order. A point is an invalidation experiment (scheme x
+// mesh size x sharer distribution x seed), optionally homed at one node, or
+// one hot-spot burst, one application replay or one uniform-traffic run; its
+// outcome is the serializable Measures, which is all a figure reads.
 //
 // Determinism: every point carries its own RNG seed (derived with splitmix
 // from a base seed and the point index, see sim.DeriveSeed), every point
@@ -57,18 +58,24 @@ type Point struct {
 	// Tune, when non-nil, is the machine variant the point runs on instead
 	// of DefaultParams.
 	Tune *coherence.Variant `json:"tune,omitempty"`
-	// At most one of Home, HotSpot and App is set; none runs Trials
-	// invalidation transactions homed at the mesh center. Home homes them at
-	// that node instead. HotSpot makes the point one concurrent-write burst,
-	// and App names an application (apps.ByName) replayed on a K x K
-	// machine; either is one trial.
-	Home    *topology.NodeID `json:"home,omitempty"`
-	HotSpot *HotSpot         `json:"hot_spot,omitempty"`
-	App     string           `json:"app,omitempty"`
+	// At most one of Home, HotSpot, App and OfferedLoad is set; none runs
+	// Trials invalidation transactions homed at the mesh center. Home homes
+	// them at that node instead. HotSpot makes the point one concurrent-write
+	// burst, App names an application (apps.ByName) replayed on a K x K
+	// machine, and OfferedLoad makes it one uniform-random unicast traffic
+	// run on a K x K mesh at that many worms per node per 1000 cycles
+	// (workload.RunTraffic, with Seed as its stream seed and
+	// Tune.VirtualChannels lanes per link). Each of the last three is one
+	// trial.
+	Home        *topology.NodeID `json:"home,omitempty"`
+	HotSpot     *HotSpot         `json:"hot_spot,omitempty"`
+	App         string           `json:"app,omitempty"`
+	OfferedLoad float64          `json:"offered_load,omitempty"`
 }
 
 // Measures is the serializable outcome of one point — the per-transaction
-// means the paper's tables are built from, plus the full latency sample.
+// means the paper's tables are built from, plus the full latency sample of
+// an invalidation or burst point.
 type Measures struct {
 	Latency   sim.Sample `json:"latency"`
 	HomeMsgs  float64    `json:"home_msgs"`
@@ -94,6 +101,10 @@ type Measures struct {
 	Occupancy   *OccupancyMeasures `json:"occupancy,omitempty"`
 	// App is an application replay's outcome.
 	App *AppMeasures `json:"app,omitempty"`
+	// TrafficLatency and LinkUtil are a traffic point's mean per-worm
+	// latency and mean link busy fraction.
+	TrafficLatency float64 `json:"traffic_latency,omitempty"`
+	LinkUtil       float64 `json:"link_util,omitempty"`
 }
 
 // MeasuresOf extracts the serializable measures from an InvalResult.
@@ -155,7 +166,8 @@ type Options struct {
 	// intercept here to route points through the content-addressed result
 	// store; tests use it to fake the engine. A substitute must preserve the
 	// engine's contract: identical points yield identical Measures, and a
-	// context-cancelled run returns Measures.Completed < Point.Trials.
+	// context-cancelled run returns Measures.Completed < Point.Trials. Run
+	// ignores the returned collector.
 	RunPoint func(ctx context.Context, p Point) (Measures, *metrics.Collector)
 }
 
@@ -178,9 +190,6 @@ type Summary struct {
 	// Results holds one entry per point, in point order regardless of
 	// completion order.
 	Results []Result
-	// Agg is the merge, in point order, of the collectors the point runner
-	// returned (a runner serving stored Measures returns none).
-	Agg *metrics.Collector
 	// Elapsed is the sweep's wall-clock duration.
 	Elapsed time.Duration
 	// Completed counts points with a result; Partial counts results marked
@@ -189,17 +198,21 @@ type Summary struct {
 	Completed, Partial, Quarantined int
 }
 
-// RunPointDirect is the production point runner: one isolated machine per
-// point via workload.RunInval, workload.RunHotSpot or apps.Run, by the
-// point's kind (a burst or a replay returns no collector). It is exported so
-// layers that substitute Options.RunPoint (the serving daemon's
-// cache/coalesce hook) can fall through to the real engine.
+// RunPointDirect is the production point runner: one isolated simulation
+// per point via workload.RunInval, workload.RunHotSpot, apps.Run or
+// workload.RunTraffic, by the point's kind. It also returns an invalidation
+// point's raw collector (nil for the other kinds), which Run ignores: the
+// Measures are the point's whole outcome. It is exported so layers that
+// substitute Options.RunPoint (the serving daemon's cache/coalesce hook) can
+// fall through to the real engine.
 func RunPointDirect(ctx context.Context, p Point) (Measures, *metrics.Collector) {
 	switch {
 	case p.HotSpot != nil:
 		return runHotSpot(p), nil
 	case p.App != "":
 		return runApp(p), nil
+	case p.OfferedLoad != 0:
+		return runTraffic(p), nil
 	}
 	res := workload.RunInval(workload.InvalConfig{
 		K: p.K, Scheme: p.Scheme, D: p.D, Pattern: p.Pattern,
@@ -210,7 +223,7 @@ func RunPointDirect(ctx context.Context, p Point) (Measures, *metrics.Collector)
 	return MeasuresOf(res), res.Metrics
 }
 
-// Run executes every point and returns the merged summary. It returns early
+// Run executes every point and returns the summary. It returns early
 // (with the results gathered so far and ctx.Err) when ctx is cancelled:
 // queued points are abandoned, in-flight points stop at their next trial
 // boundary and are marked Partial. A point runner's panic is re-raised on the
@@ -236,19 +249,12 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 	}
 
 	start := time.Now() //simcheck:allow determinism -- wall-clock ETA reporting, not simulation state
-	sum := &Summary{
-		Results: make([]Result, len(points)),
-		Agg:     metrics.NewCollector(0),
-	}
+	sum := &Summary{Results: make([]Result, len(points))}
 	for i, p := range points {
 		sum.Results[i] = Result{Point: p}
 	}
 
-	type outcome struct {
-		res  Result
-		coll *metrics.Collector
-	}
-	results := make(chan outcome) // the single aggregation channel
+	results := make(chan Result) // the single aggregation channel
 	var workerPanic any
 	go func() {
 		defer func() {
@@ -260,17 +266,18 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 				return
 			}
 			p := points[i]
-			runOnce := func(budget time.Duration) (Measures, *metrics.Collector) {
+			runOnce := func(budget time.Duration) Measures {
 				pctx := ctx
 				cancel := func() {}
 				if budget > 0 {
 					pctx, cancel = context.WithTimeout(ctx, budget)
 				}
 				defer cancel()
-				return run(pctx, p)
+				m, _ := run(pctx, p)
+				return m
 			}
 			t0 := time.Now() //simcheck:allow determinism -- per-point wall-clock timing for reports
-			meas, coll := runOnce(opts.PointTimeout)
+			meas := runOnce(opts.PointTimeout)
 			res := Result{Point: p, Ran: true}
 			if meas.Completed < p.Trials && opts.PointTimeout > 0 && ctx.Err() == nil {
 				// The point hit its own timeout (the sweep itself was not
@@ -279,7 +286,7 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 				// same seeds, and a completed retry's result is identical
 				// to what an untimed run would have produced.
 				res.Retried = true
-				meas, coll = runOnce(2 * opts.PointTimeout)
+				meas = runOnce(2 * opts.PointTimeout)
 				if meas.Completed < p.Trials && ctx.Err() == nil {
 					res.Quarantined = true
 				}
@@ -287,20 +294,17 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 			res.Measures = meas
 			res.Partial = meas.Completed < p.Trials
 			res.Elapsed = time.Since(t0) //simcheck:allow determinism -- wall-clock elapsed, reporting only
-			results <- outcome{res: res, coll: coll}
+			results <- res
 		})
 	}()
 
-	collectors := make([]*metrics.Collector, len(points))
-	for out := range results {
-		i := out.res.Point.Index
-		sum.Results[i] = out.res
-		collectors[i] = out.coll
+	for res := range results {
+		sum.Results[res.Point.Index] = res
 		sum.Completed++
-		if out.res.Partial {
+		if res.Partial {
 			sum.Partial++
 		}
-		if out.res.Quarantined {
+		if res.Quarantined {
 			sum.Quarantined++
 		}
 		if opts.OnProgress != nil {
@@ -310,7 +314,7 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 				Total:        len(points),
 				Partial:      sum.Partial,
 				Quarantined:  sum.Quarantined,
-				Last:         out.res.Point,
+				Last:         res.Point,
 				Elapsed:      elapsed,
 				PointsPerSec: float64(sum.Completed) / elapsed.Seconds(),
 			})
@@ -318,11 +322,6 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 	}
 	if workerPanic != nil {
 		panic(workerPanic)
-	}
-	// Merge per-point collectors in point order: the aggregate is then
-	// independent of completion order.
-	for _, c := range collectors {
-		sum.Agg.Merge(c)
 	}
 	sum.Elapsed = time.Since(start) //simcheck:allow determinism -- wall-clock elapsed, reporting only
 	return sum, ctx.Err()

@@ -130,8 +130,8 @@ type InvalResult struct {
 	// hard-fault injection.
 	Fallbacks float64
 	Purges    float64
-	// Metrics is the machine's full collector, for callers that aggregate
-	// across experiments (the sweep engine merges these). Sharers installed
+	// Metrics is the machine's full collector, for callers that read more
+	// than the means (sweep.RunPointDirect hands it back). Sharers installed
 	// functionally (installSharer) leave no trace in it: ReadMiss,
 	// ReadLatency, Occupancy and MsgsSent/MsgsRecv then carry the measured
 	// writes only, not the d reads that set each one up.

@@ -3,14 +3,15 @@
 # dsmsimd-smoke CI job):
 #
 #   1. start the daemon with a data directory,
-#   2. run the E4 latency experiment through it and assert the table is
-#      byte-identical to a direct invalsweep run,
-#   3. repeat the request and assert the cached reply is byte-identical,
+#   2. run the E4 latency and E19 offered-load experiments through it and
+#      assert each table is byte-identical to a direct invalsweep run,
+#   3. repeat each request and assert the cached reply is byte-identical,
 #   4. submit a point job and check it completes with zero duplicate runs,
 #   5. SIGTERM the daemon and assert a clean (exit 0) drain that leaves the
 #      persisted results, an empty jobs/ and nothing else in the data directory,
 #   6. run invalsweep twice over one -data directory and assert identical
-#      tables with zero engine runs the second time,
+#      tables with zero engine runs the second time (for E19, all 12 points
+#      from the store),
 #   7. start the daemon over that directory and assert it serves the same
 #      table with zero engine runs.
 set -euo pipefail
@@ -67,14 +68,16 @@ stop_daemon() {
 echo "== starting daemon =="
 start_daemon "$work/data"
 
-echo "== experiment byte-identity (daemon vs invalsweep) =="
-"$work/invalsweep" -experiment latency -k 8 -trials 2 -progress=false >"$work/direct.txt"
-"$work/dsmsimctl" -addr "$url" experiment -name latency -k 8 -trials 2 >"$work/served.txt"
-diff -u "$work/direct.txt" "$work/served.txt"
+for exp in latency load; do
+  echo "== $exp: experiment byte-identity (daemon vs invalsweep) =="
+  "$work/invalsweep" -experiment "$exp" -k 8 -trials 2 -progress=false >"$work/direct.txt"
+  "$work/dsmsimctl" -addr "$url" experiment -name "$exp" -k 8 -trials 2 >"$work/served.txt"
+  diff -u "$work/direct.txt" "$work/served.txt"
 
-echo "== cached repeat stays byte-identical =="
-"$work/dsmsimctl" -addr "$url" experiment -name latency -k 8 -trials 2 >"$work/served2.txt"
-cmp "$work/served.txt" "$work/served2.txt"
+  echo "== $exp: cached repeat stays byte-identical =="
+  "$work/dsmsimctl" -addr "$url" experiment -name "$exp" -k 8 -trials 2 >"$work/served2.txt"
+  cmp "$work/served.txt" "$work/served2.txt"
+done
 
 echo "== point job =="
 "$work/dsmsimctl" -addr "$url" run \
@@ -102,6 +105,13 @@ sweep >"$work/batch1.txt" 2>"$work/batch1.err"
 sweep >"$work/batch2.txt" 2>"$work/batch2.err"
 cmp "$work/batch1.txt" "$work/batch2.txt"
 grep -q ' 0 run$' "$work/batch2.err"
+load() {
+  "$work/invalsweep" -experiment load -k 8 -progress=false -data "$work/batch"
+}
+load >"$work/load1.txt" 2>"$work/load1.err"
+load >"$work/load2.txt" 2>"$work/load2.err"
+cmp "$work/load1.txt" "$work/load2.txt"
+grep -q ' 12 points from the store, 0 run$' "$work/load2.err"
 
 echo "== dsmsimd over the batch directory serves it with zero engine runs =="
 start_daemon "$work/batch"
