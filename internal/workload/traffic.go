@@ -44,6 +44,8 @@ type TrafficResult struct {
 	// DrainTime is how long past the injection window the network needed
 	// to deliver everything — a saturation indicator.
 	DrainTime sim.Time
+	// EngineEvents is the engine's total fired-event count.
+	EngineEvents uint64
 }
 
 // RunTraffic executes the experiment and returns its measurements.
@@ -131,6 +133,7 @@ func RunTraffic(cfg TrafficConfig) TrafficResult {
 	if now := engine.Now(); now > cfg.Duration {
 		res.DrainTime = now - cfg.Duration
 	}
+	res.EngineEvents = engine.Fired()
 	return res
 }
 
