@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/directory"
 	"repro/internal/grouping"
 )
 
@@ -333,4 +334,41 @@ func TestJacobiNonSquareProcsPanics(t *testing.T) {
 		}
 	}()
 	Jacobi(JacobiConfig{Procs: 6})
+}
+
+// TestReplayAllocsIndependentOfLength pins the replay driver's
+// continuations: every reference completes through its processor's one
+// bound continuation, so a program four times as long allocates almost
+// nothing more. The programs read shared blocks, compute, and write and
+// read a private block, all of which run allocation-free once warm; what
+// remains is the latency samples' amortized growth. A closure per
+// reference would cost at least one allocation per operation.
+func TestReplayAllocsIndependentOfLength(t *testing.T) {
+	const procs = 4
+	build := func(rounds int) Workload {
+		progs := make([]Program, procs)
+		for p := range progs {
+			for r := 0; r < rounds; r++ {
+				progs[p] = append(progs[p],
+					Op{Kind: OpRead, Block: directory.BlockID(100 + r%8)},
+					Op{Kind: OpCompute, Cycles: 20},
+					Op{Kind: OpWrite, Block: directory.BlockID(200 + p)},
+					Op{Kind: OpRead, Block: directory.BlockID(200 + p)})
+			}
+		}
+		return Workload{Name: "alloc", Programs: progs, BarrierCost: 10}
+	}
+	run := func(rounds int) float64 {
+		w := build(rounds)
+		return testing.AllocsPerRun(1, func() {
+			Run(coherence.NewMachine(coherence.DefaultParams(4, grouping.MIMAEC)), w)
+		})
+	}
+	const short, long = 500, 2000
+	shortAllocs, longAllocs := run(short), run(long)
+	extraOps := float64((long - short) * procs * 4)
+	if perOp := (longAllocs - shortAllocs) / extraOps; perOp >= 0.05 {
+		t.Fatalf("%.3f allocations per extra operation (%v for %d rounds, %v for %d), want < 0.05",
+			perOp, shortAllocs, short, longAllocs, long)
+	}
 }

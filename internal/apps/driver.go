@@ -151,9 +151,14 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 	bar := &barrier{engine: m.Engine, parties: len(w.Programs), cost: w.BarrierCost}
 	rc := m.Params.Consistency == coherence.ReleaseConsistency
 	remaining := len(w.Programs)
-	var exec func(n topology.NodeID, prog Program, idx int)
-	exec = func(n topology.NodeID, prog Program, idx int) {
-		if idx == len(prog) {
+	// Each processor has at most one operation outstanding, so one
+	// continuation per processor, bound once, serves every reference: next
+	// advances the program counter and issues the following operation.
+	procs := make([]proc, len(w.Programs))
+	var exec func(p *proc)
+	exec = func(p *proc) {
+		n := p.node
+		if p.pc == len(p.prog) {
 			if rc {
 				// Outstanding writes must still retire before the program
 				// counts as finished.
@@ -163,8 +168,8 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 			remaining--
 			return
 		}
-		next := func() { exec(n, prog, idx+1) }
-		op := prog[idx]
+		next := p.next
+		op := p.prog[p.pc]
 		switch op.Kind {
 		case OpRead:
 			m.Read(n, op.Block, next)
@@ -192,7 +197,15 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 			panic("apps: unknown op kind")
 		}
 	}
-	begin := func(_ any, i int32) { exec(topology.NodeID(i), w.Programs[i], 0) }
+	for i := range procs {
+		p := &procs[i]
+		p.node, p.prog = topology.NodeID(i), w.Programs[i]
+		p.next = func() {
+			p.pc++
+			exec(p)
+		}
+	}
+	begin := func(_ any, i int32) { exec(&procs[i]) }
 	for i := range w.Programs {
 		m.Engine.AtCall(m.Engine.Now(), begin, nil, int32(i))
 	}
@@ -219,6 +232,16 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 		res.AvgSharers = float64(sum) / float64(res.Invals)
 	}
 	return res
+}
+
+// proc is one processor's replay state: its program, the index of its
+// current operation, and the continuation every operation completes
+// through.
+type proc struct {
+	node topology.NodeID
+	prog Program
+	pc   int
+	next func()
 }
 
 // appendSMBarrier emits one sense-reversing shared-memory barrier episode

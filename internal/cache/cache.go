@@ -47,18 +47,40 @@ type Stats struct {
 	Evictions   uint64
 }
 
+// Lines is the line storage a set of caches share: one index from (cache,
+// block) to a slot in one slab, and the freed slots. It holds only valid
+// lines and no pointers: an invalidated or evicted line is deleted from the
+// index and its slot reused by the next fill, so the steady
+// invalidate/refill churn of the coherence protocol allocates nothing, and
+// a machine's caches together allocate as one.
+type Lines struct {
+	index map[lineKey]int32
+	slots []line
+	free  []int32
+}
+
+type lineKey struct {
+	cache int32
+	block directory.BlockID
+}
+
+// Cache returns cache id of the set sharing l, holding up to capacity
+// lines (0 = unbounded). Every cache of the set needs its own id.
+func (l *Lines) Cache(id, capacity int) Cache {
+	if capacity < 0 {
+		panic("cache: negative capacity")
+	}
+	return Cache{lines: l, id: int32(id), capacity: capacity}
+}
+
 // Cache is one node's cache. Capacity is in lines; zero means unbounded
-// (the paper-style "no conflict misses" configuration).
-//
-// Invalidated and evicted lines are tombstoned (state Invalid) rather than
-// deleted, so the steady-state invalidate/refill churn of the coherence
-// protocol reuses the same line records instead of allocating: the map
-// grows with the number of distinct blocks a node ever caches, while
-// capacity accounting tracks only the valid lines.
+// (the paper-style "no conflict misses" configuration). A hit is one index
+// probe.
 type Cache struct {
+	lines    *Lines
+	id       int32
 	capacity int
-	lines    map[directory.BlockID]*line
-	valid    int // lines in a non-Invalid state
+	valid    int
 	clock    uint64
 	stats    Stats
 
@@ -75,18 +97,24 @@ func (c *Cache) notify(b directory.BlockID, from, to LineState) {
 	}
 }
 
-// New returns a cache holding up to capacity lines (0 = unbounded).
-func New(capacity int) *Cache {
-	if capacity < 0 {
-		panic("cache: negative capacity")
-	}
-	return &Cache{capacity: capacity, lines: make(map[directory.BlockID]*line)}
+// New returns a cache holding up to capacity lines (0 = unbounded) on
+// line storage of its own.
+func New(capacity int) Cache {
+	return new(Lines).Cache(0, capacity)
+}
+
+// slot returns the slab index of block's line, if the cache holds it.
+//
+//simcheck:noalloc
+func (c *Cache) slot(b directory.BlockID) (int32, bool) {
+	i, ok := c.lines.index[lineKey{c.id, b}]
+	return i, ok
 }
 
 // State returns the current state of block.
 func (c *Cache) State(b directory.BlockID) LineState {
-	if l, ok := c.lines[b]; ok {
-		return l.state
+	if i, ok := c.slot(b); ok {
+		return c.lines.slots[i].state
 	}
 	return Invalid
 }
@@ -98,8 +126,8 @@ func (c *Cache) State(b directory.BlockID) LineState {
 //simcheck:noalloc
 func (c *Cache) Lookup(b directory.BlockID, write bool) bool {
 	c.clock++
-	l, ok := c.lines[b]
-	if ok && l.state != Invalid {
+	if i, ok := c.slot(b); ok {
+		l := &c.lines.slots[i]
 		l.lru = c.clock
 		if !write || l.state == ModifiedLine {
 			c.stats.Hits++
@@ -121,11 +149,10 @@ func (c *Cache) Fill(b directory.BlockID, s LineState) (victim directory.BlockID
 		panic("cache: Fill with Invalid state")
 	}
 	c.clock++
-	l, ok := c.lines[b]
-	if ok && l.state != Invalid {
+	if i, ok := c.slot(b); ok {
+		l := &c.lines.slots[i]
 		prev := l.state
-		l.state = s
-		l.lru = c.clock
+		l.state, l.lru = s, c.clock
 		c.notify(b, prev, s)
 		return 0, Invalid, false
 	}
@@ -135,15 +162,40 @@ func (c *Cache) Fill(b directory.BlockID, s LineState) (victim directory.BlockID
 		c.stats.Evictions++
 		c.notify(victim, victimState, Invalid)
 	}
-	if ok {
-		l.state, l.lru = s, c.clock
-	} else {
-		//simcheck:allow noalloc -- first touch of a block; refills reuse the tombstoned line
-		c.lines[b] = &line{state: s, lru: c.clock}
-	}
+	c.lines.add(lineKey{c.id, b}, line{state: s, lru: c.clock})
 	c.valid++
 	c.notify(b, Invalid, s)
 	return victim, victimState, evicted
+}
+
+// add stores a new line under k, in a freed slot when there is one.
+//
+//simcheck:noalloc
+func (l *Lines) add(k lineKey, ln line) {
+	if l.index == nil {
+		//simcheck:allow noalloc -- first fill of the set; the index is kept
+		l.index = make(map[lineKey]int32)
+	}
+	var i int32
+	if n := len(l.free) - 1; n >= 0 {
+		i = l.free[n]
+		l.free = l.free[:n]
+		l.slots[i] = ln
+	} else {
+		i = int32(len(l.slots))
+		l.slots = append(l.slots, ln)
+	}
+	l.index[k] = i
+}
+
+// drop deletes block b's line, whose slot is i, and frees the slot.
+//
+//simcheck:noalloc
+func (c *Cache) drop(b directory.BlockID, i int32) {
+	delete(c.lines.index, lineKey{c.id, b})
+	c.lines.slots[i] = line{}
+	c.lines.free = append(c.lines.free, i)
+	c.valid--
 }
 
 // Invalidate drops block from the cache (invalidation request from home).
@@ -152,13 +204,12 @@ func (c *Cache) Fill(b directory.BlockID, s LineState) (victim directory.BlockID
 //
 //simcheck:noalloc
 func (c *Cache) Invalidate(b directory.BlockID) LineState {
-	l, ok := c.lines[b]
-	if !ok || l.state == Invalid {
+	i, ok := c.slot(b)
+	if !ok {
 		return Invalid
 	}
-	prev := l.state
-	l.state = Invalid
-	c.valid--
+	prev := c.lines.slots[i].state
+	c.drop(b, i)
 	c.stats.Invalidates++
 	c.notify(b, prev, Invalid)
 	return prev
@@ -167,11 +218,11 @@ func (c *Cache) Invalidate(b directory.BlockID) LineState {
 // Downgrade moves a ModifiedLine block to SharedLine (remote read of a
 // dirty block). Downgrading a non-modified line is a protocol bug.
 func (c *Cache) Downgrade(b directory.BlockID) {
-	l, ok := c.lines[b]
-	if !ok || l.state != ModifiedLine {
+	i, ok := c.slot(b)
+	if !ok || c.lines.slots[i].state != ModifiedLine {
 		panic("cache: Downgrade of non-modified line")
 	}
-	l.state = SharedLine
+	c.lines.slots[i].state = SharedLine
 	c.notify(b, ModifiedLine, SharedLine)
 }
 
@@ -179,29 +230,27 @@ func (c *Cache) Downgrade(b directory.BlockID) {
 func (c *Cache) Stats() Stats { return c.stats }
 
 // ValidLines returns the number of valid lines currently held.
-func (c *Cache) ValidLines() int { return c.validCount() }
+func (c *Cache) ValidLines() int { return c.valid }
 
-func (c *Cache) validCount() int { return c.valid }
-
+// evictLRU drops the cache's least recently touched line, the lower block
+// on a tie. It scans the whole shared index: only bounded caches evict, and
+// they are small.
 func (c *Cache) evictLRU() (directory.BlockID, LineState) {
 	var victim directory.BlockID
-	var vl *line
-	first := true
-	var oldest uint64
-	for b, l := range c.lines {
-		if l.state == Invalid {
+	vi := int32(-1)
+	slots := c.lines.slots
+	for k, i := range c.lines.index {
+		if k.cache != c.id {
 			continue
 		}
-		if first || l.lru < oldest || (l.lru == oldest && b < victim) {
-			victim, vl, oldest = b, l, l.lru
-			first = false
+		if vi < 0 || slots[i].lru < slots[vi].lru || (slots[i].lru == slots[vi].lru && k.block < victim) {
+			victim, vi = k.block, i
 		}
 	}
-	if first {
+	if vi < 0 {
 		panic("cache: evictLRU on empty cache")
 	}
-	vs := vl.state
-	vl.state = Invalid
-	c.valid--
+	vs := slots[vi].state
+	c.drop(victim, vi)
 	return victim, vs
 }

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/directory"
 	"repro/internal/grouping"
+	"repro/internal/network"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -69,5 +71,46 @@ func TestMsgPoolAllocsPerMiss(t *testing.T) {
 	}
 	if done <= warm {
 		t.Fatal("no operations completed during the measured runs")
+	}
+}
+
+// TestNewMachineAllocs pins the flat construction of a machine: the fabric's
+// channel sets, lanes, consumption pools and i-ack files, and the per-node
+// caches, directories and controllers, each come from one allocation per
+// kind. Building a network therefore costs the same allocations at every
+// mesh size, and a machine costs nothing per node; a per-node or per-link
+// allocation added anywhere in construction shows up as a count that grows
+// with k.
+func TestNewMachineAllocs(t *testing.T) {
+	// allocs is the fewest allocations f made in three measurements: a
+	// large construction can start a GC cycle, whose own allocations would
+	// otherwise land in the count now and then.
+	allocs := func(f func()) float64 {
+		best := testing.AllocsPerRun(5, f)
+		for range 2 {
+			best = min(best, testing.AllocsPerRun(5, f))
+		}
+		return best
+	}
+	ks := []int{8, 16, 32}
+	nets := make([]float64, len(ks))
+	machines := make([]float64, len(ks))
+	for i, k := range ks {
+		mesh := topology.NewSquareMesh(k)
+		engine := sim.NewEngine()
+		nets[i] = allocs(func() { network.New(engine, mesh, network.DefaultConfig()) })
+		machines[i] = allocs(func() { NewMachine(DefaultParams(k, grouping.MIMAEC)) })
+		t.Logf("k=%d: network.New %v allocations, NewMachine %v", k, nets[i], machines[i])
+	}
+	for i := 1; i < len(ks); i++ {
+		if nets[i] != nets[0] {
+			t.Errorf("network.New allocates %v at k=%d but %v at k=%d, want the same at every k",
+				nets[i], ks[i], nets[0], ks[0])
+		}
+		perNode := (machines[i] - machines[0]) / float64(ks[i]*ks[i]-ks[0]*ks[0])
+		if perNode != 0 {
+			t.Errorf("NewMachine allocates %.3f per node between k=%d and k=%d, want 0",
+				perNode, ks[0], ks[i])
+		}
 	}
 }

@@ -22,17 +22,24 @@ type Machine struct {
 	Params  Params
 	Metrics *metrics.Collector
 
-	caches  []*cache.Cache
-	dirs    []*directory.Directory
-	servers []*server
+	// Per-node state, one flat array each; the caches share one line
+	// store.
+	lines   cache.Lines
+	caches  []cache.Cache
+	dirs    []directory.Directory
+	servers []server
 	homes   *directory.HomeMap
 
-	// pending tracks in-flight home-side transactions per block.
-	pending map[directory.BlockID]*blockQueue
-	// opsTable holds each processor's outstanding operations by block.
-	opsTable []map[directory.BlockID]*pendingOp
+	// pending holds the transaction queue of every block with a home-side
+	// transaction in flight; an idle block's queue goes to freeQueues.
+	pending    map[directory.BlockID]*blockQueue
+	freeQueues []*blockQueue
+	// ops holds every processor's outstanding operations by (node, block),
+	// and opCount how many each node has.
+	ops     map[opKey]*pendingOp
+	opCount []int32
 	// writeBufs tracks buffered writes per node (release consistency).
-	writeBufs []*writeBuffer
+	writeBufs []writeBuffer
 	// homeOpTable holds the home-side context of dirty-block fetches.
 	homeOpTable map[directory.BlockID]*homeOpSlot
 	// fwdLists holds each block's data-forwarding candidates (the victims
@@ -87,8 +94,12 @@ type Machine struct {
 	fnSendWriteReq     func(any, int32)
 	fnTxnDeadline      func(any, int32)
 	fnSendGroup        func(any, int32)
+	fnGrantWrite       func(any, int32)
+	fnUpdateFinish     func(any, int32)
 	// freeMsgs pools retired protocol messages (bounded; see freeMsg).
 	freeMsgs []*msg
+	// freeTxns pools recycled invalidation transactions (see invalTxn).
+	freeTxns []*invalTxn
 	// freeOps pools retired pendingOps (bounded; see freeOp).
 	freeOps []*pendingOp
 
@@ -157,13 +168,19 @@ func NewMachine(p Params) *Machine {
 		panic("coherence: MeshSize (or MeshWidth x MeshHeight) must be positive")
 	}
 	engine := sim.NewEngine()
+	nodes := mesh.Nodes()
 	m := &Machine{
 		Engine:  engine,
 		Mesh:    mesh,
 		Params:  p,
-		Metrics: metrics.NewCollector(mesh.Nodes()),
-		homes:   directory.NewHomeMap(mesh.Nodes()),
+		Metrics: metrics.NewCollector(nodes),
+		homes:   directory.NewHomeMap(nodes),
 		pending: make(map[directory.BlockID]*blockQueue),
+		ops:     make(map[opKey]*pendingOp),
+		opCount: make([]int32, nodes),
+		caches:  make([]cache.Cache, nodes),
+		dirs:    make([]directory.Directory, nodes),
+		servers: make([]server, nodes),
 	}
 	m.Net = network.New(engine, mesh, p.Net)
 	m.Net.OnDeliver = m.deliver
@@ -182,13 +199,10 @@ func NewMachine(p Params) *Machine {
 		m.Net.Hard = hf
 		m.hard = hf
 	}
-	for i := 0; i < mesh.Nodes(); i++ {
-		m.caches = append(m.caches, cache.New(p.CacheLines))
-		m.dirs = append(m.dirs, directory.New(mesh.Nodes()))
-		m.servers = append(m.servers, &server{
-			engine:    engine,
-			busyTotal: &m.Metrics.Occupancy[i],
-		})
+	for i := range nodes {
+		m.caches[i] = m.lines.Cache(i, p.CacheLines)
+		m.dirs[i] = directory.New(nodes)
+		m.servers[i] = server{engine: engine, busyTotal: &m.Metrics.Occupancy[i]}
 	}
 	m.initHandlers()
 	return m
@@ -198,14 +212,14 @@ func NewMachine(p Params) *Machine {
 func (m *Machine) Home(b directory.BlockID) topology.NodeID { return m.homes.Home(b) }
 
 // Cache returns node n's cache (for inspection in tests and tools).
-func (m *Machine) Cache(n topology.NodeID) *cache.Cache { return m.caches[n] }
+func (m *Machine) Cache(n topology.NodeID) *cache.Cache { return &m.caches[n] }
 
 // DirEntry returns the directory entry for b at its home.
 func (m *Machine) DirEntry(b directory.BlockID) *directory.Entry {
 	return m.dirs[m.Home(b)].Lookup(b)
 }
 
-func (m *Machine) server(n topology.NodeID) *server { return m.servers[n] }
+func (m *Machine) server(n topology.NodeID) *server { return &m.servers[n] }
 
 // send builds and injects a unicast protocol message. The caller must
 // already have paid SendOccupancy on the sender's server.
@@ -253,7 +267,8 @@ func (m *Machine) send(t msgType, src, dst topology.NodeID, payload *msg) {
 }
 
 // sendGroup injects a multidestination invalidation worm (multicast or
-// i-reserve, per the scheme) for one group of a transaction.
+// i-reserve, per the scheme) for one group of a transaction. The worm is
+// delivered once per member, and each delivery holds a reference to txn.
 //
 //simcheck:noalloc
 func (m *Machine) sendGroup(txn *invalTxn, gi int) {
@@ -270,15 +285,19 @@ func (m *Machine) sendGroup(txn *invalTxn, gi int) {
 	w := m.Net.NewWorm()
 	w.Kind = kind
 	w.VN = network.Request
-	// g.Path is owned by the grouping layer and borrowed here; only the
-	// destination flags use the worm's pooled buffer.
-	w.Path = g.Path
+	// The worm carries its own copy of the path, so the plan is the
+	// transaction's alone.
+	path := w.TakePathBuf()
+	path = append(path, g.Path...)
+	w.Path = path
 	w.Dest = destFlagsInto(w.TakeDestBuf(len(g.Path)), g.Path, g.Members)
 	w.HeaderFlits = m.Params.Net.HeaderFlits(len(g.Members))
 	w.PayloadFlits = payload
 	w.TxnID = txn.id
-	//simcheck:allow noalloc -- multicast payload is deliberately unpooled (aliased by every delivery)
-	w.Tag = &msg{typ: inval, block: txn.block, from: txn.home, txn: txn, groupIdx: gi, gen: txn.gen}
+	pm := m.txnMsg(txn)
+	pm.groupIdx = gi
+	txn.refs += len(g.Members)
+	w.Tag = pm
 	w.Expendable = true
 	m.Net.Inject(w)
 	if m.Rec != nil {
@@ -330,6 +349,7 @@ func (m *Machine) sendGather(txn *invalTxn, gi int) {
 	w.TxnID = txn.id
 	ga := m.newMsg()
 	ga.typ, ga.block, ga.from, ga.txn, ga.groupIdx = gatherAck, txn.block, g.Last(), txn, gi
+	txn.refs++
 	w.Tag = ga
 	w.Expendable = true
 	m.Net.Inject(w)
@@ -407,31 +427,48 @@ func vnFor(t msgType) network.VN {
 	}
 }
 
-// queueFor returns (creating if needed) the per-block home transaction
-// queue.
+// queueFor returns (taking one from the pool if needed) the per-block home
+// transaction queue.
 //
+//simcheck:pool acquire
 //simcheck:noalloc
 func (m *Machine) queueFor(b directory.BlockID) *blockQueue {
 	q := m.pending[b]
 	if q == nil {
-		//simcheck:allow noalloc -- one queue per block, created once and kept
-		q = &blockQueue{}
+		if k := len(m.freeQueues) - 1; k >= 0 {
+			q = m.freeQueues[k]
+			m.freeQueues[k] = nil
+			m.freeQueues = m.freeQueues[:k]
+		} else {
+			//simcheck:allow noalloc -- cold pool fill; steady state reuses freeQueues
+			q = &blockQueue{}
+		}
 		m.pending[b] = q
 	}
 	return q
 }
 
+// freeQueue returns idle block b's queue q to the pool.
+//
+//simcheck:pool release
+//simcheck:noalloc
+func (m *Machine) freeQueue(q *blockQueue, b directory.BlockID) {
+	q.busy = false
+	delete(m.pending, b)
+	m.freeQueues = append(m.freeQueues, q)
+}
+
 // releaseBlock completes the in-flight transaction on b and starts the next
-// queued request, if any.
+// queued request, if any. A block left idle returns its queue to the pool.
 //
 //simcheck:noalloc
 func (m *Machine) releaseBlock(b directory.BlockID) {
-	q := m.queueFor(b)
-	if !q.busy {
+	q := m.pending[b]
+	if q == nil || !q.busy {
 		panic("coherence: releaseBlock on idle block")
 	}
 	if q.queue.Empty() {
-		q.busy = false
+		m.freeQueue(q, b)
 		return
 	}
 	next := q.queue.Pop()
@@ -456,13 +493,12 @@ func (m *Machine) newMsg() *msg {
 	return &msg{}
 }
 
-// freeMsg recycles a message whose terminal handler has fully consumed it.
-// Only single-delivery classes with one clear end of life are freed
-// (requests and replies at their final receiving handler, unicast acks at
-// the home): a multicast worm's payload is shared by every delivery of the
-// worm and tree messages thread through software forwarding, so those are
-// left to the garbage collector. The pool is bounded so a burst cannot pin
-// memory.
+// freeMsg recycles a message nothing reads any more. A single-delivery
+// message (a request, a reply, an acknowledgment) is freed by the handler
+// that consumes it last; an inval payload belongs to its transaction and is
+// freed when the transaction is recycled (see invalTxn). Messages built as
+// literals on the cold paths are left to the collector. The pool is
+// bounded so a burst cannot pin memory.
 //
 //simcheck:pool release
 //simcheck:noalloc

@@ -89,48 +89,41 @@ func (m *Machine) finishHit(n topology.NodeID, op *pendingOp) {
 	done()
 }
 
-// ops returns node n's table of outstanding operations keyed by block.
-// Under sequential consistency it holds at most one entry; under release
-// consistency one read plus any number of buffered writes (each to a
-// distinct block).
-//
-//simcheck:noalloc
-func (m *Machine) ops(n topology.NodeID) map[directory.BlockID]*pendingOp {
-	if m.opsTable == nil {
-		//simcheck:allow noalloc -- lazy one-time table init
-		m.opsTable = make([]map[directory.BlockID]*pendingOp, m.Mesh.Nodes())
-	}
-	if m.opsTable[n] == nil {
-		//simcheck:allow noalloc -- lazy one-time per-node map init
-		m.opsTable[n] = make(map[directory.BlockID]*pendingOp)
-	}
-	return m.opsTable[n]
+// opKey addresses one processor's outstanding operation on one block.
+type opKey struct {
+	n topology.NodeID
+	b directory.BlockID
 }
 
 // op returns node n's outstanding operation on block b, or nil.
 //
 //simcheck:noalloc
 func (m *Machine) op(n topology.NodeID, b directory.BlockID) *pendingOp {
-	return m.ops(n)[b]
+	return m.ops[opKey{n, b}]
 }
 
+// addOp records op as outstanding at node n. Under sequential consistency
+// a node has at most one; under release consistency one read plus any
+// number of buffered writes, each to a distinct block.
 //
 //simcheck:noalloc
 func (m *Machine) addOp(n topology.NodeID, op *pendingOp) {
-	tab := m.ops(n)
-	if tab[op.block] != nil {
+	k := opKey{n, op.block}
+	if m.ops[k] != nil {
 		panic(fmt.Sprintf("coherence: node %d issued a second operation on block %d", n, op.block))
 	}
-	if m.Params.Consistency == SequentialConsistency && len(tab) != 0 {
+	if m.Params.Consistency == SequentialConsistency && m.opCount[n] != 0 {
 		panic(fmt.Sprintf("coherence: node %d issued a second outstanding operation under SC", n))
 	}
-	tab[op.block] = op
+	m.ops[k] = op
+	m.opCount[n]++
 }
 
 //
 //simcheck:noalloc
 func (m *Machine) removeOp(n topology.NodeID, b directory.BlockID) {
-	delete(m.ops(n), b)
+	delete(m.ops, opKey{n, b})
+	m.opCount[n]--
 }
 
 // Read performs a shared-memory read by node n of block b, invoking done
@@ -257,12 +250,9 @@ type writeBuffer struct {
 
 func (m *Machine) pendingWrites(n topology.NodeID) *writeBuffer {
 	if m.writeBufs == nil {
-		m.writeBufs = make([]*writeBuffer, m.Mesh.Nodes())
+		m.writeBufs = make([]writeBuffer, m.Mesh.Nodes())
 	}
-	if m.writeBufs[n] == nil {
-		m.writeBufs[n] = &writeBuffer{}
-	}
-	return m.writeBufs[n]
+	return &m.writeBufs[n]
 }
 
 // deliver is the network's delivery callback: it dispatches every worm
@@ -352,6 +342,7 @@ func (m *Machine) homeRead(home topology.NodeID, e *directory.Entry, pm *msg) {
 		e.State = directory.Waiting
 		m.homeOps(b).set(&homeOp{requester: requester, write: false, owner: e.Owner,
 			forwarded: m.Params.ReplyForwarding})
+		m.freeMsg(pm)
 		m.server(home).do(m.Params.SendOccupancy, func() {
 			m.send(fetchReq, home, e.Owner,
 				&msg{typ: fetchReq, block: b, from: requester, ownGen: e.OwnGen})
@@ -367,44 +358,55 @@ func (m *Machine) homeWrite(home topology.NodeID, e *directory.Entry, pm *msg) {
 		m.homeWriteUpdate(home, e, pm)
 		return
 	}
-	grant := func(withData bool) {
-		cost := m.Params.SendOccupancy
-		if withData {
-			cost += m.Params.MemAccess
-		}
-		m.server(home).do(cost, func() {
-			e.State = directory.Exclusive
-			e.Owner = requester
-			e.Sharers.Reset()
-			e.Overflow = false
-			m.clearCoarse(e)
-			e.OwnGen++
-			m.send(writeReply, home, requester,
-				&msg{typ: writeReply, block: b, from: requester, ownGen: e.OwnGen})
-			m.releaseBlock(b)
-		})
-	}
 	switch e.State {
 	case directory.Uncached:
-		grant(true)
+		m.grantWrite(home, pm, true)
 	case directory.Exclusive:
 		if e.Owner == requester {
-			grant(false)
+			m.grantWrite(home, pm, false)
 			return
 		}
 		e.State = directory.Waiting
 		m.homeOps(b).set(&homeOp{requester: requester, write: true, owner: e.Owner})
+		m.freeMsg(pm)
 		m.server(home).do(m.Params.SendOccupancy, func() {
 			m.send(fetchInval, home, e.Owner,
 				&msg{typ: fetchInval, block: b, from: requester, ownGen: e.OwnGen})
 		})
+		return
 	case directory.Shared:
-		m.startInval(home, e, b, requester, func() {
-			grant(!pm.hasCopy)
-		})
+		m.startInval(home, e, pm)
 	default:
 		panic("coherence: homeWrite in state " + e.State.String())
 	}
+}
+
+// grantWrite grants write request pm exclusive ownership once the home's
+// controller has paid for the send (and the memory read, withData).
+//
+//simcheck:noalloc
+func (m *Machine) grantWrite(home topology.NodeID, pm *msg, withData bool) {
+	cost := m.Params.SendOccupancy
+	if withData {
+		cost += m.Params.MemAccess
+	}
+	m.server(home).doCall(cost, m.fnGrantWrite, pm, int32(home))
+}
+
+// afterInval continues write request pm once its invalidation (or update)
+// transaction has completed, or at once when there was nothing to
+// invalidate.
+//
+//simcheck:noalloc
+func (m *Machine) afterInval(home topology.NodeID, pm *msg) {
+	if m.Params.Protocol == WriteUpdate {
+		// Distribution complete; the entry returns to Shared with every
+		// copy refreshed.
+		m.dirs[home].Lookup(pm.block).State = directory.Shared
+		m.server(home).doCall(m.Params.MemAccess+m.Params.SendOccupancy, m.fnUpdateFinish, pm, int32(home))
+		return
+	}
+	m.grantWrite(home, pm, !pm.hasCopy)
 }
 
 // homeWriteUpdate runs a write under the write-update protocol: the home
@@ -413,29 +415,14 @@ func (m *Machine) homeWrite(home topology.NodeID, e *directory.Entry, pm *msg) {
 // the sharers and completes when all acks are in. No exclusive state
 // exists under this protocol.
 func (m *Machine) homeWriteUpdate(home topology.NodeID, e *directory.Entry, pm *msg) {
-	b, requester := pm.block, pm.from
 	if e.State == directory.Exclusive {
 		panic("coherence: exclusive entry under write-update protocol")
 	}
-	finish := func() {
-		m.server(home).do(m.Params.MemAccess+m.Params.SendOccupancy, func() {
-			e.State = directory.Shared
-			e.Sharers.Set(requester)
-			m.notePointerLimit(e)
-			m.send(writeReply, home, requester, &msg{typ: writeReply, block: b, from: requester})
-			m.releaseBlock(b)
-		})
-	}
 	if e.State == directory.Uncached {
-		finish()
+		m.server(home).doCall(m.Params.MemAccess+m.Params.SendOccupancy, m.fnUpdateFinish, pm, int32(home))
 		return
 	}
-	m.startInval(home, e, b, requester, func() {
-		// Distribution complete; the entry returns to Shared with every
-		// copy refreshed.
-		e.State = directory.Shared
-		finish()
-	})
+	m.startInval(home, e, pm)
 }
 
 // deferSafe reports whether a directory-targeted invalidation may defer
@@ -684,21 +671,57 @@ func (m *Machine) initHandlers() {
 	}
 	m.fnTxnDeadline = func(a any, _ int32) { m.txnDeadline(a.(*invalTxn)) }
 	// fnSendGroup sends group i of a transaction's plan once the home's
-	// controller has paid its SendOccupancy.
+	// controller has paid its SendOccupancy, and releases the task's
+	// reference to the transaction.
 	//simcheck:noalloc
 	m.fnSendGroup = func(a any, i int32) {
 		txn, gi := a.(*invalTxn), int(i)
-		if txn.rec && (txn.gen != 0 || txn.completed) {
+		switch {
+		case txn.rec && (txn.gen != 0 || txn.completed):
 			// The deadline fired before this first-generation send even
 			// left the controller; the retry already re-covers its sharers
 			// with unicast invals.
-			return
-		}
-		if m.Params.Scheme == grouping.UIUA {
+		case m.Params.Scheme == grouping.UIUA:
 			m.sendUnicastInval(txn, gi, txn.groups[gi].Members[0])
-			return
+		default:
+			m.sendGroup(txn, gi)
 		}
-		m.sendGroup(txn, gi)
+		m.releaseTxn(txn)
+	}
+	// fnGrantWrite grants write request a exclusive ownership at home i
+	// and frees the request.
+	//simcheck:noalloc
+	m.fnGrantWrite = func(a any, i int32) {
+		pm, home := a.(*msg), topology.NodeID(i)
+		b := pm.block
+		e := m.dirs[home].Lookup(b)
+		e.State = directory.Exclusive
+		e.Owner = pm.from
+		e.Sharers.Reset()
+		e.Overflow = false
+		m.clearCoarse(e)
+		e.OwnGen++
+		reply := m.newMsg()
+		reply.typ, reply.block, reply.from, reply.ownGen = writeReply, b, pm.from, e.OwnGen
+		m.send(writeReply, home, pm.from, reply)
+		m.freeMsg(pm)
+		m.releaseBlock(b)
+	}
+	// fnUpdateFinish completes write-update request a at home i: the
+	// writer joins the sharers and the request is freed.
+	//simcheck:noalloc
+	m.fnUpdateFinish = func(a any, i int32) {
+		pm, home := a.(*msg), topology.NodeID(i)
+		b := pm.block
+		e := m.dirs[home].Lookup(b)
+		e.State = directory.Shared
+		e.Sharers.Set(pm.from)
+		m.notePointerLimit(e)
+		reply := m.newMsg()
+		reply.typ, reply.block, reply.from = writeReply, b, pm.from
+		m.send(writeReply, home, pm.from, reply)
+		m.freeMsg(pm)
+		m.releaseBlock(b)
 	}
 	//simcheck:noalloc
 	m.fnHomeRecv = func(a any, _ int32) {
@@ -738,26 +761,32 @@ func (m *Machine) initHandlers() {
 	//simcheck:noalloc
 	m.fnRecvInvalAck = func(a any, _ int32) {
 		pm := a.(*msg)
-		if pm.txn.rec {
-			pm.txn.sharerAcked(m, pm.from)
+		txn := pm.txn
+		if txn.rec {
+			txn.sharerAcked(m, pm.from)
 		} else {
-			pm.txn.ackArrived(m)
+			txn.ackArrived(m)
 		}
 		m.freeMsg(pm)
+		m.releaseTxn(txn)
 	}
 	//simcheck:noalloc
 	m.fnRecvGatherAck = func(a any, _ int32) {
 		pm := a.(*msg)
-		if pm.txn.rec {
-			pm.txn.groupAcked(m, pm.groupIdx)
+		txn := pm.txn
+		if txn.rec {
+			txn.groupAcked(m, pm.groupIdx)
 		} else {
-			pm.txn.ackArrived(m)
+			txn.ackArrived(m)
 		}
 		m.freeMsg(pm)
+		m.releaseTxn(txn)
 	}
 	// sharerInvalBody is the sharer-side invalidation work previously
-	// inlined in sharerInvalNow; pm is the (shared, multicast) inval
-	// message and is never freed here.
+	// inlined in sharerInvalNow; pm is the transaction's inval payload
+	// (aliased by every delivery of a multidestination worm), freed with
+	// the transaction. The delivery's reference to the transaction is
+	// released here, or by the ack or gather send the body schedules.
 	//simcheck:noalloc
 	sharerInvalBody := func(pm *msg, n topology.NodeID, final bool) {
 		txn := pm.txn
@@ -767,6 +796,7 @@ func (m *Machine) initHandlers() {
 			// launch. The home's timeout notices the silence and the
 			// retry path invalidates the crashed sharer implicitly at
 			// the directory (see txnDeadline).
+			m.releaseTxn(txn)
 			return
 		}
 		if !txn.update {
@@ -794,6 +824,7 @@ func (m *Machine) initHandlers() {
 		// the point of the MI-MA framework. (Posts for aborted transactions
 		// are absorbed by the network.)
 		m.Net.PostAck(n, txn.id)
+		m.releaseTxn(txn)
 	}
 	//simcheck:noalloc
 	m.fnSharerInvalMid = func(a any, i int32) {
@@ -807,18 +838,21 @@ func (m *Machine) initHandlers() {
 	m.fnSendInvalAck = func(a any, i int32) {
 		pm := a.(*msg)
 		n := topology.NodeID(i)
+		txn := pm.txn
 		ack := m.newMsg()
-		ack.typ, ack.block, ack.from, ack.txn = invalAck, pm.block, n, pm.txn
-		m.send(invalAck, n, pm.txn.home, ack)
+		ack.typ, ack.block, ack.from, ack.txn = invalAck, pm.block, n, txn
+		txn.refs++
+		m.send(invalAck, n, txn.home, ack)
+		m.releaseTxn(txn)
 	}
 	//simcheck:noalloc
 	m.fnSendGather = func(a any, _ int32) {
 		pm := a.(*msg)
 		txn := pm.txn
-		if txn.rec && (pm.gen != txn.gen || txn.completed) {
-			return
+		if !txn.rec || (pm.gen == txn.gen && !txn.completed) {
+			m.sendGather(txn, pm.groupIdx)
 		}
-		m.sendGather(txn, pm.groupIdx)
+		m.releaseTxn(txn)
 	}
 	//simcheck:noalloc
 	m.fnRequesterReply = func(a any, i int32) {

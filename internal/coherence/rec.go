@@ -15,9 +15,9 @@ import (
 func (m *Machine) AttachTrace(rec *trace.Recorder) {
 	m.Rec = rec
 	m.Net.Rec = rec
-	for i, s := range m.servers {
-		s.rec = rec
-		s.node = int32(i)
+	for i := range m.servers {
+		m.servers[i].rec = rec
+		m.servers[i].node = int32(i)
 	}
 	if rec.ProbeEvery > 0 {
 		m.Engine.SetProbe(rec.EngineProbe(rec.ProbeEvery))

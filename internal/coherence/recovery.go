@@ -40,15 +40,18 @@ func (m *Machine) armTxnDeadline(t *invalTxn) {
 		shift = 6
 	}
 	d := m.Params.Recovery.Timeout << uint(shift)
+	t.refs++
 	t.deadline = m.Engine.AfterCall(d, m.fnTxnDeadline, t, 0)
 }
 
 // txnDeadline fires when t's acknowledgments failed to drain in time:
 // abort the fabric-level remains of the current attempt and retry the
-// still-unacknowledged sharers with unicast invalidations.
+// still-unacknowledged sharers with unicast invalidations. It releases the
+// deadline's reference to t.
 func (m *Machine) txnDeadline(t *invalTxn) {
 	t.deadline = sim.Handle{}
 	if t.completed {
+		m.releaseTxn(t)
 		return
 	}
 	if r := m.Params.Recovery.MaxRetries; r > 0 && t.retries >= r {
@@ -78,17 +81,18 @@ func (m *Machine) txnDeadline(t *invalTxn) {
 			continue
 		}
 		s := s
+		t.refs++
 		m.server(t.home).do(m.Params.SendOccupancy, func() {
-			if t.completed || !t.unacked[s] {
-				// Acked (by late pre-abort evidence) while this retry send
-				// was queued on the controller.
-				return
+			// A sharer acked (by late pre-abort evidence) while this retry
+			// send was queued on the controller needs no retry.
+			if !t.completed && t.unacked[s] {
+				t.homeMsgs++
+				pm := m.txnMsg(t)
+				pm.retry = true
+				t.refs++
+				m.send(inval, t.home, s, pm)
 			}
-			t.homeMsgs++
-			m.send(inval, t.home, s, &msg{
-				typ: inval, block: t.block, from: t.home,
-				txn: t, retry: true, gen: t.gen,
-			})
+			m.releaseTxn(t)
 		})
 	}
 	// The home's own copy, if still pending, is invalidated by the local
@@ -99,6 +103,7 @@ func (m *Machine) txnDeadline(t *invalTxn) {
 	if !t.completed {
 		m.armTxnDeadline(t)
 	}
+	m.releaseTxn(t)
 }
 
 // sharerAcked records confirmation that sharer n invalidated (or refreshed)
@@ -146,17 +151,21 @@ func (t *invalTxn) homeAcked(m *Machine) {
 }
 
 // checkRecovered completes the transaction once every sharer is confirmed
-// and the home's own copy is dealt with, cancelling the pending deadline.
+// and the home's own copy is dealt with, cancelling the pending deadline
+// and releasing its reference.
 func (t *invalTxn) checkRecovered(m *Machine) {
 	if t.completed || len(t.unacked) > 0 || t.homePending {
 		return
 	}
-	t.completed = true
-	if t.deadline.Valid() {
+	armed := t.deadline.Valid()
+	if armed {
 		m.Engine.Cancel(t.deadline)
 		t.deadline = sim.Handle{}
 	}
 	t.complete(m)
+	if armed {
+		m.releaseTxn(t)
+	}
 }
 
 // sortedNodes returns set's members in ascending order: retry sends must

@@ -18,7 +18,9 @@ import (
 // parent(j) = j - 2^floor(log2 j); children(j) = j + 2^k for every k with
 // 2^k > highestBit(j) (all k for the root), capped at m.
 
-// treeCtx is the per-(txn, rank) forwarding state at one participant.
+// treeCtx is the per-(txn, rank) forwarding state at one participant. The
+// context an inval carries holds one reference to the transaction, released
+// once the participant has sent its combined ack upward.
 type treeCtx struct {
 	txn          *invalTxn
 	participants []topology.NodeID // rank -> node
@@ -57,8 +59,10 @@ func (m *Machine) startTreeInval(txn *invalTxn, participants []topology.NodeID) 
 	kids := treeChildren(0, len(participants)-1)
 	for _, c := range kids {
 		c := c
+		txn.refs++
 		m.server(home).do(m.Params.SendOccupancy, func() {
 			m.sendTreeInval(txn, participants, c)
+			m.releaseTxn(txn)
 		})
 	}
 }
@@ -67,10 +71,11 @@ func (m *Machine) startTreeInval(txn *invalTxn, participants []topology.NodeID) 
 func (m *Machine) sendTreeInval(txn *invalTxn, participants []topology.NodeID, rank int) {
 	src := participants[treeParent(rank)]
 	dst := participants[rank]
-	m.send(inval, src, dst, &msg{
-		typ: inval, block: txn.block, from: src, txn: txn,
-		tree: &treeCtx{txn: txn, participants: participants, rank: rank},
-	})
+	pm := m.txnMsg(txn)
+	pm.from = src
+	pm.tree = &treeCtx{txn: txn, participants: participants, rank: rank}
+	txn.refs++
+	m.send(inval, src, dst, pm)
 }
 
 // recvTreeInval handles a tree invalidation at a sharer: invalidate (or
@@ -113,17 +118,20 @@ func (m *Machine) recvTreeInval(n topology.NodeID, pm *msg) {
 // recvTreeAck handles a combined acknowledgment arriving from a tree child.
 func (m *Machine) recvTreeAck(n topology.NodeID, pm *msg) {
 	m.server(n).do(m.Params.RecvOccupancy, func() {
+		txn := pm.txn
 		if pm.tree.rank == 0 {
 			// Ack into the home: one of the root's children completed.
-			pm.txn.ackArrived(m)
-			return
+			txn.ackArrived(m)
+		} else {
+			ctx := m.treeCtxs(txn.id)[pm.tree.rank]
+			if ctx == nil {
+				panic("coherence: tree ack for unknown context")
+			}
+			ctx.pendingAcks--
+			m.treeMaybeAck(ctx)
 		}
-		ctx := m.treeCtxs(pm.txn.id)[pm.tree.rank]
-		if ctx == nil {
-			panic("coherence: tree ack for unknown context")
-		}
-		ctx.pendingAcks--
-		m.treeMaybeAck(ctx)
+		m.freeMsg(pm)
+		m.releaseTxn(txn)
 	})
 }
 
@@ -138,10 +146,13 @@ func (m *Machine) treeMaybeAck(ctx *treeCtx) {
 	parentRank := treeParent(ctx.rank)
 	parent := ctx.participants[parentRank]
 	m.server(n).do(m.Params.TreeForwardOverhead+m.Params.SendOccupancy, func() {
-		m.send(invalAck, n, parent, &msg{
-			typ: invalAck, block: ctx.txn.block, from: n, txn: ctx.txn,
-			tree: &treeCtx{txn: ctx.txn, participants: ctx.participants, rank: parentRank},
-		})
+		txn := ctx.txn
+		ack := m.newMsg()
+		ack.typ, ack.block, ack.from, ack.txn = invalAck, txn.block, n, txn
+		ack.tree = &treeCtx{txn: txn, participants: ctx.participants, rank: parentRank}
+		txn.refs++
+		m.send(invalAck, n, parent, ack)
+		m.releaseTxn(txn)
 	})
 }
 

@@ -126,24 +126,44 @@ type Entry struct {
 
 // Directory is one node's slice of the distributed full-map directory: it
 // holds the entries for every block whose home is this node. Entries are
-// created lazily in the Uncached state.
+// created lazily in the Uncached state, carved with their presence vectors
+// from chunks that double in size, so materializing a block costs an
+// allocation only at each chunk boundary.
 type Directory struct {
 	nodes   int
 	entries map[BlockID]*Entry
+	// slab and words are the unused tails of the current entry and
+	// presence-word chunks.
+	slab  []Entry
+	words []uint64
 }
 
-// New returns an empty directory for a machine with n nodes.
-func New(n int) *Directory {
-	return &Directory{nodes: n, entries: make(map[BlockID]*Entry)}
+// New returns an empty directory for a machine with n nodes. It allocates
+// nothing until the first Lookup.
+func New(n int) Directory {
+	return Directory{nodes: n}
 }
 
 // Lookup returns the entry for block, creating it Uncached on first touch.
 func (d *Directory) Lookup(block BlockID) *Entry {
 	e, ok := d.entries[block]
-	if !ok {
-		e = &Entry{State: Uncached, Sharers: NewPresence(d.nodes)}
-		d.entries[block] = e
+	if ok {
+		return e
 	}
+	w := (d.nodes + 63) / 64
+	if len(d.slab) == 0 {
+		chunk := min(max(len(d.entries), 8), 1024)
+		d.slab = make([]Entry, chunk)
+		d.words = make([]uint64, chunk*w)
+	}
+	if d.entries == nil {
+		d.entries = make(map[BlockID]*Entry)
+	}
+	e = &d.slab[0]
+	d.slab = d.slab[1:]
+	*e = Entry{State: Uncached, Sharers: Presence(d.words[:w:w])}
+	d.words = d.words[w:]
+	d.entries[block] = e
 	return e
 }
 

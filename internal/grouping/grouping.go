@@ -167,24 +167,31 @@ func (g Group) ReversePath() []topology.NodeID {
 
 // Groups partitions sharers (which must not contain home or duplicates)
 // into worms under the scheme. The result is deterministic. An empty
-// sharer set yields nil. It plans on a fresh Planner; callers that group
-// often keep one.
+// sharer set yields nil. It plans on a fresh Planner into a fresh Plan;
+// callers that group often keep both.
 func Groups(s Scheme, m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
 	var p Planner
-	return p.Plan(s, m, home, sharers)
+	var pl Plan
+	p.Plan(&pl, s, m, home, sharers)
+	return pl.Groups
+}
+
+// Plan is one partition of a sharer set into worms. Its groups' Members and
+// Path are capacity-limited subslices of one node arena the Plan owns, so
+// nothing outside the Plan can disturb them. Planning into a Plan again
+// overwrites it, reusing the arena and the group slice once they have grown
+// to size: whoever holds a Plan decides when its groups are dead.
+type Plan struct {
+	Groups []Group
+	arena  []topology.NodeID
 }
 
 // Planner partitions sharer sets into worms exactly as Groups does, on
 // scratch it keeps from call to call: the sorted sharer copy, the schemes'
 // per-column buckets and chains, the path search's memo, and the plan under
-// construction. A steady-state Plan therefore allocates two objects, the
-// plan's node arena and its group slice, whatever the sharer count.
-//
-// The groups a Plan returns share nothing with the planner: their Members
-// and Path are capacity-limited subslices of the call's own arena, so the
-// next Plan cannot disturb them, and the arena lives exactly as long as its
-// groups do. The zero Planner is ready to use; a Planner must not be shared
-// between goroutines.
+// construction. A steady-state Plan into a reused Plan therefore allocates
+// nothing, whatever the sharer count. The zero Planner is ready to use; a
+// Planner must not be shared between goroutines.
 type Planner struct {
 	search routing.Search
 	sorted []topology.NodeID // the sharers, ascending
@@ -216,12 +223,14 @@ type groupSpan struct {
 	conformed     bool
 }
 
-// Plan is Groups on the planner's scratch.
+// Plan partitions sharers as Groups does, into pl: pl's previous groups
+// are overwritten.
 //
 //simcheck:noalloc
-func (p *Planner) Plan(s Scheme, m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) []Group {
+func (p *Planner) Plan(pl *Plan, s Scheme, m *topology.Mesh, home topology.NodeID, sharers []topology.NodeID) {
+	pl.Groups = pl.Groups[:0]
 	if len(sharers) == 0 {
-		return nil
+		return
 	}
 	p.sorted = append(p.sorted[:0], sharers...)
 	slices.Sort(p.sorted)
@@ -236,23 +245,21 @@ func (p *Planner) Plan(s Scheme, m *topology.Mesh, home topology.NodeID, sharers
 	p.reset()
 	p.plan(s, m, home)
 
-	//simcheck:allow noalloc -- the plan's node arena, owned by the returned groups
-	arena := make([]topology.NodeID, len(p.members)+len(p.paths))
-	paths := arena[copy(arena, p.members):]
-	copy(paths, p.paths)
-	//simcheck:allow noalloc -- the plan's one group slice
-	groups := make([]Group, len(p.spans))
+	arena := pl.arena[:0]
+	arena = append(arena, p.members...)
+	arena = append(arena, p.paths...)
+	pl.arena = arena
+	paths := arena[len(p.members):]
 	mem, path := 0, 0
-	for i, sp := range p.spans {
-		groups[i] = Group{
+	for _, sp := range p.spans {
+		pl.Groups = append(pl.Groups, Group{
 			Members:   arena[mem:sp.members:sp.members],
 			Path:      paths[path:sp.path:sp.path],
 			Base:      sp.base,
 			Conformed: sp.conformed,
-		}
+		})
 		mem, path = sp.members, sp.path
 	}
-	return groups
 }
 
 // reset empties the plan under construction.

@@ -115,8 +115,9 @@ func planDeadSet(m *topology.Mesh, rng *sim.RNG) *topology.DeadSet {
 // renderPlans renders every case plans.golden pins: a "#" header line per
 // (topology, scheme, d), then one line per seeded sharer set giving the set
 // index, the home and the plan. Each set is planned with both
-// grouping.Groups and the one long-lived planner; a line whose two plans
-// differ carries both, so the golden comparison fails on it.
+// grouping.Groups and the one long-lived planner into one reused Plan; a
+// line whose two plans differ carries both, so the golden comparison fails
+// on it.
 //
 // The line ends with the degraded search's answer over each conformed
 // group's waypoints. With an empty dead set it must equal the group's own
@@ -125,6 +126,7 @@ func planDeadSet(m *topology.Mesh, rng *sim.RNG) *topology.DeadSet {
 // exists.
 func renderPlans(p *Planner) []byte {
 	var b bytes.Buffer
+	var pl Plan
 	for _, mc := range planMeshes() {
 		m := mc.mesh
 		for _, s := range planSchemes(m) {
@@ -145,7 +147,8 @@ func renderPlans(p *Planner) []byte {
 						sharers = append(sharers, n)
 					}
 					fresh := Groups(s, m, home, sharers)
-					planned := p.Plan(s, m, home, sharers)
+					p.Plan(&pl, s, m, home, sharers)
+					planned := pl.Groups
 					fmt.Fprintf(&b, "%d %d: ", set, home)
 					renderPlan(&b, m, fresh)
 					var alt bytes.Buffer

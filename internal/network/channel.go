@@ -43,6 +43,45 @@ type waiter struct {
 	act uint8
 }
 
+// waitQueue is the FIFO of worms waiting on one resource, linked through
+// the worms themselves: a blocked worm's header is stalled at one place, so
+// it waits on one resource at a time, and queueing allocates nothing.
+type waitQueue struct {
+	head, tail *Worm
+}
+
+// push queues w, waiting at path index i to do act.
+//
+//simcheck:noalloc
+func (q *waitQueue) push(w *Worm, i int32, act uint8) {
+	if w.queued {
+		panic("network: worm queued on two resources")
+	}
+	w.queued, w.waitI, w.waitAct = true, i, act
+	if q.tail == nil {
+		q.head = w
+	} else {
+		q.tail.waitNext = w
+	}
+	q.tail = w
+}
+
+// empty reports whether no worm is queued.
+func (q *waitQueue) empty() bool { return q.head == nil }
+
+// pop dequeues the longest-waiting worm.
+//
+//simcheck:noalloc
+func (q *waitQueue) pop() waiter {
+	w := q.head
+	q.head = w.waitNext
+	if q.head == nil {
+		q.tail = nil
+	}
+	w.waitNext, w.queued = nil, false
+	return waiter{w: w, i: w.waitI, act: w.waitAct}
+}
+
 // Waiter actions: what a granted worm does next.
 const (
 	actInject        uint8 = iota // source injection channel grant (i == 0)
@@ -70,16 +109,18 @@ const (
 // flat per-VN arrays; a set with nil chans is an absent link.
 type vcSet struct {
 	chans   []channel
-	waiters sim.FIFO[waiter]
+	waiters waitQueue
 }
 
-// init gives the set its lanes, each pointing back at the set. s must not
-// move afterwards (the Network's arrays are never resized).
-func (s *vcSet) init(lanes int) {
-	s.chans = make([]channel, lanes)
+// init gives the set its first lanes of free, each pointing back at the
+// set, and returns the rest of free. s must not move afterwards (the
+// Network's arrays are never resized).
+func (s *vcSet) init(free []channel, lanes int) []channel {
+	s.chans = free[:lanes:lanes]
 	for i := range s.chans {
 		s.chans[i].set = s
 	}
+	return free[lanes:]
 }
 
 // tryAcquire grants a free lane, or returns nil when every lane is busy
@@ -109,10 +150,10 @@ func (s *vcSet) release(c *channel, now sim.Time) (wt waiter, granted bool) {
 	}
 	c.busyTotal += now - c.acquired
 	c.busy = false
-	if s.waiters.Empty() {
+	if s.waiters.empty() {
 		return waiter{}, false
 	}
-	wt = s.waiters.Pop()
+	wt = s.waiters.pop()
 	c.busy = true
 	c.acquired = now
 	return wt, true
@@ -126,12 +167,8 @@ func (s *vcSet) release(c *channel, now sim.Time) (wt waiter, granted bool) {
 type consumptionPool struct {
 	total   int
 	inUse   int
-	waiters sim.FIFO[waiter]
+	waiters waitQueue
 	peak    int
-}
-
-func newConsumptionPool(n int) *consumptionPool {
-	return &consumptionPool{total: n}
 }
 
 // tryAcquire takes a token when one is free.
@@ -156,8 +193,8 @@ func (p *consumptionPool) release() (wt waiter, granted bool) {
 	if p.inUse <= 0 {
 		panic("network: release of idle consumption channel")
 	}
-	if !p.waiters.Empty() {
-		return p.waiters.Pop(), true
+	if !p.waiters.empty() {
+		return p.waiters.pop(), true
 	}
 	p.inUse--
 	return waiter{}, false

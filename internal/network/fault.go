@@ -152,7 +152,8 @@ func (n *Network) AbortTxn(txn uint64) int {
 			n.stats.Aborted++
 		}
 	}
-	for _, f := range n.iack {
+	for i := range n.iack {
+		f := &n.iack[i]
 		for {
 			found, discarded, wt, granted := f.purge(txn)
 			if !found {

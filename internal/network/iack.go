@@ -2,8 +2,6 @@ package network
 
 import (
 	"fmt"
-
-	"repro/internal/sim"
 )
 
 // iackEntry is one invalidation-acknowledgment buffer entry at a router
@@ -31,16 +29,18 @@ type iackFile struct {
 	// reserveWaiters queues reserve worms stalled on a full buffer file
 	// (hold-and-wait, as the paper describes). Grants are dispatched by the
 	// Network when an entry frees.
-	reserveWaiters sim.FIFO[waiter]
+	reserveWaiters waitQueue
 	peakUsed       int
 }
 
-func newIAckFile(n int) *iackFile {
-	f := &iackFile{entries: make([]iackEntry, n), free: n}
+// init gives the file its first n entries of free, all empty, and returns
+// the rest of free.
+func (f *iackFile) init(free []iackEntry, n int) []iackEntry {
+	f.entries, f.free = free[:n:n], n
 	for i := range f.entries {
 		f.entries[i] = iackEntry{txn: noTxn}
 	}
-	return f
+	return free[n:]
 }
 
 const noTxn = ^uint64(0)
@@ -125,10 +125,10 @@ func (f *iackFile) finish(txn uint64) (wt waiter, granted bool) {
 func (f *iackFile) releaseEntry(i int) (wt waiter, granted bool) {
 	f.entries[i] = iackEntry{txn: noTxn}
 	f.free++
-	if f.reserveWaiters.Empty() {
+	if f.reserveWaiters.empty() {
 		return waiter{}, false
 	}
-	return f.reserveWaiters.Pop(), true
+	return f.reserveWaiters.pop(), true
 }
 
 // purge frees txn's entry regardless of its state — reserved, posted, or

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -117,11 +118,13 @@ type Network struct {
 	// injection[vn][node] and links[vn][node*NumPorts+port] are the
 	// wormhole channel sets, stored by value (an absent link has nil
 	// chans); cons[node] the consumption pools; iack[node] the i-ack
-	// buffer files.
+	// buffer files. Every array, and the lanes and buffer entries they
+	// hold, is carved from one allocation per kind, so building a network
+	// costs the same number of allocations at any mesh size.
 	injection [numVNs][]vcSet
 	links     [numVNs][]vcSet
-	cons      []*consumptionPool
-	iack      []*iackFile
+	cons      []consumptionPool
+	iack      []iackFile
 
 	// meshW/meshH cache the mesh dimensions for Inject's ID-delta port
 	// computation.
@@ -171,23 +174,29 @@ func New(engine *sim.Engine, mesh *topology.Mesh, cfg Config) *Network {
 		meshW: mesh.Width(), meshH: mesh.Height(),
 	}
 	nodes := mesh.Nodes()
+	// Lanes are sized for every port; a mesh's edge ports leave theirs
+	// unused.
+	sets := make([]vcSet, int(numVNs)*nodes*(1+int(topology.NumPorts)))
+	lanes := make([]channel, int(numVNs)*nodes*(1+int(topology.NumPorts)*cfg.VirtualChannels))
 	for vn := VN(0); vn < numVNs; vn++ {
-		n.injection[vn] = make([]vcSet, nodes)
-		n.links[vn] = make([]vcSet, nodes*int(topology.NumPorts))
+		n.injection[vn], sets = sets[:nodes:nodes], sets[nodes:]
+		k := nodes * int(topology.NumPorts)
+		n.links[vn], sets = sets[:k:k], sets[k:]
 		for id := topology.NodeID(0); int(id) < nodes; id++ {
-			n.injection[vn][id].init(1)
+			lanes = n.injection[vn][id].init(lanes, 1)
 			for p := topology.East; p <= topology.South; p++ {
 				if _, ok := mesh.Neighbor(id, p); ok {
-					n.link(vn, id, p).init(cfg.VirtualChannels)
+					lanes = n.link(vn, id, p).init(lanes, cfg.VirtualChannels)
 				}
 			}
 		}
 	}
-	n.cons = make([]*consumptionPool, nodes)
-	n.iack = make([]*iackFile, nodes)
+	n.cons = make([]consumptionPool, nodes)
+	n.iack = make([]iackFile, nodes)
+	entries := make([]iackEntry, nodes*cfg.IAckBuffers)
 	for id := 0; id < nodes; id++ {
-		n.cons[id] = newConsumptionPool(cfg.ConsumptionChannels)
-		n.iack[id] = newIAckFile(cfg.IAckBuffers)
+		n.cons[id] = consumptionPool{total: cfg.ConsumptionChannels}
+		entries = n.iack[id].init(entries, cfg.IAckBuffers)
 	}
 	n.fnHeaderAt = func(a any, i int32) {
 		w := a.(*Worm)
@@ -222,7 +231,7 @@ func New(engine *sim.Engine, mesh *topology.Mesh, cfg Config) *Network {
 		for w.heldFrom < len(w.Path) {
 			n.releaseIndex(w, w.heldFrom, end)
 		}
-		n.releaseCons(n.cons[w.Final()])
+		n.releaseCons(&n.cons[w.Final()])
 		n.finishWorm(w)
 		n.wormUnref(w)
 	}
@@ -382,11 +391,7 @@ func (n *Network) portBetween(from, to topology.NodeID) (topology.Port, bool) {
 //simcheck:noalloc
 func (n *Network) resolveLinks(w *Worm) {
 	hops := len(w.Path) - 1
-	if cap(w.sets) < hops {
-		//simcheck:allow noalloc -- amortized capacity growth on a pooled worm
-		w.sets = make([]*vcSet, hops)
-	}
-	w.sets = w.sets[:hops]
+	w.sets = slices.Grow(w.sets[:0], hops)[:hops]
 	links := n.links[w.VN]
 	for i := range w.sets {
 		from := w.Path[i]
@@ -416,24 +421,10 @@ func (n *Network) Inject(w *Worm) {
 	w.injectedAt = n.Engine.Now()
 	w.state = wormInjecting
 	npath := len(w.Path)
-	if cap(w.held) < npath {
-		//simcheck:allow noalloc -- amortized capacity growth on a pooled worm
-		w.held = make([]sim.Time, npath)
-	} else {
-		w.held = w.held[:npath]
-		for k := range w.held {
-			w.held[k] = 0
-		}
-	}
-	if cap(w.lanes) < npath {
-		//simcheck:allow noalloc -- amortized capacity growth on a pooled worm
-		w.lanes = make([]*channel, npath)
-	} else {
-		w.lanes = w.lanes[:npath]
-		for k := range w.lanes {
-			w.lanes[k] = nil
-		}
-	}
+	w.held = slices.Grow(w.held[:0], npath)[:npath]
+	clear(w.held)
+	w.lanes = slices.Grow(w.lanes[:0], npath)[:npath]
+	clear(w.lanes)
 	w.heldFrom = 0
 	w.hopIdx = 0
 	w.consHeld = w.consHeld[:0]
@@ -458,7 +449,7 @@ func (n *Network) Inject(w *Worm) {
 			n.traceWorm(trace.KindWormBlock, trace.BlockInjection, w, w.Source(), 0, 0, "")
 		}
 		n.wormRef(w)
-		inj.waiters.Push(waiter{w: w, act: actInject})
+		inj.waiters.push(w, 0, actInject)
 		return
 	}
 	n.grantInjection(w, 0, lane, false, false)
@@ -570,13 +561,13 @@ func (n *Network) serviceNode(w *Worm, i int) {
 //simcheck:noalloc
 func (n *Network) acquireCons(w *Worm, i int, act uint8) {
 	w.state = wormBlocked
-	pool := n.cons[w.Path[i]]
+	pool := &n.cons[w.Path[i]]
 	if !pool.tryAcquire() {
 		if n.Rec != nil {
 			n.traceWorm(trace.KindWormBlock, trace.BlockCons, w, w.Path[i], uint64(i), 0, "")
 		}
 		n.wormRef(w)
-		pool.waiters.Push(waiter{w: w, i: int32(i), act: act})
+		pool.waiters.push(w, int32(i), act)
 		return
 	}
 	n.grantCons(w, int32(i), pool, act, false)
@@ -609,13 +600,13 @@ func (n *Network) grantCons(w *Worm, i int32, pool *consumptionPool, act uint8, 
 	// actConsReserve: claim an i-ack buffer entry before moving on. The worm
 	// stays blocked until iackReserved, so a wait on a full buffer file is
 	// described as one.
-	file := n.iack[w.Path[ii]]
+	file := &n.iack[w.Path[ii]]
 	if !file.reserve(w.TxnID) {
 		if n.Rec != nil {
 			n.traceWorm(trace.KindWormBlock, trace.BlockIAck, w, w.Path[ii], uint64(ii), 0, "")
 		}
 		n.wormRef(w)
-		file.reserveWaiters.Push(waiter{w: w, i: i, act: actIAckReserve})
+		file.reserveWaiters.push(w, i, actIAckReserve)
 		return
 	}
 	n.iackReserved(w, i, file, false)
@@ -648,7 +639,7 @@ func (n *Network) iackReserved(w *Worm, i int32, file *iackFile, wasBlocked bool
 //
 //simcheck:noalloc
 func (n *Network) gatherCollect(w *Worm, i int) {
-	file := n.iack[w.Path[i]]
+	file := &n.iack[w.Path[i]]
 	if ok, wt, granted := file.collect(w.TxnID); ok {
 		if granted {
 			n.dispatchReserve(file, wt)
@@ -704,7 +695,7 @@ func (n *Network) PostAck(node topology.NodeID, txn uint64) {
 	if n.Rec != nil {
 		n.Rec.Emit(trace.Event{At: n.Engine.Now(), Kind: trace.KindAckPost, Node: int32(node), Txn: txn})
 	}
-	file := n.iack[node]
+	file := &n.iack[node]
 	e := file.post(txn)
 	if e.gather == nil {
 		return
@@ -736,7 +727,7 @@ func (n *Network) reinjectGather(w *Worm) {
 	lane := inj.tryAcquire(n.Engine.Now())
 	if lane == nil {
 		n.wormRef(w)
-		inj.waiters.Push(waiter{w: w, i: int32(i), act: actReinject})
+		inj.waiters.push(w, int32(i), actReinject)
 		return
 	}
 	n.grantInjection(w, int32(i), lane, false, true)
@@ -753,13 +744,13 @@ func (n *Network) requestNext(w *Worm, i int) {
 	last := len(w.Path) - 1
 	if i == last {
 		w.state = wormBlocked
-		pool := n.cons[w.Path[i]]
+		pool := &n.cons[w.Path[i]]
 		if !pool.tryAcquire() {
 			if n.Rec != nil {
 				n.traceWorm(trace.KindWormBlock, trace.BlockCons, w, w.Path[i], uint64(i), 0, "")
 			}
 			n.wormRef(w)
-			pool.waiters.Push(waiter{w: w, i: int32(i), act: actConsFinal})
+			pool.waiters.push(w, int32(i), actConsFinal)
 			return
 		}
 		n.grantCons(w, int32(i), pool, actConsFinal, false)
@@ -806,7 +797,7 @@ func (n *Network) acquireLink(w *Worm, i int) {
 			n.traceWorm(trace.KindWormBlock, trace.BlockLink, w, w.Path[i], uint64(i), 0, "")
 		}
 		n.wormRef(w)
-		set.waiters.Push(waiter{w: w, i: int32(i), act: actLink})
+		set.waiters.push(w, int32(i), actLink)
 		return
 	}
 	n.grantLink(w, int32(i), lane, false)

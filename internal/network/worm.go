@@ -17,6 +17,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -135,6 +136,12 @@ type Worm struct {
 	// destinations (ascending path index) until the tail passes.
 	consHeld []consRef
 	net      *Network
+	// While queued on a resource (waitQueue): the next worm in the queue,
+	// and the path index and action the grant resumes.
+	waitNext *Worm
+	waitI    int32
+	waitAct  uint8
+	queued   bool
 
 	// Pooling state. refs counts live references from scheduled engine
 	// callbacks, resource-queue waiters and i-ack parks; a pooled worm is
@@ -142,8 +149,8 @@ type Worm struct {
 	// marks worms obtained from Network.NewWorm — only those recycle. Every
 	// production worm is pooled; worm literals are a test convenience and
 	// stay inspectable after completion. ownsPath/ownsDest mark Path/Dest
-	// as pool-owned buffers to reclaim; borrowed slices (e.g. a
-	// grouping.Group's path) are dropped instead.
+	// as pool-owned buffers to reclaim; a caller's own slices (a test's
+	// literal path) are dropped instead.
 	refs     int32
 	pooled   bool
 	ownsPath bool
@@ -178,15 +185,8 @@ func (w *Worm) TakePathBuf() []topology.NodeID {
 //simcheck:noalloc
 func (w *Worm) TakeDestBuf(n int) []bool {
 	w.ownsDest = true
-	if cap(w.destBuf) < n {
-		//simcheck:allow noalloc -- amortized capacity growth on a pooled worm
-		w.destBuf = make([]bool, n)
-	} else {
-		w.destBuf = w.destBuf[:n]
-		for i := range w.destBuf {
-			w.destBuf[i] = false
-		}
-	}
+	w.destBuf = slices.Grow(w.destBuf[:0], n)[:n]
+	clear(w.destBuf)
 	return w.destBuf
 }
 

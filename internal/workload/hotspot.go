@@ -112,6 +112,7 @@ func RunHotSpot(cfg HotSpotConfig) HotSpotResult {
 		common = PlaceSharers(m.Mesh, rng, center, cfg.D, RandomPlacement)
 	}
 	usedWriter := map[topology.NodeID]bool{}
+	ops := newOpRunner(m)
 	var pl placer
 	for i, b := range blocks {
 		sharers := common
@@ -121,7 +122,7 @@ func RunHotSpot(cfg HotSpotConfig) HotSpotResult {
 		for _, s := range sharers {
 			// A home may read its own block too; the protocol invalidates
 			// that copy locally during the transaction.
-			installSharer(m, s, b)
+			ops.installSharer(s, b)
 		}
 		// Writers must be distinct nodes: each processor supports a single
 		// outstanding operation (sequential consistency).

@@ -185,6 +185,7 @@ func RunInval(cfg InvalConfig) InvalResult {
 	}
 
 	res := InvalResult{Config: cfg}
+	ops := newOpRunner(m)
 	var pl placer
 	var homeMsgs, groups, flitHops, messages, retries, drops, fallbacks, purges float64
 	for trial := 0; trial < cfg.Trials; trial++ {
@@ -200,12 +201,12 @@ func RunInval(cfg InvalConfig) InvalResult {
 		writer := pl.writer(m.Mesh, rng, home, sharers)
 
 		for _, s := range sharers {
-			installSharer(m, s, block)
+			ops.installSharer(s, block)
 		}
 		before := m.Net.Stats()
 		beforeFallbacks := m.Metrics.Fallbacks
 		nInvals := len(m.Metrics.Invals)
-		RunOp(m, true, writer, block)
+		ops.run(true, writer, block)
 		after := m.Net.Stats()
 		if len(m.Metrics.Invals) != nInvals+1 {
 			panic("workload: write did not produce an invalidation transaction")
@@ -244,15 +245,35 @@ func RunInval(cfg InvalConfig) InvalResult {
 // it took. It panics, with the network's diagnosis, if the operation never
 // completes or leaves traffic in flight.
 func RunOp(m *coherence.Machine, write bool, n topology.NodeID, b directory.BlockID) sim.Time {
+	return newOpRunner(m).run(write, n, b)
+}
+
+// opRunner drives blocking operations on one machine, one at a time. Its
+// completion callback is bound once, so an operation allocates nothing.
+type opRunner struct {
+	m        *coherence.Machine
+	finished bool
+	done     func()
+}
+
+func newOpRunner(m *coherence.Machine) *opRunner {
+	r := &opRunner{m: m}
+	r.done = func() { r.finished = true }
+	return r
+}
+
+// run is RunOp on the runner's machine.
+func (r *opRunner) run(write bool, n topology.NodeID, b directory.BlockID) sim.Time {
+	m := r.m
 	start := m.Engine.Now()
-	done := false
+	r.finished = false
 	if write {
-		m.Write(n, b, func() { done = true })
+		m.Write(n, b, r.done)
 	} else {
-		m.Read(n, b, func() { done = true })
+		m.Read(n, b, r.done)
 	}
 	m.Engine.Run()
-	if !done {
+	if !r.finished {
 		panic(fmt.Sprintf("workload: operation did not complete (deadlock? write=%v node=%d block=%d)\n%s",
 			write, n, b, m.Net.Diagnose()))
 	}
@@ -267,9 +288,9 @@ func RunOp(m *coherence.Machine, write bool, n topology.NodeID, b directory.Bloc
 // not measurement. The machine installs the state functionally when nothing
 // could tell the difference (coherence.Machine.InstallSharer) and the read
 // miss is simulated otherwise.
-func installSharer(m *coherence.Machine, n topology.NodeID, b directory.BlockID) {
-	if !m.InstallSharer(n, b) {
-		RunOp(m, false, n, b)
+func (r *opRunner) installSharer(n topology.NodeID, b directory.BlockID) {
+	if !r.m.InstallSharer(n, b) {
+		r.run(false, n, b)
 	}
 }
 

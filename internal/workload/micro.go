@@ -117,7 +117,7 @@ func MeasureMissTraced(p coherence.Params, kind MissKind, rec *trace.Recorder) s
 			if n == requester || n == home {
 				panic("workload: sharer collides with requester or home")
 			}
-			installSharer(m, n, b)
+			newOpRunner(m).installSharer(n, b)
 		}
 		return measureOp(m, true, requester, b)
 	}
