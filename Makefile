@@ -62,6 +62,8 @@ fuzz:
 	$(GO) test ./internal/oracle -run='^$$' -fuzz='^FuzzProtocol$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/oracle -run='^$$' -fuzz='^FuzzProtocolFaults$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/service -run='^$$' -fuzz='^FuzzJobRequest$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/service -run='^$$' -fuzz='^FuzzIndentJSON$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/sweep -run='^$$' -fuzz='^FuzzCanonicalJSON$$' -fuzztime=$(FUZZTIME)
 
 # cover enforces the coverage ratchet on the protocol core and the oracle.
 cover:
@@ -92,7 +94,10 @@ cover:
 # scheme and d; building a network or a machine costs the same allocations
 # at every mesh size), and the pinned event counts of an invalidation sweep,
 # an application replay and a traffic run (a change that moves the schedule
-# moves them). Any engine change must pass this before it ships.
+# moves them), and the serving layer's gates (the byte-level fingerprint
+# canonicalizer against its reflection oracle and the pinned fingerprints, the
+# reply indenter against json.Encoder, and the allocations of a cached
+# one-point job). Any engine change must pass this before it ships.
 equiv:
 	$(GO) test ./internal/sim -run 'TestEngineEquivalence|TestQueue|TestEngineAllocs' -count=1
 	$(GO) test ./internal/routing -run TestUnicastPathIsRouterWalk -count=1
@@ -101,6 +106,8 @@ equiv:
 	$(GO) test ./internal/coherence -run TestNewMachineAllocs -count=1
 	$(GO) test ./internal/apps -run TestReplayAllocsIndependentOfLength -count=1
 	$(GO) test ./internal/workload -run 'TestInstallSharerMatchesSimulatedReads|TestTrafficAllocsIndependentOfLength|TestInvalAllocsPerTxn|TestEventCountsPinned' -count=1
+	$(GO) test ./internal/sweep -run 'TestCanonicalMatchesReflection|TestFingerprintPinned' -count=1
+	$(GO) test ./internal/service -run 'TestWriteJSONMatchesEncoder|TestCachedJobAllocs' -count=1
 
 check: vet lint build test race oracle fuzz equiv loadtest
 

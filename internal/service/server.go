@@ -63,12 +63,66 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON answers code with v as the bytes json.Encoder writes under
+// SetIndent("", " "). v is marshalled before the header goes out, so a value
+// json.Marshal refuses (a NaN measure) answers 500 with an error body rather
+// than code with an empty one.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, fmt.Errorf("service: encode reply: %w", err))
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(append(appendIndent(make([]byte, 0, 2*len(b)), b), '\n'))
+}
+
+// appendIndent appends src to dst as json.Indent(dst, src, "", " ") does.
+// src must be valid and compact, as json.Marshal writes it, so only the
+// structural bytes between values need looking at: strings, numbers and
+// literals are copied verbatim.
+func appendIndent(dst, src []byte) []byte {
+	depth := 0
+	newline := func(dst []byte) []byte {
+		dst = append(dst, '\n')
+		for i := 0; i < depth; i++ {
+			dst = append(dst, ' ')
+		}
+		return dst
+	}
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case '{', '[':
+			dst = append(dst, c)
+			if src[i+1] == '}' || src[i+1] == ']' {
+				i++
+				dst = append(dst, src[i])
+				continue
+			}
+			depth++
+			dst = newline(dst)
+		case '}', ']':
+			depth--
+			dst = append(newline(dst), c)
+		case ',':
+			dst = newline(append(dst, c))
+		case ':':
+			dst = append(dst, ':', ' ')
+		case '"':
+			j := i + 1
+			for ; src[j] != '"'; j++ {
+				if src[j] == '\\' {
+					j++
+				}
+			}
+			dst = append(dst, src[i:j+1]...)
+			i = j
+		default:
+			dst = append(dst, c)
+		}
+	}
+	return dst
 }
 
 func writeError(w http.ResponseWriter, err error) {

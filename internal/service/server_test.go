@@ -857,3 +857,53 @@ func TestOneFingerprintPerRequest(t *testing.T) {
 		t.Errorf("store keys %v; want exactly %s", store.byFP, want)
 	}
 }
+
+// raceEnabled is set under the race detector (race_test.go), whose
+// instrumentation makes allocation counts meaningless.
+var raceEnabled bool
+
+// TestCachedJobAllocs pins what one cached one-point POST /v1/jobs?wait=1
+// costs through the handler: the point's fingerprint, the store probe, the
+// one-point sweep on the request goroutine and the reply's encoding. The
+// point and its measures are the serving benchmark's kind (k 16, d 16, 20
+// trials, a 600-byte reply). The path measures 65 allocations and 12.5 KB;
+// a goroutine and channel per sweep add 2 allocations, the fingerprint's
+// decode into a map 41 and 1.9 KB, so either coming back fails here.
+func TestCachedJobAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under the race detector")
+	}
+	spec := PointSpec{K: 16, Scheme: "MI-MA-ec", D: 16, Pattern: "random", Trials: 20, Seed: 11}
+	p, err := spec.Point(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := newTestService(t, Config{Workers: 1})
+	m, _ := sweep.RunPointDirect(context.Background(), p)
+	if err := svc.Store().Put(p.Fingerprint(), m); err != nil {
+		t.Fatal(err)
+	}
+	h := NewServer(svc).Handler()
+	body := []byte(mustJSON(t, JobRequest{Points: []PointSpec{spec}}))
+	call := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs?wait=1", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cache_hits": 1`)) {
+			t.Fatalf("job: %d: %s", rec.Code, rec.Body)
+		}
+	}
+	call() // one-time set-up (mux, encoder caches) stays out of the count
+	allocs := testing.AllocsPerRun(200, call)
+	const calls = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		call()
+	}
+	runtime.ReadMemStats(&after)
+	bytesPer := (after.TotalAlloc - before.TotalAlloc) / calls
+	t.Logf("a cached one-point job allocates %.0f times, %d B", allocs, bytesPer)
+	if allocs > 66 || bytesPer > 13<<10 {
+		t.Errorf("a cached one-point job allocates %.0f times, %d B; want at most 66 and 13 KB", allocs, bytesPer)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/coherence"
 )
@@ -38,74 +37,118 @@ func (p Point) Fingerprint() string {
 	if err != nil {
 		panic(fmt.Sprintf("sweep: point not serializable: %v", err))
 	}
-	canon, err := canonicalJSON(b)
-	if err != nil {
-		panic(fmt.Sprintf("sweep: point not canonicalizable: %v", err))
-	}
-	sum := sha256.Sum256(canon)
+	var buf [512]byte
+	sum := sha256.Sum256(appendCanonical(buf[:0], b))
 	return hex.EncodeToString(sum[:])
 }
 
-// canonicalJSON re-encodes a JSON document with object keys sorted at every
-// depth. Numbers are decoded as json.Number so their exact source digits
-// survive the round trip.
-func canonicalJSON(in []byte) ([]byte, error) {
-	dec := json.NewDecoder(bytes.NewReader(in))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return nil, err
+// appendCanonical appends the canonical form of the JSON value v, which must
+// be json.Marshal output (valid and compact). Object members are sorted by
+// key at every depth; keys, numbers, literals and strings are copied
+// verbatim, except that the \ufffd escape json.Marshal writes for an invalid
+// UTF-8 byte in a string becomes a raw U+FFFD, as decoding and re-encoding
+// the string would make it.
+//
+// Keys are compared as bytes. json.Marshal writes a struct field's name
+// without escapes, so a key's bytes are its decoded string; a map, the one
+// source of keys that need escapes, appears nowhere in a Point.
+func appendCanonical(dst, v []byte) []byte {
+	switch v[0] {
+	case '{':
+		type member struct{ key, val []byte }
+		var arr [16]member
+		ms := arr[:0]
+		for v = v[1:]; v[0] != '}'; {
+			key, rest := cutValue(v)
+			val, rest := cutValue(rest[1:]) // past the ':'
+			ms = append(ms, member{key, val})
+			for i := len(ms) - 1; i > 0 && keyLess(ms[i].key, ms[i-1].key); i-- {
+				ms[i], ms[i-1] = ms[i-1], ms[i]
+			}
+			if v = rest; v[0] == ',' {
+				v = v[1:]
+			}
+		}
+		dst = append(dst, '{')
+		for i, m := range ms {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendCanonical(append(append(dst, m.key...), ':'), m.val)
+		}
+		return append(dst, '}')
+	case '[':
+		dst = append(dst, '[')
+		for v = v[1:]; v[0] != ']'; {
+			elem, rest := cutValue(v)
+			dst = appendCanonical(dst, elem)
+			if v = rest; v[0] == ',' {
+				dst = append(dst, ',')
+				v = v[1:]
+			}
+		}
+		return append(dst, ']')
 	}
-	var buf bytes.Buffer
-	if err := writeCanonical(&buf, v); err != nil {
-		return nil, err
+	for {
+		i := bytes.IndexByte(v, '\\')
+		if i < 0 {
+			return append(dst, v...)
+		}
+		n := 2
+		if v[i+1] == 'u' {
+			n = 6
+		}
+		dst = append(dst, v[:i]...)
+		if string(v[i:i+n]) == `\ufffd` {
+			dst = append(dst, "\uFFFD"...)
+		} else {
+			dst = append(dst, v[i:i+n]...)
+		}
+		v = v[i+n:]
 	}
-	return buf.Bytes(), nil
 }
 
-func writeCanonical(buf *bytes.Buffer, v any) error {
-	switch x := v.(type) {
-	case map[string]any:
-		keys := make([]string, 0, len(x))
-		for k := range x {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		buf.WriteByte('{')
-		for i, k := range keys {
-			if i > 0 {
-				buf.WriteByte(',')
+// keyLess orders two object keys, quotes included, by the names between
+// the quotes.
+func keyLess(a, b []byte) bool {
+	return string(a[1:len(a)-1]) < string(b[1:len(b)-1])
+}
+
+// cutValue splits the compact JSON value at the start of src from the rest.
+func cutValue(src []byte) (v, rest []byte) {
+	end := 0 // the index of the value's last byte
+	switch src[0] {
+	case '"':
+		end = closingQuote(src, 0)
+	case '{', '[':
+		for depth := 0; ; end++ {
+			switch src[end] {
+			case '"':
+				end = closingQuote(src, end)
+			case '{', '[':
+				depth++
+			case '}', ']':
+				depth--
 			}
-			kb, err := json.Marshal(k)
-			if err != nil {
-				return err
-			}
-			buf.Write(kb)
-			buf.WriteByte(':')
-			if err := writeCanonical(buf, x[k]); err != nil {
-				return err
-			}
-		}
-		buf.WriteByte('}')
-	case []any:
-		buf.WriteByte('[')
-		for i, e := range x {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			if err := writeCanonical(buf, e); err != nil {
-				return err
+			if depth == 0 {
+				break
 			}
 		}
-		buf.WriteByte(']')
-	case json.Number:
-		buf.WriteString(x.String())
 	default:
-		b, err := json.Marshal(x)
-		if err != nil {
-			return err
+		for end+1 < len(src) && src[end+1] != ',' && src[end+1] != '}' && src[end+1] != ']' {
+			end++
 		}
-		buf.Write(b)
 	}
-	return nil
+	return src[:end+1], src[end+1:]
+}
+
+// closingQuote returns the index of the quote that closes the JSON string
+// opening at src[i].
+func closingQuote(src []byte, i int) int {
+	for i++; src[i] != '"'; i++ {
+		if src[i] == '\\' {
+			i++
+		}
+	}
+	return i
 }

@@ -198,14 +198,13 @@ func TestFingerprintSeedPrecision(t *testing.T) {
 }
 
 func TestCanonicalJSONSortsNestedKeys(t *testing.T) {
-	in := []byte(`{"b":1,"a":{"z":[{"y":2,"x":18446744073709551615}],"w":3}}`)
-	got, err := canonicalJSON(in)
-	if err != nil {
-		t.Fatal(err)
+	in := []byte(`{"b":1,"a!":0,"a":{"z":[{"y":2,"x":18446744073709551615}],"w":3},"c":[[],{},"\\ufffd\ufffd"]}`)
+	want := `{"a":{"w":3,"z":[{"x":18446744073709551615,"y":2}]},"a!":0,"b":1,"c":[[],{},"\\ufffd` + "\uFFFD" + `"]}`
+	if got := appendCanonical(nil, in); string(got) != want {
+		t.Errorf("appendCanonical = %s, want %s", got, want)
 	}
-	want := `{"a":{"w":3,"z":[{"x":18446744073709551615,"y":2}]},"b":1}`
-	if string(got) != want {
-		t.Fatalf("canonicalJSON = %s, want %s", got, want)
+	if got, err := canonicalJSON(in); err != nil || string(got) != want {
+		t.Errorf("canonicalJSON = %s (%v), want %s", got, err, want)
 	}
 }
 

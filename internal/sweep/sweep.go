@@ -1,10 +1,10 @@
 // Package sweep is the parallel experiment-sweep engine: it fans a grid of
 // points out across a pool of worker goroutines, each running a fully
-// isolated simulation, and gathers the results through a single aggregation
-// channel into point order. A point is an invalidation experiment (scheme x
-// mesh size x sharer distribution x seed), optionally homed at one node, or
-// one hot-spot burst, one application replay or one uniform-traffic run; its
-// outcome is the serializable Measures, which is all a figure reads.
+// isolated simulation, and each worker records its point's result at the
+// point's index. A point is an invalidation experiment (scheme x mesh size x
+// sharer distribution x seed), optionally homed at one node, or one hot-spot
+// burst, one application replay or one uniform-traffic run; its outcome is
+// the serializable Measures, which is all a figure reads.
 //
 // Determinism: every point carries its own RNG seed (derived with splitmix
 // from a base seed and the point index, see sim.DeriveSeed), every point
@@ -159,7 +159,8 @@ type Options struct {
 	// reproducibility-critical runs.
 	PointTimeout time.Duration
 	// OnProgress, when set, receives a Progress update after every
-	// completed point. It is called from a single goroutine.
+	// completed point. Calls are serialized, one at a time in completion
+	// order, and may run on any worker's goroutine.
 	OnProgress func(Progress)
 	// RunPoint substitutes the point runner; nil runs the engine directly
 	// (RunPointDirect). The serving layer (internal/service) and invalsweep
@@ -227,7 +228,8 @@ func RunPointDirect(ctx context.Context, p Point) (Measures, *metrics.Collector)
 // (with the results gathered so far and ctx.Err) when ctx is cancelled:
 // queued points are abandoned, in-flight points stop at their next trial
 // boundary and are marked Partial. A point runner's panic is re-raised on the
-// calling goroutine once the other workers have finished.
+// calling goroutine once the other workers have finished. Each worker records
+// its own point's result; a one-point sweep runs on the calling goroutine.
 func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -254,52 +256,44 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 		sum.Results[i] = Result{Point: p}
 	}
 
-	results := make(chan Result) // the single aggregation channel
-	var workerPanic any
-	go func() {
-		defer func() {
-			workerPanic = recover() // Each re-raised it here; Run hands it on below
-			close(results)
-		}()
-		Each(opts.Parallel, len(points), func(i int) {
-			if ctx.Err() != nil {
-				return
+	var mu sync.Mutex // guards sum and serializes OnProgress (which cannot reach mu)
+	Each(opts.Parallel, len(points), func(i int) {
+		if ctx.Err() != nil {
+			return
+		}
+		p := points[i]
+		runOnce := func(budget time.Duration) Measures {
+			pctx := ctx
+			cancel := func() {}
+			if budget > 0 {
+				pctx, cancel = context.WithTimeout(ctx, budget)
 			}
-			p := points[i]
-			runOnce := func(budget time.Duration) Measures {
-				pctx := ctx
-				cancel := func() {}
-				if budget > 0 {
-					pctx, cancel = context.WithTimeout(ctx, budget)
-				}
-				defer cancel()
-				m, _ := run(pctx, p)
-				return m
+			defer cancel()
+			m, _ := run(pctx, p)
+			return m
+		}
+		t0 := time.Now() //simcheck:allow determinism -- per-point wall-clock timing for reports
+		meas := runOnce(opts.PointTimeout)
+		res := Result{Point: p, Ran: true}
+		if meas.Completed < p.Trials && opts.PointTimeout > 0 && ctx.Err() == nil {
+			// The point hit its own timeout (the sweep itself was not
+			// cancelled): retry once from scratch with a doubled
+			// budget. Determinism is unharmed — the rerun replays the
+			// same seeds, and a completed retry's result is identical
+			// to what an untimed run would have produced.
+			res.Retried = true
+			meas = runOnce(2 * opts.PointTimeout)
+			if meas.Completed < p.Trials && ctx.Err() == nil {
+				res.Quarantined = true
 			}
-			t0 := time.Now() //simcheck:allow determinism -- per-point wall-clock timing for reports
-			meas := runOnce(opts.PointTimeout)
-			res := Result{Point: p, Ran: true}
-			if meas.Completed < p.Trials && opts.PointTimeout > 0 && ctx.Err() == nil {
-				// The point hit its own timeout (the sweep itself was not
-				// cancelled): retry once from scratch with a doubled
-				// budget. Determinism is unharmed — the rerun replays the
-				// same seeds, and a completed retry's result is identical
-				// to what an untimed run would have produced.
-				res.Retried = true
-				meas = runOnce(2 * opts.PointTimeout)
-				if meas.Completed < p.Trials && ctx.Err() == nil {
-					res.Quarantined = true
-				}
-			}
-			res.Measures = meas
-			res.Partial = meas.Completed < p.Trials
-			res.Elapsed = time.Since(t0) //simcheck:allow determinism -- wall-clock elapsed, reporting only
-			results <- res
-		})
-	}()
+		}
+		res.Measures = meas
+		res.Partial = meas.Completed < p.Trials
+		res.Elapsed = time.Since(t0) //simcheck:allow determinism -- wall-clock elapsed, reporting only
 
-	for res := range results {
-		sum.Results[res.Point.Index] = res
+		mu.Lock()
+		defer mu.Unlock()
+		sum.Results[i] = res
 		sum.Completed++
 		if res.Partial {
 			sum.Partial++
@@ -314,15 +308,12 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 				Total:        len(points),
 				Partial:      sum.Partial,
 				Quarantined:  sum.Quarantined,
-				Last:         res.Point,
+				Last:         p,
 				Elapsed:      elapsed,
 				PointsPerSec: float64(sum.Completed) / elapsed.Seconds(),
 			})
 		}
-	}
-	if workerPanic != nil {
-		panic(workerPanic)
-	}
+	})
 	sum.Elapsed = time.Since(start) //simcheck:allow determinism -- wall-clock elapsed, reporting only
 	return sum, ctx.Err()
 }
