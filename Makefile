@@ -36,13 +36,15 @@ vet:
 # "Static analysis"): the code-layer rules — determinism, maporder,
 # exhaustive, nogoroutine, lifetime, noalloc — over the whole module, the
 # channel-dependency-graph verification of routing deadlock freedom at the
-# paper's full 8x8 mesh size, and an explicit all-rules pass over the
-# serving layer (explicit directories get every rule; the server's
-# intentional goroutines carry //simcheck:allow-file escapes).
+# paper's full 8x8 mesh size, and explicit all-rules passes over the
+# fault-injection layer, the tracing subsystem and the serving layer
+# (explicit directories get every rule; the server's intentional goroutines
+# carry //simcheck:allow-file escapes).
 lint:
 	$(GO) run ./cmd/simcheck ./...
 	$(GO) run ./cmd/simcheck -cdg -mesh 8
-	$(GO) run ./cmd/simcheck ./internal/service ./internal/load ./cmd/dsmsimd ./cmd/dsmsimctl ./cmd/dsmload
+	$(GO) run ./cmd/simcheck ./internal/faults ./internal/trace
+	$(GO) run ./cmd/simcheck ./internal/service ./internal/load ./cmd/dsmsimd ./cmd/dsmsimctl
 
 # oracle runs the protocol-correctness oracles end to end: the exhaustive
 # model checker over every scheme at the 2x2/2-block configuration, then a
@@ -126,16 +128,17 @@ sweep:
 smoke:
 	bash scripts/dsmsimd_smoke.sh
 
-# loadtest is the dsmload harness smoke: verified closed- and open-loop runs
-# against a live daemon, byte-identical client counters across identical
-# schedules (the determinism contract), and the cache-sizing study grid.
-# See scripts/dsmload_smoke.sh and DESIGN.md section 17.
+# loadtest is the `dsmsimctl load` harness smoke: verified closed- and
+# open-loop runs against a live daemon, byte-identical client counters
+# across identical schedules (the determinism contract), and the
+# cache-sizing study grid. See scripts/load_smoke.sh and DESIGN.md
+# section 17.
 loadtest:
-	bash scripts/dsmload_smoke.sh
+	bash scripts/load_smoke.sh
 
 # soak is the crash-recovery gauntlet: SIGTERM the daemon mid-load, restart
 # over the same data dir, require the journal to resume every unfinished
 # job with zero duplicate engine runs and a result set byte-identical to an
-# uninterrupted control run. See scripts/dsmload_soak.sh.
+# uninterrupted control run. See scripts/load_soak.sh.
 soak:
-	bash scripts/dsmload_soak.sh
+	bash scripts/load_soak.sh

@@ -6,12 +6,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"time"
 
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -68,8 +65,12 @@ func NewUniverse(tpl PointTemplate, seed uint64, size int) (*Universe, error) {
 	return u, nil
 }
 
-// Client speaks the daemon's HTTP API for the load harness. All methods are
-// safe for concurrent use.
+// Client speaks the daemon's HTTP API: every dsmsimctl subcommand and the
+// load runner reach the daemon through it, and every request it sends goes
+// through do. Each method hands the body of a 2xx reply to its out
+// argument: an io.Writer receives the bytes as they arrive, nil drops them,
+// and anything else is JSON-decoded into. Any other status is a
+// *StatusError. All methods are safe for concurrent use.
 type Client struct {
 	base string
 	http *http.Client
@@ -81,59 +82,9 @@ func NewClient(baseURL string) *Client {
 	return &Client{base: baseURL, http: &http.Client{}}
 }
 
-// postJSON POSTs v and decodes the response into out (skipped when out is
-// nil). Non-2xx responses become errors carrying the body's error field.
-func (c *Client) postJSON(ctx context.Context, path string, v, out any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return httpError(path, resp.StatusCode, data)
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
-}
-
-// getJSON GETs path and decodes the response into out.
-func (c *Client) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode/100 != 2 {
-		return httpError(path, resp.StatusCode, data)
-	}
-	return json.Unmarshal(data, out)
-}
-
-// StatusError is a non-2xx daemon response; the verifier matches on Code to
-// tell expected misses (404) and sheds (503) from real failures.
+// StatusError is a non-2xx daemon response, carrying the body's error
+// field; the verifier matches on Code to tell expected misses (404) and
+// sheds (503) from real failures.
 type StatusError struct {
 	Path    string
 	Code    int
@@ -141,142 +92,88 @@ type StatusError struct {
 }
 
 func (e *StatusError) Error() string {
-	return fmt.Sprintf("load: %s: HTTP %d: %s", e.Path, e.Code, e.Message)
+	return fmt.Sprintf("%s: HTTP %d: %s", e.Path, e.Code, e.Message)
 }
 
-func httpError(path string, code int, body []byte) error {
-	var doc struct {
-		Error string `json:"error"`
-	}
-	msg := string(body)
-	if json.Unmarshal(body, &doc) == nil && doc.Error != "" {
-		msg = doc.Error
-	}
-	return &StatusError{Path: path, Code: code, Message: msg}
-}
-
-// RunPoint submits a one-point job with ?wait=1 and blocks for the result.
-func (c *Client) RunPoint(ctx context.Context, id string, spec service.PointSpec, timeout time.Duration) (*service.JobResult, error) {
-	jr := service.JobRequest{ID: id, Points: []service.PointSpec{spec}, TimeoutMS: timeout.Milliseconds()}
-	var res service.JobResult
-	if err := c.postJSON(ctx, "/v1/jobs?wait=1", jr, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
-// SubmitPoint submits a one-point job asynchronously and returns its ID.
-func (c *Client) SubmitPoint(ctx context.Context, id string, spec service.PointSpec, timeout time.Duration) (string, error) {
-	jr := service.JobRequest{ID: id, Points: []service.PointSpec{spec}, TimeoutMS: timeout.Milliseconds()}
-	var out struct {
-		ID string `json:"id"`
-	}
-	if err := c.postJSON(ctx, "/v1/jobs", jr, &out); err != nil {
-		return "", err
-	}
-	return out.ID, nil
-}
-
-// AwaitJob blocks until the job reaches a terminal state.
-func (c *Client) AwaitJob(ctx context.Context, id string) (*service.JobStatus, error) {
-	var st service.JobStatus
-	if err := c.getJSON(ctx, "/v1/jobs/"+url.PathEscape(id)+"?wait=1", &st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// Jobs lists the daemon's jobs.
-func (c *Client) Jobs(ctx context.Context) ([]service.JobStatus, error) {
-	var out []service.JobStatus
-	if err := c.getJSON(ctx, "/v1/jobs", &out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RunExperiment runs one named paper experiment and returns its rendered
-// table text.
-func (c *Client) RunExperiment(ctx context.Context, req service.ExperimentRequest) (string, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return "", err
-	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/experiments", bytes.NewReader(body))
-	if err != nil {
-		return "", err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(hreq)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode/100 != 2 {
-		return "", httpError("/v1/experiments", resp.StatusCode, data)
-	}
-	return string(data), nil
-}
-
-// Result fetches a stored result by fingerprint; found=false on 404 (a
-// cache miss, not an error).
-func (c *Client) Result(ctx context.Context, fp string) (*service.ResultResponse, bool, error) {
-	var out service.ResultResponse
-	err := c.getJSON(ctx, "/v1/results/"+url.PathEscape(fp), &out)
-	if err != nil {
-		var se *StatusError
-		if errors.As(err, &se) && se.Code == http.StatusNotFound {
-			return nil, false, nil
+// do sends one request, with in JSON-encoded as its body unless in is nil,
+// and hands the reply to out.
+func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+	var body io.Reader
+	if in != nil {
+		data, err := json.Marshal(in)
+		if err != nil {
+			return err
 		}
-		return nil, false, err
+		body = bytes.NewReader(data)
 	}
-	return &out, true, nil
-}
-
-// Stats fetches /v1/stats.
-func (c *Client) Stats(ctx context.Context) (*service.StatsResponse, error) {
-	var out service.StatsResponse
-	if err := c.getJSON(ctx, "/v1/stats", &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// MetricsCSV fetches the per-request metric log as CSV text.
-func (c *Client) MetricsCSV(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/metrics", nil)
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return "", err
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return "", err
+		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return "", err
-	}
 	if resp.StatusCode/100 != 2 {
-		return "", httpError("/v1/metrics", resp.StatusCode, data)
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		var doc struct {
+			Error string `json:"error"`
+		}
+		msg := string(bytes.TrimSpace(data))
+		if json.Unmarshal(data, &doc) == nil && doc.Error != "" {
+			msg = doc.Error
+		}
+		return &StatusError{Path: path, Code: resp.StatusCode, Message: msg}
 	}
-	return string(data), nil
+	switch w := out.(type) {
+	case nil:
+		_, err = io.Copy(io.Discard, resp.Body)
+	case io.Writer:
+		_, err = io.Copy(w, resp.Body)
+	default:
+		// Read to EOF before decoding so the connection is reused.
+		var data []byte
+		if data, err = io.ReadAll(resp.Body); err == nil {
+			err = json.Unmarshal(data, out)
+		}
+	}
+	return err
 }
 
-// Healthy reports whether the daemon answers /healthz with 200.
-func (c *Client) Healthy(ctx context.Context) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return false
-	}
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+// Get fetches one of the daemon's read-only endpoints (/healthz,
+// /v1/stats, /v1/jobs[/{id}], /v1/metrics, /v1/results/{fingerprint}).
+func (c *Client) Get(ctx context.Context, path string, out any) error {
+	return c.do(ctx, http.MethodGet, path, nil, out)
+}
+
+// SubmitMode selects how Submit waits for its job, and so what the reply
+// holds; its value is the query string it adds to /v1/jobs.
+type SubmitMode string
+
+const (
+	// Wait blocks until the job ends; the reply is its service.JobResult.
+	Wait SubmitMode = "?wait=1"
+	// Async returns once the job is accepted; the reply carries its ID.
+	Async SubmitMode = ""
+	// Stream replies with NDJSON service.ProgressEvent lines as the job
+	// runs, the last one terminal.
+	Stream SubmitMode = "?stream=1"
+)
+
+// Submit posts a job.
+func (c *Client) Submit(ctx context.Context, jr service.JobRequest, mode SubmitMode, out any) error {
+	return c.do(ctx, http.MethodPost, "/v1/jobs"+string(mode), jr, out)
+}
+
+// Experiment runs one named paper experiment; the reply is its rendered
+// table, the bytes invalsweep prints.
+func (c *Client) Experiment(ctx context.Context, req service.ExperimentRequest, out any) error {
+	return c.do(ctx, http.MethodPost, "/v1/experiments", req, out)
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sync"
 	"time"
 
@@ -42,9 +43,6 @@ type Config struct {
 	// soak test kills the daemon mid-flight on purpose). Default false:
 	// every async job is awaited and folded into the counters.
 	SkipAsyncWait bool
-	// Growth is the latency-histogram bucket growth factor (0 = the
-	// sim.Histogram default, a 5% error bound).
-	Growth float64
 }
 
 // Counters are the client-side totals of one run. Against a warm daemon
@@ -119,13 +117,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, errors.New("load: schedule contains experiment requests but no ExperimentName is set")
 		}
 	}
-	r := &runner{cfg: cfg, client: NewClient(cfg.BaseURL), overall: sim.NewHistogram(cfg.Growth)}
+	r := &runner{cfg: cfg, client: NewClient(cfg.BaseURL), overall: sim.NewHistogram(0)}
 	for k := range r.hists {
-		r.hists[k] = sim.NewHistogram(cfg.Growth)
+		r.hists[k] = sim.NewHistogram(0)
 	}
 
-	before, err := r.client.Stats(ctx)
-	if err != nil {
+	var before, after service.StatsResponse
+	if err := r.client.Get(ctx, "/v1/stats", &before); err != nil {
 		return nil, fmt.Errorf("load: daemon stats before run: %w", err)
 	}
 
@@ -140,14 +138,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	wall := time.Since(start)
 
-	after, err := r.client.Stats(ctx)
-	if err != nil {
+	if err := r.client.Get(ctx, "/v1/stats", &after); err != nil {
 		return nil, fmt.Errorf("load: daemon stats after run: %w", err)
 	}
 	res := &Result{
 		Hists: r.hists, Overall: r.overall,
 		Counters: r.counters,
-		Before:   *before, After: *after,
+		Before:   before, After: after,
 		Wall:      wall,
 		JobPrefix: cfg.JobPrefix,
 	}
@@ -202,56 +199,68 @@ func (r *runner) closedLoop(ctx context.Context) {
 
 // issue performs one request, recording its latency and counters.
 func (r *runner) issue(ctx context.Context, req Request) {
-	spec := r.cfg.Universe.Specs[req.Point]
 	start := time.Now()
 	var err error
 	switch req.Kind {
 	case KindRun:
-		id := fmt.Sprintf("%s-r%06d", r.cfg.JobPrefix, req.Seq)
-		var res *service.JobResult
-		res, err = r.client.RunPoint(ctx, id, spec, r.cfg.Timeout)
+		var res service.JobResult
+		err = r.client.Submit(ctx, r.job(req, "r"), Wait, &res)
 		r.record(req.Kind, time.Since(start), err, func(c *Counters) {
 			c.Run++
-			foldJob(c, res)
+			if err == nil {
+				foldJob(c, &res)
+			}
 		})
 		return
 	case KindAsync:
-		id := fmt.Sprintf("%s-a%06d", r.cfg.JobPrefix, req.Seq)
-		_, err = r.client.SubmitPoint(ctx, id, spec, r.cfg.Timeout)
+		jr := r.job(req, "a")
+		err = r.client.Submit(ctx, jr, Async, nil)
 		r.record(req.Kind, time.Since(start), err, func(c *Counters) {
 			c.Async++
 		})
 		if err == nil {
 			r.mu.Lock()
-			r.asyncIDs = append(r.asyncIDs, id)
+			r.asyncIDs = append(r.asyncIDs, jr.ID)
 			r.mu.Unlock()
 		}
 		return
 	case KindExperiment:
-		_, err = r.client.RunExperiment(ctx, service.ExperimentRequest{Name: r.cfg.ExperimentName})
+		err = r.client.Experiment(ctx, service.ExperimentRequest{Name: r.cfg.ExperimentName}, nil)
 		r.record(req.Kind, time.Since(start), err, func(c *Counters) { c.Experiment++ })
 		return
 	case KindResult:
-		fp := r.cfg.Universe.Fingerprints[req.Point]
-		var found bool
-		_, found, err = r.client.Result(ctx, fp)
+		// A 404 is a cache miss, not an error.
+		err = r.client.Get(ctx, "/v1/results/"+r.cfg.Universe.Fingerprints[req.Point], nil)
+		var se *StatusError
+		miss := errors.As(err, &se) && se.Code == http.StatusNotFound
+		if miss {
+			err = nil
+		}
 		r.record(req.Kind, time.Since(start), err, func(c *Counters) {
 			c.Result++
-			if err == nil {
-				if found {
-					c.ResultHits++
-				} else {
-					c.ResultMisses++
-				}
+			if miss {
+				c.ResultMisses++
+			} else if err == nil {
+				c.ResultHits++
 			}
 		})
 		return
 	case KindStats:
-		_, err = r.client.Stats(ctx)
+		err = r.client.Get(ctx, "/v1/stats", nil)
 		r.record(req.Kind, time.Since(start), err, func(c *Counters) { c.Stats++ })
 		return
 	default:
 		panic("load: unknown request kind " + req.Kind.String())
+	}
+}
+
+// job is the one-point job a run (tag "r") or async (tag "a") request
+// submits; its ID is unique within the run.
+func (r *runner) job(req Request, tag string) service.JobRequest {
+	return service.JobRequest{
+		ID:        fmt.Sprintf("%s-%s%06d", r.cfg.JobPrefix, tag, req.Seq),
+		Points:    []service.PointSpec{r.cfg.Universe.Specs[req.Point]},
+		TimeoutMS: r.cfg.Timeout.Milliseconds(),
 	}
 }
 
@@ -277,9 +286,6 @@ func (r *runner) record(k Kind, lat time.Duration, err error, apply func(*Counte
 // foldJob accumulates a completed job's per-point serving sources. Caller
 // holds the lock.
 func foldJob(c *Counters, res *service.JobResult) {
-	if res == nil {
-		return
-	}
 	for _, pr := range res.Results {
 		c.PointsServed++
 		if pr.Partial {
@@ -306,7 +312,8 @@ func (r *runner) awaitAsync(ctx context.Context) {
 	ids := append([]string(nil), r.asyncIDs...)
 	r.mu.Unlock()
 	for _, id := range ids {
-		st, err := r.client.AwaitJob(ctx, id)
+		var st service.JobStatus
+		err := r.client.Get(ctx, "/v1/jobs/"+url.PathEscape(id)+"?wait=1", &st)
 		r.mu.Lock()
 		if err != nil || st.Result == nil {
 			r.counters.Errors++
@@ -315,21 +322,4 @@ func (r *runner) awaitAsync(ctx context.Context) {
 		}
 		r.mu.Unlock()
 	}
-}
-
-// Warm runs one job covering the whole universe so that a subsequent load
-// run is served entirely from the cache — the precondition of the
-// determinism contract. The job ID derives from the prefix.
-func Warm(ctx context.Context, baseURL string, u *Universe, prefix string, timeout time.Duration) (*service.JobResult, error) {
-	c := NewClient(baseURL)
-	jr := service.JobRequest{
-		ID:        prefix + "-warm",
-		Points:    u.Specs,
-		TimeoutMS: timeout.Milliseconds(),
-	}
-	var res service.JobResult
-	if err := c.postJSON(ctx, "/v1/jobs?wait=1", jr, &res); err != nil {
-		return nil, fmt.Errorf("load: warm job: %w", err)
-	}
-	return &res, nil
 }

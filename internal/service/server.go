@@ -27,9 +27,10 @@ func NewServer(svc *Service) *Server {
 }
 
 // maxBodyBytes bounds a POST body; a larger one is refused with 413 before
-// it is decoded. The largest body an in-repo client sends is dsmload's warm
-// job over its whole universe, about 100 bytes per point (3 KB at the
-// default 32 points), so 1 MiB admits a warm job of some 10 000 points.
+// it is decoded. The largest body an in-repo client sends is the warm job
+// of dsmsimctl load over its whole universe, about 100 bytes per point
+// (3 KB at the default 32 points), so 1 MiB admits a warm job of some
+// 10 000 points.
 const maxBodyBytes = 1 << 20
 
 // decodeBody decodes the JSON body of a POST into v. It answers 413 for a

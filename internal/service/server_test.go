@@ -36,7 +36,7 @@ func newTestDaemon(t *testing.T, cfg Config) (*Service, *httptest.Server) {
 	return svc, ts
 }
 
-// startDaemon starts a daemon the way dsmsimd and dsmload do, from its
+// startDaemon starts a daemon the way dsmsimd and dsmsimctl load do, from its
 // service config alone, and shuts it down with the test.
 func startDaemon(t *testing.T, cfg Config) *Daemon {
 	t.Helper()
