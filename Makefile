@@ -99,7 +99,9 @@ cover:
 # moves them), and the serving layer's gates (the byte-level fingerprint
 # canonicalizer against its reflection oracle and the pinned fingerprints, the
 # reply indenter against json.Encoder, and the allocations of a cached
-# one-point job). Any engine change must pass this before it ships.
+# one-point job), and the recording-neutrality test (one point of every kind,
+# run with and without a recorder, must encode byte-identical Measures). Any
+# engine change must pass this before it ships.
 equiv:
 	$(GO) test ./internal/sim -run 'TestEngineEquivalence|TestQueue|TestEngineAllocs' -count=1
 	$(GO) test ./internal/routing -run TestUnicastPathIsRouterWalk -count=1
@@ -108,7 +110,7 @@ equiv:
 	$(GO) test ./internal/coherence -run TestNewMachineAllocs -count=1
 	$(GO) test ./internal/apps -run TestReplayAllocsIndependentOfLength -count=1
 	$(GO) test ./internal/workload -run 'TestInstallSharerMatchesSimulatedReads|TestTrafficAllocsIndependentOfLength|TestInvalAllocsPerTxn|TestEventCountsPinned' -count=1
-	$(GO) test ./internal/sweep -run 'TestCanonicalMatchesReflection|TestFingerprintPinned' -count=1
+	$(GO) test ./internal/sweep -run 'TestCanonicalMatchesReflection|TestFingerprintPinned|TestRecordingIsNeutral' -count=1
 	$(GO) test ./internal/service -run 'TestWriteJSONMatchesEncoder|TestCachedJobAllocs' -count=1
 
 check: vet lint build test race oracle fuzz equiv loadtest

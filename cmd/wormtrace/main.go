@@ -1,5 +1,5 @@
-// Command wormtrace runs one workload on the simulated wormhole DSM and
-// shows what it did: the invalidation measures, the worms a grouping scheme
+// Command wormtrace runs one sweep point on the simulated wormhole DSM and
+// shows what it did: the point's measures, the worms a grouping scheme
 // builds, top-k critical paths with Table-5-style latency attribution, an
 // occupancy profile with link heatmaps, the protocol event stream, and
 // Chrome/Perfetto timeline export (load the output at
@@ -7,40 +7,49 @@
 //
 // Usage:
 //
-//	wormtrace -workload inval -k 16 -d 16 -scheme MI-MA-ec -top 0
-//	wormtrace -workload inval -k 8 -d 3 -top 0 -events
-//	wormtrace -workload inval -k 12 -d 16 -scheme UI-UA -top 0 -occupancy
-//	wormtrace -workload groups -k 8 -d 6 -scheme MI-MA-tm
+//	wormtrace -point '{"k":16,"d":16,"scheme":"MI-MA-ec","trials":10,"seed":1}' -top 0
+//	wormtrace -point '{"k":12,"d":16,"scheme":"UI-UA","trials":10,"seed":1}' -top 0 -occupancy
+//	wormtrace -workload groups -point '{"k":8,"d":6,"scheme":"MI-MA-tm","trials":1,"seed":1}'
+//	wormtrace -point '{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU"}' -top 1 -events
+//	wormtrace -point '{"k":16,"d":8,"trials":1,"seed":1,"hot_spot":{"writers":8}}' -perfetto burst.json
 //	wormtrace -workload miss -kind 2 -top 5 -o run.trace.json
-//	wormtrace -workload hotspot -writers 8 -perfetto burst.json
 //	wormtrace -in run.trace.json -top 10 -occupancy
 //
-// Workloads: inval (the E4-E6 invalidation experiment; prints its measures
-// table), groups (draws the worms -scheme builds for the sharers inval's
-// first trial invalidates; nothing is simulated), hotspot (the concurrent-
-// invalidation burst), miss (one Table 4 miss scenario; -kind selects the
-// row, 0-7). -torus, -vct, -iackbufs and -cons vary the machine of every
-// workload. A recorder is attached only when something reads the
-// recording: -top > 0, -occupancy, -events, -o or -perfetto. With -in, no
-// simulation runs: the recorded trace file is re-analyzed instead.
+// -point is a sweep.Point in JSON (scheme and pattern by name or number; an
+// unknown field is an error), the one language of invalsweep's cells and
+// dsmsimd's jobs; the default is a 16x16 MI-MA-ec point with d=8 over 10
+// trials. Every kind runs. An invalidation point (homed or not) prints its
+// seven-row measures table; a burst, replay or traffic point prints its
+// Measures JSON, the bytes sweep.RunPointDirect computes for it.
+//
+// Workloads: point (run -point), groups (draw the worms the point's scheme
+// builds for the sharers its first trial invalidates; nothing is simulated)
+// and miss (one Table 4 miss scenario on the point's scheme and tune; -kind
+// selects the row, 0-7). A recorder is attached only when something reads
+// the recording: -top > 0, -occupancy, -events, -o or -perfetto. With -in,
+// no simulation runs: the recorded trace file is re-analyzed instead.
 //
 // In a groups drawing H is the home, * a sharer on the worm's path, S a
 // sharer off it, + a node the worm only passes through, . any other node.
 package main
 
 import (
+	"cmp"
+	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 
-	"repro/internal/coherence"
 	"repro/internal/grouping"
 	"repro/internal/network"
 	"repro/internal/report"
 	"repro/internal/sim"
+	"repro/internal/sweep"
 	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -56,35 +65,25 @@ func main() {
 
 // options is the parsed command line.
 type options struct {
-	workload, scheme, pattern   string
-	k, d, trials, writers, kind int
-	seed                        uint64
-	variant                     coherence.Variant
-	capacity                    int
-	probe                       uint64
-	out, perfetto, in           string
-	top                         int
-	occupancy, events           bool
+	point             sweep.Point
+	workload          string
+	kind, capacity    int
+	probe             uint64
+	out, perfetto, in string
+	top               int
+	occupancy, events bool
 }
 
 func parse(args []string) (options, error) {
 	var o options
+	var point string
 	fs := flag.NewFlagSet("wormtrace", flag.ContinueOnError)
-	fs.StringVar(&o.workload, "workload", "inval", "workload: inval|groups|hotspot|miss")
-	fs.IntVar(&o.k, "k", 16, "mesh dimension (k x k)")
-	fs.IntVar(&o.d, "d", 8, "sharers to invalidate")
-	fs.StringVar(&o.scheme, "scheme", "MI-MA-ec", "invalidation scheme")
-	fs.StringVar(&o.pattern, "pattern", "random", "sharer placement: random|clustered|column|row|diagonal")
-	fs.IntVar(&o.trials, "trials", 10, "trials (inval workload)")
-	fs.IntVar(&o.writers, "writers", 8, "concurrent writers (hotspot workload)")
+	fs.StringVar(&point, "point", `{"k":16,"scheme":"MI-MA-ec","d":8,"trials":10,"seed":1}`,
+		"the sweep point to run, as JSON (scheme and pattern by name or number)")
+	fs.StringVar(&o.workload, "workload", "point", "workload: point|groups|miss")
 	fs.IntVar(&o.kind, "kind", 2, "miss scenario for -workload miss (Table 4 row, 0-7)")
-	fs.Uint64Var(&o.seed, "seed", 1, "placement seed")
-	fs.BoolVar(&o.variant.Torus, "torus", false, "wraparound links (k-ary 2-cube)")
-	fs.BoolVar(&o.variant.VCTDeferred, "vct", false, "virtual cut-through deferred delivery for gather worms")
-	fs.IntVar(&o.variant.IAckBuffers, "iackbufs", 4, "i-ack buffers per router interface")
-	fs.IntVar(&o.variant.ConsumptionChannels, "cons", 4, "consumption channels per router interface")
 	fs.IntVar(&o.capacity, "cap", 1<<20, "ring-buffer capacity in events (oldest overwritten beyond it)")
-	fs.Uint64Var(&o.probe, "engine", 0, "sample the engine queue every N fired events (0 = off)")
+	fs.Uint64Var(&o.probe, "engine", 0, "sample a machine's engine queue every N fired events (0 = off; a traffic run has no machine)")
 	fs.StringVar(&o.out, "o", "", "write the recording to this trace JSON file")
 	fs.StringVar(&o.perfetto, "perfetto", "", "write a Chrome/Perfetto timeline to this file")
 	fs.IntVar(&o.top, "top", 3, "print the K highest-latency operations' critical paths (0 = none)")
@@ -94,16 +93,30 @@ func parse(args []string) (options, error) {
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
-	if o.variant.IAckBuffers < 1 || o.variant.ConsumptionChannels < 1 {
-		return o, fmt.Errorf("-iackbufs %d, -cons %d: each wants >= 1",
-			o.variant.IAckBuffers, o.variant.ConsumptionChannels)
+	dec := json.NewDecoder(strings.NewReader(point))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&o.point); err != nil {
+		return o, fmt.Errorf("-point: %w", err)
 	}
-	// The miss scenarios fix their own mesh and sharers.
-	if o.workload != "miss" && (o.d < 1 || o.d > o.k*o.k-2) {
-		return o, fmt.Errorf("-d %d out of range [1,%d] for a %dx%d mesh", o.d, o.k*o.k-2, o.k, o.k)
+	if dec.More() {
+		return o, fmt.Errorf("-point: data after the point")
+	}
+	if err := o.point.Check(); err != nil {
+		return o, fmt.Errorf("-point %w", err)
+	}
+	switch {
+	case o.workload != "point" && o.workload != "groups" && o.workload != "miss":
+		return o, fmt.Errorf("unknown workload %q (want point, groups or miss)", o.workload)
+	case o.workload == "groups" && !isInval(o.point):
+		return o, fmt.Errorf("-workload groups draws an invalidation point's first trial")
+	case o.workload == "miss" && (o.kind < 0 || o.kind >= len(workload.AllMissKinds)):
+		return o, fmt.Errorf("-kind %d out of range [0,%d)", o.kind, len(workload.AllMissKinds))
 	}
 	return o, nil
 }
+
+// isInval reports whether p is an invalidation point, homed or not.
+func isInval(p sweep.Point) bool { return p.HotSpot == nil && p.App == "" && p.OfferedLoad == 0 }
 
 // run executes the command line args, writing the report to w.
 func run(w io.Writer, args []string) error {
@@ -112,27 +125,19 @@ func run(w io.Writer, args []string) error {
 		return err
 	}
 	var file *trace.File
-	if o.in != "" {
+	switch {
+	case o.in != "":
 		if file, err = load(o.in); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "loaded %s: %s/%s %dx%d d=%d, %d events (%d dropped at record time)\n",
 			o.in, file.Workload, file.Scheme, file.Width, file.Height, file.D,
 			len(file.Events), file.Dropped)
-	} else {
-		s, err := grouping.Parse(o.scheme)
-		if err != nil {
-			return err
-		}
-		pat, err := workload.ParsePattern(o.pattern)
-		if err != nil {
-			return err
-		}
-		if o.workload == "groups" {
-			drawGroups(w, o, s, pat)
-			return nil
-		}
-		if file, err = simulate(w, o, s, pat); err != nil || file == nil {
+	case o.workload == "groups":
+		drawGroups(w, o.point)
+		return nil
+	default:
+		if file, err = simulate(w, o); err != nil || file == nil {
 			return err
 		}
 	}
@@ -190,57 +195,32 @@ func writeFile(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-// simulate runs the selected workload and prints its result. It attaches a
-// recorder only when something reads the recording, and returns the
-// recording (nil without one).
-func simulate(w io.Writer, o options, s grouping.Scheme, pat workload.Pattern) (*trace.File, error) {
+// simulate runs the point, or for -workload miss its miss scenario, and
+// prints its outcome. It attaches a recorder only when something reads the
+// recording, and returns the recording (nil without one).
+func simulate(w io.Writer, o options) (*trace.File, error) {
 	var rec *trace.Recorder
 	if o.top > 0 || o.occupancy || o.events || o.out != "" || o.perfetto != "" {
 		rec = trace.NewRecorder(o.capacity)
 		rec.ProbeEvery = o.probe
 	}
+	p := o.point
 	file := &trace.File{
-		Version: trace.FileVersion, Width: o.k, Height: o.k,
-		Scheme: s.String(), Workload: o.workload, D: o.d, Trials: o.trials, Seed: o.seed,
+		Version: trace.FileVersion, Width: p.K, Height: p.K, Scheme: p.Scheme.String(),
+		Workload: o.workload, D: p.D, Trials: p.Trials, Seed: p.Seed,
 	}
-	switch o.workload {
-	case "inval":
-		res := workload.RunInval(workload.InvalConfig{
-			K: o.k, Scheme: s, D: o.d, Pattern: pat, Trials: o.trials, Seed: o.seed,
-			Recorder: rec, Tune: &o.variant,
-		})
-		t := report.NewTable(
-			fmt.Sprintf("Invalidation transaction, %s, %dx%d mesh, d=%d, %s placement (%d trials)",
-				s, o.k, o.k, o.d, pat, o.trials),
-			"measure", "value")
-		t.Row("latency mean (cycles)", res.Latency.Mean())
-		t.Row("latency min (cycles)", res.Latency.Min())
-		t.Row("latency max (cycles)", res.Latency.Max())
-		t.Row("request worms per txn", res.Groups)
-		t.Row("home messages per txn", res.HomeMsgs)
-		t.Row("total messages per txn", res.Messages)
-		t.Row("flit-hops per txn", res.FlitHops)
-		fmt.Fprint(w, t.String())
-	case "hotspot":
-		res := workload.RunHotSpot(workload.HotSpotConfig{
-			K: o.k, Scheme: s, D: o.d, Writers: o.writers, Seed: o.seed,
-			Recorder: rec, Tune: &o.variant,
-		})
-		file.Trials = o.writers
-		fmt.Fprintf(w, "%d-writer hot-spot burst: makespan %d cycles\n", o.writers, res.Makespan)
-	case "miss":
-		if o.kind < 0 || o.kind >= len(workload.AllMissKinds) {
-			return nil, fmt.Errorf("-kind %d out of range [0,%d)", o.kind, len(workload.AllMissKinds))
-		}
+	if o.workload == "miss" {
 		mk := workload.AllMissKinds[o.kind]
-		p := workload.DefaultMicroParams(s)
-		o.variant.Apply(&p)
-		lat := workload.MeasureMissTraced(p, mk, rec)
-		file.Width, file.Height = p.MeshSize, p.MeshSize
-		file.Trials = 1
+		params := workload.DefaultMicroParams(p.Scheme)
+		p.Tune.Apply(&params)
+		lat := workload.MeasureMissTraced(params, mk, rec)
+		file.Width, file.Height, file.D, file.Trials = params.MeshSize, params.MeshSize, 0, 1
 		fmt.Fprintf(w, "%q: %d cycles\n", mk, lat)
-	default:
-		return nil, fmt.Errorf("unknown workload %q (want inval, groups, hotspot or miss)", o.workload)
+	} else {
+		m, _ := sweep.RunPointRecorded(context.Background(), p, rec)
+		if err := printMeasures(w, p, m); err != nil {
+			return nil, err
+		}
 	}
 	if rec == nil {
 		return nil, nil
@@ -253,18 +233,52 @@ func simulate(w io.Writer, o options, s grouping.Scheme, pat workload.Pattern) (
 	return file, nil
 }
 
-// drawGroups draws every worm the scheme builds to invalidate the sharers
-// of the inval workload's first trial (same mesh, home, placement and seed).
-func drawGroups(w io.Writer, o options, s grouping.Scheme, pat workload.Pattern) {
-	mesh, kind := topology.NewSquareMesh(o.k), "mesh"
-	if o.variant.Torus {
-		mesh, kind = topology.NewTorus(o.k, o.k), "torus"
+// printMeasures prints a point's outcome: an invalidation point's seven-row
+// measures table, or any other point's Measures as json.Marshal encodes them.
+func printMeasures(w io.Writer, p sweep.Point, m sweep.Measures) error {
+	if !isInval(p) {
+		b, err := json.Marshal(m)
+		if err == nil {
+			fmt.Fprintf(w, "%s\n", b)
+		}
+		return err
 	}
-	home := mesh.ID(topology.Coord{X: o.k / 2, Y: o.k / 2})
-	sharers := workload.PlaceSharers(mesh, sim.NewRNG(o.seed), home, o.d, pat)
-	groups := grouping.Groups(s, mesh, home, sharers)
+	home := ""
+	if p.Home != nil {
+		home = fmt.Sprintf(", home node %d", *p.Home)
+	}
+	t := report.NewTable(
+		fmt.Sprintf("Invalidation transaction, %s, %dx%d mesh, d=%d, %s placement%s (%d trials)",
+			p.Scheme, p.K, p.K, p.D, p.Pattern, home, p.Trials),
+		"measure", "value")
+	t.Row("latency mean (cycles)", m.Latency.Mean())
+	t.Row("latency min (cycles)", m.Latency.Min())
+	t.Row("latency max (cycles)", m.Latency.Max())
+	t.Row("request worms per txn", m.Groups)
+	t.Row("home messages per txn", m.HomeMsgs)
+	t.Row("total messages per txn", m.Messages)
+	t.Row("flit-hops per txn", m.FlitHops)
+	fmt.Fprint(w, t.String())
+	return nil
+}
+
+// drawGroups draws every worm p's scheme builds to invalidate the sharers of
+// p's first trial: the same mesh (a torus under Tune.Torus), home,
+// placement and seed.
+func drawGroups(w io.Writer, p sweep.Point) {
+	mesh, kind := topology.NewSquareMesh(p.K), "mesh"
+	if p.Tune != nil && p.Tune.Torus {
+		mesh, kind = topology.NewTorus(p.K, p.K), "torus"
+	}
+	home := mesh.ID(topology.Coord{X: p.K / 2, Y: p.K / 2})
+	if p.Home != nil {
+		home = *p.Home
+	}
+	// Seed 0 places as seed 1, as in workload.RunInval.
+	sharers := workload.PlaceSharers(mesh, sim.NewRNG(max(p.Seed, 1)), home, p.D, p.Pattern)
+	groups := grouping.Groups(p.Scheme, mesh, home, sharers)
 	fmt.Fprintf(w, "%s on a %dx%d %s: %d sharers -> %d worm(s)\n\n",
-		s, o.k, o.k, kind, len(sharers), len(groups))
+		p.Scheme, p.K, p.K, kind, len(sharers), len(groups))
 	for gi, g := range groups {
 		conf := "conformed to " + g.Base.String()
 		if !g.Conformed {
@@ -314,24 +328,14 @@ func printOccupancy(w io.Writer, events []trace.Event) {
 	fmt.Fprintf(w, "\noccupancy profile: horizon %d cycles, %d nodes, %d channels\n",
 		p.Horizon, len(p.Nodes), len(p.Links))
 	fmt.Fprintln(w, "busiest protocol controllers:")
-	shown := 0
-	for _, n := range topNodes(p) {
+	for _, n := range busiest(p.Nodes, func(n trace.NodeUse) sim.Time { return n.Busy }) {
 		fmt.Fprintf(w, "  node %-4d busy %7d cycles (%4.1f%%), %d tasks, max task %d\n",
 			n.Node, n.Busy, 100*p.NodeShare(n), n.Tasks, n.MaxTask)
-		shown++
-		if shown == 5 {
-			break
-		}
 	}
 	fmt.Fprintln(w, "busiest mesh links:")
-	shown = 0
-	for _, l := range topLinks(p) {
+	for _, l := range busiest(p.MeshLinks(), func(l trace.LinkUse) sim.Time { return l.Busy }) {
 		fmt.Fprintf(w, "  %3d->%-3d vn%d busy %7d cycles (%4.1f%%), %d holds\n",
 			l.From, l.To, l.VN, l.Busy, 100*p.Util(l), l.Holds)
-		shown++
-		if shown == 5 {
-			break
-		}
 	}
 	if p.OpenHolds > 0 || p.Reopened > 0 {
 		fmt.Fprintf(w, "  (%d holds never closed, %d reopened: ring wrap-around)\n",
@@ -416,14 +420,10 @@ func printEvents(w io.Writer, events []trace.Event) {
 	}
 }
 
-func topNodes(p *trace.Profile) []trace.NodeUse {
-	out := append([]trace.NodeUse(nil), p.Nodes...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Busy > out[j].Busy })
-	return out
-}
-
-func topLinks(p *trace.Profile) []trace.LinkUse {
-	out := append([]trace.LinkUse(nil), p.MeshLinks()...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Busy > out[j].Busy })
-	return out
+// busiest returns the five entries of xs with the most busy time, busiest
+// first (ties keep their order).
+func busiest[T any](xs []T, busy func(T) sim.Time) []T {
+	out := slices.Clone(xs)
+	slices.SortStableFunc(out, func(a, b T) int { return cmp.Compare(busy(b), busy(a)) })
+	return out[:min(5, len(out))]
 }

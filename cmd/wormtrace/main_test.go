@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/grouping"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -116,35 +119,128 @@ func runArgs(t *testing.T, args ...string) string {
 	return buf.String()
 }
 
-// TestInvalMeasuresTable: -workload inval prints the seven-row measures
-// table, with the recorder off (-top 0: the table is the whole output) and
-// on (-top 3: the table comes first). The goldens are the output of the
-// single-run dsmsim command this workload replaced, at the same flags, and
-// are never rewritten by -update.
+// TestInvalMeasuresTable: an invalidation point prints the seven-row
+// measures table, with the recorder off (-top 0: the table is the whole
+// output) and on (-top 3: the table comes first). The goldens are the output
+// of the single-run dsmsim command this workload replaced, at the same
+// configuration, and are never rewritten by -update.
 func TestInvalMeasuresTable(t *testing.T) {
-	for golden, args := range map[string][]string{
-		"measures_k16_d16_ec.golden":        {"-k", "16", "-d", "16", "-scheme", "MI-MA-ec"},
-		"measures_k8_d6_pa_diagonal.golden": {"-k", "8", "-d", "6", "-scheme", "MI-MA-pa", "-pattern", "diagonal", "-trials", "4", "-seed", "3"},
-		"measures_k8_d6_ec_vct.golden":      {"-k", "8", "-d", "6", "-scheme", "MI-MA-ec", "-vct", "-iackbufs", "2", "-cons", "2"},
+	for golden, point := range map[string]string{
+		"measures_k16_d16_ec.golden":        `{"k":16,"d":16,"scheme":"MI-MA-ec","trials":10,"seed":1}`,
+		"measures_k8_d6_pa_diagonal.golden": `{"k":8,"d":6,"scheme":"MI-MA-pa","pattern":"diagonal","trials":4,"seed":3}`,
+		"measures_k8_d6_ec_vct.golden": `{"k":8,"d":6,"scheme":"MI-MA-ec","trials":10,"seed":1,` +
+			`"tune":{"vct_deferred":true,"iack_buffers":2,"consumption_channels":2}}`,
 	} {
 		want, err := os.ReadFile(filepath.Join("testdata", golden))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := runArgs(t, append(args, "-top", "0")...); got != string(want) {
-			t.Errorf("%v -top 0:\n%s\nwant (%s):\n%s", args, got, golden, want)
+		if got := runArgs(t, "-point", point, "-top", "0"); got != string(want) {
+			t.Errorf("%s -top 0:\n%s\nwant (%s):\n%s", point, got, golden, want)
 		}
-		if got := runArgs(t, append(args, "-top", "3")...); !strings.HasPrefix(got, string(want)) {
-			t.Errorf("%v -top 3 does not open with %s:\n%s", args, golden, got)
+		if got := runArgs(t, "-point", point, "-top", "3"); !strings.HasPrefix(got, string(want)) {
+			t.Errorf("%s -top 3 does not open with %s:\n%s", point, golden, got)
 		}
 	}
+}
+
+// TestPointIsTheCell: for one cell shaped like each point-backed figure,
+// wormtrace -point prints exactly what sweep.RunPointDirect computes for it
+// (an invalidation point's table rendered from those Measures, any other
+// point's Measures JSON byte for byte), and every critical path it prints
+// sums to its latency.
+func TestPointIsTheCell(t *testing.T) {
+	for _, c := range []struct{ name, point, analyses string }{
+		{"E4", `{"k":8,"scheme":"MI-MA-ec","d":16,"trials":2,"seed":5}`, "-top 2"},
+		{"E11b homed", `{"k":8,"scheme":"MI-MA-ec","d":8,"trials":2,"seed":1,"home":9}`, "-top 2"},
+		{"E8 burst", `{"k":8,"scheme":"MI-MA-ec","d":8,"trials":1,"seed":1,` +
+			`"hot_spot":{"writers":4,"overlap_sharers":true,"distinct_homes":true,"busy_jitter":500},` +
+			`"tune":{"iack_buffers":2,"vct_deferred":true}}`, "-top 4"},
+		{"E27 occupancy burst", `{"k":8,"scheme":"UI-UA","d":6,"trials":1,"seed":1,` +
+			`"hot_spot":{"writers":3,"occupancy":true}}`, "-top 3"},
+		{"Table 6 replay", `{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU"}`, "-top 1"},
+		{"E19 traffic", `{"k":8,"trials":1,"seed":1,"offered_load":5,"tune":{"virtual_channels":2}}`, "-top 0 -occupancy"},
+	} {
+		var p sweep.Point
+		if err := json.Unmarshal([]byte(c.point), &p); err != nil {
+			t.Fatal(err)
+		}
+		m, _ := sweep.RunPointDirect(context.Background(), p)
+		var want bytes.Buffer
+		if err := printMeasures(&want, p, m); err != nil {
+			t.Fatal(err)
+		}
+		if !isInval(p) {
+			b, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := strings.TrimSuffix(want.String(), "\n"); got != string(b) {
+				t.Fatalf("%s: printed %s, want the Measures JSON %s", c.name, got, b)
+			}
+		}
+		args := append([]string{"-point", c.point, "-cap", "524288"}, strings.Fields(c.analyses)...)
+		out := runArgs(t, args...)
+		if !strings.HasPrefix(out, want.String()) {
+			t.Errorf("%s: output does not open with the cell's measures:\n%s\nwant:\n%s", c.name, out, want.String())
+		}
+		checkPathSums(t, c.name, out)
+		if strings.Contains(c.analyses, "-occupancy") && !strings.Contains(out, "all-links busy share") {
+			t.Errorf("%s: -occupancy printed no heatmaps:\n%s", c.name, out)
+		}
+	}
+}
+
+// checkPathSums requires that out prints at least one critical path when it
+// announces any, that each path's segments sum to the latency its op line
+// states, and that no line flags a mismatch.
+func checkPathSums(t *testing.T, name, out string) {
+	t.Helper()
+	if strings.Contains(out, "!!") {
+		t.Errorf("%s: attribution mismatch flagged:\n%s", name, out)
+	}
+	paths, latency, sum := 0, -1, 0
+	flush := func() {
+		if latency >= 0 && sum != latency {
+			t.Errorf("%s: a critical path sums to %d, its op to %d cycles:\n%s", name, sum, latency, out)
+		}
+	}
+	for _, line := range strings.Split(out, "\n") {
+		switch {
+		case strings.HasPrefix(line, "op "):
+			flush()
+			paths++
+			f := strings.Fields(line[strings.LastIndex(line, ": ")+2:])
+			latency, sum = atoi(t, f[0]), 0
+		case latency >= 0 && strings.HasSuffix(line, " cycles") && strings.HasPrefix(line, "  "):
+			f := strings.Fields(line)
+			sum += atoi(t, f[len(f)-2])
+		case line == "":
+		default:
+			flush()
+			latency = -1
+		}
+	}
+	flush()
+	if strings.Contains(out, "by latency:") && paths == 0 {
+		t.Errorf("%s: top-k header but no path:\n%s", name, out)
+	}
+}
+
+func atoi(t *testing.T, s string) int {
+	t.Helper()
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestRecordingIsTheRun: the analyses of a recording written with -o and
 // re-read with -in are byte-identical to those of the live run.
 func TestRecordingIsTheRun(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.trace.json")
-	record := []string{"-workload", "inval", "-k", "8", "-d", "6", "-trials", "2"}
+	record := []string{"-point", `{"k":8,"d":6,"scheme":"MI-MA-ec","trials":2,"seed":1}`}
 	analyses := []string{"-top", "3", "-occupancy", "-events"}
 	live := runArgs(t, append(append(record, "-o", path), analyses...)...)
 	file := runArgs(t, append([]string{"-in", path}, analyses...)...)
@@ -165,14 +261,17 @@ func TestRecordingIsTheRun(t *testing.T) {
 }
 
 // TestGroupsDrawTrialOneSharers: -workload groups draws exactly the sharers
-// that -workload inval's first trial invalidates (under UI-UA every sharer
+// that the point's first trial invalidates (under UI-UA every sharer
 // receives its own inval message).
 func TestGroupsDrawTrialOneSharers(t *testing.T) {
-	const k, d, seed = 8, 6, 3
+	const k, d = 8, 6
+	point := `{"k":8,"d":6,"scheme":"UI-UA","trials":1,"seed":3}`
+	var p sweep.Point
+	if err := json.Unmarshal([]byte(point), &p); err != nil {
+		t.Fatal(err)
+	}
 	rec := trace.NewRecorder(1 << 16)
-	workload.RunInval(workload.InvalConfig{
-		K: k, Scheme: grouping.UIUA, D: d, Trials: 1, Seed: seed, Recorder: rec,
-	})
+	sweep.RunPointRecorded(context.Background(), p, rec)
 	invalidated := map[int32]bool{}
 	for _, e := range rec.Events() {
 		if e.Kind == trace.KindMsgRecv && e.Label == trace.LabelInval {
@@ -180,8 +279,7 @@ func TestGroupsDrawTrialOneSharers(t *testing.T) {
 		}
 	}
 
-	out := runArgs(t, "-workload", "groups", "-scheme", "UI-UA",
-		"-k", strconv.Itoa(k), "-d", strconv.Itoa(d), "-seed", strconv.Itoa(seed))
+	out := runArgs(t, "-workload", "groups", "-point", point)
 	// UI-UA draws one worm per sharer; the first drawing marks all of them.
 	_, first, _ := strings.Cut(out, "hops, conformed to ecube\n")
 	rows := strings.Split(first, "\n")[:k]
@@ -199,17 +297,23 @@ func TestGroupsDrawTrialOneSharers(t *testing.T) {
 	}
 }
 
-// TestRejectsBadCommandLines: out-of-range or unknown values are errors
-// before anything runs.
+// TestRejectsBadCommandLines: a malformed or impossible point, and an
+// unknown workload or miss row, are errors before anything runs.
 func TestRejectsBadCommandLines(t *testing.T) {
 	for _, args := range [][]string{
-		{"-k", "4", "-d", "15"},
-		{"-workload", "groups", "-d", "0"},
-		{"-iackbufs", "0"},
+		{"-point", `{"k":8,"d":6`},
+		{"-point", `{"k":8,"d":6,"trails":3}`},
+		{"-point", `{"k":8,"d":6,"trials":1} {"k":4}`},
+		{"-point", `{"k":4,"d":2,"trials":1,"seed":1,"home":3,"app":"LU"}`},
+		{"-point", `{"k":8,"d":6,"trials":0}`},
+		{"-point", `{"k":4,"d":15,"trials":1}`},
+		{"-workload", "groups", "-point", `{"k":8,"d":0,"trials":1}`},
+		{"-workload", "groups", "-point", `{"k":4,"trials":1,"app":"LU"}`},
+		{"-point", `{"k":8,"d":6,"trials":1,"tune":{"iack_buffers":-1}}`},
+		{"-point", `{"k":8,"d":6,"trials":1,"scheme":"bogus"}`},
+		{"-point", `{"k":8,"d":6,"trials":1,"pattern":"bogus"}`},
 		{"-workload", "miss", "-kind", "8"},
 		{"-workload", "bogus"},
-		{"-scheme", "bogus"},
-		{"-pattern", "bogus"},
 	} {
 		if err := run(io.Discard, args); err == nil {
 			t.Errorf("wormtrace %s: no error", strings.Join(args, " "))

@@ -10,8 +10,8 @@ import (
 // threading it through the network fabric and every node's protocol
 // controller. Recording is purely observational — hooks only append to the
 // ring, never schedule events — so an instrumented run is cycle-identical
-// to an uninstrumented one. A nil recorder (the default) keeps every hook
-// on its zero-overhead path. Call before driving the machine.
+// to an uninstrumented one. A nil recorder (the default, and safe to attach)
+// keeps every hook on its zero-overhead path. Call before the run.
 func (m *Machine) AttachTrace(rec *trace.Recorder) {
 	m.Rec = rec
 	m.Net.Rec = rec
@@ -19,7 +19,7 @@ func (m *Machine) AttachTrace(rec *trace.Recorder) {
 		m.servers[i].rec = rec
 		m.servers[i].node = int32(i)
 	}
-	if rec.ProbeEvery > 0 {
+	if rec != nil && rec.ProbeEvery > 0 {
 		m.Engine.SetProbe(rec.EngineProbe(rec.ProbeEvery))
 	}
 }

@@ -19,6 +19,7 @@ package grouping
 
 import (
 	"cmp"
+	"encoding/json"
 	"fmt"
 	"slices"
 
@@ -78,6 +79,16 @@ func Parse(name string) (Scheme, error) {
 		return UMC, nil
 	}
 	return 0, fmt.Errorf("grouping: unknown scheme %q", name)
+}
+
+// UnmarshalJSON decodes a scheme from its integer or its name (String's);
+// encoding stays the integer, so point fingerprints do not change.
+func (s *Scheme) UnmarshalJSON(b []byte) (err error) {
+	var name string
+	if err = json.Unmarshal(b, (*int)(s)); err != nil && json.Unmarshal(b, &name) == nil {
+		*s, err = Parse(name)
+	}
+	return err
 }
 
 // Base returns the base routing the scheme's request worms follow.

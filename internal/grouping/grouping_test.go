@@ -1,6 +1,9 @@
 package grouping
 
 import (
+	"encoding/json"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -362,6 +365,29 @@ func TestSchemeParseRoundTrip(t *testing.T) {
 	}
 	if _, err := Parse("nonsense"); err == nil {
 		t.Fatal("Parse accepted nonsense")
+	}
+}
+
+// TestSchemeJSONAcceptsNames: a scheme decodes from its name or its
+// integer, encodes as the integer, and an unknown name fails with Parse's
+// error.
+func TestSchemeJSONAcceptsNames(t *testing.T) {
+	for _, s := range append(slices.Clip(AllSchemes), ADAPT, UMC) {
+		enc, err := json.Marshal(s)
+		if err != nil || string(enc) != strconv.Itoa(int(s)) {
+			t.Fatalf("Marshal(%v) = %s, %v; want the integer", s, enc, err)
+		}
+		for _, in := range []string{strconv.Quote(s.String()), string(enc)} {
+			var got Scheme
+			if err := json.Unmarshal([]byte(in), &got); err != nil || got != s {
+				t.Fatalf("Unmarshal(%s) = %v, %v; want %v", in, got, err, s)
+			}
+		}
+	}
+	_, want := Parse("MI-MA-ecc")
+	var got Scheme
+	if err := json.Unmarshal([]byte(`"MI-MA-ecc"`), &got); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Unmarshal of an unknown name: %v, want %v", err, want)
 	}
 }
 

@@ -256,8 +256,3 @@ func watchdogTick(arg any, _ int32) {
 	wd.armed = true
 	n.Engine.AfterCall(wd.interval, watchdogTick, n, 0)
 }
-
-// ProgressTicks exposes the network's progress beacon reading (header
-// advances, deliveries, channel releases): a strictly increasing sequence
-// on any live network, used by the liveness watchdog and by tests.
-func (n *Network) ProgressTicks() uint64 { return n.beacon.Ticks() }

@@ -53,13 +53,7 @@ func (ps PointSpec) Point(index int) (sweep.Point, error) {
 	if ps.K < 2 || ps.K > maxK {
 		return sweep.Point{}, fmt.Errorf("service: k=%d; want a mesh side in 2..%d", ps.K, maxK)
 	}
-	if ps.D < 1 || ps.D > ps.K*ps.K-2 {
-		return sweep.Point{}, fmt.Errorf("service: d=%d out of range for a %dx%d mesh (1..%d)", ps.D, ps.K, ps.K, ps.K*ps.K-2)
-	}
-	if ps.Trials < 1 {
-		return sweep.Point{}, fmt.Errorf("service: trials=%d; want >= 1", ps.Trials)
-	}
-	return sweep.Point{
+	p := sweep.Point{
 		Index:     index,
 		K:         ps.K,
 		Scheme:    scheme,
@@ -69,7 +63,11 @@ func (ps PointSpec) Point(index int) (sweep.Point, error) {
 		Seed:      ps.Seed,
 		ChaosSeed: ps.ChaosSeed,
 		Faults:    ps.Faults,
-	}, nil
+	}
+	if err := p.Check(); err != nil {
+		return sweep.Point{}, fmt.Errorf("service: point %w", err)
+	}
+	return p, nil
 }
 
 // Spec converts a job request into a validated JobSpec.

@@ -51,46 +51,55 @@ type OccupancyMeasures struct {
 	PeakLink     string   `json:"peak_link,omitempty"`
 }
 
-// checkKind refuses a point that selects more than one workload, a burst,
-// replay or traffic run that is not exactly one trial, or a traffic run that
-// sets a field workload.RunTraffic cannot honour.
-func (p Point) checkKind() error {
+// Check refuses a point no runner can honour: no trials, more than one
+// workload, a burst, replay or traffic run that is not one trial or a
+// traffic run with a field workload.RunTraffic ignores, sharers that do not
+// fit the mesh, a home off it, or a negative Tune field.
+func (p Point) Check() error {
 	kinds := 0
 	for _, set := range []bool{p.Home != nil, p.HotSpot != nil, p.App != "", p.OfferedLoad != 0} {
 		if set {
 			kinds++
 		}
 	}
-	if kinds > 1 {
+	v := p.Tune
+	switch {
+	case p.Trials < 1:
+		return fmt.Errorf("has Trials %d (must be >= 1)", p.Trials)
+	case kinds > 1:
 		return fmt.Errorf("sets %d of Home, HotSpot, App and OfferedLoad (at most one)", kinds)
-	}
-	if (p.HotSpot != nil || p.App != "" || p.OfferedLoad != 0) && p.Trials != 1 {
+	case (p.HotSpot != nil || p.App != "" || p.OfferedLoad != 0) && p.Trials != 1:
 		return fmt.Errorf("is a burst, replay or traffic run with Trials %d (must be 1)", p.Trials)
-	}
-	if p.OfferedLoad != 0 && (p.ChaosSeed != 0 || p.Faults != nil ||
-		p.Tune != nil && *p.Tune != (coherence.Variant{VirtualChannels: p.Tune.VirtualChannels})) {
+	case p.OfferedLoad != 0 && (p.ChaosSeed != 0 || p.Faults != nil ||
+		v != nil && *v != (coherence.Variant{VirtualChannels: v.VirtualChannels})):
 		return fmt.Errorf("is a traffic run with chaos, faults or a Tune field other than VirtualChannels")
+	case p.App == "" && p.OfferedLoad == 0 && (p.D < 1 || p.D > p.K*p.K-2):
+		return fmt.Errorf("has D %d out of range [1,%d] for a %dx%d mesh", p.D, p.K*p.K-2, p.K, p.K)
+	case p.Home != nil && (*p.Home < 0 || int(*p.Home) >= p.K*p.K):
+		return fmt.Errorf("has Home %d off the %dx%d mesh", *p.Home, p.K, p.K)
+	case v != nil && min(v.DirPointers, v.DirCoarseRegion, v.CacheLines,
+		v.IAckBuffers, v.ConsumptionChannels, v.VirtualChannels) < 0:
+		return fmt.Errorf("has a negative Tune field")
 	}
 	return nil
 }
 
-// runHotSpot runs a HotSpot point's burst.
-func runHotSpot(p Point) Measures {
+// runHotSpot runs a HotSpot point's burst. An Occupancy burst folds rec, or
+// a ring of its own when rec is nil.
+func runHotSpot(p Point, rec *trace.Recorder) Measures {
 	h := p.HotSpot
-	cfg := workload.HotSpotConfig{
+	if h.Occupancy && rec == nil {
+		rec = trace.NewRecorder(1 << 16)
+	}
+	res := workload.RunHotSpot(workload.HotSpotConfig{
 		K: p.K, Scheme: p.Scheme, D: p.D, Writers: h.Writers,
 		OverlapSharers: h.OverlapSharers, DistinctHomes: h.DistinctHomes,
-		BusyJitter: h.BusyJitter, Seed: p.Seed, Tune: p.Tune,
-	}
-	if h.Occupancy {
-		cfg.Recorder = trace.NewRecorder(1 << 16)
-	}
-	res := workload.RunHotSpot(cfg)
+		BusyJitter: h.BusyJitter, Seed: p.Seed, Tune: p.Tune, Recorder: rec,
+	})
 	m := Measures{Latency: res.Latency, Makespan: res.Makespan, GatherWaits: res.GatherWaits, Completed: 1}
 	if h.Occupancy {
-		mesh := topology.NewSquareMesh(p.K)
-		home := mesh.ID(topology.Coord{X: p.K / 2, Y: p.K / 2})
-		m.Occupancy = occupancyOf(trace.Occupancy(cfg.Recorder.Events()), home, res.Makespan)
+		home := topology.NewSquareMesh(p.K).ID(topology.Coord{X: p.K / 2, Y: p.K / 2})
+		m.Occupancy = occupancyOf(trace.Occupancy(rec.Events()), home, res.Makespan)
 	}
 	return m
 }
@@ -122,7 +131,7 @@ func occupancyOf(prof *trace.Profile, home topology.NodeID, makespan sim.Time) *
 }
 
 // runApp replays an App point's application on a K x K machine.
-func runApp(p Point) Measures {
+func runApp(p Point, rec *trace.Recorder) Measures {
 	w, err := apps.ByName(p.App)
 	if err != nil {
 		panic(err)
@@ -130,6 +139,7 @@ func runApp(p Point) Measures {
 	params := coherence.DefaultParams(p.K, p.Scheme)
 	p.Tune.Apply(&params)
 	m := coherence.NewMachine(params)
+	m.AttachTrace(rec)
 	res := apps.Run(m, w)
 	st := w.Stats()
 	var sharers []int
@@ -147,11 +157,11 @@ func runApp(p Point) Measures {
 }
 
 // runTraffic runs an OfferedLoad point's uniform traffic.
-func runTraffic(p Point) Measures {
+func runTraffic(p Point, rec *trace.Recorder) Measures {
 	cfg := workload.TrafficConfig{K: p.K, Rate: p.OfferedLoad, Seed: p.Seed}
 	if p.Tune != nil {
 		cfg.VirtualChannels = p.Tune.VirtualChannels
 	}
-	res := workload.RunTraffic(cfg)
+	res := workload.RunTrafficTraced(cfg, rec)
 	return Measures{Completed: 1, TrafficLatency: res.Latency.Mean(), LinkUtil: res.AvgLinkUtilization}
 }

@@ -34,6 +34,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -199,26 +200,31 @@ type Summary struct {
 	Completed, Partial, Quarantined int
 }
 
-// RunPointDirect is the production point runner: one isolated simulation
-// per point via workload.RunInval, workload.RunHotSpot, apps.Run or
-// workload.RunTraffic, by the point's kind. It also returns an invalidation
-// point's raw collector (nil for the other kinds), which Run ignores: the
-// Measures are the point's whole outcome. It is exported so layers that
-// substitute Options.RunPoint (the serving daemon's cache/coalesce hook) can
-// fall through to the real engine.
+// RunPointDirect is the production point runner: RunPointRecorded with no
+// recorder. It is exported so layers that substitute Options.RunPoint (the
+// serving daemon's cache/coalesce hook) can fall through to the real engine.
 func RunPointDirect(ctx context.Context, p Point) (Measures, *metrics.Collector) {
+	return RunPointRecorded(ctx, p, nil)
+}
+
+// RunPointRecorded runs one isolated simulation of p via workload.RunInval,
+// workload.RunHotSpot, apps.Run or workload.RunTraffic, by the point's kind,
+// recording into rec unless it is nil; the Measures are the same either way.
+// It also returns an invalidation point's raw collector (nil for the other
+// kinds), which Run ignores: the Measures are the point's whole outcome.
+func RunPointRecorded(ctx context.Context, p Point, rec *trace.Recorder) (Measures, *metrics.Collector) {
 	switch {
 	case p.HotSpot != nil:
-		return runHotSpot(p), nil
+		return runHotSpot(p, rec), nil
 	case p.App != "":
-		return runApp(p), nil
+		return runApp(p, rec), nil
 	case p.OfferedLoad != 0:
-		return runTraffic(p), nil
+		return runTraffic(p, rec), nil
 	}
 	res := workload.RunInval(workload.InvalConfig{
 		K: p.K, Scheme: p.Scheme, D: p.D, Pattern: p.Pattern,
 		Trials: p.Trials, Seed: p.Seed, ChaosSeed: p.ChaosSeed,
-		Faults: p.Faults, Tune: p.Tune, Home: p.Home,
+		Faults: p.Faults, Tune: p.Tune, Home: p.Home, Recorder: rec,
 		Interrupt: func() bool { return ctx.Err() != nil },
 	})
 	return MeasuresOf(res), res.Metrics
@@ -238,10 +244,7 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 		if points[i].Index != i {
 			return nil, fmt.Errorf("sweep: point %d has Index %d (must equal position)", i, points[i].Index)
 		}
-		if points[i].Trials < 1 {
-			return nil, fmt.Errorf("sweep: point %d has Trials %d (must be >= 1)", i, points[i].Trials)
-		}
-		if err := points[i].checkKind(); err != nil {
+		if err := points[i].Check(); err != nil {
 			return nil, fmt.Errorf("sweep: point %d %w", i, err)
 		}
 	}

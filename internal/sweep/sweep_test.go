@@ -11,6 +11,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
+	"repro/internal/topology"
 )
 
 // testPoints builds n trivial 4x4 UI-UA points.
@@ -52,6 +53,20 @@ func TestRunValidatesPoints(t *testing.T) {
 		"a traffic run under chaos":           func(p *Point) { p.ChaosSeed = 7 },
 	} {
 		bad = []Point{{K: 4, Trials: 1, Seed: 1, OfferedLoad: 10}}
+		mutate(&bad[0])
+		if _, err := Run(context.Background(), bad, Options{}); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+	}
+	off := topology.NodeID(16)
+	for name, mutate := range map[string]func(*Point){
+		"no sharers":             func(p *Point) { p.D = 0 },
+		"more sharers than fit":  func(p *Point) { p.D = 15 },
+		"a burst with no room":   func(p *Point) { p.Trials, p.HotSpot = 1, &HotSpot{Writers: 2}; p.D = 15 },
+		"a home off the mesh":    func(p *Point) { p.Home = &off },
+		"a negative i-ack depth": func(p *Point) { p.Tune = &coherence.Variant{IAckBuffers: -1} },
+	} {
+		bad = testPoints(1)
 		mutate(&bad[0])
 		if _, err := Run(context.Background(), bad, Options{}); err == nil {
 			t.Fatalf("%s accepted", name)

@@ -247,36 +247,3 @@ func (p *Profile) HottestLink() (best LinkUse, ok bool) {
 	}
 	return best, ok
 }
-
-// MeanLinkUtil averages utilization over the mesh links the profile saw.
-func (p *Profile) MeanLinkUtil() float64 {
-	ls := p.MeshLinks()
-	if len(ls) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, l := range ls {
-		sum += p.Util(l)
-	}
-	return sum / float64(len(ls))
-}
-
-// BusiestNode returns the node with the most controller busy time; ok is
-// false if the profile saw no server activity.
-func (p *Profile) BusiestNode() (best NodeUse, ok bool) {
-	for _, n := range p.Nodes {
-		if !ok || n.Busy > best.Busy {
-			best, ok = n, true
-		}
-	}
-	return best, ok
-}
-
-// TotalNodeBusy sums controller busy time over all nodes.
-func (p *Profile) TotalNodeBusy() sim.Time {
-	var t sim.Time
-	for _, n := range p.Nodes {
-		t += n.Busy
-	}
-	return t
-}

@@ -76,9 +76,7 @@ func RunHotSpot(cfg HotSpotConfig) HotSpotResult {
 	p := coherence.DefaultParams(cfg.K, cfg.Scheme)
 	cfg.Tune.Apply(&p)
 	m := coherence.NewMachine(p)
-	if cfg.Recorder != nil {
-		m.AttachTrace(cfg.Recorder)
-	}
+	m.AttachTrace(cfg.Recorder)
 	rng := sim.NewRNG(cfg.Seed)
 	center := m.Mesh.ID(topology.Coord{X: cfg.K / 2, Y: cfg.K / 2})
 

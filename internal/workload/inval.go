@@ -6,6 +6,7 @@
 package workload
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -57,6 +58,16 @@ func ParsePattern(name string) (Pattern, error) {
 		}
 	}
 	return 0, fmt.Errorf("workload: unknown placement pattern %q", name)
+}
+
+// UnmarshalJSON decodes a placement from its integer or its name (String's);
+// encoding stays the integer, so point fingerprints do not change.
+func (p *Pattern) UnmarshalJSON(b []byte) (err error) {
+	var name string
+	if err = json.Unmarshal(b, (*int)(p)); err != nil && json.Unmarshal(b, &name) == nil {
+		*p, err = ParsePattern(name)
+	}
+	return err
 }
 
 // InvalConfig configures an invalidation-pattern experiment.
@@ -164,9 +175,7 @@ func RunInval(cfg InvalConfig) InvalResult {
 	}
 	cfg.Tune.Apply(&p)
 	m := coherence.NewMachine(p)
-	if cfg.Recorder != nil {
-		m.AttachTrace(cfg.Recorder)
-	}
+	m.AttachTrace(cfg.Recorder)
 	if cfg.ChaosSeed != 0 {
 		m.Engine.Chaos(cfg.ChaosSeed)
 	}

@@ -72,9 +72,7 @@ func MeasureMiss(p coherence.Params, kind MissKind) sim.Time {
 // operation in the trace. Tracing never perturbs the measurement.
 func MeasureMissTraced(p coherence.Params, kind MissKind, rec *trace.Recorder) sim.Time {
 	m := coherence.NewMachine(p)
-	if rec != nil {
-		m.AttachTrace(rec)
-	}
+	m.AttachTrace(rec)
 	k := p.MeshSize
 	requester := m.Mesh.ID(topology.Coord{X: 1, Y: 1})
 	// Block homed at node 0 = (0,0); adjust per scenario.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/routing"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // TrafficConfig configures an open-loop uniform-random network experiment:
@@ -49,7 +50,11 @@ type TrafficResult struct {
 }
 
 // RunTraffic executes the experiment and returns its measurements.
-func RunTraffic(cfg TrafficConfig) TrafficResult {
+func RunTraffic(cfg TrafficConfig) TrafficResult { return RunTrafficTraced(cfg, nil) }
+
+// RunTrafficTraced is RunTraffic with rec (nil for none) recording the
+// network's worm-lifecycle events; results are identical to an untraced run.
+func RunTrafficTraced(cfg TrafficConfig, rec *trace.Recorder) TrafficResult {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
@@ -69,6 +74,7 @@ func RunTraffic(cfg TrafficConfig) TrafficResult {
 		ncfg.VirtualChannels = cfg.VirtualChannels
 	}
 	net := network.New(engine, mesh, ncfg)
+	net.Rec = rec
 
 	res := TrafficResult{Config: cfg}
 	net.OnDeliver = func(d network.Delivery) {

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"encoding/json"
+	"strconv"
 	"testing"
 
 	"repro/internal/coherence"
@@ -10,6 +12,29 @@ import (
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
+
+// TestPatternJSONAcceptsNames: a placement decodes from its name or its
+// integer, encodes as the integer, and an unknown name fails with
+// ParsePattern's error.
+func TestPatternJSONAcceptsNames(t *testing.T) {
+	for p := RandomPlacement; p <= DiagonalPlacement; p++ {
+		enc, err := json.Marshal(p)
+		if err != nil || string(enc) != strconv.Itoa(int(p)) {
+			t.Fatalf("Marshal(%v) = %s, %v; want the integer", p, enc, err)
+		}
+		for _, in := range []string{strconv.Quote(p.String()), string(enc)} {
+			var got Pattern
+			if err := json.Unmarshal([]byte(in), &got); err != nil || got != p {
+				t.Fatalf("Unmarshal(%s) = %v, %v; want %v", in, got, err, p)
+			}
+		}
+	}
+	_, want := ParsePattern("diagonals")
+	var got Pattern
+	if err := json.Unmarshal([]byte(`"diagonals"`), &got); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Unmarshal of an unknown name: %v, want %v", err, want)
+	}
+}
 
 func TestRunInvalBasic(t *testing.T) {
 	res := RunInval(InvalConfig{K: 8, Scheme: grouping.UIUA, D: 4, Trials: 3})
