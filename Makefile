@@ -66,6 +66,7 @@ fuzz:
 	$(GO) test ./internal/service -run='^$$' -fuzz='^FuzzJobRequest$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/service -run='^$$' -fuzz='^FuzzIndentJSON$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sweep -run='^$$' -fuzz='^FuzzCanonicalJSON$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/blocktab -run='^$$' -fuzz='^FuzzTable$$' -fuzztime=$(FUZZTIME)
 
 # cover enforces the coverage ratchet on the protocol core and the oracle.
 cover:
@@ -94,9 +95,12 @@ cover:
 # application replay's allocations do not grow with their length; an
 # invalidation transaction allocates at most a small constant at any k,
 # scheme and d; building a network or a machine costs the same allocations
-# at every mesh size), and the pinned event counts of an invalidation sweep,
-# an application replay and a traffic run (a change that moves the schedule
-# moves them), and the serving layer's gates (the byte-level fingerprint
+# at every mesh size; once grown, the block tables' fill/invalidate and
+# op add/remove churn allocates nothing), the block table against a map
+# oracle and the order-independence of what is built from its cells (LRU
+# victims, Directory.ForEach), and the pinned event counts of an
+# invalidation sweep, an application replay and a traffic run (a change that
+# moves the schedule moves them), and the serving layer's gates (the byte-level fingerprint
 # canonicalizer against its reflection oracle and the pinned fingerprints, the
 # reply indenter against json.Encoder, and the allocations of a cached
 # one-point job), and the recording-neutrality test (one point of every kind,
@@ -107,7 +111,9 @@ equiv:
 	$(GO) test ./internal/routing -run TestUnicastPathIsRouterWalk -count=1
 	$(GO) test ./internal/experiments -run 'TestGoldenTablesSeed|TestGoldenCellTables' -count=1
 	$(GO) test ./internal/network -run TestWormAllocsPerUnicast -count=1
-	$(GO) test ./internal/coherence -run TestNewMachineAllocs -count=1
+	$(GO) test ./internal/blocktab -run 'TestTableMatchesMap|TestZeroTableAllocatesNothing|TestChurnAllocatesNothing' -count=1
+	$(GO) test ./internal/cache ./internal/directory -run 'TestEvictionIgnoresFillOrder|TestForEachAscending' -count=1
+	$(GO) test ./internal/coherence -run 'TestNewMachineAllocs|TestBlockTableChurnAllocs' -count=1
 	$(GO) test ./internal/apps -run TestReplayAllocsIndependentOfLength -count=1
 	$(GO) test ./internal/workload -run 'TestInstallSharerMatchesSimulatedReads|TestTrafficAllocsIndependentOfLength|TestInvalAllocsPerTxn|TestEventCountsPinned' -count=1
 	$(GO) test ./internal/sweep -run 'TestCanonicalMatchesReflection|TestFingerprintPinned|TestRecordingIsNeutral' -count=1

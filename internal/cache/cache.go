@@ -6,6 +6,7 @@
 package cache
 
 import (
+	"repro/internal/blocktab"
 	"repro/internal/directory"
 )
 
@@ -47,21 +48,14 @@ type Stats struct {
 	Evictions   uint64
 }
 
-// Lines is the line storage a set of caches share: one index from (cache,
-// block) to a slot in one slab, and the freed slots. It holds only valid
-// lines and no pointers: an invalidated or evicted line is deleted from the
-// index and its slot reused by the next fill, so the steady
-// invalidate/refill churn of the coherence protocol allocates nothing, and
-// a machine's caches together allocate as one.
+// Lines is the line storage a set of caches share: one table from (cache,
+// block) to the line. It holds only valid lines and no pointers: an
+// invalidated or evicted line is deleted from the table, so the steady
+// invalidate/refill churn of the coherence protocol allocates nothing once
+// the table has grown to the working set, and a machine's caches together
+// allocate as one.
 type Lines struct {
-	index map[lineKey]int32
-	slots []line
-	free  []int32
-}
-
-type lineKey struct {
-	cache int32
-	block directory.BlockID
+	table blocktab.Table[line]
 }
 
 // Cache returns cache id of the set sharing l, holding up to capacity
@@ -74,7 +68,7 @@ func (l *Lines) Cache(id, capacity int) Cache {
 }
 
 // Cache is one node's cache. Capacity is in lines; zero means unbounded
-// (the paper-style "no conflict misses" configuration). A hit is one index
+// (the paper-style "no conflict misses" configuration). A hit is one table
 // probe.
 type Cache struct {
 	lines    *Lines
@@ -103,18 +97,18 @@ func New(capacity int) Cache {
 	return new(Lines).Cache(0, capacity)
 }
 
-// slot returns the slab index of block's line, if the cache holds it.
+// line returns block's line, or nil if the cache does not hold it. The
+// pointer is valid until the next fill or drop in the set.
 //
 //simcheck:noalloc
-func (c *Cache) slot(b directory.BlockID) (int32, bool) {
-	i, ok := c.lines.index[lineKey{c.id, b}]
-	return i, ok
+func (c *Cache) line(b directory.BlockID) *line {
+	return c.lines.table.Ref(c.id, uint64(b))
 }
 
 // State returns the current state of block.
 func (c *Cache) State(b directory.BlockID) LineState {
-	if i, ok := c.slot(b); ok {
-		return c.lines.slots[i].state
+	if l := c.line(b); l != nil {
+		return l.state
 	}
 	return Invalid
 }
@@ -126,8 +120,7 @@ func (c *Cache) State(b directory.BlockID) LineState {
 //simcheck:noalloc
 func (c *Cache) Lookup(b directory.BlockID, write bool) bool {
 	c.clock++
-	if i, ok := c.slot(b); ok {
-		l := &c.lines.slots[i]
+	if l := c.line(b); l != nil {
 		l.lru = c.clock
 		if !write || l.state == ModifiedLine {
 			c.stats.Hits++
@@ -149,8 +142,7 @@ func (c *Cache) Fill(b directory.BlockID, s LineState) (victim directory.BlockID
 		panic("cache: Fill with Invalid state")
 	}
 	c.clock++
-	if i, ok := c.slot(b); ok {
-		l := &c.lines.slots[i]
+	if l := c.line(b); l != nil {
 		prev := l.state
 		l.state, l.lru = s, c.clock
 		c.notify(b, prev, s)
@@ -162,40 +154,21 @@ func (c *Cache) Fill(b directory.BlockID, s LineState) (victim directory.BlockID
 		c.stats.Evictions++
 		c.notify(victim, victimState, Invalid)
 	}
-	c.lines.add(lineKey{c.id, b}, line{state: s, lru: c.clock})
+	c.lines.table.Put(c.id, uint64(b), line{state: s, lru: c.clock})
 	c.valid++
 	c.notify(b, Invalid, s)
 	return victim, victimState, evicted
 }
 
-// add stores a new line under k, in a freed slot when there is one.
+// drop deletes block b's line and returns it.
 //
 //simcheck:noalloc
-func (l *Lines) add(k lineKey, ln line) {
-	if l.index == nil {
-		//simcheck:allow noalloc -- first fill of the set; the index is kept
-		l.index = make(map[lineKey]int32)
+func (c *Cache) drop(b directory.BlockID) (line, bool) {
+	l, ok := c.lines.table.Delete(c.id, uint64(b))
+	if ok {
+		c.valid--
 	}
-	var i int32
-	if n := len(l.free) - 1; n >= 0 {
-		i = l.free[n]
-		l.free = l.free[:n]
-		l.slots[i] = ln
-	} else {
-		i = int32(len(l.slots))
-		l.slots = append(l.slots, ln)
-	}
-	l.index[k] = i
-}
-
-// drop deletes block b's line, whose slot is i, and frees the slot.
-//
-//simcheck:noalloc
-func (c *Cache) drop(b directory.BlockID, i int32) {
-	delete(c.lines.index, lineKey{c.id, b})
-	c.lines.slots[i] = line{}
-	c.lines.free = append(c.lines.free, i)
-	c.valid--
+	return l, ok
 }
 
 // Invalidate drops block from the cache (invalidation request from home).
@@ -204,12 +177,11 @@ func (c *Cache) drop(b directory.BlockID, i int32) {
 //
 //simcheck:noalloc
 func (c *Cache) Invalidate(b directory.BlockID) LineState {
-	i, ok := c.slot(b)
+	l, ok := c.drop(b)
 	if !ok {
 		return Invalid
 	}
-	prev := c.lines.slots[i].state
-	c.drop(b, i)
+	prev := l.state
 	c.stats.Invalidates++
 	c.notify(b, prev, Invalid)
 	return prev
@@ -218,11 +190,11 @@ func (c *Cache) Invalidate(b directory.BlockID) LineState {
 // Downgrade moves a ModifiedLine block to SharedLine (remote read of a
 // dirty block). Downgrading a non-modified line is a protocol bug.
 func (c *Cache) Downgrade(b directory.BlockID) {
-	i, ok := c.slot(b)
-	if !ok || c.lines.slots[i].state != ModifiedLine {
+	l := c.line(b)
+	if l == nil || l.state != ModifiedLine {
 		panic("cache: Downgrade of non-modified line")
 	}
-	c.lines.slots[i].state = SharedLine
+	l.state = SharedLine
 	c.notify(b, ModifiedLine, SharedLine)
 }
 
@@ -233,24 +205,21 @@ func (c *Cache) Stats() Stats { return c.stats }
 func (c *Cache) ValidLines() int { return c.valid }
 
 // evictLRU drops the cache's least recently touched line, the lower block
-// on a tie. It scans the whole shared index: only bounded caches evict, and
-// they are small.
+// on a tie, so the victim does not depend on the table's cell order. It
+// scans the whole shared table: only bounded caches evict, and they are
+// small.
 func (c *Cache) evictLRU() (directory.BlockID, LineState) {
-	var victim directory.BlockID
-	vi := int32(-1)
-	slots := c.lines.slots
-	for k, i := range c.lines.index {
-		if k.cache != c.id {
-			continue
+	var victim uint64
+	var vl *line
+	c.lines.table.Each(func(owner int32, b uint64, l *line) {
+		if owner == c.id && (vl == nil || l.lru < vl.lru || (l.lru == vl.lru && b < victim)) {
+			victim, vl = b, l
 		}
-		if vi < 0 || slots[i].lru < slots[vi].lru || (slots[i].lru == slots[vi].lru && k.block < victim) {
-			victim, vi = k.block, i
-		}
-	}
-	if vi < 0 {
+	})
+	if vl == nil {
 		panic("cache: evictLRU on empty cache")
 	}
-	vs := slots[vi].state
-	c.drop(victim, vi)
-	return victim, vs
+	vs := vl.state
+	c.drop(directory.BlockID(victim))
+	return directory.BlockID(victim), vs
 }

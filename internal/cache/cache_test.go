@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +237,37 @@ func TestOnChangeObservesEveryTransition(t *testing.T) {
 	for i, w := range want {
 		if log[i] != w {
 			t.Fatalf("transition %d: got %+v, want %+v", i, log[i], w)
+		}
+	}
+}
+
+// TestEvictionIgnoresFillOrder pins that a bounded cache's victims depend
+// only on its own touch order, not on the shared line table's cell order,
+// which follows the table's whole insertion and deletion history: lines
+// filled in a different order, between another cache's fills and
+// invalidations, then touched in one fixed order, are evicted in that order.
+func TestEvictionIgnoresFillOrder(t *testing.T) {
+	const capacity = 12
+	rng := rand.New(rand.NewSource(1))
+	for range 20 {
+		var lines Lines
+		c := lines.Cache(0, capacity)
+		other := lines.Cache(1, 0)
+		for i, b := range rng.Perm(capacity) {
+			other.Fill(directory.BlockID(rng.Intn(64)), SharedLine)
+			c.Fill(directory.BlockID(b), SharedLine)
+			if i%3 == 0 {
+				other.Invalidate(directory.BlockID(rng.Intn(64)))
+			}
+		}
+		for b := range capacity {
+			c.Lookup(directory.BlockID(b), false)
+		}
+		for b := capacity; b < 3*capacity; b++ {
+			victim, _, evicted := c.Fill(directory.BlockID(b), SharedLine)
+			if want := directory.BlockID(b - capacity); !evicted || victim != want {
+				t.Fatalf("fill %d evicted %d (%v), want %d", b, victim, evicted, want)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package coherence
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/directory"
 	"repro/internal/grouping"
 	"repro/internal/network"
@@ -112,5 +113,39 @@ func TestNewMachineAllocs(t *testing.T) {
 			t.Errorf("NewMachine allocates %.3f per node between k=%d and k=%d, want 0",
 				perNode, ks[0], ks[i])
 		}
+	}
+}
+
+// TestBlockTableChurnAllocs pins the block tables' steady state: once the
+// shared line table and the outstanding-op table have grown to their
+// working sets, cache fills and invalidations and op adds and removes over
+// ever-new blocks allocate nothing (a delete leaves no tombstone, so churn
+// never forces a rehash).
+func TestBlockTableChurnAllocs(t *testing.T) {
+	m := NewMachine(DefaultParams(4, grouping.UIUA))
+	nodes := topology.NodeID(m.Mesh.Nodes())
+	const live = 256 // cached lines kept valid across the machine
+	ops := make([]pendingOp, nodes)
+	next := directory.BlockID(live)
+	step := func() {
+		n := topology.NodeID(next) % nodes
+		m.Cache(n).Fill(next, cache.SharedLine)
+		old := next - live
+		m.Cache(topology.NodeID(old) % nodes).Invalidate(old)
+		if op := &ops[n]; op.block != 0 {
+			m.removeOp(n, op.block)
+		}
+		ops[n].block = next
+		m.addOp(n, &ops[n])
+		next++
+	}
+	for b := directory.BlockID(0); b < live; b++ {
+		m.Cache(topology.NodeID(b)%nodes).Fill(b, cache.SharedLine)
+	}
+	for range 4 * live {
+		step()
+	}
+	if avg := testing.AllocsPerRun(1000, step); avg != 0 {
+		t.Fatalf("allocs per fill/invalidate/op churn step = %v, want 0", avg)
 	}
 }

@@ -22,36 +22,21 @@ type homeOp struct {
 	forwarded bool
 }
 
-// homeOpSlot stores at most one homeOp per block (the per-block queue
-// guarantees exclusivity).
-type homeOpSlot struct{ op *homeOp }
-
-func (s *homeOpSlot) set(op *homeOp) {
-	if s.op != nil {
+// setHomeOp records op as block b's home-side transaction context.
+func (m *Machine) setHomeOp(b directory.BlockID, op *homeOp) {
+	if _, ok := m.homeOps.Get(0, uint64(b)); ok {
 		panic("coherence: overlapping home transactions on one block")
 	}
-	s.op = op
+	m.homeOps.Put(0, uint64(b), op)
 }
 
-func (s *homeOpSlot) take() *homeOp {
-	if s.op == nil {
+// takeHomeOp removes and returns block b's home-side transaction context.
+func (m *Machine) takeHomeOp(b directory.BlockID) *homeOp {
+	op, ok := m.homeOps.Delete(0, uint64(b))
+	if !ok {
 		panic("coherence: no home transaction in flight")
 	}
-	op := s.op
-	s.op = nil
 	return op
-}
-
-func (m *Machine) homeOps(b directory.BlockID) *homeOpSlot {
-	if m.homeOpTable == nil {
-		m.homeOpTable = make(map[directory.BlockID]*homeOpSlot)
-	}
-	s := m.homeOpTable[b]
-	if s == nil {
-		s = &homeOpSlot{}
-		m.homeOpTable[b] = s
-	}
-	return s
 }
 
 // invalTxn is one invalidation transaction: the home invalidates every

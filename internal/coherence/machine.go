@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 
+	"repro/internal/blocktab"
 	"repro/internal/cache"
 	"repro/internal/directory"
 	"repro/internal/grouping"
@@ -30,25 +31,28 @@ type Machine struct {
 	servers []server
 	homes   *directory.HomeMap
 
+	// Block tables keyed by the block alone use owner 0.
+	//
 	// pending holds the transaction queue of every block with a home-side
 	// transaction in flight; an idle block's queue goes to freeQueues.
-	pending    map[directory.BlockID]*blockQueue
+	pending    blocktab.Table[*blockQueue]
 	freeQueues []*blockQueue
 	// ops holds every processor's outstanding operations by (node, block),
 	// and opCount how many each node has.
-	ops     map[opKey]*pendingOp
+	ops     blocktab.Table[*pendingOp]
 	opCount []int32
 	// writeBufs tracks buffered writes per node (release consistency).
 	writeBufs []writeBuffer
-	// homeOpTable holds the home-side context of dirty-block fetches.
-	homeOpTable map[directory.BlockID]*homeOpSlot
+	// homeOps holds the home-side context of dirty-block fetches, at most
+	// one per block (the per-block queue guarantees exclusivity).
+	homeOps blocktab.Table[*homeOp]
 	// fwdLists holds each block's data-forwarding candidates (the victims
 	// of its last invalidation transaction).
 	fwdLists map[directory.BlockID][]topology.NodeID
 	// ownGens remembers, per (node, block), the ownership-grant generation
 	// the node's Modified copy was installed under, echoed on its dirty
 	// writeback so the home can discard stale writebacks.
-	ownGens map[ownKey]uint64
+	ownGens blocktab.Table[uint64]
 	// Rec, when non-nil, receives cycle-stamped protocol events (op, msg,
 	// directory, and transaction milestones). Install with AttachTrace.
 	Rec *trace.Recorder
@@ -175,8 +179,6 @@ func NewMachine(p Params) *Machine {
 		Params:  p,
 		Metrics: metrics.NewCollector(nodes),
 		homes:   directory.NewHomeMap(nodes),
-		pending: make(map[directory.BlockID]*blockQueue),
-		ops:     make(map[opKey]*pendingOp),
 		opCount: make([]int32, nodes),
 		caches:  make([]cache.Cache, nodes),
 		dirs:    make([]directory.Directory, nodes),
@@ -433,8 +435,8 @@ func vnFor(t msgType) network.VN {
 //simcheck:pool acquire
 //simcheck:noalloc
 func (m *Machine) queueFor(b directory.BlockID) *blockQueue {
-	q := m.pending[b]
-	if q == nil {
+	q, ok := m.pending.Get(0, uint64(b))
+	if !ok {
 		if k := len(m.freeQueues) - 1; k >= 0 {
 			q = m.freeQueues[k]
 			m.freeQueues[k] = nil
@@ -443,7 +445,7 @@ func (m *Machine) queueFor(b directory.BlockID) *blockQueue {
 			//simcheck:allow noalloc -- cold pool fill; steady state reuses freeQueues
 			q = &blockQueue{}
 		}
-		m.pending[b] = q
+		m.pending.Put(0, uint64(b), q)
 	}
 	return q
 }
@@ -454,7 +456,7 @@ func (m *Machine) queueFor(b directory.BlockID) *blockQueue {
 //simcheck:noalloc
 func (m *Machine) freeQueue(q *blockQueue, b directory.BlockID) {
 	q.busy = false
-	delete(m.pending, b)
+	m.pending.Delete(0, uint64(b))
 	m.freeQueues = append(m.freeQueues, q)
 }
 
@@ -463,7 +465,7 @@ func (m *Machine) freeQueue(q *blockQueue, b directory.BlockID) {
 //
 //simcheck:noalloc
 func (m *Machine) releaseBlock(b directory.BlockID) {
-	q := m.pending[b]
+	q, _ := m.pending.Get(0, uint64(b))
 	if q == nil || !q.busy {
 		panic("coherence: releaseBlock on idle block")
 	}

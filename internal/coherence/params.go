@@ -236,10 +236,12 @@ func DefaultRecovery() Recovery {
 	return Recovery{Enabled: true, Timeout: 4096}
 }
 
-// controlFlits returns the payload flit count of a data-less message.
-func (p Params) controlFlits() int { return (p.ControlBytes + p.FlitBytes - 1) / p.FlitBytes }
+// controlFlits returns the payload flit count of a data-less message. It
+// and dataFlits take a pointer: they run on every message, and Params is
+// too large to copy there.
+func (p *Params) controlFlits() int { return (p.ControlBytes + p.FlitBytes - 1) / p.FlitBytes }
 
 // dataFlits returns the payload flit count of a block-carrying message.
-func (p Params) dataFlits() int {
+func (p *Params) dataFlits() int {
 	return (p.ControlBytes + p.BlockBytes + p.FlitBytes - 1) / p.FlitBytes
 }

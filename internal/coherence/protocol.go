@@ -89,17 +89,12 @@ func (m *Machine) finishHit(n topology.NodeID, op *pendingOp) {
 	done()
 }
 
-// opKey addresses one processor's outstanding operation on one block.
-type opKey struct {
-	n topology.NodeID
-	b directory.BlockID
-}
-
 // op returns node n's outstanding operation on block b, or nil.
 //
 //simcheck:noalloc
 func (m *Machine) op(n topology.NodeID, b directory.BlockID) *pendingOp {
-	return m.ops[opKey{n, b}]
+	op, _ := m.ops.Get(int32(n), uint64(b))
+	return op
 }
 
 // addOp records op as outstanding at node n. Under sequential consistency
@@ -108,21 +103,20 @@ func (m *Machine) op(n topology.NodeID, b directory.BlockID) *pendingOp {
 //
 //simcheck:noalloc
 func (m *Machine) addOp(n topology.NodeID, op *pendingOp) {
-	k := opKey{n, op.block}
-	if m.ops[k] != nil {
+	if m.op(n, op.block) != nil {
 		panic(fmt.Sprintf("coherence: node %d issued a second operation on block %d", n, op.block))
 	}
 	if m.Params.Consistency == SequentialConsistency && m.opCount[n] != 0 {
 		panic(fmt.Sprintf("coherence: node %d issued a second outstanding operation under SC", n))
 	}
-	m.ops[k] = op
+	m.ops.Put(int32(n), uint64(op.block), op)
 	m.opCount[n]++
 }
 
 //
 //simcheck:noalloc
 func (m *Machine) removeOp(n topology.NodeID, b directory.BlockID) {
-	delete(m.ops, opKey{n, b})
+	m.ops.Delete(int32(n), uint64(b))
 	m.opCount[n]--
 }
 
@@ -340,7 +334,7 @@ func (m *Machine) homeRead(home topology.NodeID, e *directory.Entry, pm *msg) {
 			return
 		}
 		e.State = directory.Waiting
-		m.homeOps(b).set(&homeOp{requester: requester, write: false, owner: e.Owner,
+		m.setHomeOp(b, &homeOp{requester: requester, write: false, owner: e.Owner,
 			forwarded: m.Params.ReplyForwarding})
 		m.freeMsg(pm)
 		m.server(home).do(m.Params.SendOccupancy, func() {
@@ -367,7 +361,7 @@ func (m *Machine) homeWrite(home topology.NodeID, e *directory.Entry, pm *msg) {
 			return
 		}
 		e.State = directory.Waiting
-		m.homeOps(b).set(&homeOp{requester: requester, write: true, owner: e.Owner})
+		m.setHomeOp(b, &homeOp{requester: requester, write: true, owner: e.Owner})
 		m.freeMsg(pm)
 		m.server(home).do(m.Params.SendOccupancy, func() {
 			m.send(fetchInval, home, e.Owner,
@@ -561,7 +555,7 @@ func (m *Machine) ownerFetch(n topology.NodeID, pm *msg) {
 // homeFetchReply finishes a dirty-block transaction at the home.
 func (m *Machine) homeFetchReply(home topology.NodeID, pm *msg) {
 	m.server(home).do(m.Params.RecvOccupancy+m.Params.MemAccess, func() {
-		op := m.homeOps(pm.block).take()
+		op := m.takeHomeOp(pm.block)
 		e := m.dirs[home].Lookup(pm.block)
 		if op.write {
 			e.State = directory.Exclusive
@@ -966,25 +960,17 @@ func (m *Machine) clearCoarse(e *directory.Entry) {
 	}
 }
 
-// ownKey addresses one node's Modified copy of one block.
-type ownKey struct {
-	n topology.NodeID
-	b directory.BlockID
-}
-
 // setOwnGen records the grant generation node n's Modified copy of b was
 // installed under.
 func (m *Machine) setOwnGen(n topology.NodeID, b directory.BlockID, gen uint64) {
-	if m.ownGens == nil {
-		m.ownGens = make(map[ownKey]uint64)
-	}
-	m.ownGens[ownKey{n, b}] = gen
+	m.ownGens.Put(int32(n), uint64(b), gen)
 }
 
 // ownGenOf returns the grant generation to stamp on node n's writeback of
 // block b.
 func (m *Machine) ownGenOf(n topology.NodeID, b directory.BlockID) uint64 {
-	return m.ownGens[ownKey{n, b}]
+	gen, _ := m.ownGens.Get(int32(n), uint64(b))
+	return gen
 }
 
 // homeWriteback retires a dirty eviction at the home. The generation check

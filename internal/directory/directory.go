@@ -7,8 +7,9 @@ package directory
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
+	"repro/internal/blocktab"
 	"repro/internal/topology"
 )
 
@@ -131,7 +132,7 @@ type Entry struct {
 // allocation only at each chunk boundary.
 type Directory struct {
 	nodes   int
-	entries map[BlockID]*Entry
+	entries blocktab.Table[*Entry]
 	// slab and words are the unused tails of the current entry and
 	// presence-word chunks.
 	slab  []Entry
@@ -146,42 +147,37 @@ func New(n int) Directory {
 
 // Lookup returns the entry for block, creating it Uncached on first touch.
 func (d *Directory) Lookup(block BlockID) *Entry {
-	e, ok := d.entries[block]
-	if ok {
+	if e, ok := d.entries.Get(0, uint64(block)); ok {
 		return e
 	}
 	w := (d.nodes + 63) / 64
 	if len(d.slab) == 0 {
-		chunk := min(max(len(d.entries), 8), 1024)
+		chunk := min(max(d.entries.Len(), 8), 1024)
 		d.slab = make([]Entry, chunk)
 		d.words = make([]uint64, chunk*w)
 	}
-	if d.entries == nil {
-		d.entries = make(map[BlockID]*Entry)
-	}
-	e = &d.slab[0]
+	e := &d.slab[0]
 	d.slab = d.slab[1:]
 	*e = Entry{State: Uncached, Sharers: Presence(d.words[:w:w])}
 	d.words = d.words[w:]
-	d.entries[block] = e
+	d.entries.Put(0, uint64(block), e)
 	return e
 }
 
 // Blocks returns the number of entries materialized so far.
-func (d *Directory) Blocks() int { return len(d.entries) }
+func (d *Directory) Blocks() int { return d.entries.Len() }
 
 // ForEach visits every materialized entry in ascending BlockID order.
 // The order is fixed so that anything built from a traversal — invariant
-// failure reports, dumps — is deterministic rather than dependent on Go's
-// randomized map iteration.
+// failure reports, dumps — is deterministic rather than dependent on the
+// table's cell order, which follows its insertion history.
 func (d *Directory) ForEach(fn func(BlockID, *Entry)) {
-	ids := make([]BlockID, 0, len(d.entries))
-	for b := range d.entries {
-		ids = append(ids, b)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := make([]BlockID, 0, d.entries.Len())
+	d.entries.Each(func(_ int32, b uint64, _ **Entry) { ids = append(ids, BlockID(b)) })
+	slices.Sort(ids)
 	for _, b := range ids {
-		fn(b, d.entries[b])
+		e, _ := d.entries.Get(0, uint64(b))
+		fn(b, e)
 	}
 }
 

@@ -1,6 +1,8 @@
 package directory
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -159,5 +161,33 @@ func TestHomeMapZeroNodesPanics(t *testing.T) {
 func TestStateStrings(t *testing.T) {
 	if Uncached.String() != "uncached" || Waiting.String() != "waiting" {
 		t.Error("state names wrong")
+	}
+}
+
+// TestForEachAscending pins ForEach's order whatever order the entries
+// were materialized in.
+func TestForEachAscending(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	d := New(16)
+	want := map[BlockID]bool{}
+	for range 500 {
+		b := BlockID(rng.Intn(2000))
+		d.Lookup(b)
+		want[b] = true
+	}
+	var got []BlockID
+	d.ForEach(func(b BlockID, e *Entry) {
+		if e != d.Lookup(b) {
+			t.Fatalf("ForEach passed block %d a different entry", b)
+		}
+		got = append(got, b)
+	})
+	if len(got) != len(want) || !slices.IsSorted(got) {
+		t.Fatalf("ForEach visited %d blocks (sorted %v), want %d ascending", len(got), slices.IsSorted(got), len(want))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] == got[i-1] {
+			t.Fatalf("ForEach visited block %d twice", got[i])
+		}
 	}
 }

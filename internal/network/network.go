@@ -290,7 +290,6 @@ func (n *Network) recycleWorm(w *Worm) {
 		pooled:   true,
 		pathBuf:  w.pathBuf,
 		destBuf:  w.destBuf,
-		held:     w.held[:0],
 		lanes:    w.lanes[:0],
 		sets:     w.sets[:0],
 		consHeld: w.consHeld[:0],
@@ -421,8 +420,6 @@ func (n *Network) Inject(w *Worm) {
 	w.injectedAt = n.Engine.Now()
 	w.state = wormInjecting
 	npath := len(w.Path)
-	w.held = slices.Grow(w.held[:0], npath)[:npath]
-	clear(w.held)
 	w.lanes = slices.Grow(w.lanes[:0], npath)[:npath]
 	clear(w.lanes)
 	w.heldFrom = 0
@@ -474,7 +471,6 @@ func (n *Network) grantInjection(w *Worm, i int32, lane *channel, wasBlocked, re
 			}
 			n.traceWorm(trace.KindWormHold, uint8(w.VN), w, w.Source(), 0, uint64(w.Source()), "")
 		}
-		w.held[0] = now
 		w.lanes[0] = lane
 		lane.flits.Add(uint64(w.Flits()))
 		n.schedWorm(n.Cfg.InjectDelay, n.fnHeaderAt, w, 0)
@@ -486,7 +482,6 @@ func (n *Network) grantInjection(w *Worm, i int32, lane *channel, wasBlocked, re
 	}
 	// The parked copy occupies the injection channel as index i; the lane
 	// knows its set, so releaseIndex releases the right channel.
-	w.held[ii] = now
 	w.lanes[ii] = lane
 	w.heldFrom = ii
 	lane.flits.Add(uint64(w.Flits()))
@@ -831,7 +826,6 @@ func (n *Network) grantLink(w *Worm, i int32, lane *channel, wasBlocked bool) {
 		n.traceWorm(trace.KindWormHold, uint8(w.VN), w, w.Path[ii+1], uint64(ii+1), uint64(w.Path[ii]), "")
 	}
 	w.state = wormMoving
-	w.held[ii+1] = now
 	w.lanes[ii+1] = lane
 	lane.flits.Add(uint64(w.Flits()))
 	// Tail progress: with single-flit staging, the worm spans at most

@@ -122,13 +122,12 @@ type Worm struct {
 	// slot is 1 + the worm's index in Network.inFlight while it is in
 	// flight, and 0 before injection and once retired or recycled.
 	slot int
-	// held[i] is the acquisition time of channel index i (0 = injection
-	// channel, i >= 1 = link into Path[i], or the injection channel of a
-	// VCT-parked gather re-injected at Path[i]); lanes[i] is the virtual
-	// channel lane granted for that index, which knows its own set;
-	// heldFrom marks the lowest still-held channel index. sets[i] is the
-	// link set from Path[i] to Path[i+1], resolved once at Inject.
-	held     []sim.Time
+	// lanes[i] is the virtual channel lane granted for channel index i
+	// (0 = injection channel, i >= 1 = link into Path[i], or the injection
+	// channel of a VCT-parked gather re-injected at Path[i]), which knows
+	// its own set; heldFrom marks the lowest still-held channel index.
+	// sets[i] is the link set from Path[i] to Path[i+1], resolved once at
+	// Inject.
 	lanes    []*channel
 	sets     []*vcSet
 	heldFrom int
