@@ -44,7 +44,7 @@ lint:
 	$(GO) run ./cmd/simcheck ./...
 	$(GO) run ./cmd/simcheck -cdg -mesh 8
 	$(GO) run ./cmd/simcheck ./internal/faults ./internal/trace
-	$(GO) run ./cmd/simcheck ./internal/service ./internal/load ./cmd/dsmsimd ./cmd/dsmsimctl
+	$(GO) run ./cmd/simcheck ./internal/service ./internal/load ./cmd/dsmsimctl
 
 # oracle runs the protocol-correctness oracles end to end: the exhaustive
 # model checker over every scheme at the 2x2/2-block configuration, then a
@@ -126,15 +126,16 @@ bench:
 	$(GO) run ./bench
 
 sweep:
-	$(GO) run ./cmd/invalsweep -experiment all
+	$(GO) run ./cmd/dsmsimctl experiment -name all
 
-# smoke drives the dsmsimd daemon end to end: serve the E4 and E19 tables
-# byte-identical to the batch CLI, repeat it from the cache, run a point
+# smoke drives `dsmsimctl serve` end to end: serve the E4 and E19 tables
+# byte-identical to an in-process run, repeat it from the cache, run a point
 # job, then SIGTERM and assert a clean drain that leaves results/ filled,
-# jobs/ empty and nothing else in the data directory. See
-# scripts/dsmsimd_smoke.sh.
+# jobs/ empty and nothing else in the data directory; then an in-process
+# rerun over one -data directory runs nothing, and a daemon over it serves
+# the same table. See scripts/serve_smoke.sh.
 smoke:
-	bash scripts/dsmsimd_smoke.sh
+	bash scripts/serve_smoke.sh
 
 # loadtest is the `dsmsimctl load` harness smoke: verified closed- and
 # open-loop runs against a live daemon, byte-identical client counters

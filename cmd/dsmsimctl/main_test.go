@@ -4,9 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -42,20 +48,113 @@ func run(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errOut.String()
 }
 
-// TestExperimentIsTheBatchTable: the experiment subcommand prints the
-// daemon's table verbatim, the bytes invalsweep prints for the same sizes.
+// TestExperimentIsTheBatchTable: the experiment subcommand prints the same
+// bytes in process, through a daemon (its body verbatim) and as the bare
+// engine's Lab.Run renders them, as aligned text and as CSV.
 func TestExperimentIsTheBatchTable(t *testing.T) {
 	base := startDaemon(t)
-	code, out, errOut := run("-addr", base, "experiment", "-name", "latency", "-k", "4", "-trials", "1")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut)
-	}
 	tab, err := experiments.Lab{}.Run("latency", 4, experiments.DefaultD, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := tab.String() + "\n"; out != want {
-		t.Fatalf("served table differs from the batch table:\n--- served ---\n%s--- batch ---\n%s", out, want)
+	for _, c := range []struct {
+		flag, want string
+	}{
+		{"-csv=false", tab.String() + "\n"},
+		{"-csv", tab.CSV()},
+	} {
+		for mode, args := range map[string][]string{
+			"in process": {"experiment", "-parallel", "2"},
+			"remote":     {"-addr", base, "experiment"},
+		} {
+			code, out, errOut := run(append(args, "-name", "latency", "-k", "4", "-trials", "1", c.flag)...)
+			if code != 0 {
+				t.Fatalf("%s %s: exit %d: %s", mode, c.flag, code, errOut)
+			}
+			if out != c.want {
+				t.Fatalf("%s %s table differs from the batch table:\n--- %s ---\n%s--- batch ---\n%s", mode, c.flag, mode, out, c.want)
+			}
+		}
+	}
+}
+
+// TestExperimentSizeCheck: both modes refuse a size no experiment runs
+// with exit 2, before the in-process run opens its store or the remote one
+// sends a request.
+func TestExperimentSizeCheck(t *testing.T) {
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		http.Error(w, "unexpected request", http.StatusTeapot)
+	}))
+	defer ts.Close()
+	data := filepath.Join(t.TempDir(), "data")
+	for _, size := range [][]string{
+		{"-k", "0"}, {"-k", "1"}, {"-k", "100"},
+		{"-d", "0"}, {"-trials", "0"}, {"-name", "bogus"},
+	} {
+		for mode, args := range map[string][]string{
+			"in process": {"experiment", "-data", data},
+			"remote":     {"-addr", ts.URL, "experiment"},
+		} {
+			code, out, errOut := run(append(append(args, "-name", "latency"), size...)...)
+			if code != 2 || out != "" {
+				t.Errorf("%s %v: exit %d, stdout %q; want 2 and nothing (stderr %q)", mode, size, code, out, errOut)
+			}
+		}
+	}
+	if _, err := os.Stat(data); !os.IsNotExist(err) {
+		t.Errorf("a refused in-process run opened its store: stat %s: %v", data, err)
+	}
+	if n := requests.Load(); n != 0 {
+		t.Fatalf("refused remote runs sent %d requests", n)
+	}
+}
+
+// TestRemoteAllIsOneRequestPerName: -name all through a daemon sends one
+// request per experiments.RunnerOrder name, in order, and prints the bodies
+// in turn; the daemon never sees "all", which it refuses with 400.
+func TestRemoteAllIsOneRequestPerName(t *testing.T) {
+	var mu sync.Mutex
+	var names []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req service.ExperimentRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Check() != nil {
+			http.Error(w, `{"error":"bad request"}`, http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		names = append(names, req.Name)
+		mu.Unlock()
+		fmt.Fprintln(w, req.Name)
+	}))
+	defer ts.Close()
+	code, out, errOut := run("-addr", ts.URL, "experiment", "-name", "all", "-k", "4", "-trials", "1")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := strings.Join(experiments.RunnerOrder, "\n") + "\n"; out != want || !slices.Equal(names, experiments.RunnerOrder) {
+		t.Fatalf("printed %q after requests %v; want one per name of %v", out, names, experiments.RunnerOrder)
+	}
+}
+
+// TestServeDrainsCleanly: serve listens on the global -addr, given as a URL
+// or as host:port, and a cancelled context drains it cleanly; an address
+// with no host is a usage error.
+func TestServeDrainsCleanly(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, addr := range []string{"http://127.0.0.1:0", "127.0.0.1:0"} {
+		var stderr bytes.Buffer
+		if code := ctl(ctx, []string{"-addr", addr, "serve", "-drain-grace", "1s"}, io.Discard, &stderr); code != 0 ||
+			!strings.Contains(stderr.String(), "serving on 127.0.0.1:") || !strings.HasSuffix(stderr.String(), "drained cleanly\n") {
+			t.Fatalf("serve on %s: exit %d:\n%s", addr, code, stderr.String())
+		}
+	}
+	if code, _, errOut := run("-addr", "http://", "serve"); code != 2 {
+		t.Fatalf("serve on http://: exit %d; want 2 (stderr %q)", code, errOut)
 	}
 }
 

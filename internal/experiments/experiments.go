@@ -5,9 +5,9 @@
 // figure whose cells are sweep points (invalidation transactions, hot-spot
 // bursts, application replays, traffic runs) is a method of Lab, the value
 // that says how it runs — context, workers, timeout, progress and point
-// runner — so no state is shared between callers: invalsweep builds one Lab
-// over its result store, and the daemon's experiment endpoint builds one per
-// request over its own service. Lab.Run is the one entry point by name
+// runner — so no state is shared between callers: service.Experiment builds
+// one per experiment over its own service, in process and behind the
+// daemon's experiment endpoint alike. Lab.Run is the one entry point by name
 // (RunnerOrder lists the names).
 package experiments
 
@@ -33,9 +33,9 @@ import (
 )
 
 // DefaultK, DefaultD and DefaultTrials are the mesh side, sharer count and
-// trial count of an experiment whose caller names none: invalsweep's flag
-// defaults and the daemon's experiment endpoint both read them, so the two
-// render the same tables.
+// trial count of an experiment whose caller names none: dsmsimctl
+// experiment's flag defaults and service.Experiment both read them, so an
+// in-process run and a daemon render the same tables.
 const (
 	DefaultK      = 16
 	DefaultD      = 16
@@ -44,8 +44,8 @@ const (
 
 // Lab runs experiments: Ctx cancels its sweeps (nil never does) and Sweep
 // sets their workers, per-point timeout, progress and point runner —
-// invalsweep's runs over its result store, the daemon's through its
-// service. The zero Lab runs on every core on the bare engine. A cancelled
+// service.Experiment's resolve through its service and result store. The
+// zero Lab runs on every core on the bare engine. A cancelled
 // sweep stops its workers at the next trial boundary and the figure renders
 // the points that finished (a runner over a result store has stored them,
 // so a rerun resumes there). Every figure is byte-identical at any worker

@@ -3,15 +3,16 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/report"
 )
 
 // RunnerOrder lists every named experiment in presentation order — the
-// order `invalsweep -experiment all` renders them. The serving daemon's
-// experiment endpoint resolves names through the same Lab.Run, which is
-// what makes a table served over HTTP byte-identical to the one the batch
-// CLI prints.
+// order `dsmsimctl experiment -name all` renders them. In process and
+// through the daemon's experiment endpoint alike, a name resolves through
+// Lab.Run, which is what makes a table served over HTTP byte-identical to
+// the one an in-process run prints.
 var RunnerOrder = []string{
 	"table4", "table5", "latency", "homemsgs", "traffic",
 	"meshsize", "buffers", "hotspot", "placement", "homes", "cons", "vcs",
@@ -23,6 +24,15 @@ var RunnerOrder = []string{
 // ErrUnknownExperiment is Run's answer to a name RunnerOrder does not list.
 var ErrUnknownExperiment = errors.New("unknown experiment")
 
+// CheckName returns ErrUnknownExperiment, with the names Run knows, for a
+// name RunnerOrder does not list, and nil for one it does.
+func CheckName(name string) error {
+	if slices.Contains(RunnerOrder, name) {
+		return nil
+	}
+	return fmt.Errorf("%w %q (want one of %v)", ErrUnknownExperiment, name, RunnerOrder)
+}
+
 // Run renders the named experiment at mesh dimension k, d sharers and
 // trials trials per configuration. Axes a figure fixes by design (writer
 // counts, buffer sweep sizes) keep their historical constants so recorded
@@ -30,10 +40,10 @@ var ErrUnknownExperiment = errors.New("unknown experiment")
 // panicking; Run recovers it into the returned error, wrapping a panic value
 // that is itself an error so callers can still match it with errors.Is.
 func (l Lab) Run(name string, k, d, trials int) (t *report.Table, err error) {
-	build, ok := l.runners(k, d, trials)[name]
-	if !ok {
-		return nil, fmt.Errorf("%w %q (want one of %v)", ErrUnknownExperiment, name, RunnerOrder)
+	if err := CheckName(name); err != nil {
+		return nil, err
 	}
+	build := l.runners(k, d, trials)[name]
 	defer func() {
 		switch r := recover().(type) {
 		case nil:

@@ -173,7 +173,7 @@ func (c *Client) Submit(ctx context.Context, jr service.JobRequest, mode SubmitM
 }
 
 // Experiment runs one named paper experiment; the reply is its rendered
-// table, the bytes invalsweep prints.
+// table, the bytes an in-process dsmsimctl experiment prints.
 func (c *Client) Experiment(ctx context.Context, req service.ExperimentRequest, out any) error {
 	return c.do(ctx, http.MethodPost, "/v1/experiments", req, out)
 }

@@ -1,5 +1,5 @@
-// Package load is the deterministic load-test harness for the dsmsimd
-// serving daemon: it generates request schedules from a seeded splitmix
+// Package load is the deterministic load-test harness for the serving
+// daemon (dsmsimctl serve): it generates request schedules from a seeded splitmix
 // stream, drives them against a live daemon over HTTP (open-loop at a
 // target RPS or closed-loop with N concurrent clients), records
 // per-request latencies into streaming histograms (sim.Histogram), and

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/grouping"
 	"repro/internal/sweep"
@@ -88,8 +89,9 @@ func (jr JobRequest) Spec() (JobSpec, error) {
 	return spec, validateSpec(&spec)
 }
 
-// ExperimentRequest asks the daemon to run one named paper experiment
-// (the invalsweep CLI's -experiment names) and return its table.
+// ExperimentRequest asks for one named paper experiment (a name
+// experiments.RunnerOrder lists) and its table. A zero size is the
+// experiments' default (experiments.DefaultK, DefaultD, DefaultTrials).
 type ExperimentRequest struct {
 	Name   string `json:"name"`
 	K      int    `json:"k,omitempty"`
@@ -97,6 +99,27 @@ type ExperimentRequest struct {
 	Trials int    `json:"trials,omitempty"`
 	CSV    bool   `json:"csv,omitempty"`
 }
+
+// Check refuses an experiment the catalog cannot run: an unknown name, or a
+// size outside 2 <= k <= maxK, d >= 1, trials >= 1. It does not fill in
+// defaults, so a zero size is refused: dsmsimctl checks its flags with it
+// before it opens a store or sends a request, and Service.Experiment checks
+// a request with its defaults filled in.
+func (req ExperimentRequest) Check() error {
+	if err := experiments.CheckName(req.Name); err != nil {
+		return badRequest{err}
+	}
+	if req.K < 2 || req.K > maxK || req.D < 1 || req.Trials < 1 {
+		return badRequest{fmt.Errorf("experiment wants 2 <= k <= %d, d >= 1, trials >= 1; got k=%d d=%d trials=%d", maxK, req.K, req.D, req.Trials)}
+	}
+	return nil
+}
+
+// badRequest is an error in what a request asks for; the HTTP face answers
+// it 400.
+type badRequest struct{ error }
+
+func (e badRequest) Unwrap() error { return e.error }
 
 // StatsResponse is the /v1/stats document.
 type StatsResponse struct {

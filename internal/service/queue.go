@@ -4,6 +4,7 @@ package service
 
 import (
 	"container/heap"
+	"context"
 	"errors"
 	"sync"
 	"time"
@@ -29,7 +30,10 @@ type request struct {
 	job      string
 	priority int
 	enqueued time.Time
+	// deadline is the request context's deadline (zero when it has none).
+	deadline time.Time
 	out      chan outcome
+	run      *run // the run it waits on, set by join
 }
 
 // outcome is what a waiter receives: the measures, how they were produced,
@@ -47,15 +51,20 @@ type outcome struct {
 }
 
 // run is one unique engine execution: the representative point plus every
-// request waiting on its result. waiters is guarded by the owning Service's
-// mutex (the queue only moves runs around).
+// request waiting on its result. waiters and the budget fields are guarded
+// by the owning Service's mutex (the queue only moves runs around).
 type run struct {
 	fp       string
 	p        sweep.Point
 	priority int
 	seq      uint64
-	budget   time.Duration
 	waiters  []*request
+	// live counts the waiters still waiting; deadline is the latest of
+	// their deadlines, open marks one with none; cancel stops a started run.
+	live     int
+	deadline time.Time
+	open     bool
+	cancel   context.CancelFunc
 }
 
 // runQueue is a bounded priority queue: higher priority first, FIFO within

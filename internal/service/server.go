@@ -3,15 +3,12 @@ package service
 //simcheck:allow-file nogoroutine -- HTTP handlers run on net/http's goroutines by design
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
-	"strconv"
 
-	"repro/internal/experiments"
-	"repro/internal/metrics"
 	"repro/internal/sweep"
 )
 
@@ -131,6 +128,8 @@ func writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrDraining):
 		code = http.StatusServiceUnavailable
+	case errors.As(err, new(badRequest)):
+		code = http.StatusBadRequest
 	}
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
@@ -285,74 +284,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleExperiment runs one named paper experiment (the invalsweep CLI's
-// catalog) and returns the table byte-identical to the CLI's output: aligned
-// text (String()+"\n") or CSV. Each request runs on its own Lab, whose
-// context is the request's and whose point runner is this daemon's service,
-// so repeated or concurrent identical requests coalesce like any other
-// points, and a sweep's table is only ever built from points the service
-// resolved.
+// handleExperiment serves Service.Experiment: the table as aligned text or
+// CSV, byte-identical to what dsmsimctl experiment prints in process.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentRequest
 	if !decodeBody(w, r, "experiment", &req) {
 		return
 	}
-	if s.svc.Draining() {
-		writeError(w, ErrDraining)
-		return
-	}
-	if req.K == 0 {
-		req.K = experiments.DefaultK
-	}
-	if req.D == 0 {
-		req.D = experiments.DefaultD
-	}
-	if req.Trials == 0 {
-		req.Trials = experiments.DefaultTrials
-	}
-	if req.K < 2 || req.K > maxK || req.D < 1 || req.Trials < 1 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("experiment wants 2 <= k <= %d, d >= 1, trials >= 1; got k=%d d=%d trials=%d", maxK, req.K, req.D, req.Trials)})
-		return
-	}
-	lab := experiments.Lab{Ctx: r.Context(), Sweep: sweep.Options{
-		Parallel: s.svc.cfg.Workers,
-		RunPoint: s.svc.experimentPoint,
-	}}
-	table, err := lab.Run(req.Name, req.K, req.D, req.Trials)
-	if errors.Is(err, experiments.ErrUnknownExperiment) {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
+	table, err := s.svc.Experiment(r.Context(), req, nil)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	contentType := "text/plain; charset=utf-8"
 	if req.CSV {
-		w.Header().Set("Content-Type", "text/csv")
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprint(w, table.CSV())
-		return
+		contentType = "text/csv"
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("X-Experiment", req.Name)
-	w.Header().Set("X-K", strconv.Itoa(req.K))
+	w.Header().Set("Content-Type", contentType)
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprintln(w, table.String())
-}
-
-// experimentPoint is the point runner of the experiment endpoint's labs: a
-// point resolves through the store, the in-flight table and the worker pool
-// like any job's. A point whose own context ended comes back not-run, for the
-// sweep to mark partial; any other failure (ErrDraining included) panics
-// with the service's error, the experiment layer's convention, which
-// Lab.Run returns as the request's error.
-func (s *Service) experimentPoint(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
-	m, coll, _, err := s.Resolve(ctx, p, 0, "experiment")
-	if err != nil {
-		if ctx.Err() != nil {
-			return sweep.Measures{}, nil
-		}
-		panic(err)
-	}
-	return m, coll
+	_, _ = io.WriteString(w, table)
 }

@@ -60,8 +60,9 @@ type Config struct {
 	DataDir string
 	// MetricCap bounds the per-request metric ring (default 4096).
 	MetricCap int
-	// DefaultTimeout bounds each point of a job that does not set its own
-	// timeout; 0 means none.
+	// DefaultTimeout is the per-point timeout of a job or experiment that
+	// does not set its own, and of any other request without a deadline;
+	// 0 means none.
 	DefaultTimeout time.Duration
 }
 
@@ -221,11 +222,17 @@ func (s *Service) resolve(ctx context.Context, p sweep.Point, fp string, priorit
 		})
 		return m, nil, SourceCache, nil
 	}
+	if _, ok := ctx.Deadline(); !ok && s.cfg.DefaultTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
+		defer cancel()
+	}
 	req := &request{
 		p: p, fp: fp, job: job, priority: priority,
 		enqueued: enq,
 		out:      make(chan outcome, 1),
 	}
+	req.deadline, _ = ctx.Deadline()
 	if err := s.admit(req); err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			s.metrics.RecordShed(1)
@@ -246,8 +253,9 @@ func (s *Service) resolve(ctx context.Context, p sweep.Point, fp string, priorit
 		})
 		return o.m, o.coll, o.source, nil
 	case <-ctx.Done():
-		// The engine run (if any) continues for other waiters; this
-		// request's buffered outcome channel absorbs the late delivery.
+		// The engine run continues while another request waits for it;
+		// this request's buffered outcome channel absorbs the delivery.
+		s.leave(req)
 		return sweep.Measures{}, nil, "", ctx.Err()
 	}
 }
@@ -255,13 +263,17 @@ func (s *Service) resolve(ctx context.Context, p sweep.Point, fp string, priorit
 // admit is the coalescing step. In one critical section a request either
 // attaches to the in-flight run of its fingerprint or becomes the leader of
 // a new run on the queue, so a fingerprint never has two runs between
-// admission and delivery. It fails with ErrQueueFull at the queue bound and
-// ErrDraining once the queue is closed; a failed request leaves no trace.
+// admission and delivery, except that a run no request waits for any more
+// leaves the table at once (see leave). So a run lasts until the last of its
+// requests' deadlines: a sweep's retry gets its doubled budget, and a
+// request that joins a run is never cut off at another's deadline. It fails
+// with ErrQueueFull at the queue bound and ErrDraining once the queue is
+// closed; a failed request leaves no trace.
 func (s *Service) admit(r *request) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if rn, ok := s.inflight[r.fp]; ok {
-		rn.waiters = append(rn.waiters, r)
+		s.join(rn, r)
 		return nil
 	}
 	// Workers store a result before they clear its table entry, so a run
@@ -271,12 +283,8 @@ func (s *Service) admit(r *request) error {
 		r.out <- outcome{m: m, source: SourceCache, queueWait: time.Since(r.enqueued)}
 		return nil
 	}
-	rn := &run{
-		fp: r.fp, p: r.p, priority: r.priority,
-		seq:     s.runSeq,
-		budget:  s.cfg.DefaultTimeout,
-		waiters: []*request{r},
-	}
+	rn := &run{fp: r.fp, p: r.p, priority: r.priority, seq: s.runSeq}
+	s.join(rn, r)
 	if err := s.queue.push(rn); err != nil {
 		return err
 	}
@@ -285,12 +293,59 @@ func (s *Service) admit(r *request) error {
 	return nil
 }
 
+// join adds r to rn's waiters. Callers hold s.mu.
+func (s *Service) join(rn *run, r *request) {
+	rn.waiters = append(rn.waiters, r)
+	rn.live++
+	r.run = rn
+	switch {
+	case r.deadline.IsZero():
+		rn.open = true
+	case r.deadline.After(rn.deadline):
+		rn.deadline = r.deadline
+	}
+}
+
+// leave withdraws a request whose context ended from its run. A run left by
+// all its requests is cancelled (skipped if queued) and leaves the in-flight
+// table, so a later request starts a fresh run, not a share in a cut one.
+func (s *Service) leave(r *request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rn := r.run
+	if rn == nil || s.inflight[rn.fp] != rn {
+		return // served from the store in admit, or the run is over
+	}
+	if rn.live--; rn.live == 0 {
+		delete(s.inflight, rn.fp)
+		if rn.cancel != nil {
+			rn.cancel()
+		}
+	}
+}
+
+// runContext is a started run's context. Its Deadline is its requests'
+// latest (none if one has none), so unlike a plain context's it can move.
+type runContext struct {
+	context.Context
+	s  *Service
+	rn *run
+}
+
+func (c runContext) Deadline() (time.Time, bool) {
+	c.s.mu.Lock()
+	defer c.s.mu.Unlock()
+	return c.rn.deadline, !c.rn.open
+}
+
 // finish clears a run from the in-flight table and returns its waiters;
 // after it no request can attach to the run.
 func (s *Service) finish(rn *run) []*request {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.inflight, rn.fp)
+	if s.inflight[rn.fp] == rn {
+		delete(s.inflight, rn.fp)
+	}
 	waiters := rn.waiters
 	rn.waiters = nil
 	return waiters
@@ -312,21 +367,26 @@ func (s *Service) worker() {
 		if rn == nil {
 			return
 		}
+		rctx, cancel := context.WithCancel(s.baseCtx)
+		s.mu.Lock()
+		rn.cancel = cancel
+		abandoned := s.inflight[rn.fp] != rn // every request left it queued
+		s.mu.Unlock()
+		if abandoned {
+			cancel()
+			s.failRun(rn, context.Canceled)
+			continue
+		}
 		if m, ok, err := s.store.Get(rn.fp); err == nil && ok {
 			// Shouldn't happen — admit dedups — but serving the stored
 			// value is always correct, so prefer it and count the anomaly.
+			cancel()
 			s.metrics.RecordDuplicateRun()
 			s.deliver(rn, m, nil, 0, time.Now())
 			continue
 		}
-
-		rctx := s.baseCtx
-		cancel := func() {}
-		if rn.budget > 0 {
-			rctx, cancel = context.WithTimeout(s.baseCtx, rn.budget)
-		}
 		started := time.Now()
-		meas, coll, err := s.runEngine(rctx, rn.p)
+		meas, coll, err := s.runEngine(runContext{rctx, s, rn}, rn.p)
 		cancel()
 		runTime := time.Since(started)
 

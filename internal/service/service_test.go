@@ -815,3 +815,72 @@ func TestDrainingRejectsSubmissions(t *testing.T) {
 		t.Fatalf("Resolve after drain: err=%v; want ErrDraining", err)
 	}
 }
+
+// TestFollowerOutlivesItsLeadersDeadline: a run lasts while any request
+// waits for it, not only the one that started it. A job with a 100 ms
+// timeout leads the run of a point; a job with no timeout, on a service with
+// no default, joins that run while it is queued (behind a run holding the
+// one worker) or after it has started. The leader's point times out (its
+// retry too); the follower's completes, on the one engine run, and is
+// stored. The engine completes a run only if its context is still live
+// when the test releases it.
+func TestFollowerOutlivesItsLeadersDeadline(t *testing.T) {
+	for _, started := range []bool{false, true} {
+		release, began := make(chan struct{}), make(chan struct{}, 2)
+		svc := newTestService(t, Config{
+			Workers: 1,
+			RunPoint: func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
+				began <- struct{}{}
+				select {
+				case <-release:
+				case <-ctx.Done():
+				}
+				if ctx.Err() != nil {
+					return sweep.Measures{}, nil
+				}
+				return sweep.RunPointDirect(ctx, p)
+			},
+		})
+		job := func(timeout time.Duration) <-chan *JobResult {
+			out := make(chan *JobResult, 1)
+			go func() {
+				res, err := svc.RunJob(context.Background(), JobSpec{Points: []sweep.Point{enginePoint()}, Timeout: timeout}, nil)
+				if err != nil {
+					t.Error(err)
+				}
+				out <- res
+			}()
+			return out
+		}
+		waiters := 0
+		if !started {
+			// The one worker stays busy with another point until release.
+			go svc.Resolve(context.Background(), testPoint(0, 5), 0, "blocker")
+			<-began
+			waiters++
+		}
+		leader := job(100 * time.Millisecond)
+		if started {
+			<-began
+		}
+		awaitWaiters(t, svc, waiters+1)
+		follower := job(0)
+		awaitWaiters(t, svc, waiters+2)
+		if res := <-leader; res.Completed != 0 || !res.Results[0].Quarantined {
+			t.Fatalf("started=%v: leader completed %d, quarantined %v; want its point quarantined",
+				started, res.Completed, res.Results[0].Quarantined)
+		}
+		close(release)
+		if res := <-follower; res.Completed != 1 || res.Results[0].Partial {
+			t.Fatalf("started=%v: follower completed %d, partial %v; want its point completed",
+				started, res.Completed, res.Results[0].Partial)
+		}
+		if _, ok, err := svc.Store().Get(enginePoint().Fingerprint()); !ok || err != nil {
+			t.Fatalf("started=%v: point not stored (err %v)", started, err)
+		}
+		// Unread starts: the queued run's; the started one's was read.
+		if n := len(began); n != waiters {
+			t.Fatalf("started=%v: %d unread engine starts; want %d, one run for both jobs", started, n, waiters)
+		}
+	}
+}

@@ -115,7 +115,7 @@ type diskResult struct {
 // DiskStore is an on-disk ResultStore: one JSON file per fingerprint,
 // written atomically (atomicWriteJSON), so a crash mid-put never leaves a
 // torn entry. The directory is the cache: restarting the daemon, or rerunning
-// invalsweep, over the same directory starts warm. The store owns
+// an in-process experiment, over the same directory starts warm. The store owns
 // the directory while it is open: it counts the entries once, at open, and
 // keeps the count as it creates files.
 type DiskStore struct {
@@ -249,9 +249,9 @@ func (s *TieredStore) Put(fp string, m sweep.Measures) error {
 // Len implements ResultStore: the durable store's count.
 func (s *TieredStore) Len() (int, error) { return s.back.Len() }
 
-// OpenStore builds the store a daemon or invalsweep runs on: a memory LRU of
-// cache entries (0 = unbounded), over a DiskStore in dataDir/results when
-// dataDir is set.
+// OpenStore builds the store a daemon or an in-process experiment runs on:
+// a memory LRU of cache entries (0 = unbounded), over a DiskStore in
+// dataDir/results when dataDir is set.
 func OpenStore(dataDir string, cache int) (ResultStore, error) {
 	mem := NewMemoryStore(cache)
 	if dataDir == "" {

@@ -21,7 +21,7 @@ import (
 // names an immutable value: two points with equal fingerprints produce
 // byte-identical Measures. That is what makes it safe as the coalescing and
 // content-addressed-cache key of the result store (internal/service), which
-// the daemon and invalsweep -data share.
+// the daemon and in-process experiment runs over one -data directory share.
 //
 // The hash is computed over canonical JSON — object keys sorted at every
 // nesting depth, numbers kept verbatim (no float64 round-trip, so full

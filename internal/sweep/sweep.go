@@ -164,9 +164,9 @@ type Options struct {
 	// order, and may run on any worker's goroutine.
 	OnProgress func(Progress)
 	// RunPoint substitutes the point runner; nil runs the engine directly
-	// (RunPointDirect). The serving layer (internal/service) and invalsweep
-	// intercept here to route points through the content-addressed result
-	// store; tests use it to fake the engine. A substitute must preserve the
+	// (RunPointDirect). The serving layer (internal/service) intercepts
+	// here to route points through the content-addressed result store;
+	// tests use it to fake the engine. A substitute must preserve the
 	// engine's contract: identical points yield identical Measures, and a
 	// context-cancelled run returns Measures.Completed < Point.Trials. Run
 	// ignores the returned collector.
@@ -174,9 +174,9 @@ type Options struct {
 }
 
 // Validate checks the options for contradictions that Run would otherwise
-// surface late or silently normalize. Run calls it first; invalsweep also
-// calls it at flag-parse time so misconfigurations fail before any point
-// runs.
+// surface late or silently normalize. Run calls it first; dsmsimctl
+// experiment also calls it at flag-parse time so misconfigurations fail
+// before any point runs.
 func (o Options) Validate() error {
 	if o.Parallel < 0 {
 		return fmt.Errorf("sweep: Parallel is %d; want >= 0 (0 means all cores)", o.Parallel)

@@ -9,7 +9,7 @@ import (
 // This file is the occupancy profiler: it folds a recording's worm
 // hold/release pairs into per-directed-link busy time and its server-busy
 // intervals into per-node protocol-controller occupancy, the substrate of
-// the E27 occupancy experiment and wormtrace's -occupancy heatmaps.
+// the E27 occupancy experiment and dsmsimctl trace's -occupancy heatmaps.
 
 // HistBuckets is the number of power-of-two duration buckets in a node's
 // service-occupancy histogram: bucket i counts controller tasks whose cost

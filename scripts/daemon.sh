@@ -1,11 +1,12 @@
-# Daemon plumbing shared by the serving scripts (dsmsimd_smoke.sh,
+# Daemon plumbing shared by the serving scripts (serve_smoke.sh,
 # load_smoke.sh, load_soak.sh). Source it after setting addr (host:port).
-# It makes a scratch directory $work, removed on exit, builds dsmsimd and
-# dsmsimctl into it, and defines
+# It makes a scratch directory $work, removed on exit, builds dsmsimctl
+# into it, and defines
 #
 #   ctl ARGS...           dsmsimctl against the daemon at $addr;
-#   start_daemon ARGS...  start dsmsimd on $addr with ARGS and wait until it
-#                         answers /healthz (stderr goes to $work/daemon.log);
+#   start_daemon ARGS...  start dsmsimctl serve on $addr with ARGS and wait
+#                         until it answers /healthz (stderr goes to
+#                         $work/daemon.log);
 #   stop_daemon           SIGTERM it and require a clean drain (exit 0).
 #
 # A daemon still running when the script exits is killed. The sourcing
@@ -21,14 +22,13 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== building =="
-go build -o "$work/dsmsimd" ./cmd/dsmsimd
 go build -o "$work/dsmsimctl" ./cmd/dsmsimctl
 
 url="http://$addr"
 ctl() { "$work/dsmsimctl" -addr "$url" "$@"; }
 
 start_daemon() {
-  "$work/dsmsimd" -addr "$addr" "$@" 2>"$work/daemon.log" &
+  "$work/dsmsimctl" -addr "$addr" serve "$@" 2>"$work/daemon.log" &
   daemon_pid=$!
   for _ in $(seq 1 100); do
     if ctl health >/dev/null 2>&1; then

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Short verified load run against a live dsmsimd (wired into `make loadtest`
-# and the load-smoke CI job):
+# Short verified load run against a live `dsmsimctl serve` (wired into
+# `make loadtest` and the load-smoke CI job):
 #
 #   1. start the daemon,
 #   2. closed-loop run: dsmsimctl load warms the universe, drives a seeded
