@@ -94,7 +94,8 @@ func TestGoldenTablesSeed(t *testing.T) {
 
 // cellGoldenNames are the hot-spot, per-home, application and offered-load
 // figures.
-var cellGoldenNames = []string{"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing", "invalsize", "load"}
+var cellGoldenNames = []string{"buffers", "hotspot", "homes", "cons", "vcs", "occupancy",
+	"table6", "apps", "sharing", "invalsize", "consistency", "forwarding", "update", "load"}
 
 // TestGoldenCellTables compares cellGoldenNames at k=8, d=6, trials=2 (the
 // application figures at their fixed 4x4 size) byte-for-byte against
