@@ -128,7 +128,7 @@ bench:
 sweep:
 	$(GO) run ./cmd/dsmsimctl experiment -name all
 
-# smoke drives `dsmsimctl serve` end to end: serve the E4 and E19 tables
+# smoke drives `dsmsimctl serve` end to end: serve the E4, E19 and E18 tables
 # byte-identical to an in-process run, repeat it from the cache, run a point
 # job, then SIGTERM and assert a clean drain that leaves results/ filled,
 # jobs/ empty and nothing else in the data directory; then an in-process

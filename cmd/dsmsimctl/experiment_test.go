@@ -77,13 +77,13 @@ func dirStore(t *testing.T, dir string) service.ResultStore {
 
 // TestDataRerunRunsNothing: a second run over the same -data directory runs
 // no point and prints the tables the bare engine prints: default machines and
-// variants, homed transactions, hot-spot bursts, application replays and
-// traffic runs alike. d is 6 because E12's one-consumption-channel cell
-// wedges at k=8, d=16.
+// variants, homed transactions, hot-spot bursts, application replays on
+// default and varied machines and traffic runs alike. d is 6 because E12's
+// one-consumption-channel cell wedges at k=8, d=16.
 func TestDataRerunRunsNothing(t *testing.T) {
 	names := []string{"latency", "torus", "limdir",
 		"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing",
-		"load", "invalsize"}
+		"load", "invalsize", "consistency", "forwarding", "update"}
 	const d = 6
 	want := bare(t, d, names...)
 	dir := t.TempDir()
@@ -117,8 +117,10 @@ func TestDataRerunRunsNothing(t *testing.T) {
 // TestSharedPointRunsOnce: a figure's cells that an earlier figure computed
 // come from the store. The torus figure's mesh cells are E4 latency points,
 // so after latency only its 12 torus cells run; E23 and Table 6 replay six of
-// E9's UI-UA and MI-MA-ec cells, so after them E9 runs only its other 6; and
-// E17 reads Table 6's three replays, so after it E17 runs nothing.
+// E9's UI-UA and MI-MA-ec cells, so after them E9 runs only its other 6; E17
+// reads Table 6's three replays, so after it E17 runs nothing; and E13, E16
+// and E18 each take their six default-machine replays from E9 and run only
+// their six on the varied machine.
 func TestSharedPointRunsOnce(t *testing.T) {
 	cases := []struct {
 		first, then      []string
@@ -127,6 +129,9 @@ func TestSharedPointRunsOnce(t *testing.T) {
 		{[]string{"latency"}, []string{"torus"}, 12, 12},
 		{[]string{"sharing", "table6"}, []string{"apps"}, 6, 6},
 		{[]string{"table6"}, []string{"invalsize"}, 3, 0},
+		{[]string{"apps"}, []string{"consistency"}, 6, 6},
+		{[]string{"apps"}, []string{"forwarding"}, 6, 6},
+		{[]string{"apps"}, []string{"update"}, 6, 6},
 	}
 	for _, c := range cases {
 		cfg := service.Config{Store: service.NewMemoryStore(0)}
@@ -230,8 +235,10 @@ func TestCorruptResultIsLoud(t *testing.T) {
 }
 
 // TestStaleReplayIsLoud: a replay stored before AppMeasures carried its
-// sharer histogram has transactions but no histogram. E17 refuses it with an
-// error naming the application and the entry, rather than printing zeros.
+// sharer histogram and read-miss count has transactions but neither. E17,
+// which reads the histogram, and E16 and E18, which read the count, refuse it
+// with an error naming the application and the entry, rather than printing
+// zeros.
 func TestStaleReplayIsLoud(t *testing.T) {
 	store := service.NewMemoryStore(0)
 	lu := sweep.Point{K: 4, Scheme: grouping.UIUA, Trials: 1, App: "LU"}
@@ -241,8 +248,10 @@ func TestStaleReplayIsLoud(t *testing.T) {
 	if err := store.Put(lu.Fingerprint(), stale); err != nil {
 		t.Fatal(err)
 	}
-	out, _, _, err := inProcess(t, context.Background(), service.Config{Store: store}, 16, "invalsize")
-	if out != "" || err == nil || !strings.Contains(err.Error(), "LU") || !strings.Contains(err.Error(), lu.Fingerprint()) {
-		t.Fatalf("invalsize over a stale LU replay: err %v; want no table and an error naming LU and %s", err, lu.Fingerprint())
+	for _, name := range []string{"invalsize", "forwarding", "update"} {
+		out, _, _, err := inProcess(t, context.Background(), service.Config{Store: store}, 16, name)
+		if out != "" || err == nil || !strings.Contains(err.Error(), "LU") || !strings.Contains(err.Error(), lu.Fingerprint()) {
+			t.Fatalf("%s over a stale LU replay: err %v; want no table and an error naming LU and %s", name, err, lu.Fingerprint())
+		}
 	}
 }

@@ -145,8 +145,8 @@ func parseTrace(args []string, stderr io.Writer) (traceOptions, error) {
 	switch {
 	case o.workload != "point" && o.workload != "groups" && o.workload != "miss":
 		return o, usagef("trace: unknown workload %q (want point, groups or miss)", o.workload)
-	case o.workload == "groups" && !isInval(o.point):
-		return o, usagef("trace: -workload groups draws an invalidation point's first trial")
+	case o.workload != "point" && !isInval(o.point):
+		return o, usagef("trace: -workload %s takes an invalidation point", o.workload)
 	case o.workload == "miss" && (o.kind < 0 || o.kind >= len(workload.AllMissKinds)):
 		return o, usagef("trace: -kind %d out of range [0,%d)", o.kind, len(workload.AllMissKinds))
 	}

@@ -313,6 +313,7 @@ func TestRejectsBadCommandLines(t *testing.T) {
 		{"-point", `{"k":8,"d":6,"trials":1,"scheme":"bogus"}`},
 		{"-point", `{"k":8,"d":6,"trials":1,"pattern":"bogus"}`},
 		{"-workload", "miss", "-kind", "8"},
+		{"-workload", "miss", "-point", `{"k":4,"trials":1,"app":"LU","tune":{"protocol":1}}`},
 		{"-workload", "bogus"},
 	} {
 		if err := cmdTrace(args, io.Discard, io.Discard); err == nil {

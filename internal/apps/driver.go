@@ -86,15 +86,6 @@ func ByName(name string) (Workload, error) {
 	return Workload{}, fmt.Errorf("apps: unknown application %q", name)
 }
 
-// Paper returns the PaperNames applications.
-func Paper() []Workload {
-	ws := make([]Workload, len(PaperNames))
-	for i, name := range PaperNames {
-		ws[i], _ = ByName(name) // every PaperNames entry is known
-	}
-	return ws
-}
-
 // Stats summarizes a workload's reference mix.
 type Stats struct {
 	Reads, Writes, Computes, Barriers uint64

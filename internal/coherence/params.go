@@ -163,19 +163,22 @@ func DefaultParams(k int, scheme grouping.Scheme) Params {
 
 // Variant names a machine that differs from DefaultParams in the parameters
 // the ablations vary (torus, limited directories, bounded caches, i-ack
-// depth, consumption and virtual channels, VCT). It is data, not code, so a
-// sweep point that carries one can be serialised and fingerprinted. Every
-// field's zero value means DefaultParams' value: a nil or empty Variant is
-// the default machine.
+// depth, consumption and virtual channels, VCT, and for replays consistency,
+// protocol and data forwarding). It is data, not code, so a sweep point that
+// carries one can be serialised and fingerprinted. Every field's zero value
+// means DefaultParams' value: a nil or empty Variant is the default machine.
 type Variant struct {
-	Torus               bool `json:"torus,omitempty"`
-	DirPointers         int  `json:"dir_pointers,omitempty"`
-	DirCoarseRegion     int  `json:"dir_coarse_region,omitempty"`
-	CacheLines          int  `json:"cache_lines,omitempty"`
-	IAckBuffers         int  `json:"iack_buffers,omitempty"`
-	ConsumptionChannels int  `json:"consumption_channels,omitempty"`
-	VirtualChannels     int  `json:"virtual_channels,omitempty"`
-	VCTDeferred         bool `json:"vct_deferred,omitempty"`
+	Torus               bool        `json:"torus,omitempty"`
+	DirPointers         int         `json:"dir_pointers,omitempty"`
+	DirCoarseRegion     int         `json:"dir_coarse_region,omitempty"`
+	CacheLines          int         `json:"cache_lines,omitempty"`
+	IAckBuffers         int         `json:"iack_buffers,omitempty"`
+	ConsumptionChannels int         `json:"consumption_channels,omitempty"`
+	VirtualChannels     int         `json:"virtual_channels,omitempty"`
+	VCTDeferred         bool        `json:"vct_deferred,omitempty"`
+	Consistency         Consistency `json:"consistency,omitempty"`
+	Protocol            Protocol    `json:"protocol,omitempty"`
+	DataForwarding      bool        `json:"data_forwarding,omitempty"`
 }
 
 // Apply overrides p with the variant's non-zero fields. A nil variant
@@ -207,6 +210,15 @@ func (v *Variant) Apply(p *Params) {
 	}
 	if v.VCTDeferred {
 		p.Net.VCTDeferred = true
+	}
+	if v.Consistency != 0 {
+		p.Consistency = v.Consistency
+	}
+	if v.Protocol != 0 {
+		p.Protocol = v.Protocol
+	}
+	if v.DataForwarding {
+		p.DataForwarding = true
 	}
 }
 

@@ -134,29 +134,54 @@ func burst(k int, s grouping.Scheme, d int, hs sweep.HotSpot, tune *coherence.Va
 	return sweep.Point{K: k, Scheme: s, D: d, Trials: 1, Seed: 1, HotSpot: &hs, Tune: tune}
 }
 
-// runApps replays each named application under each scheme on the paper's
-// 4x4 machine and returns the outcomes application-major (zero for a replay
-// an interrupt skipped).
-func (l Lab) runApps(names []string, schemes []grouping.Scheme) []sweep.AppMeasures {
+// runApps replays each named application on each machine variant under each
+// scheme on the paper's 4x4 machine and returns each application's outcomes
+// variant-major (zero for a replay an interrupt skipped).
+func (l Lab) runApps(names []string, tunes []coherence.Variant, schemes []grouping.Scheme) [][]sweep.AppMeasures {
 	var pts []sweep.Point
 	for _, name := range names {
-		for _, s := range schemes {
-			pts = append(pts, appPoint(name, s))
+		for _, tune := range tunes {
+			for _, s := range schemes {
+				pts = append(pts, appPoint(name, s, tune))
+			}
 		}
 	}
-	out := make([]sweep.AppMeasures, len(pts))
+	n := len(tunes) * len(schemes)
+	out := make([][]sweep.AppMeasures, len(names))
 	for i, r := range l.runSweep(pts) {
+		var a sweep.AppMeasures
 		if r.Measures.App != nil {
-			out[i] = *r.Measures.App
+			a = *r.Measures.App
 		}
+		out[i/n] = append(out[i/n], a)
 	}
 	return out
 }
 
 // appPoint is the replay of the named application under s on the paper's
-// 4x4 machine.
-func appPoint(name string, s grouping.Scheme) sweep.Point {
-	return sweep.Point{K: 4, Scheme: s, Trials: 1, App: name}
+// 4x4 machine varied by tune.
+func appPoint(name string, s grouping.Scheme, tune coherence.Variant) sweep.Point {
+	return sweep.Point{K: 4, Scheme: s, Trials: 1, App: name, Tune: &tune}
+}
+
+// mustBeFresh fails the figure with an error naming the stored replay p when
+// stale, stored before a measure the figure reads (lacks says which).
+func mustBeFresh(p sweep.Point, stale bool, lacks string) {
+	if stale {
+		panic(fmt.Errorf("experiments: the stored %s replay %s %s; delete it to rerun the replay", p.App, p.Fingerprint(), lacks))
+	}
+}
+
+// normalizedRows renders one row per application: each replay's execution
+// time over the first's (the UI-UA baseline), then the baseline's cycles.
+func normalizedRows(t *report.Table, names []string, results [][]sweep.AppMeasures) {
+	for i, cells := range results {
+		row := []any{names[i]}
+		for _, a := range cells {
+			row = append(row, report.Float3(ratio(a.Time, cells[0].Time)))
+		}
+		t.Row(append(row, uint64(cells[0].Time))...)
+	}
 }
 
 // ratio is a/b, or 0 when b is 0 (a replay an interrupt skipped).
@@ -441,7 +466,8 @@ func (l Lab) Table6() *report.Table {
 	t := report.NewTable("Table 6: application characteristics (16 processors, UI-UA baseline)",
 		"application", "shared reads", "shared writes", "barriers",
 		"inval txns", "avg sharers", "max sharers", "exec cycles")
-	for i, a := range l.runApps(apps.PaperNames, []grouping.Scheme{grouping.UIUA}) {
+	for i, cells := range l.runApps(apps.PaperNames, []coherence.Variant{{}}, []grouping.Scheme{grouping.UIUA}) {
+		a := cells[0]
 		t.Row(apps.PaperNames[i], a.Reads, a.Writes, a.Barriers, a.Invals, a.AvgSharers, a.MaxSharers, uint64(a.Time))
 	}
 	return t
@@ -455,46 +481,24 @@ var AppSchemes = []grouping.Scheme{grouping.UIUA, grouping.MIUAEC, grouping.MIMA
 func (l Lab) FigApplications() *report.Table {
 	t := report.NewTable("E9: normalized application execution time (16 processors, 4x4 mesh)",
 		append(schemeCols([]string{"application"}, AppSchemes), "UI-UA cycles")...)
-	results := l.runApps(apps.PaperNames, AppSchemes)
-	for i, name := range apps.PaperNames {
-		cells := results[i*len(AppSchemes) : (i+1)*len(AppSchemes)]
-		// AppSchemes[0] is the UI-UA baseline every cell normalizes to.
-		base := cells[0].Time
-		row := []any{name}
-		for _, a := range cells {
-			row = append(row, report.Float3(ratio(a.Time, base)))
-		}
-		t.Row(append(row, uint64(base))...)
-	}
+	normalizedRows(t, apps.PaperNames, l.runApps(apps.PaperNames, []coherence.Variant{{}}, AppSchemes))
 	return t
 }
+
+// pairSchemes are the unicast baseline and the best multidestination
+// framework, the pair E13, E16, E18 and E23 compare.
+var pairSchemes = []grouping.Scheme{grouping.UIUA, grouping.MIMAEC}
 
 // FigConsistency renders E13: application execution time under sequential
 // versus release consistency for the baseline and the best
 // multidestination framework. Under RC, write (invalidation) latency hides
 // behind computation, so the framework gap narrows on latency — but the
 // occupancy and traffic savings of MI-MA remain.
-func FigConsistency() *report.Table {
+func (l Lab) FigConsistency() *report.Table {
 	t := report.NewTable("E13: consistency model x framework, normalized application execution time (16 processors)",
 		"application", "SC UI-UA", "SC MI-MA-ec", "RC UI-UA", "RC MI-MA-ec", "SC UI-UA cycles")
-	for _, w := range apps.Paper() {
-		var base sim.Time
-		row := []any{w.Name}
-		for _, cons := range []coherence.Consistency{coherence.SequentialConsistency, coherence.ReleaseConsistency} {
-			for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC} {
-				p := coherence.DefaultParams(4, s)
-				p.Consistency = cons
-				m := coherence.NewMachine(p)
-				res := apps.Run(m, w)
-				if base == 0 {
-					base = res.Time
-				}
-				row = append(row, report.Float3(float64(res.Time)/float64(base)))
-			}
-		}
-		row = append(row, uint64(base))
-		t.Row(row...)
-	}
+	normalizedRows(t, apps.PaperNames, l.runApps(apps.PaperNames,
+		[]coherence.Variant{{}, {Consistency: coherence.ReleaseConsistency}}, pairSchemes))
 	return t
 }
 
@@ -567,26 +571,18 @@ func (l Lab) FigLimitedDirectory(k int) *report.Table {
 // unicast baseline and grouped multidestination worms. Forwarding converts
 // consumers' re-read misses into hits; multidestination grouping makes the
 // pushes cheap.
-func FigDataForwarding() *report.Table {
+func (l Lab) FigDataForwarding() *report.Table {
 	t := report.NewTable("E16: data forwarding x framework (16 processors)",
 		"application", "config", "read misses", "exec cycles", "normalized")
-	for _, w := range apps.Paper() {
-		var base sim.Time
-		for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC} {
-			for _, fwd := range []bool{false, true} {
-				p := coherence.DefaultParams(4, s)
-				p.DataForwarding = fwd
-				m := coherence.NewMachine(p)
-				res := apps.Run(m, w)
-				if base == 0 {
-					base = res.Time
-				}
-				cfgName := s.String()
-				if fwd {
-					cfgName += "+fwd"
-				}
-				t.Row(w.Name, cfgName, res.ReadMisses, uint64(res.Time),
-					report.Float3(float64(res.Time)/float64(base)))
+	tunes := []coherence.Variant{{}, {DataForwarding: true}}
+	for i, cells := range l.runApps(apps.PaperNames, tunes, pairSchemes) {
+		name := apps.PaperNames[i]
+		// Rows are scheme-major; cells are variant-major.
+		for j, s := range pairSchemes {
+			for f, sfx := range []string{"", "+fwd"} {
+				a := cells[f*len(pairSchemes)+j]
+				mustBeFresh(appPoint(name, s, tunes[f]), a.Time > 0 && a.ReadMisses == 0, "has no read-miss count")
+				t.Row(name, s.String()+sfx, a.ReadMisses, uint64(a.Time), report.Float3(ratio(a.Time, cells[0].Time)))
 			}
 		}
 	}
@@ -615,12 +611,10 @@ func (l Lab) FigInvalSizeDistribution() *report.Table {
 	}
 	cols = append(cols, "total txns")
 	t := report.NewTable("E17: invalidation size distribution (percent of transactions, 16 processors, UI-UA)", cols...)
-	for i, a := range l.runApps(apps.PaperNames, []grouping.Scheme{grouping.UIUA}) {
-		name := apps.PaperNames[i]
-		if a.Invals > 0 && len(a.Sharers) == 0 {
-			panic(fmt.Errorf("experiments: the stored %s replay %s has %d invalidations and no sharer histogram; delete it to rerun the replay",
-				name, appPoint(name, grouping.UIUA).Fingerprint(), a.Invals))
-		}
+	for i, cells := range l.runApps(apps.PaperNames, []coherence.Variant{{}}, []grouping.Scheme{grouping.UIUA}) {
+		name, a := apps.PaperNames[i], cells[0]
+		mustBeFresh(appPoint(name, grouping.UIUA, coherence.Variant{}), a.Invals > 0 && len(a.Sharers) == 0,
+			fmt.Sprintf("has %d invalidations and no sharer histogram", a.Invals))
 		row := []any{name}
 		for _, b := range invalSizeBuckets {
 			c := 0
@@ -643,24 +637,17 @@ func (l Lab) FigInvalSizeDistribution() *report.Table {
 // pay a full distribution transaction for every write; multidestination
 // worms cut that per-write cost the same way they cut invalidations —
 // making update protocols far more viable than under unicast messaging.
-func FigWriteUpdate() *report.Table {
+func (l Lab) FigWriteUpdate() *report.Table {
 	t := report.NewTable("E18: write-invalidate vs write-update (16 processors)",
 		"application", "config", "read misses", "write txns", "exec cycles", "normalized")
-	for _, w := range apps.Paper() {
-		var base sim.Time
-		for _, proto := range []coherence.Protocol{coherence.WriteInvalidate, coherence.WriteUpdate} {
-			for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC} {
-				p := coherence.DefaultParams(4, s)
-				p.Protocol = proto
-				m := coherence.NewMachine(p)
-				res := apps.Run(m, w)
-				if base == 0 {
-					base = res.Time
-				}
-				t.Row(w.Name, proto.String()+"/"+s.String(), res.ReadMisses,
-					len(m.Metrics.Invals), uint64(res.Time),
-					report.Float3(float64(res.Time)/float64(base)))
-			}
+	tunes := []coherence.Variant{{}, {Protocol: coherence.WriteUpdate}}
+	for i, cells := range l.runApps(apps.PaperNames, tunes, pairSchemes) {
+		name := apps.PaperNames[i]
+		for j, a := range cells {
+			tune, s := tunes[j/len(pairSchemes)], pairSchemes[j%len(pairSchemes)]
+			mustBeFresh(appPoint(name, s, tune), a.Time > 0 && a.ReadMisses == 0, "has no read-miss count")
+			t.Row(name, tune.Protocol.String()+"/"+s.String(), a.ReadMisses, a.Invals, uint64(a.Time),
+				report.Float3(ratio(a.Time, cells[0].Time)))
 		}
 	}
 	return t
@@ -817,14 +804,13 @@ func (l Lab) FigSharingDependence() *report.Table {
 	t := report.NewTable("E23: sharing degree vs multidestination gain (16 processors)",
 		"application", "avg sharers", "UI-UA cycles", "MI-MA-ec cycles", "gain %")
 	names := slices.Concat(apps.PaperNames, []string{"Jacobi"})
-	results := l.runApps(names, []grouping.Scheme{grouping.UIUA, grouping.MIMAEC})
-	for i, name := range names {
-		ui, mm := results[2*i], results[2*i+1]
+	for i, cells := range l.runApps(names, []coherence.Variant{{}}, pairSchemes) {
+		ui, mm := cells[0], cells[1]
 		gain := 0.0
 		if ui.Time > 0 {
 			gain = 100 * (1 - ratio(mm.Time, ui.Time))
 		}
-		t.Row(name, ui.AvgSharers, uint64(ui.Time), uint64(mm.Time), gain)
+		t.Row(names[i], ui.AvgSharers, uint64(ui.Time), uint64(mm.Time), gain)
 	}
 	return t
 }

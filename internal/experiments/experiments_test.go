@@ -197,12 +197,12 @@ func TestAllExperimentsRender(t *testing.T) {
 		{"E10", func() *report.Table { return l.FigHotSpot(8, 8) }, len(HotSpotWriters)},
 		{"E11", func() *report.Table { return l.AblationPlacement(8, 8, 2) }, 5},
 		{"E12", func() *report.Table { return l.AblationConsumptionChannels(8, 8, 2) }, 4},
-		{"E13", FigConsistency, 3},
+		{"E13", l.FigConsistency, 3},
 		{"E14", func() *report.Table { return l.FigVirtualChannels(8, 8, 2) }, 3},
 		{"E15", func() *report.Table { return l.FigLimitedDirectory(8) }, 6},
-		{"E16", FigDataForwarding, 12},
+		{"E16", l.FigDataForwarding, 12},
 		{"E17", l.FigInvalSizeDistribution, 3},
-		{"E18", FigWriteUpdate, 12},
+		{"E18", l.FigWriteUpdate, 12},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -75,10 +75,10 @@ func (l Lab) runners(k, d, trials int) map[string]func() *report.Table {
 		"apps":        l.FigApplications,
 		"vcs":         func() *report.Table { return l.FigVirtualChannels(k, d, 8) },
 		"limdir":      func() *report.Table { return l.FigLimitedDirectory(8) },
-		"consistency": FigConsistency,
-		"forwarding":  FigDataForwarding,
+		"consistency": l.FigConsistency,
+		"forwarding":  l.FigDataForwarding,
 		"invalsize":   l.FigInvalSizeDistribution,
-		"update":      FigWriteUpdate,
+		"update":      l.FigWriteUpdate,
 		"load":        func() *report.Table { return l.FigOfferedLoad(k) },
 		"tree":        func() *report.Table { return l.FigSoftwareTree(k, trials) },
 		"torus":       func() *report.Table { return l.FigTorus(k, trials) },

@@ -222,6 +222,9 @@ func (s *Service) resolve(ctx context.Context, p sweep.Point, fp string, priorit
 		})
 		return m, nil, SourceCache, nil
 	}
+	if err := ctx.Err(); err != nil {
+		return sweep.Measures{}, nil, "", err // no run for a request that has already given up
+	}
 	if _, ok := ctx.Deadline(); !ok && s.cfg.DefaultTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)

@@ -32,6 +32,7 @@ type AppMeasures struct {
 	MaxSharers int      `json:"max_sharers"`
 	Reads      uint64   `json:"reads"`
 	Writes     uint64   `json:"writes"`
+	ReadMisses int      `json:"read_misses"`
 	// Barriers counts barrier episodes per processor.
 	Barriers uint64 `json:"barriers"`
 	// Sharers[n] counts the invalidation transactions with n sharers, so
@@ -52,9 +53,10 @@ type OccupancyMeasures struct {
 }
 
 // Check refuses a point no runner can honour: no trials, more than one
-// workload, a burst, replay or traffic run that is not one trial or a
-// traffic run with a field workload.RunTraffic ignores, sharers that do not
-// fit the mesh, a home off it, or a negative Tune field.
+// workload, a burst, replay or traffic run that is not one trial, a traffic
+// run with a field workload.RunTraffic ignores, a Tune consistency, protocol
+// or forwarding field on a point that is not a replay, sharers that do not
+// fit the mesh, a home off it, or a negative or unknown Tune field.
 func (p Point) Check() error {
 	kinds := 0
 	for _, set := range []bool{p.Home != nil, p.HotSpot != nil, p.App != "", p.OfferedLoad != 0} {
@@ -73,13 +75,16 @@ func (p Point) Check() error {
 	case p.OfferedLoad != 0 && (p.ChaosSeed != 0 || p.Faults != nil ||
 		v != nil && *v != (coherence.Variant{VirtualChannels: v.VirtualChannels})):
 		return fmt.Errorf("is a traffic run with chaos, faults or a Tune field other than VirtualChannels")
+	case p.App == "" && v != nil && (v.Consistency != 0 || v.Protocol != 0 || v.DataForwarding):
+		return fmt.Errorf("sets a Tune consistency, protocol or forwarding field but is not a replay")
 	case p.App == "" && p.OfferedLoad == 0 && (p.D < 1 || p.D > p.K*p.K-2):
 		return fmt.Errorf("has D %d out of range [1,%d] for a %dx%d mesh", p.D, p.K*p.K-2, p.K, p.K)
 	case p.Home != nil && (*p.Home < 0 || int(*p.Home) >= p.K*p.K):
 		return fmt.Errorf("has Home %d off the %dx%d mesh", *p.Home, p.K, p.K)
-	case v != nil && min(v.DirPointers, v.DirCoarseRegion, v.CacheLines,
-		v.IAckBuffers, v.ConsumptionChannels, v.VirtualChannels) < 0:
-		return fmt.Errorf("has a negative Tune field")
+	case v != nil && (min(v.DirPointers, v.DirCoarseRegion, v.CacheLines, v.IAckBuffers, v.ConsumptionChannels,
+		v.VirtualChannels, int(v.Consistency), int(v.Protocol)) < 0 ||
+		v.Consistency > coherence.ReleaseConsistency || v.Protocol > coherence.WriteUpdate):
+		return fmt.Errorf("has a negative Tune field or an unknown consistency or protocol")
 	}
 	return nil
 }
@@ -151,8 +156,8 @@ func runApp(p Point, rec *trace.Recorder) Measures {
 	}
 	return Measures{Completed: 1, App: &AppMeasures{
 		Time: res.Time, Invals: res.Invals, AvgSharers: res.AvgSharers, MaxSharers: res.MaxSharers,
-		Reads: st.Reads, Writes: st.Writes, Barriers: st.Barriers / uint64(len(w.Programs)),
-		Sharers: sharers,
+		Reads: st.Reads, Writes: st.Writes, ReadMisses: res.ReadMisses,
+		Barriers: st.Barriers / uint64(len(w.Programs)), Sharers: sharers,
 	}}
 }
 

@@ -58,13 +58,23 @@ func TestRunValidatesPoints(t *testing.T) {
 			t.Fatalf("%s accepted", name)
 		}
 	}
-	off := topology.NodeID(16)
+	off, corner := topology.NodeID(16), topology.NodeID(0)
 	for name, mutate := range map[string]func(*Point){
 		"no sharers":             func(p *Point) { p.D = 0 },
 		"more sharers than fit":  func(p *Point) { p.D = 15 },
 		"a burst with no room":   func(p *Point) { p.Trials, p.HotSpot = 1, &HotSpot{Writers: 2}; p.D = 15 },
 		"a home off the mesh":    func(p *Point) { p.Home = &off },
 		"a negative i-ack depth": func(p *Point) { p.Tune = &coherence.Variant{IAckBuffers: -1} },
+		"release consistency on an invalidation point": func(p *Point) {
+			p.Tune = &coherence.Variant{Consistency: coherence.ReleaseConsistency}
+		},
+		"write-update on a burst": func(p *Point) {
+			p.Trials, p.HotSpot, p.Tune = 1, &HotSpot{Writers: 2}, &coherence.Variant{Protocol: coherence.WriteUpdate}
+		},
+		"data forwarding on a homed point": func(p *Point) { p.Home, p.Tune = &corner, &coherence.Variant{DataForwarding: true} },
+		"a replay under an unknown protocol": func(p *Point) {
+			p.Trials, p.App, p.Tune = 1, "LU", &coherence.Variant{Protocol: coherence.WriteUpdate + 1}
+		},
 	} {
 		bad = testPoints(1)
 		mutate(&bad[0])

@@ -3,16 +3,16 @@
 # serve-smoke CI job):
 #
 #   1. start the daemon with a data directory,
-#   2. run the E4 latency and E19 offered-load experiments through it and
-#      assert each table is byte-identical to an in-process run of the same
-#      dsmsimctl experiment command,
+#   2. run the E4 latency, E19 offered-load and E18 write-update experiments
+#      through it and assert each table is byte-identical to an in-process
+#      run of the same dsmsimctl experiment command,
 #   3. repeat each request and assert the cached reply is byte-identical,
 #   4. submit a point job and check it completes with zero duplicate runs,
 #   5. SIGTERM the daemon and assert a clean (exit 0) drain that leaves the
 #      persisted results, an empty jobs/ and nothing else in the data directory,
-#   6. run an in-process experiment twice over one -data directory and
-#      assert identical tables with zero engine runs the second time (for
-#      E19, all 12 points from the store),
+#   6. run in-process experiments twice over one -data directory and assert
+#      identical tables with zero engine runs the second time (for E19 and
+#      E18, all 12 points from the store),
 #   7. start the daemon over that directory and assert it serves the same
 #      table with zero engine runs.
 set -euo pipefail
@@ -23,7 +23,7 @@ source "$(dirname "$0")/daemon.sh"
 echo "== starting daemon =="
 start_daemon -data "$work/data" -workers 4
 
-for exp in latency load; do
+for exp in latency load update; do
   echo "== $exp: experiment byte-identity (daemon vs in process) =="
   "$work/dsmsimctl" experiment -name "$exp" -k 8 -trials 2 >"$work/direct.txt" 2>/dev/null
   ctl experiment -name "$exp" -k 8 -trials 2 >"$work/served.txt"
@@ -52,25 +52,26 @@ test -z "$(ls -A "$work/data/jobs")"
 test "$(ls -A "$work/data" | sort | tr '\n' ' ')" = "jobs results "
 
 echo "== in-process -data: a rerun runs nothing =="
-sweep() {
-  "$work/dsmsimctl" experiment -name torus -k 8 -trials 2 -data "$work/batch"
+# rerun NAME TALLY ARGS...: run experiment NAME twice over $work/batch; the
+# second run must print the same table and end with the stderr line TALLY.
+rerun() {
+  local name=$1 tally=$2
+  shift 2
+  for i in 1 2; do
+    "$work/dsmsimctl" experiment -name "$name" -data "$work/batch" "$@" \
+      >"$work/$name$i.txt" 2>"$work/$name$i.err"
+  done
+  cmp "$work/${name}1.txt" "$work/${name}2.txt"
+  grep -q " $tally\$" "$work/${name}2.err"
 }
-sweep >"$work/batch1.txt" 2>"$work/batch1.err"
-sweep >"$work/batch2.txt" 2>"$work/batch2.err"
-cmp "$work/batch1.txt" "$work/batch2.txt"
-grep -q ' 0 run$' "$work/batch2.err"
-load() {
-  "$work/dsmsimctl" experiment -name load -k 8 -data "$work/batch"
-}
-load >"$work/load1.txt" 2>"$work/load1.err"
-load >"$work/load2.txt" 2>"$work/load2.err"
-cmp "$work/load1.txt" "$work/load2.txt"
-grep -q ' 12 points from the store, 0 run$' "$work/load2.err"
+rerun torus '0 run' -k 8 -trials 2
+rerun load '12 points from the store, 0 run' -k 8
+rerun update '12 points from the store, 0 run'
 
 echo "== serve over the batch directory serves it with zero engine runs =="
 start_daemon -data "$work/batch" -workers 4
 ctl experiment -name torus -k 8 -trials 2 >"$work/batch_served.txt"
-cmp "$work/batch1.txt" "$work/batch_served.txt"
+cmp "$work/torus1.txt" "$work/batch_served.txt"
 ctl stats >"$work/batch_stats.json"
 grep -q '"runs": 0,' "$work/batch_stats.json"
 stop_daemon
