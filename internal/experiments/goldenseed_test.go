@@ -93,9 +93,11 @@ func TestGoldenTablesSeed(t *testing.T) {
 }
 
 // cellGoldenNames are the hot-spot, per-home, application and offered-load
-// figures.
+// figures, and the single-machine ones (Tables 4 and 5, barrier, congestion,
+// three-hop).
 var cellGoldenNames = []string{"buffers", "hotspot", "homes", "cons", "vcs", "occupancy",
-	"table6", "apps", "sharing", "invalsize", "consistency", "forwarding", "update", "load"}
+	"table6", "apps", "sharing", "invalsize", "consistency", "forwarding", "update", "load",
+	"table4", "table5", "barrier", "congestion", "threehop"}
 
 // TestGoldenCellTables compares cellGoldenNames at k=8, d=6, trials=2 (the
 // application figures at their fixed 4x4 size) byte-for-byte against
