@@ -92,7 +92,7 @@ cover:
 # installed by Machine.InstallSharer must leave the machine, and the write
 # that follows, exactly as simulated read misses do), and the allocation
 # ratchets (a pooled unicast allocates nothing; a traffic run's and an
-# application replay's allocations do not grow with their length; an
+# application replay's allocations and bytes do not grow with their length; an
 # invalidation transaction allocates at most a small constant at any k,
 # scheme and d; building a network or a machine costs the same allocations
 # at every mesh size; once grown, the block tables' fill/invalidate and

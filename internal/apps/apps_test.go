@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/coherence"
@@ -340,9 +341,11 @@ func TestJacobiNonSquareProcsPanics(t *testing.T) {
 // continuations: every reference completes through its processor's one
 // bound continuation, so a program four times as long allocates almost
 // nothing more. The programs read shared blocks, compute, and write and
-// read a private block, all of which run allocation-free once warm; what
-// remains is the latency samples' amortized growth. A closure per
-// reference would cost at least one allocation per operation.
+// read a private block, all of which run allocation-free once warm. A
+// closure per reference would cost at least one allocation per operation.
+// The bytes are bounded too (about 0 per extra operation): the machine
+// summarizes its miss latencies rather than logging every operation's, and
+// float64 logs grown by append cost about 23 bytes per operation here.
 func TestReplayAllocsIndependentOfLength(t *testing.T) {
 	const procs = 4
 	build := func(rounds int) Workload {
@@ -358,17 +361,37 @@ func TestReplayAllocsIndependentOfLength(t *testing.T) {
 		}
 		return Workload{Name: "alloc", Programs: progs, BarrierCost: 10}
 	}
-	run := func(rounds int) float64 {
+	run := func(rounds int) (allocs, bytes float64) {
 		w := build(rounds)
-		return testing.AllocsPerRun(1, func() {
+		return allocated(func() {
 			Run(coherence.NewMachine(coherence.DefaultParams(4, grouping.MIMAEC)), w)
 		})
 	}
 	const short, long = 500, 2000
-	shortAllocs, longAllocs := run(short), run(long)
+	shortAllocs, shortBytes := run(short)
+	longAllocs, longBytes := run(long)
 	extraOps := float64((long - short) * procs * 4)
-	if perOp := (longAllocs - shortAllocs) / extraOps; perOp >= 0.05 {
+	perOp, bytesPerOp := (longAllocs-shortAllocs)/extraOps, (longBytes-shortBytes)/extraOps
+	t.Logf("%.3f allocations and %.2f bytes per extra operation", perOp, bytesPerOp)
+	if perOp >= 0.05 {
 		t.Fatalf("%.3f allocations per extra operation (%v for %d rounds, %v for %d), want < 0.05",
 			perOp, shortAllocs, short, longAllocs, long)
 	}
+	if bytesPerOp >= 4 {
+		t.Fatalf("%.2f bytes per extra operation (%v for %d rounds, %v for %d), want < 4",
+			bytesPerOp, shortBytes, short, longBytes, long)
+	}
+}
+
+// allocated runs fn once to warm up and once measured, as
+// testing.AllocsPerRun(1, fn) does, and returns the heap allocations and
+// bytes of the measured run.
+func allocated(fn func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 }

@@ -128,7 +128,7 @@ func TestWormBarrierScalesBetterThanSharedMemory(t *testing.T) {
 		m := newM(t, k, grouping.MIMAEC)
 		runBarrierEpisode(t, m, 0)
 		runBarrierEpisode(t, m, 0) // steady state (setup amortized)
-		return m.Metrics.BarrierLatency.Percentile(100)
+		return m.Metrics.BarrierLatency.Max()
 	}
 	smLat := func(k int) float64 {
 		m := newM(t, k, grouping.MIMAEC)

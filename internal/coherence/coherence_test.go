@@ -62,9 +62,6 @@ func TestReadHitAfterFill(t *testing.T) {
 	if m.Metrics.ReadMiss.N() != before {
 		t.Fatal("second read missed")
 	}
-	if m.Metrics.ReadLatency.N() != 2 {
-		t.Fatal("read latencies not recorded")
-	}
 }
 
 func TestWriteUncachedGrantsExclusive(t *testing.T) {

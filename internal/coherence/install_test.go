@@ -31,7 +31,7 @@ func TestInstallSharerWritesReadMissState(t *testing.T) {
 		t.Fatalf("install simulated something: %d events, clock %d, %d worms",
 			m.Engine.Fired(), m.Engine.Now(), m.Net.Stats().Injected)
 	}
-	if m.Metrics.ReadLatency.N() != 0 || m.Metrics.MsgsSent[home] != 0 || m.Metrics.Occupancy[home] != 0 {
+	if m.Metrics.ReadMiss.N() != 0 || m.Metrics.MsgsSent[home] != 0 || m.Metrics.Occupancy[home] != 0 {
 		t.Fatal("install touched the collector")
 	}
 	// The installed copies are real: a write invalidates all three.

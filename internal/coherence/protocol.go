@@ -75,12 +75,6 @@ func (m *Machine) freeOp(op *pendingOp) {
 //
 //simcheck:noalloc
 func (m *Machine) finishHit(n topology.NodeID, op *pendingOp) {
-	now := m.Engine.Now()
-	if op.write {
-		m.Metrics.WriteLatency.AddTime(now - simTime(op.issue))
-	} else {
-		m.Metrics.ReadLatency.AddTime(now - simTime(op.issue))
-	}
 	if m.Rec != nil {
 		m.recOp(trace.KindOpDone, trace.FlagHit, n, op.tok, op.block)
 	}
@@ -175,7 +169,6 @@ func (m *Machine) WriteAsync(n topology.NodeID, b directory.BlockID, issued func
 	m.pendingWrites(n).count++
 	m.server(n).do(m.Params.CacheAccess, func() {
 		if m.caches[n].Lookup(b, true) {
-			m.Metrics.WriteLatency.AddTime(m.Engine.Now() - issue)
 			if m.Rec != nil {
 				m.recOp(trace.KindOpDone, trace.FlagHit, n, tok, b)
 			}
@@ -185,7 +178,6 @@ func (m *Machine) WriteAsync(n topology.NodeID, b directory.BlockID, issued func
 		}
 		if op := m.op(n, b); op != nil && op.write {
 			// Write coalesces into the already-buffered write to the block.
-			m.Metrics.WriteLatency.AddTime(m.Engine.Now() - issue)
 			if m.Rec != nil {
 				m.recOp(trace.KindOpDone, trace.FlagHit, n, tok, b)
 			}
@@ -892,10 +884,8 @@ func (m *Machine) initHandlers() {
 			m.recOp(trace.KindOpDone, flag, n, op.tok, pm.block)
 		}
 		if pm.typ == writeReply {
-			m.Metrics.WriteLatency.AddTime(now - simTime(op.issue))
 			m.Metrics.WriteMiss.AddTime(now - simTime(op.issue))
 		} else {
-			m.Metrics.ReadLatency.AddTime(now - simTime(op.issue))
 			m.Metrics.ReadMiss.AddTime(now - simTime(op.issue))
 		}
 		op.done()

@@ -1,6 +1,6 @@
 // Package metrics collects the performance measures the paper evaluates:
 // invalidation transaction latency, home-node occupancy, network traffic
-// (messages and flit-hops), and end-to-end memory operation latencies.
+// (messages and flit-hops), and memory miss latencies.
 package metrics
 
 import (
@@ -42,21 +42,19 @@ func (r InvalRecord) Latency() sim.Time { return r.End - r.Start }
 type Collector struct {
 	// Invals holds one record per completed invalidation transaction.
 	Invals []InvalRecord
-	// ReadLatency and WriteLatency sample end-to-end processor-visible
-	// latencies of shared reads and writes (issue to completion), in
-	// cycles. Hits are included.
-	ReadLatency, WriteLatency sim.Sample
-	// ReadMiss and WriteMiss sample miss-only latencies.
-	ReadMiss, WriteMiss sim.Sample
+	// ReadMiss and WriteMiss summarize the processor-visible latencies
+	// (issue to completion, in cycles) of shared reads and writes that
+	// missed; hits are not counted.
+	ReadMiss, WriteMiss sim.Summary
 	// Occupancy[n] is the total busy time of node n's protocol controller.
 	Occupancy []sim.Time
 	// MsgsSent/MsgsRecv count protocol messages per node.
 	MsgsSent, MsgsRecv []uint64
 	// Forwards counts data-forwarding pushes (recipient copies sent).
 	Forwards uint64
-	// BarrierLatency samples worm-barrier episode latencies (first arrival
-	// to release launch).
-	BarrierLatency sim.Sample
+	// BarrierLatency summarizes worm-barrier episode latencies (first
+	// arrival to release launch).
+	BarrierLatency sim.Summary
 	// Retries counts invalidation-transaction recovery retries (i-ack
 	// timeouts that re-sent unacknowledged sharers); Fallbacks counts
 	// transactions degraded from multidestination to unicast invals
@@ -77,52 +75,4 @@ func NewCollector(n int) *Collector {
 		MsgsSent:  make([]uint64, n),
 		MsgsRecv:  make([]uint64, n),
 	}
-}
-
-// InvalLatency returns a sample over all recorded invalidation latencies.
-func (c *Collector) InvalLatency() *sim.Sample {
-	var s sim.Sample
-	for _, r := range c.Invals {
-		s.AddTime(r.Latency())
-	}
-	return &s
-}
-
-// HomeMsgsPerInval returns the mean number of home-node messages per
-// invalidation transaction.
-func (c *Collector) HomeMsgsPerInval() float64 {
-	if len(c.Invals) == 0 {
-		return 0
-	}
-	total := 0
-	for _, r := range c.Invals {
-		total += r.HomeMsgs
-	}
-	return float64(total) / float64(len(c.Invals))
-}
-
-// GroupsPerInval returns the mean number of request worms per transaction.
-func (c *Collector) GroupsPerInval() float64 {
-	if len(c.Invals) == 0 {
-		return 0
-	}
-	total := 0
-	for _, r := range c.Invals {
-		total += r.Groups
-	}
-	return float64(total) / float64(len(c.Invals))
-}
-
-// TotalMessages returns the machine-wide count of protocol messages sent.
-func (c *Collector) TotalMessages() uint64 {
-	var total uint64
-	for _, v := range c.MsgsSent {
-		total += v
-	}
-	return total
-}
-
-// NodeOccupancy returns node n's accumulated controller busy cycles.
-func (c *Collector) NodeOccupancy(n topology.NodeID) sim.Time {
-	return c.Occupancy[n]
 }

@@ -16,9 +16,8 @@ type channel struct {
 	set *vcSet
 
 	// stats
-	flits     sim.Counter // flits that crossed this channel
-	acquired  sim.Time    // time of the current acquisition
-	busyTotal sim.Time    // accumulated held cycles
+	acquired  sim.Time // time of the current acquisition
+	busyTotal sim.Time // accumulated held cycles
 }
 
 // utilization returns the fraction of [0, now] this channel was held.

@@ -472,7 +472,6 @@ func (n *Network) grantInjection(w *Worm, i int32, lane *channel, wasBlocked, re
 			n.traceWorm(trace.KindWormHold, uint8(w.VN), w, w.Source(), 0, uint64(w.Source()), "")
 		}
 		w.lanes[0] = lane
-		lane.flits.Add(uint64(w.Flits()))
 		n.schedWorm(n.Cfg.InjectDelay, n.fnHeaderAt, w, 0)
 		return
 	}
@@ -484,7 +483,6 @@ func (n *Network) grantInjection(w *Worm, i int32, lane *channel, wasBlocked, re
 	// knows its set, so releaseIndex releases the right channel.
 	w.lanes[ii] = lane
 	w.heldFrom = ii
-	lane.flits.Add(uint64(w.Flits()))
 	n.schedWorm(n.Cfg.InjectDelay, n.fnRequestNext, w, i)
 }
 
@@ -827,7 +825,6 @@ func (n *Network) grantLink(w *Worm, i int32, lane *channel, wasBlocked bool) {
 	}
 	w.state = wormMoving
 	w.lanes[ii+1] = lane
-	lane.flits.Add(uint64(w.Flits()))
 	// Tail progress: with single-flit staging, the worm spans at most
 	// Flits() channels; anything further back has been vacated.
 	for w.heldFrom <= ii+1-w.Flits() {

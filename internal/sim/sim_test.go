@@ -461,20 +461,15 @@ func TestSamplePercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(10)
-	if c.Value() != 11 {
-		t.Fatalf("Counter = %d, want 11", c.Value())
-	}
-}
-
 func TestSampleAddTime(t *testing.T) {
 	var s Sample
 	s.AddTime(Time(100))
 	if s.Mean() != 100 {
 		t.Fatalf("AddTime mean = %v, want 100", s.Mean())
+	}
+	// AddTime must keep the observation, not only summarize it.
+	if v := s.Values(); len(v) != 1 || v[0] != 100 {
+		t.Fatalf("AddTime kept %v, want [100]", v)
 	}
 }
 

@@ -7,25 +7,63 @@ import (
 	"sort"
 )
 
-// Sample accumulates scalar observations and reports summary statistics.
-// The zero value is an empty sample ready for use.
+// Summary accumulates scalar observations into their count, sum, minimum
+// and maximum, keeping none of them. The zero value is an empty summary
+// ready for use.
+type Summary struct {
+	n   int
+	sum float64
+	min float64
+	max float64
+}
+
+// Add records one observation.
+func (s *Summary) Add(v float64) {
+	if s.n == 0 || v < s.min {
+		s.min = v
+	}
+	if s.n == 0 || v > s.max {
+		s.max = v
+	}
+	s.n++
+	s.sum += v
+}
+
+// AddTime records a Time observation.
+func (s *Summary) AddTime(t Time) { s.Add(float64(t)) }
+
+// N returns the number of observations.
+func (s *Summary) N() int { return s.n }
+
+// Sum returns the total of all observations.
+func (s *Summary) Sum() float64 { return s.sum }
+
+// Mean returns the arithmetic mean, or 0 for an empty summary.
+func (s *Summary) Mean() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.sum / float64(s.n)
+}
+
+// Min returns the smallest observation, or 0 for an empty summary.
+func (s *Summary) Min() float64 { return s.min }
+
+// Max returns the largest observation, or 0 for an empty summary.
+func (s *Summary) Max() float64 { return s.max }
+
+// Sample is a Summary that also keeps its observations, for the readers
+// that store, print or rank them. The zero value is an empty sample ready
+// for use.
 type Sample struct {
+	Summary
 	values []float64
-	sum    float64
-	min    float64
-	max    float64
 }
 
 // Add records one observation.
 func (s *Sample) Add(v float64) {
-	if len(s.values) == 0 || v < s.min {
-		s.min = v
-	}
-	if len(s.values) == 0 || v > s.max {
-		s.max = v
-	}
+	s.Summary.Add(v)
 	s.values = append(s.values, v)
-	s.sum += v
 }
 
 // AddTime records a Time observation.
@@ -58,26 +96,6 @@ func (s *Sample) UnmarshalJSON(data []byte) error {
 	}
 	return nil
 }
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.values) }
-
-// Sum returns the total of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
-
-// Mean returns the arithmetic mean, or 0 for an empty sample.
-func (s *Sample) Mean() float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	return s.sum / float64(len(s.values))
-}
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 { return s.min }
-
-// Max returns the largest observation, or 0 for an empty sample.
-func (s *Sample) Max() float64 { return s.max }
 
 // StdDev returns the population standard deviation, or 0 when fewer than
 // two observations exist.
@@ -121,17 +139,3 @@ func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d mean=%.1f min=%.0f max=%.0f sd=%.1f",
 		s.N(), s.Mean(), s.Min(), s.Max(), s.StdDev())
 }
-
-// Counter is a monotonically increasing tally.
-type Counter struct {
-	n uint64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }

@@ -71,8 +71,8 @@ func TestFingerprintStableAndContentAddressed(t *testing.T) {
 }
 
 // TestFingerprintPinned holds literal fingerprints: they name the files of
-// every dsmsimd -data directory in existence, so an encoder change that moves
-// one makes stored results unaddressable. A change here is a format break,
+// every dsmsimctl -data directory in existence, so an encoder change that
+// moves one makes stored results unaddressable. A change here is a format break,
 // never a re-pin.
 func TestFingerprintPinned(t *testing.T) {
 	cases := []struct {

@@ -68,7 +68,6 @@ type OpPath struct {
 	Node     int32
 	Block    uint64
 	Write    bool
-	Hit      bool
 	Issue    sim.Time
 	Done     sim.Time
 	Segments []Segment
@@ -306,7 +305,6 @@ func (ix *index) analyzeOp(tok uint64) OpPath {
 		Done:  done.At,
 	}
 	if done.Flag == FlagHit {
-		p.Hit = true
 		p.Segments = []Segment{{Component: CompHit, From: iss.At, To: done.At}}
 		p.Resolved = true
 		return p

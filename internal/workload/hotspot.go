@@ -52,7 +52,6 @@ type HotSpotConfig struct {
 
 // HotSpotResult reports the concurrent-invalidation measurements.
 type HotSpotResult struct {
-	Config HotSpotConfig
 	// Latency samples each transaction's invalidation latency.
 	Latency sim.Sample
 	// Makespan is the time from the simultaneous issue until the last
@@ -174,7 +173,6 @@ func RunHotSpot(cfg HotSpotConfig) HotSpotResult {
 			remaining, m.Net.Outstanding()))
 	}
 	res := HotSpotResult{
-		Config:      cfg,
 		Makespan:    m.Engine.Now() - start,
 		GatherWaits: m.Net.Stats().GatherWait - gwBefore,
 	}

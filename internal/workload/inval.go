@@ -112,7 +112,6 @@ type InvalConfig struct {
 
 // InvalResult aggregates an invalidation-pattern experiment.
 type InvalResult struct {
-	Config InvalConfig
 	// Latency samples per-transaction invalidation latency (cycles).
 	Latency sim.Sample
 	// HomeMsgs is the mean number of messages sent or received by the home
@@ -128,7 +127,7 @@ type InvalResult struct {
 	// (invalidation worms plus acknowledgments).
 	Messages float64
 	// Completed is the number of trials that actually ran (equals
-	// Config.Trials unless Interrupt stopped the experiment early).
+	// InvalConfig.Trials unless Interrupt stopped the experiment early).
 	Completed int
 	// Retries is the mean number of recovery retries per transaction and
 	// Drops the mean number of fault-killed worms per trial; both zero
@@ -142,17 +141,18 @@ type InvalResult struct {
 	Fallbacks float64
 	Purges    float64
 	// Metrics is the machine's full collector, for callers that read more
-	// than the means (sweep.RunPointDirect hands it back). Sharers installed
-	// functionally (installSharer) leave no trace in it: ReadMiss,
-	// ReadLatency, Occupancy and MsgsSent/MsgsRecv then carry the measured
-	// writes only, not the d reads that set each one up.
+	// than the means (sweep.RunPointDirect hands it back). A sharer
+	// installed functionally (coherence.Machine.InstallSharer) leaves no
+	// trace in it, so on a machine that installs every sharer ReadMiss is
+	// empty and Occupancy and MsgsSent/MsgsRecv carry the measured writes
+	// only. A machine that must simulate the set-up reads instead (faults,
+	// chaos ordering, a recorder, bounded caches) counts them like any
+	// other read miss.
 	Metrics *metrics.Collector
-	// EngineEvents and EngineCycles are the machine's total fired-event
-	// count and final clock reading (the benchmark's sim.events_per_txn is
-	// EngineEvents over Completed). Both exclude functionally installed
-	// sharers, which fire no event and advance no clock.
+	// EngineEvents is the machine's total fired-event count (the
+	// benchmark's sim.events_per_txn is EngineEvents over Completed). It
+	// excludes functionally installed sharers, which fire no event.
 	EngineEvents uint64
-	EngineCycles uint64
 }
 
 // RunInval executes the experiment: for each trial it installs D sharers of
@@ -193,7 +193,7 @@ func RunInval(cfg InvalConfig) InvalResult {
 		home = *cfg.Home
 	}
 
-	res := InvalResult{Config: cfg}
+	var res InvalResult
 	ops := newOpRunner(m)
 	var pl placer
 	var homeMsgs, groups, flitHops, messages, retries, drops, fallbacks, purges float64
@@ -246,7 +246,6 @@ func RunInval(cfg InvalConfig) InvalResult {
 	}
 	res.Metrics = m.Metrics
 	res.EngineEvents = m.Engine.Fired()
-	res.EngineCycles = uint64(m.Engine.Now())
 	return res
 }
 
@@ -262,12 +261,13 @@ func RunOp(m *coherence.Machine, write bool, n topology.NodeID, b directory.Bloc
 type opRunner struct {
 	m        *coherence.Machine
 	finished bool
+	end      sim.Time // when the last operation completed
 	done     func()
 }
 
 func newOpRunner(m *coherence.Machine) *opRunner {
 	r := &opRunner{m: m}
-	r.done = func() { r.finished = true }
+	r.done = func() { r.finished, r.end = true, m.Engine.Now() }
 	return r
 }
 
@@ -291,6 +291,15 @@ func (r *opRunner) run(write bool, n topology.NodeID, b directory.BlockID) sim.T
 			write, n, b, m.Net.Diagnose()))
 	}
 	return m.Engine.Now() - start
+}
+
+// latency is run returning the operation's issue-to-completion latency,
+// which leaves out any traffic still in flight when it completes. It panics
+// as run does if the operation never completes.
+func (r *opRunner) latency(write bool, n topology.NodeID, b directory.BlockID) sim.Time {
+	start := r.m.Engine.Now()
+	r.run(write, n, b)
+	return r.end - start
 }
 
 // installSharer makes n a sharer of b ahead of a measured operation: set-up,

@@ -73,6 +73,7 @@ func MeasureMiss(p coherence.Params, kind MissKind) sim.Time {
 func MeasureMissTraced(p coherence.Params, kind MissKind, rec *trace.Recorder) sim.Time {
 	m := coherence.NewMachine(p)
 	m.AttachTrace(rec)
+	ops := newOpRunner(m)
 	k := p.MeshSize
 	requester := m.Mesh.ID(topology.Coord{X: 1, Y: 1})
 	// Block homed at node 0 = (0,0); adjust per scenario.
@@ -83,30 +84,30 @@ func MeasureMissTraced(p coherence.Params, kind MissKind, rec *trace.Recorder) s
 	switch kind {
 	case ReadHit:
 		b = blockHomedAt(m.Mesh.ID(topology.Coord{X: k - 1, Y: k - 1}))
-		RunOp(m, false, requester, b)
-		return measureOp(m, false, requester, b)
+		ops.run(false, requester, b)
+		return ops.latency(false, requester, b)
 	case ReadMissLocal:
 		b = blockHomedAt(requester)
-		return measureOp(m, false, requester, b)
+		return ops.latency(false, requester, b)
 	case ReadMissNeighborClean:
 		b = blockHomedAt(m.Mesh.ID(topology.Coord{X: 2, Y: 1}))
-		return measureOp(m, false, requester, b)
+		return ops.latency(false, requester, b)
 	case ReadMissRemoteClean:
 		b = blockHomedAt(m.Mesh.ID(topology.Coord{X: k - 1, Y: k - 1}))
-		return measureOp(m, false, requester, b)
+		return ops.latency(false, requester, b)
 	case ReadMissRemoteDirty:
 		home := m.Mesh.ID(topology.Coord{X: k - 1, Y: k - 1})
 		owner := m.Mesh.ID(topology.Coord{X: k - 1, Y: 0})
 		b = blockHomedAt(home)
-		RunOp(m, true, owner, b)
-		return measureOp(m, false, requester, b)
+		ops.run(true, owner, b)
+		return ops.latency(false, requester, b)
 	case WriteMissUncached:
 		b = blockHomedAt(m.Mesh.ID(topology.Coord{X: k - 1, Y: k - 1}))
-		return measureOp(m, true, requester, b)
+		return ops.latency(true, requester, b)
 	case UpgradeNoSharers:
 		b = blockHomedAt(m.Mesh.ID(topology.Coord{X: k - 1, Y: k - 1}))
-		RunOp(m, false, requester, b)
-		return measureOp(m, true, requester, b)
+		ops.run(false, requester, b)
+		return ops.latency(true, requester, b)
 	case WriteMissSharers4:
 		home := m.Mesh.ID(topology.Coord{X: k - 1, Y: k - 1})
 		b = blockHomedAt(home)
@@ -115,28 +116,11 @@ func MeasureMissTraced(p coherence.Params, kind MissKind, rec *trace.Recorder) s
 			if n == requester || n == home {
 				panic("workload: sharer collides with requester or home")
 			}
-			newOpRunner(m).installSharer(n, b)
+			ops.installSharer(n, b)
 		}
-		return measureOp(m, true, requester, b)
+		return ops.latency(true, requester, b)
 	}
 	panic("workload: unknown miss kind")
-}
-
-// measureOp runs one operation and returns its latency.
-func measureOp(m *coherence.Machine, write bool, n topology.NodeID, b directory.BlockID) sim.Time {
-	start := m.Engine.Now()
-	var end sim.Time
-	fn := func() { end = m.Engine.Now() }
-	if write {
-		m.Write(n, b, fn)
-	} else {
-		m.Read(n, b, fn)
-	}
-	m.Engine.Run()
-	if end == 0 && start != 0 {
-		panic("workload: measured op did not complete")
-	}
-	return end - start
 }
 
 // BreakdownRow is one component of the Table 5 clean neighbor read-miss

@@ -34,12 +34,11 @@ type TrafficConfig struct {
 
 // TrafficResult reports the experiment's measurements.
 type TrafficResult struct {
-	Config TrafficConfig
 	// Injected and Delivered count worms. They always match: the run
 	// drains the fabric, and RunTraffic panics if a worm is undelivered.
 	Injected, Delivered uint64
-	// Latency samples per-worm network latency (inject to consume).
-	Latency sim.Sample
+	// Latency summarizes per-worm network latency (inject to consume).
+	Latency sim.Summary
 	// AvgLinkUtilization is the mean busy fraction over all links.
 	AvgLinkUtilization float64
 	// DrainTime is how long past the injection window the network needed
@@ -76,7 +75,7 @@ func RunTrafficTraced(cfg TrafficConfig, rec *trace.Recorder) TrafficResult {
 	net := network.New(engine, mesh, ncfg)
 	net.Rec = rec
 
-	res := TrafficResult{Config: cfg}
+	var res TrafficResult
 	net.OnDeliver = func(d network.Delivery) {
 		if d.Final {
 			res.Delivered++

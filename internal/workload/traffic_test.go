@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -55,28 +56,49 @@ func TestTrafficDeterministic(t *testing.T) {
 
 // TestTrafficAllocsIndependentOfLength pins the pooled traffic worm: a run
 // four times as long delivers about four times the worms, yet allocates
-// almost nothing more. What remains (about 0.04 per extra worm at this
-// load) is amortised growth that stops once the run has seen its peak:
-// the latency sample, the engine's calendar buckets and the waiter queues.
-// A worm built as a literal (path, flags and per-worm lane bookkeeping)
-// costs about eight allocations. The rate is below saturation, where the
-// worm pool stays bounded.
+// almost nothing more. What remains (about 0.005 allocations per extra worm
+// at this load) is amortised growth that stops once the run has seen its
+// peak: the engine's calendar buckets and the waiter queues. A worm built
+// as a literal (path, flags and per-worm lane bookkeeping) costs about
+// eight allocations. The bytes are bounded too (about 1.4 per extra worm):
+// the run summarizes the worms' latencies rather than logging them, and a
+// float64 log grown by append costs about 37 bytes per worm. The rate is
+// below saturation, where the worm pool stays bounded.
 func TestTrafficAllocsIndependentOfLength(t *testing.T) {
-	run := func(d sim.Time) (allocs float64, delivered uint64) {
+	run := func(d sim.Time) (allocs, bytes float64, delivered uint64) {
 		cfg := TrafficConfig{K: 8, Rate: 5, Duration: d}
-		allocs = testing.AllocsPerRun(1, func() { delivered = RunTraffic(cfg).Delivered })
-		return allocs, delivered
+		allocs, bytes = allocated(func() { delivered = RunTraffic(cfg).Delivered })
+		return allocs, bytes, delivered
 	}
-	shortAllocs, shortWorms := run(20000)
-	longAllocs, longWorms := run(80000)
+	shortAllocs, shortBytes, shortWorms := run(20000)
+	longAllocs, longBytes, longWorms := run(80000)
 	if longWorms < 3*shortWorms {
 		t.Fatalf("delivered %d worms at 80 000 cycles vs %d at 20 000", longWorms, shortWorms)
 	}
-	perWorm := (longAllocs - shortAllocs) / float64(longWorms-shortWorms)
+	extra := float64(longWorms - shortWorms)
+	perWorm, bytesPerWorm := (longAllocs-shortAllocs)/extra, (longBytes-shortBytes)/extra
+	t.Logf("%.3f allocations and %.2f bytes per extra delivered worm", perWorm, bytesPerWorm)
 	if perWorm >= 0.05 {
 		t.Fatalf("%.3f allocations per extra delivered worm (%v for %d worms, %v for %d), want < 0.05",
 			perWorm, shortAllocs, shortWorms, longAllocs, longWorms)
 	}
+	if bytesPerWorm >= 8 {
+		t.Fatalf("%.2f bytes per extra delivered worm (%v for %d worms, %v for %d), want < 8",
+			bytesPerWorm, shortBytes, shortWorms, longBytes, longWorms)
+	}
+}
+
+// allocated runs fn once to warm up and once measured, as
+// testing.AllocsPerRun(1, fn) does, and returns the heap allocations and
+// bytes of the measured run.
+func allocated(fn func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs - before.Mallocs), float64(after.TotalAlloc - before.TotalAlloc)
 }
 
 func TestTrafficZeroRatePanics(t *testing.T) {

@@ -2,7 +2,9 @@ package workload
 
 import (
 	"encoding/json"
+	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/coherence"
@@ -166,6 +168,24 @@ func TestMeasureMissOrderings(t *testing.T) {
 	if !(lat[ReadHit] <= 4) {
 		t.Fatalf("read hit = %d cycles, want <= 4", lat[ReadHit])
 	}
+}
+
+// TestOpLatencyRefusesUnfinishedOp: an operation issued at cycle 0 that
+// never completes, because an event at cycle 0 halts the engine first, must
+// panic naming the operation instead of measuring 0 cycles.
+func TestOpLatencyRefusesUnfinishedOp(t *testing.T) {
+	m := coherence.NewMachine(DefaultMicroParams(grouping.UIUA))
+	m.Engine.AtCall(0, func(any, int32) { m.Engine.Halt() }, nil, 0)
+	n, b := m.Mesh.ID(topology.Coord{X: 1, Y: 1}), directory.BlockID(70)
+	defer func() {
+		msg, _ := recover().(string)
+		want := fmt.Sprintf("did not complete (deadlock? write=false node=%d block=%d)", n, b)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not name the unfinished read (%s)", msg, want)
+		}
+	}()
+	lat := newOpRunner(m).latency(false, n, b)
+	t.Fatalf("the unfinished read measured %d cycles", lat)
 }
 
 func TestReadMissBreakdownSumsToMeasured(t *testing.T) {
