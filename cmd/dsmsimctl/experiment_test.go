@@ -78,12 +78,13 @@ func dirStore(t *testing.T, dir string) service.ResultStore {
 // TestDataRerunRunsNothing: a second run over the same -data directory runs
 // no point and prints the tables the bare engine prints: default machines and
 // variants, homed transactions, hot-spot bursts, application replays on
-// default and varied machines and traffic runs alike. d is 6 because E12's
-// one-consumption-channel cell wedges at k=8, d=16.
+// default and varied machines (E22's worm-barrier machine among them) and
+// traffic runs alike. d is 6 because E12's one-consumption-channel cell
+// wedges at k=8, d=16.
 func TestDataRerunRunsNothing(t *testing.T) {
 	names := []string{"latency", "torus", "limdir",
 		"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing",
-		"load", "invalsize", "consistency", "forwarding", "update"}
+		"load", "invalsize", "consistency", "forwarding", "update", "barrier"}
 	const d = 6
 	want := bare(t, d, names...)
 	dir := t.TempDir()
@@ -118,9 +119,10 @@ func TestDataRerunRunsNothing(t *testing.T) {
 // come from the store. The torus figure's mesh cells are E4 latency points,
 // so after latency only its 12 torus cells run; E23 and Table 6 replay six of
 // E9's UI-UA and MI-MA-ec cells, so after them E9 runs only its other 6; E17
-// reads Table 6's three replays, so after it E17 runs nothing; and E13, E16
+// reads Table 6's three replays, so after it E17 runs nothing; E13, E16
 // and E18 each take their six default-machine replays from E9 and run only
-// their six on the varied machine.
+// their six on the varied machine; and E22 takes its default-machine APSP
+// replay from E9 and runs only the worm-barrier one.
 func TestSharedPointRunsOnce(t *testing.T) {
 	cases := []struct {
 		first, then      []string
@@ -132,6 +134,7 @@ func TestSharedPointRunsOnce(t *testing.T) {
 		{[]string{"apps"}, []string{"consistency"}, 6, 6},
 		{[]string{"apps"}, []string{"forwarding"}, 6, 6},
 		{[]string{"apps"}, []string{"update"}, 6, 6},
+		{[]string{"apps"}, []string{"barrier"}, 1, 1},
 	}
 	for _, c := range cases {
 		cfg := service.Config{Store: service.NewMemoryStore(0)}

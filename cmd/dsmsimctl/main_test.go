@@ -111,6 +111,36 @@ func TestExperimentSizeCheck(t *testing.T) {
 	}
 }
 
+// TestUnplaceableSizesFail: a size the checks accept but whose hot-spot
+// writers (E10 at k=2, d=1 wants 4 writers beside each block's home and
+// sharer) or E24 sharers (5 on a 2x2 mesh) no mesh node can take fails the
+// experiment within seconds, naming the size, instead of drawing nodes
+// forever.
+func TestUnplaceableSizesFail(t *testing.T) {
+	for _, args := range [][]string{
+		{"experiment", "-name", "hotspot", "-k", "2", "-d", "1"},
+		{"experiment", "-name", "congestion", "-k", "2", "-d", "5"},
+	} {
+		type outcome struct {
+			code   int
+			errOut string
+		}
+		done := make(chan outcome, 1)
+		go func() {
+			code, _, errOut := run(args...)
+			done <- outcome{code, errOut}
+		}()
+		select {
+		case o := <-done:
+			if o.code != 1 || !strings.Contains(o.errOut, "2x2 mesh") {
+				t.Errorf("%v: exit %d, stderr %q; want 1 and an error naming the 2x2 mesh", args, o.code, o.errOut)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%v: still running after 30 s", args)
+		}
+	}
+}
+
 // TestRemoteAllIsOneRequestPerName: -name all through a daemon sends one
 // request per experiments.RunnerOrder name, in order, and prints the bodies
 // in turn; the daemon never sees "all", which it refuses with 400.

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/coherence"
@@ -243,13 +244,18 @@ func TestReleaseConsistencyFasterThanSC(t *testing.T) {
 	}
 }
 
+// wormMachine is a 4x4 machine under scheme whose replays synchronize with
+// the worm barrier; VCT deferred delivery keeps a stalled barrier gather off
+// the reply channels coherence replies need.
+func wormMachine(scheme grouping.Scheme) *coherence.Machine {
+	p := coherence.DefaultParams(4, scheme)
+	(&coherence.Variant{WormBarriers: true, VCTDeferred: true}).Apply(&p)
+	return coherence.NewMachine(p)
+}
+
 func TestWormBarriersInDriver(t *testing.T) {
-	// APSP with hardware-barrier traces, synchronized by worm barriers.
-	w := APSP(APSPConfig{Vertices: 16, Procs: 16, LinesPerRow: 1, HWBarriers: true})
-	w.WormBarriers = true
-	p := coherence.DefaultParams(4, grouping.MIMAEC)
-	p.Net.VCTDeferred = true // stalled barrier gathers must not hold reply channels
-	m := coherence.NewMachine(p)
+	w := APSP(APSPConfig{Vertices: 16, Procs: 16, LinesPerRow: 1})
+	m := wormMachine(grouping.MIMAEC)
 	res := Run(m, w)
 	if res.Time == 0 || !m.Quiesced() {
 		t.Fatal("worm-barrier run failed")
@@ -263,17 +269,49 @@ func TestWormBarriersInDriver(t *testing.T) {
 	}
 }
 
-func TestWormBarriersBeatSharedMemoryBarriersOnAPSP(t *testing.T) {
-	sm := APSP(APSPConfig{Vertices: 16, Procs: 16, LinesPerRow: 1})
-	wb := APSP(APSPConfig{Vertices: 16, Procs: 16, LinesPerRow: 1, HWBarriers: true})
-	wb.WormBarriers = true
-	run := func(w Workload) RunResult {
-		p := coherence.DefaultParams(4, grouping.MIMAEC)
-		p.Net.VCTDeferred = true
-		m := coherence.NewMachine(p)
-		return Run(m, w)
+// withoutBarrierRefs is w with every reference to its shared-memory barrier
+// blocks removed, and no barrier blocks named.
+func withoutBarrierRefs(w Workload) Workload {
+	progs := make([]Program, len(w.Programs))
+	for p, prog := range w.Programs {
+		for _, op := range prog {
+			if op.Kind > OpWrite || !slices.Contains(w.syncBlocks, op.Block) {
+				progs[p] = append(progs[p], op)
+			}
+		}
 	}
-	smRes, wbRes := run(sm), run(wb)
+	w.Programs, w.syncBlocks = progs, nil
+	return w
+}
+
+// TestWormBarrierReplaySkipsBarrierReferences: on a worm-barrier machine a
+// replay issues none of the shared-memory barrier's references, so it runs
+// exactly as the trace without them does, while a default machine issues
+// them (the flag write is a broadcast invalidation).
+func TestWormBarrierReplaySkipsBarrierReferences(t *testing.T) {
+	for _, w := range []Workload{
+		APSP(APSPConfig{Vertices: 16, Procs: 16, LinesPerRow: 1}),
+		Jacobi(JacobiConfig{N: 32, Procs: 16, Iterations: 3, LinesPerEdge: 1}),
+	} {
+		bare := withoutBarrierRefs(w)
+		got, want := Run(wormMachine(grouping.MIMAEC), w), Run(wormMachine(grouping.MIMAEC), bare)
+		if got != want {
+			t.Errorf("%s: worm-barrier replay %+v; the trace without barrier references gives %+v", w.Name, got, want)
+		}
+		sm := Run(coherence.NewMachine(coherence.DefaultParams(4, grouping.MIMAEC)), w)
+		if sm.Invals <= got.Invals {
+			t.Errorf("%s: %d invalidations with shared-memory barriers, %d without; the barrier references were not issued",
+				w.Name, sm.Invals, got.Invals)
+		}
+	}
+}
+
+func TestWormBarriersBeatSharedMemoryBarriersOnAPSP(t *testing.T) {
+	w := APSP(APSPConfig{Vertices: 16, Procs: 16, LinesPerRow: 1})
+	p := coherence.DefaultParams(4, grouping.MIMAEC)
+	p.Net.VCTDeferred = true
+	smRes := Run(coherence.NewMachine(p), w)
+	wbRes := Run(wormMachine(grouping.MIMAEC), w)
 	if wbRes.Time >= smRes.Time {
 		t.Fatalf("worm-barrier time %d not below SM-barrier time %d", wbRes.Time, smRes.Time)
 	}
@@ -281,8 +319,7 @@ func TestWormBarriersBeatSharedMemoryBarriersOnAPSP(t *testing.T) {
 
 func TestWormBarriersRequireFullMachine(t *testing.T) {
 	w := smallAPSP() // 4 procs
-	w.WormBarriers = true
-	m := coherence.NewMachine(coherence.DefaultParams(4, grouping.UIUA))
+	m := wormMachine(grouping.UIUA)
 	defer func() {
 		if recover() == nil {
 			t.Error("partial-machine worm barrier did not panic")
@@ -300,13 +337,12 @@ func TestJacobiRuns(t *testing.T) {
 }
 
 func TestJacobiSharingIsNearestNeighbor(t *testing.T) {
-	// With hardware barriers (no SM-barrier broadcast), Jacobi's data
+	// With worm barriers (no SM-barrier broadcast), Jacobi's data
 	// invalidations hit at most 2 sharers (an edge is cached by one or two
 	// neighbors at the subdomain corners... here edges map to exactly one
 	// facing neighbor).
-	w := Jacobi(JacobiConfig{N: 32, Procs: 16, Iterations: 3, LinesPerEdge: 1, HWBarriers: true})
-	m := coherence.NewMachine(coherence.DefaultParams(4, grouping.UIUA))
-	res := Run(m, w)
+	w := Jacobi(JacobiConfig{N: 32, Procs: 16, Iterations: 3, LinesPerEdge: 1})
+	res := Run(wormMachine(grouping.UIUA), w)
 	if res.MaxSharers > 2 {
 		t.Fatalf("Jacobi data invalidation hit %d sharers, want <= 2", res.MaxSharers)
 	}
@@ -319,9 +355,9 @@ func TestJacobiGainsLittleFromWorms(t *testing.T) {
 	// The negative control: nearest-neighbor sharing leaves
 	// multidestination worms almost nothing to group, so the MI-MA gain
 	// must be small (well under the APSP/Barnes gains).
-	w := Jacobi(JacobiConfig{N: 32, Procs: 16, Iterations: 4, LinesPerEdge: 1, HWBarriers: true})
-	ui := runApp(t, w, grouping.UIUA, 4)
-	mm := runApp(t, w, grouping.MIMAEC, 4)
+	w := Jacobi(JacobiConfig{N: 32, Procs: 16, Iterations: 4, LinesPerEdge: 1})
+	ui := Run(wormMachine(grouping.UIUA), w)
+	mm := Run(wormMachine(grouping.MIMAEC), w)
 	gain := 1 - float64(mm.Time)/float64(ui.Time)
 	if gain > 0.03 {
 		t.Fatalf("Jacobi MI-MA gain = %.1f%%, expected ~0 (nearest-neighbor sharing)", gain*100)

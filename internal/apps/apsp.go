@@ -22,9 +22,6 @@ type APSPConfig struct {
 	RelaxCost sim.Time
 	// Seed generates the random graph (default 1).
 	Seed uint64
-	// HWBarriers replaces the default shared-memory sense-reversing
-	// barriers with idealized hardware barriers (ablation).
-	HWBarriers bool
 }
 
 func (c *APSPConfig) defaults() {
@@ -74,61 +71,30 @@ func APSP(cfg APSPConfig) Workload {
 		}
 	}
 	rowsPer := (n + cfg.Procs - 1) / cfg.Procs
-	rowBlock := func(row, l int) directory.BlockID {
-		return directory.BlockID(row*cfg.LinesPerRow + l)
-	}
-
-	barCounter := directory.BlockID(n * cfg.LinesPerRow)
-	barFlag := barCounter + 1
-	progs := make([]Program, cfg.Procs)
-	push := func(p int, op Op) { progs[p] = append(progs[p], op) }
-	barrierAll := func() {
-		if cfg.HWBarriers {
-			for p := range progs {
-				push(p, Op{Kind: OpBarrier})
-			}
-			return
-		}
-		appendSMBarrier(progs, barCounter, barFlag)
-	}
-	readRow := func(p, row int) {
-		for l := 0; l < cfg.LinesPerRow; l++ {
-			push(p, Op{Kind: OpRead, Block: rowBlock(row, l)})
-		}
-	}
-	writeRow := func(p, row int) {
-		for l := 0; l < cfg.LinesPerRow; l++ {
-			push(p, Op{Kind: OpWrite, Block: rowBlock(row, l)})
-		}
-	}
-
+	row := func(r int) directory.BlockID { return directory.BlockID(r * cfg.LinesPerRow) }
+	b := newBuilder(cfg.Procs, row(n))
 	for k := 0; k < n; k++ {
-		barrierAll()
+		b.barrier()
 		for p := 0; p < cfg.Procs; p++ {
-			readRow(p, k) // pivot row: read by every processor
-			for row := p * rowsPer; row < (p+1)*rowsPer && row < n; row++ {
-				readRow(p, row)
+			b.refs(p, OpRead, row(k), cfg.LinesPerRow) // pivot row: read by every processor
+			for r := p * rowsPer; r < (p+1)*rowsPer && r < n; r++ {
+				b.refs(p, OpRead, row(r), cfg.LinesPerRow)
 				changed := false
-				if dist[row][k] < inf {
+				if dist[r][k] < inf {
 					for j := 0; j < n; j++ {
-						if dist[k][j] < inf && dist[row][k]+dist[k][j] < dist[row][j] {
-							dist[row][j] = dist[row][k] + dist[k][j]
+						if dist[k][j] < inf && dist[r][k]+dist[k][j] < dist[r][j] {
+							dist[r][j] = dist[r][k] + dist[k][j]
 							changed = true
 						}
 					}
 				}
-				push(p, Op{Kind: OpCompute, Cycles: cfg.RelaxCost})
+				b.compute(p, cfg.RelaxCost)
 				if changed {
-					writeRow(p, row)
+					b.refs(p, OpWrite, row(r), cfg.LinesPerRow)
 				}
 			}
 		}
 	}
-	barrierAll()
-	return Workload{
-		Name:         "APSP",
-		Programs:     progs,
-		SharedBlocks: n*cfg.LinesPerRow + 2,
-		BarrierCost:  50,
-	}
+	b.barrier()
+	return b.workload("APSP", n*cfg.LinesPerRow)
 }

@@ -23,9 +23,6 @@ type BarnesConfig struct {
 	// InteractionCost is the compute time per force interaction (default
 	// 20 cycles = one 100 MHz FPU-ish interaction).
 	InteractionCost sim.Time
-	// HWBarriers replaces the default shared-memory sense-reversing
-	// barriers with idealized hardware barriers (ablation).
-	HWBarriers bool
 }
 
 func (c *BarnesConfig) defaults() {
@@ -256,36 +253,27 @@ func BarnesHut(cfg BarnesConfig) Workload {
 	owner := func(bi int) int { return bi * cfg.Procs / cfg.Bodies }
 
 	barCounter := directory.BlockID(cfg.Bodies * 16)
-	barFlag := barCounter + 1
-	progs := make([]Program, cfg.Procs)
-	push := func(p int, op Op) { progs[p] = append(progs[p], op) }
-	barrierAll := func() {
-		if cfg.HWBarriers {
-			for p := range progs {
-				push(p, Op{Kind: OpBarrier})
-			}
-			return
-		}
-		appendSMBarrier(progs, barCounter, barFlag)
-	}
+	b := newBuilder(cfg.Procs, barCounter)
+	read := func(p int, blk directory.BlockID) { b.refs(p, OpRead, blk, 1) }
+	write := func(p int, blk directory.BlockID) { b.refs(p, OpWrite, blk, 1) }
 	maxCell := 0
 
 	const dt = 0.05
 	for step := 0; step < cfg.Steps; step++ {
-		barrierAll()
+		b.barrier()
 		// Tree build on processor 0: read every body, write every cell.
 		tree := buildTree(bodies)
 		if len(tree.cells) > maxCell {
 			maxCell = len(tree.cells)
 		}
 		for i := range bodies {
-			push(0, Op{Kind: OpRead, Block: bodyBlock(i)})
+			read(0, bodyBlock(i))
 		}
 		for _, c := range tree.cells {
-			push(0, Op{Kind: OpWrite, Block: cellBlock(c.id)})
-			push(0, Op{Kind: OpCompute, Cycles: 4})
+			write(0, cellBlock(c.id))
+			b.compute(0, 4)
 		}
-		barrierAll()
+		b.barrier()
 		// Force phase.
 		for i := range bodies {
 			bodies[i].ax, bodies[i].ay = 0, 0
@@ -293,35 +281,30 @@ func BarnesHut(cfg BarnesConfig) Workload {
 		for bi := range bodies {
 			p := owner(bi)
 			cells, bs, inter := tree.traverse(bi, cfg.Theta)
-			push(p, Op{Kind: OpRead, Block: bodyBlock(bi)})
+			read(p, bodyBlock(bi))
 			for _, c := range cells {
-				push(p, Op{Kind: OpRead, Block: cellBlock(c)})
+				read(p, cellBlock(c))
 			}
 			for _, ob := range bs {
-				push(p, Op{Kind: OpRead, Block: bodyBlock(ob)})
+				read(p, bodyBlock(ob))
 			}
-			push(p, Op{Kind: OpCompute, Cycles: sim.Time(inter) * cfg.InteractionCost})
+			b.compute(p, sim.Time(inter)*cfg.InteractionCost)
 		}
-		barrierAll()
+		b.barrier()
 		// Update phase: leapfrog integration, write own bodies.
 		for bi := range bodies {
-			b := &bodies[bi]
-			b.vx += b.ax * dt
-			b.vy += b.ay * dt
-			b.x += b.vx * dt
-			b.y += b.vy * dt
-			push(owner(bi), Op{Kind: OpWrite, Block: bodyBlock(bi)})
-			push(owner(bi), Op{Kind: OpCompute, Cycles: 8})
+			bd := &bodies[bi]
+			bd.vx += bd.ax * dt
+			bd.vy += bd.ay * dt
+			bd.x += bd.vx * dt
+			bd.y += bd.vy * dt
+			write(owner(bi), bodyBlock(bi))
+			b.compute(owner(bi), 8)
 		}
 	}
-	barrierAll()
+	b.barrier()
 	if cfg.Bodies+maxCell >= int(barCounter) {
 		panic("apps: barnes cell blocks collide with barrier blocks")
 	}
-	return Workload{
-		Name:         "Barnes-Hut",
-		Programs:     progs,
-		SharedBlocks: cfg.Bodies + maxCell + 2,
-		BarrierCost:  50,
-	}
+	return b.workload("Barnes-Hut", cfg.Bodies+maxCell)
 }

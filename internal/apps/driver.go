@@ -15,6 +15,7 @@ package apps
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/coherence"
 	"repro/internal/directory"
@@ -57,12 +58,11 @@ type Workload struct {
 	// BarrierCost is the modelled cost of one barrier episode, charged to
 	// each participant at release (an idealized hardware barrier).
 	BarrierCost sim.Time
-	// WormBarriers implements OpBarrier with the machine's multidestination
-	// worm barrier [37] instead of the idealized one. Requires the
-	// workload to occupy every mesh node. Combine with the generators'
-	// HWBarriers option (so the trace contains no shared-memory barrier
-	// references) to compare synchronization implementations.
-	WormBarriers bool
+	// syncBlocks are the shared-memory barrier's counter and flag blocks,
+	// set by the builder. A machine with worm barriers
+	// (coherence.Params.WormBarriers) skips every reference to them and
+	// synchronizes each OpBarrier with its worm barrier [37] instead.
+	syncBlocks []directory.BlockID
 }
 
 // PaperNames names the paper's three applications (Table 6) in presentation
@@ -126,12 +126,14 @@ type RunResult struct {
 }
 
 // Run replays the workload on the machine and returns measurements. The
-// machine must be freshly constructed with at least len(Programs) nodes.
+// machine must be freshly constructed with at least len(Programs) nodes, and
+// with exactly that many when it has worm barriers.
 func Run(m *coherence.Machine, w Workload) RunResult {
 	if len(w.Programs) > m.Mesh.Nodes() {
 		panic(fmt.Sprintf("apps: %d programs exceed %d nodes", len(w.Programs), m.Mesh.Nodes()))
 	}
-	if w.WormBarriers && len(w.Programs) != m.Mesh.Nodes() {
+	wb := m.Params.WormBarriers
+	if wb && len(w.Programs) != m.Mesh.Nodes() {
 		panic("apps: worm barriers require one program per mesh node")
 	}
 	invalsBefore := len(m.Metrics.Invals)
@@ -147,8 +149,14 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 	// advances the program counter and issues the following operation.
 	procs := make([]proc, len(w.Programs))
 	var exec func(p *proc)
+	// barrierRef reports a shared-memory barrier reference, which a worm-barrier
+	// machine does not issue.
+	barrierRef := func(op Op) bool { return op.Kind <= OpWrite && slices.Contains(w.syncBlocks, op.Block) }
 	exec = func(p *proc) {
 		n := p.node
+		for wb && p.pc < len(p.prog) && barrierRef(p.prog[p.pc]) {
+			p.pc++
+		}
 		if p.pc == len(p.prog) {
 			if rc {
 				// Outstanding writes must still retire before the program
@@ -174,7 +182,7 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 			m.Engine.AfterCall(op.Cycles, sim.CallFunc, next, 0)
 		case OpBarrier:
 			arrive := bar.arrive
-			if w.WormBarriers {
+			if wb {
 				arrive = func(resume func()) { m.BarrierArrive(n, resume) }
 			}
 			if rc {
@@ -235,26 +243,58 @@ type proc struct {
 	next func()
 }
 
-// appendSMBarrier emits one sense-reversing shared-memory barrier episode
-// into every program: each processor increments the barrier counter
-// (read + write of the counter block) and then reads the release flag,
-// which processor 0 rewrites after the rendezvous. The flag write
-// invalidates every processor still holding the previous episode's flag
-// value — the d ~ P-1 broadcast invalidation that makes synchronization a
-// major coherence overhead on 1990s DSMs and a primary beneficiary of
+// builder assembles a workload's programs, one per processor, with the
+// shared-memory barrier on the two blocks past the application's data.
+type builder struct {
+	progs         []Program
+	counter, flag directory.BlockID
+}
+
+// newBuilder starts procs empty programs whose barrier counter and flag are
+// blocks base and base+1.
+func newBuilder(procs int, base directory.BlockID) *builder {
+	return &builder{progs: make([]Program, procs), counter: base, flag: base + 1}
+}
+
+// refs appends processor p's references of kind to the n consecutive blocks
+// from first: the lines of one data structure.
+func (b *builder) refs(p int, kind OpKind, first directory.BlockID, n int) {
+	for l := 0; l < n; l++ {
+		b.progs[p] = append(b.progs[p], Op{Kind: kind, Block: first + directory.BlockID(l)})
+	}
+}
+
+// compute appends cycles of processor p's local computation.
+func (b *builder) compute(p int, cycles sim.Time) {
+	b.progs[p] = append(b.progs[p], Op{Kind: OpCompute, Cycles: cycles})
+}
+
+// barrier appends one sense-reversing shared-memory barrier episode to
+// every program: each processor increments the barrier counter (read +
+// write of the counter block) and then reads the release flag, which
+// processor 0 rewrites after the rendezvous. The flag write invalidates
+// every processor still holding the previous episode's flag value — the
+// d ~ P-1 broadcast invalidation that makes synchronization a major
+// coherence overhead on 1990s DSMs and a primary beneficiary of
 // multidestination invalidation worms. The OpBarrier provides the actual
 // rendezvous semantics for the trace replay.
-func appendSMBarrier(progs []Program, counter, flag directory.BlockID) {
-	for p := range progs {
-		progs[p] = append(progs[p],
-			Op{Kind: OpRead, Block: counter},
-			Op{Kind: OpWrite, Block: counter},
-			Op{Kind: OpBarrier})
+func (b *builder) barrier() {
+	for p := range b.progs {
+		b.refs(p, OpRead, b.counter, 1)
+		b.refs(p, OpWrite, b.counter, 1)
+		b.progs[p] = append(b.progs[p], Op{Kind: OpBarrier})
 	}
-	progs[0] = append(progs[0], Op{Kind: OpWrite, Block: flag})
-	for p := range progs {
-		progs[p] = append(progs[p], Op{Kind: OpRead, Block: flag})
+	b.refs(0, OpWrite, b.flag, 1)
+	for p := range b.progs {
+		b.refs(p, OpRead, b.flag, 1)
 	}
+}
+
+// workload names the built programs; data counts the application's
+// distinct data blocks, to which the barrier adds its two.
+func (b *builder) workload(name string, data int) Workload {
+	return Workload{Name: name, Programs: b.progs, SharedBlocks: data + 2, BarrierCost: 50,
+		syncBlocks: []directory.BlockID{b.counter, b.flag}}
 }
 
 // barrier is an idealized hardware barrier: the last arrival releases all

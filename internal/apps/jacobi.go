@@ -25,9 +25,6 @@ type JacobiConfig struct {
 	// SweepCost is the compute time per interior sweep (default 4 cycles
 	// per grid point owned).
 	SweepCost sim.Time
-	// HWBarriers replaces the default shared-memory sense-reversing
-	// barriers with idealized hardware barriers (ablation).
-	HWBarriers bool
 }
 
 func (c *JacobiConfig) defaults() {
@@ -65,8 +62,8 @@ func Jacobi(cfg JacobiConfig) Workload {
 
 	// Block layout: each processor owns 4 edges (N, S, E, W), each
 	// LinesPerEdge coherence blocks.
-	edgeBlock := func(p, edge, line int) directory.BlockID {
-		return directory.BlockID((p*4+edge)*cfg.LinesPerEdge + line)
+	edge := func(p, e int) directory.BlockID {
+		return directory.BlockID((p*4 + e) * cfg.LinesPerEdge)
 	}
 	const (
 		edgeN = 0
@@ -75,34 +72,11 @@ func Jacobi(cfg JacobiConfig) Workload {
 		edgeW = 3
 	)
 	procAt := func(px, py int) int { return py*side + px }
-
-	progs := make([]Program, cfg.Procs)
-	push := func(p int, op Op) { progs[p] = append(progs[p], op) }
-	barCounter := directory.BlockID(cfg.Procs * 4 * cfg.LinesPerEdge)
-	barFlag := barCounter + 1
-	barrierAll := func() {
-		if cfg.HWBarriers {
-			for p := range progs {
-				push(p, Op{Kind: OpBarrier})
-			}
-			return
-		}
-		appendSMBarrier(progs, barCounter, barFlag)
-	}
-
-	readEdge := func(p, owner, edge int) {
-		for l := 0; l < cfg.LinesPerEdge; l++ {
-			push(p, Op{Kind: OpRead, Block: edgeBlock(owner, edge, l)})
-		}
-	}
-	writeEdge := func(p, edge int) {
-		for l := 0; l < cfg.LinesPerEdge; l++ {
-			push(p, Op{Kind: OpWrite, Block: edgeBlock(p, edge, l)})
-		}
-	}
+	b := newBuilder(cfg.Procs, edge(cfg.Procs, 0))
+	readEdge := func(p, owner, e int) { b.refs(p, OpRead, edge(owner, e), cfg.LinesPerEdge) }
 
 	for it := 0; it < cfg.Iterations; it++ {
-		barrierAll()
+		b.barrier()
 		// Read phase: each processor reads the facing edges of its four
 		// neighbors (grid boundary subdomains have fewer).
 		for py := 0; py < side; py++ {
@@ -120,22 +94,17 @@ func Jacobi(cfg JacobiConfig) Workload {
 				if px > 0 {
 					readEdge(p, procAt(px-1, py), edgeE)
 				}
-				push(p, Op{Kind: OpCompute, Cycles: sim.Time(pointsPer) * cfg.SweepCost})
+				b.compute(p, sim.Time(pointsPer)*cfg.SweepCost)
 			}
 		}
-		barrierAll()
+		b.barrier()
 		// Write phase: each processor rewrites its own boundary edges.
 		for p := 0; p < cfg.Procs; p++ {
-			for edge := 0; edge < 4; edge++ {
-				writeEdge(p, edge)
+			for e := 0; e < 4; e++ {
+				b.refs(p, OpWrite, edge(p, e), cfg.LinesPerEdge)
 			}
 		}
 	}
-	barrierAll()
-	return Workload{
-		Name:         "Jacobi",
-		Programs:     progs,
-		SharedBlocks: cfg.Procs*4*cfg.LinesPerEdge + 2,
-		BarrierCost:  50,
-	}
+	b.barrier()
+	return b.workload("Jacobi", cfg.Procs*4*cfg.LinesPerEdge)
 }

@@ -23,9 +23,6 @@ type LUConfig struct {
 	// FlopCost is the compute time charged per block operation (default
 	// 64 cycles per 8x8 daxpy-ish update).
 	FlopCost sim.Time
-	// HWBarriers replaces the default shared-memory sense-reversing
-	// barriers with idealized hardware barriers (ablation).
-	HWBarriers bool
 }
 
 func (c *LUConfig) defaults() {
@@ -67,75 +64,49 @@ func LU(cfg LUConfig) Workload {
 	}
 	pc := cfg.Procs / pr
 	owner := func(i, j int) int { return (i%pr)*pc + (j % pc) }
-	// Matrix block (i,j), line l -> coherence block.
-	blk := func(i, j, l int) directory.BlockID {
-		return directory.BlockID((i*nb+j)*cfg.LinesPerBlock + l)
+	// Matrix block (i,j) -> its first coherence block.
+	blk := func(i, j int) directory.BlockID {
+		return directory.BlockID((i*nb + j) * cfg.LinesPerBlock)
 	}
-
-	barCounter := directory.BlockID(nb * nb * cfg.LinesPerBlock)
-	barFlag := barCounter + 1
-	progs := make([]Program, cfg.Procs)
-	push := func(p int, op Op) { progs[p] = append(progs[p], op) }
-	barrierAll := func() {
-		if cfg.HWBarriers {
-			for p := range progs {
-				push(p, Op{Kind: OpBarrier})
-			}
-			return
-		}
-		appendSMBarrier(progs, barCounter, barFlag)
-	}
-	readBlock := func(p, i, j int) {
-		for l := 0; l < cfg.LinesPerBlock; l++ {
-			push(p, Op{Kind: OpRead, Block: blk(i, j, l)})
-		}
-	}
-	writeBlock := func(p, i, j int) {
-		for l := 0; l < cfg.LinesPerBlock; l++ {
-			push(p, Op{Kind: OpWrite, Block: blk(i, j, l)})
-		}
-	}
+	b := newBuilder(cfg.Procs, blk(nb, 0))
+	read := func(p, i, j int) { b.refs(p, OpRead, blk(i, j), cfg.LinesPerBlock) }
+	write := func(p, i, j int) { b.refs(p, OpWrite, blk(i, j), cfg.LinesPerBlock) }
 
 	for k := 0; k < nb; k++ {
 		// Phase 1: factor diagonal block.
 		dOwner := owner(k, k)
-		readBlock(dOwner, k, k)
-		push(dOwner, Op{Kind: OpCompute, Cycles: cfg.FlopCost * 2})
-		writeBlock(dOwner, k, k)
-		barrierAll()
+		read(dOwner, k, k)
+		b.compute(dOwner, cfg.FlopCost*2)
+		write(dOwner, k, k)
+		b.barrier()
 		// Phase 2: perimeter updates read the diagonal block.
 		for j := k + 1; j < nb; j++ {
 			p := owner(k, j)
-			readBlock(p, k, k)
-			readBlock(p, k, j)
-			push(p, Op{Kind: OpCompute, Cycles: cfg.FlopCost})
-			writeBlock(p, k, j)
+			read(p, k, k)
+			read(p, k, j)
+			b.compute(p, cfg.FlopCost)
+			write(p, k, j)
 		}
 		for i := k + 1; i < nb; i++ {
 			p := owner(i, k)
-			readBlock(p, k, k)
-			readBlock(p, i, k)
-			push(p, Op{Kind: OpCompute, Cycles: cfg.FlopCost})
-			writeBlock(p, i, k)
+			read(p, k, k)
+			read(p, i, k)
+			b.compute(p, cfg.FlopCost)
+			write(p, i, k)
 		}
-		barrierAll()
+		b.barrier()
 		// Phase 3: interior updates read their row and column perimeters.
 		for i := k + 1; i < nb; i++ {
 			for j := k + 1; j < nb; j++ {
 				p := owner(i, j)
-				readBlock(p, i, k)
-				readBlock(p, k, j)
-				readBlock(p, i, j)
-				push(p, Op{Kind: OpCompute, Cycles: cfg.FlopCost})
-				writeBlock(p, i, j)
+				read(p, i, k)
+				read(p, k, j)
+				read(p, i, j)
+				b.compute(p, cfg.FlopCost)
+				write(p, i, j)
 			}
 		}
-		barrierAll()
+		b.barrier()
 	}
-	return Workload{
-		Name:         "LU",
-		Programs:     progs,
-		SharedBlocks: nb*nb*cfg.LinesPerBlock + 2,
-		BarrierCost:  50,
-	}
+	return b.workload("LU", nb*nb*cfg.LinesPerBlock)
 }

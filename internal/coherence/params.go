@@ -139,6 +139,12 @@ type Params struct {
 	// after an invalidated block is fetched back, the home pushes fresh
 	// copies to the previous sharers with grouped multicast data worms.
 	DataForwarding bool
+	// WormBarriers synchronizes an application replay (apps.Run) with the
+	// multidestination worm barrier [37] (Machine.BarrierArrive) instead of
+	// the workload's shared-memory barrier, whose references the replay
+	// then skips. Mixed with coherence traffic it needs Net.VCTDeferred
+	// (see barrier.go).
+	WormBarriers bool
 }
 
 // DefaultParams returns the paper's system parameters on a k x k mesh.
@@ -164,9 +170,10 @@ func DefaultParams(k int, scheme grouping.Scheme) Params {
 // Variant names a machine that differs from DefaultParams in the parameters
 // the ablations vary (torus, limited directories, bounded caches, i-ack
 // depth, consumption and virtual channels, VCT, and for replays consistency,
-// protocol and data forwarding). It is data, not code, so a sweep point that
-// carries one can be serialised and fingerprinted. Every field's zero value
-// means DefaultParams' value: a nil or empty Variant is the default machine.
+// protocol, data forwarding and worm barriers). It is data, not code, so a
+// sweep point that carries one can be serialised and fingerprinted. Every
+// field's zero value means DefaultParams' value: a nil or empty Variant is
+// the default machine.
 type Variant struct {
 	Torus               bool        `json:"torus,omitempty"`
 	DirPointers         int         `json:"dir_pointers,omitempty"`
@@ -179,6 +186,7 @@ type Variant struct {
 	Consistency         Consistency `json:"consistency,omitempty"`
 	Protocol            Protocol    `json:"protocol,omitempty"`
 	DataForwarding      bool        `json:"data_forwarding,omitempty"`
+	WormBarriers        bool        `json:"worm_barriers,omitempty"`
 }
 
 // Apply overrides p with the variant's non-zero fields. A nil variant
@@ -219,6 +227,9 @@ func (v *Variant) Apply(p *Params) {
 	}
 	if v.DataForwarding {
 		p.DataForwarding = true
+	}
+	if v.WormBarriers {
+		p.WormBarriers = true
 	}
 }
 

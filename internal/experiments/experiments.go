@@ -738,8 +738,9 @@ func (l Lab) FigTorus(k, trials int) *report.Table {
 // on APSP. The worm barrier costs ~2(W+H) worms over O(k) hops; the
 // shared-memory barrier serializes Theta(N) coherence transactions at one
 // home. Barrier gathers run with VCT deferred delivery, which the mixing
-// of barrier and coherence traffic requires (see [36] and barrier.go).
-func FigWormBarrier() *report.Table {
+// of barrier and coherence traffic requires (see [36] and barrier.go). The
+// episode rows run on single machines; the APSP row is two replay points.
+func (l Lab) FigWormBarrier() *report.Table {
 	t := report.NewTable("E22: worm barrier [37] vs shared-memory barrier",
 		"measure", "k", "SM barrier", "worm barrier", "ratio")
 	for _, k := range []int{4, 8, 16} {
@@ -778,19 +779,12 @@ func FigWormBarrier() *report.Table {
 		t.Row("episode latency (cycles)", k, sm, worm, report.Float3(sm/worm))
 	}
 
-	// Application impact: APSP with shared-memory vs worm barriers.
-	smW := apps.APSP(apps.APSPConfig{})
-	wbW := apps.APSP(apps.APSPConfig{HWBarriers: true})
-	wbW.WormBarriers = true
-	pSM := coherence.DefaultParams(4, grouping.MIMAEC)
-	mSM := coherence.NewMachine(pSM)
-	resSM := apps.Run(mSM, smW)
-	pWB := coherence.DefaultParams(4, grouping.MIMAEC)
-	pWB.Net.VCTDeferred = true
-	mWB := coherence.NewMachine(pWB)
-	resWB := apps.Run(mWB, wbW)
-	t.Row("APSP exec cycles (16 procs)", 4, uint64(resSM.Time), uint64(resWB.Time),
-		report.Float3(float64(resSM.Time)/float64(resWB.Time)))
+	// Application impact: APSP replayed with shared-memory and with worm
+	// barriers, two replay points.
+	cells := l.runApps([]string{"APSP"}, []coherence.Variant{{}, {WormBarriers: true, VCTDeferred: true}},
+		[]grouping.Scheme{grouping.MIMAEC})[0]
+	sm, wb := cells[0].Time, cells[1].Time
+	t.Row("APSP exec cycles (16 procs)", 4, uint64(sm), uint64(wb), report.Float3(ratio(sm, wb)))
 	return t
 }
 
@@ -824,6 +818,11 @@ func (l Lab) FigSharingDependence() *report.Table {
 // row); the reply network carries acks (reverse-routed, Y-first into the
 // home column).
 func FigCongestion(k, d, writers int) *report.Table {
+	if d > k*k-2 {
+		// The d sharers and the writer of each transaction are distinct
+		// nodes other than the home.
+		panic(fmt.Sprintf("experiments: E24 places d=%d sharers, a writer and the home on a %dx%d mesh (d at most %d)", d, k, k, k*k-2))
+	}
 	p := coherence.DefaultParams(k, grouping.UIUA)
 	m := coherence.NewMachine(p)
 	rng := sim.NewRNG(1)

@@ -345,22 +345,6 @@ func TestRunWrapsRunnerErrors(t *testing.T) {
 	}
 }
 
-// TestRunnerOrderNamesEveryRunner: RunnerOrder is the registry's presentation
-// order, each name exactly once.
-func TestRunnerOrderNamesEveryRunner(t *testing.T) {
-	runners := Lab{}.runners(8, 16, 2)
-	seen := map[string]bool{}
-	for _, name := range RunnerOrder {
-		if seen[name] || runners[name] == nil {
-			t.Errorf("RunnerOrder name %q is repeated or has no runner", name)
-		}
-		seen[name] = true
-	}
-	if len(seen) != len(runners) {
-		t.Errorf("RunnerOrder lists %d names; there are %d runners", len(seen), len(runners))
-	}
-}
-
 // TestFiguresParallelInvariant renders representative figures — an
 // invalidation sweep, hot-spot bursts, the torus figure with its per-cell
 // machine variants and the traced occupancy bursts — at 1 and 8 workers and requires

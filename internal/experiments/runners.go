@@ -8,18 +8,55 @@ import (
 	"repro/internal/report"
 )
 
-// RunnerOrder lists every named experiment in presentation order — the
-// order `dsmsimctl experiment -name all` renders them. In process and
-// through the daemon's experiment endpoint alike, a name resolves through
-// Lab.Run, which is what makes a table served over HTTP byte-identical to
-// the one an in-process run prints.
-var RunnerOrder = []string{
-	"table4", "table5", "latency", "homemsgs", "traffic",
-	"meshsize", "buffers", "hotspot", "placement", "homes", "cons", "vcs",
-	"limdir", "consistency", "forwarding", "invalsize", "update", "load",
-	"tree", "torus", "barrier", "sharing", "congestion", "threehop",
-	"faults", "degraded", "occupancy", "table6", "apps",
+// catalog is every named experiment in presentation order — the order
+// `dsmsimctl experiment -name all` renders them — with the builder of its
+// table at mesh dimension k, d sharers and trials trials per configuration.
+// In process and through the daemon's experiment endpoint alike, a name
+// resolves through Lab.Run, which is what makes a table served over HTTP
+// byte-identical to the one an in-process run prints.
+var catalog = []struct {
+	name  string
+	build func(l Lab, k, d, trials int) *report.Table
+}{
+	{"table4", func(Lab, int, int, int) *report.Table { return Table4() }},
+	{"table5", func(Lab, int, int, int) *report.Table { return Table5() }},
+	{"latency", func(l Lab, k, _, trials int) *report.Table { return l.FigLatencyVsSharers(k, trials) }},
+	{"homemsgs", func(l Lab, k, _, trials int) *report.Table { return l.FigOccupancyVsSharers(k, trials) }},
+	{"traffic", func(l Lab, k, _, trials int) *report.Table { return l.FigTrafficVsSharers(k, trials) }},
+	{"meshsize", func(l Lab, _, d, trials int) *report.Table { return l.FigLatencyVsMeshSize(d, trials) }},
+	{"buffers", func(l Lab, k, d, _ int) *report.Table { return l.FigIAckBuffers(k, d, 4) }},
+	{"hotspot", func(l Lab, k, d, _ int) *report.Table { return l.FigHotSpot(k, d) }},
+	{"placement", func(l Lab, k, d, trials int) *report.Table { return l.AblationPlacement(k, d, trials) }},
+	{"homes", func(l Lab, k, d, trials int) *report.Table { return l.FigHomePlacement(k, d, trials) }},
+	{"cons", func(l Lab, k, d, _ int) *report.Table { return l.AblationConsumptionChannels(k, d, 4) }},
+	{"vcs", func(l Lab, k, d, _ int) *report.Table { return l.FigVirtualChannels(k, d, 8) }},
+	{"limdir", func(l Lab, _, _, _ int) *report.Table { return l.FigLimitedDirectory(8) }},
+	{"consistency", func(l Lab, _, _, _ int) *report.Table { return l.FigConsistency() }},
+	{"forwarding", func(l Lab, _, _, _ int) *report.Table { return l.FigDataForwarding() }},
+	{"invalsize", func(l Lab, _, _, _ int) *report.Table { return l.FigInvalSizeDistribution() }},
+	{"update", func(l Lab, _, _, _ int) *report.Table { return l.FigWriteUpdate() }},
+	{"load", func(l Lab, k, _, _ int) *report.Table { return l.FigOfferedLoad(k) }},
+	{"tree", func(l Lab, k, _, trials int) *report.Table { return l.FigSoftwareTree(k, trials) }},
+	{"torus", func(l Lab, k, _, trials int) *report.Table { return l.FigTorus(k, trials) }},
+	{"barrier", func(l Lab, _, _, _ int) *report.Table { return l.FigWormBarrier() }},
+	{"sharing", func(l Lab, _, _, _ int) *report.Table { return l.FigSharingDependence() }},
+	{"congestion", func(_ Lab, k, d, _ int) *report.Table { return FigCongestion(k, d, 8) }},
+	{"threehop", func(Lab, int, int, int) *report.Table { return FigThreeHop() }},
+	{"faults", func(l Lab, k, d, trials int) *report.Table { return l.FigFaultRecovery(k, d, trials) }},
+	{"degraded", func(l Lab, k, d, trials int) *report.Table { return l.FigDegradedMesh(k, d, trials) }},
+	{"occupancy", func(l Lab, k, d, _ int) *report.Table { return l.FigOccupancyProfile(k, d, 8) }},
+	{"table6", func(l Lab, _, _, _ int) *report.Table { return l.Table6() }},
+	{"apps", func(l Lab, _, _, _ int) *report.Table { return l.FigApplications() }},
 }
+
+// RunnerOrder lists the catalog's names in presentation order.
+var RunnerOrder = func() []string {
+	names := make([]string, len(catalog))
+	for i, e := range catalog {
+		names[i] = e.name
+	}
+	return names
+}()
 
 // ErrUnknownExperiment is Run's answer to a name RunnerOrder does not list.
 var ErrUnknownExperiment = errors.New("unknown experiment")
@@ -43,7 +80,7 @@ func (l Lab) Run(name string, k, d, trials int) (t *report.Table, err error) {
 	if err := CheckName(name); err != nil {
 		return nil, err
 	}
-	build := l.runners(k, d, trials)[name]
+	build := catalog[slices.Index(RunnerOrder, name)].build
 	defer func() {
 		switch r := recover().(type) {
 		case nil:
@@ -53,40 +90,5 @@ func (l Lab) Run(name string, k, d, trials int) (t *report.Table, err error) {
 			err = fmt.Errorf("experiment %s failed: %v", name, r)
 		}
 	}()
-	return build(), nil
-}
-
-// runners maps every RunnerOrder name to its table builder.
-func (l Lab) runners(k, d, trials int) map[string]func() *report.Table {
-	return map[string]func() *report.Table{
-		"latency":     func() *report.Table { return l.FigLatencyVsSharers(k, trials) },
-		"homemsgs":    func() *report.Table { return l.FigOccupancyVsSharers(k, trials) },
-		"occupancy":   func() *report.Table { return l.FigOccupancyProfile(k, d, 8) },
-		"traffic":     func() *report.Table { return l.FigTrafficVsSharers(k, trials) },
-		"meshsize":    func() *report.Table { return l.FigLatencyVsMeshSize(d, trials) },
-		"buffers":     func() *report.Table { return l.FigIAckBuffers(k, d, 4) },
-		"hotspot":     func() *report.Table { return l.FigHotSpot(k, d) },
-		"placement":   func() *report.Table { return l.AblationPlacement(k, d, trials) },
-		"homes":       func() *report.Table { return l.FigHomePlacement(k, d, trials) },
-		"cons":        func() *report.Table { return l.AblationConsumptionChannels(k, d, 4) },
-		"table4":      Table4,
-		"table5":      Table5,
-		"table6":      l.Table6,
-		"apps":        l.FigApplications,
-		"vcs":         func() *report.Table { return l.FigVirtualChannels(k, d, 8) },
-		"limdir":      func() *report.Table { return l.FigLimitedDirectory(8) },
-		"consistency": l.FigConsistency,
-		"forwarding":  l.FigDataForwarding,
-		"invalsize":   l.FigInvalSizeDistribution,
-		"update":      l.FigWriteUpdate,
-		"load":        func() *report.Table { return l.FigOfferedLoad(k) },
-		"tree":        func() *report.Table { return l.FigSoftwareTree(k, trials) },
-		"torus":       func() *report.Table { return l.FigTorus(k, trials) },
-		"barrier":     FigWormBarrier,
-		"sharing":     l.FigSharingDependence,
-		"congestion":  func() *report.Table { return FigCongestion(k, d, 8) },
-		"threehop":    FigThreeHop,
-		"faults":      func() *report.Table { return l.FigFaultRecovery(k, d, trials) },
-		"degraded":    func() *report.Table { return l.FigDegradedMesh(k, d, trials) },
-	}
+	return build(l, k, d, trials), nil
 }

@@ -24,7 +24,8 @@ type HotSpot struct {
 }
 
 // AppMeasures is an application replay's outcome, with the trace's static
-// reference counts so a table of them never regenerates the trace.
+// reference counts so a table of them never regenerates the trace (the
+// barrier references a worm-barrier machine skips count too).
 type AppMeasures struct {
 	Time       sim.Time `json:"time"`
 	Invals     int      `json:"invals"`
@@ -54,9 +55,11 @@ type OccupancyMeasures struct {
 
 // Check refuses a point no runner can honour: no trials, more than one
 // workload, a burst, replay or traffic run that is not one trial, a traffic
-// run with a field workload.RunTraffic ignores, a Tune consistency, protocol
-// or forwarding field on a point that is not a replay, sharers that do not
-// fit the mesh, a home off it, or a negative or unknown Tune field.
+// run with a field workload.RunTraffic ignores, a Tune consistency,
+// protocol, forwarding or worm-barrier field on a point that is not a
+// replay, worm barriers without VCT deferred delivery, sharers that do not
+// fit the mesh, a burst whose writers and homes cannot all be placed, a home
+// off the mesh, or a negative or unknown Tune field.
 func (p Point) Check() error {
 	kinds := 0
 	for _, set := range []bool{p.Home != nil, p.HotSpot != nil, p.App != "", p.OfferedLoad != 0} {
@@ -75,10 +78,19 @@ func (p Point) Check() error {
 	case p.OfferedLoad != 0 && (p.ChaosSeed != 0 || p.Faults != nil ||
 		v != nil && *v != (coherence.Variant{VirtualChannels: v.VirtualChannels})):
 		return fmt.Errorf("is a traffic run with chaos, faults or a Tune field other than VirtualChannels")
-	case p.App == "" && v != nil && (v.Consistency != 0 || v.Protocol != 0 || v.DataForwarding):
-		return fmt.Errorf("sets a Tune consistency, protocol or forwarding field but is not a replay")
+	case p.App == "" && v != nil && (v.Consistency != 0 || v.Protocol != 0 || v.DataForwarding || v.WormBarriers):
+		return fmt.Errorf("sets a Tune consistency, protocol, forwarding or worm-barrier field but is not a replay")
+	case v != nil && v.WormBarriers && !v.VCTDeferred:
+		// A gather stalled on a late arrival would hold reply channels that
+		// coherence replies need (see coherence/barrier.go).
+		return fmt.Errorf("sets Tune worm barriers without VCT deferred delivery")
 	case p.App == "" && p.OfferedLoad == 0 && (p.D < 1 || p.D > p.K*p.K-2):
 		return fmt.Errorf("has D %d out of range [1,%d] for a %dx%d mesh", p.D, p.K*p.K-2, p.K, p.K)
+	case p.HotSpot != nil && (p.HotSpot.Writers < 1 || p.HotSpot.Writers+p.D+1 > p.K*p.K):
+		// Each writer is a distinct node that is neither its block's home
+		// nor one of its sharers.
+		return fmt.Errorf("is a burst of %d writers with D %d, which a %dx%d mesh does not fit (1 to %d writers)",
+			p.HotSpot.Writers, p.D, p.K, p.K, p.K*p.K-p.D-1)
 	case p.Home != nil && (*p.Home < 0 || int(*p.Home) >= p.K*p.K):
 		return fmt.Errorf("has Home %d off the %dx%d mesh", *p.Home, p.K, p.K)
 	case v != nil && (min(v.DirPointers, v.DirCoarseRegion, v.CacheLines, v.IAckBuffers, v.ConsumptionChannels,
@@ -90,17 +102,25 @@ func (p Point) Check() error {
 }
 
 // runHotSpot runs a HotSpot point's burst. An Occupancy burst folds rec, or
-// a ring of its own when rec is nil.
+// a ring of its own when rec is nil. A ring that wrapped lost the burst's
+// first events, so the burst then runs once more on a ring that holds them
+// all: it is deterministic, and the rerun records the same events.
 func runHotSpot(p Point, rec *trace.Recorder) Measures {
 	h := p.HotSpot
 	if h.Occupancy && rec == nil {
 		rec = trace.NewRecorder(1 << 16)
 	}
-	res := workload.RunHotSpot(workload.HotSpotConfig{
+	cfg := workload.HotSpotConfig{
 		K: p.K, Scheme: p.Scheme, D: p.D, Writers: h.Writers,
 		OverlapSharers: h.OverlapSharers, DistinctHomes: h.DistinctHomes,
 		BusyJitter: h.BusyJitter, Seed: p.Seed, Tune: p.Tune, Recorder: rec,
-	})
+	}
+	res := workload.RunHotSpot(cfg)
+	if h.Occupancy && rec.Dropped() > 0 {
+		rec = trace.NewRecorder(rec.Len() + int(rec.Dropped()))
+		cfg.Recorder = rec
+		workload.RunHotSpot(cfg)
+	}
 	m := Measures{Latency: res.Latency, Makespan: res.Makespan, GatherWaits: res.GatherWaits, Completed: 1}
 	if h.Occupancy {
 		home := topology.NewSquareMesh(p.K).ID(topology.Coord{X: p.K / 2, Y: p.K / 2})

@@ -31,6 +31,8 @@ func TestRecordingIsNeutral(t *testing.T) {
 		"LU replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU"},
 		"write-update LU replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU",
 			Tune: &coherence.Variant{Protocol: coherence.WriteUpdate}},
+		"E22 worm-barrier APSP replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "APSP",
+			Tune: &coherence.Variant{WormBarriers: true, VCTDeferred: true}},
 		"E19 traffic": {K: 8, Trials: 1, Seed: 1, OfferedLoad: 5,
 			Tune: &coherence.Variant{VirtualChannels: 2}},
 	} {
@@ -53,6 +55,43 @@ func TestRecordingIsNeutral(t *testing.T) {
 		}
 		if rec.Len() == 0 {
 			t.Errorf("%s: recorder attached but nothing recorded", name)
+		}
+	}
+}
+
+// TestOccupancyFoldsACompleteRecording: an occupancy burst whose ring wraps
+// folds the same profile as one recorded on a ring that holds every event,
+// whether the ring is the point runner's own (a k=32, d=128 burst overflows
+// it) or a caller's small one.
+func TestOccupancyFoldsACompleteRecording(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		p    Point
+		ring int
+	}{
+		{"own ring", Point{K: 32, Scheme: grouping.UIUA, D: 128, Trials: 1, Seed: 1,
+			HotSpot: &HotSpot{Writers: 8, Occupancy: true}}, 0},
+		{"small caller ring", Point{K: 8, Scheme: grouping.UIUA, D: 6, Trials: 1, Seed: 1,
+			HotSpot: &HotSpot{Writers: 8, Occupancy: true}}, 1024},
+	} {
+		full := trace.NewRecorder(1 << 18)
+		want, _ := RunPointRecorded(context.Background(), c.p, full)
+		if full.Dropped() > 0 {
+			t.Fatalf("%s: the reference ring of %d events wrapped", c.name, full.Cap())
+		}
+		var got Measures
+		if c.ring == 0 {
+			got, _ = RunPointDirect(context.Background(), c.p)
+		} else {
+			small := trace.NewRecorder(c.ring)
+			got, _ = RunPointRecorded(context.Background(), c.p, small)
+			if small.Dropped() == 0 {
+				t.Fatalf("%s: the %d-event ring did not wrap", c.name, c.ring)
+			}
+		}
+		t.Logf("%s: %d events, home busy %d", c.name, full.Len(), want.Occupancy.HomeBusy)
+		if *got.Occupancy != *want.Occupancy {
+			t.Errorf("%s: occupancy %+v; a complete recording folds %+v", c.name, *got.Occupancy, *want.Occupancy)
 		}
 	}
 }

@@ -75,6 +75,14 @@ func TestRunValidatesPoints(t *testing.T) {
 		"a replay under an unknown protocol": func(p *Point) {
 			p.Trials, p.App, p.Tune = 1, "LU", &coherence.Variant{Protocol: coherence.WriteUpdate + 1}
 		},
+		"worm barriers on an invalidation point": func(p *Point) {
+			p.Tune = &coherence.Variant{WormBarriers: true, VCTDeferred: true}
+		},
+		"a worm-barrier replay without VCT deferred delivery": func(p *Point) {
+			p.Trials, p.App, p.Tune = 1, "APSP", &coherence.Variant{WormBarriers: true}
+		},
+		"a burst with no writers":                        func(p *Point) { p.Trials, p.HotSpot = 1, &HotSpot{} },
+		"a burst with more writers than the mesh places": func(p *Point) { p.Trials, p.HotSpot = 1, &HotSpot{Writers: 14} },
 	} {
 		bad = testPoints(1)
 		mutate(&bad[0])

@@ -64,13 +64,17 @@ type HotSpotResult struct {
 	GatherWaits uint64
 }
 
-// RunHotSpot executes the experiment and returns its measurements.
+// RunHotSpot executes the experiment and returns its measurements. It
+// panics unless 1 <= Writers <= K*K - D - 1.
 func RunHotSpot(cfg HotSpotConfig) HotSpotResult {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Writers < 1 {
-		panic("workload: need at least one writer")
+	if cfg.Writers < 1 || cfg.Writers+cfg.D+1 > cfg.K*cfg.K {
+		// Each writer is a distinct node that is neither its block's home
+		// nor one of its sharers; past this bound the draw never ends.
+		panic(fmt.Sprintf("workload: a hot-spot burst of %d writers with %d sharers does not fit a %dx%d mesh (1 to %d writers)",
+			cfg.Writers, cfg.D, cfg.K, cfg.K, cfg.K*cfg.K-cfg.D-1))
 	}
 	p := coherence.DefaultParams(cfg.K, cfg.Scheme)
 	cfg.Tune.Apply(&p)

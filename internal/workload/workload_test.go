@@ -139,6 +139,19 @@ func TestRunInvalDOutOfRangePanics(t *testing.T) {
 	RunInval(InvalConfig{K: 4, Scheme: grouping.UIUA, D: 15})
 }
 
+// TestRunHotSpotRefusesUnplaceableWriters: 4 writers with 1 sharer each on
+// a 2x2 mesh leave the fourth writer no node that is neither its block's
+// home, a sharer nor another writer; the burst panics naming the size
+// instead of drawing forever.
+func TestRunHotSpotRefusesUnplaceableWriters(t *testing.T) {
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "4 writers with 1 sharers does not fit a 2x2 mesh") {
+			t.Errorf("panic %q does not name the size", msg)
+		}
+	}()
+	RunHotSpot(HotSpotConfig{K: 2, Scheme: grouping.UIUA, D: 1, Writers: 4})
+}
+
 func TestMeasureMissOrderings(t *testing.T) {
 	p := DefaultMicroParams(grouping.UIUA)
 	lat := map[MissKind]uint64{}
