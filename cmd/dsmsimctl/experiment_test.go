@@ -82,7 +82,7 @@ func dirStore(t *testing.T, dir string) service.ResultStore {
 // traffic runs alike. d is 6 because E12's one-consumption-channel cell
 // wedges at k=8, d=16.
 func TestDataRerunRunsNothing(t *testing.T) {
-	names := []string{"latency", "torus", "limdir",
+	names := []string{"latency", "limdir",
 		"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing",
 		"load", "invalsize", "consistency", "forwarding", "update", "barrier"}
 	const d = 6
@@ -116,8 +116,8 @@ func TestDataRerunRunsNothing(t *testing.T) {
 }
 
 // TestSharedPointRunsOnce: a figure's cells that an earlier figure computed
-// come from the store. The torus figure's mesh cells are E4 latency points,
-// so after latency only its 12 torus cells run; E23 and Table 6 replay six of
+// come from the store. E20's UI-UA, MI-MA-ecrc and MI-MA-tm cells are E4
+// latency points, so after latency only its UMC cells run; E23 and Table 6 replay six of
 // E9's UI-UA and MI-MA-ec cells, so after them E9 runs only its other 6; E17
 // reads Table 6's three replays, so after it E17 runs nothing; E13, E16
 // and E18 each take their six default-machine replays from E9 and run only
@@ -128,7 +128,7 @@ func TestSharedPointRunsOnce(t *testing.T) {
 		first, then      []string
 		wantHit, wantRun int
 	}{
-		{[]string{"latency"}, []string{"torus"}, 12, 12},
+		{[]string{"latency"}, []string{"tree"}, 21, 7},
 		{[]string{"sharing", "table6"}, []string{"apps"}, 6, 6},
 		{[]string{"table6"}, []string{"invalsize"}, 3, 0},
 		{[]string{"apps"}, []string{"consistency"}, 6, 6},
@@ -185,39 +185,40 @@ func TestInterruptedRerunIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestTorusTwinsAreDistinctEntries: a mesh cell and its torus twin differ only
-// in their machine variant, and each gets its own store entry.
-func TestTorusTwinsAreDistinctEntries(t *testing.T) {
+// TestVariantTwinsAreDistinctEntries: a limited-directory cell and its
+// default-machine twin differ only in their machine variant, and each gets
+// its own store entry.
+func TestVariantTwinsAreDistinctEntries(t *testing.T) {
 	store := service.NewMemoryStore(0)
-	_, _, runs := mustInProcess(t, service.Config{Store: store}, 16, "torus")
-	if n, _ := store.Len(); n != 24 || runs != 24 {
-		t.Fatalf("torus figure: %d store entries after %d runs; want one per cell, 24", n, runs)
+	_, _, runs := mustInProcess(t, service.Config{Store: store}, 16, "limdir")
+	if n, _ := store.Len(); n != 30 || runs != 30 {
+		t.Fatalf("limdir figure: %d store entries after %d runs; want one per cell, 30", n, runs)
 	}
-	mesh := sweep.Point{K: 8, Scheme: grouping.MIMAEC, D: 16, Trials: 2, Seed: 16 + 7}
-	torus := mesh
-	torus.Tune = &coherence.Variant{Torus: true}
-	mm, meshOK, _ := store.Get(mesh.Fingerprint())
-	tm, torusOK, _ := store.Get(torus.Fingerprint())
-	if !meshOK || !torusOK || reflect.DeepEqual(mm, tm) {
-		t.Fatalf("mesh stored %v, torus stored %v; want two different results", meshOK, torusOK)
+	plain := sweep.Point{K: 8, Scheme: grouping.BR, D: 6, Trials: 5, Seed: 1}
+	limited := plain
+	limited.Tune = &coherence.Variant{DirPointers: 4}
+	pm, plainOK, _ := store.Get(plain.Fingerprint())
+	lm, limitedOK, _ := store.Get(limited.Fingerprint())
+	if !plainOK || !limitedOK || reflect.DeepEqual(pm, lm) {
+		t.Fatalf("default machine stored %v, Dir4-B stored %v; want two different results", plainOK, limitedOK)
 	}
 }
 
 // TestQuarantinedPointsAreNotStored: a point that blows its budget twice is
 // quarantined and never stored, so the next run re-attempts it.
 func TestQuarantinedPointsAreNotStored(t *testing.T) {
-	want := bare(t, 16, "torus")
+	want := bare(t, 16, "limdir")
 	store := service.NewMemoryStore(0)
-	mustInProcess(t, service.Config{Store: store, DefaultTimeout: time.Nanosecond}, 16, "torus")
+	mustInProcess(t, service.Config{Store: store, DefaultTimeout: time.Nanosecond}, 16, "limdir")
 	if n, _ := store.Len(); n != 0 {
 		t.Fatalf("%d timed-out points were stored", n)
 	}
-	got, _, runs := mustInProcess(t, service.Config{Store: store}, 16, "torus")
+	got, _, runs := mustInProcess(t, service.Config{Store: store}, 16, "limdir")
 	if got != want {
 		t.Fatalf("rerun after the timeouts differs from the bare engine:\n%s\nvs\n%s", got, want)
 	}
-	if runs != 24 {
-		t.Fatalf("the rerun ran %d points; want all 24 re-attempted", runs)
+	if runs != 30 {
+		t.Fatalf("the rerun ran %d points; want all 30 re-attempted", runs)
 	}
 }
 

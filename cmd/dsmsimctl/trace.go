@@ -251,13 +251,9 @@ func printMeasures(w io.Writer, p sweep.Point, m sweep.Measures) error {
 }
 
 // drawGroups draws every worm p's scheme builds to invalidate the sharers of
-// p's first trial: the same mesh (a torus under Tune.Torus), home,
-// placement and seed.
+// p's first trial: the same mesh, home, placement and seed.
 func drawGroups(w io.Writer, p sweep.Point) {
-	mesh, kind := topology.NewSquareMesh(p.K), "mesh"
-	if p.Tune != nil && p.Tune.Torus {
-		mesh, kind = topology.NewTorus(p.K, p.K), "torus"
-	}
+	mesh := topology.NewSquareMesh(p.K)
 	home := mesh.ID(topology.Coord{X: p.K / 2, Y: p.K / 2})
 	if p.Home != nil {
 		home = *p.Home
@@ -265,8 +261,8 @@ func drawGroups(w io.Writer, p sweep.Point) {
 	// Seed 0 places as seed 1, as in workload.RunInval.
 	sharers := workload.PlaceSharers(mesh, sim.NewRNG(max(p.Seed, 1)), home, p.D, p.Pattern)
 	groups := grouping.Groups(p.Scheme, mesh, home, sharers)
-	fmt.Fprintf(w, "%s on a %dx%d %s: %d sharers -> %d worm(s)\n\n",
-		p.Scheme, p.K, p.K, kind, len(sharers), len(groups))
+	fmt.Fprintf(w, "%s on a %dx%d mesh: %d sharers -> %d worm(s)\n\n",
+		p.Scheme, p.K, p.K, len(sharers), len(groups))
 	for gi, g := range groups {
 		conf := "conformed to " + g.Base.String()
 		if !g.Conformed {

@@ -297,6 +297,28 @@ func TestGroupsDrawTrialOneSharers(t *testing.T) {
 	}
 }
 
+// TestUnrunnableReplayExitsTwo: a replay apps.Run cannot run (more
+// programs than nodes, worm barriers with idle nodes, an unknown
+// application) is a bad command line, exit 2, not a panic mid-run.
+func TestUnrunnableReplayExitsTwo(t *testing.T) {
+	for _, point := range []string{
+		`{"k":2,"app":"LU","trials":1}`,
+		`{"k":8,"app":"LU","trials":1,"tune":{"worm_barriers":true,"vct_deferred":true}}`,
+		`{"k":4,"app":"Nope","trials":1}`,
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("trace -point %s panicked: %v", point, r)
+				}
+			}()
+			if code, _, errOut := run("trace", "-top", "0", "-point", point); code != 2 {
+				t.Errorf("trace -point %s: exit %d; want 2 (stderr %q)", point, code, errOut)
+			}
+		}()
+	}
+}
+
 // TestRejectsBadCommandLines: a malformed or impossible point, and an
 // unknown workload or miss row, are errors before anything runs.
 func TestRejectsBadCommandLines(t *testing.T) {

@@ -29,7 +29,7 @@ func (c *APSPConfig) defaults() {
 		c.Vertices = 64
 	}
 	if c.Procs == 0 {
-		c.Procs = 16
+		c.Procs = PublishedProcs
 	}
 	if c.LinesPerRow == 0 {
 		c.LinesPerRow = (4*c.Vertices + 31) / 32

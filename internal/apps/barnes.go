@@ -33,7 +33,7 @@ func (c *BarnesConfig) defaults() {
 		c.Steps = 4
 	}
 	if c.Procs == 0 {
-		c.Procs = 16
+		c.Procs = PublishedProcs
 	}
 	if c.Theta == 0 {
 		c.Theta = 0.5

@@ -69,21 +69,37 @@ type Workload struct {
 // order.
 var PaperNames = []string{"Barnes-Hut", "LU", "APSP"}
 
-// ByName returns the named application at its published size: Barnes-Hut
-// 128 bodies / 4 steps, LU 128x128 with 8x8 blocks, APSP (Floyd-Warshall) on
-// 64 vertices, or the Jacobi stencil extension; 16 processors each.
+// PublishedProcs is the processor count of every application at its
+// published size, the size ByName generates.
+const PublishedProcs = 16
+
+// published lists ByName's applications, each with its generator at its
+// published size: Barnes-Hut 128 bodies / 4 steps, LU 128x128 with 8x8
+// blocks, APSP (Floyd-Warshall) on 64 vertices, and the Jacobi stencil
+// extension; PublishedProcs processors each.
+var published = []app{
+	{"Barnes-Hut", func() Workload { return BarnesHut(BarnesConfig{}) }},
+	{"LU", func() Workload { return LU(LUConfig{}) }},
+	{"APSP", func() Workload { return APSP(APSPConfig{}) }},
+	{"Jacobi", func() Workload { return Jacobi(JacobiConfig{}) }},
+}
+
+type app struct {
+	name string
+	gen  func() Workload
+}
+
+// ByName returns the named application at its published size.
 func ByName(name string) (Workload, error) {
-	switch name {
-	case "Barnes-Hut":
-		return BarnesHut(BarnesConfig{}), nil
-	case "LU":
-		return LU(LUConfig{}), nil
-	case "APSP":
-		return APSP(APSPConfig{}), nil
-	case "Jacobi":
-		return Jacobi(JacobiConfig{}), nil
+	if i := slices.IndexFunc(published, func(a app) bool { return a.name == name }); i >= 0 {
+		return published[i].gen(), nil
 	}
 	return Workload{}, fmt.Errorf("apps: unknown application %q", name)
+}
+
+// Known reports whether ByName knows name, without generating a trace.
+func Known(name string) bool {
+	return slices.ContainsFunc(published, func(a app) bool { return a.name == name })
 }
 
 // Stats summarizes a workload's reference mix.

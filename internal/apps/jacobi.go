@@ -32,7 +32,7 @@ func (c *JacobiConfig) defaults() {
 		c.N = 64
 	}
 	if c.Procs == 0 {
-		c.Procs = 16
+		c.Procs = PublishedProcs
 	}
 	if c.Iterations == 0 {
 		c.Iterations = 8

@@ -33,7 +33,7 @@ func (c *LUConfig) defaults() {
 		c.BlockSize = 8
 	}
 	if c.Procs == 0 {
-		c.Procs = 16
+		c.Procs = PublishedProcs
 	}
 	if c.LinesPerBlock == 0 {
 		c.LinesPerBlock = 2

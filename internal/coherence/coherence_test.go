@@ -472,45 +472,6 @@ func TestRectangularMesh(t *testing.T) {
 	}
 }
 
-func TestTorusMachineEndToEnd(t *testing.T) {
-	p := DefaultParams(8, grouping.MIMAEC)
-	p.Torus = true
-	m := NewMachine(p)
-	if !m.Mesh.Wrap() {
-		t.Fatal("machine mesh is not a torus")
-	}
-	const b = 17
-	// Sharers straddling the home row in one column: one ring worm.
-	for _, c := range []topology.Coord{{X: 5, Y: 1}, {X: 5, Y: 5}, {X: 5, Y: 7}} {
-		doOp(t, m, false, m.Mesh.ID(c), b)
-	}
-	doOp(t, m, true, nodeAt(m, 0, 0), b)
-	rec := m.Metrics.Invals[0]
-	if rec.Groups != 1 {
-		t.Fatalf("torus groups = %d, want 1 ring worm", rec.Groups)
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTorusSoakWithInvariants(t *testing.T) {
-	for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC, grouping.MIMATM} {
-		p := DefaultParams(4, s)
-		p.Torus = true
-		m := NewMachine(p)
-		rng := newRNG()
-		for step := 0; step < 100; step++ {
-			n := topology.NodeID(rng.Intn(m.Mesh.Nodes()))
-			b := blockID(rng.Intn(8))
-			doOp(t, m, rng.Intn(3) == 0, n, b)
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatalf("%v step %d: %v", s, step, err)
-			}
-		}
-	}
-}
-
 func TestReplyForwardingThreeHopDirtyRead(t *testing.T) {
 	run := func(threeHop bool) (uint64, *Machine) {
 		p := DefaultParams(8, grouping.UIUA)

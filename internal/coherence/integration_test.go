@@ -11,9 +11,9 @@ import (
 )
 
 // TestConfigMatrixSoak drives random traffic through a matrix of protocol
-// option combinations — scheme x consistency x topology x directory x
-// forwarding x reply-forwarding x VCT — checking the global coherence
-// invariants at every quiescent point. This is the integration net that
+// option combinations — scheme x consistency x directory x forwarding x
+// reply-forwarding x VCT — checking the global coherence invariants at
+// every quiescent point. This is the integration net that
 // catches cross-feature interactions no focused test covers.
 func TestConfigMatrixSoak(t *testing.T) {
 	type cfg struct {
@@ -24,7 +24,6 @@ func TestConfigMatrixSoak(t *testing.T) {
 	variants := []cfg{
 		{"baseline", func(p *Params) {}},
 		{"rc", func(p *Params) { p.Consistency = ReleaseConsistency }},
-		{"torus", func(p *Params) { p.Torus = true }},
 		{"fwd+3hop", func(p *Params) { p.DataForwarding = true; p.ReplyForwarding = true }},
 		{"limdir-cv", func(p *Params) { p.DirPointers = 2; p.DirCoarseRegion = 4 }},
 		{"vct+2vc+evict", func(p *Params) {

@@ -160,10 +160,6 @@ func (s *server) doCall(cost sim.Time, fn func(any, int32), arg any, i int32) {
 func NewMachine(p Params) *Machine {
 	var mesh *topology.Mesh
 	switch {
-	case p.Torus && p.MeshWidth > 0 && p.MeshHeight > 0:
-		mesh = topology.NewTorus(p.MeshWidth, p.MeshHeight)
-	case p.Torus && p.MeshSize > 0:
-		mesh = topology.NewTorus(p.MeshSize, p.MeshSize)
 	case p.MeshWidth > 0 && p.MeshHeight > 0:
 		mesh = topology.NewMesh(p.MeshWidth, p.MeshHeight)
 	case p.MeshSize > 0:

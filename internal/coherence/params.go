@@ -64,12 +64,6 @@ type Params struct {
 	// MeshWidth and MeshHeight, when both nonzero, select a rectangular
 	// W x H mesh instead of MeshSize x MeshSize.
 	MeshWidth, MeshHeight int
-	// Torus adds wraparound links in both dimensions (k-ary 2-cube, the
-	// companion BRCP papers' topology [37, 38]); column worms then cover
-	// whole rings. The real hardware needs extra virtual channels for
-	// ring deadlock freedom (datelines); the simulator notes but does not
-	// model that requirement.
-	Torus bool
 	// Scheme selects the invalidation framework and grouping.
 	Scheme grouping.Scheme
 	// Consistency selects the memory model (default sequential).
@@ -168,14 +162,13 @@ func DefaultParams(k int, scheme grouping.Scheme) Params {
 }
 
 // Variant names a machine that differs from DefaultParams in the parameters
-// the ablations vary (torus, limited directories, bounded caches, i-ack
-// depth, consumption and virtual channels, VCT, and for replays consistency,
+// the ablations vary (limited directories, bounded caches, i-ack depth,
+// consumption and virtual channels, VCT, and for replays consistency,
 // protocol, data forwarding and worm barriers). It is data, not code, so a
 // sweep point that carries one can be serialised and fingerprinted. Every
 // field's zero value means DefaultParams' value: a nil or empty Variant is
 // the default machine.
 type Variant struct {
-	Torus               bool        `json:"torus,omitempty"`
 	DirPointers         int         `json:"dir_pointers,omitempty"`
 	DirCoarseRegion     int         `json:"dir_coarse_region,omitempty"`
 	CacheLines          int         `json:"cache_lines,omitempty"`
@@ -194,9 +187,6 @@ type Variant struct {
 func (v *Variant) Apply(p *Params) {
 	if v == nil {
 		return
-	}
-	if v.Torus {
-		p.Torus = true
 	}
 	if v.DirPointers != 0 {
 		p.DirPointers = v.DirPointers

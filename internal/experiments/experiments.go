@@ -698,40 +698,6 @@ func (l Lab) FigSoftwareTree(k, trials int) *report.Table {
 	return t
 }
 
-// FigTorus renders E21: mesh versus torus (k-ary 2-cube, the companion
-// BRCP papers' topology). Wraparound halves average distances and turns
-// every column into a ring one worm can sweep, removing the mesh's
-// up/down column split — worm counts drop toward one per sharer column.
-func (l Lab) FigTorus(k, trials int) *report.Table {
-	schemes := []grouping.Scheme{grouping.UIUA, grouping.MIMAEC, grouping.MIMAECRC}
-	t := report.NewTable(fmt.Sprintf("E21: mesh vs torus, %dx%d, random placement", k, k),
-		schemeCols([]string{"d", "topology"}, schemes, " lat", " worms")...)
-	ds := fitMesh(k, []int{4, 8, 16, 32})
-	var pts []sweep.Point
-	for _, d := range ds {
-		for _, torus := range []bool{false, true} {
-			for _, s := range schemes {
-				pts = append(pts, sweep.Point{K: k, Scheme: s, D: d, Trials: trials, Seed: uint64(d) + 7,
-					Tune: &coherence.Variant{Torus: torus}})
-			}
-		}
-	}
-	results := l.runSweep(pts)
-	i := 0
-	for _, d := range ds {
-		for _, name := range []string{"mesh", "torus"} {
-			row := []any{d, name}
-			for range schemes {
-				m := results[i].Measures
-				row = append(row, m.Latency.Mean(), m.Groups)
-				i++
-			}
-			t.Row(row...)
-		}
-	}
-	return t
-}
-
 // FigWormBarrier renders E22: the multidestination worm barrier of the
 // companion paper [37] versus the shared-memory sense-reversing barrier,
 // as episode latency versus machine size and as whole-application impact

@@ -96,9 +96,9 @@ func TestFigLatencyVsSharersRendering(t *testing.T) {
 
 // TestSharerSweepsFitSmallMeshes: on a 4x4 mesh (14 candidate sharers) the
 // sharer sweeps render the d rows that fit instead of failing at d=16:
-// d = 1, 2, 4, 8 for E4-E6 and E20, and d = 4, 8 on mesh and torus for E21.
+// d = 1, 2, 4, 8 for E4-E6 and E20.
 func TestSharerSweepsFitSmallMeshes(t *testing.T) {
-	for _, name := range []string{"latency", "homemsgs", "traffic", "tree", "torus"} {
+	for _, name := range []string{"latency", "homemsgs", "traffic", "tree"} {
 		tab, err := Lab{}.Run(name, 4, DefaultD, 1)
 		if err != nil {
 			t.Fatalf("%s at k=4: %v", name, err)
@@ -346,15 +346,14 @@ func TestRunWrapsRunnerErrors(t *testing.T) {
 }
 
 // TestFiguresParallelInvariant renders representative figures — an
-// invalidation sweep, hot-spot bursts, the torus figure with its per-cell
-// machine variants and the traced occupancy bursts — at 1 and 8 workers and requires
-// byte-identical tables. GOMAXPROCS may be 1 on the test runner, so this
+// invalidation sweep, hot-spot bursts, the limited-directory figure with its
+// per-cell machine variants and the traced occupancy bursts — at 1 and 8
+// workers and requires byte-identical tables. GOMAXPROCS may be 1 on the test runner, so this
 // forces a genuinely concurrent configuration regardless of hardware.
 func TestFiguresParallelInvariant(t *testing.T) {
 	figures := map[string]func(l Lab) string{
 		"latency":   func(l Lab) string { return l.FigLatencyVsSharers(8, 2).String() },
 		"hotspot":   func(l Lab) string { return l.FigHotSpot(4, 3).String() },
-		"torus":     func(l Lab) string { return l.FigTorus(8, 2).String() },
 		"limdir":    func(l Lab) string { return l.FigLimitedDirectory(4).String() },
 		"occupancy": func(l Lab) string { return l.FigOccupancyProfile(8, 6, 3).String() },
 	}

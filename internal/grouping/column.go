@@ -20,14 +20,6 @@ import (
 //
 //simcheck:noalloc
 func (p *Planner) columnGroups(m *topology.Mesh, home topology.NodeID, merged bool) {
-	if m.Wrap() {
-		// On a torus every column is a ring: one worm enters the column at
-		// the home row and sweeps the whole ring in one direction, so the
-		// mesh's up/down split (and the row-column merge optimization)
-		// disappears.
-		p.torusColumnGroups(m, home)
-		return
-	}
 	hc := m.Coord(home)
 
 	// Partition: per-column up/down Y lists indexed by X, plus the X of
@@ -131,50 +123,4 @@ func (p *Planner) columnGroup(m *topology.Mesh, home topology.NodeID, prefix []i
 		p.members = append(p.members, nodeAt(m, x, y))
 	}
 	p.conformedGroup(routing.ECube, m, home)
-}
-
-// torusColumnGroups builds one ring worm per sharer column: along the home
-// row (shortest way around) to the column, then around the column ring,
-// visiting members in ring order from the home row.
-//
-//simcheck:noalloc
-func (p *Planner) torusColumnGroups(m *topology.Mesh, home topology.NodeID) {
-	hc := m.Coord(home)
-	h := m.Height()
-	// Each column's members as ring offsets north of the home row.
-	p.up = columns(p.up, m.Width())
-	for _, sh := range p.sorted {
-		c := m.Coord(sh)
-		p.up[c.X] = append(p.up[c.X], (c.Y-hc.Y+h)%h)
-	}
-	for x, offs := range p.up {
-		if len(offs) == 0 {
-			continue
-		}
-		// Ring order from the home row; a member on the home row itself
-		// (offset 0) is the entry point and comes first. Sweep whichever
-		// direction covers the members in fewer hops, and keep the whole
-		// sweep in that one direction so the worm never revisits a node.
-		// Offsets within a column are distinct, so the sort is unique.
-		slices.Sort(offs)
-		northSpan := offs[len(offs)-1]
-		rest := offs
-		if offs[0] == 0 {
-			p.members = append(p.members, nodeAt(m, x, hc.Y))
-			rest = offs[1:]
-		}
-		southSpan := 0
-		if len(rest) > 0 {
-			southSpan = h - rest[0]
-		}
-		if southSpan > 0 && southSpan < northSpan {
-			// Visit in descending ring offset (going south), keeping an
-			// offset-0 entry member first.
-			slices.Reverse(rest)
-		}
-		for _, o := range rest {
-			p.members = append(p.members, nodeAt(m, x, (hc.Y+o)%h))
-		}
-		p.conformedGroup(routing.ECube, m, home)
-	}
 }

@@ -52,22 +52,3 @@ func TestExhaustiveTriplesColumnSchemes(t *testing.T) {
 		}
 	}
 }
-
-// TestExhaustiveTorusPairs sweeps sharer pairs on a 4x4 torus for the
-// torus-aware column schemes.
-func TestExhaustiveTorusPairs(t *testing.T) {
-	m := topology.NewTorus(4, 4)
-	home := m.ID(topology.Coord{X: 2, Y: 2})
-	for a := topology.NodeID(0); int(a) < m.Nodes(); a++ {
-		for b := a + 1; int(b) < m.Nodes(); b++ {
-			if a == home || b == home {
-				continue
-			}
-			sharers := []topology.NodeID{a, b}
-			for _, s := range []Scheme{UIUA, MIUAEC, MIMAEC, MIMAECRC} {
-				groups := Groups(s, m, home, sharers)
-				checkGroups(t, s, m, home, sharers, groups)
-			}
-		}
-	}
-}

@@ -215,8 +215,8 @@ type Planner struct {
 	spans   []groupSpan
 
 	// Scheme scratch. up and down are per-column Y lists: column grouping's
-	// sharers above and below the home row; a torus ring's offsets and the
-	// snake's unvisited rows use up alone.
+	// sharers above and below the home row; the snake's unvisited rows use
+	// up alone.
 	up, down   [][]int
 	rowE, rowW []int // column grouping's home-row sharers' X, east and west of the home
 	fwd, bwd   []int // BR: sharer positions ahead of and behind the home on the snake

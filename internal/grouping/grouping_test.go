@@ -501,51 +501,3 @@ func TestPlanarNeverWorseThanColumnGrouping(t *testing.T) {
 		}
 	}
 }
-
-func TestTorusColumnGroupingOneWormPerColumn(t *testing.T) {
-	m := topology.NewTorus(8, 8)
-	home := at(m, 1, 3)
-	// Column 5 has sharers above AND below the home row: one ring worm on
-	// a torus (two on a mesh).
-	sharers := []topology.NodeID{at(m, 5, 1), at(m, 5, 5), at(m, 5, 6)}
-	groups := Groups(MIMAEC, m, home, sharers)
-	checkGroups(t, MIMAEC, m, home, sharers, groups)
-	if len(groups) != 1 {
-		t.Fatalf("torus column groups = %d, want 1 ring worm", len(groups))
-	}
-	// Ring order from the home row going north: y5, y6, then wrap to y1.
-	ys := []int{}
-	for _, mem := range groups[0].Members {
-		ys = append(ys, m.Coord(mem).Y)
-	}
-	if ys[0] != 5 || ys[1] != 6 || ys[2] != 1 {
-		t.Fatalf("ring visit order = %v, want [5 6 1]", ys)
-	}
-}
-
-func TestTorusColumnGroupingCoverageProperty(t *testing.T) {
-	m := topology.NewTorus(8, 8)
-	rng := sim.NewRNG(13)
-	for trial := 0; trial < 30; trial++ {
-		home := topology.NodeID(rng.Intn(m.Nodes()))
-		d := 1 + rng.Intn(20)
-		var sharers []topology.NodeID
-		for _, idx := range rng.Sample(m.Nodes()-1, d) {
-			n := topology.NodeID(idx)
-			if n >= home {
-				n++
-			}
-			sharers = append(sharers, n)
-		}
-		groups := Groups(MIMAEC, m, home, sharers)
-		checkGroups(t, MIMAEC, m, home, sharers, groups)
-		// One worm per distinct sharer column, never more.
-		cols := map[int]bool{}
-		for _, sh := range sharers {
-			cols[m.Coord(sh).X] = true
-		}
-		if len(groups) != len(cols) {
-			t.Fatalf("trial %d: %d groups for %d columns", trial, len(groups), len(cols))
-		}
-	}
-}

@@ -21,7 +21,7 @@ var updatePlans = flag.Bool("update", false, "rewrite testdata/plans.golden")
 const planSetsPerCase = 50
 
 // planMeshes are the topologies plans.golden covers: the square meshes the
-// experiments run, and one torus.
+// experiments run.
 func planMeshes() []struct {
 	name string
 	mesh *topology.Mesh
@@ -34,19 +34,11 @@ func planMeshes() []struct {
 		{"mesh8", topology.NewSquareMesh(8)},
 		{"mesh16", topology.NewSquareMesh(16)},
 		{"mesh32", topology.NewSquareMesh(32)},
-		{"torus8", topology.NewTorus(8, 8)},
 	}
 }
 
-// planSchemes are the schemes plans.golden covers on a topology. The torus
-// runs the e-cube family only: the turn-model and planar-adaptive groupings
-// (and BR's boustrophedon) are mesh constructions.
-func planSchemes(m *topology.Mesh) []Scheme {
-	if m.Wrap() {
-		return []Scheme{UIUA, MIUAEC, MIMAEC, MIMAECRC, UMC}
-	}
-	return append(append([]Scheme(nil), AllSchemes...), ADAPT, UMC)
-}
+// planSchemes are the schemes plans.golden covers: every grouping scheme.
+var planSchemes = append(append([]Scheme(nil), AllSchemes...), ADAPT, UMC)
 
 // renderPlan writes one grouping compactly, a group per "; "-separated
 // field: its path from the home as run-length hop letters (see writeMoves)
@@ -129,7 +121,7 @@ func renderPlans(p *Planner) []byte {
 	var pl Plan
 	for _, mc := range planMeshes() {
 		m := mc.mesh
-		for _, s := range planSchemes(m) {
+		for _, s := range planSchemes {
 			for _, d := range []int{1, 2, 4, 16, 64} {
 				if d > m.Nodes()-1 {
 					continue

@@ -126,9 +126,8 @@ type Network struct {
 	cons      []consumptionPool
 	iack      []iackFile
 
-	// meshW/meshH cache the mesh dimensions for Inject's ID-delta port
-	// computation.
-	meshW, meshH int
+	// meshW caches the mesh width for Inject's ID-delta port computation.
+	meshW int
 
 	// Bound event callbacks, allocated once in New: scheduling a hop is
 	// then a pure (fn, worm, index) triple with no per-event closure.
@@ -171,7 +170,7 @@ func New(engine *sim.Engine, mesh *topology.Mesh, cfg Config) *Network {
 	}
 	n := &Network{
 		Engine: engine, Mesh: mesh, Cfg: cfg,
-		meshW: mesh.Width(), meshH: mesh.Height(),
+		meshW: mesh.Width(),
 	}
 	nodes := mesh.Nodes()
 	// Lanes are sized for every port; a mesh's edge ports leave theirs
@@ -337,47 +336,24 @@ func (n *Network) link(vn VN, node topology.NodeID, port topology.Port) *vcSet {
 
 // portBetween computes the outgoing port from one node to the next on a
 // path from their ID delta, reporting false when the two are not both on
-// the mesh or the delta names no port. Torus dimensions are >= 3 by
-// construction, so the delta is unambiguous (checking the row deltas first
-// also covers degenerate 1-wide meshes). An X delta whose nodes sit in
-// different rows is no hop; on a mesh that case is exactly an edge with no
-// link, which the caller rejects by the set's nil chans, but a torus has
-// every link, so there the rows are compared.
+// the mesh or the delta names no port. The row deltas are checked first,
+// which also covers degenerate 1-wide meshes. An X delta whose nodes sit
+// in different rows is no hop: that case is exactly an edge with no link,
+// which the caller rejects by the set's nil chans.
 //
 //simcheck:noalloc
 func (n *Network) portBetween(from, to topology.NodeID) (topology.Port, bool) {
 	if nodes := uint(len(n.cons)); uint(from) >= nodes || uint(to) >= nodes {
 		return 0, false
 	}
-	d := int(to) - int(from)
-	switch d {
+	switch int(to) - int(from) {
 	case n.meshW:
 		return topology.North, true
 	case -n.meshW:
 		return topology.South, true
-	}
-	if !n.Mesh.Wrap() {
-		switch d {
-		case 1:
-			return topology.East, true
-		case -1:
-			return topology.West, true
-		}
-		return 0, false
-	}
-	switch d {
-	case -n.meshW * (n.meshH - 1):
-		return topology.North, true
-	case n.meshW * (n.meshH - 1):
-		return topology.South, true
-	}
-	if int(from)/n.meshW != int(to)/n.meshW {
-		return 0, false
-	}
-	switch d {
-	case 1, -(n.meshW - 1):
+	case 1:
 		return topology.East, true
-	case -1, n.meshW - 1:
+	case -1:
 		return topology.West, true
 	}
 	return 0, false

@@ -30,23 +30,6 @@ func TestExhaustiveUnicastAllPairsAllBases(t *testing.T) {
 	}
 }
 
-// TestExhaustiveUnicastTorus does the same over a 5x5 torus for e-cube.
-func TestExhaustiveUnicastTorus(t *testing.T) {
-	m := topology.NewTorus(5, 5)
-	for src := topology.NodeID(0); int(src) < m.Nodes(); src++ {
-		for dst := topology.NodeID(0); int(dst) < m.Nodes(); dst++ {
-			p := ECube.UnicastPath(m, src, dst)
-			if PathLength(p) != m.Distance(src, dst) {
-				t.Fatalf("torus %d->%d: length %d, want %d", src, dst,
-					PathLength(p), m.Distance(src, dst))
-			}
-			if !ECube.Conforms(Moves(m, p)) {
-				t.Fatalf("torus %d->%d: not conformed", src, dst)
-			}
-		}
-	}
-}
-
 // TestExhaustivePathThroughPairs checks every (home, a, b) waypoint triple
 // on a 4x4 mesh: whenever PathThrough succeeds its path must be conformed
 // and visit the waypoints in order; and under planar-adaptive (which

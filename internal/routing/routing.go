@@ -66,24 +66,18 @@ func (b Base) UnicastPath(m *topology.Mesh, src, dst topology.NodeID) []topology
 // the canonical minimal choice is west hops first, then east, then the Y
 // dimension, one of the routes the adaptive router may take. The turn
 // model's *adaptivity* is exploited where the paper exploits it: in the
-// extra multidestination paths that PathThrough admits. On a torus e-cube
-// and planar-adaptive take the shorter way round each ring (forward on a
-// tie); west-first's X run never wraps, since that could turn a westward
-// offset into eastward hops.
+// extra multidestination paths that PathThrough admits.
 func (b Base) UnicastPathInto(buf []topology.NodeID, m *topology.Mesh, src, dst topology.NodeID) []topology.NodeID {
 	cs, cd := m.Coord(src), m.Coord(dst)
-	wrapX := m.Wrap()
 	switch b {
-	case ECube, PlanarAdaptive:
-	case WestFirst:
-		wrapX = false
+	case ECube, PlanarAdaptive, WestFirst:
 	default:
 		panic("routing: unknown base " + b.String())
 	}
-	x, _ := dimChoices(cs.X, cd.X, m.Width(), topology.East, topology.West, wrapX)
-	y, _ := dimChoices(cs.Y, cd.Y, m.Height(), topology.North, topology.South, m.Wrap())
+	x := dimRun(cs.X, cd.X, topology.East, topology.West)
+	y := dimRun(cs.Y, cd.Y, topology.North, topology.South)
 	return appendLeg(m, append(buf, src), src,
-		legOpt{shape: shapeXY, xPort: x[0].port, xHops: x[0].hops, yPort: y[0].port, yHops: y[0].hops})
+		legOpt{shape: shapeXY, xPort: x.mv, xHops: x.n, yPort: y.mv, yHops: y.n})
 }
 
 // Moves converts a node path into its sequence of hop directions.
@@ -102,19 +96,6 @@ func Moves(m *topology.Mesh, path []topology.NodeID) []topology.Port {
 func hopDir(m *topology.Mesh, from, to topology.NodeID) topology.Port {
 	cf, ct := m.Coord(from), m.Coord(to)
 	dx, dy := ct.X-cf.X, ct.Y-cf.Y
-	if m.Wrap() {
-		// Normalize wraparound hops to unit steps.
-		if dx == -(m.Width() - 1) {
-			dx = 1
-		} else if dx == m.Width()-1 {
-			dx = -1
-		}
-		if dy == -(m.Height() - 1) {
-			dy = 1
-		} else if dy == m.Height()-1 {
-			dy = -1
-		}
-	}
 	switch {
 	case dx == 1 && dy == 0:
 		return topology.East
@@ -272,8 +253,8 @@ const (
 )
 
 // legOpt is one concrete realization of a leg: a shape plus an explicit
-// direction and hop count per dimension. Meshes admit one direction per
-// dimension; tori admit both ways around each ring.
+// direction and hop count per dimension (a mesh admits one direction per
+// dimension).
 type legOpt struct {
 	shape        legShape
 	xPort, yPort topology.Port
@@ -297,11 +278,11 @@ func (o legOpt) runs() [2]legRun {
 // hops returns the leg's length.
 func (o legOpt) hops() int { return o.xHops + o.yHops }
 
-// legOpts holds one leg's realizations in search order: at most two shapes
-// times, on a torus, two ring directions per dimension.
+// legOpts holds one leg's realizations in search order: at most two
+// shapes.
 type legOpts struct {
 	n   int
-	opt [8]legOpt
+	opt [2]legOpt
 }
 
 // Search is the reusable scratch of the conformed-path search behind
@@ -435,58 +416,33 @@ func (s *Search) through(b Base, buf []topology.NodeID, m *topology.Mesh, waypoi
 	return buf, true
 }
 
-// legOptions fills o with a leg's concrete realizations: shape order times,
-// on a torus, the two ways around each ring. Shorter-direction candidates
-// come first so the DFS prefers minimal legs.
+// legOptions fills o with a leg's concrete realizations: X-then-Y, then
+// Y-then-X when the leg turns.
 //
 //simcheck:noalloc
 func legOptions(o *legOpts, m *topology.Mesh, a, bn topology.NodeID) {
 	ca, cb := m.Coord(a), m.Coord(bn)
-	xs, nx := dimChoices(ca.X, cb.X, m.Width(), topology.East, topology.West, m.Wrap())
-	ys, ny := dimChoices(ca.Y, cb.Y, m.Height(), topology.North, topology.South, m.Wrap())
+	x := dimRun(ca.X, cb.X, topology.East, topology.West)
+	y := dimRun(ca.Y, cb.Y, topology.North, topology.South)
 	shapes := [2]legShape{shapeXY, shapeYX}
 	nShapes := 2
 	if ca.X == cb.X || ca.Y == cb.Y {
 		nShapes = 1
 	}
-	o.n = 0
-	for _, sh := range shapes[:nShapes] {
-		for _, x := range xs[:nx] {
-			for _, y := range ys[:ny] {
-				o.opt[o.n] = legOpt{shape: sh,
-					xPort: x.port, xHops: x.hops, yPort: y.port, yHops: y.hops}
-				o.n++
-			}
-		}
+	o.n = nShapes
+	for i, sh := range shapes[:nShapes] {
+		o.opt[i] = legOpt{shape: sh, xPort: x.mv, xHops: x.n, yPort: y.mv, yHops: y.n}
 	}
 }
 
-type dimChoice struct {
-	port topology.Port
-	hops int
-}
-
-// dimChoices returns the ways to cover one dimension's offset and their
-// count: the direct direction on a mesh, both ring directions (shortest
-// first) on a torus.
+// dimRun returns the straight run that covers one dimension's offset.
 //
 //simcheck:noalloc
-func dimChoices(from, to, size int, fwd, bwd topology.Port, wrap bool) ([2]dimChoice, int) {
-	if from == to {
-		return [2]dimChoice{{port: fwd, hops: 0}}, 1
+func dimRun(from, to int, fwd, bwd topology.Port) legRun {
+	if to >= from {
+		return legRun{fwd, to - from}
 	}
-	if !wrap {
-		if to > from {
-			return [2]dimChoice{{port: fwd, hops: to - from}}, 1
-		}
-		return [2]dimChoice{{port: bwd, hops: from - to}}, 1
-	}
-	f := (to - from + size) % size
-	choices := [2]dimChoice{{port: fwd, hops: f}, {port: bwd, hops: size - f}}
-	if choices[1].hops < choices[0].hops {
-		choices[0], choices[1] = choices[1], choices[0]
-	}
-	return choices, 2
+	return legRun{bwd, from - to}
 }
 
 // runLeg advances the DFA across one leg realization without materializing
@@ -507,7 +463,7 @@ func (b Base) runLeg(s dfaState, opt legOpt) dfaState {
 
 // appendLeg extends path (currently ending at a) with the nodes of the leg
 // realization, excluding a itself. Each straight run is ID arithmetic: a
-// step of ±1 (X) or ±width (Y), less a whole ring where a torus wraps.
+// step of ±1 (X) or ±width (Y).
 //
 //simcheck:noalloc
 func appendLeg(m *topology.Mesh, path []topology.NodeID, a topology.NodeID, opt legOpt) []topology.NodeID {
@@ -515,11 +471,11 @@ func appendLeg(m *topology.Mesh, path []topology.NodeID, a topology.NodeID, opt 
 	w, h := m.Width(), m.Height()
 	id := int(a)
 	for _, run := range opt.runs() {
-		// pos is the coordinate the run moves along, size its ring length,
-		// step its ID delta and ring the ID delta of one full lap.
-		pos, size, step, ring := &c.X, w, 1, w
+		// pos is the coordinate the run moves along, size its extent and
+		// step its ID delta.
+		pos, size, step := &c.X, w, 1
 		if run.mv == topology.North || run.mv == topology.South {
-			pos, size, step, ring = &c.Y, h, w, w*h
+			pos, size, step = &c.Y, h, w
 		}
 		d := 1
 		if run.mv == topology.West || run.mv == topology.South {
@@ -529,11 +485,7 @@ func appendLeg(m *topology.Mesh, path []topology.NodeID, a topology.NodeID, opt 
 			*pos += d
 			id += step
 			if *pos < 0 || *pos == size {
-				if !m.Wrap() {
-					panic("routing: leg fell off mesh")
-				}
-				*pos -= d * size
-				id -= d * ring
+				panic("routing: leg fell off mesh")
 			}
 			path = append(path, topology.NodeID(id))
 		}

@@ -21,7 +21,7 @@ func at(m *topology.Mesh, x, y int) topology.NodeID {
 func routerWalk(b Base, m *topology.Mesh, src, dst topology.NodeID) []topology.NodeID {
 	path := []topology.NodeID{src}
 	for cur := src; cur != dst; {
-		next, ok := m.Neighbor(cur, walkPort(b, m, cur, dst))
+		next, ok := m.Neighbor(cur, walkPort(m, cur, dst))
 		if !ok {
 			panic(fmt.Sprintf("routing: %v fell off mesh at %v toward %v", b, m.Coord(cur), m.Coord(dst)))
 		}
@@ -32,31 +32,19 @@ func routerWalk(b Base, m *topology.Mesh, src, dst topology.NodeID) []topology.N
 }
 
 // walkPort is the port a base router at cur forwards to on the way to dst:
-// X before Y, the sign of the offset for west-first's X, and the shorter
-// way round a torus ring (forward on a tie) otherwise.
-func walkPort(b Base, m *topology.Mesh, cur, dst topology.NodeID) topology.Port {
+// X before Y, each toward the sign of its offset.
+func walkPort(m *topology.Mesh, cur, dst topology.NodeID) topology.Port {
 	cc, cd := m.Coord(cur), m.Coord(dst)
 	switch {
-	case cc.X != cd.X && b == WestFirst:
-		if cd.X < cc.X {
-			return topology.West
-		}
-		return topology.East
 	case cc.X != cd.X:
-		return ringPort(cc.X, cd.X, m.Width(), m.Wrap(), topology.East, topology.West)
+		return signPort(cc.X, cd.X, topology.East, topology.West)
 	case cc.Y != cd.Y:
-		return ringPort(cc.Y, cd.Y, m.Height(), m.Wrap(), topology.North, topology.South)
+		return signPort(cc.Y, cd.Y, topology.North, topology.South)
 	}
 	return topology.Local
 }
 
-func ringPort(from, to, size int, wrap bool, fwd, bwd topology.Port) topology.Port {
-	if wrap {
-		if f := (to - from + size) % size; f <= size-f {
-			return fwd
-		}
-		return bwd
-	}
+func signPort(from, to int, fwd, bwd topology.Port) topology.Port {
 	if to > from {
 		return fwd
 	}
@@ -64,21 +52,17 @@ func ringPort(from, to, size int, wrap bool, fwd, bwd topology.Port) topology.Po
 }
 
 // TestUnicastPathIsRouterWalk checks, for every base and every (src, dst)
-// pair on meshes and tori of assorted shapes, that the per-dimension route
-// is byte-identical to the hop-by-hop router walk, appended after a reused
+// pair on meshes of assorted shapes, that the per-dimension route is
+// byte-identical to the hop-by-hop router walk, appended after a reused
 // buffer's contents.
 func TestUnicastPathIsRouterWalk(t *testing.T) {
 	meshes := []*topology.Mesh{
 		topology.NewMesh(1, 1), topology.NewMesh(1, 5), topology.NewMesh(5, 1),
 		topology.NewMesh(3, 5), topology.NewMesh(4, 4), topology.NewMesh(8, 8),
-		topology.NewTorus(3, 3), topology.NewTorus(3, 5), topology.NewTorus(6, 6),
 	}
 	for _, m := range meshes {
 		for _, b := range []Base{ECube, WestFirst, PlanarAdaptive} {
 			name := fmt.Sprintf("%v/%dx%d", b, m.Width(), m.Height())
-			if m.Wrap() {
-				name += "-torus"
-			}
 			t.Run(name, func(t *testing.T) {
 				buf := []topology.NodeID{-7}
 				for src := topology.NodeID(0); int(src) < m.Nodes(); src++ {
@@ -135,25 +119,6 @@ func TestUnicastPathMeshDirections(t *testing.T) {
 	}
 	if got := movesOf(ECube, m, b, a); !slices.Equal(got, []topology.Port{W, W, W, S, S, S, S}) {
 		t.Errorf("reverse moves = %v, want west then south", got)
-	}
-}
-
-func TestTorusUnicastPathTakesShorterWay(t *testing.T) {
-	m := topology.NewTorus(8, 8)
-	a, b := at(m, 1, 0), at(m, 7, 0)
-	E, W, N := topology.East, topology.West, topology.North
-	if got := movesOf(ECube, m, a, b); !slices.Equal(got, []topology.Port{W, W}) {
-		t.Fatalf("moves = %v, want west west (wrap is shorter)", got)
-	}
-	if got := movesOf(ECube, m, b, a); !slices.Equal(got, []topology.Port{E, E}) {
-		t.Fatalf("moves = %v, want east east (wrap back)", got)
-	}
-	if got := movesOf(ECube, m, at(m, 0, 0), at(m, 4, 4)); !slices.Equal(got, []topology.Port{E, E, E, E, N, N, N, N}) {
-		t.Fatalf("half-ring moves = %v, want forward on the tie", got)
-	}
-	// West-first's X run never wraps: a westward offset is walked west.
-	if got := movesOf(WestFirst, m, b, a); !slices.Equal(got, []topology.Port{W, W, W, W, W, W}) {
-		t.Fatalf("west-first moves = %v, want six west hops", got)
 	}
 }
 
@@ -487,46 +452,5 @@ func TestPlanarAdaptiveSupersetOfECube(t *testing.T) {
 			t.Fatalf("ecube path %d not PA-conformed", trial)
 		}
 		rng++
-	}
-}
-
-func TestTorusUnicastMinimalProperty(t *testing.T) {
-	m := topology.NewTorus(8, 8)
-	prop := func(a, b uint8) bool {
-		src := topology.NodeID(int(a) % m.Nodes())
-		dst := topology.NodeID(int(b) % m.Nodes())
-		p := ECube.UnicastPath(m, src, dst)
-		return PathLength(p) == m.Distance(src, dst) && ECube.Conforms(Moves(m, p))
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTorusPathThroughRingColumn(t *testing.T) {
-	// A worm sweeping a whole column ring: home (1,4), members in column 5
-	// at y = 5, 7, 0, 2 (ring order going north from row 4).
-	m := topology.NewTorus(8, 8)
-	home := at(m, 1, 4)
-	wp := []topology.NodeID{home, at(m, 5, 5), at(m, 5, 7), at(m, 5, 0), at(m, 5, 2)}
-	path, err := ECube.PathThrough(m, wp)
-	if err != nil {
-		t.Fatalf("ring column worm failed: %v", err)
-	}
-	if !ECube.Conforms(Moves(m, path)) {
-		t.Fatal("ring path not conformed")
-	}
-	// 4 row hops + 6 ring hops (y 4 -> 2 going north with wrap).
-	if PathLength(path) != 10 {
-		t.Fatalf("ring path length = %d, want 10", PathLength(path))
-	}
-}
-
-func TestTorusWrapHopDirections(t *testing.T) {
-	m := topology.NewTorus(8, 8)
-	path := []topology.NodeID{at(m, 7, 0), at(m, 0, 0), at(m, 1, 0)}
-	moves := Moves(m, path)
-	if moves[0] != topology.East || moves[1] != topology.East {
-		t.Fatalf("wrap moves = %v, want east east", moves)
 	}
 }

@@ -150,7 +150,7 @@ func randomPoint(r *sim.RNG) Point {
 	}
 	if r.Intn(2) == 0 {
 		p.Tune = &coherence.Variant{
-			Torus: r.Intn(2) == 0, DirPointers: r.Intn(9), CacheLines: r.Intn(3) * 64,
+			DataForwarding: r.Intn(2) == 0, DirPointers: r.Intn(9), CacheLines: r.Intn(3) * 64,
 			VirtualChannels: r.Intn(4), VCTDeferred: r.Intn(2) == 0,
 		}
 	}
@@ -202,7 +202,7 @@ func FuzzCanonicalJSON(f *testing.F) {
 			p.Faults = &faults.Config{Seed: seed ^ chaos, DropRate: rate, DeadLinks: d}
 		}
 		if opt&2 != 0 {
-			p.Tune = &coherence.Variant{Torus: opt&4 != 0, VirtualChannels: k}
+			p.Tune = &coherence.Variant{VCTDeferred: opt&4 != 0, VirtualChannels: k}
 		}
 		if opt&8 != 0 {
 			h := topology.NodeID(d)

@@ -55,7 +55,7 @@ func TestFingerprintStableAndContentAddressed(t *testing.T) {
 		"Seed":        func(p *Point) { p.Seed = 43 },
 		"ChaosSeed":   func(p *Point) { p.ChaosSeed = 7 },
 		"Faults":      func(p *Point) { p.Faults = &faults.Config{DropRate: 0.1, Seed: 9} },
-		"Tune":        func(p *Point) { p.Tune = &coherence.Variant{Torus: true} },
+		"Tune":        func(p *Point) { p.Tune = &coherence.Variant{DirPointers: 4} },
 		"Home":        func(p *Point) { h := topology.NodeID(0); p.Home = &h },
 		"HotSpot":     func(p *Point) { p.HotSpot = &HotSpot{} },
 		"App":         func(p *Point) { p.App = "LU" },
@@ -84,7 +84,6 @@ func TestFingerprintPinned(t *testing.T) {
 		{"chaos seed", func(p *Point) { p.ChaosSeed = 7 }, "6fc06f62fc1d18bef5581b4692d290744096fa811e9e05e8fcce4e97afde5f08"},
 		{"faults", func(p *Point) { p.Faults = &faults.Config{DropRate: 0.1, Seed: 9} }, "e8e6371d9952b38bc896c98876ff8bb53f732098a6a7c4208e968aa72c767006"},
 		{"max seed", func(p *Point) { p.Seed = math.MaxUint64 }, "0daeb5c2d0c42a2890d466f91a3220d579e77e0a789b47650f84fcb6ef80abd2"},
-		{"torus", func(p *Point) { p.Tune = &coherence.Variant{Torus: true} }, "cbd693a0569c5fc079ffa907330d3400defd55a70c5b772cdc6056da8df21855"},
 		{"burst", func(p *Point) { p.HotSpot = &HotSpot{Writers: 4, OverlapSharers: true, Occupancy: true} }, "57ebd7b8abe3b8a10d5085765007b3cd94a5deb4faaaff1d342076d4ed6a7870"},
 		{"homed", func(p *Point) { h := topology.NodeID(9); p.Home = &h }, "fff18593c691bafbf71791cdadd7e5e9c2d6bb4824c6e46b26481abad30a1f0d"},
 		{"app", func(p *Point) { p.App = "LU" }, "ef43ccea92fead5530d7f2c5f83953176d15c02714afd7c1e8a39b2f8ecfdce4"},

@@ -9,9 +9,11 @@ import (
 	"time"
 
 	"repro/internal/coherence"
+	"repro/internal/faults"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // testPoints builds n trivial 4x4 UI-UA points.
@@ -47,10 +49,10 @@ func TestRunValidatesPoints(t *testing.T) {
 		t.Fatal("a two-trial burst accepted")
 	}
 	for name, mutate := range map[string]func(*Point){
-		"a traffic run that is also a replay": func(p *Point) { p.App = "LU" },
-		"a two-trial traffic run":             func(p *Point) { p.Trials = 2 },
-		"a traffic run on a torus":            func(p *Point) { p.Tune = &coherence.Variant{Torus: true} },
-		"a traffic run under chaos":           func(p *Point) { p.ChaosSeed = 7 },
+		"a traffic run that is also a replay":  func(p *Point) { p.App = "LU" },
+		"a two-trial traffic run":              func(p *Point) { p.Trials = 2 },
+		"a traffic run on a limited directory": func(p *Point) { p.Tune = &coherence.Variant{DirPointers: 4} },
+		"a traffic run under chaos":            func(p *Point) { p.ChaosSeed = 7 },
 	} {
 		bad = []Point{{K: 4, Trials: 1, Seed: 1, OfferedLoad: 10}}
 		mutate(&bad[0])
@@ -73,13 +75,15 @@ func TestRunValidatesPoints(t *testing.T) {
 		},
 		"data forwarding on a homed point": func(p *Point) { p.Home, p.Tune = &corner, &coherence.Variant{DataForwarding: true} },
 		"a replay under an unknown protocol": func(p *Point) {
-			p.Trials, p.App, p.Tune = 1, "LU", &coherence.Variant{Protocol: coherence.WriteUpdate + 1}
+			p.Trials, p.D, p.Seed, p.App = 1, 0, 0, "LU"
+			p.Tune = &coherence.Variant{Protocol: coherence.WriteUpdate + 1}
 		},
 		"worm barriers on an invalidation point": func(p *Point) {
 			p.Tune = &coherence.Variant{WormBarriers: true, VCTDeferred: true}
 		},
 		"a worm-barrier replay without VCT deferred delivery": func(p *Point) {
-			p.Trials, p.App, p.Tune = 1, "APSP", &coherence.Variant{WormBarriers: true}
+			p.Trials, p.D, p.Seed, p.App = 1, 0, 0, "APSP"
+			p.Tune = &coherence.Variant{WormBarriers: true}
 		},
 		"a burst with no writers":                        func(p *Point) { p.Trials, p.HotSpot = 1, &HotSpot{} },
 		"a burst with more writers than the mesh places": func(p *Point) { p.Trials, p.HotSpot = 1, &HotSpot{Writers: 14} },
@@ -90,6 +94,43 @@ func TestRunValidatesPoints(t *testing.T) {
 			t.Fatalf("%s accepted", name)
 		}
 	}
+	// A burst or replay with a field its runner ignores would be stored
+	// under a fingerprint its result does not depend on, and a replay
+	// apps.Run cannot run would panic on a worker. Check refuses both
+	// before anything runs; the unmutated burst and replay pass.
+	burst := Point{K: 8, Scheme: grouping.MIMAEC, D: 6, Trials: 1, Seed: 1, HotSpot: &HotSpot{Writers: 4}}
+	replay := Point{K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU"}
+	for name, base := range map[string]Point{"burst": burst, "replay": replay} {
+		if err := base.Check(); err != nil {
+			t.Fatalf("the plain %s refused: %v", name, err)
+		}
+	}
+	drops := &faults.Config{DropRate: 0.2, Seed: 9}
+	for name, bad := range map[string]Point{
+		"a burst under chaos":       with(burst, func(p *Point) { p.ChaosSeed = 99 }),
+		"a burst with faults":       with(burst, func(p *Point) { p.Faults = drops }),
+		"a burst with a pattern":    with(burst, func(p *Point) { p.Pattern = workload.RowPlacement }),
+		"a replay with sharers":     with(replay, func(p *Point) { p.D = 6 }),
+		"a replay with a pattern":   with(replay, func(p *Point) { p.Pattern = workload.RowPlacement }),
+		"a replay with a seed":      with(replay, func(p *Point) { p.Seed = 1 }),
+		"a replay under chaos":      with(replay, func(p *Point) { p.ChaosSeed = 99 }),
+		"a replay with faults":      with(replay, func(p *Point) { p.Faults = drops }),
+		"a replay on too few nodes": with(replay, func(p *Point) { p.K = 2 }),
+		"a worm-barrier replay with idle nodes": with(replay, func(p *Point) {
+			p.K, p.Tune = 8, &coherence.Variant{WormBarriers: true, VCTDeferred: true}
+		}),
+		"a replay of an unknown application": with(replay, func(p *Point) { p.App = "Nope" }),
+	} {
+		if bad.Check() == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// with returns a copy of p changed by mutate.
+func with(p Point, mutate func(*Point)) Point {
+	mutate(&p)
+	return p
 }
 
 func TestRunAllPointsOnce(t *testing.T) {

@@ -57,12 +57,10 @@ func (p Port) Opposite() Port {
 	}
 }
 
-// Mesh is a W x H 2-D mesh, optionally with wraparound links in both
-// dimensions (a 2-D torus / k-ary 2-cube). The zero value is not usable;
-// construct with NewMesh, NewSquareMesh or NewTorus.
+// Mesh is a W x H 2-D mesh. The zero value is not usable; construct with
+// NewMesh or NewSquareMesh.
 type Mesh struct {
 	w, h int
-	wrap bool
 	// coords is the precomputed NodeID -> Coord table: Coord sits on the
 	// simulator's per-route hot paths, where a table lookup beats div/mod.
 	coords []Coord
@@ -87,21 +85,6 @@ func (m *Mesh) fillCoords() {
 
 // NewSquareMesh returns a k x k mesh, the configuration the paper evaluates.
 func NewSquareMesh(k int) *Mesh { return NewMesh(k, k) }
-
-// NewTorus returns a W x H torus (wraparound links in both dimensions), the
-// k-ary n-cube configuration of the companion BRCP papers [37, 38]. Both
-// dimensions must be at least 3 so hop directions stay unambiguous.
-func NewTorus(w, h int) *Mesh {
-	if w < 3 || h < 3 {
-		panic(fmt.Sprintf("topology: torus dimensions %dx%d must be >= 3", w, h))
-	}
-	m := &Mesh{w: w, h: h, wrap: true}
-	m.fillCoords()
-	return m
-}
-
-// Wrap reports whether the mesh has wraparound (torus) links.
-func (m *Mesh) Wrap() bool { return m.wrap }
 
 // Width returns the number of columns.
 func (m *Mesh) Width() int { return m.w }
@@ -135,21 +118,11 @@ func (m *Mesh) Coord(id NodeID) Coord {
 	return m.coords[id]
 }
 
-// Distance returns the minimal hop count between two nodes: Manhattan
-// distance on a mesh, per-dimension ring distance on a torus.
+// Distance returns the minimal hop count between two nodes, their
+// Manhattan distance.
 func (m *Mesh) Distance(a, b NodeID) int {
 	ca, cb := m.Coord(a), m.Coord(b)
-	dx := abs(ca.X - cb.X)
-	dy := abs(ca.Y - cb.Y)
-	if m.wrap {
-		if alt := m.w - dx; alt < dx {
-			dx = alt
-		}
-		if alt := m.h - dy; alt < dy {
-			dy = alt
-		}
-	}
-	return dx + dy
+	return abs(ca.X-cb.X) + abs(ca.Y-cb.Y)
 }
 
 // Neighbor returns the node adjacent to id through port p, and whether such
@@ -172,11 +145,7 @@ func (m *Mesh) Neighbor(id NodeID, p Port) (NodeID, bool) {
 		panic("topology: Neighbor through invalid port " + p.String())
 	}
 	if !m.Contains(c) {
-		if !m.wrap {
-			return 0, false
-		}
-		c.X = (c.X + m.w) % m.w
-		c.Y = (c.Y + m.h) % m.h
+		return 0, false
 	}
 	return m.ID(c), true
 }

@@ -152,6 +152,27 @@ func TestNeighborEdges(t *testing.T) {
 	}
 }
 
+// TestMeshDoesNotWrap: on a rectangular mesh a port leads to a neighbor
+// exactly when it does not face off an edge, and opposite corners are the
+// full Manhattan distance apart.
+func TestMeshDoesNotWrap(t *testing.T) {
+	m := NewMesh(5, 3)
+	for id := NodeID(0); int(id) < m.Nodes(); id++ {
+		c := m.Coord(id)
+		for _, e := range []struct {
+			p   Port
+			off bool
+		}{{East, c.X == 4}, {West, c.X == 0}, {North, c.Y == 2}, {South, c.Y == 0}} {
+			if _, ok := m.Neighbor(id, e.p); ok == e.off {
+				t.Errorf("%v %v: neighbor %v, want %v", c, e.p, ok, !e.off)
+			}
+		}
+	}
+	if d := m.Distance(m.ID(Coord{0, 0}), m.ID(Coord{4, 2})); d != 6 {
+		t.Errorf("corner distance = %d, want 6", d)
+	}
+}
+
 func TestNeighborInverseProperty(t *testing.T) {
 	// Property: if b is a's neighbor through p, then a is b's neighbor
 	// through p.Opposite().
