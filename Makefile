@@ -85,8 +85,8 @@ cover:
 # equiv replays the event-engine gates: the calendar-queue-vs-reference
 # equivalence harness (200 randomized schedule/cancel/reschedule scripts,
 # in FIFO and in chaos ordering), the queue edge-case suite, the unicast
-# route-vs-router-walk property test (every pair, every base, meshes and
-# tori), the byte-identical golden experiment tables (the seed suite and
+# route-vs-router-walk property test (every pair, every base, on meshes),
+# the byte-identical golden experiment tables (the seed suite and
 # the hot-spot, per-home, application and offered-load figures),
 # and the functional-install-vs-simulated-reads property test (sharers
 # installed by Machine.InstallSharer must leave the machine, and the write
@@ -128,11 +128,11 @@ bench:
 sweep:
 	$(GO) run ./cmd/dsmsimctl experiment -name all
 
-# smoke drives `dsmsimctl serve` end to end: serve the E4, E19 and E18 tables
+# smoke drives `dsmsimctl serve` end to end: serve the E4, E19 and E13 tables
 # byte-identical to an in-process run, repeat it from the cache, run a point
 # job, then SIGTERM and assert a clean drain that leaves results/ filled,
 # jobs/ empty and nothing else in the data directory; then in-process
-# reruns over one -data directory (E15, E19, E18 and E22) run nothing, and
+# reruns over one -data directory (E15, E19, E13 and E22) run nothing, and
 # a daemon over it serves the same table. See scripts/serve_smoke.sh.
 smoke:
 	bash scripts/serve_smoke.sh

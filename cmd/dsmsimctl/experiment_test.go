@@ -84,7 +84,7 @@ func dirStore(t *testing.T, dir string) service.ResultStore {
 func TestDataRerunRunsNothing(t *testing.T) {
 	names := []string{"latency", "limdir",
 		"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing",
-		"load", "invalsize", "consistency", "forwarding", "update", "barrier"}
+		"load", "invalsize", "consistency", "barrier"}
 	const d = 6
 	want := bare(t, d, names...)
 	dir := t.TempDir()
@@ -119,9 +119,9 @@ func TestDataRerunRunsNothing(t *testing.T) {
 // come from the store. E20's UI-UA, MI-MA-ecrc and MI-MA-tm cells are E4
 // latency points, so after latency only its UMC cells run; E23 and Table 6 replay six of
 // E9's UI-UA and MI-MA-ec cells, so after them E9 runs only its other 6; E17
-// reads Table 6's three replays, so after it E17 runs nothing; E13, E16
-// and E18 each take their six default-machine replays from E9 and run only
-// their six on the varied machine; and E22 takes its default-machine APSP
+// reads Table 6's three replays, so after it E17 runs nothing; E13 takes its
+// six default-machine replays from E9 and runs only its six on the
+// release-consistency machine; and E22 takes its default-machine APSP
 // replay from E9 and runs only the worm-barrier one.
 func TestSharedPointRunsOnce(t *testing.T) {
 	cases := []struct {
@@ -132,8 +132,6 @@ func TestSharedPointRunsOnce(t *testing.T) {
 		{[]string{"sharing", "table6"}, []string{"apps"}, 6, 6},
 		{[]string{"table6"}, []string{"invalsize"}, 3, 0},
 		{[]string{"apps"}, []string{"consistency"}, 6, 6},
-		{[]string{"apps"}, []string{"forwarding"}, 6, 6},
-		{[]string{"apps"}, []string{"update"}, 6, 6},
 		{[]string{"apps"}, []string{"barrier"}, 1, 1},
 	}
 	for _, c := range cases {
@@ -239,10 +237,9 @@ func TestCorruptResultIsLoud(t *testing.T) {
 }
 
 // TestStaleReplayIsLoud: a replay stored before AppMeasures carried its
-// sharer histogram and read-miss count has transactions but neither. E17,
-// which reads the histogram, and E16 and E18, which read the count, refuse it
-// with an error naming the application and the entry, rather than printing
-// zeros.
+// sharer histogram has transactions but no histogram. E17, which reads the
+// histogram, refuses it with an error naming the application and the entry,
+// rather than printing zeros.
 func TestStaleReplayIsLoud(t *testing.T) {
 	store := service.NewMemoryStore(0)
 	lu := sweep.Point{K: 4, Scheme: grouping.UIUA, Trials: 1, App: "LU"}
@@ -252,10 +249,8 @@ func TestStaleReplayIsLoud(t *testing.T) {
 	if err := store.Put(lu.Fingerprint(), stale); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"invalsize", "forwarding", "update"} {
-		out, _, _, err := inProcess(t, context.Background(), service.Config{Store: store}, 16, name)
-		if out != "" || err == nil || !strings.Contains(err.Error(), "LU") || !strings.Contains(err.Error(), lu.Fingerprint()) {
-			t.Fatalf("%s over a stale LU replay: err %v; want no table and an error naming LU and %s", name, err, lu.Fingerprint())
-		}
+	out, _, _, err := inProcess(t, context.Background(), service.Config{Store: store}, 16, "invalsize")
+	if out != "" || err == nil || !strings.Contains(err.Error(), "LU") || !strings.Contains(err.Error(), lu.Fingerprint()) {
+		t.Fatalf("invalsize over a stale LU replay: err %v; want no table and an error naming LU and %s", err, lu.Fingerprint())
 	}
 }

@@ -299,21 +299,27 @@ func TestGroupsDrawTrialOneSharers(t *testing.T) {
 
 // TestUnrunnableReplayExitsTwo: a replay apps.Run cannot run (more
 // programs than nodes, worm barriers with idle nodes, an unknown
-// application) is a bad command line, exit 2, not a panic mid-run.
+// application) or one on a machine the simulator cannot build (a protocol
+// or data-forwarding knob: the machine runs only the paper's
+// write-invalidate protocol) is a bad command line, exit 2, not a panic
+// mid-run.
 func TestUnrunnableReplayExitsTwo(t *testing.T) {
-	for _, point := range []string{
-		`{"k":2,"app":"LU","trials":1}`,
-		`{"k":8,"app":"LU","trials":1,"tune":{"worm_barriers":true,"vct_deferred":true}}`,
-		`{"k":4,"app":"Nope","trials":1}`,
+	for _, c := range []struct{ point, why string }{
+		{`{"k":2,"app":"LU","trials":1}`, "too few nodes"},
+		{`{"k":8,"app":"LU","trials":1,"tune":{"worm_barriers":true,"vct_deferred":true}}`, "one program per node"},
+		{`{"k":4,"app":"Nope","trials":1}`, `unknown application "Nope"`},
+		{`{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU","tune":{"protocol":1}}`, `unknown field "protocol"`},
+		{`{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU","tune":{"data_forwarding":true}}`,
+			`unknown field "data_forwarding"`},
 	} {
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					t.Errorf("trace -point %s panicked: %v", point, r)
+					t.Errorf("trace -point %s panicked: %v", c.point, r)
 				}
 			}()
-			if code, _, errOut := run("trace", "-top", "0", "-point", point); code != 2 {
-				t.Errorf("trace -point %s: exit %d; want 2 (stderr %q)", point, code, errOut)
+			if code, _, errOut := run("trace", "-top", "0", "-point", c.point); code != 2 || !strings.Contains(errOut, c.why) {
+				t.Errorf("trace -point %s: exit %d, stderr %q; want 2 and %q", c.point, code, errOut, c.why)
 			}
 		}()
 	}
@@ -335,7 +341,7 @@ func TestRejectsBadCommandLines(t *testing.T) {
 		{"-point", `{"k":8,"d":6,"trials":1,"scheme":"bogus"}`},
 		{"-point", `{"k":8,"d":6,"trials":1,"pattern":"bogus"}`},
 		{"-workload", "miss", "-kind", "8"},
-		{"-workload", "miss", "-point", `{"k":4,"trials":1,"app":"LU","tune":{"protocol":1}}`},
+		{"-workload", "miss", "-point", `{"k":4,"trials":1,"app":"LU","tune":{"consistency":1}}`},
 		{"-workload", "bogus"},
 	} {
 		if err := cmdTrace(args, io.Discard, io.Discard); err == nil {

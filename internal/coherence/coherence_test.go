@@ -6,6 +6,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/directory"
 	"repro/internal/grouping"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -35,6 +36,10 @@ func doOp(t *testing.T, m *Machine, write bool, n topology.NodeID, b directory.B
 func nodeAt(m *Machine, x, y int) topology.NodeID {
 	return m.Mesh.ID(topology.Coord{X: x, Y: y})
 }
+
+func newRNG() *sim.RNG { return sim.NewRNG(5) }
+
+func blockID(v int) directory.BlockID { return directory.BlockID(v) }
 
 func TestColdReadInstallsSharer(t *testing.T) {
 	m := newM(t, 4, grouping.UIUA)

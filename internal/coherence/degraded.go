@@ -135,7 +135,7 @@ func (m *Machine) forwardLeg(src topology.NodeID, pm *msg) {
 	w.Path = path
 	w.Dest = dests
 	w.HeaderFlits = m.Params.Net.HeaderFlits(1)
-	w.PayloadFlits = m.payloadFlitsFor(pm.typ, pm)
+	w.PayloadFlits = m.payloadFlits(pm.typ)
 	w.Tag = pm
 	w.Expendable = pm.tree == nil && (pm.typ == inval || pm.typ == invalAck)
 	if pm.txn != nil {

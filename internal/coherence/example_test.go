@@ -45,39 +45,31 @@ func ExampleNewMachine() {
 }
 
 // ExampleParams_consistency runs a producer-consumer kernel under sequential
-// and release consistency, with and without producer-initiated data
-// forwarding, on the unicast baseline and on MI-MA. Release consistency
-// hides write latency; forwarded copies must be re-invalidated every round,
-// and multidestination worms shrink what that costs.
+// and release consistency, on the unicast baseline and on MI-MA. Release
+// consistency hides write latency, and multidestination worms shrink what
+// each round's invalidations cost.
 func ExampleParams_consistency() {
 	w := pingPong(16, 8, 6)
-	fmt.Println("consistency forwarding scheme    exec cycles read misses speedup")
+	fmt.Println("consistency scheme    exec cycles read misses speedup")
 	var base float64
 	for _, cons := range []coherence.Consistency{coherence.SequentialConsistency, coherence.ReleaseConsistency} {
-		for _, fwd := range []bool{false, true} {
-			for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC} {
-				p := coherence.DefaultParams(4, s)
-				p.Consistency = cons
-				p.DataForwarding = fwd
-				res := apps.Run(coherence.NewMachine(p), w)
-				if base == 0 {
-					base = float64(res.Time)
-				}
-				fmt.Printf("%-11v %-10v %-8v %11d %12d %7.3f\n",
-					cons, fwd, s, uint64(res.Time), res.ReadMisses, base/float64(res.Time))
+		for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC} {
+			p := coherence.DefaultParams(4, s)
+			p.Consistency = cons
+			res := apps.Run(coherence.NewMachine(p), w)
+			if base == 0 {
+				base = float64(res.Time)
 			}
+			fmt.Printf("%-11v %-8v %11d %12d %7.3f\n",
+				cons, s, uint64(res.Time), res.ReadMisses, base/float64(res.Time))
 		}
 	}
 	// Output:
-	// consistency forwarding scheme    exec cycles read misses speedup
-	// SC          false      UI-UA          88164         1070   1.000
-	// SC          false      MI-MA-ec       79960         1070   1.103
-	// SC          true       UI-UA         121202          642   0.727
-	// SC          true       MI-MA-ec      104208          675   0.846
-	// RC          false      UI-UA          79152         1075   1.114
-	// RC          false      MI-MA-ec       77730         1074   1.134
-	// RC          true       UI-UA         117518          642   0.750
-	// RC          true       MI-MA-ec      106966          675   0.824
+	// consistency scheme    exec cycles read misses speedup
+	// SC          UI-UA          88164         1070   1.000
+	// SC          MI-MA-ec       79960         1070   1.103
+	// RC          UI-UA          79152         1075   1.114
+	// RC          MI-MA-ec       77730         1074   1.134
 }
 
 // pingPong builds a producer-consumer trace: each round the producer

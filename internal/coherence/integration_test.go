@@ -11,7 +11,7 @@ import (
 )
 
 // TestConfigMatrixSoak drives random traffic through a matrix of protocol
-// option combinations — scheme x consistency x directory x forwarding x
+// option combinations — scheme x consistency x directory x
 // reply-forwarding x VCT — checking the global coherence invariants at
 // every quiescent point. This is the integration net that
 // catches cross-feature interactions no focused test covers.
@@ -24,14 +24,13 @@ func TestConfigMatrixSoak(t *testing.T) {
 	variants := []cfg{
 		{"baseline", func(p *Params) {}},
 		{"rc", func(p *Params) { p.Consistency = ReleaseConsistency }},
-		{"fwd+3hop", func(p *Params) { p.DataForwarding = true; p.ReplyForwarding = true }},
+		{"3hop", func(p *Params) { p.ReplyForwarding = true }},
 		{"limdir-cv", func(p *Params) { p.DirPointers = 2; p.DirCoarseRegion = 4 }},
 		{"vct+2vc+evict", func(p *Params) {
 			p.Net.VCTDeferred = true
 			p.Net.VirtualChannels = 2
 			p.CacheLines = 5
 		}},
-		{"update", func(p *Params) { p.Protocol = WriteUpdate }},
 	}
 	for _, s := range schemes {
 		for _, v := range variants {

@@ -58,7 +58,7 @@ type invalTxn struct {
 	block directory.BlockID
 	home  topology.NodeID
 	// req is the write request the transaction serves; completion hands it
-	// to the grant (afterInval), which frees it.
+	// to the grant (grantWrite), which frees it.
 	req *msg
 	// groups is the transaction's plan: plan.Groups, or the degraded
 	// planner's groups on a failed fabric. Request worms copy their
@@ -77,11 +77,8 @@ type invalTxn struct {
 	pendingAcks int
 	sharers     int
 	broadcast   bool
-	// update marks a write-update distribution: sharers refresh their
-	// copies instead of dropping them.
-	update   bool
-	start    sim.Time
-	homeMsgs int
+	start       sim.Time
+	homeMsgs    int
 	// completed marks a transaction whose acknowledgments are all in and
 	// whose grant is under way.
 	completed bool
@@ -160,13 +157,13 @@ func (m *Machine) txnMsg(t *invalTxn) *msg {
 
 // startInval begins the invalidation transaction for write request pm at
 // its block's home. The directory entry must be in Shared state; once every
-// acknowledgment has arrived, afterInval runs (on the home's server
+// acknowledgment has arrived, the write is granted (on the home's server
 // context). If the requester is the only sharer no transaction is needed
-// and afterInval runs immediately.
+// and the grant starts immediately.
 func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) {
 	b, requester := pm.block, pm.from
 	// remote is built in machine scratch: nothing below keeps it past this
-	// call (the planner, the recovery set and the forward list copy it).
+	// call (the planner and the recovery set copy it).
 	remote := m.scratchRemote[:0]
 	homeCopy := false
 	switch {
@@ -229,7 +226,7 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 		remote = live
 	}
 	if len(remote) == 0 && !homeCopy {
-		m.afterInval(home, pm)
+		m.grantWrite(home, pm, !pm.hasCopy)
 		return
 	}
 	e.State = directory.Waiting
@@ -238,7 +235,6 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 	txn.block, txn.home, txn.req = b, home, pm
 	txn.sharers = len(remote)
 	txn.broadcast = e.Overflow || e.CoarseMode
-	txn.update = m.Params.Protocol == WriteUpdate
 	txn.start = m.Engine.Now()
 	var fallback []topology.NodeID
 	if len(remote) > 0 && m.Params.Scheme != grouping.UMC {
@@ -258,9 +254,6 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 	}
 	if m.Rec != nil {
 		m.recTxn(trace.KindTxnStart, txn, uint64(txn.sharers), uint64(len(txn.groups)))
-	}
-	if m.Params.Protocol == WriteInvalidate {
-		m.recordForwardList(b, remote)
 	}
 	var treeParticipants []topology.NodeID
 	switch {
@@ -292,9 +285,7 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 		txn.pendingAcks++
 		txn.refs++
 		homeInval := func() {
-			if !txn.update {
-				m.caches[home].Invalidate(b)
-			}
+			m.caches[home].Invalidate(b)
 			if txn.rec {
 				txn.homeAcked(m)
 			} else {
@@ -348,7 +339,7 @@ func (m *Machine) sendUnicastInval(txn *invalTxn, gi int, dst topology.NodeID) {
 }
 
 // ackArrived consumes one acknowledgment; the last one completes the
-// transaction, records its metrics and grants the write (afterInval), which
+// transaction, records its metrics and grants the write (grantWrite), which
 // releases the block.
 func (t *invalTxn) ackArrived(m *Machine) {
 	if t.pendingAcks <= 0 {
@@ -362,7 +353,7 @@ func (t *invalTxn) ackArrived(m *Machine) {
 }
 
 // complete records the transaction's metrics and hands the write request
-// to afterInval. Both the counting path (ackArrived) and the recovery path
+// to grantWrite. Both the counting path (ackArrived) and the recovery path
 // (checkRecovered) end here, exactly once per transaction; the caller holds
 // a reference, so t outlives the call.
 func (t *invalTxn) complete(m *Machine) {
@@ -381,5 +372,5 @@ func (t *invalTxn) complete(m *Machine) {
 		HomeMsgs:  t.homeMsgs,
 		Retries:   t.retries,
 	})
-	m.afterInval(t.home, t.req)
+	m.grantWrite(t.home, t.req, !t.req.hasCopy)
 }

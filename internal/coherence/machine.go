@@ -46,9 +46,6 @@ type Machine struct {
 	// homeOps holds the home-side context of dirty-block fetches, at most
 	// one per block (the per-block queue guarantees exclusivity).
 	homeOps blocktab.Table[*homeOp]
-	// fwdLists holds each block's data-forwarding candidates (the victims
-	// of its last invalidation transaction).
-	fwdLists map[directory.BlockID][]topology.NodeID
 	// ownGens remembers, per (node, block), the ownership-grant generation
 	// the node's Modified copy was installed under, echoed on its dirty
 	// writeback so the home can discard stale writebacks.
@@ -99,7 +96,6 @@ type Machine struct {
 	fnTxnDeadline      func(any, int32)
 	fnSendGroup        func(any, int32)
 	fnGrantWrite       func(any, int32)
-	fnUpdateFinish     func(any, int32)
 	// freeMsgs pools retired protocol messages (bounded; see freeMsg).
 	freeMsgs []*msg
 	// freeTxns pools recycled invalidation transactions (see invalTxn).
@@ -187,9 +183,6 @@ func NewMachine(p Params) *Machine {
 		if p.Scheme == grouping.UMC {
 			panic("coherence: hard faults are unsupported under the U-tree comparator (tree messages have no recovery path)")
 		}
-		if p.DataForwarding {
-			panic("coherence: hard faults are unsupported with data forwarding enabled")
-		}
 		if !p.Recovery.Enabled {
 			panic("coherence: hard faults require Recovery.Enabled (degraded transactions complete via the retry path)")
 		}
@@ -249,7 +242,7 @@ func (m *Machine) send(t msgType, src, dst topology.NodeID, payload *msg) {
 	w.Path = path
 	w.Dest = dests
 	w.HeaderFlits = m.Params.Net.HeaderFlits(1)
-	w.PayloadFlits = m.payloadFlitsFor(t, payload)
+	w.PayloadFlits = m.payloadFlits(t)
 	w.Tag = payload
 	// Invalidation-class traffic is expendable: the home's i-ack
 	// timeout re-covers a lost inval or ack. UMC tree messages are
@@ -276,10 +269,6 @@ func (m *Machine) sendGroup(txn *invalTxn, gi int) {
 	if m.Params.Scheme.GatherAck() {
 		kind = network.Reserve
 	}
-	payload := m.Params.controlFlits()
-	if txn.update {
-		payload = m.Params.dataFlits()
-	}
 	w := m.Net.NewWorm()
 	w.Kind = kind
 	w.VN = network.Request
@@ -290,7 +279,7 @@ func (m *Machine) sendGroup(txn *invalTxn, gi int) {
 	w.Path = path
 	w.Dest = destFlagsInto(w.TakeDestBuf(len(g.Path)), g.Path, g.Members)
 	w.HeaderFlits = m.Params.Net.HeaderFlits(len(g.Members))
-	w.PayloadFlits = payload
+	w.PayloadFlits = m.Params.controlFlits()
 	w.TxnID = txn.id
 	pm := m.txnMsg(txn)
 	pm.groupIdx = gi
@@ -378,32 +367,14 @@ func destFlagsInto(dests []bool, path []topology.NodeID, members []topology.Node
 	return dests
 }
 
-// payloadFlits returns the payload size of a message type. Under the
-// write-update protocol a writeReq carries the written data, and the
-// update worms (typ inval with an update transaction) carry it onward.
+// payloadFlits returns the payload size of a message type.
 //
 //simcheck:noalloc
 func (m *Machine) payloadFlits(t msgType) int {
 	if t.carriesData() {
 		return m.Params.dataFlits()
 	}
-	if t == writeReq && m.Params.Protocol == WriteUpdate {
-		return m.Params.dataFlits()
-	}
 	return m.Params.controlFlits()
-}
-
-// payloadFlitsFor sizes a message's payload with its content in view: a
-// recovery-fallback inval of a write-update transaction carries the data
-// the lost multidestination update worm carried. Everything else defers to
-// the type-only sizing.
-//
-//simcheck:noalloc
-func (m *Machine) payloadFlitsFor(t msgType, pm *msg) int {
-	if pm != nil && pm.retry && pm.txn != nil && pm.txn.update {
-		return m.Params.dataFlits()
-	}
-	return m.payloadFlits(t)
 }
 
 // vnFor maps message types onto the two virtual networks. Requests flow on
@@ -414,10 +385,8 @@ func vnFor(t msgType) network.VN {
 	switch t {
 	case readReq, writeReq, inval, fetchReq, fetchInval:
 		return network.Request
-	case invalAck, gatherAck, fetchReply, readReply, writeReply, writeback, fwdAck:
+	case invalAck, gatherAck, fetchReply, readReply, writeReply, writeback:
 		return network.Reply
-	case fwdData:
-		return network.Request
 	default:
 		// barrier worms are injected directly (injectBarrierWorm), never
 		// routed through vnFor.

@@ -34,10 +34,6 @@ const (
 	// Replacement.
 	writeback // dirty eviction: data to home
 
-	// Data forwarding (extension, [21]).
-	fwdData // home -> previous sharers: pushed copy of the block
-	fwdAck  // last group member -> home: forwarding episode complete
-
 	// Worm barrier synchronization (extension, [37]).
 	barrier
 )
@@ -45,7 +41,7 @@ const (
 var msgNames = [...]string{
 	"readReq", "writeReq", "inval", "invalAck", "gatherAck",
 	"fetchReq", "fetchInval", "fetchReply", "readReply", "writeReply",
-	"writeback", "fwdData", "fwdAck", "barrier",
+	"writeback", "barrier",
 }
 
 func (t msgType) String() string {
@@ -58,9 +54,9 @@ func (t msgType) String() string {
 // carriesData reports whether the message carries a memory block.
 func (t msgType) carriesData() bool {
 	switch t {
-	case fetchReply, readReply, writeReply, writeback, fwdData:
+	case fetchReply, readReply, writeReply, writeback:
 		return true
-	case readReq, writeReq, inval, invalAck, gatherAck, fetchReq, fetchInval, fwdAck, barrier:
+	case readReq, writeReq, inval, invalAck, gatherAck, fetchReq, fetchInval, barrier:
 		return false
 	default:
 		panic("coherence: carriesData on unknown message type " + t.String())
@@ -79,16 +75,14 @@ type msg struct {
 	// groupIdx identifies which of the transaction's groups this inval or
 	// gather worm implements.
 	groupIdx int
-	// fwd links forwarding traffic to its episode.
-	fwd *fwdState
 	// tree carries the unicast-tree multicast context (UMC comparator).
 	tree *treeCtx
 	// bar carries the worm-barrier payload.
 	bar *barMsg
 	// hasCopy marks a writeReq from a requester that still holds a Shared
 	// copy (an upgrade): the grant needs no data. Presence bits alone
-	// cannot tell (silent evictions and declined forwards leave stale
-	// bits), so the requester states it explicitly.
+	// cannot tell (silent evictions leave stale bits), so the requester
+	// states it explicitly.
 	hasCopy bool
 	// retry marks a recovery-fallback invalidation (home timeout fired):
 	// the sharer must answer with a unicast ack regardless of the scheme's

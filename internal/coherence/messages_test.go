@@ -24,7 +24,7 @@ func TestUnknownMessageTypePanics(t *testing.T) {
 func TestCarriesDataPartition(t *testing.T) {
 	data := map[msgType]bool{
 		fetchReply: true, readReply: true, writeReply: true,
-		writeback: true, fwdData: true,
+		writeback: true,
 	}
 	for m := readReq; m <= barrier; m++ {
 		if got := m.carriesData(); got != data[m] {

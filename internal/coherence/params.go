@@ -33,28 +33,6 @@ func (c Consistency) String() string {
 	return "SC"
 }
 
-// Protocol selects the write policy of the directory protocol.
-type Protocol int
-
-const (
-	// WriteInvalidate is the paper's protocol: a write invalidates every
-	// sharer and takes exclusive ownership.
-	WriteInvalidate Protocol = iota
-	// WriteUpdate propagates every write to all sharers instead of
-	// invalidating them (extension): no exclusive state exists, every
-	// write is a full distribution transaction, and the update worms reuse
-	// the invalidation grouping machinery (multicast or i-reserve/i-gather
-	// per scheme) with data payloads.
-	WriteUpdate
-)
-
-func (p Protocol) String() string {
-	if p == WriteUpdate {
-		return "update"
-	}
-	return "invalidate"
-}
-
 // Params configures a Machine. All times are 5 ns base cycles; the
 // defaults follow the paper's technology point (100 MHz processors,
 // 200 Mbyte/s links, 20 ns routers, 120 ns DRAM).
@@ -68,9 +46,6 @@ type Params struct {
 	Scheme grouping.Scheme
 	// Consistency selects the memory model (default sequential).
 	Consistency Consistency
-	// Protocol selects write-invalidate (default, the paper's protocol) or
-	// write-update.
-	Protocol Protocol
 	// Net carries the network timing/resource configuration.
 	Net network.Config
 
@@ -129,10 +104,6 @@ type Params struct {
 	// sends the data directly to the requester and a sharing writeback to
 	// the home, instead of routing the data through the home (4-hop).
 	ReplyForwarding bool
-	// DataForwarding enables producer-initiated block forwarding [21]:
-	// after an invalidated block is fetched back, the home pushes fresh
-	// copies to the previous sharers with grouped multicast data worms.
-	DataForwarding bool
 	// WormBarriers synchronizes an application replay (apps.Run) with the
 	// multidestination worm barrier [37] (Machine.BarrierArrive) instead of
 	// the workload's shared-memory barrier, whose references the replay
@@ -163,8 +134,8 @@ func DefaultParams(k int, scheme grouping.Scheme) Params {
 
 // Variant names a machine that differs from DefaultParams in the parameters
 // the ablations vary (limited directories, bounded caches, i-ack depth,
-// consumption and virtual channels, VCT, and for replays consistency,
-// protocol, data forwarding and worm barriers). It is data, not code, so a
+// consumption and virtual channels, VCT, and for replays consistency and
+// worm barriers). It is data, not code, so a
 // sweep point that carries one can be serialised and fingerprinted. Every
 // field's zero value means DefaultParams' value: a nil or empty Variant is
 // the default machine.
@@ -177,8 +148,6 @@ type Variant struct {
 	VirtualChannels     int         `json:"virtual_channels,omitempty"`
 	VCTDeferred         bool        `json:"vct_deferred,omitempty"`
 	Consistency         Consistency `json:"consistency,omitempty"`
-	Protocol            Protocol    `json:"protocol,omitempty"`
-	DataForwarding      bool        `json:"data_forwarding,omitempty"`
 	WormBarriers        bool        `json:"worm_barriers,omitempty"`
 }
 
@@ -211,12 +180,6 @@ func (v *Variant) Apply(p *Params) {
 	}
 	if v.Consistency != 0 {
 		p.Consistency = v.Consistency
-	}
-	if v.Protocol != 0 {
-		p.Protocol = v.Protocol
-	}
-	if v.DataForwarding {
-		p.DataForwarding = true
 	}
 	if v.WormBarriers {
 		p.WormBarriers = true

@@ -286,10 +286,6 @@ func (m *Machine) deliver(d network.Delivery) {
 		m.requesterReply(d.Node, pm)
 	case writeback:
 		m.homeWriteback(d.Node, pm)
-	case fwdData:
-		m.recvForward(d.Node, pm, d.Final)
-	case fwdAck:
-		m.recvForwardAck(d.Node, pm)
 	case barrier:
 		m.barrierDeliver(d, pm.bar)
 	default:
@@ -340,10 +336,6 @@ func (m *Machine) homeRead(home topology.NodeID, e *directory.Entry, pm *msg) {
 
 func (m *Machine) homeWrite(home topology.NodeID, e *directory.Entry, pm *msg) {
 	b, requester := pm.block, pm.from
-	if m.Params.Protocol == WriteUpdate {
-		m.homeWriteUpdate(home, e, pm)
-		return
-	}
 	switch e.State {
 	case directory.Uncached:
 		m.grantWrite(home, pm, true)
@@ -379,57 +371,19 @@ func (m *Machine) grantWrite(home topology.NodeID, pm *msg, withData bool) {
 	m.server(home).doCall(cost, m.fnGrantWrite, pm, int32(home))
 }
 
-// afterInval continues write request pm once its invalidation (or update)
-// transaction has completed, or at once when there was nothing to
-// invalidate.
-//
-//simcheck:noalloc
-func (m *Machine) afterInval(home topology.NodeID, pm *msg) {
-	if m.Params.Protocol == WriteUpdate {
-		// Distribution complete; the entry returns to Shared with every
-		// copy refreshed.
-		m.dirs[home].Lookup(pm.block).State = directory.Shared
-		m.server(home).doCall(m.Params.MemAccess+m.Params.SendOccupancy, m.fnUpdateFinish, pm, int32(home))
-		return
-	}
-	m.grantWrite(home, pm, !pm.hasCopy)
-}
-
-// homeWriteUpdate runs a write under the write-update protocol: the home
-// writes memory and distributes the new data to every sharer with update
-// worms (the invalidation machinery with txn.update set); the writer joins
-// the sharers and completes when all acks are in. No exclusive state
-// exists under this protocol.
-func (m *Machine) homeWriteUpdate(home topology.NodeID, e *directory.Entry, pm *msg) {
-	if e.State == directory.Exclusive {
-		panic("coherence: exclusive entry under write-update protocol")
-	}
-	if e.State == directory.Uncached {
-		m.server(home).doCall(m.Params.MemAccess+m.Params.SendOccupancy, m.fnUpdateFinish, pm, int32(home))
-		return
-	}
-	m.startInval(home, e, pm)
-}
-
 // deferSafe reports whether a directory-targeted invalidation may defer
 // past a pending read's fill (the afterFill remedy). The deferral rests
 // on one implication: node listed in the directory snapshot AND read op
 // pending ⟹ that read was served and its fill is in flight on the reply
-// network, so the deferred acknowledgment always unblocks. Two features
-// break the implication by letting presence bits go stale under a
-// pending miss, turning the deferral into a deadlock:
-//
-//   - Bounded caches: a Shared victim is evicted silently, the presence
-//     bit survives, and the node's re-request can be queued at the home
-//     behind the very transaction whose invalidation we would defer.
-//   - Data forwarding: forward recipients enter the presence bits at
-//     send time, and one whose concurrent miss skipped the forwarded
-//     install is listed with its own request possibly still queued.
-//
-// In either configuration sharers fall back to the always-safe squash
-// remedy instead.
+// network, so the deferred acknowledgment always unblocks. Bounded caches
+// break the implication by letting presence bits go stale under a pending
+// miss, turning the deferral into a deadlock: a Shared victim is evicted
+// silently, the presence bit survives, and the node's re-request can be
+// queued at the home behind the very transaction whose invalidation we
+// would defer. With bounded caches sharers fall back to the always-safe
+// squash remedy instead.
 func (m *Machine) deferSafe() bool {
-	return m.Params.CacheLines == 0 && !m.Params.DataForwarding
+	return m.Params.CacheLines == 0
 }
 
 // deferOrSquash is the one stale-fill rule: what an invalidation of b
@@ -455,9 +409,8 @@ func (m *Machine) deferSafe() bool {
 // and deferring the ack would then deadlock. So the miss is squashed
 // instead: acknowledge now, and when the reply lands consume its data
 // without installing the line (see requesterReply for why that load is
-// still legal). Bounded caches and data forwarding void the
-// targeted-implies-served proof the same way — see deferSafe — and also
-// squash. deferOrSquash then returns nil, as it does when no read is
+// still legal). Bounded caches void the targeted-implies-served proof
+// the same way — see deferSafe — and also squash. deferOrSquash then returns nil, as it does when no read is
 // pending, and the caller invalidates now.
 //
 // Writes are exempt from both: a pending writer is never a target of its
@@ -482,8 +435,7 @@ func (m *Machine) deferOrSquash(n topology.NodeID, b directory.BlockID, targeted
 
 // sharerInval handles an invalidation arriving at a sharer, under any
 // framework: unicast (UI-UA), multicast copy (MI-UA, BR), or i-reserve
-// copy / final (MI-MA). Update transactions (write-update protocol)
-// refresh the local copy instead of dropping it.
+// copy / final (MI-MA).
 func (m *Machine) sharerInval(n topology.NodeID, pm *msg, final bool) {
 	if op := m.deferOrSquash(n, pm.block, !pm.retry && !pm.txn.broadcast); op != nil {
 		op.afterFill = append(op.afterFill, func() { m.sharerInvalNow(n, pm, final) })
@@ -492,8 +444,8 @@ func (m *Machine) sharerInval(n topology.NodeID, pm *msg, final bool) {
 	m.sharerInvalNow(n, pm, final)
 }
 
-// sharerInvalNow performs the sharer-side invalidation work: drop (or
-// refresh) the copy and acknowledge through the scheme's framework. Split
+// sharerInvalNow performs the sharer-side invalidation work: drop the copy
+// and acknowledge through the scheme's framework. Split
 // from sharerInval so a deferred invalidation can run verbatim after the
 // fill it raced.
 func (m *Machine) sharerInvalNow(n topology.NodeID, pm *msg, final bool) {
@@ -568,22 +520,15 @@ func (m *Machine) homeFetchReply(home topology.NodeID, pm *msg) {
 		e.Sharers.Set(op.owner)
 		e.Sharers.Set(op.requester)
 		m.notePointerLimit(e)
-		forwarding := m.forwardAfterFetch(home, e, pm.block,
-			[]topology.NodeID{op.owner, op.requester},
-			func() { m.releaseBlock(pm.block) })
 		if op.forwarded {
 			// 3-hop mode: the owner already sent the requester its data;
 			// the home only retires the sharing writeback.
-			if !forwarding {
-				m.releaseBlock(pm.block)
-			}
+			m.releaseBlock(pm.block)
 			return
 		}
 		m.server(home).do(m.Params.SendOccupancy, func() {
 			m.send(readReply, home, op.requester, &msg{typ: readReply, block: pm.block, from: op.requester})
-			if !forwarding {
-				m.releaseBlock(pm.block)
-			}
+			m.releaseBlock(pm.block)
 		})
 	})
 }
@@ -693,22 +638,6 @@ func (m *Machine) initHandlers() {
 		m.freeMsg(pm)
 		m.releaseBlock(b)
 	}
-	// fnUpdateFinish completes write-update request a at home i: the
-	// writer joins the sharers and the request is freed.
-	//simcheck:noalloc
-	m.fnUpdateFinish = func(a any, i int32) {
-		pm, home := a.(*msg), topology.NodeID(i)
-		b := pm.block
-		e := m.dirs[home].Lookup(b)
-		e.State = directory.Shared
-		e.Sharers.Set(pm.from)
-		m.notePointerLimit(e)
-		reply := m.newMsg()
-		reply.typ, reply.block, reply.from = writeReply, b, pm.from
-		m.send(writeReply, home, pm.from, reply)
-		m.freeMsg(pm)
-		m.releaseBlock(b)
-	}
 	//simcheck:noalloc
 	m.fnHomeRecv = func(a any, _ int32) {
 		pm := a.(*msg)
@@ -785,9 +714,7 @@ func (m *Machine) initHandlers() {
 			m.releaseTxn(txn)
 			return
 		}
-		if !txn.update {
-			m.caches[n].Invalidate(pm.block)
-		}
+		m.caches[n].Invalidate(pm.block)
 		if pm.retry || !m.Params.Scheme.GatherAck() {
 			// Unicast acknowledgment: the scheme's normal framework, or the
 			// recovery fallback — retried sharers always answer with a
@@ -862,7 +789,7 @@ func (m *Machine) initHandlers() {
 			}
 		} else {
 			state := cache.SharedLine
-			if pm.typ == writeReply && m.Params.Protocol == WriteInvalidate {
+			if pm.typ == writeReply {
 				state = cache.ModifiedLine
 				m.setOwnGen(n, pm.block, pm.ownGen)
 			}

@@ -78,9 +78,8 @@ func (m *Machine) sendTreeInval(txn *invalTxn, participants []topology.NodeID, r
 	m.send(inval, src, dst, pm)
 }
 
-// recvTreeInval handles a tree invalidation at a sharer: invalidate (or
-// refresh, under write-update), forward to tree children, and combine
-// acknowledgments upward.
+// recvTreeInval handles a tree invalidation at a sharer: invalidate,
+// forward to tree children, and combine acknowledgments upward.
 func (m *Machine) recvTreeInval(n topology.NodeID, pm *msg) {
 	ctx := pm.tree
 	kids := treeChildren(ctx.rank, len(ctx.participants)-1)
@@ -88,9 +87,7 @@ func (m *Machine) recvTreeInval(n topology.NodeID, pm *msg) {
 	m.treeCtxs(ctx.txn.id)[ctx.rank] = ctx
 	m.server(n).do(m.Params.RecvOccupancy+m.Params.CacheInvalidate, func() {
 		selfInval := func() {
-			if !ctx.txn.update {
-				m.caches[n].Invalidate(pm.block)
-			}
+			m.caches[n].Invalidate(pm.block)
 			ctx.selfDone = true
 			m.treeMaybeAck(ctx)
 		}

@@ -486,7 +486,7 @@ func (l Lab) FigApplications() *report.Table {
 }
 
 // pairSchemes are the unicast baseline and the best multidestination
-// framework, the pair E13, E16, E18 and E23 compare.
+// framework, the pair E13 and E23 compare.
 var pairSchemes = []grouping.Scheme{grouping.UIUA, grouping.MIMAEC}
 
 // FigConsistency renders E13: application execution time under sequential
@@ -566,29 +566,6 @@ func (l Lab) FigLimitedDirectory(k int) *report.Table {
 	return t
 }
 
-// FigDataForwarding renders E16: application read misses and execution
-// time with and without producer-initiated data forwarding [21], under the
-// unicast baseline and grouped multidestination worms. Forwarding converts
-// consumers' re-read misses into hits; multidestination grouping makes the
-// pushes cheap.
-func (l Lab) FigDataForwarding() *report.Table {
-	t := report.NewTable("E16: data forwarding x framework (16 processors)",
-		"application", "config", "read misses", "exec cycles", "normalized")
-	tunes := []coherence.Variant{{}, {DataForwarding: true}}
-	for i, cells := range l.runApps(apps.PaperNames, tunes, pairSchemes) {
-		name := apps.PaperNames[i]
-		// Rows are scheme-major; cells are variant-major.
-		for j, s := range pairSchemes {
-			for f, sfx := range []string{"", "+fwd"} {
-				a := cells[f*len(pairSchemes)+j]
-				mustBeFresh(appPoint(name, s, tunes[f]), a.Time > 0 && a.ReadMisses == 0, "has no read-miss count")
-				t.Row(name, s.String()+sfx, a.ReadMisses, uint64(a.Time), report.Float3(ratio(a.Time, cells[0].Time)))
-			}
-		}
-	}
-	return t
-}
-
 // invalSizeBuckets are the Weber/Gupta-style invalidation size classes.
 var invalSizeBuckets = []struct {
 	label    string
@@ -628,27 +605,6 @@ func (l Lab) FigInvalSizeDistribution() *report.Table {
 			row = append(row, pct)
 		}
 		t.Row(append(row, a.Invals)...)
-	}
-	return t
-}
-
-// FigWriteUpdate renders E18: write-invalidate versus write-update on the
-// applications. Update protocols eliminate consumers' re-read misses but
-// pay a full distribution transaction for every write; multidestination
-// worms cut that per-write cost the same way they cut invalidations —
-// making update protocols far more viable than under unicast messaging.
-func (l Lab) FigWriteUpdate() *report.Table {
-	t := report.NewTable("E18: write-invalidate vs write-update (16 processors)",
-		"application", "config", "read misses", "write txns", "exec cycles", "normalized")
-	tunes := []coherence.Variant{{}, {Protocol: coherence.WriteUpdate}}
-	for i, cells := range l.runApps(apps.PaperNames, tunes, pairSchemes) {
-		name := apps.PaperNames[i]
-		for j, a := range cells {
-			tune, s := tunes[j/len(pairSchemes)], pairSchemes[j%len(pairSchemes)]
-			mustBeFresh(appPoint(name, s, tune), a.Time > 0 && a.ReadMisses == 0, "has no read-miss count")
-			t.Row(name, tune.Protocol.String()+"/"+s.String(), a.ReadMisses, a.Invals, uint64(a.Time),
-				report.Float3(ratio(a.Time, cells[0].Time)))
-		}
 	}
 	return t
 }

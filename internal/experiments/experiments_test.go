@@ -200,9 +200,7 @@ func TestAllExperimentsRender(t *testing.T) {
 		{"E13", l.FigConsistency, 3},
 		{"E14", func() *report.Table { return l.FigVirtualChannels(8, 8, 2) }, 3},
 		{"E15", func() *report.Table { return l.FigLimitedDirectory(8) }, 6},
-		{"E16", l.FigDataForwarding, 12},
 		{"E17", l.FigInvalSizeDistribution, 3},
-		{"E18", l.FigWriteUpdate, 12},
 	}
 	for _, tc := range cases {
 		tc := tc

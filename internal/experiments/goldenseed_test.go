@@ -96,7 +96,7 @@ func TestGoldenTablesSeed(t *testing.T) {
 // figures, and the single-machine ones (Tables 4 and 5, barrier, congestion,
 // three-hop).
 var cellGoldenNames = []string{"buffers", "hotspot", "homes", "cons", "vcs", "occupancy",
-	"table6", "apps", "sharing", "invalsize", "consistency", "forwarding", "update", "load",
+	"table6", "apps", "sharing", "invalsize", "consistency", "load",
 	"table4", "table5", "barrier", "congestion", "threehop"}
 
 // TestGoldenCellTables compares cellGoldenNames at k=8, d=6, trials=2 (the

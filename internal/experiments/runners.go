@@ -32,9 +32,7 @@ var catalog = []struct {
 	{"vcs", func(l Lab, k, d, _ int) *report.Table { return l.FigVirtualChannels(k, d, 8) }},
 	{"limdir", func(l Lab, _, _, _ int) *report.Table { return l.FigLimitedDirectory(8) }},
 	{"consistency", func(l Lab, _, _, _ int) *report.Table { return l.FigConsistency() }},
-	{"forwarding", func(l Lab, _, _, _ int) *report.Table { return l.FigDataForwarding() }},
 	{"invalsize", func(l Lab, _, _, _ int) *report.Table { return l.FigInvalSizeDistribution() }},
-	{"update", func(l Lab, _, _, _ int) *report.Table { return l.FigWriteUpdate() }},
 	{"load", func(l Lab, k, _, _ int) *report.Table { return l.FigOfferedLoad(k) }},
 	{"tree", func(l Lab, k, _, trials int) *report.Table { return l.FigSoftwareTree(k, trials) }},
 	{"barrier", func(l Lab, _, _, _ int) *report.Table { return l.FigWormBarrier() }},

@@ -50,8 +50,6 @@ type Collector struct {
 	Occupancy []sim.Time
 	// MsgsSent/MsgsRecv count protocol messages per node.
 	MsgsSent, MsgsRecv []uint64
-	// Forwards counts data-forwarding pushes (recipient copies sent).
-	Forwards uint64
 	// BarrierLatency summarizes worm-barrier episode latencies (first
 	// arrival to release launch).
 	BarrierLatency sim.Summary

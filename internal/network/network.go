@@ -984,23 +984,6 @@ func (n *Network) AvgLinkUtilization() float64 {
 	return sum / float64(count)
 }
 
-// MaxLinkUtilization returns the busiest link channel's busy fraction, a
-// hot-spot indicator.
-func (n *Network) MaxLinkUtilization() float64 {
-	now := n.Engine.Now()
-	var max float64
-	for vn := range n.links {
-		for s := range n.links[vn] {
-			for _, c := range n.links[vn][s].chans {
-				if u := c.utilization(now); u > max {
-					max = u
-				}
-			}
-		}
-	}
-	return max
-}
-
 // PeakConsumptionUse returns the highest simultaneous consumption-channel
 // occupancy observed at node.
 func (n *Network) PeakConsumptionUse(node topology.NodeID) int {

@@ -100,35 +100,6 @@ func (h *Histogram) Min() float64 { return h.min }
 // Max returns the largest observation (exact), or 0 when empty.
 func (h *Histogram) Max() float64 { return h.max }
 
-// Merge folds other's observations into h. Both histograms must share a
-// growth factor — merging across bucket geometries would silently degrade
-// the error bound, so it panics instead.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.count == 0 {
-		return
-	}
-	if other.growth != h.growth {
-		panic(fmt.Sprintf("sim: merging histograms with growth %v and %v", h.growth, other.growth))
-	}
-	if h.count == 0 || other.min < h.min {
-		h.min = other.min
-	}
-	if h.count == 0 || other.max > h.max {
-		h.max = other.max
-	}
-	h.count += other.count
-	h.zeros += other.zeros
-	h.sum += other.sum
-	keys := make([]int, 0, len(other.buckets))
-	for i := range other.buckets {
-		keys = append(keys, i)
-	}
-	sort.Ints(keys)
-	for _, i := range keys {
-		h.buckets[i] += other.buckets[i]
-	}
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) with the same
 // nearest-rank semantics as Sample.Percentile, to within ErrorBound()
 // relative error; 0 for an empty histogram.

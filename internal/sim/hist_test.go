@@ -89,54 +89,11 @@ func TestHistogramPercentileErrorBound(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeEquivalence: merging shards reproduces the percentiles
-// of the single histogram that saw every observation.
-func TestHistogramMergeEquivalence(t *testing.T) {
-	r := NewRNG(7)
-	whole := NewHistogram(0)
-	shards := []*Histogram{NewHistogram(0), NewHistogram(0), NewHistogram(0)}
-	for i := 0; i < 9999; i++ {
-		v := -math.Log(1-r.Float64()) * 500
-		whole.Add(v)
-		shards[i%3].Add(v)
-	}
-	merged := NewHistogram(0)
-	for _, sh := range shards {
-		merged.Merge(sh)
-	}
-	if merged.N() != whole.N() || merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Fatalf("merged (n=%d min=%v max=%v) != whole (n=%d min=%v max=%v)",
-			merged.N(), merged.Min(), merged.Max(), whole.N(), whole.Min(), whole.Max())
-	}
-	for _, p := range []float64{0, 25, 50, 90, 99, 100} {
-		if merged.Percentile(p) != whole.Percentile(p) {
-			t.Fatalf("p%v: merged %v != whole %v", p, merged.Percentile(p), whole.Percentile(p))
-		}
-	}
-}
-
-// TestHistogramMergeGrowthMismatchPanics: merging across bucket geometries
-// would silently degrade the error bound, so it must panic instead.
-func TestHistogramMergeGrowthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("merging histograms with different growth factors did not panic")
-		}
-	}()
-	a, b := NewHistogram(1.05), NewHistogram(1.10)
-	b.Add(1)
-	a.Merge(b)
-}
-
 // TestHistogramEmptyAndZeros: the degenerate cases the verifier leans on.
 func TestHistogramEmptyAndZeros(t *testing.T) {
 	h := NewHistogram(0)
 	if h.Percentile(50) != 0 || h.N() != 0 || h.Mean() != 0 {
 		t.Fatal("empty histogram must report zeros")
-	}
-	h.Merge(NewHistogram(0)) // merging an empty histogram is a no-op
-	if h.N() != 0 {
-		t.Fatal("merge of empty changed the histogram")
 	}
 	for i := 0; i < 5; i++ {
 		h.Add(0)

@@ -46,12 +46,3 @@ func (f *FIFO[T]) Pop() T {
 	}
 	return v
 }
-
-// Peek returns the head item without removing it. It panics on an empty
-// queue.
-func (f *FIFO[T]) Peek() T {
-	if f.Empty() {
-		panic("sim: Peek on empty FIFO")
-	}
-	return f.items[f.head]
-}

@@ -226,9 +226,6 @@ func TestFIFOOrdering(t *testing.T) {
 	if f.Len() != 100 {
 		t.Fatalf("Len = %d, want 100", f.Len())
 	}
-	if f.Peek() != 0 {
-		t.Fatalf("Peek = %d, want 0", f.Peek())
-	}
 	for i := 0; i < 100; i++ {
 		if got := f.Pop(); got != i {
 			t.Fatalf("Pop = %d, want %d", got, i)

@@ -33,7 +33,6 @@ type AppMeasures struct {
 	MaxSharers int      `json:"max_sharers"`
 	Reads      uint64   `json:"reads"`
 	Writes     uint64   `json:"writes"`
-	ReadMisses int      `json:"read_misses"`
 	// Barriers counts barrier episodes per processor.
 	Barriers uint64 `json:"barriers"`
 	// Sharers[n] counts the invalidation transactions with n sharers, so
@@ -56,8 +55,7 @@ type OccupancyMeasures struct {
 // Check refuses a point no runner can honour: no trials, more than one
 // workload, a burst, replay or traffic run that is not one trial, a burst,
 // replay or traffic run with a field its runner ignores, a Tune
-// consistency, protocol, forwarding or worm-barrier field on a point that is
-// not a replay, worm barriers without VCT deferred delivery, an unknown
+// consistency or worm-barrier field on a point that is not a replay, worm barriers without VCT deferred delivery, an unknown
 // application, a replay whose programs do not fit the mesh (or, under worm
 // barriers, do not fill it), sharers that do not fit the mesh, a burst whose
 // writers and homes cannot all be placed, a home off the mesh, or a negative
@@ -84,8 +82,8 @@ func (p Point) Check() error {
 		return fmt.Errorf("is a burst with chaos, faults or a Pattern, which a burst ignores")
 	case p.App != "" && (p.D != 0 || p.Pattern != 0 || p.Seed != 0 || p.ChaosSeed != 0 || p.Faults != nil):
 		return fmt.Errorf("is a replay with D, Pattern, Seed, chaos or faults, which a replay ignores")
-	case p.App == "" && v != nil && (v.Consistency != 0 || v.Protocol != 0 || v.DataForwarding || v.WormBarriers):
-		return fmt.Errorf("sets a Tune consistency, protocol, forwarding or worm-barrier field but is not a replay")
+	case p.App == "" && v != nil && (v.Consistency != 0 || v.WormBarriers):
+		return fmt.Errorf("sets a Tune consistency or worm-barrier field but is not a replay")
 	case v != nil && v.WormBarriers && !v.VCTDeferred:
 		// A gather stalled on a late arrival would hold reply channels that
 		// coherence replies need (see coherence/barrier.go).
@@ -108,9 +106,8 @@ func (p Point) Check() error {
 	case p.Home != nil && (*p.Home < 0 || int(*p.Home) >= p.K*p.K):
 		return fmt.Errorf("has Home %d off the %dx%d mesh", *p.Home, p.K, p.K)
 	case v != nil && (min(v.DirPointers, v.DirCoarseRegion, v.CacheLines, v.IAckBuffers, v.ConsumptionChannels,
-		v.VirtualChannels, int(v.Consistency), int(v.Protocol)) < 0 ||
-		v.Consistency > coherence.ReleaseConsistency || v.Protocol > coherence.WriteUpdate):
-		return fmt.Errorf("has a negative Tune field or an unknown consistency or protocol")
+		v.VirtualChannels, int(v.Consistency)) < 0 || v.Consistency > coherence.ReleaseConsistency):
+		return fmt.Errorf("has a negative Tune field or an unknown consistency")
 	}
 	return nil
 }
@@ -190,7 +187,7 @@ func runApp(p Point, rec *trace.Recorder) Measures {
 	}
 	return Measures{Completed: 1, App: &AppMeasures{
 		Time: res.Time, Invals: res.Invals, AvgSharers: res.AvgSharers, MaxSharers: res.MaxSharers,
-		Reads: st.Reads, Writes: st.Writes, ReadMisses: res.ReadMisses,
+		Reads: st.Reads, Writes: st.Writes,
 		Barriers: st.Barriers / uint64(len(w.Programs)), Sharers: sharers,
 	}}
 }

@@ -29,8 +29,8 @@ func TestRecordingIsNeutral(t *testing.T) {
 		"E27 occupancy burst": {K: 8, Scheme: grouping.UIUA, D: 6, Trials: 1, Seed: 1,
 			HotSpot: &HotSpot{Writers: 3, Occupancy: true}},
 		"LU replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU"},
-		"write-update LU replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU",
-			Tune: &coherence.Variant{Protocol: coherence.WriteUpdate}},
+		"release-consistency LU replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU",
+			Tune: &coherence.Variant{Consistency: coherence.ReleaseConsistency}},
 		"E22 worm-barrier APSP replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "APSP",
 			Tune: &coherence.Variant{WormBarriers: true, VCTDeferred: true}},
 		"E19 traffic": {K: 8, Trials: 1, Seed: 1, OfferedLoad: 5,

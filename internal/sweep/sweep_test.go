@@ -70,13 +70,16 @@ func TestRunValidatesPoints(t *testing.T) {
 		"release consistency on an invalidation point": func(p *Point) {
 			p.Tune = &coherence.Variant{Consistency: coherence.ReleaseConsistency}
 		},
-		"write-update on a burst": func(p *Point) {
-			p.Trials, p.HotSpot, p.Tune = 1, &HotSpot{Writers: 2}, &coherence.Variant{Protocol: coherence.WriteUpdate}
+		"release consistency on a burst": func(p *Point) {
+			p.Trials, p.HotSpot = 1, &HotSpot{Writers: 2}
+			p.Tune = &coherence.Variant{Consistency: coherence.ReleaseConsistency}
 		},
-		"data forwarding on a homed point": func(p *Point) { p.Home, p.Tune = &corner, &coherence.Variant{DataForwarding: true} },
-		"a replay under an unknown protocol": func(p *Point) {
+		"worm barriers on a homed point": func(p *Point) {
+			p.Home, p.Tune = &corner, &coherence.Variant{WormBarriers: true, VCTDeferred: true}
+		},
+		"a replay under an unknown consistency": func(p *Point) {
 			p.Trials, p.D, p.Seed, p.App = 1, 0, 0, "LU"
-			p.Tune = &coherence.Variant{Protocol: coherence.WriteUpdate + 1}
+			p.Tune = &coherence.Variant{Consistency: coherence.ReleaseConsistency + 1}
 		},
 		"worm barriers on an invalidation point": func(p *Point) {
 			p.Tune = &coherence.Variant{WormBarriers: true, VCTDeferred: true}
