@@ -86,7 +86,10 @@ cover:
 # equivalence harness (200 randomized schedule/cancel/reschedule scripts,
 # in FIFO and in chaos ordering), the queue edge-case suite, the unicast
 # route-vs-router-walk property test (every pair, every base, on meshes),
-# the byte-identical golden experiment tables (the seed suite and
+# the byte-identical grouping plan golden (every scheme's worms for seeded
+# sharer sets on 4x4 to 32x32 meshes, planned fresh and by one reused
+# planner, with and without dead links), the byte-identical golden
+# experiment tables (the seed suite and
 # the hot-spot, per-home, application and offered-load figures),
 # and the functional-install-vs-simulated-reads property test (sharers
 # installed by Machine.InstallSharer must leave the machine, and the write
@@ -109,6 +112,7 @@ cover:
 equiv:
 	$(GO) test ./internal/sim -run 'TestEngineEquivalence|TestQueue|TestEngineAllocs' -count=1
 	$(GO) test ./internal/routing -run TestUnicastPathIsRouterWalk -count=1
+	$(GO) test ./internal/grouping -run TestPlansGolden -count=1
 	$(GO) test ./internal/experiments -run 'TestGoldenTablesSeed|TestGoldenCellTables' -count=1
 	$(GO) test ./internal/network -run TestWormAllocsPerUnicast -count=1
 	$(GO) test ./internal/blocktab -run 'TestTableMatchesMap|TestZeroTableAllocatesNothing|TestChurnAllocatesNothing' -count=1

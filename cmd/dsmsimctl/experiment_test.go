@@ -116,8 +116,8 @@ func TestDataRerunRunsNothing(t *testing.T) {
 }
 
 // TestSharedPointRunsOnce: a figure's cells that an earlier figure computed
-// come from the store. E20's UI-UA, MI-MA-ecrc and MI-MA-tm cells are E4
-// latency points, so after latency only its UMC cells run; E23 and Table 6 replay six of
+// come from the store. E5's cells are E4's latency points, so after latency
+// E5 runs nothing; E23 and Table 6 replay six of
 // E9's UI-UA and MI-MA-ec cells, so after them E9 runs only its other 6; E17
 // reads Table 6's three replays, so after it E17 runs nothing; E13 takes its
 // six default-machine replays from E9 and runs only its six on the
@@ -128,7 +128,7 @@ func TestSharedPointRunsOnce(t *testing.T) {
 		first, then      []string
 		wantHit, wantRun int
 	}{
-		{[]string{"latency"}, []string{"tree"}, 21, 7},
+		{[]string{"latency"}, []string{"homemsgs"}, 63, 0},
 		{[]string{"sharing", "table6"}, []string{"apps"}, 6, 6},
 		{[]string{"table6"}, []string{"invalsize"}, 3, 0},
 		{[]string{"apps"}, []string{"consistency"}, 6, 6},

@@ -79,7 +79,8 @@ func TestExperimentIsTheBatchTable(t *testing.T) {
 }
 
 // TestExperimentSizeCheck: both modes refuse a size no experiment runs, or
-// a name none has (update and forwarding were E18 and E16, since deleted),
+// a name none has (update, forwarding and tree were E18, E16 and E20, since
+// deleted),
 // with exit 2, before the in-process run opens its store or the remote one
 // sends a request.
 func TestExperimentSizeCheck(t *testing.T) {
@@ -93,7 +94,7 @@ func TestExperimentSizeCheck(t *testing.T) {
 	for _, size := range [][]string{
 		{"-k", "0"}, {"-k", "1"}, {"-k", "100"},
 		{"-d", "0"}, {"-trials", "0"}, {"-name", "bogus"},
-		{"-name", "update"}, {"-name", "forwarding"},
+		{"-name", "update"}, {"-name", "forwarding"}, {"-name", "tree"},
 	} {
 		for mode, args := range map[string][]string{
 			"in process": {"experiment", "-data", data},

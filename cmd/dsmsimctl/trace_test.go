@@ -299,10 +299,11 @@ func TestGroupsDrawTrialOneSharers(t *testing.T) {
 
 // TestUnrunnableReplayExitsTwo: a replay apps.Run cannot run (more
 // programs than nodes, worm barriers with idle nodes, an unknown
-// application) or one on a machine the simulator cannot build (a protocol
+// application), one on a machine the simulator cannot build (a protocol
 // or data-forwarding knob: the machine runs only the paper's
-// write-invalidate protocol) is a bad command line, exit 2, not a panic
-// mid-run.
+// write-invalidate protocol), or a point whose scheme grouping.AllSchemes
+// does not list (by number or by name) is a bad command line, exit 2, not a
+// panic mid-run.
 func TestUnrunnableReplayExitsTwo(t *testing.T) {
 	for _, c := range []struct{ point, why string }{
 		{`{"k":2,"app":"LU","trials":1}`, "too few nodes"},
@@ -311,6 +312,10 @@ func TestUnrunnableReplayExitsTwo(t *testing.T) {
 		{`{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU","tune":{"protocol":1}}`, `unknown field "protocol"`},
 		{`{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU","tune":{"data_forwarding":true}}`,
 			`unknown field "data_forwarding"`},
+		{`{"k":4,"scheme":42,"d":2,"trials":1,"seed":1}`, "unknown Scheme scheme(42)"},
+		{`{"k":4,"scheme":9,"d":2,"trials":1,"seed":1}`, "unknown Scheme scheme(9)"},
+		{`{"k":4,"scheme":"ADAPT","d":2,"trials":1,"seed":1}`, `unknown scheme "ADAPT"`},
+		{`{"k":4,"scheme":"U-tree","d":2,"trials":1,"seed":1}`, `unknown scheme "U-tree"`},
 	} {
 		func() {
 			defer func() {

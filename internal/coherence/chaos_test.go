@@ -18,7 +18,7 @@ import (
 // testing the formal-verification literature the paper cites [42] argues
 // for, in randomized form.
 func TestChaosScheduleSoak(t *testing.T) {
-	for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAECRC, grouping.MIMATM, grouping.UMC} {
+	for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAECRC, grouping.MIMATM, grouping.BR} {
 		for chaosSeed := uint64(1); chaosSeed <= 6; chaosSeed++ {
 			s, chaosSeed := s, chaosSeed
 			t.Run(fmt.Sprintf("%v/seed%d", s, chaosSeed), func(t *testing.T) {

@@ -442,21 +442,6 @@ func TestManyBlocksManyNodesSoak(t *testing.T) {
 	}
 }
 
-func TestAdaptiveSchemeEndToEnd(t *testing.T) {
-	m := newM(t, 8, grouping.ADAPT)
-	const b = 17
-	for _, c := range []topology.Coord{{X: 3, Y: 3}, {X: 4, Y: 4}, {X: 5, Y: 5}, {X: 6, Y: 2}} {
-		doOp(t, m, false, m.Mesh.ID(c), b)
-	}
-	doOp(t, m, true, nodeAt(m, 0, 0), b)
-	if len(m.Metrics.Invals) != 1 {
-		t.Fatal("adaptive scheme never completed a transaction")
-	}
-	if err := m.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRectangularMesh(t *testing.T) {
 	p := DefaultParams(0, grouping.MIMAEC)
 	p.MeshWidth, p.MeshHeight = 8, 4

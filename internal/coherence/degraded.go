@@ -137,7 +137,7 @@ func (m *Machine) forwardLeg(src topology.NodeID, pm *msg) {
 	w.HeaderFlits = m.Params.Net.HeaderFlits(1)
 	w.PayloadFlits = m.payloadFlits(pm.typ)
 	w.Tag = pm
-	w.Expendable = pm.tree == nil && (pm.typ == inval || pm.typ == invalAck)
+	w.Expendable = pm.typ == inval || pm.typ == invalAck
 	if pm.txn != nil {
 		w.TxnID = pm.txn.id
 	}

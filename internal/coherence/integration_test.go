@@ -20,7 +20,6 @@ func TestConfigMatrixSoak(t *testing.T) {
 		name string
 		tune func(*Params)
 	}
-	schemes := []grouping.Scheme{grouping.UIUA, grouping.MIMAECRC, grouping.MIMAPA, grouping.MIMATM, grouping.ADAPT, grouping.UMC}
 	variants := []cfg{
 		{"baseline", func(p *Params) {}},
 		{"rc", func(p *Params) { p.Consistency = ReleaseConsistency }},
@@ -32,7 +31,7 @@ func TestConfigMatrixSoak(t *testing.T) {
 			p.CacheLines = 5
 		}},
 	}
-	for _, s := range schemes {
+	for _, s := range grouping.AllSchemes {
 		for _, v := range variants {
 			s, v := s, v
 			t.Run(fmt.Sprintf("%v/%s", s, v.name), func(t *testing.T) {

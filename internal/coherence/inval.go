@@ -83,8 +83,7 @@ type invalTxn struct {
 	// whose grant is under way.
 	completed bool
 
-	// Recovery state, live only when rec is set (Params.Recovery.Enabled
-	// and the scheme supports home-driven retry — everything but UMC).
+	// Recovery state, live only when rec is set (Params.Recovery.Enabled).
 	// Completion is then judged by the unacked set draining, not by
 	// pendingAcks counting: acknowledgment evidence is a set of confirmed
 	// sharers, which makes duplicate acks (a retried sharer acking twice,
@@ -237,7 +236,7 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 	txn.broadcast = e.Overflow || e.CoarseMode
 	txn.start = m.Engine.Now()
 	var fallback []topology.NodeID
-	if len(remote) > 0 && m.Params.Scheme != grouping.UMC {
+	if len(remote) > 0 {
 		if ds := m.deadNow(); !ds.Empty() && m.Params.Scheme.MultidestRequest() {
 			// Degraded fabric: keep the groups whose paths survive, re-realize
 			// severed ones around the failure, and invalidate the rest over
@@ -255,22 +254,14 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 	if m.Rec != nil {
 		m.recTxn(trace.KindTxnStart, txn, uint64(txn.sharers), uint64(len(txn.groups)))
 	}
-	var treeParticipants []topology.NodeID
-	switch {
-	case m.Params.Scheme == grouping.UMC && len(remote) > 0:
-		treeParticipants = append([]topology.NodeID{home}, remote...)
-		kids := treeChildren(0, len(remote))
-		txn.pendingAcks = len(kids)
-		txn.homeMsgs = 2 * len(kids)
-	case m.Params.Scheme.GatherAck():
+	if m.Params.Scheme.GatherAck() {
 		// Fallback sharers answer with unicast acks even under MI-MA.
 		txn.pendingAcks = len(txn.groups) + len(fallback)
-		txn.homeMsgs = len(txn.groups) + len(fallback) + txn.pendingAcks
-	default:
+	} else {
 		txn.pendingAcks = len(remote)
-		txn.homeMsgs = len(txn.groups) + len(fallback) + txn.pendingAcks
 	}
-	if m.Params.Recovery.Enabled && m.Params.Scheme != grouping.UMC {
+	txn.homeMsgs = len(txn.groups) + len(fallback) + txn.pendingAcks
+	if m.Params.Recovery.Enabled {
 		txn.rec = true
 		if txn.unacked == nil {
 			txn.unacked = make(map[topology.NodeID]bool, len(remote))
@@ -301,10 +292,6 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 			}
 			homeInval()
 		})
-	}
-	if treeParticipants != nil {
-		m.startTreeInval(txn, treeParticipants)
-		return
 	}
 	txn.refs += len(txn.groups) + len(fallback)
 	for gi := range txn.groups {

@@ -61,8 +61,6 @@ type Machine struct {
 	OnSquash func(n topology.NodeID, b directory.BlockID)
 	// nextOpTok numbers traced operations; advanced only while recording.
 	nextOpTok uint64
-	// treeTable holds per-transaction unicast-tree contexts (UMC).
-	treeTable map[uint64]map[int]*treeCtx
 	// wormBar holds the worm-barrier state (lazily created).
 	wormBar *wormBarrier
 	// scratchPick is a per-node scratch bitmap reused by sendGather's
@@ -180,9 +178,6 @@ func NewMachine(p Params) *Machine {
 	m.Net.OnDeliver = m.deliver
 	m.Net.Fault = p.Fault
 	if hf, ok := p.Fault.(network.HardFaultInjector); ok && hf.HardFaults() {
-		if p.Scheme == grouping.UMC {
-			panic("coherence: hard faults are unsupported under the U-tree comparator (tree messages have no recovery path)")
-		}
 		if !p.Recovery.Enabled {
 			panic("coherence: hard faults require Recovery.Enabled (degraded transactions complete via the retry path)")
 		}
@@ -245,9 +240,8 @@ func (m *Machine) send(t msgType, src, dst topology.NodeID, payload *msg) {
 	w.PayloadFlits = m.payloadFlits(t)
 	w.Tag = payload
 	// Invalidation-class traffic is expendable: the home's i-ack
-	// timeout re-covers a lost inval or ack. UMC tree messages are
-	// not — the software tree has no recovery path.
-	w.Expendable = payload.tree == nil && (t == inval || t == invalAck)
+	// timeout re-covers a lost inval or ack.
+	w.Expendable = t == inval || t == invalAck
 	if payload.txn != nil {
 		w.TxnID = payload.txn.id
 	}

@@ -75,8 +75,6 @@ type msg struct {
 	// groupIdx identifies which of the transaction's groups this inval or
 	// gather worm implements.
 	groupIdx int
-	// tree carries the unicast-tree multicast context (UMC comparator).
-	tree *treeCtx
 	// bar carries the worm-barrier payload.
 	bar *barMsg
 	// hasCopy marks a writeReq from a requester that still holds a Shared

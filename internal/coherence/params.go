@@ -82,14 +82,6 @@ type Params struct {
 	// only. With row-major node numbering a region of MeshWidth nodes is
 	// one mesh row.
 	DirCoarseRegion int
-	// TreeForwardOverhead is the extra software cost a UMC (unicast-tree
-	// multicast) participant pays per re-sent message (invalidation
-	// forwarding and ack combining): unlike the home's hardware directory
-	// controller, tree forwarding runs in the node's processor/message
-	// layer. Default 200 cycles = 1 us, an aggressive active-message-style
-	// handler for 1996 systems (measured software sends of the era ran
-	// 5-50 us).
-	TreeForwardOverhead sim.Time
 	// Recovery configures the home node's i-ack timeout watchdog: when
 	// enabled, an invalidation transaction whose acknowledgments do not
 	// all arrive within the (exponentially backed-off) deadline is aborted
@@ -115,20 +107,19 @@ type Params struct {
 // DefaultParams returns the paper's system parameters on a k x k mesh.
 func DefaultParams(k int, scheme grouping.Scheme) Params {
 	return Params{
-		MeshSize:            k,
-		Scheme:              scheme,
-		Net:                 network.DefaultConfig(),
-		CacheAccess:         2,
-		CacheInvalidate:     4,
-		DirLookup:           6,
-		MemAccess:           24,
-		SendOccupancy:       8,
-		RecvOccupancy:       8,
-		TreeForwardOverhead: 200,
-		BlockBytes:          32,
-		FlitBytes:           2,
-		ControlBytes:        8,
-		CacheLines:          0,
+		MeshSize:        k,
+		Scheme:          scheme,
+		Net:             network.DefaultConfig(),
+		CacheAccess:     2,
+		CacheInvalidate: 4,
+		DirLookup:       6,
+		MemAccess:       24,
+		SendOccupancy:   8,
+		RecvOccupancy:   8,
+		BlockBytes:      32,
+		FlitBytes:       2,
+		ControlBytes:    8,
+		CacheLines:      0,
 	}
 }
 
@@ -187,10 +178,6 @@ func (v *Variant) Apply(p *Params) {
 }
 
 // Recovery configures the i-ack timeout/retry machinery of the home node.
-// Recovery covers every scheme except UMC: the unicast-tree comparator runs
-// its forwarding in software at intermediate nodes, so a home-driven retry
-// cannot reconstruct a partially-failed tree wave and the scheme is left
-// fault-intolerant (as real software trees of the era were).
 type Recovery struct {
 	// Enabled arms the per-transaction deadline.
 	Enabled bool

@@ -265,16 +265,8 @@ func (m *Machine) deliver(d network.Delivery) {
 	case readReq, writeReq:
 		m.server(d.Node).doCall(m.Params.RecvOccupancy, m.fnHomeRecv, pm, 0)
 	case inval:
-		if pm.tree != nil {
-			m.recvTreeInval(d.Node, pm)
-			return
-		}
 		m.sharerInval(d.Node, pm, d.Final)
 	case invalAck:
-		if pm.tree != nil {
-			m.recvTreeAck(d.Node, pm)
-			return
-		}
 		m.server(d.Node).doCall(m.Params.RecvOccupancy, m.fnRecvInvalAck, pm, 0)
 	case gatherAck:
 		m.server(d.Node).doCall(m.Params.RecvOccupancy, m.fnRecvGatherAck, pm, 0)

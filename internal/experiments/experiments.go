@@ -397,7 +397,7 @@ func (l Lab) AblationPlacement(k, d, trials int) *report.Table {
 		workload.RandomPlacement, workload.ClusteredPlacement,
 		workload.ColumnPlacement, workload.RowPlacement, workload.DiagonalPlacement,
 	}
-	schemes := []grouping.Scheme{grouping.MIUAEC, grouping.MIMAEC, grouping.MIMAECRC, grouping.MIMAPA, grouping.MIMATM, grouping.ADAPT}
+	schemes := []grouping.Scheme{grouping.MIUAEC, grouping.MIMAEC, grouping.MIMAECRC, grouping.MIMAPA, grouping.MIMATM}
 	t := report.NewTable(fmt.Sprintf("E11: placement sensitivity, %dx%d mesh, d=%d", k, k, d),
 		schemeCols([]string{"placement"}, schemes, " lat", " worms")...)
 	var pts []sweep.Point
@@ -633,27 +633,6 @@ func (l Lab) FigOfferedLoad(k int) *report.Table {
 	return t
 }
 
-// FigSoftwareTree renders E20: hardware multidestination worms versus the
-// software unicast-tree multicast of McKinley et al. [31] (binomial
-// distribution tree with ack combining, 1 us per software forward). The
-// tree matches MI-MA's logarithmic home occupancy but pays processor
-// involvement at every internal tree node, where a worm pays only router
-// latency — the quantitative form of the paper's related-work argument.
-func (l Lab) FigSoftwareTree(k, trials int) *report.Table {
-	schemes := []grouping.Scheme{grouping.UIUA, grouping.UMC, grouping.MIMAECRC, grouping.MIMATM}
-	t := report.NewTable(fmt.Sprintf("E20: worms vs software tree multicast, %dx%d mesh, random placement", k, k),
-		schemeCols([]string{"d"}, schemes, " lat", " home msgs")...)
-	ds := fitMesh(k, SharerCounts)
-	var pts []sweep.Point
-	for _, d := range ds {
-		for _, s := range schemes {
-			pts = append(pts, sweep.Point{K: k, Scheme: s, D: d, Trials: trials, Seed: uint64(d) + 7})
-		}
-	}
-	gridRows(t, ds, l.runSweep(pts), func(m sweep.Measures) []any { return []any{m.Latency.Mean(), m.HomeMsgs} })
-	return t
-}
-
 // FigWormBarrier renders E22: the multidestination worm barrier of the
 // companion paper [37] versus the shared-memory sense-reversing barrier,
 // as episode latency versus machine size and as whole-application impact
@@ -848,8 +827,7 @@ var FaultRates = []float64{0, 0.05, 0.1, 0.2}
 
 // FaultSchemes is the framework set of the fault-recovery sweep: the
 // unicast baseline plus the two multidestination frameworks that degrade to
-// it under retry (UMC is excluded — the software tree has no home-driven
-// retry path).
+// it under retry.
 var FaultSchemes = []grouping.Scheme{grouping.UIUA, grouping.MIUAEC, grouping.MIMAEC}
 
 // FigFaultRecovery renders E26: invalidation latency and recovery retries

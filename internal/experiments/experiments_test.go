@@ -96,9 +96,9 @@ func TestFigLatencyVsSharersRendering(t *testing.T) {
 
 // TestSharerSweepsFitSmallMeshes: on a 4x4 mesh (14 candidate sharers) the
 // sharer sweeps render the d rows that fit instead of failing at d=16:
-// d = 1, 2, 4, 8 for E4-E6 and E20.
+// d = 1, 2, 4, 8 for E4-E6.
 func TestSharerSweepsFitSmallMeshes(t *testing.T) {
-	for _, name := range []string{"latency", "homemsgs", "traffic", "tree"} {
+	for _, name := range []string{"latency", "homemsgs", "traffic"} {
 		tab, err := Lab{}.Run(name, 4, DefaultD, 1)
 		if err != nil {
 			t.Fatalf("%s at k=4: %v", name, err)

@@ -34,7 +34,6 @@ var catalog = []struct {
 	{"consistency", func(l Lab, _, _, _ int) *report.Table { return l.FigConsistency() }},
 	{"invalsize", func(l Lab, _, _, _ int) *report.Table { return l.FigInvalSizeDistribution() }},
 	{"load", func(l Lab, k, _, _ int) *report.Table { return l.FigOfferedLoad(k) }},
-	{"tree", func(l Lab, k, _, trials int) *report.Table { return l.FigSoftwareTree(k, trials) }},
 	{"barrier", func(l Lab, _, _, _ int) *report.Table { return l.FigWormBarrier() }},
 	{"sharing", func(l Lab, _, _, _ int) *report.Table { return l.FigSharingDependence() }},
 	{"congestion", func(_ Lab, k, d, _ int) *report.Table { return FigCongestion(k, d, 8) }},

@@ -6,16 +6,12 @@ import (
 	"repro/internal/topology"
 )
 
-// allTestSchemes is every scheme Groups accepts, including the adaptive
-// extension and UMC's unicast ack side.
-var allTestSchemes = append(append([]Scheme(nil), AllSchemes...), UMC, ADAPT)
-
 // TestGroupsNoSharers pins d=0: an empty sharer set yields nil for every
 // scheme (the caller grants immediately, no worms).
 func TestGroupsNoSharers(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	home := at(m, 1, 1)
-	for _, s := range allTestSchemes {
+	for _, s := range AllSchemes {
 		if g := Groups(s, m, home, nil); g != nil {
 			t.Errorf("%v: empty sharer set produced %d groups", s, len(g))
 		}
@@ -29,7 +25,7 @@ func TestGroupsNoSharers(t *testing.T) {
 // worm covering the lone sharer, structurally valid.
 func TestGroupsSingleSharer(t *testing.T) {
 	m := topology.NewMesh(4, 4)
-	for _, s := range allTestSchemes {
+	for _, s := range AllSchemes {
 		for _, sharer := range []topology.NodeID{at(m, 0, 0), at(m, 3, 3), at(m, 1, 2)} {
 			home := at(m, 1, 1)
 			groups := Groups(s, m, home, []topology.NodeID{sharer})
@@ -56,7 +52,7 @@ func TestGroupsAllSharersOneRow(t *testing.T) {
 			sharers = append(sharers, n)
 		}
 	}
-	for _, s := range allTestSchemes {
+	for _, s := range AllSchemes {
 		groups := Groups(s, m, home, sharers)
 		checkGroups(t, s, m, home, sharers, groups)
 		// Plain e-cube dedicates a worm to every home-row sharer (5) —
@@ -80,7 +76,7 @@ func TestGroupsAllSharersOneColumn(t *testing.T) {
 	for y := 0; y < 6; y++ {
 		sharers = append(sharers, at(m, 4, y))
 	}
-	for _, s := range allTestSchemes {
+	for _, s := range AllSchemes {
 		groups := Groups(s, m, home, sharers)
 		checkGroups(t, s, m, home, sharers, groups)
 		// E-cube worms turn at the home row and sweep one direction, so a
@@ -107,7 +103,7 @@ func TestGroupsFullMeshMinusHome(t *testing.T) {
 			sharers = append(sharers, n)
 		}
 	}
-	for _, s := range allTestSchemes {
+	for _, s := range AllSchemes {
 		checkGroups(t, s, m, home, sharers, Groups(s, m, home, sharers))
 	}
 }
@@ -117,7 +113,7 @@ func TestGroupsFullMeshMinusHome(t *testing.T) {
 func TestGroupsRejectsHomeSharer(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	home := at(m, 1, 1)
-	for _, s := range allTestSchemes {
+	for _, s := range AllSchemes {
 		s := s
 		func() {
 			defer func() {
@@ -136,7 +132,7 @@ func TestGroupsRejectsDuplicateSharer(t *testing.T) {
 	m := topology.NewMesh(4, 4)
 	home := at(m, 1, 1)
 	dup := at(m, 3, 2)
-	for _, s := range allTestSchemes {
+	for _, s := range AllSchemes {
 		s := s
 		func() {
 			defer func() {
@@ -160,7 +156,7 @@ func TestGroupsRectangularMesh(t *testing.T) {
 		for n := topology.NodeID(1); int(n) < m.Nodes(); n += 2 {
 			sharers = append(sharers, n)
 		}
-		for _, s := range allTestSchemes {
+		for _, s := range AllSchemes {
 			checkGroups(t, s, m, home, sharers, Groups(s, m, home, sharers))
 		}
 	}

@@ -56,12 +56,6 @@ func (s Scheme) String() string {
 	if s >= 0 && s < numSchemes {
 		return schemeNames[s]
 	}
-	if s == ADAPT {
-		return "ADAPT"
-	}
-	if s == UMC {
-		return "U-tree"
-	}
 	return fmt.Sprintf("scheme(%d)", int(s))
 }
 
@@ -71,12 +65,6 @@ func Parse(name string) (Scheme, error) {
 		if n == name {
 			return Scheme(i), nil
 		}
-	}
-	if name == "ADAPT" {
-		return ADAPT, nil
-	}
-	if name == "U-tree" {
-		return UMC, nil
 	}
 	return 0, fmt.Errorf("grouping: unknown scheme %q", name)
 }
@@ -96,11 +84,9 @@ func (s Scheme) Base() routing.Base {
 	switch s {
 	case MIUATM, MIMATM:
 		return routing.WestFirst
-	case MIUAPA, MIMAPA, ADAPT:
-		// ADAPT presumes a router flexible enough for every candidate's
-		// turns; its unicast traffic uses minimal adaptive paths.
+	case MIUAPA, MIMAPA:
 		return routing.PlanarAdaptive
-	case UIUA, UMC, BR, MIUAEC, MIMAEC, MIMAECRC:
+	case UIUA, BR, MIUAEC, MIMAEC, MIMAECRC:
 		return routing.ECube
 	default:
 		panic("grouping: no base routing for scheme " + s.String())
@@ -114,7 +100,7 @@ func (s Scheme) MultidestRequest() bool { return s != UIUA }
 // GatherAck reports whether acknowledgments are collected by i-gather worms
 // (the MI-MA frameworks) rather than sent as unicast messages.
 func (s Scheme) GatherAck() bool {
-	return s == MIMAEC || s == MIMAECRC || s == MIMAPA || s == MIMATM || s == ADAPT
+	return s == MIMAEC || s == MIMAECRC || s == MIMAPA || s == MIMATM
 }
 
 // Group is one worm's worth of sharers: the members in visit order and the
@@ -253,7 +239,7 @@ func (p *Planner) Plan(pl *Plan, s Scheme, m *topology.Mesh, home topology.NodeI
 			panic("grouping: duplicate sharer")
 		}
 	}
-	p.reset()
+	p.members, p.paths, p.spans = p.members[:0], p.paths[:0], p.spans[:0]
 	p.plan(s, m, home)
 
 	arena := pl.arena[:0]
@@ -273,22 +259,13 @@ func (p *Planner) Plan(pl *Plan, s Scheme, m *topology.Mesh, home topology.NodeI
 	}
 }
 
-// reset empties the plan under construction.
-//
-//simcheck:noalloc
-func (p *Planner) reset() {
-	p.members, p.paths, p.spans = p.members[:0], p.paths[:0], p.spans[:0]
-}
-
 // plan appends scheme s's groups for p.sorted to the plan under
 // construction.
 //
 //simcheck:noalloc
 func (p *Planner) plan(s Scheme, m *topology.Mesh, home topology.NodeID) {
 	switch s {
-	case UIUA, UMC:
-		// UMC's tree lives in the coherence layer; its Groups form (like
-		// BR's ack side) is plain unicast.
+	case UIUA:
 		p.unicastGroups(m, home)
 	case MIUAEC, MIMAEC:
 		p.columnGroups(m, home, false)
@@ -300,8 +277,6 @@ func (p *Planner) plan(s Scheme, m *topology.Mesh, home topology.NodeID) {
 		p.snakeGroups(m, home)
 	case BR:
 		p.hamiltonianGroups(m, home)
-	case ADAPT:
-		p.adaptiveGroups(m, home)
 	default:
 		panic("grouping: unknown scheme " + s.String())
 	}

@@ -37,9 +37,6 @@ func planMeshes() []struct {
 	}
 }
 
-// planSchemes are the schemes plans.golden covers: every grouping scheme.
-var planSchemes = append(append([]Scheme(nil), AllSchemes...), ADAPT, UMC)
-
 // renderPlan writes one grouping compactly, a group per "; "-separated
 // field: its path from the home as run-length hop letters (see writeMoves)
 // with a "*" after each hop that lands on a member, then "!" for a path that
@@ -121,7 +118,7 @@ func renderPlans(p *Planner) []byte {
 	var pl Plan
 	for _, mc := range planMeshes() {
 		m := mc.mesh
-		for _, s := range planSchemes {
+		for _, s := range AllSchemes {
 			for _, d := range []int{1, 2, 4, 16, 64} {
 				if d > m.Nodes()-1 {
 					continue

@@ -120,9 +120,6 @@ func (c ModelConfig) validate() error {
 	if c.MaxDrops > 0 && c.MaxTimeouts == 0 {
 		return fmt.Errorf("oracle: MaxDrops without MaxTimeouts would wedge (no recovery path)")
 	}
-	if c.Scheme == grouping.UMC {
-		return fmt.Errorf("oracle: UMC is outside the model (software tree, no recovery)")
-	}
 	if c.Mutation < 0 || c.Mutation >= numMutations {
 		return fmt.Errorf("oracle: unknown mutation %d", int(c.Mutation))
 	}

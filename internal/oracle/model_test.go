@@ -146,7 +146,6 @@ func TestModelConfigValidate(t *testing.T) {
 	cases := []ModelConfig{
 		{Width: 4, Height: 4, Blocks: 1, Scheme: grouping.UIUA},              // too many nodes
 		{Width: 2, Height: 2, Blocks: 3, Scheme: grouping.UIUA},              // too many blocks
-		{Width: 2, Height: 2, Blocks: 1, Scheme: grouping.UMC},               // unsupported scheme
 		{Width: 2, Height: 2, Blocks: 1, Scheme: grouping.UIUA, MaxDrops: 1}, // drops without timeouts
 	}
 	for _, cfg := range cases {

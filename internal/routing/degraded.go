@@ -144,8 +144,9 @@ func (b Base) conformedPrefix(m *topology.Mesh, path []topology.NodeID) []topolo
 // no dead link, where the head of each leg is the tail of the previous one.
 // A worm travels one leg at a time; at each intermediate relay node the
 // message is consumed and re-injected (store-and-forward at the pivot), which
-// resets the conformance DFA and breaks any channel dependency between legs —
-// the same argument that makes UMC-style tree forwarding deadlock-free. The
+// resets the conformance DFA and breaks any channel dependency between legs:
+// the pivot takes the whole message off the network before it injects the
+// next leg, so no leg holds a channel while it waits for another's. The
 // common case is a single leg (PathAvoiding succeeded); relays appear only
 // when the dead set severs every conformed path.
 //

@@ -2,9 +2,11 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/apps"
 	"repro/internal/coherence"
+	"repro/internal/grouping"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -52,8 +54,8 @@ type OccupancyMeasures struct {
 	PeakLink     string   `json:"peak_link,omitempty"`
 }
 
-// Check refuses a point no runner can honour: no trials, more than one
-// workload, a burst, replay or traffic run that is not one trial, a burst,
+// Check refuses a point no runner can honour: no trials, a scheme
+// grouping.AllSchemes does not list, more than one workload, a burst, replay or traffic run that is not one trial, a burst,
 // replay or traffic run with a field its runner ignores, a Tune
 // consistency or worm-barrier field on a point that is not a replay, worm barriers without VCT deferred delivery, an unknown
 // application, a replay whose programs do not fit the mesh (or, under worm
@@ -71,6 +73,8 @@ func (p Point) Check() error {
 	switch {
 	case p.Trials < 1:
 		return fmt.Errorf("has Trials %d (must be >= 1)", p.Trials)
+	case !slices.Contains(grouping.AllSchemes, p.Scheme):
+		return fmt.Errorf("has unknown Scheme %v (want one of %v)", p.Scheme, grouping.AllSchemes)
 	case kinds > 1:
 		return fmt.Errorf("sets %d of Home, HotSpot, App and OfferedLoad (at most one)", kinds)
 	case (p.HotSpot != nil || p.App != "" || p.OfferedLoad != 0) && p.Trials != 1:

@@ -66,6 +66,9 @@ func TestRunValidatesPoints(t *testing.T) {
 		"more sharers than fit":  func(p *Point) { p.D = 15 },
 		"a burst with no room":   func(p *Point) { p.Trials, p.HotSpot = 1, &HotSpot{Writers: 2}; p.D = 15 },
 		"a home off the mesh":    func(p *Point) { p.Home = &off },
+		"an unknown scheme":      func(p *Point) { p.Scheme = 42 },
+		"scheme 9 (was ADAPT)":   func(p *Point) { p.Scheme = 9 },
+		"scheme 10 (was U-tree)": func(p *Point) { p.Scheme = 10 },
 		"a negative i-ack depth": func(p *Point) { p.Tune = &coherence.Variant{IAckBuffers: -1} },
 		"release consistency on an invalidation point": func(p *Point) {
 			p.Tune = &coherence.Variant{Consistency: coherence.ReleaseConsistency}

@@ -48,7 +48,6 @@ func stateOf(m *coherence.Machine, b directory.BlockID) machineState {
 // same invalidation transaction on both. The second trial of each
 // configuration also makes the home a sharer of its own block.
 func TestInstallSharerMatchesSimulatedReads(t *testing.T) {
-	schemes := append(append([]grouping.Scheme(nil), grouping.AllSchemes...), grouping.ADAPT, grouping.UMC)
 	patterns := []Pattern{RandomPlacement, ClusteredPlacement, ColumnPlacement, RowPlacement, DiagonalPlacement}
 	dirs := []struct {
 		name             string
@@ -58,7 +57,7 @@ func TestInstallSharerMatchesSimulatedReads(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, s := range schemes {
+	for _, s := range grouping.AllSchemes {
 		for _, pat := range patterns {
 			for _, k := range []int{8, 16} {
 				for _, d := range []int{1, 4, 16, 40} {
