@@ -82,7 +82,7 @@ func dirStore(t *testing.T, dir string) service.ResultStore {
 // traffic runs alike. d is 6 because E12's one-consumption-channel cell
 // wedges at k=8, d=16.
 func TestDataRerunRunsNothing(t *testing.T) {
-	names := []string{"latency", "limdir",
+	names := []string{"latency",
 		"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing",
 		"load", "invalsize", "consistency", "barrier"}
 	const d = 6
@@ -183,40 +183,45 @@ func TestInterruptedRerunIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestVariantTwinsAreDistinctEntries: a limited-directory cell and its
-// default-machine twin differ only in their machine variant, and each gets
-// its own store entry.
+// vcsBurst is one cell of E14 at k=8, d=16: a burst of eight writers on a
+// machine with vcs virtual channels.
+func vcsBurst(vcs int) sweep.Point {
+	return sweep.Point{K: 8, Scheme: grouping.UIUA, D: 16, Trials: 1, Seed: 1,
+		HotSpot: &sweep.HotSpot{Writers: 8, OverlapSharers: true, DistinctHomes: true},
+		Tune:    &coherence.Variant{VirtualChannels: vcs}}
+}
+
+// TestVariantTwinsAreDistinctEntries: two E14 cells differ only in their
+// machine variant, and each gets its own store entry.
 func TestVariantTwinsAreDistinctEntries(t *testing.T) {
 	store := service.NewMemoryStore(0)
-	_, _, runs := mustInProcess(t, service.Config{Store: store}, 16, "limdir")
-	if n, _ := store.Len(); n != 30 || runs != 30 {
-		t.Fatalf("limdir figure: %d store entries after %d runs; want one per cell, 30", n, runs)
+	_, _, runs := mustInProcess(t, service.Config{Store: store}, 16, "vcs")
+	if n, _ := store.Len(); n != 9 || runs != 9 {
+		t.Fatalf("vcs figure: %d store entries after %d runs; want one per cell, 9", n, runs)
 	}
-	plain := sweep.Point{K: 8, Scheme: grouping.BR, D: 6, Trials: 5, Seed: 1}
-	limited := plain
-	limited.Tune = &coherence.Variant{DirPointers: 4}
-	pm, plainOK, _ := store.Get(plain.Fingerprint())
-	lm, limitedOK, _ := store.Get(limited.Fingerprint())
-	if !plainOK || !limitedOK || reflect.DeepEqual(pm, lm) {
-		t.Fatalf("default machine stored %v, Dir4-B stored %v; want two different results", plainOK, limitedOK)
+	one, two := vcsBurst(1), vcsBurst(2)
+	om, oneOK, _ := store.Get(one.Fingerprint())
+	tm, twoOK, _ := store.Get(two.Fingerprint())
+	if !oneOK || !twoOK || reflect.DeepEqual(om, tm) {
+		t.Fatalf("1-VC burst stored %v, 2-VC burst stored %v; want two different results", oneOK, twoOK)
 	}
 }
 
 // TestQuarantinedPointsAreNotStored: a point that blows its budget twice is
 // quarantined and never stored, so the next run re-attempts it.
 func TestQuarantinedPointsAreNotStored(t *testing.T) {
-	want := bare(t, 16, "limdir")
+	want := bare(t, 16, "vcs")
 	store := service.NewMemoryStore(0)
-	mustInProcess(t, service.Config{Store: store, DefaultTimeout: time.Nanosecond}, 16, "limdir")
+	mustInProcess(t, service.Config{Store: store, DefaultTimeout: time.Nanosecond}, 16, "vcs")
 	if n, _ := store.Len(); n != 0 {
 		t.Fatalf("%d timed-out points were stored", n)
 	}
-	got, _, runs := mustInProcess(t, service.Config{Store: store}, 16, "limdir")
+	got, _, runs := mustInProcess(t, service.Config{Store: store}, 16, "vcs")
 	if got != want {
 		t.Fatalf("rerun after the timeouts differs from the bare engine:\n%s\nvs\n%s", got, want)
 	}
-	if runs != 30 {
-		t.Fatalf("the rerun ran %d points; want all 30 re-attempted", runs)
+	if runs != 9 {
+		t.Fatalf("the rerun ran %d points; want all 9 re-attempted", runs)
 	}
 }
 
@@ -224,13 +229,12 @@ func TestQuarantinedPointsAreNotStored(t *testing.T) {
 // naming its fingerprint; it is never served and never silently rerun.
 func TestCorruptResultIsLoud(t *testing.T) {
 	dir := t.TempDir()
-	mustInProcess(t, service.Config{Store: dirStore(t, dir)}, 16, "limdir")
-	p := sweep.Point{K: 8, Scheme: grouping.BR, D: 6, Trials: 5, Seed: 1, Tune: &coherence.Variant{DirPointers: 4}}
-	fp := p.Fingerprint()
+	mustInProcess(t, service.Config{Store: dirStore(t, dir)}, 16, "vcs")
+	fp := vcsBurst(2).Fingerprint()
 	if err := os.WriteFile(filepath.Join(dir, "results", fp+".json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, _, _, err := inProcess(t, context.Background(), service.Config{Store: dirStore(t, dir)}, 16, "limdir")
+	out, _, _, err := inProcess(t, context.Background(), service.Config{Store: dirStore(t, dir)}, 16, "vcs")
 	if out != "" || err == nil || !strings.Contains(err.Error(), fp) {
 		t.Fatalf("rerun over a corrupt entry: err %v; want no table and an error naming %s", err, fp)
 	}

@@ -95,6 +95,7 @@ func TestExperimentSizeCheck(t *testing.T) {
 		{"-k", "0"}, {"-k", "1"}, {"-k", "100"},
 		{"-d", "0"}, {"-trials", "0"}, {"-name", "bogus"},
 		{"-name", "update"}, {"-name", "forwarding"}, {"-name", "tree"},
+		{"-name", "limdir"}, {"-name", "threehop"},
 	} {
 		for mode, args := range map[string][]string{
 			"in process": {"experiment", "-data", data},

@@ -312,6 +312,9 @@ func TestUnrunnableReplayExitsTwo(t *testing.T) {
 		{`{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU","tune":{"protocol":1}}`, `unknown field "protocol"`},
 		{`{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU","tune":{"data_forwarding":true}}`,
 			`unknown field "data_forwarding"`},
+		{`{"k":8,"scheme":"UI-UA","d":6,"trials":3,"seed":1,"tune":{"dir_pointers":4}}`, `unknown field "dir_pointers"`},
+		{`{"k":8,"scheme":"UI-UA","d":6,"trials":3,"seed":1,"tune":{"dir_coarse_region":8}}`,
+			`unknown field "dir_coarse_region"`},
 		{`{"k":4,"scheme":42,"d":2,"trials":1,"seed":1}`, "unknown Scheme scheme(42)"},
 		{`{"k":4,"scheme":9,"d":2,"trials":1,"seed":1}`, "unknown Scheme scheme(9)"},
 		{`{"k":4,"scheme":"ADAPT","d":2,"trials":1,"seed":1}`, `unknown scheme "ADAPT"`},

@@ -10,10 +10,10 @@ import (
 
 // InstallSharer makes node n a sharer of block b functionally: it writes the
 // state a completed read miss by n leaves behind — directory entry Shared
-// with n's presence bit set and the pointer limit applied (homeRead's
-// order), the line Shared in n's cache, the home's own copy included — and
-// fires no event, injects no worm and touches no statistic. A node that
-// already holds the line stays as it is, as a read hit would leave it.
+// with n's presence bit set, the line Shared in n's cache, the home's own
+// copy included — and fires no event, injects no worm and touches no
+// statistic. A node that already holds the line stays as it is, as a read
+// hit would leave it.
 //
 // The machine must be idle: no worm in the fabric, no pending engine event,
 // no outstanding operation at n, and b's directory entry Uncached or Shared.
@@ -46,7 +46,6 @@ func (m *Machine) InstallSharer(n topology.NodeID, b directory.BlockID) bool {
 	}
 	e.State = directory.Shared
 	e.Sharers.Set(n)
-	m.notePointerLimit(e)
 	m.caches[n].Fill(b, cache.SharedLine)
 	return true
 }

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -21,7 +22,7 @@ func TestInstallSharerWritesReadMissState(t *testing.T) {
 			t.Fatalf("InstallSharer(%d) fell back on a plain machine", n)
 		}
 		if e := m.DirEntry(b); e.State != directory.Shared || !e.Sharers.Has(topology.NodeID(n)) {
-			t.Fatalf("after install of %d: dir = %v sharers %v", n, e.State, e.Sharers.Nodes())
+			t.Fatalf("after install of %d: dir = %v sharers %v", n, e.State, e.Sharers.AppendNodes(nil))
 		}
 		if m.Cache(topology.NodeID(n)).State(b) != cache.SharedLine {
 			t.Fatalf("node %d does not hold the line", n)
@@ -47,21 +48,18 @@ func TestInstallSharerWritesReadMissState(t *testing.T) {
 }
 
 func TestInstallSharerAgainIsNoOp(t *testing.T) {
-	m := newLimitedM(t, 4, 2, grouping.UIUA)
+	m := newM(t, 4, grouping.UIUA)
 	const b = 5
 	for _, n := range []int{1, 2, 3} {
 		m.InstallSharer(topology.NodeID(n), b)
 	}
-	if !m.DirEntry(b).Overflow {
-		t.Fatal("third sharer did not overflow a two-pointer entry")
-	}
-	before := m.DirEntry(b).Sharers.Count()
+	before := m.DirEntry(b).Sharers.AppendNodes(nil)
 	if !m.InstallSharer(2, b) {
 		t.Fatal("re-install returned false")
 	}
 	e := m.DirEntry(b)
-	if e.State != directory.Shared || !e.Overflow || e.Sharers.Count() != before {
-		t.Fatalf("re-install changed the entry: %v overflow=%v sharers %v", e.State, e.Overflow, e.Sharers.Nodes())
+	if e.State != directory.Shared || !slices.Equal(e.Sharers.AppendNodes(nil), before) {
+		t.Fatalf("re-install changed the entry: %v sharers %v, want %v", e.State, e.Sharers.AppendNodes(nil), before)
 	}
 	if m.Cache(2).State(b) != cache.SharedLine {
 		t.Fatal("re-install dropped the line")

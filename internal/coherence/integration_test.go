@@ -11,10 +11,10 @@ import (
 )
 
 // TestConfigMatrixSoak drives random traffic through a matrix of protocol
-// option combinations — scheme x consistency x directory x
-// reply-forwarding x VCT — checking the global coherence invariants at
-// every quiescent point. This is the integration net that
-// catches cross-feature interactions no focused test covers.
+// option combinations — scheme x consistency x VCT, virtual channels and
+// bounded caches — checking the global coherence invariants at every
+// quiescent point. This is the integration net that catches cross-feature
+// interactions no focused test covers.
 func TestConfigMatrixSoak(t *testing.T) {
 	type cfg struct {
 		name string
@@ -23,8 +23,6 @@ func TestConfigMatrixSoak(t *testing.T) {
 	variants := []cfg{
 		{"baseline", func(p *Params) {}},
 		{"rc", func(p *Params) { p.Consistency = ReleaseConsistency }},
-		{"3hop", func(p *Params) { p.ReplyForwarding = true }},
-		{"limdir-cv", func(p *Params) { p.DirPointers = 2; p.DirCoarseRegion = 4 }},
 		{"vct+2vc+evict", func(p *Params) {
 			p.Net.VCTDeferred = true
 			p.Net.VirtualChannels = 2

@@ -17,9 +17,6 @@ type homeOp struct {
 	requester topology.NodeID
 	write     bool
 	owner     topology.NodeID
-	// forwarded marks a 3-hop dirty read: the owner replies directly to
-	// the requester, so the home sends no readReply.
-	forwarded bool
 }
 
 // setHomeOp records op as block b's home-side transaction context.
@@ -76,7 +73,6 @@ type invalTxn struct {
 	// home's own locally-invalidated copy if it had one.
 	pendingAcks int
 	sharers     int
-	broadcast   bool
 	start       sim.Time
 	homeMsgs    int
 	// completed marks a transaction whose acknowledgments are all in and
@@ -165,46 +161,16 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 	// call (the planner and the recovery set copy it).
 	remote := m.scratchRemote[:0]
 	homeCopy := false
-	switch {
-	case e.Overflow:
-		// Limited-pointer overflow: the entry no longer identifies the
-		// sharers, so the invalidation is broadcast to every node [29].
-		for n := topology.NodeID(0); int(n) < m.Mesh.Nodes(); n++ {
-			switch n {
-			case requester:
-			case home:
-				homeCopy = true
-			default:
-				remote = append(remote, n)
-			}
-		}
-	case e.CoarseMode:
-		// Coarse-vector fallback: target every node of every marked
-		// region — a superset of the true sharers, a subset of broadcast.
-		for n := topology.NodeID(0); int(n) < m.Mesh.Nodes(); n++ {
-			if !e.Coarse.Has(m.region(n)) {
-				continue
-			}
-			switch n {
-			case requester:
-			case home:
-				homeCopy = true
-			default:
-				remote = append(remote, n)
-			}
-		}
-	default:
-		// Filter the presence bits in place: the write index never passes
-		// the read index.
-		for _, s := range e.Sharers.AppendNodes(remote) {
-			switch s {
-			case requester:
-				// The upgrading writer keeps its copy until the grant.
-			case home:
-				homeCopy = true
-			default:
-				remote = append(remote, s)
-			}
+	// Filter the presence bits in place: the write index never passes the
+	// read index.
+	for _, s := range e.Sharers.AppendNodes(remote) {
+		switch s {
+		case requester:
+			// The upgrading writer keeps its copy until the grant.
+		case home:
+			homeCopy = true
+		default:
+			remote = append(remote, s)
 		}
 	}
 	m.scratchRemote = remote
@@ -233,7 +199,6 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 	txn.id = m.newTxnID()
 	txn.block, txn.home, txn.req = b, home, pm
 	txn.sharers = len(remote)
-	txn.broadcast = e.Overflow || e.CoarseMode
 	txn.start = m.Engine.Now()
 	var fallback []topology.NodeID
 	if len(remote) > 0 {
@@ -286,7 +251,7 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 		}
 		m.server(home).do(m.Params.CacheInvalidate, func() {
 			// The home's own fill for this block may still be in flight.
-			if op := m.deferOrSquash(home, b, !txn.broadcast); op != nil {
+			if op := m.deferOrSquash(home, b, true); op != nil {
 				op.afterFill = append(op.afterFill, homeInval)
 				return
 			}
@@ -349,15 +314,14 @@ func (t *invalTxn) complete(m *Machine) {
 		m.recTxn(trace.KindTxnDone, t, uint64(t.retries), 0)
 	}
 	m.Metrics.Invals = append(m.Metrics.Invals, metrics.InvalRecord{
-		Txn:       t.id,
-		Home:      t.home,
-		Sharers:   t.sharers,
-		Groups:    len(t.groups),
-		Broadcast: t.broadcast,
-		Start:     t.start,
-		End:       m.Engine.Now(),
-		HomeMsgs:  t.homeMsgs,
-		Retries:   t.retries,
+		Txn:      t.id,
+		Home:     t.home,
+		Sharers:  t.sharers,
+		Groups:   len(t.groups),
+		Start:    t.start,
+		End:      m.Engine.Now(),
+		HomeMsgs: t.homeMsgs,
+		Retries:  t.retries,
 	})
 	m.grantWrite(t.home, t.req, !t.req.hasCopy)
 }

@@ -17,7 +17,7 @@ const (
 	// flight, no entry may be Waiting, and every rule below applies in full.
 	StrictInvariants InvariantMode = iota
 	// RelaxedInvariants is callable mid-flight, while transactions run: it
-	// skips the quiescence gate and rule 5 (transient Waiting entries are
+	// skips the quiescence gate and rule 4 (transient Waiting entries are
 	// legal), checks only the single-writer half of rule 1 (the owner's own
 	// copy may still be racing in on the reply network), and keeps the
 	// per-state safety rules that hold at every instant of a correct
@@ -49,14 +49,12 @@ func (m InvariantMode) String() string {
 //
 //  1. An Exclusive directory entry's owner holds the line Modified, and no
 //     other node holds it in any valid state.
-//  2. A Shared entry has no Modified copies anywhere, and (for full-map
-//     directories) every valid cached copy is recorded in the presence
-//     bits. Presence bits may over-approximate (silent Shared evictions
-//     leave stale bits), never under-approximate.
+//  2. A Shared entry has no Modified copies anywhere, and every valid
+//     cached copy is recorded in the presence bits. Presence bits may
+//     over-approximate (silent Shared evictions leave stale bits), never
+//     under-approximate.
 //  3. An Uncached entry has no valid copies anywhere.
-//  4. An overflowed limited-directory entry must actually be beyond its
-//     pointer budget's tracking ability only in Shared state.
-//  5. No entry is left in the transient Waiting state.
+//  4. No entry is left in the transient Waiting state.
 func (m *Machine) CheckInvariants() error {
 	return m.CheckInvariantsMode(StrictInvariants)
 }
@@ -121,16 +119,7 @@ func (m *Machine) checkEntry(home topology.NodeID, b directory.BlockID, e *direc
 			if st == cache.ModifiedLine {
 				return fmt.Errorf("block %d shared but node %d holds it modified", b, n)
 			}
-			if st != cache.SharedLine || e.Overflow {
-				continue
-			}
-			if e.CoarseMode {
-				if !e.Coarse.Has(m.region(topology.NodeID(n))) {
-					return fmt.Errorf("block %d cached shared at %d but its region is unmarked", b, n)
-				}
-				continue
-			}
-			if !e.Sharers.Has(topology.NodeID(n)) {
+			if st == cache.SharedLine && !e.Sharers.Has(topology.NodeID(n)) {
 				return fmt.Errorf("block %d cached shared at %d but absent from presence bits", b, n)
 			}
 		}

@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -36,6 +37,15 @@ func TestInvariantsDetectViolations(t *testing.T) {
 	m.caches[nodeAt(m, 0, 0)].Fill(7, cache.SharedLine)
 	if err := m.CheckInvariants(); err == nil {
 		t.Fatal("fabricated copy not detected")
+	}
+
+	// Corrupt: a node outside the presence bits fabricates a shared copy
+	// of a shared block.
+	m = newM(t, 4, grouping.UIUA)
+	doOp(t, m, false, nodeAt(m, 1, 1), 3)
+	m.caches[nodeAt(m, 0, 3)].Fill(3, cache.SharedLine)
+	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "absent from presence bits") {
+		t.Fatalf("untracked shared copy: err %v; want one naming the presence bits", err)
 	}
 }
 
@@ -133,7 +143,7 @@ func TestRelaxedInvariantsMidFlight(t *testing.T) {
 	}
 }
 
-// TestRelaxedInvariantsTolerateWaiting pins the mode split on rule 5: a
+// TestRelaxedInvariantsTolerateWaiting pins the mode split on rule 4: a
 // Waiting entry fails the strict check and passes the relaxed one.
 func TestRelaxedInvariantsTolerateWaiting(t *testing.T) {
 	m := newM(t, 4, grouping.UIUA)

@@ -54,9 +54,9 @@ type Machine struct {
 	// directory, and transaction milestones). Install with AttachTrace.
 	Rec *trace.Recorder
 	// OnSquash, when non-nil, is called the first time an outstanding read
-	// miss is squashed by a broadcast/coarse or retried invalidation (see
-	// pendingOp.squashed; directory-targeted invalidations defer past the
-	// fill instead and never squash). Purely observational — verification
+	// miss is squashed by a recovery retry, or by any invalidation under
+	// bounded caches (see pendingOp.squashed; otherwise invalidations defer
+	// past the fill and never squash). Purely observational — verification
 	// harnesses use it to learn which value a squashed load consumed.
 	OnSquash func(n topology.NodeID, b directory.BlockID)
 	// nextOpTok numbers traced operations; advanced only while recording.

@@ -70,18 +70,6 @@ type Params struct {
 	ControlBytes int
 	// CacheLines bounds each node's cache (0 = unbounded).
 	CacheLines int
-	// DirPointers bounds the sharers a directory entry tracks
-	// individually (a Dir_i-B limited directory [16]); 0 means fully
-	// mapped. On pointer overflow the entry degrades to broadcast:
-	// invalidations go to every node [29].
-	DirPointers int
-	// DirCoarseRegion, when nonzero together with DirPointers, switches
-	// the overflow fallback from broadcast (Dir_i-B) to a coarse vector
-	// (Dir_i-CV): past the pointer limit the entry tracks regions of this
-	// many consecutive node IDs; invalidations target the marked regions
-	// only. With row-major node numbering a region of MeshWidth nodes is
-	// one mesh row.
-	DirCoarseRegion int
 	// Recovery configures the home node's i-ack timeout watchdog: when
 	// enabled, an invalidation transaction whose acknowledgments do not
 	// all arrive within the (exponentially backed-off) deadline is aborted
@@ -92,10 +80,6 @@ type Params struct {
 	// Fault is handed to the network as its fault injector (nil = a
 	// fault-free fabric).
 	Fault network.Injector
-	// ReplyForwarding makes dirty reads 3-hop (DASH-style): the owner
-	// sends the data directly to the requester and a sharing writeback to
-	// the home, instead of routing the data through the home (4-hop).
-	ReplyForwarding bool
 	// WormBarriers synchronizes an application replay (apps.Run) with the
 	// multidestination worm barrier [37] (Machine.BarrierArrive) instead of
 	// the workload's shared-memory barrier, whose references the replay
@@ -124,15 +108,12 @@ func DefaultParams(k int, scheme grouping.Scheme) Params {
 }
 
 // Variant names a machine that differs from DefaultParams in the parameters
-// the ablations vary (limited directories, bounded caches, i-ack depth,
-// consumption and virtual channels, VCT, and for replays consistency and
-// worm barriers). It is data, not code, so a
-// sweep point that carries one can be serialised and fingerprinted. Every
-// field's zero value means DefaultParams' value: a nil or empty Variant is
-// the default machine.
+// the ablations vary (bounded caches, i-ack depth, consumption and virtual
+// channels, VCT, and for replays consistency and worm barriers). It is
+// data, not code, so a sweep point that carries one can be serialised and
+// fingerprinted. Every field's zero value means DefaultParams' value: a
+// nil or empty Variant is the default machine.
 type Variant struct {
-	DirPointers         int         `json:"dir_pointers,omitempty"`
-	DirCoarseRegion     int         `json:"dir_coarse_region,omitempty"`
 	CacheLines          int         `json:"cache_lines,omitempty"`
 	IAckBuffers         int         `json:"iack_buffers,omitempty"`
 	ConsumptionChannels int         `json:"consumption_channels,omitempty"`
@@ -147,12 +128,6 @@ type Variant struct {
 func (v *Variant) Apply(p *Params) {
 	if v == nil {
 		return
-	}
-	if v.DirPointers != 0 {
-		p.DirPointers = v.DirPointers
-	}
-	if v.DirCoarseRegion != 0 {
-		p.DirCoarseRegion = v.DirCoarseRegion
 	}
 	if v.CacheLines != 0 {
 		p.CacheLines = v.CacheLines

@@ -26,12 +26,12 @@ type pendingOp struct {
 	// and must wait until the fill lands — the "window of vulnerability"
 	// closing of [23].
 	afterFill []func()
-	// squashed marks a read miss caught by a broadcast/coarse or retried
-	// invalidation while outstanding: the fill's data was serialized at
-	// the home before the invalidating write, so the load consumes it —
-	// ordered just before that write — but the line is not installed.
-	// Directory-targeted invalidations never squash; they defer through
-	// afterFill instead (see deferOrSquash).
+	// squashed marks a read miss caught while outstanding by a recovery
+	// retry, or by any invalidation under bounded caches: the fill's data
+	// was serialized at the home before the invalidating write, so the
+	// load consumes it — ordered just before that write — but the line is
+	// not installed. Otherwise invalidations never squash; they defer
+	// through afterFill instead (see deferOrSquash).
 	squashed bool
 	// hasCopy carries the upgrading-write snapshot (Shared copy held at
 	// issue) from the cache-access stage to the request send.
@@ -300,7 +300,6 @@ func (m *Machine) homeRead(home topology.NodeID, e *directory.Entry, pm *msg) {
 	case directory.Uncached, directory.Shared:
 		e.State = directory.Shared
 		e.Sharers.Set(requester)
-		m.notePointerLimit(e)
 		m.server(home).doCall(m.Params.MemAccess+m.Params.SendOccupancy, m.fnHomeReadReply, pm, int32(home))
 	case directory.Exclusive:
 		if e.Owner == requester {
@@ -314,8 +313,7 @@ func (m *Machine) homeRead(home topology.NodeID, e *directory.Entry, pm *msg) {
 			return
 		}
 		e.State = directory.Waiting
-		m.setHomeOp(b, &homeOp{requester: requester, write: false, owner: e.Owner,
-			forwarded: m.Params.ReplyForwarding})
+		m.setHomeOp(b, &homeOp{requester: requester, write: false, owner: e.Owner})
 		m.freeMsg(pm)
 		m.server(home).do(m.Params.SendOccupancy, func() {
 			m.send(fetchReq, home, e.Owner,
@@ -395,15 +393,14 @@ func (m *Machine) deferSafe() bool {
 // had beaten the invalidation. deferOrSquash returns the read, and the
 // caller appends its continuation to the read's afterFill.
 //
-// Broadcast/coarse-vector invalidations and recovery retries (targeted
-// false) can reach a node whose request is still *queued* at the home
-// behind this very transaction — the home itself may be such a node —
-// and deferring the ack would then deadlock. So the miss is squashed
-// instead: acknowledge now, and when the reply lands consume its data
-// without installing the line (see requesterReply for why that load is
-// still legal). Bounded caches void the targeted-implies-served proof
-// the same way — see deferSafe — and also squash. deferOrSquash then returns nil, as it does when no read is
-// pending, and the caller invalidates now.
+// Recovery retries (targeted false) can reach a node whose request is
+// still *queued* at the home behind this very transaction, and deferring
+// the ack would then deadlock. So the miss is squashed instead:
+// acknowledge now, and when the reply lands consume its data without
+// installing the line (see requesterReply for why that load is still
+// legal). Bounded caches void the targeted-implies-served proof the same
+// way — see deferSafe — and also squash. deferOrSquash then returns nil,
+// as it does when no read is pending, and the caller invalidates now.
 //
 // Writes are exempt from both: a pending writer is never a target of its
 // own transaction, and another writer's fill installs Modified via its own
@@ -429,7 +426,7 @@ func (m *Machine) deferOrSquash(n topology.NodeID, b directory.BlockID, targeted
 // framework: unicast (UI-UA), multicast copy (MI-UA, BR), or i-reserve
 // copy / final (MI-MA).
 func (m *Machine) sharerInval(n topology.NodeID, pm *msg, final bool) {
-	if op := m.deferOrSquash(n, pm.block, !pm.retry && !pm.txn.broadcast); op != nil {
+	if op := m.deferOrSquash(n, pm.block, !pm.retry); op != nil {
 		op.afterFill = append(op.afterFill, func() { m.sharerInvalNow(n, pm, final) })
 		return
 	}
@@ -474,13 +471,6 @@ func (m *Machine) ownerFetch(n topology.NodeID, pm *msg) {
 		}
 		// If the line is already gone a writeback is in flight; the data
 		// logically comes from the writeback buffer.
-		if pm.typ == fetchReq && m.Params.ReplyForwarding {
-			// 3-hop dirty read: data straight to the requester, sharing
-			// writeback to the home.
-			m.server(n).do(m.Params.SendOccupancy, func() {
-				m.send(readReply, n, pm.from, &msg{typ: readReply, block: pm.block, from: pm.from})
-			})
-		}
 		m.server(n).do(m.Params.SendOccupancy, func() {
 			home := m.Home(pm.block)
 			m.send(fetchReply, n, home, &msg{typ: fetchReply, block: pm.block, from: pm.from})
@@ -507,17 +497,8 @@ func (m *Machine) homeFetchReply(home topology.NodeID, pm *msg) {
 		}
 		e.State = directory.Shared
 		e.Sharers.Reset()
-		e.Overflow = false
-		m.clearCoarse(e)
 		e.Sharers.Set(op.owner)
 		e.Sharers.Set(op.requester)
-		m.notePointerLimit(e)
-		if op.forwarded {
-			// 3-hop mode: the owner already sent the requester its data;
-			// the home only retires the sharing writeback.
-			m.releaseBlock(pm.block)
-			return
-		}
 		m.server(home).do(m.Params.SendOccupancy, func() {
 			m.send(readReply, home, op.requester, &msg{typ: readReply, block: pm.block, from: op.requester})
 			m.releaseBlock(pm.block)
@@ -621,8 +602,6 @@ func (m *Machine) initHandlers() {
 		e.State = directory.Exclusive
 		e.Owner = pm.from
 		e.Sharers.Reset()
-		e.Overflow = false
-		m.clearCoarse(e)
 		e.OwnGen++
 		reply := m.newMsg()
 		reply.typ, reply.block, reply.from, reply.ownGen = writeReply, b, pm.from, e.OwnGen
@@ -816,59 +795,6 @@ func (m *Machine) initHandlers() {
 	}
 }
 
-// notePointerLimit marks a limited directory entry as overflowed once it
-// tracks more sharers than it has pointers for, falling back to the
-// coarse vector when configured and to broadcast otherwise.
-func (m *Machine) notePointerLimit(e *directory.Entry) {
-	if m.Params.DirPointers <= 0 || e.Overflow || e.CoarseMode {
-		if e.CoarseMode {
-			// Already coarse: fold any newly set exact bits into regions.
-			m.foldIntoCoarse(e)
-		}
-		return
-	}
-	if e.Sharers.Count() <= m.Params.DirPointers {
-		return
-	}
-	if m.Params.DirCoarseRegion > 0 {
-		e.CoarseMode = true
-		if e.Coarse == nil {
-			e.Coarse = directory.NewPresence(m.regionCount())
-		}
-		m.foldIntoCoarse(e)
-		return
-	}
-	e.Overflow = true
-}
-
-// regionCount returns the number of coarse-vector regions.
-func (m *Machine) regionCount() int {
-	r := m.Params.DirCoarseRegion
-	return (m.Mesh.Nodes() + r - 1) / r
-}
-
-// region maps a node to its coarse-vector region.
-func (m *Machine) region(n topology.NodeID) topology.NodeID {
-	return topology.NodeID(int(n) / m.Params.DirCoarseRegion)
-}
-
-// foldIntoCoarse moves the entry's exact presence bits into the coarse
-// vector (the exact identities are lost, as in hardware).
-func (m *Machine) foldIntoCoarse(e *directory.Entry) {
-	for _, n := range e.Sharers.Nodes() {
-		e.Coarse.Set(m.region(n))
-	}
-	e.Sharers.Reset()
-}
-
-// clearCoarse resets an entry's coarse-vector state.
-func (m *Machine) clearCoarse(e *directory.Entry) {
-	e.CoarseMode = false
-	if e.Coarse != nil {
-		e.Coarse.Reset()
-	}
-}
-
 // setOwnGen records the grant generation node n's Modified copy of b was
 // installed under.
 func (m *Machine) setOwnGen(n topology.NodeID, b directory.BlockID, gen uint64) {
@@ -894,8 +820,6 @@ func (m *Machine) homeWriteback(home topology.NodeID, pm *msg) {
 		if e.State == directory.Exclusive && e.Owner == pm.from && pm.ownGen == e.OwnGen {
 			e.State = directory.Uncached
 			e.Sharers.Reset()
-			e.Overflow = false
-			m.clearCoarse(e)
 		}
 		// Otherwise a fetch crossed the writeback; the fetch path already
 		// handled ownership.

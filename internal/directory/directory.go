@@ -43,16 +43,8 @@ func (s State) String() string {
 // Presence is a bit vector of sharer nodes. Node IDs index bits.
 type Presence []uint64
 
-// NewPresence returns an empty presence vector sized for n nodes.
-func NewPresence(n int) Presence {
-	return make(Presence, (n+63)/64)
-}
-
 // Set marks node as present.
 func (p Presence) Set(n topology.NodeID) { p[n/64] |= 1 << (uint(n) % 64) }
-
-// Clear removes node.
-func (p Presence) Clear(n topology.NodeID) { p[n/64] &^= 1 << (uint(n) % 64) }
 
 // Has reports whether node is present.
 func (p Presence) Has(n topology.NodeID) bool { return p[n/64]&(1<<(uint(n)%64)) != 0 }
@@ -65,9 +57,6 @@ func (p Presence) Count() int {
 	}
 	return total
 }
-
-// Nodes returns the present nodes in ascending ID order.
-func (p Presence) Nodes() []topology.NodeID { return p.AppendNodes(nil) }
 
 // AppendNodes appends the present nodes to buf in ascending ID order and
 // returns the result, so a caller can reuse one buffer across lookups.
@@ -105,18 +94,6 @@ type Entry struct {
 	Sharers Presence
 	// Owner is valid in Exclusive state.
 	Owner topology.NodeID
-	// Overflow is set by limited-pointer directories (Dir_i-B) when more
-	// sharers exist than the entry can track individually; an invalidation
-	// must then be broadcast to every node [16, 29]. Cleared when the
-	// entry returns to Uncached or Exclusive.
-	Overflow bool
-	// CoarseMode / Coarse implement the coarse-vector fallback (Dir_i-CV,
-	// as in DASH): past the pointer limit the entry tracks node *regions*
-	// instead of nodes — Coarse holds one bit per region. Invalidations
-	// then target every node of every marked region, a strict improvement
-	// on broadcast for localized sharing.
-	CoarseMode bool
-	Coarse     Presence
 	// OwnGen counts exclusive-ownership grants for this block. The grant
 	// reply carries it and the owner's eventual dirty writeback echoes it,
 	// letting the home tell a current writeback from one that raced in the

@@ -9,8 +9,11 @@ import (
 	"repro/internal/topology"
 )
 
-func TestPresenceSetClearHas(t *testing.T) {
-	p := NewPresence(128)
+// newPresence returns an empty presence vector sized for n nodes.
+func newPresence(n int) Presence { return make(Presence, (n+63)/64) }
+
+func TestPresenceSetHas(t *testing.T) {
+	p := newPresence(128)
 	p.Set(0)
 	p.Set(63)
 	p.Set(64)
@@ -23,21 +26,18 @@ func TestPresenceSetClearHas(t *testing.T) {
 	if p.Has(1) || p.Has(65) {
 		t.Fatal("Has true for unset nodes")
 	}
-	p.Clear(63)
-	if p.Has(63) {
-		t.Fatal("Has(63) after Clear")
-	}
-	if p.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", p.Count())
+	p.Set(63)
+	if p.Count() != 4 {
+		t.Fatalf("Count = %d after setting a set node again, want 4", p.Count())
 	}
 }
 
 func TestPresenceNodesSorted(t *testing.T) {
-	p := NewPresence(256)
+	p := newPresence(256)
 	for _, n := range []topology.NodeID{200, 3, 77, 64, 65} {
 		p.Set(n)
 	}
-	nodes := p.Nodes()
+	nodes := p.AppendNodes(nil)
 	want := []topology.NodeID{3, 64, 65, 77, 200}
 	if len(nodes) != len(want) {
 		t.Fatalf("Nodes = %v, want %v", nodes, want)
@@ -50,7 +50,7 @@ func TestPresenceNodesSorted(t *testing.T) {
 }
 
 func TestPresenceCloneIndependent(t *testing.T) {
-	p := NewPresence(64)
+	p := newPresence(64)
 	p.Set(5)
 	q := p.Clone()
 	q.Set(6)
@@ -63,7 +63,7 @@ func TestPresenceCloneIndependent(t *testing.T) {
 }
 
 func TestPresenceReset(t *testing.T) {
-	p := NewPresence(64)
+	p := newPresence(64)
 	p.Set(1)
 	p.Set(60)
 	p.Reset()
@@ -74,36 +74,38 @@ func TestPresenceReset(t *testing.T) {
 
 func TestPresenceCountMatchesNodesProperty(t *testing.T) {
 	prop := func(ids []uint8) bool {
-		p := NewPresence(256)
+		p := newPresence(256)
 		uniq := map[topology.NodeID]bool{}
 		for _, id := range ids {
 			n := topology.NodeID(id)
 			p.Set(n)
 			uniq[n] = true
 		}
-		return p.Count() == len(uniq) && len(p.Nodes()) == len(uniq)
+		return p.Count() == len(uniq) && len(p.AppendNodes(nil)) == len(uniq)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestPresenceSetClearInverseProperty(t *testing.T) {
+func TestPresenceSetIsolatedProperty(t *testing.T) {
 	prop := func(id uint8, others []uint8) bool {
-		p := NewPresence(256)
+		p := newPresence(256)
 		for _, o := range others {
 			p.Set(topology.NodeID(o))
 		}
-		before := p.Has(topology.NodeID(id))
+		before := p.Count()
+		had := p.Has(topology.NodeID(id))
 		p.Set(topology.NodeID(id))
-		p.Clear(topology.NodeID(id))
-		if p.Has(topology.NodeID(id)) {
+		if !p.Has(topology.NodeID(id)) {
 			return false
 		}
-		_ = before
+		if grew := p.Count() - before; (had && grew != 0) || (!had && grew != 1) {
+			return false
+		}
 		// Other bits unaffected.
 		for _, o := range others {
-			if topology.NodeID(o) != topology.NodeID(id) && !p.Has(topology.NodeID(o)) {
+			if !p.Has(topology.NodeID(o)) {
 				return false
 			}
 		}

@@ -522,50 +522,6 @@ func (l Lab) FigVirtualChannels(k, d, writers int) *report.Table {
 	return t
 }
 
-// FigLimitedDirectory renders E15: invalidation cost under limited-pointer
-// directories (Dir_i-B). Once the pointer count overflows, invalidations
-// broadcast to every node — the regime the BR framework [29] was designed
-// for, and where multidestination worms dwarf unicast.
-func (l Lab) FigLimitedDirectory(k int) *report.Table {
-	schemes := []grouping.Scheme{grouping.UIUA, grouping.MIUAEC, grouping.MIMAEC, grouping.MIMATM, grouping.BR}
-	t := report.NewTable(fmt.Sprintf("E15: limited-directory invalidation (d=6 true sharers, %dx%d mesh)", k, k),
-		schemeCols([]string{"directory", "mean targets"}, schemes, " lat", " home msgs")...)
-	configs := []struct {
-		label    string
-		pointers int
-		coarse   int // coarse-vector region size (0 = broadcast fallback)
-	}{
-		{"full map", 0, 0},
-		{"Dir8-B", 8, 0},
-		{"Dir4-B", 4, 0},
-		{"Dir2-B", 2, 0},
-		{"Dir4-CV(row)", 4, k},
-		{"Dir2-CV(row)", 2, k},
-	}
-	var pts []sweep.Point
-	for _, cfg := range configs {
-		for _, s := range schemes {
-			pts = append(pts, sweep.Point{K: k, Scheme: s, D: 6, Trials: 5, Seed: 1,
-				Tune: &coherence.Variant{DirPointers: cfg.pointers, DirCoarseRegion: cfg.coarse}})
-		}
-	}
-	results := l.runSweep(pts)
-	for i, cfg := range configs {
-		row := []any{cfg.label, 0.0}
-		for j := range schemes {
-			m := results[i*len(schemes)+j].Measures
-			if j == 0 {
-				// Mean invalidation targets per transaction, derived from
-				// the UI-UA home message count (2 messages per target).
-				row[1] = m.HomeMsgs / 2
-			}
-			row = append(row, m.Latency.Mean(), m.HomeMsgs)
-		}
-		t.Row(row...)
-	}
-	return t
-}
-
 // invalSizeBuckets are the Weber/Gupta-style invalidation size classes.
 var invalSizeBuckets = []struct {
 	label    string
@@ -789,36 +745,6 @@ func FigCongestion(k, d, writers int) *report.Table {
 	hcY := colMean(repY, hc.X, true) * 1000
 	ocY := colMean(repY, hc.X, false) * 1000
 	t.Row("reply Y-links", hcY, ocY, report.Float3(hcY/ocY))
-	return t
-}
-
-// FigThreeHop renders E25: dirty read-miss latency under the baseline
-// 4-hop protocol (data routed through the home) versus DASH-style 3-hop
-// reply forwarding (owner sends data directly to the requester, sharing
-// writeback retires in the background) — a protocol ablation orthogonal
-// to the invalidation machinery.
-func FigThreeHop() *report.Table {
-	t := report.NewTable("E25: dirty read miss, 4-hop vs 3-hop reply forwarding (8x8 mesh)",
-		"requester", "owner", "4-hop (cycles)", "3-hop (cycles)", "speedup")
-	cases := []struct{ rq, ow topology.Coord }{
-		{topology.Coord{X: 0, Y: 0}, topology.Coord{X: 7, Y: 7}}, // far apart
-		{topology.Coord{X: 6, Y: 6}, topology.Coord{X: 7, Y: 7}}, // adjacent
-		{topology.Coord{X: 0, Y: 5}, topology.Coord{X: 7, Y: 0}}, // home between
-	}
-	for _, tc := range cases {
-		var lat [2]float64
-		for i, fh := range []bool{false, true} {
-			p := coherence.DefaultParams(8, grouping.UIUA)
-			p.ReplyForwarding = fh
-			m := coherence.NewMachine(p)
-			const b = 17 // homed at (1,2)
-			workload.RunOp(m, true, m.Mesh.ID(tc.ow), b)
-			workload.RunOp(m, false, m.Mesh.ID(tc.rq), b)
-			lat[i] = m.Metrics.ReadMiss.Max()
-		}
-		t.Row(tc.rq.String(), tc.ow.String(), lat[0], lat[1],
-			report.Float3(lat[0]/lat[1]))
-	}
 	return t
 }
 

@@ -133,31 +133,6 @@ func TestFigIAckBuffersShape(t *testing.T) {
 	}
 }
 
-func TestFigLimitedDirectoryShape(t *testing.T) {
-	tab := Lab{}.FigLimitedDirectory(8)
-	if tab.Rows() != 6 {
-		t.Fatalf("rows = %d, want 6", tab.Rows())
-	}
-	// Full-map row targets 6 sharers; the Dir2-B row broadcasts to 62.
-	if cell(t, tab, 0, 1) != 6 || cell(t, tab, 3, 1) != 62 {
-		t.Fatalf("targeted sharers wrong: %q, %q", tab.Cell(0, 1), tab.Cell(3, 1))
-	}
-	// The coarse-vector rows target fewer nodes than broadcast but more
-	// than the true sharers.
-	cv := cell(t, tab, 5, 1)
-	if !(cv > 6 && cv < 62) {
-		t.Fatalf("coarse targets = %v, want between 6 and 62", cv)
-	}
-	// On broadcast, MI-MA-tm (col 8) beats UI-UA (col 2) on latency.
-	if !(cell(t, tab, 3, 8) < cell(t, tab, 3, 2)) {
-		t.Fatal("broadcast MI-MA-tm latency not below UI-UA")
-	}
-	// Coarse vector beats broadcast for UI-UA.
-	if !(cell(t, tab, 5, 2) < cell(t, tab, 3, 2)) {
-		t.Fatal("Dir2-CV latency not below Dir2-B under UI-UA")
-	}
-}
-
 func TestCSVExportParses(t *testing.T) {
 	tab := Lab{}.FigVirtualChannels(8, 8, 2)
 	csv := tab.CSV()
@@ -199,7 +174,6 @@ func TestAllExperimentsRender(t *testing.T) {
 		{"E12", func() *report.Table { return l.AblationConsumptionChannels(8, 8, 2) }, 4},
 		{"E13", l.FigConsistency, 3},
 		{"E14", func() *report.Table { return l.FigVirtualChannels(8, 8, 2) }, 3},
-		{"E15", func() *report.Table { return l.FigLimitedDirectory(8) }, 6},
 		{"E17", l.FigInvalSizeDistribution, 3},
 	}
 	for _, tc := range cases {
@@ -344,7 +318,7 @@ func TestRunWrapsRunnerErrors(t *testing.T) {
 }
 
 // TestFiguresParallelInvariant renders representative figures — an
-// invalidation sweep, hot-spot bursts, the limited-directory figure with its
+// invalidation sweep, hot-spot bursts, the virtual-channel figure with its
 // per-cell machine variants and the traced occupancy bursts — at 1 and 8
 // workers and requires byte-identical tables. GOMAXPROCS may be 1 on the test runner, so this
 // forces a genuinely concurrent configuration regardless of hardware.
@@ -352,7 +326,7 @@ func TestFiguresParallelInvariant(t *testing.T) {
 	figures := map[string]func(l Lab) string{
 		"latency":   func(l Lab) string { return l.FigLatencyVsSharers(8, 2).String() },
 		"hotspot":   func(l Lab) string { return l.FigHotSpot(4, 3).String() },
-		"limdir":    func(l Lab) string { return l.FigLimitedDirectory(4).String() },
+		"vcs":       func(l Lab) string { return l.FigVirtualChannels(4, 3, 4).String() },
 		"occupancy": func(l Lab) string { return l.FigOccupancyProfile(8, 6, 3).String() },
 	}
 	for name, render := range figures {

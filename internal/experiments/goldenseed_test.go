@@ -93,13 +93,13 @@ func TestGoldenTablesSeed(t *testing.T) {
 }
 
 // cellGoldenNames are the hot-spot, per-home, application and offered-load
-// figures, the single-machine ones (Tables 4 and 5, barrier, congestion,
-// three-hop), and the plain-point figures the seed suite does not render
-// (placement, mesh size, limited directory, degraded mesh).
+// figures, the single-machine ones (Tables 4 and 5, barrier, congestion),
+// and the plain-point figures the seed suite does not render (placement,
+// mesh size, degraded mesh).
 var cellGoldenNames = []string{"buffers", "hotspot", "homes", "cons", "vcs", "occupancy",
 	"table6", "apps", "sharing", "invalsize", "consistency", "load",
-	"table4", "table5", "barrier", "congestion", "threehop",
-	"placement", "meshsize", "limdir", "degraded"}
+	"table4", "table5", "barrier", "congestion",
+	"placement", "meshsize", "degraded"}
 
 // TestGoldenCellTables compares cellGoldenNames at k=8, d=6, trials=2 (the
 // application figures at their fixed 4x4 size) byte-for-byte against

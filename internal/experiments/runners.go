@@ -30,14 +30,12 @@ var catalog = []struct {
 	{"homes", func(l Lab, k, d, trials int) *report.Table { return l.FigHomePlacement(k, d, trials) }},
 	{"cons", func(l Lab, k, d, _ int) *report.Table { return l.AblationConsumptionChannels(k, d, 4) }},
 	{"vcs", func(l Lab, k, d, _ int) *report.Table { return l.FigVirtualChannels(k, d, 8) }},
-	{"limdir", func(l Lab, _, _, _ int) *report.Table { return l.FigLimitedDirectory(8) }},
 	{"consistency", func(l Lab, _, _, _ int) *report.Table { return l.FigConsistency() }},
 	{"invalsize", func(l Lab, _, _, _ int) *report.Table { return l.FigInvalSizeDistribution() }},
 	{"load", func(l Lab, k, _, _ int) *report.Table { return l.FigOfferedLoad(k) }},
 	{"barrier", func(l Lab, _, _, _ int) *report.Table { return l.FigWormBarrier() }},
 	{"sharing", func(l Lab, _, _, _ int) *report.Table { return l.FigSharingDependence() }},
 	{"congestion", func(_ Lab, k, d, _ int) *report.Table { return FigCongestion(k, d, 8) }},
-	{"threehop", func(Lab, int, int, int) *report.Table { return FigThreeHop() }},
 	{"faults", func(l Lab, k, d, trials int) *report.Table { return l.FigFaultRecovery(k, d, trials) }},
 	{"degraded", func(l Lab, k, d, trials int) *report.Table { return l.FigDegradedMesh(k, d, trials) }},
 	{"occupancy", func(l Lab, k, d, _ int) *report.Table { return l.FigOccupancyProfile(k, d, 8) }},

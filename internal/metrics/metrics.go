@@ -19,9 +19,6 @@ type InvalRecord struct {
 	// Groups is the number of request worms used (equals Sharers under
 	// UI-UA).
 	Groups int
-	// Broadcast marks a limited-directory overflow transaction that had to
-	// invalidate every node.
-	Broadcast bool
 	// Start is when the home began sending invalidations; End is when the
 	// last acknowledgment arrived at the home.
 	Start, End sim.Time

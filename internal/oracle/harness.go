@@ -197,9 +197,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	streams := make([][]Obs, nodes)
 	// squashSaw[n][b], when present, is the value a squashed read miss at
 	// node n will consume: the block's latest committed token at the moment
-	// the first invalidation squashed it. Squashes come only from
-	// broadcast/coarse or retried invalidations (directory-targeted ones
-	// defer past the fill and install normally). When the squashed read had
+	// the first invalidation squashed it. Squashes come only from recovery
+	// retries and bounded caches (otherwise invalidations defer past the
+	// fill and install normally). When the squashed read had
 	// already been served, this is exactly the fill's data: the home
 	// serialized the read before the squashing write, and that write cannot
 	// commit until this node's acknowledgment (sent at the squash) arrives.

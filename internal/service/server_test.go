@@ -100,12 +100,12 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 // TestExperimentEndpointByteIdentical is the serving contract for whole
 // experiments: the daemon's table equals the batch CLI's output
 // (table.String()+"\n") byte for byte — for a default-machine grid, for
-// grids whose points carry a machine variant (limited directories),
+// grids whose points carry a machine variant (virtual channels),
 // homed transactions, hot-spot bursts, application replays and traffic runs —
 // and a repeat request is byte-identical again and served from the store
 // without one engine run.
 func TestExperimentEndpointByteIdentical(t *testing.T) {
-	for _, name := range []string{"latency", "limdir", "hotspot", "homes", "occupancy", "apps", "load", "invalsize"} {
+	for _, name := range []string{"latency", "vcs", "hotspot", "homes", "occupancy", "apps", "load", "invalsize"} {
 		t.Run(name, func(t *testing.T) {
 			// The batch CLI's rendering: the experiment run with the direct engine.
 			direct := directTable(t, name).String() + "\n"

@@ -150,7 +150,7 @@ func randomPoint(r *sim.RNG) Point {
 	}
 	if r.Intn(2) == 0 {
 		p.Tune = &coherence.Variant{
-			DirPointers: r.Intn(9), CacheLines: r.Intn(3) * 64,
+			IAckBuffers: r.Intn(9), CacheLines: r.Intn(3) * 64,
 			VirtualChannels: r.Intn(4), VCTDeferred: r.Intn(2) == 0,
 		}
 	}

@@ -55,7 +55,7 @@ func TestFingerprintStableAndContentAddressed(t *testing.T) {
 		"Seed":        func(p *Point) { p.Seed = 43 },
 		"ChaosSeed":   func(p *Point) { p.ChaosSeed = 7 },
 		"Faults":      func(p *Point) { p.Faults = &faults.Config{DropRate: 0.1, Seed: 9} },
-		"Tune":        func(p *Point) { p.Tune = &coherence.Variant{DirPointers: 4} },
+		"Tune":        func(p *Point) { p.Tune = &coherence.Variant{IAckBuffers: 2} },
 		"Home":        func(p *Point) { h := topology.NodeID(0); p.Home = &h },
 		"HotSpot":     func(p *Point) { p.HotSpot = &HotSpot{} },
 		"App":         func(p *Point) { p.App = "LU" },

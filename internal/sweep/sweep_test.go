@@ -49,10 +49,10 @@ func TestRunValidatesPoints(t *testing.T) {
 		t.Fatal("a two-trial burst accepted")
 	}
 	for name, mutate := range map[string]func(*Point){
-		"a traffic run that is also a replay":  func(p *Point) { p.App = "LU" },
-		"a two-trial traffic run":              func(p *Point) { p.Trials = 2 },
-		"a traffic run on a limited directory": func(p *Point) { p.Tune = &coherence.Variant{DirPointers: 4} },
-		"a traffic run under chaos":            func(p *Point) { p.ChaosSeed = 7 },
+		"a traffic run that is also a replay": func(p *Point) { p.App = "LU" },
+		"a two-trial traffic run":             func(p *Point) { p.Trials = 2 },
+		"a traffic run on bounded caches":     func(p *Point) { p.Tune = &coherence.Variant{CacheLines: 64} },
+		"a traffic run under chaos":           func(p *Point) { p.ChaosSeed = 7 },
 	} {
 		bad = []Point{{K: 4, Trials: 1, Seed: 1, OfferedLoad: 10}}
 		mutate(&bad[0])

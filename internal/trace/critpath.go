@@ -37,7 +37,6 @@ const (
 
 	CompFetchSend  = "fetch send occupancy"
 	CompFetchNet   = "fetch network"
-	CompOwnerReply = "owner service + reply send"
 	CompOwnerWB    = "owner service + writeback send"
 	CompWBNet      = "writeback network"
 	CompHomeUpdate = "home memory update + reply send"
@@ -360,23 +359,14 @@ func (ix *index) walkHomeService(w *walker, p *OpPath, home int32, from sim.Time
 		w.step(CompGrant, at(reply), reply != nil, true)
 		ix.walkReply(w, reply)
 	case fetch != nil && (reply == nil || fetch.At < reply.At):
-		// Dirty-block fetch: home -> owner, then either a 3-hop direct
-		// reply from the owner or the 4-hop writeback through the home.
+		// Dirty-block fetch: home -> owner, then the owner's writeback
+		// through the home (4 hops).
 		w.step(CompFetchSend, fetch.At, true, true)
 		fr := ix.finalRecv[fetch.Worm]
 		if !w.step(CompFetchNet, at(fr), fr != nil, true) {
 			return
 		}
-		owner := fr.Node
-		direct := ix.findSend(owner, p.Block, fr.At, w.end, func(e *Event) bool {
-			return e.Label == LabelReadReply && e.A == uint64(p.Node)
-		})
-		if direct != nil {
-			w.step(CompOwnerReply, direct.At, true, true)
-			ix.walkReply(w, direct)
-			return
-		}
-		wb := ix.findSend(owner, p.Block, fr.At, w.end, func(e *Event) bool {
+		wb := ix.findSend(fr.Node, p.Block, fr.At, w.end, func(e *Event) bool {
 			return e.Label == LabelFetchReply
 		})
 		w.step(CompOwnerWB, at(wb), wb != nil, true)

@@ -17,23 +17,16 @@ import (
 // machineState is everything a later transaction on b can read: the
 // directory entry and every node's line state.
 type machineState struct {
-	State      directory.State
-	Sharers    []topology.NodeID
-	Owner      topology.NodeID
-	Overflow   bool
-	CoarseMode bool
-	Coarse     []topology.NodeID
-	OwnGen     uint64
-	Lines      []string
+	State   directory.State
+	Sharers []topology.NodeID
+	Owner   topology.NodeID
+	OwnGen  uint64
+	Lines   []string
 }
 
 func stateOf(m *coherence.Machine, b directory.BlockID) machineState {
 	e := m.DirEntry(b)
-	s := machineState{State: e.State, Sharers: e.Sharers.Nodes(), Owner: e.Owner,
-		Overflow: e.Overflow, CoarseMode: e.CoarseMode, OwnGen: e.OwnGen}
-	if e.Coarse != nil {
-		s.Coarse = e.Coarse.Nodes()
-	}
+	s := machineState{State: e.State, Sharers: e.Sharers.AppendNodes(nil), Owner: e.Owner, OwnGen: e.OwnGen}
 	for n := 0; n < m.Mesh.Nodes(); n++ {
 		s.Lines = append(s.Lines, m.Cache(topology.NodeID(n)).State(b).String())
 	}
@@ -49,10 +42,6 @@ func stateOf(m *coherence.Machine, b directory.BlockID) machineState {
 // configuration also makes the home a sharer of its own block.
 func TestInstallSharerMatchesSimulatedReads(t *testing.T) {
 	patterns := []Pattern{RandomPlacement, ClusteredPlacement, ColumnPlacement, RowPlacement, DiagonalPlacement}
-	dirs := []struct {
-		name             string
-		pointers, region int
-	}{{"full", 0, 0}, {"ptr4", 4, 0}, {"ptr4cv4", 4, 4}}
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -61,13 +50,9 @@ func TestInstallSharerMatchesSimulatedReads(t *testing.T) {
 		for _, pat := range patterns {
 			for _, k := range []int{8, 16} {
 				for _, d := range []int{1, 4, 16, 40} {
-					for _, dir := range dirs {
-						for _, seed := range seeds {
-							name := fmt.Sprintf("%v/%v/k%d/d%d/%s/seed%d", s, pat, k, d, dir.name, seed)
-							p := coherence.DefaultParams(k, s)
-							p.DirPointers, p.DirCoarseRegion = dir.pointers, dir.region
-							compareInstall(t, name, p, pat, d, seed)
-						}
+					for _, seed := range seeds {
+						name := fmt.Sprintf("%v/%v/k%d/d%d/seed%d", s, pat, k, d, seed)
+						compareInstall(t, name, coherence.DefaultParams(k, s), pat, d, seed)
 					}
 				}
 			}

@@ -64,15 +64,15 @@ rerun() {
   cmp "$work/${name}1.txt" "$work/${name}2.txt"
   grep -q " $tally\$" "$work/${name}2.err"
 }
-rerun limdir '0 run'
+rerun vcs '0 run'
 rerun load '12 points from the store, 0 run' -k 8
 rerun consistency '12 points from the store, 0 run'
 rerun barrier '2 points from the store, 0 run'
 
 echo "== serve over the batch directory serves it with zero engine runs =="
 start_daemon -data "$work/batch" -workers 4
-ctl experiment -name limdir >"$work/batch_served.txt"
-cmp "$work/limdir1.txt" "$work/batch_served.txt"
+ctl experiment -name vcs >"$work/batch_served.txt"
+cmp "$work/vcs1.txt" "$work/batch_served.txt"
 ctl stats >"$work/batch_stats.json"
 grep -q '"runs": 0,' "$work/batch_stats.json"
 stop_daemon
