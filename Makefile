@@ -107,8 +107,11 @@ cover:
 # canonicalizer against its reflection oracle and the pinned fingerprints, the
 # reply indenter against json.Encoder, and the allocations of a cached
 # one-point job), and the recording-neutrality test (one point of every kind,
-# run with and without a recorder, must encode byte-identical Measures). Any
-# engine change must pass this before it ships.
+# run with and without a recorder, must encode byte-identical Measures), and
+# the knob ledger (every field of coherence.Params, coherence.Variant and
+# network.Config is decoded by the oracle's fuzz decoder, timing-only, or on
+# ROADMAP item 6's unchecked list). Any engine change must pass this before
+# it ships.
 equiv:
 	$(GO) test ./internal/sim -run 'TestEngineEquivalence|TestQueue|TestEngineAllocs' -count=1
 	$(GO) test ./internal/routing -run TestUnicastPathIsRouterWalk -count=1
@@ -122,6 +125,7 @@ equiv:
 	$(GO) test ./internal/workload -run 'TestInstallSharerMatchesSimulatedReads|TestTrafficAllocsIndependentOfLength|TestInvalAllocsPerTxn|TestEventCountsPinned' -count=1
 	$(GO) test ./internal/sweep -run 'TestCanonicalMatchesReflection|TestFingerprintPinned|TestRecordingIsNeutral' -count=1
 	$(GO) test ./internal/service -run 'TestWriteJSONMatchesEncoder|TestCachedJobAllocs' -count=1
+	$(GO) test ./internal/oracle -run 'TestKnobLedger|TestDecodedKnobsAreDecoded|TestVariantKnobsMirrorTheMachine' -count=1
 
 check: vet lint build test race oracle fuzz equiv loadtest
 
@@ -136,7 +140,7 @@ sweep:
 # byte-identical to an in-process run, repeat it from the cache, run a point
 # job, then SIGTERM and assert a clean drain that leaves results/ filled,
 # jobs/ empty and nothing else in the data directory; then in-process
-# reruns over one -data directory (E14, E19, E13 and E22) run nothing, and
+# reruns over one -data directory (E14, E19, E13 and E23) run nothing, and
 # a daemon over it serves the same table. See scripts/serve_smoke.sh.
 smoke:
 	bash scripts/serve_smoke.sh

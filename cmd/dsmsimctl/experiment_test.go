@@ -78,13 +78,13 @@ func dirStore(t *testing.T, dir string) service.ResultStore {
 // TestDataRerunRunsNothing: a second run over the same -data directory runs
 // no point and prints the tables the bare engine prints: default machines and
 // variants, homed transactions, hot-spot bursts, application replays on
-// default and varied machines (E22's worm-barrier machine among them) and
-// traffic runs alike. d is 6 because E12's one-consumption-channel cell
+// default and varied machines (E13's release-consistency machine among them)
+// and traffic runs alike. d is 6 because E12's one-consumption-channel cell
 // wedges at k=8, d=16.
 func TestDataRerunRunsNothing(t *testing.T) {
 	names := []string{"latency",
 		"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing",
-		"load", "invalsize", "consistency", "barrier"}
+		"load", "invalsize", "consistency"}
 	const d = 6
 	want := bare(t, d, names...)
 	dir := t.TempDir()
@@ -121,8 +121,7 @@ func TestDataRerunRunsNothing(t *testing.T) {
 // E9's UI-UA and MI-MA-ec cells, so after them E9 runs only its other 6; E17
 // reads Table 6's three replays, so after it E17 runs nothing; E13 takes its
 // six default-machine replays from E9 and runs only its six on the
-// release-consistency machine; and E22 takes its default-machine APSP
-// replay from E9 and runs only the worm-barrier one.
+// release-consistency machine.
 func TestSharedPointRunsOnce(t *testing.T) {
 	cases := []struct {
 		first, then      []string
@@ -132,7 +131,6 @@ func TestSharedPointRunsOnce(t *testing.T) {
 		{[]string{"sharing", "table6"}, []string{"apps"}, 6, 6},
 		{[]string{"table6"}, []string{"invalsize"}, 3, 0},
 		{[]string{"apps"}, []string{"consistency"}, 6, 6},
-		{[]string{"apps"}, []string{"barrier"}, 1, 1},
 	}
 	for _, c := range cases {
 		cfg := service.Config{Store: service.NewMemoryStore(0)}

@@ -79,10 +79,9 @@ func TestExperimentIsTheBatchTable(t *testing.T) {
 }
 
 // TestExperimentSizeCheck: both modes refuse a size no experiment runs, or
-// a name none has (update, forwarding and tree were E18, E16 and E20, since
-// deleted),
-// with exit 2, before the in-process run opens its store or the remote one
-// sends a request.
+// a name none has (update, forwarding, tree, limdir, threehop and barrier
+// were E18, E16, E20, E15, E25 and E22, since deleted), with exit 2, before
+// the in-process run opens its store or the remote one sends a request.
 func TestExperimentSizeCheck(t *testing.T) {
 	var requests atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -95,7 +94,7 @@ func TestExperimentSizeCheck(t *testing.T) {
 		{"-k", "0"}, {"-k", "1"}, {"-k", "100"},
 		{"-d", "0"}, {"-trials", "0"}, {"-name", "bogus"},
 		{"-name", "update"}, {"-name", "forwarding"}, {"-name", "tree"},
-		{"-name", "limdir"}, {"-name", "threehop"},
+		{"-name", "limdir"}, {"-name", "threehop"}, {"-name", "barrier"},
 	} {
 		for mode, args := range map[string][]string{
 			"in process": {"experiment", "-data", data},

@@ -298,16 +298,16 @@ func TestGroupsDrawTrialOneSharers(t *testing.T) {
 }
 
 // TestUnrunnableReplayExitsTwo: a replay apps.Run cannot run (more
-// programs than nodes, worm barriers with idle nodes, an unknown
-// application), one on a machine the simulator cannot build (a protocol
-// or data-forwarding knob: the machine runs only the paper's
-// write-invalidate protocol), or a point whose scheme grouping.AllSchemes
-// does not list (by number or by name) is a bad command line, exit 2, not a
-// panic mid-run.
+// programs than nodes, an unknown application), one on a machine the
+// simulator cannot build (a protocol, data-forwarding, limited-directory or
+// worm-barrier knob: the machine runs only the paper's write-invalidate
+// protocol and its shared-memory barrier), a mesh side below 2, a negative
+// offered load, or a point whose scheme grouping.AllSchemes does not list
+// (by number or by name) is a bad command line, exit 2, not a panic mid-run.
 func TestUnrunnableReplayExitsTwo(t *testing.T) {
 	for _, c := range []struct{ point, why string }{
 		{`{"k":2,"app":"LU","trials":1}`, "too few nodes"},
-		{`{"k":8,"app":"LU","trials":1,"tune":{"worm_barriers":true,"vct_deferred":true}}`, "one program per node"},
+		{`{"k":8,"app":"LU","trials":1,"tune":{"worm_barriers":true,"vct_deferred":true}}`, `unknown field "worm_barriers"`},
 		{`{"k":4,"app":"Nope","trials":1}`, `unknown application "Nope"`},
 		{`{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU","tune":{"protocol":1}}`, `unknown field "protocol"`},
 		{`{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU","tune":{"data_forwarding":true}}`,
@@ -319,6 +319,9 @@ func TestUnrunnableReplayExitsTwo(t *testing.T) {
 		{`{"k":4,"scheme":9,"d":2,"trials":1,"seed":1}`, "unknown Scheme scheme(9)"},
 		{`{"k":4,"scheme":"ADAPT","d":2,"trials":1,"seed":1}`, `unknown scheme "ADAPT"`},
 		{`{"k":4,"scheme":"U-tree","d":2,"trials":1,"seed":1}`, `unknown scheme "U-tree"`},
+		{`{"k":-4,"scheme":"UI-UA","trials":1,"d":2}`, "has K -4"},
+		{`{"k":0,"scheme":"UI-UA","trials":1,"offered_load":1}`, "has K 0"},
+		{`{"k":4,"scheme":"UI-UA","trials":1,"offered_load":-5}`, "has OfferedLoad -5"},
 	} {
 		func() {
 			defer func() {

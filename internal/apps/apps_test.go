@@ -2,7 +2,6 @@ package apps
 
 import (
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/coherence"
@@ -244,85 +243,49 @@ func TestReleaseConsistencyFasterThanSC(t *testing.T) {
 	}
 }
 
-// wormMachine is a 4x4 machine under scheme whose replays synchronize with
-// the worm barrier; VCT deferred delivery keeps a stalled barrier gather off
-// the reply channels coherence replies need.
-func wormMachine(scheme grouping.Scheme) *coherence.Machine {
-	p := coherence.DefaultParams(4, scheme)
-	(&coherence.Variant{WormBarriers: true, VCTDeferred: true}).Apply(&p)
-	return coherence.NewMachine(p)
-}
-
-func TestWormBarriersInDriver(t *testing.T) {
-	w := APSP(APSPConfig{Vertices: 16, Procs: 16, LinesPerRow: 1})
-	m := wormMachine(grouping.MIMAEC)
-	res := Run(m, w)
-	if res.Time == 0 || !m.Quiesced() {
-		t.Fatal("worm-barrier run failed")
-	}
-	if m.BarrierEpisodes() == 0 {
-		t.Fatal("no worm barrier episodes ran")
-	}
-	if m.Metrics.BarrierLatency.N() != m.BarrierEpisodes() {
-		t.Fatalf("latency samples %d != episodes %d",
-			m.Metrics.BarrierLatency.N(), m.BarrierEpisodes())
-	}
-}
-
-// withoutBarrierRefs is w with every reference to its shared-memory barrier
-// blocks removed, and no barrier blocks named.
+// withoutBarrierRefs is w, an APSP or Jacobi trace, with every reference to
+// its shared-memory barrier removed; the OpBarrier rendezvous stays. Those
+// generators place the barrier's counter and flag on the two blocks after
+// their data.
 func withoutBarrierRefs(w Workload) Workload {
+	sync := directory.BlockID(w.SharedBlocks - 2)
 	progs := make([]Program, len(w.Programs))
 	for p, prog := range w.Programs {
 		for _, op := range prog {
-			if op.Kind > OpWrite || !slices.Contains(w.syncBlocks, op.Block) {
+			if op.Kind > OpWrite || op.Block < sync {
 				progs[p] = append(progs[p], op)
 			}
 		}
 	}
-	w.Programs, w.syncBlocks = progs, nil
+	w.Programs = progs
 	return w
 }
 
-// TestWormBarrierReplaySkipsBarrierReferences: on a worm-barrier machine a
-// replay issues none of the shared-memory barrier's references, so it runs
-// exactly as the trace without them does, while a default machine issues
-// them (the flag write is a broadcast invalidation).
-func TestWormBarrierReplaySkipsBarrierReferences(t *testing.T) {
+// TestReplayIssuesBarrierReferences: a replay issues the shared-memory
+// barrier's references (the flag write is a broadcast invalidation), so it
+// invalidates more than the same trace without them.
+func TestReplayIssuesBarrierReferences(t *testing.T) {
 	for _, w := range []Workload{
 		APSP(APSPConfig{Vertices: 16, Procs: 16, LinesPerRow: 1}),
 		Jacobi(JacobiConfig{N: 32, Procs: 16, Iterations: 3, LinesPerEdge: 1}),
 	} {
-		bare := withoutBarrierRefs(w)
-		got, want := Run(wormMachine(grouping.MIMAEC), w), Run(wormMachine(grouping.MIMAEC), bare)
-		if got != want {
-			t.Errorf("%s: worm-barrier replay %+v; the trace without barrier references gives %+v", w.Name, got, want)
+		run := func(w Workload) RunResult {
+			return Run(coherence.NewMachine(coherence.DefaultParams(4, grouping.MIMAEC)), w)
 		}
-		sm := Run(coherence.NewMachine(coherence.DefaultParams(4, grouping.MIMAEC)), w)
-		if sm.Invals <= got.Invals {
+		sm, bare := run(w), run(withoutBarrierRefs(w))
+		if sm.Invals <= bare.Invals {
 			t.Errorf("%s: %d invalidations with shared-memory barriers, %d without; the barrier references were not issued",
-				w.Name, sm.Invals, got.Invals)
+				w.Name, sm.Invals, bare.Invals)
 		}
 	}
 }
 
-func TestWormBarriersBeatSharedMemoryBarriersOnAPSP(t *testing.T) {
+func TestRunRefusesMoreProgramsThanNodes(t *testing.T) {
 	w := APSP(APSPConfig{Vertices: 16, Procs: 16, LinesPerRow: 1})
-	p := coherence.DefaultParams(4, grouping.MIMAEC)
-	p.Net.VCTDeferred = true
-	smRes := Run(coherence.NewMachine(p), w)
-	wbRes := Run(wormMachine(grouping.MIMAEC), w)
-	if wbRes.Time >= smRes.Time {
-		t.Fatalf("worm-barrier time %d not below SM-barrier time %d", wbRes.Time, smRes.Time)
-	}
-}
-
-func TestWormBarriersRequireFullMachine(t *testing.T) {
-	w := smallAPSP() // 4 procs
-	m := wormMachine(grouping.UIUA)
+	m := coherence.NewMachine(coherence.DefaultParams(2, grouping.UIUA))
 	defer func() {
 		if recover() == nil {
-			t.Error("partial-machine worm barrier did not panic")
+			t.Error("16 programs on a 2x2 machine did not panic")
 		}
 	}()
 	Run(m, w)
@@ -337,12 +300,12 @@ func TestJacobiRuns(t *testing.T) {
 }
 
 func TestJacobiSharingIsNearestNeighbor(t *testing.T) {
-	// With worm barriers (no SM-barrier broadcast), Jacobi's data
+	// Without the shared-memory barrier's broadcast, Jacobi's data
 	// invalidations hit at most 2 sharers (an edge is cached by one or two
 	// neighbors at the subdomain corners... here edges map to exactly one
 	// facing neighbor).
-	w := Jacobi(JacobiConfig{N: 32, Procs: 16, Iterations: 3, LinesPerEdge: 1})
-	res := Run(wormMachine(grouping.UIUA), w)
+	w := withoutBarrierRefs(Jacobi(JacobiConfig{N: 32, Procs: 16, Iterations: 3, LinesPerEdge: 1}))
+	res := Run(coherence.NewMachine(coherence.DefaultParams(4, grouping.UIUA)), w)
 	if res.MaxSharers > 2 {
 		t.Fatalf("Jacobi data invalidation hit %d sharers, want <= 2", res.MaxSharers)
 	}
@@ -355,9 +318,9 @@ func TestJacobiGainsLittleFromWorms(t *testing.T) {
 	// The negative control: nearest-neighbor sharing leaves
 	// multidestination worms almost nothing to group, so the MI-MA gain
 	// must be small (well under the APSP/Barnes gains).
-	w := Jacobi(JacobiConfig{N: 32, Procs: 16, Iterations: 4, LinesPerEdge: 1})
-	ui := Run(wormMachine(grouping.UIUA), w)
-	mm := Run(wormMachine(grouping.MIMAEC), w)
+	w := withoutBarrierRefs(Jacobi(JacobiConfig{N: 32, Procs: 16, Iterations: 4, LinesPerEdge: 1}))
+	ui := Run(coherence.NewMachine(coherence.DefaultParams(4, grouping.UIUA)), w)
+	mm := Run(coherence.NewMachine(coherence.DefaultParams(4, grouping.MIMAEC)), w)
 	gain := 1 - float64(mm.Time)/float64(ui.Time)
 	if gain > 0.03 {
 		t.Fatalf("Jacobi MI-MA gain = %.1f%%, expected ~0 (nearest-neighbor sharing)", gain*100)

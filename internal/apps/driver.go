@@ -58,11 +58,6 @@ type Workload struct {
 	// BarrierCost is the modelled cost of one barrier episode, charged to
 	// each participant at release (an idealized hardware barrier).
 	BarrierCost sim.Time
-	// syncBlocks are the shared-memory barrier's counter and flag blocks,
-	// set by the builder. A machine with worm barriers
-	// (coherence.Params.WormBarriers) skips every reference to them and
-	// synchronizes each OpBarrier with its worm barrier [37] instead.
-	syncBlocks []directory.BlockID
 }
 
 // PaperNames names the paper's three applications (Table 6) in presentation
@@ -142,15 +137,10 @@ type RunResult struct {
 }
 
 // Run replays the workload on the machine and returns measurements. The
-// machine must be freshly constructed with at least len(Programs) nodes, and
-// with exactly that many when it has worm barriers.
+// machine must be freshly constructed with at least len(Programs) nodes.
 func Run(m *coherence.Machine, w Workload) RunResult {
 	if len(w.Programs) > m.Mesh.Nodes() {
 		panic(fmt.Sprintf("apps: %d programs exceed %d nodes", len(w.Programs), m.Mesh.Nodes()))
-	}
-	wb := m.Params.WormBarriers
-	if wb && len(w.Programs) != m.Mesh.Nodes() {
-		panic("apps: worm barriers require one program per mesh node")
 	}
 	invalsBefore := len(m.Metrics.Invals)
 	readMissBefore := m.Metrics.ReadMiss.N()
@@ -165,14 +155,8 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 	// advances the program counter and issues the following operation.
 	procs := make([]proc, len(w.Programs))
 	var exec func(p *proc)
-	// barrierRef reports a shared-memory barrier reference, which a worm-barrier
-	// machine does not issue.
-	barrierRef := func(op Op) bool { return op.Kind <= OpWrite && slices.Contains(w.syncBlocks, op.Block) }
 	exec = func(p *proc) {
 		n := p.node
-		for wb && p.pc < len(p.prog) && barrierRef(p.prog[p.pc]) {
-			p.pc++
-		}
 		if p.pc == len(p.prog) {
 			if rc {
 				// Outstanding writes must still retire before the program
@@ -197,16 +181,12 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 		case OpCompute:
 			m.Engine.AfterCall(op.Cycles, sim.CallFunc, next, 0)
 		case OpBarrier:
-			arrive := bar.arrive
-			if wb {
-				arrive = func(resume func()) { m.BarrierArrive(n, resume) }
-			}
 			if rc {
 				// A barrier is a release point: drain the write buffer
 				// before arriving.
-				m.Fence(n, func() { arrive(next) })
+				m.Fence(n, func() { bar.arrive(next) })
 			} else {
-				arrive(next)
+				bar.arrive(next)
 			}
 		default:
 			panic("apps: unknown op kind")
@@ -309,8 +289,7 @@ func (b *builder) barrier() {
 // workload names the built programs; data counts the application's
 // distinct data blocks, to which the barrier adds its two.
 func (b *builder) workload(name string, data int) Workload {
-	return Workload{Name: name, Programs: b.progs, SharedBlocks: data + 2, BarrierCost: 50,
-		syncBlocks: []directory.BlockID{b.counter, b.flag}}
+	return Workload{Name: name, Programs: b.progs, SharedBlocks: data + 2, BarrierCost: 50}
 }
 
 // barrier is an idealized hardware barrier: the last arrival releases all

@@ -165,30 +165,3 @@ func TestWatchdogQuietFaultFree(t *testing.T) {
 		}
 	}
 }
-
-// TestChaosWormBarrier perturbs tie order under pipelined barrier episodes
-// mixed with coherence traffic.
-func TestChaosWormBarrier(t *testing.T) {
-	for chaosSeed := uint64(1); chaosSeed <= 5; chaosSeed++ {
-		p := DefaultParams(4, grouping.MIMAEC)
-		p.Net.VCTDeferred = true
-		m := NewMachine(p)
-		m.Engine.Chaos(chaosSeed)
-		rng := sim.NewRNG(chaosSeed)
-		for round := 0; round < 4; round++ {
-			for i := 0; i < 10; i++ {
-				n := topology.NodeID(rng.Intn(m.Mesh.Nodes()))
-				doOp(t, m, rng.Intn(3) == 0, n, directory.BlockID(rng.Intn(5)))
-			}
-			left := m.Mesh.Nodes()
-			for n := 0; n < m.Mesh.Nodes(); n++ {
-				n := n
-				m.BarrierArrive(topology.NodeID(n), func() { left-- })
-			}
-			m.Engine.Run()
-			if left != 0 {
-				t.Fatalf("seed %d round %d: barrier stuck\n%s", chaosSeed, round, m.Net.Diagnose())
-			}
-		}
-	}
-}

@@ -68,35 +68,3 @@ func TestConfigMatrixSoak(t *testing.T) {
 		}
 	}
 }
-
-// TestConfigMatrixWithWormBarriers interleaves random coherence traffic
-// with worm barrier episodes under VCT (the required combination).
-func TestConfigMatrixWithWormBarriers(t *testing.T) {
-	for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC} {
-		p := DefaultParams(4, s)
-		p.Net.VCTDeferred = true
-		m := NewMachine(p)
-		rng := sim.NewRNG(17)
-		for round := 0; round < 6; round++ {
-			// A burst of random ops...
-			for i := 0; i < 20; i++ {
-				n := topology.NodeID(rng.Intn(m.Mesh.Nodes()))
-				b := directory.BlockID(rng.Intn(6))
-				doOp(t, m, rng.Intn(3) == 0, n, b)
-			}
-			// ...then a full worm barrier episode.
-			left := m.Mesh.Nodes()
-			for n := 0; n < m.Mesh.Nodes(); n++ {
-				n := n
-				m.BarrierArrive(topology.NodeID(n), func() { left-- })
-			}
-			m.Engine.Run()
-			if left != 0 {
-				t.Fatalf("%v round %d: barrier incomplete\n%s", s, round, m.Net.Diagnose())
-			}
-			if err := m.CheckInvariants(); err != nil {
-				t.Fatalf("%v round %d: %v", s, round, err)
-			}
-		}
-	}
-}

@@ -61,8 +61,6 @@ type Machine struct {
 	OnSquash func(n topology.NodeID, b directory.BlockID)
 	// nextOpTok numbers traced operations; advanced only while recording.
 	nextOpTok uint64
-	// wormBar holds the worm-barrier state (lazily created).
-	wormBar *wormBarrier
 	// scratchPick is a per-node scratch bitmap reused by sendGather's
 	// pick-up-point marking (cleared after each use).
 	scratchPick []bool
@@ -382,8 +380,6 @@ func vnFor(t msgType) network.VN {
 	case invalAck, gatherAck, fetchReply, readReply, writeReply, writeback:
 		return network.Reply
 	default:
-		// barrier worms are injected directly (injectBarrierWorm), never
-		// routed through vnFor.
 		panic(fmt.Sprintf("coherence: no VN for %v", t))
 	}
 }

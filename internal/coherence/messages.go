@@ -33,15 +33,12 @@ const (
 
 	// Replacement.
 	writeback // dirty eviction: data to home
-
-	// Worm barrier synchronization (extension, [37]).
-	barrier
 )
 
 var msgNames = [...]string{
 	"readReq", "writeReq", "inval", "invalAck", "gatherAck",
 	"fetchReq", "fetchInval", "fetchReply", "readReply", "writeReply",
-	"writeback", "barrier",
+	"writeback",
 }
 
 func (t msgType) String() string {
@@ -56,7 +53,7 @@ func (t msgType) carriesData() bool {
 	switch t {
 	case fetchReply, readReply, writeReply, writeback:
 		return true
-	case readReq, writeReq, inval, invalAck, gatherAck, fetchReq, fetchInval, barrier:
+	case readReq, writeReq, inval, invalAck, gatherAck, fetchReq, fetchInval:
 		return false
 	default:
 		panic("coherence: carriesData on unknown message type " + t.String())
@@ -75,8 +72,6 @@ type msg struct {
 	// groupIdx identifies which of the transaction's groups this inval or
 	// gather worm implements.
 	groupIdx int
-	// bar carries the worm-barrier payload.
-	bar *barMsg
 	// hasCopy marks a writeReq from a requester that still holds a Shared
 	// copy (an upgrade): the grant needs no data. Presence bits alone
 	// cannot tell (silent evictions leave stale bits), so the requester

@@ -26,7 +26,7 @@ func TestCarriesDataPartition(t *testing.T) {
 		fetchReply: true, readReply: true, writeReply: true,
 		writeback: true,
 	}
-	for m := readReq; m <= barrier; m++ {
+	for m := readReq; m <= writeback; m++ {
 		if got := m.carriesData(); got != data[m] {
 			t.Errorf("carriesData(%v) = %v, want %v", m, got, data[m])
 		}

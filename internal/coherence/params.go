@@ -80,12 +80,6 @@ type Params struct {
 	// Fault is handed to the network as its fault injector (nil = a
 	// fault-free fabric).
 	Fault network.Injector
-	// WormBarriers synchronizes an application replay (apps.Run) with the
-	// multidestination worm barrier [37] (Machine.BarrierArrive) instead of
-	// the workload's shared-memory barrier, whose references the replay
-	// then skips. Mixed with coherence traffic it needs Net.VCTDeferred
-	// (see barrier.go).
-	WormBarriers bool
 }
 
 // DefaultParams returns the paper's system parameters on a k x k mesh.
@@ -109,7 +103,7 @@ func DefaultParams(k int, scheme grouping.Scheme) Params {
 
 // Variant names a machine that differs from DefaultParams in the parameters
 // the ablations vary (bounded caches, i-ack depth, consumption and virtual
-// channels, VCT, and for replays consistency and worm barriers). It is
+// channels, VCT, and for replays consistency). It is
 // data, not code, so a sweep point that carries one can be serialised and
 // fingerprinted. Every field's zero value means DefaultParams' value: a
 // nil or empty Variant is the default machine.
@@ -120,7 +114,6 @@ type Variant struct {
 	VirtualChannels     int         `json:"virtual_channels,omitempty"`
 	VCTDeferred         bool        `json:"vct_deferred,omitempty"`
 	Consistency         Consistency `json:"consistency,omitempty"`
-	WormBarriers        bool        `json:"worm_barriers,omitempty"`
 }
 
 // Apply overrides p with the variant's non-zero fields. A nil variant
@@ -146,9 +139,6 @@ func (v *Variant) Apply(p *Params) {
 	}
 	if v.Consistency != 0 {
 		p.Consistency = v.Consistency
-	}
-	if v.WormBarriers {
-		p.WormBarriers = true
 	}
 }
 

@@ -278,8 +278,6 @@ func (m *Machine) deliver(d network.Delivery) {
 		m.requesterReply(d.Node, pm)
 	case writeback:
 		m.homeWriteback(d.Node, pm)
-	case barrier:
-		m.barrierDeliver(d, pm.bar)
 	default:
 		panic("coherence: unhandled message " + pm.typ.String())
 	}

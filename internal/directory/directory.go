@@ -73,13 +73,6 @@ func (p Presence) AppendNodes(buf []topology.NodeID) []topology.NodeID {
 	return buf
 }
 
-// Clone returns an independent copy.
-func (p Presence) Clone() Presence {
-	q := make(Presence, len(p))
-	copy(q, p)
-	return q
-}
-
 // Reset clears every bit.
 func (p Presence) Reset() {
 	for i := range p {

@@ -49,19 +49,6 @@ func TestPresenceNodesSorted(t *testing.T) {
 	}
 }
 
-func TestPresenceCloneIndependent(t *testing.T) {
-	p := newPresence(64)
-	p.Set(5)
-	q := p.Clone()
-	q.Set(6)
-	if p.Has(6) {
-		t.Fatal("Clone aliased the original")
-	}
-	if !q.Has(5) {
-		t.Fatal("Clone lost bits")
-	}
-}
-
 func TestPresenceReset(t *testing.T) {
 	p := newPresence(64)
 	p.Set(1)

@@ -589,62 +589,6 @@ func (l Lab) FigOfferedLoad(k int) *report.Table {
 	return t
 }
 
-// FigWormBarrier renders E22: the multidestination worm barrier of the
-// companion paper [37] versus the shared-memory sense-reversing barrier,
-// as episode latency versus machine size and as whole-application impact
-// on APSP. The worm barrier costs ~2(W+H) worms over O(k) hops; the
-// shared-memory barrier serializes Theta(N) coherence transactions at one
-// home. Barrier gathers run with VCT deferred delivery, which the mixing
-// of barrier and coherence traffic requires (see [36] and barrier.go). The
-// episode rows run on single machines; the APSP row is two replay points.
-func (l Lab) FigWormBarrier() *report.Table {
-	t := report.NewTable("E22: worm barrier [37] vs shared-memory barrier",
-		"measure", "k", "SM barrier", "worm barrier", "ratio")
-	for _, k := range []int{4, 8, 16} {
-		p := coherence.DefaultParams(k, grouping.MIMAEC)
-		p.Net.VCTDeferred = true
-		m := coherence.NewMachine(p)
-		// Steady-state worm barrier episode (second episode; setup
-		// amortized).
-		for ep := 0; ep < 2; ep++ {
-			left := m.Mesh.Nodes()
-			arrive := func(_ any, n int32) {
-				m.BarrierArrive(topology.NodeID(n), func() { left-- })
-			}
-			for n := 0; n < m.Mesh.Nodes(); n++ {
-				m.Engine.AtCall(m.Engine.Now(), arrive, nil, int32(n))
-			}
-			m.Engine.Run()
-			if left != 0 {
-				panic("experiments: worm barrier incomplete")
-			}
-		}
-		worm := m.Metrics.BarrierLatency.Max()
-
-		// Shared-memory sense-reversing episode on a fresh machine.
-		m2 := coherence.NewMachine(coherence.DefaultParams(k, grouping.MIMAEC))
-		start := m2.Engine.Now()
-		for n := 0; n < m2.Mesh.Nodes(); n++ {
-			workload.RunOp(m2, false, topology.NodeID(n), 5000)
-			workload.RunOp(m2, true, topology.NodeID(n), 5000)
-		}
-		workload.RunOp(m2, true, 0, 5001)
-		for n := 0; n < m2.Mesh.Nodes(); n++ {
-			workload.RunOp(m2, false, topology.NodeID(n), 5001)
-		}
-		sm := float64(m2.Engine.Now() - start)
-		t.Row("episode latency (cycles)", k, sm, worm, report.Float3(sm/worm))
-	}
-
-	// Application impact: APSP replayed with shared-memory and with worm
-	// barriers, two replay points.
-	cells := l.runApps([]string{"APSP"}, []coherence.Variant{{}, {WormBarriers: true, VCTDeferred: true}},
-		[]grouping.Scheme{grouping.MIMAEC})[0]
-	sm, wb := cells[0].Time, cells[1].Time
-	t.Row("APSP exec cycles (16 procs)", 4, uint64(sm), uint64(wb), report.Float3(ratio(sm, wb)))
-	return t
-}
-
 // FigSharingDependence renders E23: the application-level gain of
 // multidestination invalidation as a function of each workload's sharing
 // degree, across the paper's three applications plus the Jacobi stencil

@@ -93,12 +93,12 @@ func TestGoldenTablesSeed(t *testing.T) {
 }
 
 // cellGoldenNames are the hot-spot, per-home, application and offered-load
-// figures, the single-machine ones (Tables 4 and 5, barrier, congestion),
+// figures, the single-machine ones (Tables 4 and 5, congestion),
 // and the plain-point figures the seed suite does not render (placement,
 // mesh size, degraded mesh).
 var cellGoldenNames = []string{"buffers", "hotspot", "homes", "cons", "vcs", "occupancy",
 	"table6", "apps", "sharing", "invalsize", "consistency", "load",
-	"table4", "table5", "barrier", "congestion",
+	"table4", "table5", "congestion",
 	"placement", "meshsize", "degraded"}
 
 // TestGoldenCellTables compares cellGoldenNames at k=8, d=6, trials=2 (the

@@ -33,7 +33,6 @@ var catalog = []struct {
 	{"consistency", func(l Lab, _, _, _ int) *report.Table { return l.FigConsistency() }},
 	{"invalsize", func(l Lab, _, _, _ int) *report.Table { return l.FigInvalSizeDistribution() }},
 	{"load", func(l Lab, k, _, _ int) *report.Table { return l.FigOfferedLoad(k) }},
-	{"barrier", func(l Lab, _, _, _ int) *report.Table { return l.FigWormBarrier() }},
 	{"sharing", func(l Lab, _, _, _ int) *report.Table { return l.FigSharingDependence() }},
 	{"congestion", func(_ Lab, k, d, _ int) *report.Table { return FigCongestion(k, d, 8) }},
 	{"faults", func(l Lab, k, d, trials int) *report.Table { return l.FigFaultRecovery(k, d, trials) }},

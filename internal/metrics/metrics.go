@@ -47,9 +47,6 @@ type Collector struct {
 	Occupancy []sim.Time
 	// MsgsSent/MsgsRecv count protocol messages per node.
 	MsgsSent, MsgsRecv []uint64
-	// BarrierLatency summarizes worm-barrier episode latencies (first
-	// arrival to release launch).
-	BarrierLatency sim.Summary
 	// Retries counts invalidation-transaction recovery retries (i-ack
 	// timeouts that re-sent unacknowledged sharers); Fallbacks counts
 	// transactions degraded from multidestination to unicast invals

@@ -111,6 +111,32 @@ func (r *RunResult) Report() string {
 	return sb.String()
 }
 
+// params is the machine cfg runs on: DefaultParams with cfg's shape, scheme,
+// consistency model, cache bound, recovery and fault injector (inj, nil on a
+// fault-free run).
+func (cfg RunConfig) params() (p coherence.Params, inj *faults.Injector) {
+	p = coherence.DefaultParams(cfg.Width, cfg.Scheme)
+	p.MeshWidth, p.MeshHeight = cfg.Width, cfg.Height
+	p.Consistency = cfg.Consistency
+	p.CacheLines = cfg.CacheLines
+	if cfg.Recovery {
+		p.Recovery = coherence.DefaultRecovery()
+		if cfg.MaxRetries > 0 {
+			p.Recovery.MaxRetries = cfg.MaxRetries
+		}
+	}
+	if cfg.Fault != nil {
+		// faults.New returns a typed-nil *Injector for a no-op config;
+		// storing that in the interface field would make it non-nil and
+		// crash the network on a nil receiver.
+		if i := faults.New(*cfg.Fault); i != nil {
+			p.Fault = i
+			inj = i
+		}
+	}
+	return p, inj
+}
+
 // Run executes the workload on a real coherence.Machine while a shadow
 // memory tracks, per block, the global write-commit order and, per node,
 // the write whose value each cached copy holds. After the run it checks
@@ -148,26 +174,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		perNode[op.Node] = append(perNode[op.Node], op)
 	}
 
-	p := coherence.DefaultParams(cfg.Width, cfg.Scheme)
-	p.MeshWidth, p.MeshHeight = cfg.Width, cfg.Height
-	p.Consistency = cfg.Consistency
-	p.CacheLines = cfg.CacheLines
-	if cfg.Recovery {
-		p.Recovery = coherence.DefaultRecovery()
-		if cfg.MaxRetries > 0 {
-			p.Recovery.MaxRetries = cfg.MaxRetries
-		}
-	}
-	var inj *faults.Injector
-	if cfg.Fault != nil {
-		// faults.New returns a typed-nil *Injector for a no-op config;
-		// storing that in the interface field would make it non-nil and
-		// crash the network on a nil receiver.
-		if i := faults.New(*cfg.Fault); i != nil {
-			p.Fault = i
-			inj = i
-		}
-	}
+	p, inj := cfg.params()
 	m := coherence.NewMachine(p)
 	if cfg.ChaosSeed != 0 {
 		m.Engine.Chaos(cfg.ChaosSeed)

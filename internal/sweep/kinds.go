@@ -26,8 +26,7 @@ type HotSpot struct {
 }
 
 // AppMeasures is an application replay's outcome, with the trace's static
-// reference counts so a table of them never regenerates the trace (the
-// barrier references a worm-barrier machine skips count too).
+// reference counts so a table of them never regenerates the trace.
 type AppMeasures struct {
 	Time       sim.Time `json:"time"`
 	Invals     int      `json:"invals"`
@@ -54,14 +53,21 @@ type OccupancyMeasures struct {
 	PeakLink     string   `json:"peak_link,omitempty"`
 }
 
-// Check refuses a point no runner can honour: no trials, a scheme
-// grouping.AllSchemes does not list, more than one workload, a burst, replay or traffic run that is not one trial, a burst,
-// replay or traffic run with a field its runner ignores, a Tune
-// consistency or worm-barrier field on a point that is not a replay, worm barriers without VCT deferred delivery, an unknown
-// application, a replay whose programs do not fit the mesh (or, under worm
-// barriers, do not fill it), sharers that do not fit the mesh, a burst whose
-// writers and homes cannot all be placed, a home off the mesh, or a negative
-// or unknown Tune field.
+// Check refuses a point no runner can honour:
+//   - no trials;
+//   - a mesh side below 2;
+//   - a scheme grouping.AllSchemes does not list;
+//   - more than one workload;
+//   - a burst, replay or traffic run that is not one trial;
+//   - a negative offered load;
+//   - a burst, replay or traffic run with a field its runner ignores;
+//   - a Tune consistency field on a point that is not a replay;
+//   - an unknown application;
+//   - a replay whose programs do not fit the mesh;
+//   - sharers that do not fit the mesh;
+//   - a burst whose writers and homes cannot all be placed;
+//   - a home off the mesh;
+//   - a negative Tune field or an unknown consistency model.
 func (p Point) Check() error {
 	kinds := 0
 	for _, set := range []bool{p.Home != nil, p.HotSpot != nil, p.App != "", p.OfferedLoad != 0} {
@@ -73,12 +79,16 @@ func (p Point) Check() error {
 	switch {
 	case p.Trials < 1:
 		return fmt.Errorf("has Trials %d (must be >= 1)", p.Trials)
+	case p.K < 2:
+		return fmt.Errorf("has K %d (a mesh side must be >= 2)", p.K)
 	case !slices.Contains(grouping.AllSchemes, p.Scheme):
 		return fmt.Errorf("has unknown Scheme %v (want one of %v)", p.Scheme, grouping.AllSchemes)
 	case kinds > 1:
 		return fmt.Errorf("sets %d of Home, HotSpot, App and OfferedLoad (at most one)", kinds)
 	case (p.HotSpot != nil || p.App != "" || p.OfferedLoad != 0) && p.Trials != 1:
 		return fmt.Errorf("is a burst, replay or traffic run with Trials %d (must be 1)", p.Trials)
+	case p.OfferedLoad < 0:
+		return fmt.Errorf("has OfferedLoad %g (must be >= 0)", p.OfferedLoad)
 	case p.OfferedLoad != 0 && (p.ChaosSeed != 0 || p.Faults != nil ||
 		v != nil && *v != (coherence.Variant{VirtualChannels: v.VirtualChannels})):
 		return fmt.Errorf("is a traffic run with chaos, faults or a Tune field other than VirtualChannels")
@@ -86,20 +96,12 @@ func (p Point) Check() error {
 		return fmt.Errorf("is a burst with chaos, faults or a Pattern, which a burst ignores")
 	case p.App != "" && (p.D != 0 || p.Pattern != 0 || p.Seed != 0 || p.ChaosSeed != 0 || p.Faults != nil):
 		return fmt.Errorf("is a replay with D, Pattern, Seed, chaos or faults, which a replay ignores")
-	case p.App == "" && v != nil && (v.Consistency != 0 || v.WormBarriers):
-		return fmt.Errorf("sets a Tune consistency or worm-barrier field but is not a replay")
-	case v != nil && v.WormBarriers && !v.VCTDeferred:
-		// A gather stalled on a late arrival would hold reply channels that
-		// coherence replies need (see coherence/barrier.go).
-		return fmt.Errorf("sets Tune worm barriers without VCT deferred delivery")
+	case p.App == "" && v != nil && v.Consistency != 0:
+		return fmt.Errorf("sets a Tune consistency field but is not a replay")
 	case p.App != "" && !apps.Known(p.App):
 		return fmt.Errorf("names an unknown application %q", p.App)
 	case p.App != "" && p.K*p.K < apps.PublishedProcs:
 		return fmt.Errorf("replays %d programs on a %dx%d mesh (too few nodes)", apps.PublishedProcs, p.K, p.K)
-	case p.App != "" && v != nil && v.WormBarriers && p.K*p.K != apps.PublishedProcs:
-		// The worm barrier gathers every mesh node, so each must run a program.
-		return fmt.Errorf("replays %d programs with worm barriers on a %dx%d mesh (one program per node needed)",
-			apps.PublishedProcs, p.K, p.K)
 	case p.App == "" && p.OfferedLoad == 0 && (p.D < 1 || p.D > p.K*p.K-2):
 		return fmt.Errorf("has D %d out of range [1,%d] for a %dx%d mesh", p.D, p.K*p.K-2, p.K, p.K)
 	case p.HotSpot != nil && (p.HotSpot.Writers < 1 || p.HotSpot.Writers+p.D+1 > p.K*p.K):

@@ -31,8 +31,7 @@ func TestRecordingIsNeutral(t *testing.T) {
 		"LU replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU"},
 		"release-consistency LU replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU",
 			Tune: &coherence.Variant{Consistency: coherence.ReleaseConsistency}},
-		"E22 worm-barrier APSP replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "APSP",
-			Tune: &coherence.Variant{WormBarriers: true, VCTDeferred: true}},
+		"E23 Jacobi replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "Jacobi"},
 		"E19 traffic": {K: 8, Trials: 1, Seed: 1, OfferedLoad: 5,
 			Tune: &coherence.Variant{VirtualChannels: 2}},
 	} {

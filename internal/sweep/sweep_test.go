@@ -77,19 +77,12 @@ func TestRunValidatesPoints(t *testing.T) {
 			p.Trials, p.HotSpot = 1, &HotSpot{Writers: 2}
 			p.Tune = &coherence.Variant{Consistency: coherence.ReleaseConsistency}
 		},
-		"worm barriers on a homed point": func(p *Point) {
-			p.Home, p.Tune = &corner, &coherence.Variant{WormBarriers: true, VCTDeferred: true}
+		"release consistency on a homed point": func(p *Point) {
+			p.Home, p.Tune = &corner, &coherence.Variant{Consistency: coherence.ReleaseConsistency}
 		},
 		"a replay under an unknown consistency": func(p *Point) {
 			p.Trials, p.D, p.Seed, p.App = 1, 0, 0, "LU"
 			p.Tune = &coherence.Variant{Consistency: coherence.ReleaseConsistency + 1}
-		},
-		"worm barriers on an invalidation point": func(p *Point) {
-			p.Tune = &coherence.Variant{WormBarriers: true, VCTDeferred: true}
-		},
-		"a worm-barrier replay without VCT deferred delivery": func(p *Point) {
-			p.Trials, p.D, p.Seed, p.App = 1, 0, 0, "APSP"
-			p.Tune = &coherence.Variant{WormBarriers: true}
 		},
 		"a burst with no writers":                        func(p *Point) { p.Trials, p.HotSpot = 1, &HotSpot{} },
 		"a burst with more writers than the mesh places": func(p *Point) { p.Trials, p.HotSpot = 1, &HotSpot{Writers: 14} },
@@ -113,19 +106,21 @@ func TestRunValidatesPoints(t *testing.T) {
 	}
 	drops := &faults.Config{DropRate: 0.2, Seed: 9}
 	for name, bad := range map[string]Point{
-		"a burst under chaos":       with(burst, func(p *Point) { p.ChaosSeed = 99 }),
-		"a burst with faults":       with(burst, func(p *Point) { p.Faults = drops }),
-		"a burst with a pattern":    with(burst, func(p *Point) { p.Pattern = workload.RowPlacement }),
-		"a replay with sharers":     with(replay, func(p *Point) { p.D = 6 }),
-		"a replay with a pattern":   with(replay, func(p *Point) { p.Pattern = workload.RowPlacement }),
-		"a replay with a seed":      with(replay, func(p *Point) { p.Seed = 1 }),
-		"a replay under chaos":      with(replay, func(p *Point) { p.ChaosSeed = 99 }),
-		"a replay with faults":      with(replay, func(p *Point) { p.Faults = drops }),
-		"a replay on too few nodes": with(replay, func(p *Point) { p.K = 2 }),
-		"a worm-barrier replay with idle nodes": with(replay, func(p *Point) {
-			p.K, p.Tune = 8, &coherence.Variant{WormBarriers: true, VCTDeferred: true}
-		}),
+		"a burst under chaos":                with(burst, func(p *Point) { p.ChaosSeed = 99 }),
+		"a burst with faults":                with(burst, func(p *Point) { p.Faults = drops }),
+		"a burst with a pattern":             with(burst, func(p *Point) { p.Pattern = workload.RowPlacement }),
+		"a replay with sharers":              with(replay, func(p *Point) { p.D = 6 }),
+		"a replay with a pattern":            with(replay, func(p *Point) { p.Pattern = workload.RowPlacement }),
+		"a replay with a seed":               with(replay, func(p *Point) { p.Seed = 1 }),
+		"a replay under chaos":               with(replay, func(p *Point) { p.ChaosSeed = 99 }),
+		"a replay with faults":               with(replay, func(p *Point) { p.Faults = drops }),
+		"a replay on too few nodes":          with(replay, func(p *Point) { p.K = 2 }),
 		"a replay of an unknown application": with(replay, func(p *Point) { p.App = "Nope" }),
+		// A negative side squares to a mesh the D check accepts; a 0x0
+		// mesh and a negative rate reach the traffic generator's panics.
+		"a mesh of side -4":       {K: -4, Scheme: grouping.UIUA, D: 2, Trials: 1},
+		"a 0x0 traffic mesh":      {Scheme: grouping.UIUA, Trials: 1, OfferedLoad: 1},
+		"a negative offered load": {K: 4, Scheme: grouping.UIUA, Trials: 1, OfferedLoad: -5},
 	} {
 		if bad.Check() == nil {
 			t.Errorf("%s accepted", name)

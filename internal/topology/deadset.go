@@ -88,18 +88,3 @@ func (d *DeadSet) Routers() []NodeID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-
-// Clone returns an independent copy.
-func (d *DeadSet) Clone() *DeadSet {
-	c := NewDeadSet()
-	if d == nil {
-		return c
-	}
-	for k, v := range d.links {
-		c.links[k] = v
-	}
-	for n, v := range d.routers {
-		c.routers[n] = v
-	}
-	return c
-}

@@ -22,9 +22,6 @@ func TestDeadSetNilIsEmpty(t *testing.T) {
 	if d.Links() != nil || d.Routers() != nil {
 		t.Error("nil set lists victims")
 	}
-	if c := d.Clone(); !c.Empty() {
-		t.Error("clone of nil set not empty")
-	}
 }
 
 func TestDeadSetRouterImpliesLinks(t *testing.T) {
@@ -69,20 +66,5 @@ func TestDeadSetLinksSorted(t *testing.T) {
 	}
 	if d.Empty() {
 		t.Error("populated set reports empty")
-	}
-}
-
-func TestDeadSetCloneIndependent(t *testing.T) {
-	d := NewDeadSet()
-	d.AddLink(1, 2)
-	d.AddRouter(7)
-	c := d.Clone()
-	c.AddLink(3, 4)
-	c.AddRouter(8)
-	if d.LinkDead(3, 4) || d.RouterDead(8) {
-		t.Error("mutating the clone leaked into the original")
-	}
-	if !c.LinkDead(1, 2) || !c.RouterDead(7) {
-		t.Error("clone missing original members")
 	}
 }

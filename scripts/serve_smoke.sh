@@ -12,7 +12,7 @@
 #      persisted results, an empty jobs/ and nothing else in the data directory,
 #   6. run in-process experiments twice over one -data directory and assert
 #      identical tables with zero engine runs the second time (for E19 and
-#      E13, all 12 points from the store; for E22, its 2 APSP replays),
+#      E13, all 12 points from the store; for E23, all 8 replays),
 #   7. start the daemon over that directory and assert it serves the same
 #      table with zero engine runs.
 set -euo pipefail
@@ -67,7 +67,7 @@ rerun() {
 rerun vcs '0 run'
 rerun load '12 points from the store, 0 run' -k 8
 rerun consistency '12 points from the store, 0 run'
-rerun barrier '2 points from the store, 0 run'
+rerun sharing '8 points from the store, 0 run'
 
 echo "== serve over the batch directory serves it with zero engine runs =="
 start_daemon -data "$work/batch" -workers 4
