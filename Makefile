@@ -88,7 +88,7 @@ cover:
 # route-vs-router-walk property test (every pair, every base, on meshes),
 # the byte-identical grouping plan golden (every scheme's worms for seeded
 # sharer sets on 4x4 to 32x32 meshes, planned fresh and by one reused
-# planner, with and without dead links), the byte-identical golden
+# planner), the byte-identical golden
 # experiment tables (the seed suite and
 # the hot-spot, per-home, application and offered-load figures),
 # and the functional-install-vs-simulated-reads property test (sharers
@@ -108,9 +108,9 @@ cover:
 # reply indenter against json.Encoder, and the allocations of a cached
 # one-point job), and the recording-neutrality test (one point of every kind,
 # run with and without a recorder, must encode byte-identical Measures), and
-# the knob ledger (every field of coherence.Params, coherence.Variant and
-# network.Config is decoded by the oracle's fuzz decoder, timing-only, or on
-# ROADMAP item 6's unchecked list). Any engine change must pass this before
+# the knob ledger (every field of coherence.Params, coherence.Variant,
+# network.Config and faults.Config is decoded by the oracle's fuzz decoder,
+# timing-only, or on ROADMAP item 6's unchecked list). Any engine change must pass this before
 # it ships.
 equiv:
 	$(GO) test ./internal/sim -run 'TestEngineEquivalence|TestQueue|TestEngineAllocs' -count=1

@@ -11,7 +11,6 @@
 //	simcheck -enable lifetime,noalloc ./...   # run only the named analyzers
 //	simcheck -disable exhaustive ./...        # run all but the named ones
 //	simcheck -cdg -mesh 8       # verify CDG acyclicity on meshes up to 8x8
-//	simcheck -cdg -mesh 8 -dead 2   # verify the degraded CDG with 2 seeded dead links
 //
 // Unknown analyzer names in -enable or -disable are an error (exit nonzero).
 // Note the lifetime analyzer resolves //simcheck:pool annotations only
@@ -46,14 +45,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("simcheck: ")
 	var (
-		cdgOnly  = flag.Bool("cdg", false, "verify channel-dependency-graph acyclicity instead of running the code analyzers")
-		mesh     = flag.Int("mesh", 8, "largest k for the k x k meshes the CDG verifier enumerates")
-		dead     = flag.Int("dead", 0, "with -cdg: verify the degraded fabric with this many seeded dead links per mesh")
-		deadSeed = flag.Uint64("dead-seed", 0xCD6DEAD, "with -cdg -dead: seed for the deterministic dead-link selection")
-		verbose  = flag.Bool("v", false, "list per-configuration CDG statistics")
-		list     = flag.Bool("list", false, "print the registered analyzers and exit")
-		enable   = flag.String("enable", "", "comma-separated analyzer names to run (default: all registered)")
-		disable  = flag.String("disable", "", "comma-separated analyzer names to skip")
+		cdgOnly = flag.Bool("cdg", false, "verify channel-dependency-graph acyclicity instead of running the code analyzers")
+		mesh    = flag.Int("mesh", 8, "largest k for the k x k meshes the CDG verifier enumerates")
+		verbose = flag.Bool("v", false, "list per-configuration CDG statistics")
+		list    = flag.Bool("list", false, "print the registered analyzers and exit")
+		enable  = flag.String("enable", "", "comma-separated analyzer names to run (default: all registered)")
+		disable = flag.String("disable", "", "comma-separated analyzer names to skip")
 	)
 	flag.Parse()
 
@@ -64,7 +61,7 @@ func main() {
 		return
 	}
 	if *cdgOnly {
-		os.Exit(runCDG(*mesh, *dead, *deadSeed, *verbose))
+		os.Exit(runCDG(*mesh, *verbose))
 	}
 	os.Exit(runAnalyzers(flag.Args(), *enable, *disable))
 }
@@ -182,17 +179,9 @@ func importPathFor(l *analysis.Loader, dir string) string {
 
 // runCDG verifies Dally-Seitz acyclicity of the channel dependency graph
 // for every base routing scheme, on both virtual networks, for every mesh
-// from 2x2 up to mesh x mesh. With dead > 0 the degraded fabric is verified
-// instead: each mesh loses that many deterministically seeded links and the
-// degraded graph must stay acyclic with every live pair reachable over
-// conformed, edge-covered relay legs.
-func runCDG(mesh, dead int, deadSeed uint64, verbose bool) int {
-	var results []cdg.Result
-	if dead > 0 {
-		results = cdg.VerifyAllDegraded(mesh, dead, deadSeed)
-	} else {
-		results = cdg.VerifyAll(mesh)
-	}
+// from 2x2 up to mesh x mesh.
+func runCDG(mesh int, verbose bool) int {
+	results := cdg.VerifyAll(mesh)
 	bad := 0
 	for _, r := range results {
 		if verbose || !r.OK() {
@@ -205,11 +194,6 @@ func runCDG(mesh, dead int, deadSeed uint64, verbose bool) int {
 	if bad > 0 {
 		fmt.Fprintf(os.Stderr, "simcheck: %d failing channel-dependency-graph configuration(s)\n", bad)
 		return 1
-	}
-	if dead > 0 {
-		fmt.Printf("simcheck: degraded channel dependency graph acyclic for %d configuration(s) (meshes up to %dx%d, %d seeded dead links each, live pairs reachable over conformed relay legs)\n",
-			len(results), mesh, mesh, dead)
-		return 0
 	}
 	fmt.Printf("simcheck: channel dependency graph acyclic for %d configuration(s) (meshes up to %dx%d, base routings with consumption channels and i-ack buffers)\n",
 		len(results), mesh, mesh)

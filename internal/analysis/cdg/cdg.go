@@ -328,21 +328,10 @@ func disciplines(b routing.Base) (request, reply disc) {
 // from the reverse discipline, plus the one-way iack -> reply-link release
 // edges tying them together.
 func Build(b routing.Base, m *topology.Mesh) *Graph {
-	return BuildDegraded(b, m, nil)
-}
-
-// BuildDegraded constructs the channel dependency graph of the degraded
-// fabric: dead links (and links implied by dead routers) are excluded from
-// the neighbor enumeration, so no dependency edge crosses a failed resource.
-// A nil or empty dead set reproduces Build exactly. Because removing edges
-// from an acyclic graph cannot create a cycle, the degraded graph of any
-// healthy-verified base is acyclic by construction — BuildDegraded exists to
-// prove that claim mechanically rather than assume it.
-func BuildDegraded(b routing.Base, m *topology.Mesh, dead *topology.DeadSet) *Graph {
 	g := newGraph()
 	request, reply := disciplines(b)
-	addDiscipline(g, m, request, dead)
-	replyLinks := addDiscipline(g, m, reply, dead)
+	addDiscipline(g, m, request)
+	replyLinks := addDiscipline(g, m, reply)
 	addReleaseEdges(g, m, request, replyLinks)
 	return g
 }
@@ -351,7 +340,7 @@ func BuildDegraded(b routing.Base, m *topology.Mesh, dead *topology.DeadSet) *Gr
 // move) tuple reachable by paths of the discipline and records the
 // dependency edges of all of them. It returns the set of link-channel
 // vertex names created, grouped by the node the link enters.
-func addDiscipline(g *Graph, m *topology.Mesh, d disc, dead *topology.DeadSet) map[topology.NodeID][]string {
+func addDiscipline(g *Graph, m *topology.Mesh, d disc) map[topology.NodeID][]string {
 	type pstate struct {
 		node topology.NodeID
 		st   uint32
@@ -399,7 +388,7 @@ func addDiscipline(g *Graph, m *topology.Mesh, d disc, dead *topology.DeadSet) m
 		}
 		for _, mv := range hopPorts {
 			next, ok := m.Neighbor(p.node, mv)
-			if !ok || dead.LinkDead(p.node, next) {
+			if !ok {
 				continue
 			}
 			nst, ok := d.st.step(p.st, mv)
@@ -476,10 +465,6 @@ type Result struct {
 	// against the graph (see Verify).
 	UnicastPaths int
 	WormPaths    int
-	// DeadLinks and DeadRouters describe the degraded fabric the graph was
-	// built for (both zero for a healthy Verify).
-	DeadLinks   int
-	DeadRouters int
 }
 
 // OK reports whether the configuration verified cleanly.
@@ -493,12 +478,8 @@ func (r Result) String() string {
 	if len(r.Problems) > 0 {
 		status += "; " + strings.Join(r.Problems, "; ")
 	}
-	degraded := ""
-	if r.DeadLinks > 0 || r.DeadRouters > 0 {
-		degraded = fmt.Sprintf(" [degraded: %d dead links, %d dead routers]", r.DeadLinks, r.DeadRouters)
-	}
-	return fmt.Sprintf("cdg: %v %dx%d%s: %d vertices, %d edges, %d cons classes, %d unicast + %d worm paths checked: %s",
-		r.Base, r.K, r.K, degraded, r.Vertices, r.Edges, r.ConsChannels, r.UnicastPaths, r.WormPaths, status)
+	return fmt.Sprintf("cdg: %v %dx%d: %d vertices, %d edges, %d cons classes, %d unicast + %d worm paths checked: %s",
+		r.Base, r.K, r.K, r.Vertices, r.Edges, r.ConsChannels, r.UnicastPaths, r.WormPaths, status)
 }
 
 // Verify builds the dependency graph for base b on a k x k mesh, checks it

@@ -53,7 +53,7 @@ func (m *Machine) InstallSharer(n topology.NodeID, b directory.BlockID) bool {
 // installObservable reports whether this machine would behave differently
 // later for having a read miss installed rather than simulated:
 //
-//   - a fault injector, soft or hard: fault decisions hash worm IDs and
+//   - a fault injector: fault decisions hash worm IDs and
 //     absolute time, both of which the skipped reads advance;
 //   - chaos ordering: every event the reads schedule draws from the
 //     tie-break RNG that orders all later same-time events;

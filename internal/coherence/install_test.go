@@ -104,12 +104,6 @@ func TestInstallSharerFallsBackWhenObservable(t *testing.T) {
 			p.Fault = faults.New(faults.Config{Seed: 3, DropRate: 0.1})
 			return NewMachine(p)
 		}},
-		{"hard faults", func() *Machine {
-			p := DefaultParams(4, grouping.MIMAEC)
-			p.Recovery = DefaultRecovery()
-			p.Fault = faults.New(faults.Config{Seed: 3, DeadLinks: 1})
-			return NewMachine(p)
-		}},
 		{"chaos ordering", func() *Machine {
 			m := newM(t, 4, grouping.MIMAEC)
 			m.Engine.Chaos(7)

@@ -57,8 +57,8 @@ type invalTxn struct {
 	// req is the write request the transaction serves; completion hands it
 	// to the grant (grantWrite), which frees it.
 	req *msg
-	// groups is the transaction's plan: plan.Groups, or the degraded
-	// planner's groups on a failed fabric. Request worms copy their
+	// groups is the transaction's plan, plan.Groups (empty when only the
+	// home's own copy needs invalidating). Request worms copy their
 	// group's path, so nothing outside the transaction reads the plan, and
 	// its buffers are reused with the pooled transaction.
 	groups []grouping.Group
@@ -174,22 +174,6 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 		}
 	}
 	m.scratchRemote = remote
-	if m.hard != nil && len(remote) > 0 {
-		// Crashed sharers cannot acknowledge; invalidate them implicitly at
-		// the directory instead of wasting a send-and-timeout round on each.
-		// Dropping them from the remote list is sufficient: the entry's
-		// sharer set is rebuilt wholesale when the transaction grants.
-		now := m.Engine.Now()
-		live := remote[:0]
-		for _, s := range remote {
-			if m.hard.CrashedAt(s, now) {
-				m.implicitInval(s, b)
-				continue
-			}
-			live = append(live, s)
-		}
-		remote = live
-	}
 	if len(remote) == 0 && !homeCopy {
 		m.grantWrite(home, pm, !pm.hasCopy)
 		return
@@ -200,32 +184,19 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 	txn.block, txn.home, txn.req = b, home, pm
 	txn.sharers = len(remote)
 	txn.start = m.Engine.Now()
-	var fallback []topology.NodeID
 	if len(remote) > 0 {
-		if ds := m.deadNow(); !ds.Empty() && m.Params.Scheme.MultidestRequest() {
-			// Degraded fabric: keep the groups whose paths survive, re-realize
-			// severed ones around the failure, and invalidate the rest over
-			// the unicast fallback path. (UI-UA needs no special casing: its
-			// unicast sends detour in m.send.)
-			txn.groups, fallback = grouping.GroupsAvoiding(m.Params.Scheme, m.Mesh, home, remote, ds)
-			if len(fallback) > 0 {
-				m.Metrics.Fallbacks++
-			}
-		} else {
-			m.planner.Plan(&txn.plan, m.Params.Scheme, m.Mesh, home, remote)
-			txn.groups = txn.plan.Groups
-		}
+		m.planner.Plan(&txn.plan, m.Params.Scheme, m.Mesh, home, remote)
+		txn.groups = txn.plan.Groups
 	}
 	if m.Rec != nil {
 		m.recTxn(trace.KindTxnStart, txn, uint64(txn.sharers), uint64(len(txn.groups)))
 	}
 	if m.Params.Scheme.GatherAck() {
-		// Fallback sharers answer with unicast acks even under MI-MA.
-		txn.pendingAcks = len(txn.groups) + len(fallback)
+		txn.pendingAcks = len(txn.groups)
 	} else {
 		txn.pendingAcks = len(remote)
 	}
-	txn.homeMsgs = len(txn.groups) + len(fallback) + txn.pendingAcks
+	txn.homeMsgs = len(txn.groups) + txn.pendingAcks
 	if m.Params.Recovery.Enabled {
 		txn.rec = true
 		if txn.unacked == nil {
@@ -258,25 +229,9 @@ func (m *Machine) startInval(home topology.NodeID, e *directory.Entry, pm *msg) 
 			homeInval()
 		})
 	}
-	txn.refs += len(txn.groups) + len(fallback)
+	txn.refs += len(txn.groups)
 	for gi := range txn.groups {
 		m.server(home).doCall(m.Params.SendOccupancy, m.fnSendGroup, txn, int32(gi))
-	}
-	for _, s := range fallback {
-		s := s
-		m.server(home).do(m.Params.SendOccupancy, func() {
-			if !txn.rec || (txn.gen == 0 && !txn.completed) {
-				// retry marks the inval as unicast-acked regardless of the
-				// scheme's framework — the same degradation the recovery
-				// path uses, applied up front because no live group covers
-				// s.
-				pm := m.txnMsg(txn)
-				pm.retry = true
-				txn.refs++
-				m.send(inval, home, s, pm)
-			}
-			m.releaseTxn(txn)
-		})
 	}
 }
 

@@ -68,10 +68,6 @@ type Machine struct {
 	scratchRemote []topology.NodeID
 	// planner groups every invalidation transaction's sharers into worms.
 	planner grouping.Planner
-	// hard is the bound hard-fault injector when the run carries permanent
-	// failures (nil otherwise); the protocol layer consults it to route new
-	// traffic around dead links and to suppress crashed nodes.
-	hard network.HardFaultInjector
 
 	// Bound protocol handlers (initHandlers), scheduled through
 	// server.doCall so the per-delivery hot paths allocate no closures.
@@ -175,14 +171,6 @@ func NewMachine(p Params) *Machine {
 	m.Net = network.New(engine, mesh, p.Net)
 	m.Net.OnDeliver = m.deliver
 	m.Net.Fault = p.Fault
-	if hf, ok := p.Fault.(network.HardFaultInjector); ok && hf.HardFaults() {
-		if !p.Recovery.Enabled {
-			panic("coherence: hard faults require Recovery.Enabled (degraded transactions complete via the retry path)")
-		}
-		hf.BindTopology(mesh)
-		m.Net.Hard = hf
-		m.hard = hf
-	}
 	for i := range nodes {
 		m.caches[i] = m.lines.Cache(i, p.CacheLines)
 		m.dirs[i] = directory.New(nodes)
@@ -224,9 +212,6 @@ func (m *Machine) send(t msgType, src, dst topology.NodeID, payload *msg) {
 		}
 	} else {
 		path = base.UnicastPathInto(w.TakePathBuf(), m.Mesh, src, dst)
-	}
-	if m.hard != nil {
-		path = m.degradeUnicastPath(t, vn, src, dst, payload, path)
 	}
 	dests := w.TakeDestBuf(len(path))
 	dests[len(path)-1] = true

@@ -94,10 +94,4 @@ type msg struct {
 	// writeback, so the home can discard a writeback that belongs to an
 	// earlier tenure of the same owner (see homeWriteback).
 	ownGen uint64
-	// relay, when non-empty, marks a degraded multi-leg route: the message
-	// is travelling leg by leg around permanent failures and relay's last
-	// element is the true final destination. deliver intercepts such a
-	// worm's final stop and re-injects the next leg instead of dispatching
-	// the protocol handler (see relayForward).
-	relay []topology.NodeID
 }

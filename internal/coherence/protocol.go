@@ -255,12 +255,6 @@ func (m *Machine) deliver(d network.Delivery) {
 		}
 		m.recMsg(trace.KindMsgRecv, flag, d.Node, d.Worm.ID, pm, 0)
 	}
-	if d.Final && len(pm.relay) > 0 {
-		// Degraded multi-leg route: this node is a relay pivot, not the
-		// message's destination — forward the next leg instead of handling.
-		m.relayForward(d.Node, pm)
-		return
-	}
 	switch pm.typ {
 	case readReq, writeReq:
 		m.server(d.Node).doCall(m.Params.RecvOccupancy, m.fnHomeRecv, pm, 0)
@@ -674,20 +668,11 @@ func (m *Machine) initHandlers() {
 	//simcheck:noalloc
 	sharerInvalBody := func(pm *msg, n topology.NodeID, final bool) {
 		txn := pm.txn
-		if m.hard != nil && m.hard.CrashedAt(n, m.Engine.Now()) {
-			// Fail-silent crash: the node neither invalidates nor
-			// acknowledges — no unicast ack, no i-ack post, no gather
-			// launch. The home's timeout notices the silence and the
-			// retry path invalidates the crashed sharer implicitly at
-			// the directory (see txnDeadline).
-			m.releaseTxn(txn)
-			return
-		}
 		m.caches[n].Invalidate(pm.block)
 		if pm.retry || !m.Params.Scheme.GatherAck() {
 			// Unicast acknowledgment: the scheme's normal framework, or the
 			// recovery fallback — retried sharers always answer with a
-			// unicast ack so a degraded MI-MA transaction completes on the
+			// unicast ack so a retried MI-MA transaction completes on the
 			// UI-UA machinery. Re-invalidating an already-invalid line and
 			// re-acking an already-confirmed sharer are both no-ops.
 			m.server(n).doCall(m.Params.SendOccupancy, m.fnSendInvalAck, pm, int32(n))

@@ -61,25 +61,12 @@ func (m *Machine) txnDeadline(t *invalTxn) {
 	t.retries++
 	t.gen++
 	m.Metrics.Retries++
-	if t.retries == 1 && m.Params.Scheme.MultidestRequest() {
-		m.Metrics.Fallbacks++
-	}
 	killed := m.Net.AbortTxn(t.id)
 	targets := sortedNodes(t.unacked)
 	if m.Rec != nil {
 		m.recTxn(trace.KindTxnRetry, t, uint64(t.retries), uint64(killed))
 	}
 	for _, s := range targets {
-		if m.hard != nil && m.hard.CrashedAt(s, m.Engine.Now()) {
-			// The sharer crashed (or its router died) since the groups were
-			// formed: it will never acknowledge. Invalidate it implicitly at
-			// the directory — the crashed node's copy is unreachable and its
-			// processor issues nothing more, so dropping it from the unacked
-			// set is the only way the transaction can complete.
-			delete(t.unacked, s)
-			m.implicitInval(s, t.block)
-			continue
-		}
 		s := s
 		t.refs++
 		m.server(t.home).do(m.Params.SendOccupancy, func() {
@@ -97,12 +84,7 @@ func (m *Machine) txnDeadline(t *invalTxn) {
 	}
 	// The home's own copy, if still pending, is invalidated by the local
 	// controller task armed at start — no network crossing, no resend.
-	// Implicit invalidations above may have drained the unacked set; complete
-	// now rather than burning another timeout round.
-	t.checkRecovered(m)
-	if !t.completed {
-		m.armTxnDeadline(t)
-	}
+	m.armTxnDeadline(t)
 	m.releaseTxn(t)
 }
 

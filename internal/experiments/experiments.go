@@ -735,50 +735,6 @@ func (l Lab) FigFaultRecovery(k, d, trials int) *report.Table {
 	return t
 }
 
-// DeadLinkCounts is the hard-failure axis of E28: how many mesh links die
-// permanently (from cycle 0) before the sweep's transactions run.
-var DeadLinkCounts = []int{0, 1, 2, 4}
-
-// FigDegradedMesh renders E28: invalidation latency, MI->UI fallback counts
-// and dead-link worm purges versus the number of permanently dead links.
-// Every dead set is resolved deterministically from the point seed
-// (connectivity-preserving victim selection, identical to what simcheck
-// -cdg -dead verifies deadlock-free), and the death cycles are hashed over
-// an early window so links die while transactions are in flight: worms
-// stranded at a freshly dead hop are purged and re-covered by the recovery
-// path, later unicast sends detour or relay via PathAvoiding/RelayRoute,
-// and severed groups re-realize or fall back to unicast invalidations. The latency
-// columns show what graceful degradation costs each framework — MI-MA pays
-// most when a column worm's path dies, UI-UA barely notices a detour — and
-// the fallback/purge columns show how often the degradation machinery
-// actually engaged. The row with zero dead links runs the fault-free
-// simulator untouched and must match the healthy tables. Dead sets are
-// seeded per point, so the table is byte-identical at any -parallel.
-func (l Lab) FigDegradedMesh(k, d, trials int) *report.Table {
-	t := report.NewTable(
-		fmt.Sprintf("E28: invalidation latency and degradation activity vs dead links, %dx%d mesh, d=%d, random placement", k, k, d),
-		schemeCols([]string{"dead links"}, FaultSchemes, " lat", " fallbacks", " purges")...)
-	var pts []sweep.Point
-	for _, n := range DeadLinkCounts {
-		for _, s := range FaultSchemes {
-			idx := len(pts)
-			p := sweep.Point{K: k, Scheme: s, D: d, Trials: trials, Seed: uint64(d) + 13}
-			if n > 0 {
-				p.Faults = &faults.Config{
-					Seed:        sim.DeriveSeed(0xDE67ADED, uint64(idx)),
-					DeadLinks:   n,
-					DeathWindow: 4096,
-				}
-			}
-			pts = append(pts, p)
-		}
-	}
-	gridRows(t, DeadLinkCounts, l.runSweep(pts), func(m sweep.Measures) []any {
-		return []any{m.Latency.Mean(), m.Fallbacks, m.Purges}
-	})
-	return t
-}
-
 // FigOccupancyProfile renders E27: the trace-derived occupancy profile of
 // a hot-spot invalidation burst under each scheme. Every cell runs the
 // burst with the cycle-level event recorder attached and folds the

@@ -95,11 +95,11 @@ func TestGoldenTablesSeed(t *testing.T) {
 // cellGoldenNames are the hot-spot, per-home, application and offered-load
 // figures, the single-machine ones (Tables 4 and 5, congestion),
 // and the plain-point figures the seed suite does not render (placement,
-// mesh size, degraded mesh).
+// mesh size).
 var cellGoldenNames = []string{"buffers", "hotspot", "homes", "cons", "vcs", "occupancy",
 	"table6", "apps", "sharing", "invalsize", "consistency", "load",
 	"table4", "table5", "congestion",
-	"placement", "meshsize", "degraded"}
+	"placement", "meshsize"}
 
 // TestGoldenCellTables compares cellGoldenNames at k=8, d=6, trials=2 (the
 // application figures at their fixed 4x4 size) byte-for-byte against

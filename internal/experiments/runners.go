@@ -36,7 +36,6 @@ var catalog = []struct {
 	{"sharing", func(l Lab, _, _, _ int) *report.Table { return l.FigSharingDependence() }},
 	{"congestion", func(_ Lab, k, d, _ int) *report.Table { return FigCongestion(k, d, 8) }},
 	{"faults", func(l Lab, k, d, trials int) *report.Table { return l.FigFaultRecovery(k, d, trials) }},
-	{"degraded", func(l Lab, k, d, trials int) *report.Table { return l.FigDegradedMesh(k, d, trials) }},
 	{"occupancy", func(l Lab, k, d, _ int) *report.Table { return l.FigOccupancyProfile(k, d, 8) }},
 	{"table6", func(l Lab, _, _, _ int) *report.Table { return l.Table6() }},
 	{"apps", func(l Lab, _, _, _ int) *report.Table { return l.FigApplications() }},

@@ -46,63 +46,29 @@ type Config struct {
 	RouterSlowRate float64 `json:"router_slow_rate,omitempty"`
 	// RouterSlowCycles is the extra routing delay of one slowdown.
 	RouterSlowCycles sim.Time `json:"router_slow_cycles,omitempty"`
-	// DeadLinks is the number of mesh links that die permanently. Victims
-	// and death cycles are hashed from Seed; selection skips any link whose
-	// removal would disconnect the surviving mesh, so the resolved count can
-	// fall short of the request on very small meshes (see BindTopology).
-	DeadLinks int `json:"dead_links,omitempty"`
-	// DeadRouters is the number of routers that die permanently. A dead
-	// router kills every incident link and crashes the node behind it.
-	// Connectivity of the surviving routers is preserved as for DeadLinks.
-	DeadRouters int `json:"dead_routers,omitempty"`
-	// CrashedNodes is the number of additional nodes whose processor
-	// interface crashes (fail-silent: the node stops acknowledging
-	// invalidations and issuing operations) while its router keeps routing
-	// through-traffic.
-	CrashedNodes int `json:"crashed_nodes,omitempty"`
-	// DeathWindow spreads the hard-failure cycles uniformly (hashed) over
-	// [0, DeathWindow]. Zero means every hard failure is present from
-	// cycle 0.
-	DeathWindow sim.Time `json:"death_window,omitempty"`
 }
 
 // Enabled reports whether the config injects any fault at all.
 func (c Config) Enabled() bool {
-	return c.DropRate > 0 || c.AckLossRate > 0 || c.LinkStallRate > 0 || c.RouterSlowRate > 0 ||
-		c.HardFaults()
-}
-
-// HardFaults reports whether the config includes permanent failures.
-func (c Config) HardFaults() bool {
-	return c.DeadLinks > 0 || c.DeadRouters > 0 || c.CrashedNodes > 0
+	return c.DropRate > 0 || c.AckLossRate > 0 || c.LinkStallRate > 0 || c.RouterSlowRate > 0
 }
 
 // Domain salts decorrelate the decision streams of the different fault
 // kinds drawn from one seed.
 const (
-	saltDrop       = 0xD1B54A32D192ED03
-	saltDropHop    = 0x8CB92BA72F3D8DD7
-	saltAck        = 0xABC98388FB8FAC03
-	saltStall      = 0x49858ABBB1C85D07
-	saltRouter     = 0x2545F4914F6CDD1D
-	saltDeadLink   = 0x9E3779B97F4A7C15
-	saltDeadRouter = 0xC2B2AE3D27D4EB4F
-	saltCrash      = 0x165667B19E3779F9
-	saltDeathCycle = 0x27D4EB2F165667C5
+	saltDrop    = 0xD1B54A32D192ED03
+	saltDropHop = 0x8CB92BA72F3D8DD7
+	saltAck     = 0xABC98388FB8FAC03
+	saltStall   = 0x49858ABBB1C85D07
+	saltRouter  = 0x2545F4914F6CDD1D
 )
 
 // Injector implements network.Injector over a Config. All methods are pure
 // functions of (seed, arguments); the `now` parameters exist for interface
 // generality and deliberately do not enter any hash, so a decision cannot
 // depend on simulation timing.
-//
-// Hard (permanent) failures are the exception to statelessness: they are a
-// property of the topology, so a hard-fault injector must be bound to the
-// mesh (BindTopology) before the simulation starts, and DeadAt/CrashedAt
-// answer from the pre-resolved, seed-deterministic death schedule.
 type Injector struct {
-	cfg  Config
-	hard *hardSchedule
+	cfg Config
 }
 
 // New returns an injector for cfg, or nil when cfg injects nothing — so

@@ -129,15 +129,13 @@ func TestSeedsDecorrelated(t *testing.T) {
 // invisible to JSON would let the result store serve one fault mix's result
 // for another), and must flip Enabled() unless it is a pure parameter. The
 // allowlist pins exactly which fields are parameters: Seed (selects, never
-// injects), the two transient-duration knobs, and the hard-failure death
-// window. A new Config field added without wiring it into Enabled() or the
+// injects) and the two transient-duration knobs. A new Config field added without wiring it into Enabled() or the
 // JSON form fails here.
 func TestConfigFieldsParticipate(t *testing.T) {
 	paramOnly := map[string]bool{
 		"Seed":             true,
 		"LinkStallCycles":  true,
 		"RouterSlowCycles": true,
-		"DeathWindow":      true,
 	}
 	zeroJSON, err := json.Marshal(Config{})
 	if err != nil {

@@ -74,31 +74,18 @@ func writeMoves(b *bytes.Buffer, m *topology.Mesh, path []topology.NodeID, marks
 	moves := routing.Moves(m, path)
 	for i := 0; i < len(moves); {
 		j := i + 1
-		for j < len(moves) && moves[j] == moves[i] && (marks == nil || !marks[j]) {
+		for j < len(moves) && moves[j] == moves[i] && !marks[j] {
 			j++
 		}
 		b.WriteByte(" EWNS"[moves[i]])
 		if j-i > 1 {
 			fmt.Fprint(b, j-i)
 		}
-		if marks != nil && marks[j] {
+		if marks[j] {
 			b.WriteByte('*')
 		}
 		i = j
 	}
-}
-
-// planDeadSet draws a few dead links for one sharer set, so the degraded
-// search is exercised with detours, severed legs and outright failures.
-func planDeadSet(m *topology.Mesh, rng *sim.RNG) *topology.DeadSet {
-	dead := topology.NewDeadSet()
-	for len(dead.Links()) < 3 {
-		a := topology.NodeID(rng.Intn(m.Nodes()))
-		if nb, ok := m.Neighbor(a, topology.Port(1+rng.Intn(4))); ok {
-			dead.AddLink(a, nb)
-		}
-	}
-	return dead
 }
 
 // renderPlans renders every case plans.golden pins: a "#" header line per
@@ -107,12 +94,6 @@ func planDeadSet(m *topology.Mesh, rng *sim.RNG) *topology.DeadSet {
 // grouping.Groups and the one long-lived planner into one reused Plan; a
 // line whose two plans differ carries both, so the golden comparison fails
 // on it.
-//
-// The line ends with the degraded search's answer over each conformed
-// group's waypoints. With an empty dead set it must equal the group's own
-// path. With planDeadSet's links, a group whose answer is not its own path
-// is listed as "index:detour", or "index:-" when no conformed live path
-// exists.
 func renderPlans(p *Planner) []byte {
 	var b bytes.Buffer
 	var pl Plan
@@ -146,23 +127,6 @@ func renderPlans(p *Planner) []byte {
 						b.WriteString(" PLANNER ")
 						b.Write(alt.Bytes())
 					}
-					dead := planDeadSet(m, rng)
-					for gi, g := range fresh {
-						if !g.Conformed {
-							continue
-						}
-						wp := append([]topology.NodeID{home}, g.Members...)
-						if path, err := g.Base.PathThroughAvoiding(m, wp, topology.NewDeadSet()); err != nil || !equalNodes(path, g.Path) {
-							fmt.Fprintf(&b, " | %d:EMPTY-DEAD-SET-DIFFERS", gi)
-						}
-						switch path, err := g.Base.PathThroughAvoiding(m, wp, dead); {
-						case err != nil:
-							fmt.Fprintf(&b, " | %d:-", gi)
-						case !equalNodes(path, g.Path):
-							fmt.Fprintf(&b, " | %d:", gi)
-							writeMoves(&b, m, path, nil)
-						}
-					}
 					b.WriteByte('\n')
 				}
 			}
@@ -171,26 +135,14 @@ func renderPlans(p *Planner) []byte {
 	return b.Bytes()
 }
 
-func equalNodes(a, b []topology.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // TestPlansGolden pins every scheme's grouping output independently of
 // timing: the members and path of each group over planSetsPerCase seeded
-// sharer sets per (scheme, topology, d), plus the degraded search over each
-// group's waypoints. The golden was generated before the grouping layer
-// moved onto reusable scratch, so it also proves that move changed nothing;
-// planning through one planner for the whole run makes stale scratch show
-// up as a diff. Regenerate only for an intended grouping change, with
-// go test ./internal/grouping -run TestPlansGolden -update.
+// sharer sets per (scheme, topology, d). The golden was generated before
+// the grouping layer moved onto reusable scratch, so it also proves that
+// move changed nothing; planning through one planner for the whole run
+// makes stale scratch show up as a diff. Regenerate only for an intended
+// grouping change, with go test ./internal/grouping -run TestPlansGolden
+// -update.
 func TestPlansGolden(t *testing.T) {
 	got := renderPlans(new(Planner))
 	path := filepath.Join("testdata", "plans.golden")

@@ -48,16 +48,10 @@ type Collector struct {
 	// MsgsSent/MsgsRecv count protocol messages per node.
 	MsgsSent, MsgsRecv []uint64
 	// Retries counts invalidation-transaction recovery retries (i-ack
-	// timeouts that re-sent unacknowledged sharers); Fallbacks counts
-	// transactions degraded from multidestination to unicast invals
-	// (MI→UI); DupAcks counts duplicate acknowledgments absorbed by the
-	// idempotent recovery bookkeeping. All zero on fault-free runs.
-	Retries, Fallbacks, DupAcks uint64
-	// ImplicitInvals counts sharers invalidated implicitly at the directory
-	// because the node had crashed (hard faults); Relays counts degraded
-	// multi-leg messages re-injected at a relay pivot. Both zero unless a
-	// hard-fault schedule is active.
-	ImplicitInvals, Relays uint64
+	// timeouts that re-sent unacknowledged sharers); DupAcks counts
+	// duplicate acknowledgments absorbed by the idempotent recovery
+	// bookkeeping. Both zero on fault-free runs.
+	Retries, DupAcks uint64
 }
 
 // NewCollector returns a collector for a machine with n nodes.

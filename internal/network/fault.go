@@ -32,53 +32,6 @@ type Injector interface {
 	LoseAck(node topology.NodeID, txn uint64, now sim.Time) bool
 }
 
-// HardFaultInjector extends Injector with permanent failures: links and
-// routers that die at seed-determined cycles and never recover, plus
-// fail-silent node crashes. The network consults DeadAt on the per-hop hot
-// path to purge expendable worms stranded at a dead link; the protocol
-// layer consults it to route new traffic around the holes and CrashedAt to
-// suppress dead nodes' participation.
-type HardFaultInjector interface {
-	Injector
-	// HardFaults reports whether any permanent failure is configured; a
-	// false return means the network must not install the injector as Hard.
-	HardFaults() bool
-	// BindTopology resolves the failure schedule against the concrete mesh.
-	// Called once by the machine before simulation starts.
-	BindTopology(m *topology.Mesh)
-	// DeadAt returns the links/routers dead at cycle now (nil while nothing
-	// has died). now must be nondecreasing across calls; the returned set is
-	// read-only and valid only at now.
-	DeadAt(now sim.Time) *topology.DeadSet
-	// CrashedAt reports whether node's processor interface has crashed by
-	// cycle now.
-	CrashedAt(node topology.NodeID, now sim.Time) bool
-}
-
-// purgeWorm kills an expendable worm whose next hop crosses a permanently
-// dead link: the worm can never make progress there, so its held channels
-// are released (killWorm) and the purge is counted for the recovery layer.
-// Non-expendable worms are deliberately never purged — a dead link is
-// fail-stop for new traffic, but worms already in flight drain across it
-// (the grandfathering that keeps reply traffic, which has no retry
-// machinery, from wedging).
-//
-// A second purge of an already-killed (or finished) worm is a complete
-// no-op — the counter must not tick twice for one stranded worm, so the
-// state guard runs before the accounting, not just inside killWorm.
-//
-//simcheck:noalloc
-func (n *Network) purgeWorm(w *Worm, hop int) {
-	if !w.killable() {
-		return
-	}
-	n.stats.Purged++
-	if n.Rec != nil {
-		n.traceWorm(trace.KindWormKill, 0, w, w.Path[hop], uint64(hop), 0, "")
-	}
-	n.killWorm(w)
-}
-
 // killWorm removes w from the fabric mid-flight: every channel it still
 // holds is released immediately (the abrupt-tail semantics of a killed
 // worm), consumption channels at partially-streamed destinations are freed
@@ -131,23 +84,11 @@ func (w *Worm) killable() bool {
 // i-ack timeout fired calls AbortTxn before falling back to per-sharer
 // unicast invalidations under a fresh retry generation.
 func (n *Network) AbortTxn(txn uint64) int {
-	type victim struct {
-		w  *Worm
-		id uint64
-	}
-	var victims []victim
-	for _, w := range n.inFlightByID() {
-		if w.TxnID == txn && w.Expendable {
-			victims = append(victims, victim{w, w.ID})
-		}
-	}
 	killed := 0
-	for _, v := range victims {
-		// A kill hands lanes to waiting worms, which can retire (and even
-		// recycle and reissue) a later victim before its turn: only a worm
-		// still carrying its ID may die here, and killWorm skips it unless
-		// it is still in flight.
-		if v.w.ID == v.id && n.killWorm(v.w) {
+	for _, w := range n.inFlightByID() {
+		// A kill hands lanes to waiting worms, which can carry a later
+		// victim into its drain before its turn; killWorm skips it then.
+		if w.TxnID == txn && w.Expendable && n.killWorm(w) {
 			killed++
 			n.stats.Aborted++
 		}

@@ -84,7 +84,6 @@ type Stats struct {
 	// fabric (nil Network.Fault, no AbortTxn calls).
 	Dropped          uint64 // expendable worms killed mid-flight by injected faults
 	Aborted          uint64 // in-flight worms killed by transaction aborts
-	Purged           uint64 // expendable worms purged at permanently dead links
 	LostAcks         uint64 // i-ack posts lost by injected faults
 	StaleAcks        uint64 // i-ack posts absorbed after their transaction aborted
 	LinkStallCycles  uint64 // total injected link-stall wait, in cycles
@@ -104,11 +103,6 @@ type Network struct {
 	// faults: worm drops, link stalls, router slowdowns, lost acks. Nil —
 	// the default — models a fault-free fabric with zero perturbation.
 	Fault Injector
-	// Hard, when non-nil, carries the permanent-failure schedule (dead
-	// links, dead routers, node crashes). The machine sets it only when the
-	// injector actually has hard faults, so a nil check keeps the healthy
-	// fast path untouched.
-	Hard HardFaultInjector
 	// Rec, when non-nil, receives cycle-stamped worm-lifecycle events
 	// (inject/route/block/hold/drain/deliver and fault decisions). Nil —
 	// the default — costs one pointer comparison per hook site; recording
@@ -725,14 +719,6 @@ func (n *Network) requestNext(w *Worm, i int) {
 		n.grantCons(w, int32(i), pool, actConsFinal, false)
 		return
 	}
-	if n.Hard != nil && w.Expendable {
-		// The next hop crosses a permanently dead link: the worm can never
-		// pass, so purge it here instead of letting it queue forever.
-		if ds := n.Hard.DeadAt(n.Engine.Now()); ds.LinkDead(w.Path[i], w.Path[i+1]) {
-			n.purgeWorm(w, i)
-			return
-		}
-	}
 	if n.Fault != nil {
 		// A transient link failure: the header waits out the stall before
 		// competing for the link's virtual channels. Consulted once per
@@ -784,15 +770,6 @@ func (n *Network) grantLink(w *Worm, i int32, lane *channel, wasBlocked bool) {
 		return
 	}
 	ii := int(i)
-	if n.Hard != nil && w.Expendable {
-		// The link died while the worm was queued for it: hand the lane back
-		// and purge. (requestNext caught deaths that predate the request.)
-		if ds := n.Hard.DeadAt(now); ds.LinkDead(w.Path[ii], w.Path[ii+1]) {
-			n.releaseLane(lane, now)
-			n.purgeWorm(w, ii)
-			return
-		}
-	}
 	if n.Rec != nil {
 		if wasBlocked {
 			n.traceWorm(trace.KindWormGrant, trace.BlockLink, w, w.Path[ii], uint64(ii), 0, "")

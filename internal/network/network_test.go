@@ -827,48 +827,3 @@ func TestDiagnoseGolden(t *testing.T) {
 	r.n.PostAck(s1, txn)
 	r.e.Run()
 }
-
-// TestPurgeWormIdempotent pins the double-purge contract: purging the same
-// worm twice at a dead link is a complete no-op the second time — channels
-// are released once, the worm is retired once, and Stats.Purged counts one
-// purge, not two. (Both directions of a dead link can observe the same
-// stranded worm in one cycle, so the purge path must tolerate re-entry.)
-func TestPurgeWormIdempotent(t *testing.T) {
-	r := newRig(t, 4, nil)
-	w := r.unicastWorm(routing.ECube, Request, r.at(0, 0), r.at(3, 0), 0)
-	w.Expendable = true
-	r.n.Inject(w)
-	if r.n.Outstanding() != 1 {
-		t.Fatalf("outstanding = %d after inject", r.n.Outstanding())
-	}
-
-	r.n.purgeWorm(w, 1)
-	if got := r.n.Stats().Purged; got != 1 {
-		t.Fatalf("Purged = %d after first purge, want 1", got)
-	}
-	if r.n.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after purge, want 0", r.n.Outstanding())
-	}
-
-	// Second purge (same hop or another): a no-op, counted zero times.
-	r.n.purgeWorm(w, 1)
-	r.n.purgeWorm(w, 2)
-	r.n.killWorm(w)
-	if got := r.n.Stats().Purged; got != 1 {
-		t.Fatalf("Purged = %d after double purge, want 1", got)
-	}
-	if r.n.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after double purge", r.n.Outstanding())
-	}
-
-	// The fabric is intact: fresh traffic still flows over the same links.
-	r.got = nil
-	r.n.Inject(r.unicastWorm(routing.ECube, Request, r.at(0, 0), r.at(3, 0), 0))
-	r.e.Run()
-	if len(r.got) != 1 || !r.got[0].Final {
-		t.Fatalf("post-purge delivery = %+v, want one final", r.got)
-	}
-	if r.n.Outstanding() != 0 {
-		t.Fatal("network not quiesced after post-purge traffic")
-	}
-}

@@ -90,14 +90,13 @@ func TestRegistryScrambledRetirement(t *testing.T) {
 		if r.n.killWorm(w) {
 			t.Fatal("killWorm killed a recycled worm")
 		}
-		r.n.purgeWorm(w, 0)
 	}
 	if got := r.n.AbortTxn(5); got != 0 {
 		t.Fatalf("AbortTxn(5) killed %d worms; its only worm completed and recycled", got)
 	}
-	if st := r.n.Stats(); st.Purged != 0 || st.Aborted != 0 || r.n.Outstanding() != 2 {
-		t.Fatalf("a recycled worm was treated as live: purged %d, aborted %d, outstanding %d",
-			st.Purged, st.Aborted, r.n.Outstanding())
+	if st := r.n.Stats(); st.Aborted != 0 || r.n.Outstanding() != 2 {
+		t.Fatalf("a recycled worm was treated as live: aborted %d, outstanding %d",
+			st.Aborted, r.n.Outstanding())
 	}
 
 	r.e.Run()
@@ -107,39 +106,15 @@ func TestRegistryScrambledRetirement(t *testing.T) {
 	}
 }
 
-// deadLinkSwitch is a hard-fault injector with one link that dies when the
-// test sets dead, and no other fault.
-type deadLinkSwitch struct {
-	dead bool
-	set  *topology.DeadSet
-}
-
-func (d *deadLinkSwitch) DropWorm(*Worm, int, sim.Time) bool             { return false }
-func (d *deadLinkSwitch) RouterPenalty(*Worm, int, sim.Time) sim.Time    { return 0 }
-func (d *deadLinkSwitch) LinkStall(*Worm, int, sim.Time) sim.Time        { return 0 }
-func (d *deadLinkSwitch) LoseAck(topology.NodeID, uint64, sim.Time) bool { return false }
-func (d *deadLinkSwitch) HardFaults() bool                               { return true }
-func (d *deadLinkSwitch) BindTopology(*topology.Mesh)                    {}
-func (d *deadLinkSwitch) CrashedAt(topology.NodeID, sim.Time) bool       { return false }
-func (d *deadLinkSwitch) DeadAt(sim.Time) *topology.DeadSet {
-	if d.dead {
-		return d.set
-	}
-	return nil
-}
-
-// TestAbortTxnKillsInIDOrderAndSkipsRetired aborts a transaction with three
-// expendable worms in flight: a gather A stalled on an unposted i-ack, a
-// unicast B queued for a link A holds, and a just-injected unicast C, with
-// the registry scrambled to C, A, B. B's link has died while it queued, so
-// killing A hands B the lane and B is purged, retired and recycled inside
-// the abort. AbortTxn must kill A then C, in ID order, and skip B.
-func TestAbortTxnKillsInIDOrderAndSkipsRetired(t *testing.T) {
+// TestAbortTxnKillsInIDOrder aborts a transaction with three expendable
+// worms in flight: a gather A stalled on an unposted i-ack, a unicast B
+// queued for a link A holds, and a just-injected unicast C, with the
+// registry scrambled to C, A, B. Killing A hands B the lane inside the
+// abort; AbortTxn must still kill A, B and C in ID order.
+func TestAbortTxnKillsInIDOrder(t *testing.T) {
 	r := newRig(t, 8, nil)
 	rec := trace.NewRecorder(4096)
 	r.n.Rec = rec
-	hard := &deadLinkSwitch{set: topology.NewDeadSet()}
-	r.n.Hard = hard
 	const txn = 7
 
 	// Reserve the i-ack entries, then send the gather back to stall at s1.
@@ -182,29 +157,35 @@ func TestAbortTxnKillsInIDOrderAndSkipsRetired(t *testing.T) {
 		if r.n.inFlight[0] != c || r.n.inFlight[1] != a || r.n.inFlight[2] != b {
 			t.Fatal("registry not scrambled to C, A, B")
 		}
-		hard.set.AddLink(r.at(3, 4), r.at(3, 3))
-		hard.dead = true
-
 		ida, idb, idc := a.ID, b.ID, c.ID
 		rec.Reset()
-		if got := r.n.AbortTxn(txn); got != 2 {
-			t.Fatalf("AbortTxn killed %d worms, want 2 (A and C)", got)
+		if got := r.n.AbortTxn(txn); got != 3 {
+			t.Fatalf("AbortTxn killed %d worms, want 3 (A, B and C)", got)
 		}
-		var kills []uint64
+		// The trace is A's kill, B's grant of A's lane, then B's and C's
+		// kills.
+		var kills, grants []uint64
 		for _, ev := range rec.Events() {
-			if ev.Kind == trace.KindWormKill {
+			switch ev.Kind {
+			case trace.KindWormKill:
 				kills = append(kills, ev.Worm)
+			case trace.KindWormGrant:
+				if len(kills) == 1 {
+					grants = append(grants, ev.Worm)
+				}
 			}
 		}
-		// B's two kill events are its purge and the kill the purge performs.
-		if want := []uint64{ida, idb, idb, idc}; !reflect.DeepEqual(kills, want) {
+		if want := []uint64{ida, idb, idc}; !reflect.DeepEqual(kills, want) {
 			t.Fatalf("kill events for worms %v, want %v", kills, want)
 		}
-		if st := r.n.Stats(); st.Aborted != 2 || st.Purged != 1 {
-			t.Fatalf("aborted %d, purged %d; want 2, 1", st.Aborted, st.Purged)
+		if want := []uint64{idb}; !reflect.DeepEqual(grants, want) {
+			t.Fatalf("grants between the first two kills for worms %v, want B's %v", grants, want)
 		}
-		if b.slot != 0 || b.ID != 0 || r.n.killWorm(b) {
-			t.Fatal("B should be recycled and unkillable")
+		if st := r.n.Stats(); st.Aborted != 3 {
+			t.Fatalf("aborted %d, want 3", st.Aborted)
+		}
+		if r.n.killWorm(b) {
+			t.Fatal("B should be dead")
 		}
 		if r.n.Outstanding() != 0 {
 			t.Fatalf("outstanding %d after the abort:\n%s", r.n.Outstanding(), r.n.Diagnose())

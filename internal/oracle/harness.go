@@ -55,10 +55,6 @@ func (c RunConfig) String() string {
 		fault = fmt.Sprintf("drop=%g ackloss=%g stall=%g slow=%g seed=%#x",
 			c.Fault.DropRate, c.Fault.AckLossRate, c.Fault.LinkStallRate,
 			c.Fault.RouterSlowRate, c.Fault.Seed)
-		if c.Fault.HardFaults() {
-			fault += fmt.Sprintf(" deadlinks=%d deadrouters=%d crashes=%d window=%d",
-				c.Fault.DeadLinks, c.Fault.DeadRouters, c.Fault.CrashedNodes, c.Fault.DeathWindow)
-		}
 	}
 	return fmt.Sprintf("%dx%d %v %v lines=%d chaos=%d recovery=%v fault={%s} ops=%d",
 		c.Width, c.Height, c.Scheme, c.Consistency, c.CacheLines, c.ChaosSeed,
@@ -72,13 +68,8 @@ type RunResult struct {
 	Config    RunConfig
 	History   *History
 	Completed int
-	// Skipped counts operations abandoned because their node's processor
-	// crashed before they could issue (hard-fault runs only): a fail-silent
-	// processor issues nothing, so its remaining program order is dropped
-	// rather than failed.
-	Skipped  int
-	Cycles   uint64
-	Failures []string
+	Cycles    uint64
+	Failures  []string
 }
 
 // OK reports whether the run passed every oracle.
@@ -89,9 +80,6 @@ func (r *RunResult) Report() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "run %s\n", r.Config)
 	fmt.Fprintf(&sb, "  completed=%d cycles=%d po=%v\n", r.Completed, r.Cycles, r.History.PO)
-	if r.Skipped > 0 {
-		fmt.Fprintf(&sb, "  skipped=%d (issued after a processor crash)\n", r.Skipped)
-	}
 	blocks := make([]int, 0, len(r.History.Commit))
 	for b := range r.History.Commit {
 		blocks = append(blocks, b)
@@ -112,10 +100,9 @@ func (r *RunResult) Report() string {
 }
 
 // params is the machine cfg runs on: DefaultParams with cfg's shape, scheme,
-// consistency model, cache bound, recovery and fault injector (inj, nil on a
-// fault-free run).
-func (cfg RunConfig) params() (p coherence.Params, inj *faults.Injector) {
-	p = coherence.DefaultParams(cfg.Width, cfg.Scheme)
+// consistency model, cache bound, recovery and fault injector.
+func (cfg RunConfig) params() coherence.Params {
+	p := coherence.DefaultParams(cfg.Width, cfg.Scheme)
 	p.MeshWidth, p.MeshHeight = cfg.Width, cfg.Height
 	p.Consistency = cfg.Consistency
 	p.CacheLines = cfg.CacheLines
@@ -131,10 +118,9 @@ func (cfg RunConfig) params() (p coherence.Params, inj *faults.Injector) {
 		// crash the network on a nil receiver.
 		if i := faults.New(*cfg.Fault); i != nil {
 			p.Fault = i
-			inj = i
 		}
 	}
-	return p, inj
+	return p
 }
 
 // Run executes the workload on a real coherence.Machine while a shadow
@@ -174,7 +160,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		perNode[op.Node] = append(perNode[op.Node], op)
 	}
 
-	p, inj := cfg.params()
+	p := cfg.params()
 	m := coherence.NewMachine(p)
 	if cfg.ChaosSeed != 0 {
 		m.Engine.Chaos(cfg.ChaosSeed)
@@ -273,15 +259,6 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		if idx[n] >= len(perNode[n]) {
 			return
 		}
-		if inj != nil && inj.CrashedAt(topology.NodeID(n), m.Engine.Now()) {
-			// The node's processor crashed (fail-silent): the rest of its
-			// program order is abandoned, not failed. Ops already in flight
-			// completed before this point — issue is re-entered only from
-			// their completion callbacks.
-			res.Skipped += len(perNode[n]) - idx[n]
-			idx[n] = len(perNode[n])
-			return
-		}
 		op := perNode[n][idx[n]]
 		idx[n]++
 		node := topology.NodeID(n)
@@ -354,9 +331,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	res.History = &History{Streams: streams, Commit: commit, PO: po}
 
-	if want := len(cfg.Ops) - res.Skipped; completed != want {
-		fail("only %d/%d operations completed (%d skipped by crashes):\n%s",
-			completed, want, res.Skipped, m.Net.Diagnose())
+	if completed != len(cfg.Ops) {
+		fail("only %d/%d operations completed:\n%s",
+			completed, len(cfg.Ops), m.Net.Diagnose())
 		return res, nil
 	}
 	if !m.Quiesced() {

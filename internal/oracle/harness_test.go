@@ -102,69 +102,6 @@ func TestRunFaultSchedules(t *testing.T) {
 	}
 }
 
-// TestRunNodeCrashSchedules layers fail-silent processor crashes under the
-// SC oracle: two nodes crash at seed-hashed cycles mid-run, their remaining
-// program orders are abandoned, and every surviving operation must complete
-// with a legal value — the recovery path absorbs the crashed sharers'
-// silence via implicit invalidation without ever letting a stale value
-// commit or the watchdog fire.
-func TestRunNodeCrashSchedules(t *testing.T) {
-	skipped := 0
-	for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			res, err := Run(RunConfig{
-				Width: 3, Height: 3, Scheme: s,
-				CacheLines: 4, ChaosSeed: seed,
-				Recovery:   true,
-				MaxRetries: 32,
-				Fault: &faults.Config{
-					Seed:         sim.DeriveSeed(0xC4A54E7, seed),
-					CrashedNodes: 2,
-					DeathWindow:  4096,
-				},
-				Ops:        genOps(seed*41, 9, 6, 120, false),
-				CheckEvery: 10,
-				Watchdog:   true,
-			})
-			requireOK(t, res, err)
-			skipped += res.Skipped
-		}
-	}
-	if skipped == 0 {
-		t.Fatal("no operation was ever skipped by a crash; the schedules never exercised fail-silence")
-	}
-}
-
-// TestRunLinkDeathSchedules layers permanent link death under the SC
-// oracle: two links die at seed-hashed cycles and every transaction must
-// still complete with a legal value over degraded routes (detours, relays,
-// severed-group fallbacks, purged worms re-covered by retries).
-func TestRunLinkDeathSchedules(t *testing.T) {
-	for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIUAEC, grouping.MIMAEC} {
-		for seed := uint64(1); seed <= 3; seed++ {
-			s, seed := s, seed
-			t.Run(s.String(), func(t *testing.T) {
-				t.Parallel()
-				res, err := Run(RunConfig{
-					Width: 3, Height: 3, Scheme: s,
-					CacheLines: 4, ChaosSeed: seed,
-					Recovery:   true,
-					MaxRetries: 32,
-					Fault: &faults.Config{
-						Seed:        sim.DeriveSeed(0xDEADE7, seed),
-						DeadLinks:   2,
-						DeathWindow: 4096,
-					},
-					Ops:        genOps(seed*53, 9, 6, 120, false),
-					CheckEvery: 10,
-					Watchdog:   true,
-				})
-				requireOK(t, res, err)
-			})
-		}
-	}
-}
-
 // TestRunReleaseConsistency exercises the store-buffer path: asynchronous
 // writes, coalescing, store-to-load forwarding, and fences, checked under
 // the weaker fence-only program order.

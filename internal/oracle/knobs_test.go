@@ -7,12 +7,14 @@ import (
 	"testing"
 
 	"repro/internal/coherence"
+	"repro/internal/faults"
 	"repro/internal/grouping"
 	"repro/internal/network"
 )
 
-// The knob ledger: every field of coherence.Params, coherence.Variant and
-// network.Config sits on exactly one of three lists. A field whose type is
+// The knob ledger: every field of coherence.Params, coherence.Variant,
+// network.Config and faults.Config (the plan Params.Fault is built from,
+// listed as Fault) sits on exactly one of three lists. A field whose type is
 // itself walked (Params.Net, a network.Config) is covered by its own fields.
 var (
 	// decodedKnobs are the fields DecodeRunConfig varies, so the fuzz
@@ -21,6 +23,8 @@ var (
 		"Params.MeshSize", "Params.MeshWidth", "Params.MeshHeight", "Params.Scheme",
 		"Params.Consistency", "Params.CacheLines", "Params.Recovery", "Params.Fault",
 		"Variant.CacheLines", "Variant.Consistency",
+		"Fault.Seed", "Fault.DropRate", "Fault.AckLossRate", "Fault.LinkStallRate",
+		"Fault.LinkStallCycles", "Fault.RouterSlowRate", "Fault.RouterSlowCycles",
 	}
 	// timingKnobs set how long a step takes or how many flits a message
 	// has, never which messages are sent or where they may wait.
@@ -39,9 +43,27 @@ var (
 	}
 )
 
-// ledgerTypes are the walked structs, each named by its type's name.
-var ledgerTypes = []reflect.Type{
-	reflect.TypeFor[coherence.Params](), reflect.TypeFor[coherence.Variant](), reflect.TypeFor[network.Config](),
+// ledgerTypes are the walked structs and the names their fields are listed
+// under.
+var ledgerTypes = []struct {
+	typ  reflect.Type
+	name string
+}{
+	{reflect.TypeFor[coherence.Params](), "Params"},
+	{reflect.TypeFor[coherence.Variant](), "Variant"},
+	{reflect.TypeFor[network.Config](), "Config"},
+	{reflect.TypeFor[faults.Config](), "Fault"},
+}
+
+// ledgerName is the name typ's fields are listed under, or "" when typ is
+// not walked.
+func ledgerName(typ reflect.Type) string {
+	for _, lt := range ledgerTypes {
+		if lt.typ == typ {
+			return lt.name
+		}
+	}
+	return ""
 }
 
 // knobs lists v's fields as "Type.Field", descending into a field of a
@@ -50,11 +72,11 @@ func knobs(v reflect.Value, values map[string]reflect.Value) []string {
 	var names []string
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
-		if slices.Contains(ledgerTypes, f.Type()) {
+		if ledgerName(f.Type()) != "" {
 			names = append(names, knobs(f, values)...)
 			continue
 		}
-		name := v.Type().Name() + "." + v.Type().Field(i).Name
+		name := ledgerName(v.Type()) + "." + v.Type().Field(i).Name
 		names = append(names, name)
 		if values != nil {
 			values[name] = f
@@ -82,13 +104,13 @@ func ledgerList(t *testing.T, knob string) string {
 	return on[0]
 }
 
-// TestKnobLedger: every field of the three structs is on exactly one list,
+// TestKnobLedger: every field of the four structs is on exactly one list,
 // and every listed name is a field, so adding a knob, or deleting one
 // without its row, fails here.
 func TestKnobLedger(t *testing.T) {
 	var fields []string
-	for _, typ := range ledgerTypes {
-		fields = append(fields, knobs(reflect.New(typ).Elem(), nil)...)
+	for _, lt := range ledgerTypes {
+		fields = append(fields, knobs(reflect.New(lt.typ).Elem(), nil)...)
 	}
 	for _, f := range fields {
 		ledgerList(t, f)
@@ -104,11 +126,13 @@ func TestKnobLedger(t *testing.T) {
 
 // TestDecodedKnobsAreDecoded holds the ledger to the decoder: over inputs
 // that set each header byte to every value, with and without faults, a
-// decoded machine field takes some value other than DefaultParams', and
-// every other machine field never does.
+// decoded machine field takes some value other than DefaultParams', a
+// decoded fault field some value other than zero in the decoded fault plan,
+// and every other field never does.
 func TestDecodedKnobsAreDecoded(t *testing.T) {
 	def := map[string]reflect.Value{}
 	knobs(reflect.ValueOf(coherence.DefaultParams(2, grouping.UIUA)), def)
+	knobs(reflect.ValueOf(faults.Config{}), def)
 	varied := map[string]bool{}
 	for _, allowFaults := range []bool{false, true} {
 		for i := 0; i < 8; i++ {
@@ -119,9 +143,12 @@ func TestDecodedKnobsAreDecoded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, _ := cfg.params()
+				p := cfg.params()
 				got := map[string]reflect.Value{}
 				knobs(reflect.ValueOf(p), got)
+				if cfg.Fault != nil {
+					knobs(reflect.ValueOf(*cfg.Fault), got)
+				}
 				for name, v := range got {
 					if !reflect.DeepEqual(v.Interface(), def[name].Interface()) {
 						varied[name] = true

@@ -286,11 +286,11 @@ type legOpts struct {
 }
 
 // Search is the reusable scratch of the conformed-path search behind
-// PathThrough and PathThroughAvoiding: one flat (leg, DFA state) dead-end
-// memo and one DFS frame per leg. The zero value is ready to use. A caller
-// that searches often (the grouping planner) keeps one, so a steady-state
-// search allocates nothing but the path it is asked to grow. A Search must
-// not be shared between goroutines.
+// PathThrough: one flat (leg, DFA state) dead-end memo and one DFS frame
+// per leg. The zero value is ready to use. A caller that searches often
+// (the grouping planner) keeps one, so a steady-state search allocates
+// nothing but the path it is asked to grow. A Search must not be shared
+// between goroutines.
 type Search struct {
 	memo   []bool
 	frames []searchFrame
@@ -332,7 +332,7 @@ func (b Base) PathThroughInto(buf []topology.NodeID, s *Search, m *topology.Mesh
 	if s == nil {
 		s = new(Search)
 	}
-	path, ok := s.through(b, buf, m, waypoints, nil)
+	path, ok := s.through(b, buf, m, waypoints)
 	if !ok {
 		return nil, fmt.Errorf("routing: no %v-conformed path through %d waypoints from %v",
 			b, len(waypoints), m.Coord(waypoints[0]))
@@ -342,9 +342,7 @@ func (b Base) PathThroughInto(buf []topology.NodeID, s *Search, m *topology.Mesh
 
 // through is the one conformed-path search. It appends to buf the path from
 // waypoints[0] (there must be at least one) through the rest in order, and
-// reports false when the base routing admits none. With a non-nil dead set
-// a leg realization qualifies only if its hops cross no dead link (the
-// degraded re-realization, PathThroughAvoiding).
+// reports false when the base routing admits none.
 //
 // The DFS tries each leg's realizations in legOptions order and descends on
 // the first that keeps the DFA alive, so it picks the same path a recursive
@@ -352,7 +350,7 @@ func (b Base) PathThroughInto(buf []topology.NodeID, s *Search, m *topology.Mesh
 // and never expanded again.
 //
 //simcheck:noalloc
-func (s *Search) through(b Base, buf []topology.NodeID, m *topology.Mesh, waypoints []topology.NodeID, dead *topology.DeadSet) ([]topology.NodeID, bool) {
+func (s *Search) through(b Base, buf []topology.NodeID, m *topology.Mesh, waypoints []topology.NodeID) ([]topology.NodeID, bool) {
 	nLegs := len(waypoints) - 1
 	if nLegs == 0 {
 		buf = append(buf, waypoints[0])
@@ -380,9 +378,6 @@ func (s *Search) through(b Base, buf []topology.NodeID, m *topology.Mesh, waypoi
 		}
 		opt := f.opts.opt[f.next]
 		f.next++
-		if dead != nil && !legLive(m, waypoints[leg], opt, dead) {
-			continue
-		}
 		ns := b.runLeg(f.st, opt)
 		if ns == dfaFail {
 			continue

@@ -17,7 +17,7 @@ func FuzzJobRequest(f *testing.F) {
 		`{"id":"async-1","points":[{"k":4,"scheme":"UI-UA","d":3,"pattern":"clustered","trials":2,"seed":9}]}`,
 		`{"points":[{"k":4,"scheme":"MI-MA-ec","d":2,"pattern":"random","trials":2,"seed":3},{"k":4,"scheme":"MI-MA-ec","d":3,"pattern":"random","trials":2,"seed":3}]}`,
 		`{"id":"load-1-warm","points":[{"k":4,"scheme":"MI-MA-pa","d":2,"pattern":"clustered","trials":2,"seed":18446744073709551615}],"priority":3,"timeout_ms":250}`,
-		`{"points":[{"k":8,"scheme":"MI-MA-ec","d":6,"pattern":"random","trials":2,"seed":1,"chaos_seed":5,"faults":{"seed":7,"drop_rate":0.1,"ack_loss_rate":0.05,"dead_links":2,"death_window":4096}}]}`,
+		`{"points":[{"k":8,"scheme":"MI-MA-ec","d":6,"pattern":"random","trials":2,"seed":1,"chaos_seed":5,"faults":{"seed":7,"drop_rate":0.1,"ack_loss_rate":0.05}}]}`,
 		`{"id":"../x","points":[{"k":4,"scheme":"UI-UA","d":2,"pattern":"random","trials":1,"seed":1}]}`,
 		`{"points":[{"k":100000,"scheme":"UI-UA","d":1,"pattern":"random","trials":1}]}`,
 		`{"points":[{"k":4,"scheme":"UI-UA","d":99,"pattern":"random","trials":1}]}`,
@@ -28,7 +28,9 @@ func FuzzJobRequest(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var jr JobRequest
-		if json.NewDecoder(bytes.NewReader(body)).Decode(&jr) != nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&jr) != nil {
 			return
 		}
 		spec, err := jr.Spec()

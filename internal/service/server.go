@@ -31,10 +31,13 @@ func NewServer(svc *Service) *Server {
 const maxBodyBytes = 1 << 20
 
 // decodeBody decodes the JSON body of a POST into v. It answers 413 for a
-// body over maxBodyBytes and 400 for any other malformed one, and reports
-// whether v holds the request.
+// body over maxBodyBytes and 400 for any other malformed one, a field v does
+// not have included: a silently dropped field would serve another point than
+// the one asked for. It reports whether v holds the request.
 func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
 	if err == nil {
 		return true
 	}

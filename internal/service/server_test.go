@@ -594,6 +594,23 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed body: %s; want 400", resp.Status)
 	}
+	// A field the request type lacks is refused by name, at the top level
+	// and inside a point, never dropped to serve another point.
+	for _, c := range []struct{ path, body, field string }{
+		{"/v1/jobs?wait=1", `{"points":[{"k":4,"scheme":"UI-UA","d":2,"pattern":"random","trials":1,"seed":1}],"priorty":3}`, "priorty"},
+		{"/v1/jobs?wait=1", `{"points":[{"k":4,"scheme":"UI-UA","d":2,"pattern":"random","trials":1,"seed":1,"faults":{"seed":1,"dead_links":2}}]}`, "dead_links"},
+		{"/v1/experiments", `{"name":"latency","k":4,"trails":1}`, "trails"},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"`+c.field+`\"`) {
+			t.Fatalf("%s %s: %s: %s; want 400 naming %q", c.path, c.body, resp.Status, body, c.field)
+		}
+	}
 	for i, jr := range []JobRequest{
 		{},
 		{Points: []PointSpec{{K: 4, Scheme: "no-such", D: 2, Pattern: "random", Trials: 1}}},

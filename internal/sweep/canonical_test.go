@@ -144,8 +144,6 @@ func randomPoint(r *sim.RNG) Point {
 			Seed: seed(), DropRate: r.Float64(), AckLossRate: r.Float64() / 3,
 			LinkStallRate: float64(r.Intn(3)) * r.Float64(), LinkStallCycles: sim.Time(r.Intn(500)),
 			RouterSlowRate: 1e-9 * r.Float64(), RouterSlowCycles: sim.Time(r.Intn(3)),
-			DeadLinks: r.Intn(3), DeadRouters: r.Intn(2), CrashedNodes: r.Intn(2),
-			DeathWindow: sim.Time(r.Intn(1 << 20)),
 		}
 	}
 	if r.Intn(2) == 0 {
@@ -199,7 +197,7 @@ func FuzzCanonicalJSON(f *testing.F) {
 			Trials: trials, Seed: seed, ChaosSeed: chaos, App: app, OfferedLoad: load,
 		}
 		if opt&1 != 0 {
-			p.Faults = &faults.Config{Seed: seed ^ chaos, DropRate: rate, DeadLinks: d}
+			p.Faults = &faults.Config{Seed: seed ^ chaos, DropRate: rate}
 		}
 		if opt&2 != 0 {
 			p.Tune = &coherence.Variant{VCTDeferred: opt&4 != 0, VirtualChannels: k}

@@ -89,11 +89,6 @@ type Measures struct {
 	// without the fields load unchanged.
 	Retries float64 `json:"retries,omitempty"`
 	Drops   float64 `json:"drops,omitempty"`
-	// Fallbacks and Purges are the hard-fault degradation means (MI->UI
-	// group fallbacks and dead-link worm purges per trial); zero without
-	// hard faults, so stored results without the fields load unchanged.
-	Fallbacks float64 `json:"fallbacks,omitempty"`
-	Purges    float64 `json:"purges,omitempty"`
 	// Makespan and GatherWaits are a burst's: the cycles from the
 	// simultaneous issue to the last write grant, and the i-gather worms that
 	// found an ack not yet posted. Occupancy is its profile, when asked for.
@@ -119,8 +114,6 @@ func MeasuresOf(r workload.InvalResult) Measures {
 		Completed: r.Completed,
 		Retries:   r.Retries,
 		Drops:     r.Drops,
-		Fallbacks: r.Fallbacks,
-		Purges:    r.Purges,
 	}
 }
 

@@ -134,12 +134,6 @@ type InvalResult struct {
 	// without fault injection.
 	Retries float64
 	Drops   float64
-	// Fallbacks is the mean number of MI->UI degradations per trial (group
-	// severed by a dead resource or recovery-path retry) and Purges the mean
-	// number of worms purged at dead links per trial; both zero without
-	// hard-fault injection.
-	Fallbacks float64
-	Purges    float64
 	// Metrics is the machine's full collector, for callers that read more
 	// than the means (sweep.RunPointDirect hands it back). A sharer
 	// installed functionally (coherence.Machine.InstallSharer) leaves no
@@ -196,7 +190,7 @@ func RunInval(cfg InvalConfig) InvalResult {
 	var res InvalResult
 	ops := newOpRunner(m)
 	var pl placer
-	var homeMsgs, groups, flitHops, messages, retries, drops, fallbacks, purges float64
+	var homeMsgs, groups, flitHops, messages, retries, drops float64
 	for trial := 0; trial < cfg.Trials; trial++ {
 		if cfg.Interrupt != nil && cfg.Interrupt() {
 			break
@@ -213,7 +207,6 @@ func RunInval(cfg InvalConfig) InvalResult {
 			ops.installSharer(s, block)
 		}
 		before := m.Net.Stats()
-		beforeFallbacks := m.Metrics.Fallbacks
 		nInvals := len(m.Metrics.Invals)
 		ops.run(true, writer, block)
 		after := m.Net.Stats()
@@ -228,8 +221,6 @@ func RunInval(cfg InvalConfig) InvalResult {
 		messages += float64(rec.Groups + acks)
 		retries += float64(rec.Retries)
 		drops += float64(after.Dropped - before.Dropped)
-		fallbacks += float64(m.Metrics.Fallbacks - beforeFallbacks)
-		purges += float64(after.Purged - before.Purged)
 		// Total flit-hops during the write: the writeReq/writeReply pair
 		// plus the invalidation and acknowledgment traffic.
 		flitHops += float64(after.FlitHops - before.FlitHops)
@@ -241,8 +232,6 @@ func RunInval(cfg InvalConfig) InvalResult {
 		res.Messages = messages / n
 		res.Retries = retries / n
 		res.Drops = drops / n
-		res.Fallbacks = fallbacks / n
-		res.Purges = purges / n
 	}
 	res.Metrics = m.Metrics
 	res.EngineEvents = m.Engine.Fired()
