@@ -100,8 +100,8 @@ cover:
 # scheme and d; building a network or a machine costs the same allocations
 # at every mesh size; once grown, the block tables' fill/invalidate and
 # op add/remove churn allocates nothing), the block table against a map
-# oracle and the order-independence of what is built from its cells (LRU
-# victims, Directory.ForEach), and the pinned event counts of an
+# oracle and the order-independence of what is built from its cells
+# (Directory.ForEach), and the pinned event counts of an
 # invalidation sweep, an application replay and a traffic run (a change that
 # moves the schedule moves them), and the serving layer's gates (the byte-level fingerprint
 # canonicalizer against its reflection oracle and the pinned fingerprints, the
@@ -110,7 +110,9 @@ cover:
 # run with and without a recorder, must encode byte-identical Measures), and
 # the knob ledger (every field of coherence.Params, coherence.Variant,
 # network.Config and faults.Config is decoded by the oracle's fuzz decoder,
-# timing-only, or on ROADMAP item 6's unchecked list). Any engine change must pass this before
+# timing-only, or on ROADMAP item 6's unchecked list), and the wedge ledger
+# (the exact set of Barnes-Hut replays that wedge, plus one fuzz-found
+# reproducer; ROADMAP item 2). Any engine change must pass this before
 # it ships.
 equiv:
 	$(GO) test ./internal/sim -run 'TestEngineEquivalence|TestQueue|TestEngineAllocs' -count=1
@@ -119,13 +121,13 @@ equiv:
 	$(GO) test ./internal/experiments -run 'TestGoldenTablesSeed|TestGoldenCellTables' -count=1
 	$(GO) test ./internal/network -run TestWormAllocsPerUnicast -count=1
 	$(GO) test ./internal/blocktab -run 'TestTableMatchesMap|TestZeroTableAllocatesNothing|TestChurnAllocatesNothing' -count=1
-	$(GO) test ./internal/cache ./internal/directory -run 'TestEvictionIgnoresFillOrder|TestForEachAscending' -count=1
+	$(GO) test ./internal/directory -run TestForEachAscending -count=1
 	$(GO) test ./internal/coherence -run 'TestNewMachineAllocs|TestBlockTableChurnAllocs' -count=1
 	$(GO) test ./internal/apps -run TestReplayAllocsIndependentOfLength -count=1
 	$(GO) test ./internal/workload -run 'TestInstallSharerMatchesSimulatedReads|TestTrafficAllocsIndependentOfLength|TestInvalAllocsPerTxn|TestEventCountsPinned' -count=1
 	$(GO) test ./internal/sweep -run 'TestCanonicalMatchesReflection|TestFingerprintPinned|TestRecordingIsNeutral' -count=1
 	$(GO) test ./internal/service -run 'TestWriteJSONMatchesEncoder|TestCachedJobAllocs' -count=1
-	$(GO) test ./internal/oracle -run 'TestKnobLedger|TestDecodedKnobsAreDecoded|TestVariantKnobsMirrorTheMachine' -count=1
+	$(GO) test ./internal/oracle -run 'TestKnobLedger|TestDecodedKnobsAreDecoded|TestVariantKnobsMirrorTheMachine|TestWedgeLedger' -count=1
 
 check: vet lint build test race oracle fuzz equiv loadtest
 

@@ -1,8 +1,9 @@
 // Package cache models each DSM node's coherent cache at the granularity
 // the coherence protocol needs: per-block line states (invalid / shared /
-// modified) with an optional capacity bound and LRU replacement. Timing
-// (hit, miss, invalidate latencies) lives in the protocol configuration;
-// this package tracks state and replacement only.
+// modified). Caches are unbounded, the paper's "no conflict misses"
+// machine: a line leaves only by invalidation. Timing (hit, miss,
+// invalidate latencies) lives in the protocol configuration; this package
+// tracks state only.
 package cache
 
 import (
@@ -34,54 +35,39 @@ func (s LineState) String() string {
 	return "linestate(?)"
 }
 
-type line struct {
-	state LineState
-	// lru is a monotonically increasing touch stamp.
-	lru uint64
-}
-
 // Stats tallies cache events.
 type Stats struct {
 	Hits        uint64
 	Misses      uint64
 	Invalidates uint64
-	Evictions   uint64
 }
 
 // Lines is the line storage a set of caches share: one table from (cache,
-// block) to the line. It holds only valid lines and no pointers: an
-// invalidated or evicted line is deleted from the table, so the steady
+// block) to the line's state. It holds only valid lines and no pointers:
+// an invalidated line is deleted from the table, so the steady
 // invalidate/refill churn of the coherence protocol allocates nothing once
 // the table has grown to the working set, and a machine's caches together
 // allocate as one.
 type Lines struct {
-	table blocktab.Table[line]
+	table blocktab.Table[LineState]
 }
 
-// Cache returns cache id of the set sharing l, holding up to capacity
-// lines (0 = unbounded). Every cache of the set needs its own id.
-func (l *Lines) Cache(id, capacity int) Cache {
-	if capacity < 0 {
-		panic("cache: negative capacity")
-	}
-	return Cache{lines: l, id: int32(id), capacity: capacity}
+// Cache returns cache id of the set sharing l. Every cache of the set
+// needs its own id.
+func (l *Lines) Cache(id int) Cache {
+	return Cache{lines: l, id: int32(id)}
 }
 
-// Cache is one node's cache. Capacity is in lines; zero means unbounded
-// (the paper-style "no conflict misses" configuration). A hit is one table
-// probe.
+// Cache is one node's cache. A hit is one table probe.
 type Cache struct {
-	lines    *Lines
-	id       int32
-	capacity int
-	valid    int
-	clock    uint64
-	stats    Stats
+	lines *Lines
+	id    int32
+	stats Stats
 
 	// OnChange, when non-nil, observes every line-state transition: fills,
-	// invalidations, downgrades and evictions. Observers must not call back
-	// into the cache. The correctness oracle uses this hook to shadow the
-	// value each node would read from each block.
+	// invalidations and downgrades. Observers must not call back into the
+	// cache. The correctness oracle uses this hook to shadow the value each
+	// node would read from each block.
 	OnChange func(b directory.BlockID, from, to LineState)
 }
 
@@ -91,84 +77,56 @@ func (c *Cache) notify(b directory.BlockID, from, to LineState) {
 	}
 }
 
-// New returns a cache holding up to capacity lines (0 = unbounded) on
-// line storage of its own.
-func New(capacity int) Cache {
-	return new(Lines).Cache(0, capacity)
+// New returns a cache on line storage of its own.
+func New() Cache {
+	return new(Lines).Cache(0)
 }
 
-// line returns block's line, or nil if the cache does not hold it. The
-// pointer is valid until the next fill or drop in the set.
+// line returns block's line state, or nil if the cache does not hold it.
+// The pointer is valid until the next fill or invalidation in the set.
 //
 //simcheck:noalloc
-func (c *Cache) line(b directory.BlockID) *line {
+func (c *Cache) line(b directory.BlockID) *LineState {
 	return c.lines.table.Ref(c.id, uint64(b))
 }
 
 // State returns the current state of block.
 func (c *Cache) State(b directory.BlockID) LineState {
 	if l := c.line(b); l != nil {
-		return l.state
+		return *l
 	}
 	return Invalid
 }
 
-// Lookup records an access for purposes of hit/miss accounting and LRU,
-// and reports whether the access hits: reads hit in SharedLine or
-// ModifiedLine; writes hit only in ModifiedLine.
+// Lookup records an access for hit/miss accounting and reports whether it
+// hits: reads hit in SharedLine or ModifiedLine; writes hit only in
+// ModifiedLine.
 //
 //simcheck:noalloc
 func (c *Cache) Lookup(b directory.BlockID, write bool) bool {
-	c.clock++
-	if l := c.line(b); l != nil {
-		l.lru = c.clock
-		if !write || l.state == ModifiedLine {
-			c.stats.Hits++
-			return true
-		}
+	if l := c.line(b); l != nil && (!write || *l == ModifiedLine) {
+		c.stats.Hits++
+		return true
 	}
 	c.stats.Misses++
 	return false
 }
 
-// Fill installs block in the given state after a miss completes. It returns
-// the block evicted to make room, if any (victim selection is LRU among
-// valid lines; ModifiedLine victims are reported so the protocol can write
-// them back).
+// Fill installs block in the given state after a miss completes.
 //
 //simcheck:noalloc
-func (c *Cache) Fill(b directory.BlockID, s LineState) (victim directory.BlockID, victimState LineState, evicted bool) {
+func (c *Cache) Fill(b directory.BlockID, s LineState) {
 	if s == Invalid {
 		panic("cache: Fill with Invalid state")
 	}
-	c.clock++
 	if l := c.line(b); l != nil {
-		prev := l.state
-		l.state, l.lru = s, c.clock
+		prev := *l
+		*l = s
 		c.notify(b, prev, s)
-		return 0, Invalid, false
+		return
 	}
-	if c.capacity > 0 && c.valid >= c.capacity {
-		victim, victimState = c.evictLRU()
-		evicted = true
-		c.stats.Evictions++
-		c.notify(victim, victimState, Invalid)
-	}
-	c.lines.table.Put(c.id, uint64(b), line{state: s, lru: c.clock})
-	c.valid++
+	c.lines.table.Put(c.id, uint64(b), s)
 	c.notify(b, Invalid, s)
-	return victim, victimState, evicted
-}
-
-// drop deletes block b's line and returns it.
-//
-//simcheck:noalloc
-func (c *Cache) drop(b directory.BlockID) (line, bool) {
-	l, ok := c.lines.table.Delete(c.id, uint64(b))
-	if ok {
-		c.valid--
-	}
-	return l, ok
 }
 
 // Invalidate drops block from the cache (invalidation request from home).
@@ -177,11 +135,10 @@ func (c *Cache) drop(b directory.BlockID) (line, bool) {
 //
 //simcheck:noalloc
 func (c *Cache) Invalidate(b directory.BlockID) LineState {
-	l, ok := c.drop(b)
+	prev, ok := c.lines.table.Delete(c.id, uint64(b))
 	if !ok {
 		return Invalid
 	}
-	prev := l.state
 	c.stats.Invalidates++
 	c.notify(b, prev, Invalid)
 	return prev
@@ -191,35 +148,12 @@ func (c *Cache) Invalidate(b directory.BlockID) LineState {
 // dirty block). Downgrading a non-modified line is a protocol bug.
 func (c *Cache) Downgrade(b directory.BlockID) {
 	l := c.line(b)
-	if l == nil || l.state != ModifiedLine {
+	if l == nil || *l != ModifiedLine {
 		panic("cache: Downgrade of non-modified line")
 	}
-	l.state = SharedLine
+	*l = SharedLine
 	c.notify(b, ModifiedLine, SharedLine)
 }
 
 // Stats returns a copy of the event tallies.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ValidLines returns the number of valid lines currently held.
-func (c *Cache) ValidLines() int { return c.valid }
-
-// evictLRU drops the cache's least recently touched line, the lower block
-// on a tie, so the victim does not depend on the table's cell order. It
-// scans the whole shared table: only bounded caches evict, and they are
-// small.
-func (c *Cache) evictLRU() (directory.BlockID, LineState) {
-	var victim uint64
-	var vl *line
-	c.lines.table.Each(func(owner int32, b uint64, l *line) {
-		if owner == c.id && (vl == nil || l.lru < vl.lru || (l.lru == vl.lru && b < victim)) {
-			victim, vl = b, l
-		}
-	})
-	if vl == nil {
-		panic("cache: evictLRU on empty cache")
-	}
-	vs := vl.state
-	c.drop(directory.BlockID(victim))
-	return directory.BlockID(victim), vs
-}

@@ -23,7 +23,6 @@ func TestChaosScheduleSoak(t *testing.T) {
 			s, chaosSeed := s, chaosSeed
 			t.Run(fmt.Sprintf("%v/seed%d", s, chaosSeed), func(t *testing.T) {
 				p := DefaultParams(4, s)
-				p.CacheLines = 6
 				m := NewMachine(p)
 				m.Engine.Chaos(chaosSeed)
 				rng := sim.NewRNG(chaosSeed * 101)
@@ -94,7 +93,6 @@ func TestChaosUnderFaults(t *testing.T) {
 			s, seed := s, seed
 			t.Run(fmt.Sprintf("%v/fault%d", s, seed), func(t *testing.T) {
 				p := DefaultParams(4, s)
-				p.CacheLines = 6
 				p.Recovery = DefaultRecovery()
 				p.Recovery.MaxRetries = 32
 				p.Fault = faults.New(faults.Config{
@@ -142,7 +140,6 @@ func TestChaosUnderFaults(t *testing.T) {
 func TestWatchdogQuietFaultFree(t *testing.T) {
 	for _, s := range []grouping.Scheme{grouping.UIUA, grouping.MIMAEC} {
 		p := DefaultParams(4, s)
-		p.CacheLines = 6
 		p.Recovery = DefaultRecovery()
 		m := NewMachine(p)
 		fired := false

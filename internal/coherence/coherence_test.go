@@ -294,22 +294,6 @@ func TestConcurrentWritersSameBlockSerialize(t *testing.T) {
 	}
 }
 
-func TestWritebackOnEviction(t *testing.T) {
-	p := DefaultParams(4, grouping.UIUA)
-	p.CacheLines = 1
-	m := NewMachine(p)
-	n := nodeAt(m, 2, 2)
-	doOp(t, m, true, n, 3)
-	doOp(t, m, true, n, 4) // evicts dirty block 3 -> writeback
-	e := m.DirEntry(3)
-	if e.State != directory.Uncached {
-		t.Fatalf("evicted block dir = %v, want uncached", e.State)
-	}
-	if m.Cache(n).State(3) != cache.Invalid || m.Cache(n).State(4) != cache.ModifiedLine {
-		t.Fatal("cache states after eviction wrong")
-	}
-}
-
 func TestSchemesConvergeToSameFinalState(t *testing.T) {
 	readers := []topology.Coord{{X: 1, Y: 1}, {X: 6, Y: 3}, {X: 3, Y: 7}, {X: 7, Y: 0}, {X: 2, Y: 5}, {X: 5, Y: 2}}
 	writer := topology.Coord{X: 4, Y: 4}

@@ -57,9 +57,7 @@ func (m *Machine) InstallSharer(n topology.NodeID, b directory.BlockID) bool {
 //     absolute time, both of which the skipped reads advance;
 //   - chaos ordering: every event the reads schedule draws from the
 //     tie-break RNG that orders all later same-time events;
-//   - an attached trace.Recorder: the reads are in the recording;
-//   - bounded caches: a fill can evict a line and write it back.
+//   - an attached trace.Recorder: the reads are in the recording.
 func (m *Machine) installObservable() bool {
-	return m.Net.Fault != nil || m.Engine.Chaotic() ||
-		m.Rec != nil || m.Params.CacheLines > 0
+	return m.Net.Fault != nil || m.Engine.Chaotic() || m.Rec != nil
 }

@@ -11,10 +11,10 @@ import (
 )
 
 // TestConfigMatrixSoak drives random traffic through a matrix of protocol
-// option combinations — scheme x consistency x VCT, virtual channels and
-// bounded caches — checking the global coherence invariants at every
-// quiescent point. This is the integration net that catches cross-feature
-// interactions no focused test covers.
+// option combinations — scheme x consistency x VCT and virtual channels —
+// checking the global coherence invariants at every quiescent point. This
+// is the integration net that catches cross-feature interactions no
+// focused test covers.
 func TestConfigMatrixSoak(t *testing.T) {
 	type cfg struct {
 		name string
@@ -23,10 +23,9 @@ func TestConfigMatrixSoak(t *testing.T) {
 	variants := []cfg{
 		{"baseline", func(p *Params) {}},
 		{"rc", func(p *Params) { p.Consistency = ReleaseConsistency }},
-		{"vct+2vc+evict", func(p *Params) {
+		{"vct+2vc", func(p *Params) {
 			p.Net.VCTDeferred = true
 			p.Net.VirtualChannels = 2
-			p.CacheLines = 5
 		}},
 	}
 	for _, s := range grouping.AllSchemes {

@@ -50,9 +50,12 @@ func (m InvariantMode) String() string {
 //  1. An Exclusive directory entry's owner holds the line Modified, and no
 //     other node holds it in any valid state.
 //  2. A Shared entry has no Modified copies anywhere, and every valid
-//     cached copy is recorded in the presence bits. Presence bits may
-//     over-approximate (silent Shared evictions leave stale bits), never
-//     under-approximate.
+//     cached copy is recorded in the presence bits. Presence bits never
+//     under-approximate. They over-approximate only after a read miss was
+//     squashed by a recovery retry (its node's bit is set when the read is
+//     served, but the fill installs nothing), so on a machine that has
+//     squashed nothing the strict mode also requires every presence bit to
+//     name a node holding the line Shared.
 //  3. An Uncached entry has no valid copies anywhere.
 //  4. No entry is left in the transient Waiting state.
 func (m *Machine) CheckInvariants() error {
@@ -97,13 +100,10 @@ func (m *Machine) checkEntry(home topology.NodeID, b directory.BlockID, e *direc
 		for n := 0; n < m.Mesh.Nodes(); n++ {
 			st := m.caches[n].State(b)
 			if topology.NodeID(n) == e.Owner {
-				// The owner may have silently... no: dirty lines write back
-				// explicitly, so the owner must hold the line unless a
-				// writeback is in flight — excluded by quiescence... except
-				// the writeback message retires the entry to Uncached, so
-				// here the line must be present. Mid-flight (relaxed) the
-				// grant may still be racing to the owner on the reply
-				// network, so any owner state is legal.
+				// A line leaves a cache only by invalidation, so at
+				// quiescence the owner holds its line Modified. Mid-flight
+				// (relaxed) the grant may still be racing to the owner on
+				// the reply network, so any owner state is legal.
 				if mode == StrictInvariants && st != cache.ModifiedLine {
 					return fmt.Errorf("block %d exclusive at %d but owner state is %v", b, e.Owner, st)
 				}
@@ -121,6 +121,10 @@ func (m *Machine) checkEntry(home topology.NodeID, b directory.BlockID, e *direc
 			}
 			if st == cache.SharedLine && !e.Sharers.Has(topology.NodeID(n)) {
 				return fmt.Errorf("block %d cached shared at %d but absent from presence bits", b, n)
+			}
+			if mode == StrictInvariants && m.squashes == 0 &&
+				st != cache.SharedLine && e.Sharers.Has(topology.NodeID(n)) {
+				return fmt.Errorf("block %d lists node %d in its presence bits but the node holds %v", b, n, st)
 			}
 		}
 	case directory.Uncached:

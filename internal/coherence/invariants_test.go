@@ -47,6 +47,22 @@ func TestInvariantsDetectViolations(t *testing.T) {
 	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "absent from presence bits") {
 		t.Fatalf("untracked shared copy: err %v; want one naming the presence bits", err)
 	}
+
+	// Corrupt: a listed sharer's copy vanishes. Only a squashed read may
+	// leave such a stale bit, so strict mode accepts it only after one.
+	m = newM(t, 4, grouping.UIUA)
+	doOp(t, m, false, nodeAt(m, 1, 1), 3)
+	m.caches[nodeAt(m, 1, 1)].Invalidate(3)
+	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "lists node") {
+		t.Fatalf("stale presence bit: err %v; want one naming the listed node", err)
+	}
+	if err := m.CheckInvariantsMode(RelaxedInvariants); err != nil {
+		t.Fatalf("relaxed mode refused a stale presence bit: %v", err)
+	}
+	m.squashes = 1
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatalf("stale presence bit after a squash: %v", err)
+	}
 }
 
 func TestInvariantsDetectWaiting(t *testing.T) {
@@ -80,7 +96,6 @@ func TestRandomizedSoakWithInvariants(t *testing.T) {
 			rng := sim.NewRNG(uint64(77 + int(s)))
 			p := DefaultParams(4, s)
 			p.Consistency = cons
-			p.CacheLines = 8 // force evictions and writebacks too
 			m := NewMachine(p)
 			const blocks = 12
 			for step := 0; step < 120; step++ {

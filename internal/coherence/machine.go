@@ -46,19 +46,19 @@ type Machine struct {
 	// homeOps holds the home-side context of dirty-block fetches, at most
 	// one per block (the per-block queue guarantees exclusivity).
 	homeOps blocktab.Table[*homeOp]
-	// ownGens remembers, per (node, block), the ownership-grant generation
-	// the node's Modified copy was installed under, echoed on its dirty
-	// writeback so the home can discard stale writebacks.
-	ownGens blocktab.Table[uint64]
 	// Rec, when non-nil, receives cycle-stamped protocol events (op, msg,
 	// directory, and transaction milestones). Install with AttachTrace.
 	Rec *trace.Recorder
 	// OnSquash, when non-nil, is called the first time an outstanding read
-	// miss is squashed by a recovery retry, or by any invalidation under
-	// bounded caches (see pendingOp.squashed; otherwise invalidations defer
-	// past the fill and never squash). Purely observational — verification
-	// harnesses use it to learn which value a squashed load consumed.
+	// miss is squashed by a recovery retry (see pendingOp.squashed;
+	// otherwise invalidations defer past the fill and never squash).
+	// Purely observational — verification harnesses use it to learn which
+	// value a squashed load consumed.
 	OnSquash func(n topology.NodeID, b directory.BlockID)
+	// squashes counts squashed read misses. Each can leave its node's
+	// presence bit set with no line behind it, so the strict invariants
+	// check presence bits exactly only while it is zero.
+	squashes int
 	// nextOpTok numbers traced operations; advanced only while recording.
 	nextOpTok uint64
 	// scratchPick is a per-node scratch bitmap reused by sendGather's
@@ -172,7 +172,7 @@ func NewMachine(p Params) *Machine {
 	m.Net.OnDeliver = m.deliver
 	m.Net.Fault = p.Fault
 	for i := range nodes {
-		m.caches[i] = m.lines.Cache(i, p.CacheLines)
+		m.caches[i] = m.lines.Cache(i)
 		m.dirs[i] = directory.New(nodes)
 		m.servers[i] = server{engine: engine, busyTotal: &m.Metrics.Occupancy[i]}
 	}
@@ -362,7 +362,7 @@ func vnFor(t msgType) network.VN {
 	switch t {
 	case readReq, writeReq, inval, fetchReq, fetchInval:
 		return network.Request
-	case invalAck, gatherAck, fetchReply, readReply, writeReply, writeback:
+	case invalAck, gatherAck, fetchReply, readReply, writeReply:
 		return network.Reply
 	default:
 		panic(fmt.Sprintf("coherence: no VN for %v", t))

@@ -30,15 +30,11 @@ const (
 	// Home-to-requester replies.
 	readReply  // data, shared
 	writeReply // data (or grant), exclusive
-
-	// Replacement.
-	writeback // dirty eviction: data to home
 )
 
 var msgNames = [...]string{
 	"readReq", "writeReq", "inval", "invalAck", "gatherAck",
 	"fetchReq", "fetchInval", "fetchReply", "readReply", "writeReply",
-	"writeback",
 }
 
 func (t msgType) String() string {
@@ -51,7 +47,7 @@ func (t msgType) String() string {
 // carriesData reports whether the message carries a memory block.
 func (t msgType) carriesData() bool {
 	switch t {
-	case fetchReply, readReply, writeReply, writeback:
+	case fetchReply, readReply, writeReply:
 		return true
 	case readReq, writeReq, inval, invalAck, gatherAck, fetchReq, fetchInval:
 		return false
@@ -74,8 +70,9 @@ type msg struct {
 	groupIdx int
 	// hasCopy marks a writeReq from a requester that still holds a Shared
 	// copy (an upgrade): the grant needs no data. Presence bits alone
-	// cannot tell (silent evictions leave stale bits), so the requester
-	// states it explicitly.
+	// cannot tell: a read squashed by a recovery retry leaves its bit set
+	// at the home with no line installed, so the requester states it
+	// explicitly.
 	hasCopy bool
 	// retry marks a recovery-fallback invalidation (home timeout fired):
 	// the sharer must answer with a unicast ack regardless of the scheme's
@@ -89,9 +86,4 @@ type msg struct {
 	// the home-side trace events (directory lookup, reply) can be tied
 	// back to the operation. Zero when tracing is off or not applicable.
 	tok uint64
-	// ownGen is the directory entry's ownership-grant generation: stamped
-	// on exclusive grants (writeReply) and echoed by the owner's dirty
-	// writeback, so the home can discard a writeback that belongs to an
-	// earlier tenure of the same owner (see homeWriteback).
-	ownGen uint64
 }

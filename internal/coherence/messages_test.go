@@ -24,9 +24,8 @@ func TestUnknownMessageTypePanics(t *testing.T) {
 func TestCarriesDataPartition(t *testing.T) {
 	data := map[msgType]bool{
 		fetchReply: true, readReply: true, writeReply: true,
-		writeback: true,
 	}
-	for m := readReq; m <= writeback; m++ {
+	for m := readReq; m <= writeReply; m++ {
 		if got := m.carriesData(); got != data[m] {
 			t.Errorf("carriesData(%v) = %v, want %v", m, got, data[m])
 		}

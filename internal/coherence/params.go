@@ -68,8 +68,6 @@ type Params struct {
 	BlockBytes   int
 	FlitBytes    int
 	ControlBytes int
-	// CacheLines bounds each node's cache (0 = unbounded).
-	CacheLines int
 	// Recovery configures the home node's i-ack timeout watchdog: when
 	// enabled, an invalidation transaction whose acknowledgments do not
 	// all arrive within the (exponentially backed-off) deadline is aborted
@@ -97,18 +95,16 @@ func DefaultParams(k int, scheme grouping.Scheme) Params {
 		BlockBytes:      32,
 		FlitBytes:       2,
 		ControlBytes:    8,
-		CacheLines:      0,
 	}
 }
 
 // Variant names a machine that differs from DefaultParams in the parameters
-// the ablations vary (bounded caches, i-ack depth, consumption and virtual
-// channels, VCT, and for replays consistency). It is
+// the ablations vary (i-ack depth, consumption and virtual channels, VCT,
+// and for replays consistency). It is
 // data, not code, so a sweep point that carries one can be serialised and
 // fingerprinted. Every field's zero value means DefaultParams' value: a
 // nil or empty Variant is the default machine.
 type Variant struct {
-	CacheLines          int         `json:"cache_lines,omitempty"`
 	IAckBuffers         int         `json:"iack_buffers,omitempty"`
 	ConsumptionChannels int         `json:"consumption_channels,omitempty"`
 	VirtualChannels     int         `json:"virtual_channels,omitempty"`
@@ -121,9 +117,6 @@ type Variant struct {
 func (v *Variant) Apply(p *Params) {
 	if v == nil {
 		return
-	}
-	if v.CacheLines != 0 {
-		p.CacheLines = v.CacheLines
 	}
 	if v.IAckBuffers != 0 {
 		p.Net.IAckBuffers = v.IAckBuffers

@@ -27,11 +27,11 @@ type pendingOp struct {
 	// closing of [23].
 	afterFill []func()
 	// squashed marks a read miss caught while outstanding by a recovery
-	// retry, or by any invalidation under bounded caches: the fill's data
-	// was serialized at the home before the invalidating write, so the
-	// load consumes it — ordered just before that write — but the line is
-	// not installed. Otherwise invalidations never squash; they defer
-	// through afterFill instead (see deferOrSquash).
+	// retry: the fill's data was serialized at the home before the
+	// invalidating write, so the load consumes it — ordered just before
+	// that write — but the line is not installed. Otherwise invalidations
+	// never squash; they defer through afterFill instead (see
+	// deferOrSquash).
 	squashed bool
 	// hasCopy carries the upgrading-write snapshot (Shared copy held at
 	// issue) from the cache-access stage to the request send.
@@ -270,8 +270,6 @@ func (m *Machine) deliver(d network.Delivery) {
 		m.homeFetchReply(d.Node, pm)
 	case readReply, writeReply:
 		m.requesterReply(d.Node, pm)
-	case writeback:
-		m.homeWriteback(d.Node, pm)
 	default:
 		panic("coherence: unhandled message " + pm.typ.String())
 	}
@@ -294,22 +292,12 @@ func (m *Machine) homeRead(home topology.NodeID, e *directory.Entry, pm *msg) {
 		e.Sharers.Set(requester)
 		m.server(home).doCall(m.Params.MemAccess+m.Params.SendOccupancy, m.fnHomeReadReply, pm, int32(home))
 	case directory.Exclusive:
-		if e.Owner == requester {
-			// The owner re-requesting can only mean its copy raced away via
-			// writeback; serve it like an uncached read once the writeback
-			// lands. Simplest consistent action: treat as uncached.
-			e.State = directory.Shared
-			e.Sharers.Reset()
-			e.Sharers.Set(requester)
-			m.server(home).doCall(m.Params.MemAccess+m.Params.SendOccupancy, m.fnHomeReadReply, pm, int32(home))
-			return
-		}
+		panicIfOwner(e, requester)
 		e.State = directory.Waiting
 		m.setHomeOp(b, &homeOp{requester: requester, write: false, owner: e.Owner})
 		m.freeMsg(pm)
 		m.server(home).do(m.Params.SendOccupancy, func() {
-			m.send(fetchReq, home, e.Owner,
-				&msg{typ: fetchReq, block: b, from: requester, ownGen: e.OwnGen})
+			m.send(fetchReq, home, e.Owner, &msg{typ: fetchReq, block: b, from: requester})
 		})
 	default:
 		panic("coherence: homeRead in state " + e.State.String())
@@ -322,22 +310,29 @@ func (m *Machine) homeWrite(home topology.NodeID, e *directory.Entry, pm *msg) {
 	case directory.Uncached:
 		m.grantWrite(home, pm, true)
 	case directory.Exclusive:
-		if e.Owner == requester {
-			m.grantWrite(home, pm, false)
-			return
-		}
+		panicIfOwner(e, requester)
 		e.State = directory.Waiting
 		m.setHomeOp(b, &homeOp{requester: requester, write: true, owner: e.Owner})
 		m.freeMsg(pm)
 		m.server(home).do(m.Params.SendOccupancy, func() {
-			m.send(fetchInval, home, e.Owner,
-				&msg{typ: fetchInval, block: b, from: requester, ownGen: e.OwnGen})
+			m.send(fetchInval, home, e.Owner, &msg{typ: fetchInval, block: b, from: requester})
 		})
 		return
 	case directory.Shared:
 		m.startInval(home, e, pm)
 	default:
 		panic("coherence: homeWrite in state " + e.State.String())
+	}
+}
+
+// panicIfOwner panics when an Exclusive entry's own owner is the requester.
+// A line leaves a cache only by invalidation, and every invalidation of an
+// owner's copy goes through the home, which first takes the ownership
+// away, so the owner of record holds its Modified line, or has its grant
+// in flight with its operation still pending: it cannot miss on the block.
+func panicIfOwner(e *directory.Entry, requester topology.NodeID) {
+	if e.Owner == requester {
+		panic(fmt.Sprintf("coherence: owner %d missed on its own exclusive block", requester))
 	}
 }
 
@@ -351,21 +346,6 @@ func (m *Machine) grantWrite(home topology.NodeID, pm *msg, withData bool) {
 		cost += m.Params.MemAccess
 	}
 	m.server(home).doCall(cost, m.fnGrantWrite, pm, int32(home))
-}
-
-// deferSafe reports whether a directory-targeted invalidation may defer
-// past a pending read's fill (the afterFill remedy). The deferral rests
-// on one implication: node listed in the directory snapshot AND read op
-// pending ⟹ that read was served and its fill is in flight on the reply
-// network, so the deferred acknowledgment always unblocks. Bounded caches
-// break the implication by letting presence bits go stale under a pending
-// miss, turning the deferral into a deadlock: a Shared victim is evicted
-// silently, the presence bit survives, and the node's re-request can be
-// queued at the home behind the very transaction whose invalidation we
-// would defer. With bounded caches sharers fall back to the always-safe
-// squash remedy instead.
-func (m *Machine) deferSafe() bool {
-	return m.Params.CacheLines == 0
 }
 
 // deferOrSquash is the one stale-fill rule: what an invalidation of b
@@ -390,9 +370,8 @@ func (m *Machine) deferSafe() bool {
 // the ack would then deadlock. So the miss is squashed instead:
 // acknowledge now, and when the reply lands consume its data without
 // installing the line (see requesterReply for why that load is still
-// legal). Bounded caches void the targeted-implies-served proof the same
-// way — see deferSafe — and also squash. deferOrSquash then returns nil,
-// as it does when no read is pending, and the caller invalidates now.
+// legal). deferOrSquash then returns nil, as it does when no read is
+// pending, and the caller invalidates now.
 //
 // Writes are exempt from both: a pending writer is never a target of its
 // own transaction, and another writer's fill installs Modified via its own
@@ -402,11 +381,12 @@ func (m *Machine) deferOrSquash(n topology.NodeID, b directory.BlockID, targeted
 	if op == nil || op.write {
 		return nil
 	}
-	if targeted && m.deferSafe() {
+	if targeted {
 		return op
 	}
 	if !op.squashed {
 		op.squashed = true
+		m.squashes++
 		if m.OnSquash != nil {
 			m.OnSquash(n, b)
 		}
@@ -440,29 +420,24 @@ func (m *Machine) sharerInvalNow(n topology.NodeID, pm *msg, final bool) {
 // ownerFetch handles fetchReq (downgrade) and fetchInval (invalidate) at
 // the current owner.
 func (m *Machine) ownerFetch(n topology.NodeID, pm *msg) {
-	if op := m.op(n, pm.block); op != nil && pm.ownGen != m.ownGenOf(n, pm.block) {
-		// The fetch is stamped with a newer ownership generation than the
-		// copy we last installed: our own grant for this block is in flight
-		// and the fetch overtook it (virtual networks are unordered).
-		// Handle it once the fill completes. A generation *match* means the
-		// opposite — we are the recorded owner from an earlier tenure, our
-		// copy is gone (evicted, writeback in flight) and our new request
-		// is still queued at the home behind this very transaction, so
-		// waiting for a fill would deadlock; fall through and answer from
-		// the writeback buffer instead.
+	if op := m.op(n, pm.block); op != nil {
+		// The owner of record cannot miss on its own block (panicIfOwner),
+		// so an operation pending here is the one the home granted: the
+		// grant is in flight and the fetch overtook it (virtual networks
+		// are unordered). Handle the fetch once the fill completes.
 		op.afterFill = append(op.afterFill, func() { m.ownerFetch(n, pm) })
 		return
 	}
 	m.server(n).do(m.Params.RecvOccupancy+m.Params.CacheAccess, func() {
-		if m.caches[n].State(pm.block) == cache.ModifiedLine {
-			if pm.typ == fetchInval {
-				m.caches[n].Invalidate(pm.block)
-			} else {
-				m.caches[n].Downgrade(pm.block)
+		// With no operation pending the grant has landed, so the owner
+		// holds the line Modified; Downgrade panics otherwise.
+		if pm.typ == fetchInval {
+			if m.caches[n].Invalidate(pm.block) != cache.ModifiedLine {
+				panic(fmt.Sprintf("coherence: fetchInval at owner %d without a modified line", n))
 			}
+		} else {
+			m.caches[n].Downgrade(pm.block)
 		}
-		// If the line is already gone a writeback is in flight; the data
-		// logically comes from the writeback buffer.
 		m.server(n).do(m.Params.SendOccupancy, func() {
 			home := m.Home(pm.block)
 			m.send(fetchReply, n, home, &msg{typ: fetchReply, block: pm.block, from: pm.from})
@@ -479,10 +454,9 @@ func (m *Machine) homeFetchReply(home topology.NodeID, pm *msg) {
 			e.State = directory.Exclusive
 			e.Owner = op.requester
 			e.Sharers.Reset()
-			e.OwnGen++
 			m.server(home).do(m.Params.SendOccupancy, func() {
 				m.send(writeReply, home, op.requester,
-					&msg{typ: writeReply, block: pm.block, from: op.requester, ownGen: e.OwnGen})
+					&msg{typ: writeReply, block: pm.block, from: op.requester})
 				m.releaseBlock(pm.block)
 			})
 			return
@@ -594,9 +568,8 @@ func (m *Machine) initHandlers() {
 		e.State = directory.Exclusive
 		e.Owner = pm.from
 		e.Sharers.Reset()
-		e.OwnGen++
 		reply := m.newMsg()
-		reply.typ, reply.block, reply.from, reply.ownGen = writeReply, b, pm.from, e.OwnGen
+		reply.typ, reply.block, reply.from = writeReply, b, pm.from
 		m.send(writeReply, home, pm.from, reply)
 		m.freeMsg(pm)
 		m.releaseBlock(b)
@@ -745,16 +718,8 @@ func (m *Machine) initHandlers() {
 			state := cache.SharedLine
 			if pm.typ == writeReply {
 				state = cache.ModifiedLine
-				m.setOwnGen(n, pm.block, pm.ownGen)
 			}
-			victim, vs, evicted := m.caches[n].Fill(pm.block, state)
-			if evicted && vs == cache.ModifiedLine {
-				//simcheck:allow noalloc -- modified-line eviction is the cold path
-				m.server(n).do(m.Params.SendOccupancy, func() {
-					m.send(writeback, n, m.Home(victim),
-						&msg{typ: writeback, block: victim, from: n, ownGen: m.ownGenOf(n, victim)})
-				})
-			}
+			m.caches[n].Fill(pm.block, state)
 		}
 		now := m.Engine.Now()
 		if m.Rec != nil {
@@ -776,35 +741,4 @@ func (m *Machine) initHandlers() {
 		m.freeOp(op)
 		m.freeMsg(pm)
 	}
-}
-
-// setOwnGen records the grant generation node n's Modified copy of b was
-// installed under.
-func (m *Machine) setOwnGen(n topology.NodeID, b directory.BlockID, gen uint64) {
-	m.ownGens.Put(int32(n), uint64(b), gen)
-}
-
-// ownGenOf returns the grant generation to stamp on node n's writeback of
-// block b.
-func (m *Machine) ownGenOf(n topology.NodeID, b directory.BlockID) uint64 {
-	gen, _ := m.ownGens.Get(int32(n), uint64(b))
-	return gen
-}
-
-// homeWriteback retires a dirty eviction at the home. The generation check
-// guards against the stale-writeback race: the owner evicts (writeback in
-// flight), re-acquires exclusive ownership — directly, or via any chain of
-// intervening owners — and only then does the old writeback land. Without
-// the check the home would clear the entry while the node legitimately
-// holds a Modified copy, silently uncaching a dirty block.
-func (m *Machine) homeWriteback(home topology.NodeID, pm *msg) {
-	m.server(home).do(m.Params.RecvOccupancy+m.Params.MemAccess, func() {
-		e := m.dirs[home].Lookup(pm.block)
-		if e.State == directory.Exclusive && e.Owner == pm.from && pm.ownGen == e.OwnGen {
-			e.State = directory.Uncached
-			e.Sharers.Reset()
-		}
-		// Otherwise a fetch crossed the writeback; the fetch path already
-		// handled ownership.
-	})
 }

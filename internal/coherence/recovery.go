@@ -27,9 +27,9 @@ import (
 // Idempotency holds because acknowledgment evidence is a set, not a count:
 // a duplicate ack (a sharer invalidated in two generations, a pre-abort
 // gather worm draining late) is a set deletion of an already-deleted
-// element, tallied in Metrics.DupAcks and otherwise ignored. Re-invalidating
-// an already-invalid cache line is a no-op in the cache model, so duplicate
-// invals are equally harmless.
+// element, and otherwise ignored. Re-invalidating an already-invalid cache
+// line is a no-op in the cache model, so duplicate invals are equally
+// harmless.
 
 // armTxnDeadline schedules (or re-schedules) t's recovery deadline:
 // Timeout << min(retries, 6) cycles from now, the exponential backoff
@@ -93,7 +93,6 @@ func (m *Machine) txnDeadline(t *invalTxn) {
 // are absorbed.
 func (t *invalTxn) sharerAcked(m *Machine, n topology.NodeID) {
 	if t.completed || !t.unacked[n] {
-		m.Metrics.DupAcks++
 		return
 	}
 	delete(t.unacked, n)
@@ -106,7 +105,6 @@ func (t *invalTxn) sharerAcked(m *Machine, n topology.NodeID) {
 // cannot have drained at the home without every member having posted.
 func (t *invalTxn) groupAcked(m *Machine, gi int) {
 	if t.completed {
-		m.Metrics.DupAcks++
 		return
 	}
 	hit := false
@@ -117,7 +115,6 @@ func (t *invalTxn) groupAcked(m *Machine, gi int) {
 		}
 	}
 	if !hit {
-		m.Metrics.DupAcks++
 		return
 	}
 	t.checkRecovered(m)

@@ -87,12 +87,6 @@ type Entry struct {
 	Sharers Presence
 	// Owner is valid in Exclusive state.
 	Owner topology.NodeID
-	// OwnGen counts exclusive-ownership grants for this block. The grant
-	// reply carries it and the owner's eventual dirty writeback echoes it,
-	// letting the home tell a current writeback from one that raced in the
-	// unordered network while the same node re-acquired ownership (the
-	// stale writeback must not clear the directory entry).
-	OwnGen uint64
 }
 
 // Directory is one node's slice of the distributed full-map directory: it

@@ -48,10 +48,9 @@ type Collector struct {
 	// MsgsSent/MsgsRecv count protocol messages per node.
 	MsgsSent, MsgsRecv []uint64
 	// Retries counts invalidation-transaction recovery retries (i-ack
-	// timeouts that re-sent unacknowledged sharers); DupAcks counts
-	// duplicate acknowledgments absorbed by the idempotent recovery
-	// bookkeeping. Both zero on fault-free runs.
-	Retries, DupAcks uint64
+	// timeouts that re-sent unacknowledged sharers); zero on fault-free
+	// runs.
+	Retries uint64
 }
 
 // NewCollector returns a collector for a machine with n nodes.

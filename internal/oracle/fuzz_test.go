@@ -22,12 +22,13 @@ func fuzzRound(t *testing.T, data []byte, allowFaults bool) {
 }
 
 // fuzzSeeds is the hand-picked seed corpus: each entry pins a regime the
-// fuzzer should start from (schemes x consistency x cache bound x faults),
-// with an op tail dense in block-0 contention. The byte layout is
-// documented on DecodeRunConfig.
+// fuzzer should start from (schemes x consistency x faults), with an op
+// tail dense in block-0 contention. The byte layout is documented on
+// DecodeRunConfig; each seed still sets the reserved byte 3, so the
+// corpus stays byte-for-byte what it was.
 func fuzzSeeds() [][]byte {
-	head := func(k, scheme, cons, lines, seed byte) []byte {
-		return []byte{k, scheme, cons, lines, seed, 0, 0x2a, 0x15}
+	head := func(k, scheme, cons, reserved, seed byte) []byte {
+		return []byte{k, scheme, cons, reserved, seed, 0, 0x2a, 0x15}
 	}
 	// Contention tail: every node hammers block 0 with a read/write mix,
 	// plus a spread of reads over blocks 1-5.
@@ -44,7 +45,7 @@ func fuzzSeeds() [][]byte {
 }
 
 // FuzzProtocol fuzzes fault-free executions: mesh shape, scheme, SC or RC,
-// cache bound, chaos schedule, and op order all come from the input bytes.
+// chaos schedule, and op order all come from the input bytes.
 // Every execution must complete, quiesce, satisfy the global coherence
 // invariants, and record a history with a legal total order.
 func FuzzProtocol(f *testing.F) {

@@ -20,7 +20,8 @@ const fuzzMaxOps = 40
 // schedule all at once. allowFaults gates the fault plan: fault-free
 // fuzzing also explores release consistency, while fault fuzzing stays
 // sequentially consistent (the fences the decoder would need are bytes
-// better spent on contention).
+// better spent on contention). Byte 3 is reserved and ignored, so every
+// corpus input keeps the meaning of its other bytes.
 func DecodeRunConfig(data []byte, allowFaults bool) (RunConfig, error) {
 	if len(data) < 8 {
 		return RunConfig{}, fmt.Errorf("oracle: fuzz input needs >= 8 bytes, got %d", len(data))
@@ -30,7 +31,6 @@ func DecodeRunConfig(data []byte, allowFaults bool) (RunConfig, error) {
 		Width:      k,
 		Height:     k,
 		Scheme:     grouping.AllSchemes[int(data[1])%len(grouping.AllSchemes)],
-		CacheLines: []int{0, 0, 4, 6}[int(data[3])%4],
 		ChaosSeed:  uint64(data[4]) | uint64(data[5])<<8,
 		CheckEvery: 8,
 	}

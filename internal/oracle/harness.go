@@ -27,8 +27,6 @@ type RunConfig struct {
 	Width, Height int
 	Scheme        grouping.Scheme
 	Consistency   coherence.Consistency
-	// CacheLines bounds each cache (0 = unbounded), exercising eviction.
-	CacheLines int
 	// ChaosSeed, when nonzero, randomizes same-cycle event tie-breaking.
 	ChaosSeed uint64
 	// Fault, when non-nil, enables deterministic fault injection; recovery
@@ -56,8 +54,8 @@ func (c RunConfig) String() string {
 			c.Fault.DropRate, c.Fault.AckLossRate, c.Fault.LinkStallRate,
 			c.Fault.RouterSlowRate, c.Fault.Seed)
 	}
-	return fmt.Sprintf("%dx%d %v %v lines=%d chaos=%d recovery=%v fault={%s} ops=%d",
-		c.Width, c.Height, c.Scheme, c.Consistency, c.CacheLines, c.ChaosSeed,
+	return fmt.Sprintf("%dx%d %v %v chaos=%d recovery=%v fault={%s} ops=%d",
+		c.Width, c.Height, c.Scheme, c.Consistency, c.ChaosSeed,
 		c.Recovery, fault, len(c.Ops))
 }
 
@@ -100,12 +98,11 @@ func (r *RunResult) Report() string {
 }
 
 // params is the machine cfg runs on: DefaultParams with cfg's shape, scheme,
-// consistency model, cache bound, recovery and fault injector.
+// consistency model, recovery and fault injector.
 func (cfg RunConfig) params() coherence.Params {
 	p := coherence.DefaultParams(cfg.Width, cfg.Scheme)
 	p.MeshWidth, p.MeshHeight = cfg.Width, cfg.Height
 	p.Consistency = cfg.Consistency
-	p.CacheLines = cfg.CacheLines
 	if cfg.Recovery {
 		p.Recovery = coherence.DefaultRecovery()
 		if cfg.MaxRetries > 0 {
@@ -191,11 +188,11 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	// squashSaw[n][b], when present, is the value a squashed read miss at
 	// node n will consume: the block's latest committed token at the moment
 	// the first invalidation squashed it. Squashes come only from recovery
-	// retries and bounded caches (otherwise invalidations defer past the
-	// fill and install normally). When the squashed read had
-	// already been served, this is exactly the fill's data: the home
-	// serialized the read before the squashing write, and that write cannot
-	// commit until this node's acknowledgment (sent at the squash) arrives.
+	// retries (otherwise invalidations defer past the fill and install
+	// normally). When the squashed read had already been served, this is
+	// exactly the fill's data: the home serialized the read before the
+	// squashing write, and that write cannot commit until this node's
+	// acknowledgment (sent at the squash) arrives.
 	// In the one remaining corner — a retry catching a re-request still
 	// queued at the home, whose fill is served only after the transaction —
 	// the recorded pre-write token is the weaker of the two legal outcomes;

@@ -55,7 +55,7 @@ func TestRunChaosSchedules(t *testing.T) {
 				t.Parallel()
 				res, err := Run(RunConfig{
 					Width: 3, Height: 3, Scheme: s,
-					CacheLines: 4, ChaosSeed: seed,
+					ChaosSeed:  seed,
 					Ops:        genOps(seed*31, 9, 6, 120, false),
 					CheckEvery: 10,
 				})
@@ -80,7 +80,7 @@ func TestRunFaultSchedules(t *testing.T) {
 				t.Parallel()
 				res, err := Run(RunConfig{
 					Width: 3, Height: 3, Scheme: s,
-					CacheLines: 4, ChaosSeed: seed,
+					ChaosSeed:  seed,
 					Recovery:   true,
 					MaxRetries: 32,
 					Fault: &faults.Config{
@@ -113,9 +113,9 @@ func TestRunReleaseConsistency(t *testing.T) {
 			res, err := Run(RunConfig{
 				Width: 3, Height: 3, Scheme: grouping.MIMAECRC,
 				Consistency: coherence.ReleaseConsistency,
-				CacheLines:  4, ChaosSeed: seed,
-				Ops:        genOps(seed*13, 9, 6, 120, true),
-				CheckEvery: 10,
+				ChaosSeed:   seed,
+				Ops:         genOps(seed*13, 9, 6, 120, true),
+				CheckEvery:  10,
 			})
 			requireOK(t, res, err)
 			if res.History.PO != POFence {
@@ -125,7 +125,8 @@ func TestRunReleaseConsistency(t *testing.T) {
 	}
 }
 
-// TestRunUnboundedCache covers the no-eviction regime (CacheLines = 0).
+// TestRunUnboundedCache runs the real machine on the 2x2 mesh the model
+// checker explores.
 func TestRunUnboundedCache(t *testing.T) {
 	res, err := Run(RunConfig{
 		Width: 2, Height: 2, Scheme: grouping.MIUAEC,
@@ -140,7 +141,7 @@ func TestRunUnboundedCache(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	cfg := RunConfig{
 		Width: 3, Height: 3, Scheme: grouping.MIMAEC,
-		CacheLines: 4, ChaosSeed: 7,
+		ChaosSeed:  7,
 		Recovery:   true,
 		MaxRetries: 32,
 		Fault: &faults.Config{

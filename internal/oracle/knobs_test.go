@@ -21,8 +21,8 @@ var (
 	// targets and the harness's checkers see their non-default values.
 	decodedKnobs = []string{
 		"Params.MeshSize", "Params.MeshWidth", "Params.MeshHeight", "Params.Scheme",
-		"Params.Consistency", "Params.CacheLines", "Params.Recovery", "Params.Fault",
-		"Variant.CacheLines", "Variant.Consistency",
+		"Params.Consistency", "Params.Recovery", "Params.Fault",
+		"Variant.Consistency",
 		"Fault.Seed", "Fault.DropRate", "Fault.AckLossRate", "Fault.LinkStallRate",
 		"Fault.LinkStallCycles", "Fault.RouterSlowRate", "Fault.RouterSlowCycles",
 	}

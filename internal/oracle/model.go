@@ -14,10 +14,10 @@ import (
 // state machine of internal/coherence with timing collapsed away. Protocol
 // handlers run atomically at message delivery; controller-queue and
 // in-flight latencies survive as nondeterministic delivery order, which is
-// a superset of every schedule the timed simulator can produce. Writebacks
-// are absent (unbounded caches, the paper's configuration), and the home's
-// per-block transaction queue is modeled as deliver-when-free, an
-// any-order superset of the real FIFO.
+// a superset of every schedule the timed simulator can produce. There are
+// no writebacks (caches are unbounded, in the machine as in the paper), and
+// the home's per-block transaction queue is modeled as deliver-when-free,
+// an any-order superset of the real FIFO.
 
 // Model bounds: the abstract state uses fixed-size arrays and 16-bit node
 // masks.

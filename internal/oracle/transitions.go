@@ -517,9 +517,10 @@ func (md *model) stuck(st *mstate, b int) bool {
 		// its acknowledgment duty when the fill lands. The fill's
 		// existence is verified, not assumed: deferral is only sound when
 		// listed-in-snapshot implies served-with-reply-in-flight (the
-		// machine's deferSafe premise), and taking the implication on
-		// faith here would mask exactly the deadlock the deferral risks —
-		// a deferred ack waiting on a fill that can never arrive.
+		// premise of the machine's deferOrSquash), and taking the
+		// implication on faith here would mask exactly the deadlock the
+		// deferral risks — a deferred ack waiting on a fill that can never
+		// arrive.
 		op := st.op[n]
 		if op.active && op.dinval && int(op.block) == b && op.depoch == t.epoch {
 			for _, m := range st.msgs {

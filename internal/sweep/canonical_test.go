@@ -148,7 +148,7 @@ func randomPoint(r *sim.RNG) Point {
 	}
 	if r.Intn(2) == 0 {
 		p.Tune = &coherence.Variant{
-			IAckBuffers: r.Intn(9), CacheLines: r.Intn(3) * 64,
+			IAckBuffers: r.Intn(9), ConsumptionChannels: r.Intn(3),
 			VirtualChannels: r.Intn(4), VCTDeferred: r.Intn(2) == 0,
 		}
 	}

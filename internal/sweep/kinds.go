@@ -111,7 +111,7 @@ func (p Point) Check() error {
 			p.HotSpot.Writers, p.D, p.K, p.K, p.K*p.K-p.D-1)
 	case p.Home != nil && (*p.Home < 0 || int(*p.Home) >= p.K*p.K):
 		return fmt.Errorf("has Home %d off the %dx%d mesh", *p.Home, p.K, p.K)
-	case v != nil && (min(v.CacheLines, v.IAckBuffers, v.ConsumptionChannels, v.VirtualChannels,
+	case v != nil && (min(v.IAckBuffers, v.ConsumptionChannels, v.VirtualChannels,
 		int(v.Consistency)) < 0 || v.Consistency > coherence.ReleaseConsistency):
 		return fmt.Errorf("has a negative Tune field or an unknown consistency")
 	}

@@ -51,7 +51,7 @@ func TestRunValidatesPoints(t *testing.T) {
 	for name, mutate := range map[string]func(*Point){
 		"a traffic run that is also a replay": func(p *Point) { p.App = "LU" },
 		"a two-trial traffic run":             func(p *Point) { p.Trials = 2 },
-		"a traffic run on bounded caches":     func(p *Point) { p.Tune = &coherence.Variant{CacheLines: 64} },
+		"a traffic run with an i-ack depth":   func(p *Point) { p.Tune = &coherence.Variant{IAckBuffers: 8} },
 		"a traffic run under chaos":           func(p *Point) { p.ChaosSeed = 7 },
 	} {
 		bad = []Point{{K: 4, Trials: 1, Seed: 1, OfferedLoad: 10}}

@@ -20,13 +20,12 @@ type machineState struct {
 	State   directory.State
 	Sharers []topology.NodeID
 	Owner   topology.NodeID
-	OwnGen  uint64
 	Lines   []string
 }
 
 func stateOf(m *coherence.Machine, b directory.BlockID) machineState {
 	e := m.DirEntry(b)
-	s := machineState{State: e.State, Sharers: e.Sharers.AppendNodes(nil), Owner: e.Owner, OwnGen: e.OwnGen}
+	s := machineState{State: e.State, Sharers: e.Sharers.AppendNodes(nil), Owner: e.Owner}
 	for n := 0; n < m.Mesh.Nodes(); n++ {
 		s.Lines = append(s.Lines, m.Cache(topology.NodeID(n)).State(b).String())
 	}
@@ -137,7 +136,6 @@ func TestRunInvalStillSimulatesObservedReads(t *testing.T) {
 	}{
 		{"faults", InvalConfig{Faults: &faults.Config{Seed: 9, DropRate: 0.05}}},
 		{"chaos", InvalConfig{ChaosSeed: 0xC4A05}},
-		{"bounded caches", InvalConfig{Tune: &coherence.Variant{CacheLines: 64}}},
 	} {
 		cfg := tc.cfg
 		cfg.K, cfg.Scheme, cfg.D, cfg.Trials = 8, grouping.MIMAEC, d, trials

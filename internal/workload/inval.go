@@ -140,8 +140,7 @@ type InvalResult struct {
 	// trace in it, so on a machine that installs every sharer ReadMiss is
 	// empty and Occupancy and MsgsSent/MsgsRecv carry the measured writes
 	// only. A machine that must simulate the set-up reads instead (faults,
-	// chaos ordering, a recorder, bounded caches) counts them like any
-	// other read miss.
+	// chaos ordering, a recorder) counts them like any other read miss.
 	Metrics *metrics.Collector
 	// EngineEvents is the machine's total fired-event count (the
 	// benchmark's sim.events_per_txn is EngineEvents over Completed). It
