@@ -79,13 +79,12 @@ func dirStore(t *testing.T, dir string) service.ResultStore {
 // no point and prints the tables the bare engine prints: default machines and
 // variants, homed transactions, hot-spot bursts, application replays on
 // default and varied machines (E13's release-consistency machine among them)
-// and traffic runs alike. d is 6 because E12's one-consumption-channel cell
-// wedges at k=8, d=16.
+// and traffic runs alike, at d=consD.
 func TestDataRerunRunsNothing(t *testing.T) {
 	names := []string{"latency",
-		"buffers", "hotspot", "homes", "cons", "vcs", "occupancy", "table6", "apps", "sharing",
+		"buffers", "hotspot", "homes", "cons", "occupancy", "table6", "apps", "sharing",
 		"load", "invalsize", "consistency"}
-	const d = 6
+	const d = consD
 	want := bare(t, d, names...)
 	dir := t.TempDir()
 
@@ -181,45 +180,49 @@ func TestInterruptedRerunIsByteIdentical(t *testing.T) {
 	}
 }
 
-// vcsBurst is one cell of E14 at k=8, d=16: a burst of eight writers on a
-// machine with vcs virtual channels.
-func vcsBurst(vcs int) sweep.Point {
-	return sweep.Point{K: 8, Scheme: grouping.UIUA, D: 16, Trials: 1, Seed: 1,
-		HotSpot: &sweep.HotSpot{Writers: 8, OverlapSharers: true, DistinctHomes: true},
-		Tune:    &coherence.Variant{VirtualChannels: vcs}}
+// consD is the sharer count the E12 tests run at: E12's
+// one-consumption-channel cell wedges at k=8, d=16.
+const consD = 6
+
+// consBurst is one cell of E12 at k=8, d=consD: a burst of four MI-MA-ec
+// writers on a VCT machine with c consumption channels.
+func consBurst(c int) sweep.Point {
+	return sweep.Point{K: 8, Scheme: grouping.MIMAEC, D: consD, Trials: 1, Seed: 1,
+		HotSpot: &sweep.HotSpot{Writers: 4, OverlapSharers: true, DistinctHomes: true},
+		Tune:    &coherence.Variant{ConsumptionChannels: c, VCTDeferred: true}}
 }
 
-// TestVariantTwinsAreDistinctEntries: two E14 cells differ only in their
+// TestVariantTwinsAreDistinctEntries: two E12 cells differ only in their
 // machine variant, and each gets its own store entry.
 func TestVariantTwinsAreDistinctEntries(t *testing.T) {
 	store := service.NewMemoryStore(0)
-	_, _, runs := mustInProcess(t, service.Config{Store: store}, 16, "vcs")
-	if n, _ := store.Len(); n != 9 || runs != 9 {
-		t.Fatalf("vcs figure: %d store entries after %d runs; want one per cell, 9", n, runs)
+	_, _, runs := mustInProcess(t, service.Config{Store: store}, consD, "cons")
+	if n, _ := store.Len(); n != 4 || runs != 4 {
+		t.Fatalf("cons figure: %d store entries after %d runs; want one per cell, 4", n, runs)
 	}
-	one, two := vcsBurst(1), vcsBurst(2)
+	one, two := consBurst(1), consBurst(2)
 	om, oneOK, _ := store.Get(one.Fingerprint())
 	tm, twoOK, _ := store.Get(two.Fingerprint())
 	if !oneOK || !twoOK || reflect.DeepEqual(om, tm) {
-		t.Fatalf("1-VC burst stored %v, 2-VC burst stored %v; want two different results", oneOK, twoOK)
+		t.Fatalf("1-channel burst stored %v, 2-channel burst stored %v; want two different results", oneOK, twoOK)
 	}
 }
 
 // TestQuarantinedPointsAreNotStored: a point that blows its budget twice is
 // quarantined and never stored, so the next run re-attempts it.
 func TestQuarantinedPointsAreNotStored(t *testing.T) {
-	want := bare(t, 16, "vcs")
+	want := bare(t, consD, "cons")
 	store := service.NewMemoryStore(0)
-	mustInProcess(t, service.Config{Store: store, DefaultTimeout: time.Nanosecond}, 16, "vcs")
+	mustInProcess(t, service.Config{Store: store, DefaultTimeout: time.Nanosecond}, consD, "cons")
 	if n, _ := store.Len(); n != 0 {
 		t.Fatalf("%d timed-out points were stored", n)
 	}
-	got, _, runs := mustInProcess(t, service.Config{Store: store}, 16, "vcs")
+	got, _, runs := mustInProcess(t, service.Config{Store: store}, consD, "cons")
 	if got != want {
 		t.Fatalf("rerun after the timeouts differs from the bare engine:\n%s\nvs\n%s", got, want)
 	}
-	if runs != 9 {
-		t.Fatalf("the rerun ran %d points; want all 9 re-attempted", runs)
+	if runs != 4 {
+		t.Fatalf("the rerun ran %d points; want all 4 re-attempted", runs)
 	}
 }
 
@@ -227,12 +230,12 @@ func TestQuarantinedPointsAreNotStored(t *testing.T) {
 // naming its fingerprint; it is never served and never silently rerun.
 func TestCorruptResultIsLoud(t *testing.T) {
 	dir := t.TempDir()
-	mustInProcess(t, service.Config{Store: dirStore(t, dir)}, 16, "vcs")
-	fp := vcsBurst(2).Fingerprint()
+	mustInProcess(t, service.Config{Store: dirStore(t, dir)}, consD, "cons")
+	fp := consBurst(2).Fingerprint()
 	if err := os.WriteFile(filepath.Join(dir, "results", fp+".json"), []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, _, _, err := inProcess(t, context.Background(), service.Config{Store: dirStore(t, dir)}, 16, "vcs")
+	out, _, _, err := inProcess(t, context.Background(), service.Config{Store: dirStore(t, dir)}, consD, "cons")
 	if out != "" || err == nil || !strings.Contains(err.Error(), fp) {
 		t.Fatalf("rerun over a corrupt entry: err %v; want no table and an error naming %s", err, fp)
 	}

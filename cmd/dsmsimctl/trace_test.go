@@ -159,7 +159,7 @@ func TestPointIsTheCell(t *testing.T) {
 		{"E27 occupancy burst", `{"k":8,"scheme":"UI-UA","d":6,"trials":1,"seed":1,` +
 			`"hot_spot":{"writers":3,"occupancy":true}}`, "-top 3"},
 		{"Table 6 replay", `{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU"}`, "-top 1"},
-		{"E19 traffic", `{"k":8,"trials":1,"seed":1,"offered_load":5,"tune":{"virtual_channels":2}}`, "-top 0 -occupancy"},
+		{"E19 traffic", `{"k":8,"trials":1,"seed":1,"offered_load":5}`, "-top 0 -occupancy"},
 	} {
 		var p sweep.Point
 		if err := json.Unmarshal([]byte(c.point), &p); err != nil {
@@ -302,8 +302,10 @@ func TestGroupsDrawTrialOneSharers(t *testing.T) {
 // simulator cannot build (a protocol, data-forwarding, limited-directory or
 // worm-barrier knob: the machine runs only the paper's write-invalidate
 // protocol and its shared-memory barrier), a mesh side below 2, a negative
-// offered load, or a point whose scheme grouping.AllSchemes does not list
-// (by number or by name) is a bad command line, exit 2, not a panic mid-run.
+// offered load, a traffic run with sharers, a placement or a virtual-channel
+// count it would ignore, or a point whose scheme grouping.AllSchemes does
+// not list (by number or by name) is a bad command line, exit 2, not a
+// panic mid-run.
 func TestUnrunnableReplayExitsTwo(t *testing.T) {
 	for _, c := range []struct{ point, why string }{
 		{`{"k":2,"app":"LU","trials":1}`, "too few nodes"},
@@ -324,6 +326,10 @@ func TestUnrunnableReplayExitsTwo(t *testing.T) {
 		{`{"k":-4,"scheme":"UI-UA","trials":1,"d":2}`, "has K -4"},
 		{`{"k":0,"scheme":"UI-UA","trials":1,"offered_load":1}`, "has K 0"},
 		{`{"k":4,"scheme":"UI-UA","trials":1,"offered_load":-5}`, "has OfferedLoad -5"},
+		{`{"k":4,"trials":1,"seed":1,"offered_load":5,"d":3,"pattern":"row"}`, "is a traffic run with D, Pattern"},
+		{`{"k":4,"trials":1,"seed":1,"offered_load":5,"d":3}`, "is a traffic run with D, Pattern"},
+		{`{"k":4,"trials":1,"seed":1,"offered_load":5,"pattern":"row"}`, "is a traffic run with D, Pattern"},
+		{`{"k":4,"trials":1,"seed":1,"offered_load":5,"tune":{"virtual_channels":2}}`, `unknown field "virtual_channels"`},
 	} {
 		func() {
 			defer func() {

@@ -76,7 +76,7 @@ func TestMsgPoolAllocsPerMiss(t *testing.T) {
 }
 
 // TestNewMachineAllocs pins the flat construction of a machine: the fabric's
-// channel sets, lanes, consumption pools and i-ack files, and the per-node
+// channels, consumption pools and i-ack files, and the per-node
 // caches, directories and controllers, each come from one allocation per
 // kind. Building a network therefore costs the same allocations at every
 // mesh size, and a machine costs nothing per node; a per-node or per-link

@@ -1,10 +1,12 @@
 package coherence
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/directory"
+	"repro/internal/faults"
 	"repro/internal/grouping"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -180,4 +182,20 @@ func TestConsistencyString(t *testing.T) {
 	if SequentialConsistency.String() != "SC" || ReleaseConsistency.String() != "RC" {
 		t.Error("consistency names wrong")
 	}
+}
+
+// TestReleaseConsistencyUnderFaultsRefused: NewMachine refuses release
+// consistency together with a fault injector, naming both fields, since no
+// checker covers store buffers and fences on a faulty fabric.
+func TestReleaseConsistencyUnderFaultsRefused(t *testing.T) {
+	p := DefaultParams(4, grouping.MIMAEC)
+	p.Consistency = ReleaseConsistency
+	p.Fault = faults.New(faults.Config{Seed: 1, DropRate: 0.1})
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "Consistency") || !strings.Contains(msg, "Fault") {
+			t.Fatalf("NewMachine(RC, Fault) panicked with %q; want a refusal naming Consistency and Fault", msg)
+		}
+	}()
+	NewMachine(p)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestConfigMatrixSoak drives random traffic through a matrix of protocol
-// option combinations — scheme x consistency x VCT and virtual channels —
+// option combinations — scheme x consistency x VCT —
 // checking the global coherence invariants at every quiescent point. This
 // is the integration net that catches cross-feature interactions no
 // focused test covers.
@@ -23,10 +23,7 @@ func TestConfigMatrixSoak(t *testing.T) {
 	variants := []cfg{
 		{"baseline", func(p *Params) {}},
 		{"rc", func(p *Params) { p.Consistency = ReleaseConsistency }},
-		{"vct+2vc", func(p *Params) {
-			p.Net.VCTDeferred = true
-			p.Net.VirtualChannels = 2
-		}},
+		{"vct", func(p *Params) { p.Net.VCTDeferred = true }},
 	}
 	for _, s := range grouping.AllSchemes {
 		for _, v := range variants {

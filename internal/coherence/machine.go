@@ -144,8 +144,12 @@ func (s *server) doCall(cost sim.Time, fn func(any, int32), arg any, i int32) {
 }
 
 // NewMachine builds a machine from params. The caller drives it through
-// Read/Write and the Engine.
+// Read/Write and the Engine. It refuses release consistency on a faulty
+// fabric: no checker has seen store buffers and fences under faults.
 func NewMachine(p Params) *Machine {
+	if p.Consistency == ReleaseConsistency && p.Fault != nil {
+		panic("coherence: Params.Consistency is ReleaseConsistency with a non-nil Params.Fault; release consistency runs only on a fault-free fabric")
+	}
 	var mesh *topology.Mesh
 	switch {
 	case p.MeshWidth > 0 && p.MeshHeight > 0:

@@ -99,15 +99,13 @@ func DefaultParams(k int, scheme grouping.Scheme) Params {
 }
 
 // Variant names a machine that differs from DefaultParams in the parameters
-// the ablations vary (i-ack depth, consumption and virtual channels, VCT,
-// and for replays consistency). It is
-// data, not code, so a sweep point that carries one can be serialised and
-// fingerprinted. Every field's zero value means DefaultParams' value: a
-// nil or empty Variant is the default machine.
+// the ablations vary (i-ack depth, consumption channels, VCT, and for
+// replays consistency). It is data, not code, so a sweep point that carries
+// one can be serialised and fingerprinted. Every field's zero value means
+// DefaultParams' value: a nil or empty Variant is the default machine.
 type Variant struct {
 	IAckBuffers         int         `json:"iack_buffers,omitempty"`
 	ConsumptionChannels int         `json:"consumption_channels,omitempty"`
-	VirtualChannels     int         `json:"virtual_channels,omitempty"`
 	VCTDeferred         bool        `json:"vct_deferred,omitempty"`
 	Consistency         Consistency `json:"consistency,omitempty"`
 }
@@ -123,9 +121,6 @@ func (v *Variant) Apply(p *Params) {
 	}
 	if v.ConsumptionChannels != 0 {
 		p.Net.ConsumptionChannels = v.ConsumptionChannels
-	}
-	if v.VirtualChannels != 0 {
-		p.Net.VirtualChannels = v.VirtualChannels
 	}
 	if v.VCTDeferred {
 		p.Net.VCTDeferred = true

@@ -502,26 +502,6 @@ func (l Lab) FigConsistency() *report.Table {
 	return t
 }
 
-// FigVirtualChannels renders E14: hot-spot bursts under 1, 2 and 4 virtual
-// channels per link, for the baseline and MI-MA frameworks. Extra lanes
-// relieve the serialization that blocked worms impose on physical links.
-func (l Lab) FigVirtualChannels(k, d, writers int) *report.Table {
-	schemes := []grouping.Scheme{grouping.UIUA, grouping.MIMAEC, grouping.MIMATM}
-	t := report.NewTable(
-		fmt.Sprintf("E14: makespan (cycles) of %d concurrent invalidations vs virtual channels, %dx%d mesh, d=%d",
-			writers, k, k, d), schemeCols([]string{"virtual channels"}, schemes)...)
-	vcss := []int{1, 2, 4}
-	var pts []sweep.Point
-	for _, vcs := range vcss {
-		for _, s := range schemes {
-			pts = append(pts, burst(k, s, d, sweep.HotSpot{Writers: writers, OverlapSharers: true, DistinctHomes: true},
-				&coherence.Variant{VirtualChannels: vcs}))
-		}
-	}
-	gridRows(t, vcss, l.runSweep(pts), makespan)
-	return t
-}
-
 // invalSizeBuckets are the Weber/Gupta-style invalidation size classes.
 var invalSizeBuckets = []struct {
 	label    string
@@ -570,18 +550,16 @@ func (l Lab) FigInvalSizeDistribution() *report.Table {
 var InjectionRates = []float64{1, 5, 10, 20, 30, 40}
 
 // FigOfferedLoad renders E19: the classic network latency-versus-offered-
-// load curve under uniform random unicast traffic, for 1 and 2 virtual
-// channels per link — the substrate validation experiment of the wormhole
-// routing literature the paper builds on [27, 33].
+// load curve under uniform random unicast traffic — the substrate
+// validation experiment of the wormhole routing literature the paper builds
+// on [27, 33].
 func (l Lab) FigOfferedLoad(k int) *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("E19: uniform traffic on a %dx%d mesh: latency vs offered load", k, k),
-		"rate (worms/node/kcycle)", "1 VC latency", "1 VC util", "2 VC latency", "2 VC util")
+		"rate (worms/node/kcycle)", "latency", "util")
 	var pts []sweep.Point
 	for _, rate := range InjectionRates {
-		for _, tune := range []*coherence.Variant{nil, {VirtualChannels: 2}} {
-			pts = append(pts, sweep.Point{K: k, Trials: 1, Seed: 1, OfferedLoad: rate, Tune: tune})
-		}
+		pts = append(pts, sweep.Point{K: k, Trials: 1, Seed: 1, OfferedLoad: rate})
 	}
 	gridRows(t, InjectionRates, l.runSweep(pts), func(m sweep.Measures) []any {
 		return []any{m.TrafficLatency, report.Float3(m.LinkUtil)}

@@ -134,14 +134,14 @@ func TestFigIAckBuffersShape(t *testing.T) {
 }
 
 func TestCSVExportParses(t *testing.T) {
-	tab := Lab{}.FigVirtualChannels(8, 8, 2)
+	tab := Lab{}.AblationConsumptionChannels(8, 8, 2)
 	csv := tab.CSV()
 	lines := strings.Split(strings.TrimRight(csv, "\n"), "\n")
 	if len(lines) != tab.Rows()+1 {
 		t.Fatalf("csv lines = %d, want %d", len(lines), tab.Rows()+1)
 	}
 	for _, line := range lines {
-		if strings.Count(line, ",") != 3 {
+		if strings.Count(line, ",") != 2 {
 			t.Fatalf("csv arity wrong: %q", line)
 		}
 	}
@@ -173,7 +173,6 @@ func TestAllExperimentsRender(t *testing.T) {
 		{"E11", func() *report.Table { return l.AblationPlacement(8, 8, 2) }, 5},
 		{"E12", func() *report.Table { return l.AblationConsumptionChannels(8, 8, 2) }, 4},
 		{"E13", l.FigConsistency, 3},
-		{"E14", func() *report.Table { return l.FigVirtualChannels(8, 8, 2) }, 3},
 		{"E17", l.FigInvalSizeDistribution, 3},
 	}
 	for _, tc := range cases {
@@ -318,15 +317,15 @@ func TestRunWrapsRunnerErrors(t *testing.T) {
 }
 
 // TestFiguresParallelInvariant renders representative figures — an
-// invalidation sweep, hot-spot bursts, the virtual-channel figure with its
-// per-cell machine variants and the traced occupancy bursts — at 1 and 8
+// invalidation sweep, hot-spot bursts, the consumption-channel ablation with
+// its per-cell machine variants and the traced occupancy bursts — at 1 and 8
 // workers and requires byte-identical tables. GOMAXPROCS may be 1 on the test runner, so this
 // forces a genuinely concurrent configuration regardless of hardware.
 func TestFiguresParallelInvariant(t *testing.T) {
 	figures := map[string]func(l Lab) string{
 		"latency":   func(l Lab) string { return l.FigLatencyVsSharers(8, 2).String() },
 		"hotspot":   func(l Lab) string { return l.FigHotSpot(4, 3).String() },
-		"vcs":       func(l Lab) string { return l.FigVirtualChannels(4, 3, 4).String() },
+		"cons":      func(l Lab) string { return l.AblationConsumptionChannels(4, 3, 4).String() },
 		"occupancy": func(l Lab) string { return l.FigOccupancyProfile(8, 6, 3).String() },
 	}
 	for name, render := range figures {

@@ -96,7 +96,7 @@ func TestGoldenTablesSeed(t *testing.T) {
 // figures, the single-machine ones (Tables 4 and 5, congestion),
 // and the plain-point figures the seed suite does not render (placement,
 // mesh size).
-var cellGoldenNames = []string{"buffers", "hotspot", "homes", "cons", "vcs", "occupancy",
+var cellGoldenNames = []string{"buffers", "hotspot", "homes", "cons", "occupancy",
 	"table6", "apps", "sharing", "invalsize", "consistency", "load",
 	"table4", "table5", "congestion",
 	"placement", "meshsize"}

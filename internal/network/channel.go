@@ -4,20 +4,56 @@ import (
 	"repro/internal/sim"
 )
 
-// channel is one unidirectional wormhole virtual channel: a lane of a
-// node's injection port (network interface to its router) or of a physical
-// link (router to neighboring router) on one virtual network. A channel is
-// held exclusively by one worm from header acquisition until the worm's
-// tail crosses it.
+// channel is one unidirectional wormhole channel: a node's injection port
+// (network interface to its router) or a physical link (router to
+// neighboring router) on one virtual network. A channel is held exclusively
+// by one worm from header acquisition until the worm's tail crosses it;
+// worms that find it busy queue FIFO for the next release.
+//
+// The channel is passive: tryAcquire and release manage its state, and the
+// Network dispatches granted waiters (see dispatchChannel), keeping the hot
+// path free of closure allocations. Channels are stored by value in the
+// Network's flat per-VN arrays, which are sized for every port; absent
+// marks the local port and a mesh edge's ports, which have no link.
 type channel struct {
-	busy bool
-	// set is the channel set this lane belongs to, so a release needs no
-	// path lookup.
-	set *vcSet
+	busy    bool
+	absent  bool
+	waiters waitQueue
 
 	// stats
 	acquired  sim.Time // time of the current acquisition
 	busyTotal sim.Time // accumulated held cycles
+}
+
+// tryAcquire takes the channel when it is free (the caller queues a waiter
+// otherwise).
+//
+//simcheck:noalloc
+func (c *channel) tryAcquire(now sim.Time) bool {
+	if c.busy {
+		return false
+	}
+	c.busy = true
+	c.acquired = now
+	return true
+}
+
+// release frees the channel at time now. If a waiter is queued the channel
+// passes directly to it: the waiter is returned (granted == true) with the
+// channel already re-acquired, and the caller must dispatch it.
+//
+//simcheck:noalloc
+func (c *channel) release(now sim.Time) (wt waiter, granted bool) {
+	if !c.busy {
+		panic("network: release of idle channel")
+	}
+	c.busyTotal += now - c.acquired
+	if c.waiters.empty() {
+		c.busy = false
+		return waiter{}, false
+	}
+	c.acquired = now
+	return c.waiters.pop(), true
 }
 
 // utilization returns the fraction of [0, now] this channel was held.
@@ -32,10 +68,10 @@ func (c *channel) utilization(now sim.Time) float64 {
 	return float64(total) / float64(now)
 }
 
-// waiter is one worm queued on a contended resource (virtual-channel set,
-// consumption pool, or i-ack buffer file). The act code tells the network's
-// dispatch what the worm was waiting to do, so a grant resumes it without a
-// per-wait closure allocation.
+// waiter is one worm queued on a contended resource (channel, consumption
+// pool, or i-ack buffer file). The act code tells the network's dispatch
+// what the worm was waiting to do, so a grant resumes it without a per-wait
+// closure allocation.
 type waiter struct {
 	w   *Worm
 	i   int32 // path index the worm is waiting at
@@ -91,72 +127,6 @@ const (
 	actConsFinal                  // consumption token at the final destination (drain)
 	actIAckReserve                // i-ack buffer entry grant for a reserve worm
 )
-
-// vcSet is the set of virtual channels multiplexed over one physical
-// resource (an injection port or a link). A worm acquires any free lane;
-// when all lanes are busy it queues FIFO for the next release. With one
-// lane per set this degenerates to plain wormhole switching.
-//
-// The simulator time-multiplexes lanes idealistically (each worm streams at
-// full link rate once granted); the first-order effect of virtual channels
-// — blocked worms no longer blocking the physical link for others — is
-// what the model captures.
-//
-// The set is passive: tryAcquire and release manage lane state, and the
-// Network dispatches granted waiters (see dispatchVC), keeping the hot path
-// free of closure allocations. Sets are stored by value in the Network's
-// flat per-VN arrays; a set with nil chans is an absent link.
-type vcSet struct {
-	chans   []channel
-	waiters waitQueue
-}
-
-// init gives the set its first lanes of free, each pointing back at the
-// set, and returns the rest of free. s must not move afterwards (the
-// Network's arrays are never resized).
-func (s *vcSet) init(free []channel, lanes int) []channel {
-	s.chans = free[:lanes:lanes]
-	for i := range s.chans {
-		s.chans[i].set = s
-	}
-	return free[lanes:]
-}
-
-// tryAcquire grants a free lane, or returns nil when every lane is busy
-// (the caller then queues a waiter).
-//
-//simcheck:noalloc
-func (s *vcSet) tryAcquire(now sim.Time) *channel {
-	for i := range s.chans {
-		c := &s.chans[i]
-		if !c.busy {
-			c.busy = true
-			c.acquired = now
-			return c
-		}
-	}
-	return nil
-}
-
-// release frees lane c at time now. If a waiter is queued the lane passes
-// directly to it: the waiter is returned (granted == true) with the lane
-// already re-acquired, and the caller must dispatch it.
-//
-//simcheck:noalloc
-func (s *vcSet) release(c *channel, now sim.Time) (wt waiter, granted bool) {
-	if !c.busy {
-		panic("network: release of idle channel")
-	}
-	c.busyTotal += now - c.acquired
-	c.busy = false
-	if s.waiters.empty() {
-		return waiter{}, false
-	}
-	wt = s.waiters.pop()
-	c.busy = true
-	c.acquired = now
-	return wt, true
-}
 
 // consumptionPool is the set of consumption channels from a router
 // interface to its node. Every worm delivery (final consumption and

@@ -25,7 +25,7 @@ type Injector interface {
 	RouterPenalty(w *Worm, hop int, now sim.Time) sim.Time
 	// LinkStall returns how long the link from Path[hop] to Path[hop+1] is
 	// dead for w (a transient link failure); the header waits out the stall
-	// before competing for the link's virtual channels.
+	// before competing for the link's channel.
 	LinkStall(w *Worm, hop int, now sim.Time) sim.Time
 	// LoseAck reports whether node's i-ack post for txn is lost before it
 	// reaches the local i-ack buffer entry.
@@ -46,11 +46,8 @@ func (n *Network) killWorm(w *Worm) bool {
 	if n.Rec != nil {
 		n.traceWorm(trace.KindWormKill, 0, w, w.Path[w.hopIdx], uint64(w.hopIdx), 0, "")
 	}
-	for j := w.heldFrom; j < len(w.Path); j++ {
-		if lane := w.lanes[j]; lane != nil {
-			w.lanes[j] = nil
-			n.releaseLane(lane, now)
-		}
+	for j := w.heldFrom; j < w.heldTo; j++ {
+		n.releaseChannel(w.chans[j], now)
 	}
 	// Park heldFrom past the end so any already-scheduled staggered release
 	// event (guarded on heldFrom == j) becomes a no-op.
@@ -86,7 +83,7 @@ func (w *Worm) killable() bool {
 func (n *Network) AbortTxn(txn uint64) int {
 	killed := 0
 	for _, w := range n.inFlightByID() {
-		// A kill hands lanes to waiting worms, which can carry a later
+		// A kill hands channels to waiting worms, which can carry a later
 		// victim into its drain before its turn; killWorm skips it then.
 		if w.TxnID == txn && w.Expendable && n.killWorm(w) {
 			killed++

@@ -30,9 +30,6 @@ type Config struct {
 	// IAckBuffers is the number of i-ack buffer entries per router
 	// interface (the paper proposes 2-4).
 	IAckBuffers int
-	// VirtualChannels is the number of virtual channel lanes multiplexed
-	// over each physical link per virtual network (1 = plain wormhole).
-	VirtualChannels int
 	// VCTDeferred enables virtual-cut-through deferred delivery for
 	// blocked i-gather worms: instead of stalling in the network holding
 	// channels, the worm parks in the i-ack buffer's message field and is
@@ -54,7 +51,6 @@ func DefaultConfig() Config {
 		InjectDelay:         2,
 		ConsumptionChannels: 4,
 		IAckBuffers:         4,
-		VirtualChannels:     1,
 		VCTDeferred:         false,
 		HeaderFlitsUnicast:  3,
 		DestsPerHeaderFlit:  2,
@@ -110,13 +106,13 @@ type Network struct {
 	Rec *trace.Recorder
 
 	// injection[vn][node] and links[vn][node*NumPorts+port] are the
-	// wormhole channel sets, stored by value (an absent link has nil
-	// chans); cons[node] the consumption pools; iack[node] the i-ack
-	// buffer files. Every array, and the lanes and buffer entries they
-	// hold, is carved from one allocation per kind, so building a network
-	// costs the same number of allocations at any mesh size.
-	injection [numVNs][]vcSet
-	links     [numVNs][]vcSet
+	// wormhole channels, stored by value (an absent link is marked
+	// absent); cons[node] the consumption pools; iack[node] the i-ack
+	// buffer files. Every array, and the buffer entries they hold, is
+	// carved from one allocation per kind, so building a network costs the
+	// same number of allocations at any mesh size.
+	injection [numVNs][]channel
+	links     [numVNs][]channel
 	cons      []consumptionPool
 	iack      []iackFile
 
@@ -159,27 +155,22 @@ func New(engine *sim.Engine, mesh *topology.Mesh, cfg Config) *Network {
 	if cfg.ConsumptionChannels <= 0 || cfg.IAckBuffers <= 0 {
 		panic("network: need at least one consumption channel and i-ack buffer")
 	}
-	if cfg.VirtualChannels <= 0 {
-		panic("network: need at least one virtual channel per link")
-	}
 	n := &Network{
 		Engine: engine, Mesh: mesh, Cfg: cfg,
 		meshW: mesh.Width(),
 	}
 	nodes := mesh.Nodes()
-	// Lanes are sized for every port; a mesh's edge ports leave theirs
-	// unused.
-	sets := make([]vcSet, int(numVNs)*nodes*(1+int(topology.NumPorts)))
-	lanes := make([]channel, int(numVNs)*nodes*(1+int(topology.NumPorts)*cfg.VirtualChannels))
+	// Links are sized for every port; the local port and a mesh's edge
+	// ports mark theirs absent.
+	chans := make([]channel, int(numVNs)*nodes*(1+int(topology.NumPorts)))
 	for vn := VN(0); vn < numVNs; vn++ {
-		n.injection[vn], sets = sets[:nodes:nodes], sets[nodes:]
+		n.injection[vn], chans = chans[:nodes:nodes], chans[nodes:]
 		k := nodes * int(topology.NumPorts)
-		n.links[vn], sets = sets[:k:k], sets[k:]
+		n.links[vn], chans = chans[:k:k], chans[k:]
 		for id := topology.NodeID(0); int(id) < nodes; id++ {
-			lanes = n.injection[vn][id].init(lanes, 1)
-			for p := topology.East; p <= topology.South; p++ {
-				if _, ok := mesh.Neighbor(id, p); ok {
-					lanes = n.link(vn, id, p).init(lanes, cfg.VirtualChannels)
+			for p := topology.Local; p < topology.NumPorts; p++ {
+				if _, ok := mesh.Neighbor(id, p); !ok {
+					n.link(vn, id, p).absent = true
 				}
 			}
 		}
@@ -283,8 +274,7 @@ func (n *Network) recycleWorm(w *Worm) {
 		pooled:   true,
 		pathBuf:  w.pathBuf,
 		destBuf:  w.destBuf,
-		lanes:    w.lanes[:0],
-		sets:     w.sets[:0],
+		chans:    w.chans[:0],
 		consHeld: w.consHeld[:0],
 	}
 	n.freeWorms = append(n.freeWorms, w)
@@ -320,11 +310,11 @@ func (n *Network) schedWormAt(t sim.Time, fn func(any, int32), w *Worm, i int32)
 	n.Engine.AtCall(t, fn, w, i)
 }
 
-// link returns the channel set of node's outgoing link through port on vn
-// (nil chans when the link is absent).
+// link returns the channel of node's outgoing link through port on vn
+// (marked absent when the mesh has no such link).
 //
 //simcheck:noalloc
-func (n *Network) link(vn VN, node topology.NodeID, port topology.Port) *vcSet {
+func (n *Network) link(vn VN, node topology.NodeID, port topology.Port) *channel {
 	return &n.links[vn][int(node)*int(topology.NumPorts)+int(port)]
 }
 
@@ -333,7 +323,7 @@ func (n *Network) link(vn VN, node topology.NodeID, port topology.Port) *vcSet {
 // the mesh or the delta names no port. The row deltas are checked first,
 // which also covers degenerate 1-wide meshes. An X delta whose nodes sit
 // in different rows is no hop: that case is exactly an edge with no link,
-// which the caller rejects by the set's nil chans.
+// which the caller rejects by the channel's absent mark.
 //
 //simcheck:noalloc
 func (n *Network) portBetween(from, to topology.NodeID) (topology.Port, bool) {
@@ -353,23 +343,24 @@ func (n *Network) portBetween(from, to topology.NodeID) (topology.Port, bool) {
 	return 0, false
 }
 
-// resolveLinks maps each hop i of w's path, Path[i] to Path[i+1], to its
-// link's channel set in w.sets, once per worm: acquisition then reads
-// w.sets[i]. A hop that is not a link of the mesh panics.
+// resolveChannels sizes w.chans to the path and fills each index i >= 1
+// with the link from Path[i-1] to Path[i], once per worm: acquisition then
+// reads w.chans[i+1]. Inject fills index 0, the source's injection
+// channel. A hop that is not a link of the mesh panics.
 //
 //simcheck:noalloc
-func (n *Network) resolveLinks(w *Worm) {
-	hops := len(w.Path) - 1
-	w.sets = slices.Grow(w.sets[:0], hops)[:hops]
+func (n *Network) resolveChannels(w *Worm) {
+	npath := len(w.Path)
+	w.chans = slices.Grow(w.chans[:0], npath)[:npath]
 	links := n.links[w.VN]
-	for i := range w.sets {
-		from := w.Path[i]
-		p, ok := n.portBetween(from, w.Path[i+1])
+	for i := 1; i < npath; i++ {
+		from := w.Path[i-1]
+		p, ok := n.portBetween(from, w.Path[i])
 		if ok {
-			w.sets[i] = &links[int(from)*int(topology.NumPorts)+int(p)]
+			w.chans[i] = &links[int(from)*int(topology.NumPorts)+int(p)]
 		}
-		if !ok || w.sets[i].chans == nil {
-			panic(fmt.Sprintf("network: worm path not hop-contiguous at %d", i+1))
+		if !ok || w.chans[i].absent {
+			panic(fmt.Sprintf("network: worm path not hop-contiguous at %d", i))
 		}
 	}
 }
@@ -383,16 +374,13 @@ func (n *Network) Inject(w *Worm) {
 		panic("network: OnDeliver not set")
 	}
 	w.validate()
-	n.resolveLinks(w)
+	n.resolveChannels(w)
 	w.ID = n.nextID
 	n.nextID++
 	w.net = n
 	w.injectedAt = n.Engine.Now()
 	w.state = wormInjecting
-	npath := len(w.Path)
-	w.lanes = slices.Grow(w.lanes[:0], npath)[:npath]
-	clear(w.lanes)
-	w.heldFrom = 0
+	w.heldFrom, w.heldTo = 0, 0
 	w.hopIdx = 0
 	w.consHeld = w.consHeld[:0]
 	n.inFlight = append(n.inFlight, w)
@@ -404,14 +392,14 @@ func (n *Network) Inject(w *Worm) {
 		n.traceWorm(trace.KindWormInject, uint8(w.VN), w, w.Source(), uint64(w.Flits()), uint64(w.Hops()), w.Kind.String())
 	}
 
-	if npath == 1 {
+	if len(w.Path) == 1 {
 		// Degenerate local delivery: no network resources used.
 		n.schedWorm(n.Cfg.InjectDelay+sim.Time(w.Flits())*n.Cfg.FlitCycles, n.fnLocalDeliver, w, 0)
 		return
 	}
 	inj := &n.injection[w.VN][w.Source()]
-	lane := inj.tryAcquire(n.Engine.Now())
-	if lane == nil {
+	w.chans[0] = inj
+	if !inj.tryAcquire(n.Engine.Now()) {
 		if n.Rec != nil {
 			n.traceWorm(trace.KindWormBlock, trace.BlockInjection, w, w.Source(), 0, 0, "")
 		}
@@ -419,18 +407,18 @@ func (n *Network) Inject(w *Worm) {
 		inj.waiters.push(w, 0, actInject)
 		return
 	}
-	n.grantInjection(w, 0, lane, false, false)
+	n.grantInjection(w, 0, inj, false, false)
 }
 
-// grantInjection runs when w is granted an injection-port lane: at the
-// source (reinject == false) or at a re-injection router for a VCT-parked
-// gather worm (reinject == true, i is the park index).
+// grantInjection runs when w is granted injection channel c: at the source
+// (reinject == false) or at a re-injection router for a VCT-parked gather
+// worm (reinject == true, i is the park index).
 //
 //simcheck:noalloc
-func (n *Network) grantInjection(w *Worm, i int32, lane *channel, wasBlocked, reinject bool) {
+func (n *Network) grantInjection(w *Worm, i int32, c *channel, wasBlocked, reinject bool) {
 	now := n.Engine.Now()
 	if w.state == wormKilled {
-		n.releaseLane(lane, now)
+		n.releaseChannel(c, now)
 		return
 	}
 	ii := int(i)
@@ -441,7 +429,7 @@ func (n *Network) grantInjection(w *Worm, i int32, lane *channel, wasBlocked, re
 			}
 			n.traceWorm(trace.KindWormHold, uint8(w.VN), w, w.Source(), 0, uint64(w.Source()), "")
 		}
-		w.lanes[0] = lane
+		w.heldTo = 1
 		n.schedWorm(n.Cfg.InjectDelay, n.fnHeaderAt, w, 0)
 		return
 	}
@@ -449,10 +437,10 @@ func (n *Network) grantInjection(w *Worm, i int32, lane *channel, wasBlocked, re
 		n.traceWorm(trace.KindWormResume, 0, w, w.Path[ii], uint64(ii), 0, "")
 		n.traceWorm(trace.KindWormHold, uint8(w.VN), w, w.Path[ii], uint64(ii), uint64(w.Path[ii]), "")
 	}
-	// The parked copy occupies the injection channel as index i; the lane
-	// knows its set, so releaseIndex releases the right channel.
-	w.lanes[ii] = lane
-	w.heldFrom = ii
+	// The parked copy occupies the injection channel as index i, in place
+	// of the link into Path[i] it released when it parked.
+	w.chans[ii] = c
+	w.heldFrom, w.heldTo = ii, ii+1
 	n.schedWorm(n.Cfg.InjectDelay, n.fnRequestNext, w, i)
 }
 
@@ -687,13 +675,12 @@ func (n *Network) PostAck(node topology.NodeID, txn uint64) {
 func (n *Network) reinjectGather(w *Worm) {
 	i := w.hopIdx
 	inj := &n.injection[w.VN][w.Path[i]]
-	lane := inj.tryAcquire(n.Engine.Now())
-	if lane == nil {
+	if !inj.tryAcquire(n.Engine.Now()) {
 		n.wormRef(w)
 		inj.waiters.push(w, int32(i), actReinject)
 		return
 	}
-	n.grantInjection(w, int32(i), lane, false, true)
+	n.grantInjection(w, int32(i), inj, false, true)
 }
 
 // requestNext moves w's header from Path[i] toward Path[i+1], or begins the
@@ -721,7 +708,7 @@ func (n *Network) requestNext(w *Worm, i int) {
 	}
 	if n.Fault != nil {
 		// A transient link failure: the header waits out the stall before
-		// competing for the link's virtual channels. Consulted once per
+		// competing for the link's channel. Consulted once per
 		// (worm, hop); acquireLink does not re-ask.
 		if stall := n.Fault.LinkStall(w, i, n.Engine.Now()); stall > 0 {
 			n.stats.LinkStallCycles += uint64(stall)
@@ -736,37 +723,36 @@ func (n *Network) requestNext(w *Worm, i int) {
 	n.acquireLink(w, i)
 }
 
-// acquireLink competes for the virtual-channel set from Path[i] to
-// Path[i+1] and advances the header on grant.
+// acquireLink competes for the link channel from Path[i] to Path[i+1] and
+// advances the header on grant.
 //
 //simcheck:noalloc
 func (n *Network) acquireLink(w *Worm, i int) {
 	if w.state == wormKilled {
 		return
 	}
-	set := w.sets[i]
+	c := w.chans[i+1]
 	w.state = wormBlocked
-	lane := set.tryAcquire(n.Engine.Now())
-	if lane == nil {
+	if !c.tryAcquire(n.Engine.Now()) {
 		if n.Rec != nil {
 			n.traceWorm(trace.KindWormBlock, trace.BlockLink, w, w.Path[i], uint64(i), 0, "")
 		}
 		n.wormRef(w)
-		set.waiters.push(w, int32(i), actLink)
+		c.waiters.push(w, int32(i), actLink)
 		return
 	}
-	n.grantLink(w, int32(i), lane, false)
+	n.grantLink(w, int32(i), c, false)
 }
 
-// grantLink runs when w is granted a lane on the link from Path[i] to
+// grantLink runs when w is granted link channel c from Path[i] to
 // Path[i+1]: the header advances and vacated channels release behind the
 // tail.
 //
 //simcheck:noalloc
-func (n *Network) grantLink(w *Worm, i int32, lane *channel, wasBlocked bool) {
+func (n *Network) grantLink(w *Worm, i int32, c *channel, wasBlocked bool) {
 	now := n.Engine.Now()
 	if w.state == wormKilled {
-		n.releaseLane(lane, now)
+		n.releaseChannel(c, now)
 		return
 	}
 	ii := int(i)
@@ -777,7 +763,7 @@ func (n *Network) grantLink(w *Worm, i int32, lane *channel, wasBlocked bool) {
 		n.traceWorm(trace.KindWormHold, uint8(w.VN), w, w.Path[ii+1], uint64(ii+1), uint64(w.Path[ii]), "")
 	}
 	w.state = wormMoving
-	w.lanes[ii+1] = lane
+	w.heldTo = ii + 2
 	// Tail progress: with single-flit staging, the worm spans at most
 	// Flits() channels; anything further back has been vacated.
 	for w.heldFrom <= ii+1-w.Flits() {
@@ -786,31 +772,30 @@ func (n *Network) grantLink(w *Worm, i int32, lane *channel, wasBlocked bool) {
 	n.schedWorm(n.Cfg.FlitCycles, n.fnHeaderAt, w, i+1)
 }
 
-// dispatchVC resumes a worm granted a virtual-channel lane (the lane is
-// already re-acquired by release's direct hand-off).
+// dispatchChannel resumes a worm granted channel c (already re-acquired by
+// release's direct hand-off).
 //
 //simcheck:noalloc
-func (n *Network) dispatchVC(wt waiter, lane *channel) {
+func (n *Network) dispatchChannel(wt waiter, c *channel) {
 	switch wt.act {
 	case actInject:
-		n.grantInjection(wt.w, wt.i, lane, true, false)
+		n.grantInjection(wt.w, wt.i, c, true, false)
 	case actReinject:
-		n.grantInjection(wt.w, wt.i, lane, true, true)
+		n.grantInjection(wt.w, wt.i, c, true, true)
 	case actLink:
-		n.grantLink(wt.w, wt.i, lane, true)
+		n.grantLink(wt.w, wt.i, c, true)
 	default:
-		panic("network: bad waiter action on channel set")
+		panic("network: bad waiter action on channel")
 	}
 	n.wormUnref(wt.w)
 }
 
-// releaseLane frees lane c of its own set and dispatches the set's next
-// waiter, if any: an O(1) step that needs no path lookup.
+// releaseChannel frees c and dispatches its next waiter, if any.
 //
 //simcheck:noalloc
-func (n *Network) releaseLane(c *channel, now sim.Time) {
-	if wt, ok := c.set.release(c, now); ok {
-		n.dispatchVC(wt, c)
+func (n *Network) releaseChannel(c *channel, now sim.Time) {
+	if wt, ok := c.release(now); ok {
+		n.dispatchChannel(wt, c)
 	}
 }
 
@@ -913,16 +898,15 @@ func (n *Network) releaseIndex(w *Worm, j int, now sim.Time) {
 	}
 	w.heldFrom++
 	n.beacon.Mark()
-	lane := w.lanes[j]
-	n.releaseLane(lane, now)
+	c := w.chans[j]
+	n.releaseChannel(c, now)
 	if n.Rec != nil {
 		from := w.Path[j]
-		if lane.set != &n.injection[w.VN][from] {
+		if c != &n.injection[w.VN][from] {
 			from = w.Path[j-1]
 		}
 		n.traceWorm(trace.KindWormRelease, uint8(w.VN), w, w.Path[j], uint64(j), uint64(from), "")
 	}
-	w.lanes[j] = nil
 	if j > 0 && j < len(w.Path)-1 && w.Dest[j] {
 		for k := range w.consHeld {
 			if int(w.consHeld[k].idx) != j {
@@ -949,10 +933,12 @@ func (n *Network) AvgLinkUtilization() float64 {
 	var count int
 	for vn := range n.links {
 		for s := range n.links[vn] {
-			for _, c := range n.links[vn][s].chans {
-				sum += c.utilization(now)
-				count++
+			c := &n.links[vn][s]
+			if c.absent {
+				continue
 			}
+			sum += c.utilization(now)
+			count++
 		}
 	}
 	if count == 0 {
@@ -1037,23 +1023,18 @@ func (n *Network) describeWait(w *Worm) string {
 	return "unknown state"
 }
 
-// LinkUtilization returns the mean busy fraction of the virtual-channel
-// lanes on node's outgoing link through port on vn, up to the current
-// time. It returns 0 for absent links (mesh edges, local port).
+// LinkUtilization returns the busy fraction of node's outgoing link
+// through port on vn, up to the current time. It returns 0 for absent links
+// (mesh edges, local port).
 func (n *Network) LinkUtilization(node topology.NodeID, port topology.Port, vn VN) float64 {
 	if port < topology.East || port > topology.South {
 		return 0
 	}
-	set := n.link(vn, node, port)
-	if set.chans == nil {
+	c := n.link(vn, node, port)
+	if c.absent {
 		return 0
 	}
-	now := n.Engine.Now()
-	var sum float64
-	for i := range set.chans {
-		sum += set.chans[i].utilization(now)
-	}
-	return sum / float64(len(set.chans))
+	return c.utilization(n.Engine.Now())
 }
 
 // DimUtilization returns, per node, the mean utilization of its outgoing
@@ -1071,7 +1052,7 @@ func (n *Network) DimUtilization(vn VN, dim byte) []float64 {
 		var sum float64
 		var cnt int
 		for _, p := range ports {
-			if n.link(vn, topology.NodeID(id), p).chans != nil {
+			if !n.link(vn, topology.NodeID(id), p).absent {
 				sum += n.LinkUtilization(topology.NodeID(id), p, vn)
 				cnt++
 			}

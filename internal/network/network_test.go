@@ -578,69 +578,58 @@ func TestKindAndVNStrings(t *testing.T) {
 	}
 }
 
-func TestVirtualChannelsBypassBlockedWorm(t *testing.T) {
-	// A gather stalled waiting for an ack holds one lane of each link on
-	// its path. With a single virtual channel, cross traffic on those
-	// links is stuck behind it; with two lanes it passes.
-	for _, vcs := range []int{1, 2} {
-		r := newRig(t, 8, func(c *Config) { c.VirtualChannels = vcs })
-		home := r.at(0, 2)
-		s1, s2 := r.at(3, 2), r.at(3, 5)
-		const txn = 21
-		reserve := r.multiWorm(t, Reserve, Request, routing.ECube,
-			[]topology.NodeID{home, s1, s2}, 0, txn)
-		r.n.Inject(reserve)
-		r.e.Run()
-		r.got = nil
+func TestStalledGatherBlocksCrossTraffic(t *testing.T) {
+	// A gather stalled waiting for an ack holds the channel of each link on
+	// its path, so cross traffic on those links is stuck behind it until
+	// the ack posts; then both drain.
+	r := newRig(t, 8, nil)
+	home := r.at(0, 2)
+	s1, s2 := r.at(3, 2), r.at(3, 5)
+	const txn = 21
+	reserve := r.multiWorm(t, Reserve, Request, routing.ECube,
+		[]topology.NodeID{home, s1, s2}, 0, txn)
+	r.n.Inject(reserve)
+	r.e.Run()
+	r.got = nil
 
-		gpath, _ := routing.ECube.PathThrough(r.m, []topology.NodeID{home, s1, s2})
-		rev := make([]topology.NodeID, len(gpath))
-		for i, nd := range gpath {
-			rev[len(gpath)-1-i] = nd
-		}
-		dests := make([]bool, len(rev))
-		for i, nd := range rev {
-			if i > 0 && (nd == s1 || nd == home) {
-				dests[i] = true
-			}
-		}
-		g := &Worm{Kind: Gather, VN: Reply, Path: rev, Dest: dests,
-			HeaderFlits: r.n.Cfg.HeaderFlits(2), TxnID: txn}
-		r.n.Inject(g)
-		r.e.RunUntil(200) // gather now stalls at s1
-
-		cross := r.unicastWorm(routing.ECube, Reply, r.at(3, 6), r.at(3, 1), 0)
-		r.n.Inject(cross)
-		r.e.RunUntil(5000)
-		crossDone := false
-		for _, d := range r.got {
-			if d.Worm == cross && d.Final {
-				crossDone = true
-			}
-		}
-		if vcs == 1 && crossDone {
-			t.Fatal("1 VC: cross traffic should be blocked behind the stalled gather")
-		}
-		if vcs == 2 && !crossDone {
-			t.Fatal("2 VCs: cross traffic should bypass the stalled gather")
-		}
-		r.n.PostAck(s1, txn)
-		r.e.Run()
-		if r.n.Outstanding() != 0 {
-			t.Fatalf("vcs=%d: outstanding after ack", vcs)
+	gpath, _ := routing.ECube.PathThrough(r.m, []topology.NodeID{home, s1, s2})
+	rev := make([]topology.NodeID, len(gpath))
+	for i, nd := range gpath {
+		rev[len(gpath)-1-i] = nd
+	}
+	dests := make([]bool, len(rev))
+	for i, nd := range rev {
+		if i > 0 && (nd == s1 || nd == home) {
+			dests[i] = true
 		}
 	}
-}
+	g := &Worm{Kind: Gather, VN: Reply, Path: rev, Dest: dests,
+		HeaderFlits: r.n.Cfg.HeaderFlits(2), TxnID: txn}
+	r.n.Inject(g)
+	r.e.RunUntil(200) // gather now stalls at s1
 
-func TestZeroVirtualChannelsPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("VirtualChannels=0 did not panic")
+	cross := r.unicastWorm(routing.ECube, Reply, r.at(3, 6), r.at(3, 1), 0)
+	r.n.Inject(cross)
+	r.e.RunUntil(5000)
+	crossDone := func() bool {
+		for _, d := range r.got {
+			if d.Worm == cross && d.Final {
+				return true
+			}
 		}
-	}()
-	cfg := DefaultConfig()
-	cfg.VirtualChannels = 0
-	New(sim.NewEngine(), topology.NewSquareMesh(4), cfg)
+		return false
+	}
+	if crossDone() {
+		t.Fatal("cross traffic should be blocked behind the stalled gather")
+	}
+	r.n.PostAck(s1, txn)
+	r.e.Run()
+	if !crossDone() {
+		t.Fatal("cross traffic did not drain after the ack posted")
+	}
+	if r.n.Outstanding() != 0 {
+		t.Fatalf("outstanding = %d after ack", r.n.Outstanding())
+	}
 }
 
 func TestDiagnoseQuiesced(t *testing.T) {

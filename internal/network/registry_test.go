@@ -109,7 +109,7 @@ func TestRegistryScrambledRetirement(t *testing.T) {
 // TestAbortTxnKillsInIDOrder aborts a transaction with three expendable
 // worms in flight: a gather A stalled on an unposted i-ack, a unicast B
 // queued for a link A holds, and a just-injected unicast C, with the
-// registry scrambled to C, A, B. Killing A hands B the lane inside the
+// registry scrambled to C, A, B. Killing A hands B the channel inside the
 // abort; AbortTxn must still kill A, B and C in ID order.
 func TestAbortTxnKillsInIDOrder(t *testing.T) {
 	r := newRig(t, 8, nil)
@@ -162,7 +162,7 @@ func TestAbortTxnKillsInIDOrder(t *testing.T) {
 		if got := r.n.AbortTxn(txn); got != 3 {
 			t.Fatalf("AbortTxn killed %d worms, want 3 (A, B and C)", got)
 		}
-		// The trace is A's kill, B's grant of A's lane, then B's and C's
+		// The trace is A's kill, B's grant of A's channel, then B's and C's
 		// kills.
 		var kills, grants []uint64
 		for _, ev := range rec.Events() {

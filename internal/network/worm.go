@@ -122,15 +122,14 @@ type Worm struct {
 	// slot is 1 + the worm's index in Network.inFlight while it is in
 	// flight, and 0 before injection and once retired or recycled.
 	slot int
-	// lanes[i] is the virtual channel lane granted for channel index i
-	// (0 = injection channel, i >= 1 = link into Path[i], or the injection
-	// channel of a VCT-parked gather re-injected at Path[i]), which knows
-	// its own set; heldFrom marks the lowest still-held channel index.
-	// sets[i] is the link set from Path[i] to Path[i+1], resolved once at
-	// Inject.
-	lanes    []*channel
-	sets     []*vcSet
+	// chans[i] is the channel of index i, resolved once at Inject: 0 is the
+	// source's injection channel and i >= 1 the link into Path[i]. A
+	// VCT-parked gather re-injected at Path[i] holds that router's
+	// injection channel at index i instead. The worm holds indices
+	// [heldFrom, heldTo).
+	chans    []*channel
 	heldFrom int
+	heldTo   int
 	// consHeld lists consumption-channel tokens held at intermediate
 	// destinations (ascending path index) until the tail passes.
 	consHeld []consRef

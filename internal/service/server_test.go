@@ -56,9 +56,9 @@ func startDaemon(t *testing.T, cfg Config) *Daemon {
 }
 
 // directTable renders an experiment as the bare engine's Lab.Run does.
-func directTable(t *testing.T, name string) *report.Table {
+func directTable(t *testing.T, name string, d int) *report.Table {
 	t.Helper()
-	tab, err := experiments.Lab{}.Run(name, 8, 16, 2)
+	tab, err := experiments.Lab{}.Run(name, 8, d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,18 +100,25 @@ func getBody(t *testing.T, url string) (*http.Response, []byte) {
 // TestExperimentEndpointByteIdentical is the serving contract for whole
 // experiments: the daemon's table equals the batch CLI's output
 // (table.String()+"\n") byte for byte — for a default-machine grid, for
-// grids whose points carry a machine variant (virtual channels),
+// grids whose points carry a machine variant (consumption channels),
 // homed transactions, hot-spot bursts, application replays and traffic runs —
 // and a repeat request is byte-identical again and served from the store
-// without one engine run.
+// without one engine run. E12 runs at d=6: its one-consumption-channel cell
+// wedges at k=8, d=16.
 func TestExperimentEndpointByteIdentical(t *testing.T) {
-	for _, name := range []string{"latency", "vcs", "hotspot", "homes", "occupancy", "apps", "load", "invalsize"} {
-		t.Run(name, func(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		d    int
+	}{
+		{"latency", 16}, {"cons", 6}, {"hotspot", 16}, {"homes", 16}, {"occupancy", 16},
+		{"apps", 16}, {"load", 16}, {"invalsize", 16},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			// The batch CLI's rendering: the experiment run with the direct engine.
-			direct := directTable(t, name).String() + "\n"
+			direct := directTable(t, c.name, c.d).String() + "\n"
 
 			_, ts := newTestDaemon(t, Config{Workers: 4})
-			req := ExperimentRequest{Name: name, K: 8, Trials: 2}
+			req := ExperimentRequest{Name: c.name, K: 8, D: c.d, Trials: 2}
 			resp, body := postJSON(t, ts.URL+"/v1/experiments", req)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("experiment: %s: %s", resp.Status, body)
@@ -291,7 +298,7 @@ func TestExperimentEndpointReportsTheFailure(t *testing.T) {
 // TestExperimentEndpointCSV: the CSV rendering matches the CLI's -csv
 // output for the same experiment.
 func TestExperimentEndpointCSV(t *testing.T) {
-	direct := directTable(t, "latency").CSV()
+	direct := directTable(t, "latency", 16).CSV()
 	_, ts := newTestDaemon(t, Config{Workers: 4})
 	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "latency", K: 8, Trials: 2, CSV: true})
 	if resp.StatusCode != http.StatusOK {

@@ -149,7 +149,7 @@ func randomPoint(r *sim.RNG) Point {
 	if r.Intn(2) == 0 {
 		p.Tune = &coherence.Variant{
 			IAckBuffers: r.Intn(9), ConsumptionChannels: r.Intn(3),
-			VirtualChannels: r.Intn(4), VCTDeferred: r.Intn(2) == 0,
+			VCTDeferred: r.Intn(2) == 0,
 		}
 	}
 	switch r.Intn(5) {
@@ -200,7 +200,7 @@ func FuzzCanonicalJSON(f *testing.F) {
 			p.Faults = &faults.Config{Seed: seed ^ chaos, DropRate: rate}
 		}
 		if opt&2 != 0 {
-			p.Tune = &coherence.Variant{VCTDeferred: opt&4 != 0, VirtualChannels: k}
+			p.Tune = &coherence.Variant{VCTDeferred: opt&4 != 0, IAckBuffers: k}
 		}
 		if opt&8 != 0 {
 			h := topology.NodeID(d)

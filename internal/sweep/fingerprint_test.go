@@ -87,7 +87,7 @@ func TestFingerprintPinned(t *testing.T) {
 		{"burst", func(p *Point) { p.HotSpot = &HotSpot{Writers: 4, OverlapSharers: true, Occupancy: true} }, "57ebd7b8abe3b8a10d5085765007b3cd94a5deb4faaaff1d342076d4ed6a7870"},
 		{"homed", func(p *Point) { h := topology.NodeID(9); p.Home = &h }, "fff18593c691bafbf71791cdadd7e5e9c2d6bb4824c6e46b26481abad30a1f0d"},
 		{"app", func(p *Point) { p.App = "LU" }, "ef43ccea92fead5530d7f2c5f83953176d15c02714afd7c1e8a39b2f8ecfdce4"},
-		{"traffic", func(p *Point) { p.OfferedLoad = 10; p.Tune = &coherence.Variant{VirtualChannels: 2} }, "beff022222485e52c0803494560d147a290c93414f2a066537d2275963abf870"},
+		{"traffic", func(p *Point) { p.OfferedLoad, p.D, p.Trials = 10, 0, 1 }, "c6dedf85f6d114013b59dad9325f4da4dc9ad15984dfdaeba67d9889a959d6fd"},
 	}
 	for _, tc := range cases {
 		p := basePoint()

@@ -89,9 +89,9 @@ func (p Point) Check() error {
 		return fmt.Errorf("is a burst, replay or traffic run with Trials %d (must be 1)", p.Trials)
 	case p.OfferedLoad < 0:
 		return fmt.Errorf("has OfferedLoad %g (must be >= 0)", p.OfferedLoad)
-	case p.OfferedLoad != 0 && (p.ChaosSeed != 0 || p.Faults != nil ||
-		v != nil && *v != (coherence.Variant{VirtualChannels: v.VirtualChannels})):
-		return fmt.Errorf("is a traffic run with chaos, faults or a Tune field other than VirtualChannels")
+	case p.OfferedLoad != 0 && (p.D != 0 || p.Pattern != 0 || p.ChaosSeed != 0 || p.Faults != nil ||
+		v != nil && *v != (coherence.Variant{})):
+		return fmt.Errorf("is a traffic run with D, Pattern, chaos, faults or a Tune field, which a traffic run ignores")
 	case p.HotSpot != nil && (p.ChaosSeed != 0 || p.Faults != nil || p.Pattern != 0):
 		return fmt.Errorf("is a burst with chaos, faults or a Pattern, which a burst ignores")
 	case p.App != "" && (p.D != 0 || p.Pattern != 0 || p.Seed != 0 || p.ChaosSeed != 0 || p.Faults != nil):
@@ -111,8 +111,8 @@ func (p Point) Check() error {
 			p.HotSpot.Writers, p.D, p.K, p.K, p.K*p.K-p.D-1)
 	case p.Home != nil && (*p.Home < 0 || int(*p.Home) >= p.K*p.K):
 		return fmt.Errorf("has Home %d off the %dx%d mesh", *p.Home, p.K, p.K)
-	case v != nil && (min(v.IAckBuffers, v.ConsumptionChannels, v.VirtualChannels,
-		int(v.Consistency)) < 0 || v.Consistency > coherence.ReleaseConsistency):
+	case v != nil && (min(v.IAckBuffers, v.ConsumptionChannels, int(v.Consistency)) < 0 ||
+		v.Consistency > coherence.ReleaseConsistency):
 		return fmt.Errorf("has a negative Tune field or an unknown consistency")
 	}
 	return nil
@@ -201,9 +201,6 @@ func runApp(p Point, rec *trace.Recorder) Measures {
 // runTraffic runs an OfferedLoad point's uniform traffic.
 func runTraffic(p Point, rec *trace.Recorder) Measures {
 	cfg := workload.TrafficConfig{K: p.K, Rate: p.OfferedLoad, Seed: p.Seed}
-	if p.Tune != nil {
-		cfg.VirtualChannels = p.Tune.VirtualChannels
-	}
 	res := workload.RunTrafficTraced(cfg, rec)
 	return Measures{Completed: 1, TrafficLatency: res.Latency.Mean(), LinkUtil: res.AvgLinkUtilization}
 }

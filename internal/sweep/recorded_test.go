@@ -32,8 +32,7 @@ func TestRecordingIsNeutral(t *testing.T) {
 		"release-consistency LU replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU",
 			Tune: &coherence.Variant{Consistency: coherence.ReleaseConsistency}},
 		"E23 Jacobi replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "Jacobi"},
-		"E19 traffic": {K: 8, Trials: 1, Seed: 1, OfferedLoad: 5,
-			Tune: &coherence.Variant{VirtualChannels: 2}},
+		"E19 traffic":       {K: 8, Trials: 1, Seed: 1, OfferedLoad: 5},
 	} {
 		if err := p.Check(); err != nil {
 			t.Fatalf("%s: point %v", name, err)

@@ -65,9 +65,8 @@ type Point struct {
 	// burst, App names an application (apps.ByName) replayed on a K x K
 	// machine, and OfferedLoad makes it one uniform-random unicast traffic
 	// run on a K x K mesh at that many worms per node per 1000 cycles
-	// (workload.RunTraffic, with Seed as its stream seed and
-	// Tune.VirtualChannels lanes per link). Each of the last three is one
-	// trial.
+	// (workload.RunTraffic, with Seed as its stream seed). Each of the last
+	// three is one trial.
 	Home        *topology.NodeID `json:"home,omitempty"`
 	HotSpot     *HotSpot         `json:"hot_spot,omitempty"`
 	App         string           `json:"app,omitempty"`

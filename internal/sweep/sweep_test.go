@@ -53,6 +53,9 @@ func TestRunValidatesPoints(t *testing.T) {
 		"a two-trial traffic run":             func(p *Point) { p.Trials = 2 },
 		"a traffic run with an i-ack depth":   func(p *Point) { p.Tune = &coherence.Variant{IAckBuffers: 8} },
 		"a traffic run under chaos":           func(p *Point) { p.ChaosSeed = 7 },
+		"a traffic run with sharers":          func(p *Point) { p.D = 3 },
+		"a traffic run with a placement":      func(p *Point) { p.Pattern = workload.RowPlacement },
+		"a traffic run with VCT":              func(p *Point) { p.Tune = &coherence.Variant{VCTDeferred: true} },
 	} {
 		bad = []Point{{K: 4, Trials: 1, Seed: 1, OfferedLoad: 10}}
 		mutate(&bad[0])

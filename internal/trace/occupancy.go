@@ -17,7 +17,7 @@ import (
 const HistBuckets = 16
 
 // LinkUse is the accumulated occupancy of one directed channel (From==To
-// for injection lanes, distinct nodes for mesh links) on one virtual
+// for injection channels, distinct nodes for mesh links) on one virtual
 // network.
 type LinkUse struct {
 	From, To int32
@@ -225,7 +225,7 @@ func (p *Profile) NodeShare(n NodeUse) float64 {
 	return float64(n.Busy) / float64(p.Horizon)
 }
 
-// MeshLinks filters out injection lanes (From==To), returning only
+// MeshLinks filters out injection channels (From==To), returning only
 // node-to-node channel occupancy.
 func (p *Profile) MeshLinks() []LinkUse {
 	var out []LinkUse

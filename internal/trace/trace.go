@@ -99,8 +99,8 @@ const (
 	FlagHit
 	FlagWrite
 
-	BlockInjection // all injection-channel lanes busy
-	BlockLink      // all virtual channels on the next link busy
+	BlockInjection // injection channel busy
+	BlockLink      // next link's channel busy
 	BlockCons      // consumption pool at a destination exhausted
 	BlockIAck      // i-ack buffer file full (reserve worm hold-and-wait)
 	BlockGather    // gather worm waiting on an unposted i-ack

@@ -26,8 +26,6 @@ type TrafficConfig struct {
 	// PayloadFlits sizes each worm's payload (default 4 = a control
 	// message).
 	PayloadFlits int
-	// VirtualChannels per link (default 1).
-	VirtualChannels int
 	// Seed drives the arrival and destination streams (default 1).
 	Seed uint64
 }
@@ -69,9 +67,6 @@ func RunTrafficTraced(cfg TrafficConfig, rec *trace.Recorder) TrafficResult {
 	engine := sim.NewEngine()
 	mesh := topology.NewSquareMesh(cfg.K)
 	ncfg := network.DefaultConfig()
-	if cfg.VirtualChannels > 0 {
-		ncfg.VirtualChannels = cfg.VirtualChannels
-	}
 	net := network.New(engine, mesh, ncfg)
 	net.Rec = rec
 

@@ -35,17 +35,6 @@ func TestTrafficLatencyGrowsWithLoad(t *testing.T) {
 	}
 }
 
-func TestTrafficVirtualChannelsRaiseSaturation(t *testing.T) {
-	// Near saturation, two lanes per link must deliver lower latency than
-	// one at the same offered load.
-	one := RunTraffic(TrafficConfig{K: 8, Rate: 25, Duration: 20000, VirtualChannels: 1})
-	two := RunTraffic(TrafficConfig{K: 8, Rate: 25, Duration: 20000, VirtualChannels: 2})
-	if two.Latency.Mean() >= one.Latency.Mean() {
-		t.Fatalf("2 VCs latency %v not below 1 VC %v at high load",
-			two.Latency.Mean(), one.Latency.Mean())
-	}
-}
-
 func TestTrafficDeterministic(t *testing.T) {
 	a := RunTraffic(TrafficConfig{K: 8, Rate: 5, Duration: 10000, Seed: 3})
 	b := RunTraffic(TrafficConfig{K: 8, Rate: 5, Duration: 10000, Seed: 3})
@@ -59,7 +48,7 @@ func TestTrafficDeterministic(t *testing.T) {
 // almost nothing more. What remains (about 0.005 allocations per extra worm
 // at this load) is amortised growth that stops once the run has seen its
 // peak: the engine's calendar buckets and the waiter queues. A worm built
-// as a literal (path, flags and per-worm lane bookkeeping) costs about
+// as a literal (path, flags and per-worm channel bookkeeping) costs about
 // eight allocations. The bytes are bounded too (about 1.4 per extra worm):
 // the run summarizes the worms' latencies rather than logging them, and a
 // float64 log grown by append costs about 37 bytes per worm. The rate is

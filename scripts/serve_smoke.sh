@@ -11,8 +11,8 @@
 #   5. SIGTERM the daemon and assert a clean (exit 0) drain that leaves the
 #      persisted results, an empty jobs/ and nothing else in the data directory,
 #   6. run in-process experiments twice over one -data directory and assert
-#      identical tables with zero engine runs the second time (for E19 and
-#      E13, all 12 points from the store; for E23, all 8 replays),
+#      identical tables with zero engine runs the second time (for E19, all 6
+#      points from the store; for E13, all 12; for E23, all 8 replays),
 #   7. start the daemon over that directory and assert it serves the same
 #      table with zero engine runs.
 set -euo pipefail
@@ -64,15 +64,15 @@ rerun() {
   cmp "$work/${name}1.txt" "$work/${name}2.txt"
   grep -q " $tally\$" "$work/${name}2.err"
 }
-rerun vcs '0 run'
-rerun load '12 points from the store, 0 run' -k 8
+rerun cons '0 run'
+rerun load '6 points from the store, 0 run' -k 8
 rerun consistency '12 points from the store, 0 run'
 rerun sharing '8 points from the store, 0 run'
 
 echo "== serve over the batch directory serves it with zero engine runs =="
 start_daemon -data "$work/batch" -workers 4
-ctl experiment -name vcs >"$work/batch_served.txt"
-cmp "$work/vcs1.txt" "$work/batch_served.txt"
+ctl experiment -name cons >"$work/batch_served.txt"
+cmp "$work/cons1.txt" "$work/batch_served.txt"
 ctl stats >"$work/batch_stats.json"
 grep -q '"runs": 0,' "$work/batch_stats.json"
 stop_daemon
