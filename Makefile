@@ -95,13 +95,16 @@ cover:
 # installed by Machine.InstallSharer must leave the machine, and the write
 # that follows, exactly as simulated read misses do), and the allocation
 # ratchets (a pooled unicast allocates nothing; a traffic run's and an
-# application replay's allocations and bytes do not grow with their length; an
+# application replay's allocations and bytes do not grow with their length; a
+# warm Barnes-Hut tree traversal allocates nothing; an
 # invalidation transaction allocates at most a small constant at any k,
 # scheme and d; building a network or a machine costs the same allocations
 # at every mesh size; once grown, the block tables' fill/invalidate and
 # op add/remove churn allocates nothing), the block table against a map
 # oracle and the order-independence of what is built from its cells
-# (Directory.ForEach), and the pinned event counts of an
+# (Directory.ForEach), and the pinned SHA-256 digests of the generated
+# application traces (every application at its published size and the
+# benchmark's 64-processor sizes), and the pinned event counts of an
 # invalidation sweep, an application replay and a traffic run (a change that
 # moves the schedule moves them), and the serving layer's gates (the byte-level fingerprint
 # canonicalizer against its reflection oracle and the pinned fingerprints, the
@@ -123,7 +126,7 @@ equiv:
 	$(GO) test ./internal/blocktab -run 'TestTableMatchesMap|TestZeroTableAllocatesNothing|TestChurnAllocatesNothing' -count=1
 	$(GO) test ./internal/directory -run TestForEachAscending -count=1
 	$(GO) test ./internal/coherence -run 'TestNewMachineAllocs|TestBlockTableChurnAllocs' -count=1
-	$(GO) test ./internal/apps -run TestReplayAllocsIndependentOfLength -count=1
+	$(GO) test ./internal/apps -run 'TestReplayAllocsIndependentOfLength|TestTraverseAllocatesNothing|TestGeneratedTracesPinned' -count=1
 	$(GO) test ./internal/workload -run 'TestInstallSharerMatchesSimulatedReads|TestTrafficAllocsIndependentOfLength|TestInvalAllocsPerTxn|TestEventCountsPinned' -count=1
 	$(GO) test ./internal/sweep -run 'TestCanonicalMatchesReflection|TestFingerprintPinned|TestRecordingIsNeutral' -count=1
 	$(GO) test ./internal/service -run 'TestWriteJSONMatchesEncoder|TestCachedJobAllocs' -count=1

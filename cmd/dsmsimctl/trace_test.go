@@ -302,10 +302,10 @@ func TestGroupsDrawTrialOneSharers(t *testing.T) {
 // simulator cannot build (a protocol, data-forwarding, limited-directory or
 // worm-barrier knob: the machine runs only the paper's write-invalidate
 // protocol and its shared-memory barrier), a mesh side below 2, a negative
-// offered load, a traffic run with sharers, a placement or a virtual-channel
-// count it would ignore, or a point whose scheme grouping.AllSchemes does
-// not list (by number or by name) is a bad command line, exit 2, not a
-// panic mid-run.
+// offered load, a traffic run with sharers, a placement, a virtual-channel
+// count or a scheme it would ignore, or a point whose scheme
+// grouping.AllSchemes does not list (by number or by name) is a bad command
+// line, exit 2, not a panic mid-run.
 func TestUnrunnableReplayExitsTwo(t *testing.T) {
 	for _, c := range []struct{ point, why string }{
 		{`{"k":2,"app":"LU","trials":1}`, "too few nodes"},
@@ -330,6 +330,7 @@ func TestUnrunnableReplayExitsTwo(t *testing.T) {
 		{`{"k":4,"trials":1,"seed":1,"offered_load":5,"d":3}`, "is a traffic run with D, Pattern"},
 		{`{"k":4,"trials":1,"seed":1,"offered_load":5,"pattern":"row"}`, "is a traffic run with D, Pattern"},
 		{`{"k":4,"trials":1,"seed":1,"offered_load":5,"tune":{"virtual_channels":2}}`, `unknown field "virtual_channels"`},
+		{`{"k":4,"trials":1,"seed":1,"offered_load":5,"scheme":"MI-MA-tm"}`, "a Scheme other than UI-UA"},
 	} {
 		func() {
 			defer func() {

@@ -66,12 +66,17 @@ type qcell struct {
 	id int
 }
 
-const emptyChild = -1
+const (
+	emptyChild = -1
+	bodyBase   = 1 << 30
+)
 
 // quadtree builds the tree and computes centers of mass.
 type quadtree struct {
 	cells  []qcell
 	bodies []body
+	// visitCells and visitBodies are traverse's result lists.
+	visitCells, visitBodies []int
 }
 
 func buildTree(bodies []body) *quadtree {
@@ -129,7 +134,6 @@ func (t *quadtree) childCenter(ci, q int) (float64, float64, float64) {
 }
 
 func (t *quadtree) insert(ci, bi int) {
-	bodyBase := 1 << 30
 	q := t.quadrant(ci, bi)
 	child := t.cells[ci].children[q]
 	switch {
@@ -155,7 +159,6 @@ func (t *quadtree) insert(ci, bi int) {
 }
 
 func (t *quadtree) summarize(ci int) (mx, my, mass float64) {
-	bodyBase := 1 << 30
 	c := &t.cells[ci]
 	for _, ch := range c.children {
 		switch {
@@ -178,56 +181,52 @@ func (t *quadtree) summarize(ci int) (mx, my, mass float64) {
 	return c.mx, c.my, c.mass
 }
 
-// traverse computes the force on body bi and reports every distinct cell
-// and body visited (the shared reads of the force phase).
+// traverse computes the force on body bi and reports the cells and bodies
+// the walk visits, in visit order: the shared reads of the force phase.
+// Every cell and body sits in exactly one child slot, so a walk from the root
+// reaches each at most once and the lists need no deduplication. They are the
+// tree's own, reused by every call: valid until the next one.
 func (t *quadtree) traverse(bi int, theta float64) (cells, bodies []int, interactions int) {
-	bodyBase := 1 << 30
+	t.visitCells, t.visitBodies = t.visitCells[:0], t.visitBodies[:0]
+	interactions = t.walk(0, bi, theta)
+	return t.visitCells, t.visitBodies, interactions
+}
+
+// walk visits cell ci for traverse and returns its interactions.
+func (t *quadtree) walk(ci, bi int, theta float64) (interactions int) {
+	c := &t.cells[ci]
 	b := &t.bodies[bi]
-	seenCell := map[int]bool{}
-	seenBody := map[int]bool{}
-	var walk func(ci int)
-	walk = func(ci int) {
-		c := &t.cells[ci]
-		if !seenCell[ci] {
-			seenCell[ci] = true
-			cells = append(cells, ci)
-		}
-		dx, dy := c.mx-b.x, c.my-b.y
-		dist := math.Sqrt(dx*dx+dy*dy) + 1e-12
-		if (2*c.half)/dist < theta && c.mass > 0 {
-			// Accept the cell as a single interaction.
-			f := c.mass / (dist * dist * dist)
-			b.ax += f * dx
-			b.ay += f * dy
-			interactions++
-			return
-		}
-		for _, ch := range c.children {
-			switch {
-			case ch == emptyChild:
-			case ch >= bodyBase:
-				oi := ch - bodyBase
-				if oi == bi {
-					continue
-				}
-				if !seenBody[oi] {
-					seenBody[oi] = true
-					bodies = append(bodies, oi)
-				}
-				o := &t.bodies[oi]
-				ddx, ddy := o.x-b.x, o.y-b.y
-				d := math.Sqrt(ddx*ddx+ddy*ddy) + 1e-3 // softening
-				f := o.mass / (d * d * d)
-				b.ax += f * ddx
-				b.ay += f * ddy
-				interactions++
-			default:
-				walk(ch)
+	t.visitCells = append(t.visitCells, ci)
+	dx, dy := c.mx-b.x, c.my-b.y
+	dist := math.Sqrt(dx*dx+dy*dy) + 1e-12
+	if (2*c.half)/dist < theta && c.mass > 0 {
+		// Accept the cell as a single interaction.
+		f := c.mass / (dist * dist * dist)
+		b.ax += f * dx
+		b.ay += f * dy
+		return 1
+	}
+	for _, ch := range c.children {
+		switch {
+		case ch == emptyChild:
+		case ch >= bodyBase:
+			oi := ch - bodyBase
+			if oi == bi {
+				continue
 			}
+			t.visitBodies = append(t.visitBodies, oi)
+			o := &t.bodies[oi]
+			ddx, ddy := o.x-b.x, o.y-b.y
+			d := math.Sqrt(ddx*ddx+ddy*ddy) + 1e-3 // softening
+			f := o.mass / (d * d * d)
+			b.ax += f * ddx
+			b.ay += f * ddy
+			interactions++
+		default:
+			interactions += t.walk(ch, bi, theta)
 		}
 	}
-	walk(0)
-	return cells, bodies, interactions
+	return interactions
 }
 
 // BarnesHut generates the Barnes-Hut workload: per step, processor 0

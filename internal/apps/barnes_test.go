@@ -3,6 +3,8 @@ package apps
 import (
 	"math"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestQuadtreeContainsAllBodies(t *testing.T) {
@@ -80,4 +82,42 @@ func TestQuadtreeColocatedBodiesDoNotRecurseForever(t *testing.T) {
 	if tree.cells[0].mass != 3 {
 		t.Fatalf("root mass = %v, want 3", tree.cells[0].mass)
 	}
+}
+
+// TestTraverseAllocatesNothing pins the force phase's cost per body: on a
+// warm tree a traversal reuses the tree's visit lists and allocates nothing.
+// It also checks what lets the lists skip deduplication: a walk from the
+// root reaches each cell and each body at most once.
+func TestTraverseAllocatesNothing(t *testing.T) {
+	bodies := make([]body, 256)
+	rng := sim.NewRNG(3)
+	for i := range bodies {
+		bodies[i] = body{x: rng.Float64(), y: rng.Float64(), mass: 1}
+	}
+	tree := buildTree(bodies)
+	for bi := range bodies {
+		cells, bs, _ := tree.traverse(bi, 0.5)
+		if !distinct(cells) || !distinct(bs) {
+			t.Fatalf("body %d: a visit list repeats an entry: cells %v, bodies %v", bi, cells, bs)
+		}
+	}
+	bi := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		tree.traverse(bi, 0.5)
+		bi = (bi + 1) % len(bodies)
+	})
+	if allocs != 0 {
+		t.Fatalf("traverse allocates %v per call on a warm tree, want 0", allocs)
+	}
+}
+
+func distinct(xs []int) bool {
+	seen := map[int]bool{}
+	for _, x := range xs {
+		if seen[x] {
+			return false
+		}
+		seen[x] = true
+	}
+	return true
 }

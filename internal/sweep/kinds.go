@@ -89,9 +89,9 @@ func (p Point) Check() error {
 		return fmt.Errorf("is a burst, replay or traffic run with Trials %d (must be 1)", p.Trials)
 	case p.OfferedLoad < 0:
 		return fmt.Errorf("has OfferedLoad %g (must be >= 0)", p.OfferedLoad)
-	case p.OfferedLoad != 0 && (p.D != 0 || p.Pattern != 0 || p.ChaosSeed != 0 || p.Faults != nil ||
-		v != nil && *v != (coherence.Variant{})):
-		return fmt.Errorf("is a traffic run with D, Pattern, chaos, faults or a Tune field, which a traffic run ignores")
+	case p.OfferedLoad != 0 && (p.D != 0 || p.Pattern != 0 || p.Scheme != grouping.UIUA || p.ChaosSeed != 0 ||
+		p.Faults != nil || v != nil && *v != (coherence.Variant{})):
+		return fmt.Errorf("is a traffic run with D, Pattern, a Scheme other than UI-UA, chaos, faults or a Tune field, which a traffic run ignores")
 	case p.HotSpot != nil && (p.ChaosSeed != 0 || p.Faults != nil || p.Pattern != 0):
 		return fmt.Errorf("is a burst with chaos, faults or a Pattern, which a burst ignores")
 	case p.App != "" && (p.D != 0 || p.Pattern != 0 || p.Seed != 0 || p.ChaosSeed != 0 || p.Faults != nil):

@@ -56,6 +56,7 @@ func TestRunValidatesPoints(t *testing.T) {
 		"a traffic run with sharers":          func(p *Point) { p.D = 3 },
 		"a traffic run with a placement":      func(p *Point) { p.Pattern = workload.RowPlacement },
 		"a traffic run with VCT":              func(p *Point) { p.Tune = &coherence.Variant{VCTDeferred: true} },
+		"a traffic run with a scheme":         func(p *Point) { p.Scheme = grouping.MIMATM },
 	} {
 		bad = []Point{{K: 4, Trials: 1, Seed: 1, OfferedLoad: 10}}
 		mutate(&bad[0])
