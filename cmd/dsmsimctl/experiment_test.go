@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/grouping"
 	"repro/internal/metrics"
+	"repro/internal/network"
 	"repro/internal/service"
 	"repro/internal/sweep"
 )
@@ -208,9 +210,9 @@ func TestVariantTwinsAreDistinctEntries(t *testing.T) {
 	}
 }
 
-// TestQuarantinedPointsAreNotStored: a point that blows its budget twice is
-// quarantined and never stored, so the next run re-attempts it.
-func TestQuarantinedPointsAreNotStored(t *testing.T) {
+// TestTimedOutPointsAreNotStored: a point that overruns its budget is
+// partial and never stored, so the next run re-attempts it.
+func TestTimedOutPointsAreNotStored(t *testing.T) {
 	want := bare(t, consD, "cons")
 	store := service.NewMemoryStore(0)
 	mustInProcess(t, service.Config{Store: store, DefaultTimeout: time.Nanosecond}, consD, "cons")
@@ -223,6 +225,28 @@ func TestQuarantinedPointsAreNotStored(t *testing.T) {
 	}
 	if runs != 4 {
 		t.Fatalf("the rerun ran %d points; want all 4 re-attempted", runs)
+	}
+}
+
+// TestWedgedPointNamesItsWedge: E12's one-consumption-channel cell wedges
+// at k=8, d=16. The command exits 1 with an error that names the cell's
+// fingerprint and wraps its *network.Wedge: 4 writes unfinished and 33 worms
+// in flight, each with what it waits for.
+func TestWedgedPointNamesItsWedge(t *testing.T) {
+	cell := consBurst(1)
+	cell.D = 16
+	fp := cell.Fingerprint()
+	code, _, errOut := run("experiment", "-name", "cons", "-k", "8", "-d", "16", "-trials", "2")
+	if code != 1 || !strings.Contains(errOut, fp) {
+		t.Fatalf("exit %d, stderr:\n%s\nwant exit 1 and an error naming %s", code, errOut, fp)
+	}
+	_, _, _, err := inProcess(t, context.Background(), service.Config{}, 16, "cons")
+	var w *network.Wedge
+	if !errors.As(err, &w) || !strings.Contains(err.Error(), fp) {
+		t.Fatalf("err %v; want one naming %s and wrapping a *network.Wedge", err, fp)
+	}
+	if w.Unfinished != 4 || w.InFlight != 33 || strings.Count(w.Worms, "\n  worm ") != 33 {
+		t.Fatalf("wedge: %d unfinished, %d in flight, worms:\n%s\nwant 4 unfinished and 33 worms listed", w.Unfinished, w.InFlight, w.Worms)
 	}
 }
 

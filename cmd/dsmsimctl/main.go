@@ -5,7 +5,7 @@
 //	dsmsimctl [-addr URL] experiment -name latency|...|all [-k 16] [-d 16] [-trials 10] [-csv]
 //	dsmsimctl experiment -name all [-data dir] [-parallel N] [-point-timeout T]
 //	dsmsimctl [-addr URL] serve [-workers 4] [-data dir] [-drain-grace 30s] ...
-//	dsmsimctl [-addr URL] run -k 8 -scheme MI-MA-pa -d 6 -pattern random -trials 4 -seed 1 [-stream | -async]
+//	dsmsimctl [-addr URL] run -k 8 -scheme MI-MA-ec -d 6 -pattern random -trials 4 -seed 1 [-stream | -async]
 //	dsmsimctl [-addr URL] jobs | stats | metrics | health
 //	dsmsimctl [-addr URL] result -fp <fingerprint>
 //	dsmsimctl [-addr URL] load [flags]
@@ -158,7 +158,7 @@ func cmdExperiment(ctx context.Context, base string, args []string, stdout, stde
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	data := fs.String("data", "", "in process: result directory; stored points are not rerun, completed ones are stored (empty = in memory for this run)")
 	parallel := fs.Int("parallel", 0, "in process: engine workers (0 = all cores)")
-	timeout := fs.Duration("point-timeout", 0, "in process: wall-clock budget per sweep point (0 = none); an overrunning point retries once with twice the budget")
+	timeout := fs.Duration("point-timeout", 0, "in process: wall-clock budget per sweep point (0 = none); an overrunning point is partial, unstored, and retried by a rerun")
 	if fs.Parse(args) != nil {
 		return errUsage
 	}
@@ -296,7 +296,7 @@ func cmdServe(ctx context.Context, base string, args []string, stderr io.Writer)
 func cmdRun(ctx context.Context, c *load.Client, args []string, stdout, stderr io.Writer) error {
 	fs := newFlagSet("dsmsimctl run", stderr)
 	k := fs.Int("k", 8, "mesh dimension")
-	scheme := fs.String("scheme", "MI-MA-pa", "invalidation scheme name")
+	scheme := fs.String("scheme", "MI-MA-ec", "invalidation scheme name")
 	d := fs.Int("d", 6, "sharers per invalidation")
 	pattern := fs.String("pattern", "random", "sharer placement pattern")
 	trials := fs.Int("trials", 4, "trials")

@@ -205,9 +205,8 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 		m.Engine.AtCall(m.Engine.Now(), begin, nil, int32(i))
 	}
 	m.Engine.Run()
-	if remaining != 0 {
-		panic(fmt.Sprintf("apps: %d processors never finished (deadlock? outstanding=%d, at barrier=%d)",
-			remaining, m.Net.Outstanding(), bar.waitingCount()))
+	if w := m.Net.Wedged(remaining); w != nil {
+		panic(w)
 	}
 
 	res := RunResult{
@@ -318,5 +317,3 @@ func releaseWaiters(arg any, _ int32) {
 		w()
 	}
 }
-
-func (b *barrier) waitingCount() int { return len(b.waiting) }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/directory"
 	"repro/internal/faults"
 	"repro/internal/grouping"
+	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -105,8 +106,8 @@ func TestChaosUnderFaults(t *testing.T) {
 					RouterSlowCycles: 16,
 				})
 				m := NewMachine(p)
-				m.Net.StartWatchdog(p.Recovery.Timeout<<8, 3, func(d string) {
-					t.Fatalf("liveness watchdog fired under recoverable faults:\n%s", d)
+				m.Net.StartWatchdog(p.Recovery.Timeout<<8, 3, func(w *network.Wedge) {
+					t.Fatalf("liveness watchdog fired under recoverable faults: %v", w)
 				})
 				m.Engine.Chaos(seed)
 				rng := sim.NewRNG(seed * 131)
@@ -143,7 +144,7 @@ func TestWatchdogQuietFaultFree(t *testing.T) {
 		p.Recovery = DefaultRecovery()
 		m := NewMachine(p)
 		fired := false
-		m.Net.StartWatchdog(512, 4, func(string) { fired = true })
+		m.Net.StartWatchdog(512, 4, func(*network.Wedge) { fired = true })
 		rng := sim.NewRNG(uint64(s) + 7)
 		for step := 0; step < 30; step++ {
 			n := topology.NodeID(rng.Intn(m.Mesh.Nodes()))

@@ -89,15 +89,11 @@ func (l Lab) runSweep(points []sweep.Point) []sweep.Result {
 			// A table built from timed-out points averages only the
 			// completed trials (or prints 0.0 when none finished) — never let
 			// that pass for a full measurement silently.
-			fmt.Fprintf(os.Stderr, "sweep: warning: %d/%d points hit the point timeout; their table cells cover only completed trials (0.0 if none)\n",
+			fmt.Fprintf(os.Stderr, "sweep: warning: %d/%d points hit the point timeout; their table cells cover only completed trials (0.0 if none), and they are not stored, so a rerun retries them\n",
 				sum.Partial, len(sum.Results))
 		case err == nil:
 			panic(fmt.Sprintf("experiments: the point runner returned no result for %d/%d points with no timeout set and no interruption", sum.Partial, len(sum.Results)))
 		}
-	}
-	if sum.Quarantined > 0 {
-		fmt.Fprintf(os.Stderr, "sweep: warning: %d points quarantined (timed out twice); they are not stored, so a rerun retries them\n",
-			sum.Quarantined)
 	}
 	return sum.Results
 }

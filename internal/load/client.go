@@ -29,7 +29,7 @@ type PointTemplate struct {
 // DefaultTemplate is a tiny point that still runs the full protocol stack:
 // a 4x4 mesh, 2 sharers, 2 trials — milliseconds per engine run.
 func DefaultTemplate() PointTemplate {
-	return PointTemplate{K: 4, Scheme: "MI-MA-pa", D: 2, Pattern: "clustered", Trials: 2}
+	return PointTemplate{K: 4, Scheme: "MI-MA-ec", D: 2, Pattern: "clustered", Trials: 2}
 }
 
 // Universe is the set of distinct points a load run draws from, with their

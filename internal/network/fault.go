@@ -1,6 +1,9 @@
 package network
 
 import (
+	"fmt"
+	"strings"
+
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -114,16 +117,49 @@ func (n *Network) AbortTxn(txn uint64) int {
 	return killed
 }
 
+// Wedge is a run that cannot finish: the engine drained, or the liveness
+// watchdog gave up, with operations unfinished or worms in flight. Wedged is
+// its one detector; every runner raises the *Wedge it returns as a panic
+// value, and the layers that recover panics match it with errors.As.
+type Wedge struct {
+	// Cycle is the simulated time at which the engine drained or the
+	// watchdog fired.
+	Cycle sim.Time
+	// Unfinished counts the caller's operations still outstanding (0 from
+	// the watchdog, which counts none).
+	Unfinished int
+	// InFlight counts the worms still in the fabric, and Worms is
+	// Network.Diagnose's account of each and of what it waits for.
+	InFlight int
+	Worms    string
+}
+
+func (w *Wedge) Error() string {
+	return fmt.Sprintf("wedged at cycle %d with %d unfinished operation(s); %s",
+		w.Cycle, w.Unfinished, strings.TrimSuffix(w.Worms, "\n"))
+}
+
+// Wedged reports the wedge of a run whose engine has drained with
+// unfinished operations (the caller's count) outstanding, and nil when
+// nothing is outstanding: no unfinished operation and no worm in flight.
+// The nil answer costs two comparisons and allocates nothing.
+func (n *Network) Wedged(unfinished int) *Wedge {
+	if unfinished == 0 && len(n.inFlight) == 0 {
+		return nil
+	}
+	return &Wedge{Cycle: n.Engine.Now(), Unfinished: unfinished, InFlight: len(n.inFlight), Worms: n.Diagnose()}
+}
+
 // watchdog is the runtime liveness monitor: armed while worms are in
 // flight, it samples the network's progress beacon every interval and,
-// after maxStrikes consecutive no-progress intervals, hands the full
-// Network.Diagnose() dump to onStall instead of letting the simulation
-// hang (or spin) silently. It disarms whenever the network quiesces, so a
-// drained event queue stays drained.
+// after maxStrikes consecutive no-progress intervals, hands the network's
+// Wedge to onStall instead of letting the simulation hang (or spin)
+// silently. It disarms whenever the network quiesces, so a drained event
+// queue stays drained.
 type watchdog struct {
 	interval   sim.Time
 	maxStrikes int
-	onStall    func(diagnosis string)
+	onStall    func(*Wedge)
 
 	armed     bool
 	fired     bool
@@ -134,15 +170,15 @@ type watchdog struct {
 // StartWatchdog enables the liveness watchdog: every interval cycles in
 // which worms are outstanding but the progress beacon has not advanced
 // counts one strike, and maxStrikes consecutive strikes invoke onStall with
-// the Diagnose() dump (after which the watchdog stays quiet). A nil onStall
-// panics with the diagnosis. The watchdog is armed lazily at injection
+// the network's Wedge (after which the watchdog stays quiet). A nil onStall
+// panics with the Wedge. The watchdog is armed lazily at injection
 // time, so an idle network schedules no events and the engine can drain.
 //
 // Pick interval well above the longest legitimate quiet stretch (protocol
 // controller occupancy plus any recovery backoff): the watchdog is a
 // deadlock reporter, not a performance monitor, and must never fire on a
 // merely congested run.
-func (n *Network) StartWatchdog(interval sim.Time, maxStrikes int, onStall func(string)) {
+func (n *Network) StartWatchdog(interval sim.Time, maxStrikes int, onStall func(*Wedge)) {
 	if interval <= 0 {
 		panic("network: watchdog interval must be positive")
 	}
@@ -150,7 +186,7 @@ func (n *Network) StartWatchdog(interval sim.Time, maxStrikes int, onStall func(
 		maxStrikes = 1
 	}
 	if onStall == nil {
-		onStall = func(d string) { panic("network: liveness watchdog: no progress\n" + d) }
+		onStall = func(w *Wedge) { panic(w) }
 	}
 	n.wd = &watchdog{interval: interval, maxStrikes: maxStrikes, onStall: onStall}
 }
@@ -187,7 +223,7 @@ func watchdogTick(arg any, _ int32) {
 		wd.strikes++
 		if wd.strikes >= wd.maxStrikes {
 			wd.fired = true
-			wd.onStall(n.Diagnose())
+			wd.onStall(n.Wedged(0))
 			return
 		}
 	}

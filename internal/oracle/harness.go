@@ -10,6 +10,7 @@ import (
 	"repro/internal/directory"
 	"repro/internal/faults"
 	"repro/internal/grouping"
+	"repro/internal/network"
 	"repro/internal/topology"
 )
 
@@ -168,8 +169,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		res.Failures = append(res.Failures, fmt.Sprintf(format, a...))
 	}
 	if cfg.Watchdog {
-		m.Net.StartWatchdog(p.Recovery.Timeout<<8, 3, func(d string) {
-			fail("liveness watchdog fired:\n%s", d)
+		m.Net.StartWatchdog(p.Recovery.Timeout<<8, 3, func(w *network.Wedge) {
+			fail("liveness watchdog fired: %v", w)
 		})
 	}
 
@@ -328,13 +329,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 	res.History = &History{Streams: streams, Commit: commit, PO: po}
 
-	if completed != len(cfg.Ops) {
-		fail("only %d/%d operations completed:\n%s",
-			completed, len(cfg.Ops), m.Net.Diagnose())
+	if w := m.Net.Wedged(len(cfg.Ops) - completed); w != nil {
+		fail("%v", w)
 		return res, nil
-	}
-	if !m.Quiesced() {
-		fail("network not quiesced after engine drain")
 	}
 	if err := m.CheckInvariants(); err != nil {
 		fail("final invariants: %v", err)

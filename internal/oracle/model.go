@@ -533,13 +533,13 @@ func (md *model) checkState(st *mstate) string {
 func (md *model) checkTerminal(st *mstate) string {
 	for n := 0; n < md.nodes; n++ {
 		if st.op[n].active {
-			return fmt.Sprintf("lost grant: node %d's operation on block %d never completed",
+			return fmt.Sprintf("lost grant: node %d's operation on block %d still pending at termination",
 				n, st.op[n].block)
 		}
 	}
 	for b := 0; b < md.cfg.Blocks; b++ {
 		if st.txn[b].active {
-			return fmt.Sprintf("transaction on block %d never completed (%d sharers unacked)",
+			return fmt.Sprintf("transaction on block %d still open at termination (%d sharers unacked)",
 				b, bits.OnesCount16(st.txn[b].unacked))
 		}
 		if st.dir[b].st == dirW {

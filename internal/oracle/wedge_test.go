@@ -1,14 +1,15 @@
 package oracle
 
 import (
+	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/coherence"
 	"repro/internal/grouping"
+	"repro/internal/network"
 	"repro/internal/sweep"
 )
 
@@ -46,8 +47,9 @@ func wedgeRuns() []wedgeRun {
 }
 
 // wedgedRuns is the ledger: the runs of wedgeRuns that wedge on the
-// default machine (ROADMAP item 2). A run is wedged when the engine
-// drains with processors unfinished.
+// default machine (ROADMAP item 2). A run is wedged when apps.Run raises a
+// *network.Wedge: the engine drained with processors unfinished or worms in
+// flight.
 var wedgedRuns = []string{
 	"4x4 MI-MA-pa seed 4",
 	"4x4 BR seed 7",
@@ -83,7 +85,9 @@ func TestWedgeLedger(t *testing.T) {
 		w := apps.BarnesHut(apps.BarnesConfig{Bodies: r.bodies, Procs: r.k * r.k, Seed: r.seed})
 		defer func() {
 			if v := recover(); v != nil {
-				if !strings.Contains(fmt.Sprint(v), "never finished") {
+				err, _ := v.(error)
+				var w *network.Wedge
+				if !errors.As(err, &w) {
 					panic(v)
 				}
 				wedged[i] = true

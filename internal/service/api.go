@@ -141,12 +141,11 @@ type ResultResponse struct {
 // frames while the sweep runs, then exactly one terminal frame carrying the
 // result or the error.
 type ProgressEvent struct {
-	Type        string     `json:"type"` // "progress", "result" or "error"
-	Done        int        `json:"done,omitempty"`
-	Total       int        `json:"total,omitempty"`
-	Partial     int        `json:"partial,omitempty"`
-	Quarantined int        `json:"quarantined,omitempty"`
-	ElapsedMS   int64      `json:"elapsed_ms,omitempty"`
-	Result      *JobResult `json:"result,omitempty"`
-	Error       string     `json:"error,omitempty"`
+	Type      string     `json:"type"` // "progress", "result" or "error"
+	Done      int        `json:"done,omitempty"`
+	Total     int        `json:"total,omitempty"`
+	Partial   int        `json:"partial,omitempty"`
+	ElapsedMS int64      `json:"elapsed_ms,omitempty"`
+	Result    *JobResult `json:"result,omitempty"`
+	Error     string     `json:"error,omitempty"`
 }

@@ -44,7 +44,7 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 		ID: hostile, Completed: 1, CacheHits: 1,
 		Results: []PointResult{
 			{Index: 0, Fingerprint: strings.Repeat("ab", 32), Source: SourceCache, Measures: meas},
-			{Index: 1, Source: SourceRun, Partial: true, Quarantined: true},
+			{Index: 1, Source: SourceRun, Partial: true},
 		},
 	}
 	values := []any{

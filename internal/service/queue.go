@@ -30,8 +30,6 @@ type request struct {
 	job      string
 	priority int
 	enqueued time.Time
-	// deadline is the request context's deadline (zero when it has none).
-	deadline time.Time
 	out      chan outcome
 	run      *run // the run it waits on, set by join
 }
@@ -51,20 +49,17 @@ type outcome struct {
 }
 
 // run is one unique engine execution: the representative point plus every
-// request waiting on its result. waiters and the budget fields are guarded
-// by the owning Service's mutex (the queue only moves runs around).
+// request waiting on its result. waiters, live and cancel are guarded by
+// the owning Service's mutex (the queue only moves runs around).
 type run struct {
 	fp       string
 	p        sweep.Point
 	priority int
 	seq      uint64
 	waiters  []*request
-	// live counts the waiters still waiting; deadline is the latest of
-	// their deadlines, open marks one with none; cancel stops a started run.
-	live     int
-	deadline time.Time
-	open     bool
-	cancel   context.CancelFunc
+	// live counts the waiters still waiting; cancel stops a started run.
+	live   int
+	cancel context.CancelFunc
 }
 
 // runQueue is a bounded priority queue: higher priority first, FIFO within

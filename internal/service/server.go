@@ -198,8 +198,7 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, spec JobSpec)
 	}
 	res, err := s.svc.RunJob(r.Context(), spec, func(p sweep.Progress) {
 		emit(ProgressEvent{
-			Type: "progress", Done: p.Done, Total: p.Total,
-			Partial: p.Partial, Quarantined: p.Quarantined,
+			Type: "progress", Done: p.Done, Total: p.Total, Partial: p.Partial,
 			ElapsedMS: p.Elapsed.Milliseconds(),
 		})
 	})

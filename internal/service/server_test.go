@@ -929,42 +929,3 @@ func TestCachedJobAllocs(t *testing.T) {
 		t.Errorf("a cached one-point job allocates %.0f times, %d B; want at most 66 and 13 KB", allocs, bytesPer)
 	}
 }
-
-// TestRunBudgetIsTheRequestDeadline: an engine run gets its leader
-// request's deadline, not a flat DefaultTimeout, so a sweep's doubled-budget
-// retry really has twice the budget, and a job's own timeout above the
-// default is its runs' budget. The engine here completes a point only when
-// its context leaves more than 1.5 T, which the first attempt under a T
-// timeout never does and a retry (2T) or a 2T job timeout always does; no
-// test waits on T.
-func TestRunBudgetIsTheRequestDeadline(t *testing.T) {
-	const T = time.Hour
-	engine := func(ctx context.Context, p sweep.Point) (sweep.Measures, *metrics.Collector) {
-		if dl, ok := ctx.Deadline(); !ok || time.Until(dl) <= T*3/2 {
-			return sweep.Measures{}, nil
-		}
-		return sweep.RunPointDirect(ctx, p)
-	}
-	svc, ts := newTestDaemon(t, Config{Workers: 2, DefaultTimeout: T, RunPoint: engine})
-
-	for _, timeout := range []time.Duration{0, 2 * T} {
-		res, err := svc.RunJob(context.Background(), JobSpec{Points: []sweep.Point{enginePoint()}, Timeout: timeout}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := res.Results[0]; res.Completed != 1 || r.Quarantined {
-			t.Errorf("job timeout %v under a default of %v: completed %d, quarantined %v; want the point completed",
-				timeout, T, res.Completed, r.Quarantined)
-		}
-	}
-
-	want, err := experiments.Lab{}.Run("latency", 4, experiments.DefaultD, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postJSON(t, ts.URL+"/v1/experiments", ExperimentRequest{Name: "latency", K: 4, Trials: 1})
-	if resp.StatusCode != http.StatusOK || string(body) != want.String()+"\n" {
-		t.Fatalf("experiment under a default timeout of %v: %s:\n%s\nwant every point completed on its retry:\n%s",
-			T, resp.Status, body, want.String())
-	}
-}

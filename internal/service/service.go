@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/network"
 	"repro/internal/sweep"
 )
 
@@ -74,9 +75,9 @@ type JobSpec struct {
 	Points []sweep.Point `json:"points"`
 	// Priority orders the run queue (higher first, default 0).
 	Priority int `json:"priority"`
-	// Timeout is the per-point deadline, the sweep engine's PointTimeout
-	// path: an overrunning point retries once with a doubled budget, then
-	// quarantines. 0 uses the service default.
+	// Timeout is the per-point deadline, the sweep engine's PointTimeout:
+	// an overrunning point comes back partial and is not stored, so a
+	// resubmission retries it. 0 uses the service default.
 	Timeout time.Duration `json:"timeout,omitempty"`
 }
 
@@ -87,7 +88,6 @@ type PointResult struct {
 	Source      Source         `json:"source"`
 	Measures    sweep.Measures `json:"measures"`
 	Partial     bool           `json:"partial,omitempty"`
-	Quarantined bool           `json:"quarantined,omitempty"`
 }
 
 // JobResult is a completed job.
@@ -235,7 +235,6 @@ func (s *Service) resolve(ctx context.Context, p sweep.Point, fp string, priorit
 		enqueued: enq,
 		out:      make(chan outcome, 1),
 	}
-	req.deadline, _ = ctx.Deadline()
 	if err := s.admit(req); err != nil {
 		if errors.Is(err, ErrQueueFull) {
 			s.metrics.RecordShed(1)
@@ -267,11 +266,10 @@ func (s *Service) resolve(ctx context.Context, p sweep.Point, fp string, priorit
 // attaches to the in-flight run of its fingerprint or becomes the leader of
 // a new run on the queue, so a fingerprint never has two runs between
 // admission and delivery, except that a run no request waits for any more
-// leaves the table at once (see leave). So a run lasts until the last of its
-// requests' deadlines: a sweep's retry gets its doubled budget, and a
-// request that joins a run is never cut off at another's deadline. It fails
-// with ErrQueueFull at the queue bound and ErrDraining once the queue is
-// closed; a failed request leaves no trace.
+// leaves the table at once (see leave). So a run lasts while any of its
+// requests waits, and a request that joins a run is never cut off at
+// another's deadline. It fails with ErrQueueFull at the queue bound and
+// ErrDraining once the queue is closed; a failed request leaves no trace.
 func (s *Service) admit(r *request) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -301,12 +299,6 @@ func (s *Service) join(rn *run, r *request) {
 	rn.waiters = append(rn.waiters, r)
 	rn.live++
 	r.run = rn
-	switch {
-	case r.deadline.IsZero():
-		rn.open = true
-	case r.deadline.After(rn.deadline):
-		rn.deadline = r.deadline
-	}
 }
 
 // leave withdraws a request whose context ended from its run. A run left by
@@ -325,20 +317,6 @@ func (s *Service) leave(r *request) {
 			rn.cancel()
 		}
 	}
-}
-
-// runContext is a started run's context. Its Deadline is its requests'
-// latest (none if one has none), so unlike a plain context's it can move.
-type runContext struct {
-	context.Context
-	s  *Service
-	rn *run
-}
-
-func (c runContext) Deadline() (time.Time, bool) {
-	c.s.mu.Lock()
-	defer c.s.mu.Unlock()
-	return c.rn.deadline, !c.rn.open
 }
 
 // finish clears a run from the in-flight table and returns its waiters;
@@ -389,7 +367,7 @@ func (s *Service) worker() {
 			continue
 		}
 		started := time.Now()
-		meas, coll, err := s.runEngine(runContext{rctx, s, rn}, rn.p)
+		meas, coll, err := s.runEngine(rctx, rn)
 		cancel()
 		runTime := time.Since(started)
 
@@ -404,16 +382,22 @@ func (s *Service) worker() {
 	}
 }
 
-// runEngine calls the engine, turning a panic (the simulator's answer to a
-// point it cannot build) into an error: a bad point fails its own run, not
-// the daemon and every job in it.
-func (s *Service) runEngine(ctx context.Context, p sweep.Point) (m sweep.Measures, coll *metrics.Collector, err error) {
+// runEngine calls the engine on rn's point, turning a panic (the
+// simulator's answer to a point it cannot build or run) into an error: a bad
+// point fails its own run, not the daemon and every job in it. A wedge comes
+// back as an error naming the point's fingerprint and wrapping the
+// *network.Wedge.
+func (s *Service) runEngine(ctx context.Context, rn *run) (m sweep.Measures, coll *metrics.Collector, err error) {
 	defer func() {
-		if r := recover(); r != nil {
+		switch r := recover().(type) {
+		case nil:
+		case *network.Wedge:
+			err = fmt.Errorf("service: point %s %w", rn.fp, r)
+		default:
 			err = fmt.Errorf("service: engine panic: %v", r)
 		}
 	}()
-	m, coll = s.cfg.RunPoint(ctx, p)
+	m, coll = s.cfg.RunPoint(ctx, rn.p)
 	return m, coll, nil
 }
 
@@ -535,9 +519,9 @@ func validateSpec(spec *JobSpec) error {
 
 // runJob executes the job's points as a sweep with the service as the
 // point runner — the job queue rides on the sweep engine's worker
-// machinery, ordering and retry logic rather than duplicating it. A point
-// shed, drained or cancelled comes back partial; a run that itself failed
-// (engine panic, store error) fails the job with that error.
+// machinery and ordering rather than duplicating it. A point shed, drained,
+// cancelled or timed out comes back partial and unstored; a run that itself
+// failed (engine panic, wedge, store error) fails the job with that error.
 func (s *Service) runJob(ctx context.Context, spec JobSpec, onProgress func(sweep.Progress)) (*JobResult, error) {
 	timeout := spec.Timeout
 	if timeout == 0 {
@@ -587,7 +571,6 @@ func (s *Service) runJob(ctx context.Context, spec JobSpec, onProgress func(swee
 			Source:      src,
 			Measures:    r.Measures,
 			Partial:     r.Partial,
-			Quarantined: r.Quarantined,
 		}
 		if r.Ran && !r.Partial {
 			res.Completed++

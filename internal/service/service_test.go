@@ -820,10 +820,10 @@ func TestDrainingRejectsSubmissions(t *testing.T) {
 // waits for it, not only the one that started it. A job with a 100 ms
 // timeout leads the run of a point; a job with no timeout, on a service with
 // no default, joins that run while it is queued (behind a run holding the
-// one worker) or after it has started. The leader's point times out (its
-// retry too); the follower's completes, on the one engine run, and is
-// stored. The engine completes a run only if its context is still live
-// when the test releases it.
+// one worker) or after it has started. The leader's point times out and is
+// partial; the follower's completes, on the one engine run, and is stored.
+// The engine completes a run only if its context is still live when the
+// test releases it.
 func TestFollowerOutlivesItsLeadersDeadline(t *testing.T) {
 	for _, started := range []bool{false, true} {
 		release, began := make(chan struct{}), make(chan struct{}, 2)
@@ -866,9 +866,9 @@ func TestFollowerOutlivesItsLeadersDeadline(t *testing.T) {
 		awaitWaiters(t, svc, waiters+1)
 		follower := job(0)
 		awaitWaiters(t, svc, waiters+2)
-		if res := <-leader; res.Completed != 0 || !res.Results[0].Quarantined {
-			t.Fatalf("started=%v: leader completed %d, quarantined %v; want its point quarantined",
-				started, res.Completed, res.Results[0].Quarantined)
+		if res := <-leader; res.Completed != 0 || !res.Results[0].Partial {
+			t.Fatalf("started=%v: leader completed %d, partial %v; want its point partial",
+				started, res.Completed, res.Results[0].Partial)
 		}
 		close(release)
 		if res := <-follower; res.Completed != 1 || res.Results[0].Partial {

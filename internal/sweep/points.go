@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"repro/internal/faults"
 	"repro/internal/grouping"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -28,23 +27,11 @@ type GridConfig struct {
 	// Chaos additionally derives a per-point chaos-schedule seed (offset so
 	// it never collides with the placement seed stream).
 	Chaos bool
-	// ClampD clamps D to the mesh's capacity (k*k - 2) instead of letting
-	// oversized points panic — the E7-style mesh sweep behavior.
-	ClampD bool
-	// Faults, when non-nil and enabled, gives every point a copy of this
-	// fault mix with a per-point fault seed derived from (Faults.Seed,
-	// index) on its own splitmix stream — independent fault schedules per
-	// point, reproducible at any worker count.
-	Faults *faults.Config
 }
 
-// chaosStreamOffset and faultStreamOffset separate the chaos- and
-// fault-seed derivation streams from the placement-seed stream of the same
-// base seed.
-const (
-	chaosStreamOffset = 0x5EED0FCA05
-	faultStreamOffset = 0xFA17 + 0x5EED0FCA05<<8
-)
+// chaosStreamOffset separates the chaos-seed derivation stream from the
+// placement-seed stream of the same base seed.
+const chaosStreamOffset = 0x5EED0FCA05
 
 // Grid expands the cross product into runnable points, ordered K-major,
 // then scheme, then D, with seeds derived from (BaseSeed, index).
@@ -57,9 +44,6 @@ func Grid(cfg GridConfig) []Point {
 	for _, k := range cfg.Ks {
 		for _, s := range cfg.Schemes {
 			for _, d := range cfg.Ds {
-				if max := k*k - 2; cfg.ClampD && d > max {
-					d = max
-				}
 				idx := len(pts)
 				p := Point{
 					Index: idx, K: k, Scheme: s, D: d,
@@ -68,11 +52,6 @@ func Grid(cfg GridConfig) []Point {
 				}
 				if cfg.Chaos {
 					p.ChaosSeed = sim.DeriveSeed(cfg.BaseSeed+chaosStreamOffset, uint64(idx))
-				}
-				if cfg.Faults != nil && cfg.Faults.Enabled() {
-					fc := *cfg.Faults
-					fc.Seed = sim.DeriveSeed(fc.Seed+faultStreamOffset, uint64(idx))
-					p.Faults = &fc
 				}
 				pts = append(pts, p)
 			}

@@ -14,9 +14,6 @@ type Progress struct {
 	Done, Total int
 	// Partial counts points stopped early by timeout or cancellation.
 	Partial int
-	// Quarantined counts points that timed out even on their doubled-budget
-	// retry (a subset of Partial).
-	Quarantined int
 	// Last is the most recently completed point.
 	Last Point
 	// Elapsed is wall-clock time since Run started.
@@ -30,9 +27,6 @@ func (p Progress) String() string {
 	s := fmt.Sprintf("%d/%d points", p.Done, p.Total)
 	if p.Partial > 0 {
 		s += fmt.Sprintf(" (%d partial)", p.Partial)
-	}
-	if p.Quarantined > 0 {
-		s += fmt.Sprintf(" (%d quarantined)", p.Quarantined)
 	}
 	if p.PointsPerSec > 0 && p.PointsPerSec < 1e9 {
 		s += fmt.Sprintf(", %.1f points/s", p.PointsPerSec)

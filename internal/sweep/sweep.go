@@ -124,14 +124,6 @@ type Result struct {
 	// timeout: Measures covers only Measures.Completed of Point.Trials
 	// trials.
 	Partial bool `json:"partial,omitempty"`
-	// Retried marks a point that hit the per-point timeout on its first
-	// attempt and was re-run with a doubled budget.
-	Retried bool `json:"retried,omitempty"`
-	// Quarantined marks a point that timed out on the retry as well: its
-	// result stays partial, the sweep moves on, and the point is flagged in
-	// the progress output so the operator can investigate (typically a
-	// pathological configuration, not a transient).
-	Quarantined bool `json:"quarantined,omitempty"`
 	// Elapsed is the wall-clock run time of the point. It is deliberately
 	// excluded from serialization: it is the one nondeterministic field.
 	Elapsed time.Duration `json:"-"`
@@ -147,7 +139,8 @@ type Options struct {
 	Parallel int
 	// PointTimeout, when positive, bounds each point's wall-clock run time.
 	// A point that exceeds it stops at the next trial boundary and its
-	// result is marked Partial — the sweep itself keeps going. Timeouts are
+	// result is marked Partial — the sweep itself keeps going, and a rerun
+	// over the result store retries the point. Timeouts are
 	// wall-clock and therefore nondeterministic; leave zero for
 	// reproducibility-critical runs.
 	PointTimeout time.Duration
@@ -187,9 +180,8 @@ type Summary struct {
 	// Elapsed is the sweep's wall-clock duration.
 	Elapsed time.Duration
 	// Completed counts points with a result; Partial counts results marked
-	// partial; Quarantined counts points that timed out even on their
-	// doubled-budget retry.
-	Completed, Partial, Quarantined int
+	// partial.
+	Completed, Partial int
 }
 
 // RunPointDirect is the production point runner: RunPointRecorded with no
@@ -257,34 +249,18 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 			return
 		}
 		p := points[i]
-		runOnce := func(budget time.Duration) Measures {
-			pctx := ctx
-			cancel := func() {}
-			if budget > 0 {
-				pctx, cancel = context.WithTimeout(ctx, budget)
-			}
+		pctx := ctx
+		if opts.PointTimeout > 0 {
+			var cancel context.CancelFunc
+			pctx, cancel = context.WithTimeout(ctx, opts.PointTimeout)
 			defer cancel()
-			m, _ := run(pctx, p)
-			return m
 		}
 		t0 := time.Now() //simcheck:allow determinism -- per-point wall-clock timing for reports
-		meas := runOnce(opts.PointTimeout)
-		res := Result{Point: p, Ran: true}
-		if meas.Completed < p.Trials && opts.PointTimeout > 0 && ctx.Err() == nil {
-			// The point hit its own timeout (the sweep itself was not
-			// cancelled): retry once from scratch with a doubled
-			// budget. Determinism is unharmed — the rerun replays the
-			// same seeds, and a completed retry's result is identical
-			// to what an untimed run would have produced.
-			res.Retried = true
-			meas = runOnce(2 * opts.PointTimeout)
-			if meas.Completed < p.Trials && ctx.Err() == nil {
-				res.Quarantined = true
-			}
+		meas, _ := run(pctx, p)
+		res := Result{
+			Point: p, Measures: meas, Partial: meas.Completed < p.Trials, Ran: true,
+			Elapsed: time.Since(t0), //simcheck:allow determinism -- wall-clock elapsed, reporting only
 		}
-		res.Measures = meas
-		res.Partial = meas.Completed < p.Trials
-		res.Elapsed = time.Since(t0) //simcheck:allow determinism -- wall-clock elapsed, reporting only
 
 		mu.Lock()
 		defer mu.Unlock()
@@ -293,16 +269,12 @@ func Run(ctx context.Context, points []Point, opts Options) (*Summary, error) {
 		if res.Partial {
 			sum.Partial++
 		}
-		if res.Quarantined {
-			sum.Quarantined++
-		}
 		if opts.OnProgress != nil {
 			elapsed := time.Since(start) //simcheck:allow determinism -- wall-clock elapsed, reporting only
 			opts.OnProgress(Progress{
 				Done:         sum.Completed,
 				Total:        len(points),
 				Partial:      sum.Partial,
-				Quarantined:  sum.Quarantined,
 				Last:         p,
 				Elapsed:      elapsed,
 				PointsPerSec: float64(sum.Completed) / elapsed.Seconds(),

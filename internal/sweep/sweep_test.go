@@ -220,14 +220,18 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
+// TestRunPointTimeoutMarksPartial: a point that overruns its timeout runs
+// once and is partial; the sweep does not retry it.
 func TestRunPointTimeoutMarksPartial(t *testing.T) {
 	pts := testPoints(3)
+	var slowRuns atomic.Int64
 	sum, err := Run(context.Background(), pts, Options{
 		Parallel:     1,
 		PointTimeout: 10 * time.Millisecond,
 		RunPoint: func(ctx context.Context, p Point) (Measures, *metrics.Collector) {
 			if p.Index == 1 {
 				// A slow point: observes its deadline and stops early.
+				slowRuns.Add(1)
 				<-ctx.Done()
 				return Measures{Completed: 1}, nil
 			}
@@ -239,6 +243,9 @@ func TestRunPointTimeoutMarksPartial(t *testing.T) {
 	}
 	if sum.Partial != 1 || !sum.Results[1].Partial {
 		t.Fatalf("timeout not marked partial: %+v", sum.Results[1])
+	}
+	if n := slowRuns.Load(); n != 1 {
+		t.Fatalf("the timed-out point ran %d times; want once", n)
 	}
 	// The slow point must not have poisoned its neighbors.
 	if sum.Results[0].Partial || sum.Results[2].Partial || sum.Completed != 3 {

@@ -172,9 +172,8 @@ func RunHotSpot(cfg HotSpotConfig) HotSpotResult {
 		m.Write(writers[i], blocks[i], func() { remaining-- })
 	}
 	m.Engine.Run()
-	if remaining != 0 {
-		panic(fmt.Sprintf("workload: %d hot-spot writes never completed (outstanding=%d)",
-			remaining, m.Net.Outstanding()))
+	if w := m.Net.Wedged(remaining); w != nil {
+		panic(w)
 	}
 	res := HotSpotResult{
 		Makespan:    m.Engine.Now() - start,

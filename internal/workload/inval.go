@@ -238,8 +238,8 @@ func RunInval(cfg InvalConfig) InvalResult {
 }
 
 // RunOp drives one blocking operation to completion and returns the cycles
-// it took. It panics, with the network's diagnosis, if the operation never
-// completes or leaves traffic in flight.
+// it took. It panics with the network's *network.Wedge if the operation
+// never completes or leaves traffic in flight.
 func RunOp(m *coherence.Machine, write bool, n topology.NodeID, b directory.BlockID) sim.Time {
 	return newOpRunner(m).run(write, n, b)
 }
@@ -247,15 +247,15 @@ func RunOp(m *coherence.Machine, write bool, n topology.NodeID, b directory.Bloc
 // opRunner drives blocking operations on one machine, one at a time. Its
 // completion callback is bound once, so an operation allocates nothing.
 type opRunner struct {
-	m        *coherence.Machine
-	finished bool
-	end      sim.Time // when the last operation completed
-	done     func()
+	m          *coherence.Machine
+	unfinished int      // 1 while an operation is outstanding
+	end        sim.Time // when the last operation completed
+	done       func()
 }
 
 func newOpRunner(m *coherence.Machine) *opRunner {
 	r := &opRunner{m: m}
-	r.done = func() { r.finished, r.end = true, m.Engine.Now() }
+	r.done = func() { r.unfinished, r.end = 0, m.Engine.Now() }
 	return r
 }
 
@@ -263,27 +263,22 @@ func newOpRunner(m *coherence.Machine) *opRunner {
 func (r *opRunner) run(write bool, n topology.NodeID, b directory.BlockID) sim.Time {
 	m := r.m
 	start := m.Engine.Now()
-	r.finished = false
+	r.unfinished = 1
 	if write {
 		m.Write(n, b, r.done)
 	} else {
 		m.Read(n, b, r.done)
 	}
 	m.Engine.Run()
-	if !r.finished {
-		panic(fmt.Sprintf("workload: operation did not complete (deadlock? write=%v node=%d block=%d)\n%s",
-			write, n, b, m.Net.Diagnose()))
-	}
-	if !m.Quiesced() {
-		panic(fmt.Sprintf("workload: network traffic outstanding after operation (write=%v node=%d block=%d)\n%s",
-			write, n, b, m.Net.Diagnose()))
+	if w := m.Net.Wedged(r.unfinished); w != nil {
+		panic(w)
 	}
 	return m.Engine.Now() - start
 }
 
 // latency is run returning the operation's issue-to-completion latency,
 // which leaves out any traffic still in flight when it completes. It panics
-// as run does if the operation never completes.
+// as run does.
 func (r *opRunner) latency(write bool, n topology.NodeID, b directory.BlockID) sim.Time {
 	start := r.m.Engine.Now()
 	r.run(write, n, b)

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/network"
@@ -126,8 +125,8 @@ func RunTrafficTraced(cfg TrafficConfig, rec *trace.Recorder) TrafficResult {
 		schedule(topology.NodeID(n), nextGap())
 	}
 	engine.Run()
-	if net.Outstanding() != 0 {
-		panic(fmt.Sprintf("workload: %d worms undelivered after drain", net.Outstanding()))
+	if w := net.Wedged(0); w != nil {
+		panic(w)
 	}
 	res.AvgLinkUtilization = net.AvgLinkUtilization()
 	if now := engine.Now(); now > cfg.Duration {

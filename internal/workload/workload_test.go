@@ -2,7 +2,6 @@ package workload
 
 import (
 	"encoding/json"
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/coherence"
 	"repro/internal/directory"
 	"repro/internal/grouping"
+	"repro/internal/network"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -185,16 +185,17 @@ func TestMeasureMissOrderings(t *testing.T) {
 
 // TestOpLatencyRefusesUnfinishedOp: an operation issued at cycle 0 that
 // never completes, because an event at cycle 0 halts the engine first, must
-// panic naming the operation instead of measuring 0 cycles.
+// raise a *network.Wedge with that one operation unfinished instead of
+// measuring 0 cycles.
 func TestOpLatencyRefusesUnfinishedOp(t *testing.T) {
 	m := coherence.NewMachine(DefaultMicroParams(grouping.UIUA))
 	m.Engine.AtCall(0, func(any, int32) { m.Engine.Halt() }, nil, 0)
 	n, b := m.Mesh.ID(topology.Coord{X: 1, Y: 1}), directory.BlockID(70)
 	defer func() {
-		msg, _ := recover().(string)
-		want := fmt.Sprintf("did not complete (deadlock? write=false node=%d block=%d)", n, b)
-		if !strings.Contains(msg, want) {
-			t.Fatalf("panic %q does not name the unfinished read (%s)", msg, want)
+		v := recover()
+		w, ok := v.(*network.Wedge)
+		if !ok || w.Unfinished != 1 || w.Cycle != 0 {
+			t.Fatalf("panic %v; want a *network.Wedge at cycle 0 with 1 unfinished operation", v)
 		}
 	}()
 	lat := newOpRunner(m).latency(false, n, b)

@@ -35,7 +35,7 @@ for exp in latency load consistency; do
 done
 
 echo "== point job =="
-ctl run -k 8 -scheme MI-MA-pa -d 6 -pattern random -trials 2 -seed 1 >"$work/job.json"
+ctl run -k 8 -scheme MI-MA-ec -d 6 -pattern random -trials 2 -seed 1 >"$work/job.json"
 grep -q '"completed": 1' "$work/job.json"
 
 echo "== stats: no duplicate engine runs =="
