@@ -141,11 +141,11 @@ bench:
 sweep:
 	$(GO) run ./cmd/dsmsimctl experiment -name all
 
-# smoke drives `dsmsimctl serve` end to end: serve the E4, E19 and E13 tables
+# smoke drives `dsmsimctl serve` end to end: serve the E4, E19 and E9 tables
 # byte-identical to an in-process run, repeat it from the cache, run a point
 # job, then SIGTERM and assert a clean drain that leaves results/ filled,
 # jobs/ empty and nothing else in the data directory; then in-process
-# reruns over one -data directory (E12, E19, E13 and E23) run nothing, and
+# reruns over one -data directory (E12, E19 and E23) run nothing, and
 # a daemon over it serves the same table. See scripts/serve_smoke.sh.
 smoke:
 	bash scripts/serve_smoke.sh

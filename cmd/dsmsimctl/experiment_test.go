@@ -79,13 +79,12 @@ func dirStore(t *testing.T, dir string) service.ResultStore {
 
 // TestDataRerunRunsNothing: a second run over the same -data directory runs
 // no point and prints the tables the bare engine prints: default machines and
-// variants, homed transactions, hot-spot bursts, application replays on
-// default and varied machines (E13's release-consistency machine among them)
-// and traffic runs alike, at d=consD.
+// variants, homed transactions, hot-spot bursts, application replays and
+// traffic runs alike, at d=consD.
 func TestDataRerunRunsNothing(t *testing.T) {
 	names := []string{"latency",
 		"buffers", "hotspot", "homes", "cons", "occupancy", "table6", "apps", "sharing",
-		"load", "invalsize", "consistency"}
+		"load", "invalsize"}
 	const d = consD
 	want := bare(t, d, names...)
 	dir := t.TempDir()
@@ -120,9 +119,7 @@ func TestDataRerunRunsNothing(t *testing.T) {
 // come from the store. E5's cells are E4's latency points, so after latency
 // E5 runs nothing; E23 and Table 6 replay six of
 // E9's UI-UA and MI-MA-ec cells, so after them E9 runs only its other 6; E17
-// reads Table 6's three replays, so after it E17 runs nothing; E13 takes its
-// six default-machine replays from E9 and runs only its six on the
-// release-consistency machine.
+// reads Table 6's three replays, so after it E17 runs nothing.
 func TestSharedPointRunsOnce(t *testing.T) {
 	cases := []struct {
 		first, then      []string
@@ -131,7 +128,6 @@ func TestSharedPointRunsOnce(t *testing.T) {
 		{[]string{"latency"}, []string{"homemsgs"}, 63, 0},
 		{[]string{"sharing", "table6"}, []string{"apps"}, 6, 6},
 		{[]string{"table6"}, []string{"invalsize"}, 3, 0},
-		{[]string{"apps"}, []string{"consistency"}, 6, 6},
 	}
 	for _, c := range cases {
 		cfg := service.Config{Store: service.NewMemoryStore(0)}

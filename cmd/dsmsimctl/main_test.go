@@ -80,9 +80,9 @@ func TestExperimentIsTheBatchTable(t *testing.T) {
 
 // TestExperimentSizeCheck: both modes refuse a size no experiment runs, or
 // a name none has (update, forwarding, tree, limdir, threehop, barrier,
-// degraded and vcs were E18, E16, E20, E15, E25, E22, E28 and E14, since
-// deleted), with exit 2, before the in-process run opens its store or the
-// remote one sends a request.
+// degraded, vcs and consistency were E18, E16, E20, E15, E25, E22, E28, E14
+// and E13, since deleted), with exit 2, before the in-process run opens its
+// store or the remote one sends a request.
 func TestExperimentSizeCheck(t *testing.T) {
 	var requests atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -96,7 +96,7 @@ func TestExperimentSizeCheck(t *testing.T) {
 		{"-d", "0"}, {"-trials", "0"}, {"-name", "bogus"},
 		{"-name", "update"}, {"-name", "forwarding"}, {"-name", "tree"},
 		{"-name", "limdir"}, {"-name", "threehop"}, {"-name", "barrier"},
-		{"-name", "degraded"}, {"-name", "vcs"},
+		{"-name", "degraded"}, {"-name", "vcs"}, {"-name", "consistency"},
 	} {
 		for mode, args := range map[string][]string{
 			"in process": {"experiment", "-data", data},

@@ -299,9 +299,10 @@ func TestGroupsDrawTrialOneSharers(t *testing.T) {
 
 // TestUnrunnableReplayExitsTwo: a replay apps.Run cannot run (more
 // programs than nodes, an unknown application), one on a machine the
-// simulator cannot build (a protocol, data-forwarding, limited-directory or
-// worm-barrier knob: the machine runs only the paper's write-invalidate
-// protocol and its shared-memory barrier), a mesh side below 2, a negative
+// simulator cannot build (a protocol, data-forwarding, limited-directory,
+// worm-barrier or consistency knob: the machine runs only the paper's
+// write-invalidate protocol under sequential consistency and its
+// shared-memory barrier), a mesh side below 2, a negative
 // offered load, a traffic run with sharers, a placement, a virtual-channel
 // count or a scheme it would ignore, or a point whose scheme
 // grouping.AllSchemes does not list (by number or by name) is a bad command
@@ -312,6 +313,7 @@ func TestUnrunnableReplayExitsTwo(t *testing.T) {
 		{`{"k":8,"app":"LU","trials":1,"tune":{"worm_barriers":true,"vct_deferred":true}}`, `unknown field "worm_barriers"`},
 		{`{"k":4,"app":"Nope","trials":1}`, `unknown application "Nope"`},
 		{`{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU","tune":{"protocol":1}}`, `unknown field "protocol"`},
+		{`{"k":4,"trials":1,"app":"LU","tune":{"consistency":1}}`, `unknown field "consistency"`},
 		{`{"k":4,"scheme":"MI-MA-ec","trials":1,"app":"LU","tune":{"data_forwarding":true}}`,
 			`unknown field "data_forwarding"`},
 		{`{"k":8,"scheme":"UI-UA","d":6,"trials":3,"seed":1,"tune":{"dir_pointers":4}}`, `unknown field "dir_pointers"`},
@@ -361,7 +363,6 @@ func TestRejectsBadCommandLines(t *testing.T) {
 		{"-point", `{"k":8,"d":6,"trials":1,"scheme":"bogus"}`},
 		{"-point", `{"k":8,"d":6,"trials":1,"pattern":"bogus"}`},
 		{"-workload", "miss", "-kind", "8"},
-		{"-workload", "miss", "-point", `{"k":4,"trials":1,"app":"LU","tune":{"consistency":1}}`},
 		{"-workload", "bogus"},
 	} {
 		if err := cmdTrace(args, io.Discard, io.Discard); err == nil {

@@ -148,7 +148,6 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 	start := m.Engine.Now()
 
 	bar := &barrier{engine: m.Engine, parties: len(w.Programs), cost: w.BarrierCost}
-	rc := m.Params.Consistency == coherence.ReleaseConsistency
 	remaining := len(w.Programs)
 	// Each processor has at most one operation outstanding, so one
 	// continuation per processor, bound once, serves every reference: next
@@ -158,12 +157,6 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 	exec = func(p *proc) {
 		n := p.node
 		if p.pc == len(p.prog) {
-			if rc {
-				// Outstanding writes must still retire before the program
-				// counts as finished.
-				m.Fence(n, func() { remaining-- })
-				return
-			}
 			remaining--
 			return
 		}
@@ -173,21 +166,11 @@ func Run(m *coherence.Machine, w Workload) RunResult {
 		case OpRead:
 			m.Read(n, op.Block, next)
 		case OpWrite:
-			if rc {
-				m.WriteAsync(n, op.Block, next)
-			} else {
-				m.Write(n, op.Block, next)
-			}
+			m.Write(n, op.Block, next)
 		case OpCompute:
 			m.Engine.AfterCall(op.Cycles, sim.CallFunc, next, 0)
 		case OpBarrier:
-			if rc {
-				// A barrier is a release point: drain the write buffer
-				// before arriving.
-				m.Fence(n, func() { bar.arrive(next) })
-			} else {
-				bar.arrive(next)
-			}
+			bar.arrive(next)
 		default:
 			panic("apps: unknown op kind")
 		}

@@ -1,8 +1,8 @@
 // Package blocktab is the simulator's one block-keyed table: an
 // open-addressed hash table from an (owner, block) pair to a value. The
 // caches keep their lines in one (owner = cache), a directory slice its
-// entries, and the coherence protocol its outstanding operations, home
-// queues and ownership generations. The owner is whatever the table's user
+// entries, and the coherence protocol its home transaction queues and
+// dirty-fetch contexts. The owner is whatever the table's user
 // needs to tell blocks apart by — a node or cache id — or 0 when the block
 // alone is the key.
 //

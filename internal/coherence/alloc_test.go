@@ -117,10 +117,10 @@ func TestNewMachineAllocs(t *testing.T) {
 }
 
 // TestBlockTableChurnAllocs pins the block tables' steady state: once the
-// shared line table and the outstanding-op table have grown to their
-// working sets, cache fills and invalidations and op adds and removes over
-// ever-new blocks allocate nothing (a delete leaves no tombstone, so churn
-// never forces a rehash).
+// shared line table has grown to its working set, cache fills and
+// invalidations over ever-new blocks allocate nothing (a delete leaves no
+// tombstone, so churn never forces a rehash), and neither do op adds and
+// removes in the per-node slots.
 func TestBlockTableChurnAllocs(t *testing.T) {
 	m := NewMachine(DefaultParams(4, grouping.UIUA))
 	nodes := topology.NodeID(m.Mesh.Nodes())
@@ -133,7 +133,7 @@ func TestBlockTableChurnAllocs(t *testing.T) {
 		old := next - live
 		m.Cache(topology.NodeID(old) % nodes).Invalidate(old)
 		if op := &ops[n]; op.block != 0 {
-			m.removeOp(n, op.block)
+			m.removeOp(n)
 		}
 		ops[n].block = next
 		m.addOp(n, &ops[n])

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -367,17 +369,25 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestDoubleOutstandingOpPanics issues a second miss at a node whose first
+// is still outstanding: under sequential consistency that is a caller bug
+// whether the second is on the same block or another.
 func TestDoubleOutstandingOpPanics(t *testing.T) {
-	m := newM(t, 4, grouping.UIUA)
-	n := nodeAt(m, 2, 2)
-	m.Read(n, 5, func() {})
-	defer func() {
-		if recover() == nil {
-			t.Error("second outstanding op did not panic")
-		}
-	}()
-	m.Read(n, 6, func() {})
-	m.Engine.Run()
+	for _, second := range []directory.BlockID{5, 6} {
+		m := newM(t, 4, grouping.UIUA)
+		n := nodeAt(m, 2, 2)
+		m.Read(n, 5, func() {})
+		m.Read(n, second, func() {})
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), "second outstanding operation") {
+					t.Errorf("second outstanding op on block %d: recovered %v", second, r)
+				}
+			}()
+			m.Engine.Run()
+		}()
+	}
 }
 
 func TestOccupancyAccounting(t *testing.T) {

@@ -29,7 +29,7 @@ func (m *Machine) InstallSharer(n topology.NodeID, b directory.BlockID) bool {
 	if m.Engine.Pending() != 0 {
 		panic(fmt.Sprintf("coherence: InstallSharer with %d events pending", m.Engine.Pending()))
 	}
-	if m.opCount[n] != 0 {
+	if m.ops[n] != nil {
 		panic(fmt.Sprintf("coherence: InstallSharer with an operation outstanding at node %d", n))
 	}
 	if m.installObservable() {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestConfigMatrixSoak drives random traffic through a matrix of protocol
-// option combinations — scheme x consistency x VCT —
+// option combinations — scheme x VCT —
 // checking the global coherence invariants at every quiescent point. This
 // is the integration net that catches cross-feature interactions no
 // focused test covers.
@@ -22,7 +22,6 @@ func TestConfigMatrixSoak(t *testing.T) {
 	}
 	variants := []cfg{
 		{"baseline", func(p *Params) {}},
-		{"rc", func(p *Params) { p.Consistency = ReleaseConsistency }},
 		{"vct", func(p *Params) { p.Net.VCTDeferred = true }},
 	}
 	for _, s := range grouping.AllSchemes {
@@ -33,25 +32,16 @@ func TestConfigMatrixSoak(t *testing.T) {
 				v.tune(&p)
 				m := NewMachine(p)
 				rng := sim.NewRNG(uint64(31 + int(s)))
-				rc := p.Consistency == ReleaseConsistency
 				for step := 0; step < 80; step++ {
 					n := topology.NodeID(rng.Intn(m.Mesh.Nodes()))
 					b := directory.BlockID(rng.Intn(8))
-					write := rng.Intn(3) == 0
 					done := false
-					switch {
-					case write && rc:
-						m.WriteAsync(n, b, func() { done = true })
-						m.Engine.Run()
-						m.Fence(n, func() {})
-						m.Engine.Run()
-					case write:
+					if rng.Intn(3) == 0 {
 						m.Write(n, b, func() { done = true })
-						m.Engine.Run()
-					default:
+					} else {
 						m.Read(n, b, func() { done = true })
-						m.Engine.Run()
 					}
+					m.Engine.Run()
 					if !done {
 						t.Fatalf("step %d: op incomplete (outstanding=%d)\n%s",
 							step, m.Net.Outstanding(), m.Net.Diagnose())

@@ -88,40 +88,28 @@ func TestInvariantsRequireQuiescence(t *testing.T) {
 }
 
 // TestRandomizedSoakWithInvariants drives random reads and writes through
-// every scheme and consistency model and validates the global coherence
-// invariants at each quiescent point — the system-level property test.
+// every scheme and validates the global coherence invariants at each
+// quiescent point — the system-level property test.
 func TestRandomizedSoakWithInvariants(t *testing.T) {
 	for _, s := range grouping.AllSchemes {
-		for _, cons := range []Consistency{SequentialConsistency, ReleaseConsistency} {
-			rng := sim.NewRNG(uint64(77 + int(s)))
-			p := DefaultParams(4, s)
-			p.Consistency = cons
-			m := NewMachine(p)
-			const blocks = 12
-			for step := 0; step < 120; step++ {
-				n := topology.NodeID(rng.Intn(m.Mesh.Nodes()))
-				b := directory.BlockID(rng.Intn(blocks))
-				write := rng.Intn(3) == 0
-				done := false
-				switch {
-				case write && cons == ReleaseConsistency:
-					m.WriteAsync(n, b, func() { done = true })
-					m.Engine.Run()
-					m.Fence(n, func() {})
-					m.Engine.Run()
-				case write:
-					m.Write(n, b, func() { done = true })
-					m.Engine.Run()
-				default:
-					m.Read(n, b, func() { done = true })
-					m.Engine.Run()
-				}
-				if !done {
-					t.Fatalf("%v/%v step %d: op incomplete", s, cons, step)
-				}
-				if err := m.CheckInvariants(); err != nil {
-					t.Fatalf("%v/%v step %d: %v", s, cons, step, err)
-				}
+		rng := sim.NewRNG(uint64(77 + int(s)))
+		m := NewMachine(DefaultParams(4, s))
+		const blocks = 12
+		for step := 0; step < 120; step++ {
+			n := topology.NodeID(rng.Intn(m.Mesh.Nodes()))
+			b := directory.BlockID(rng.Intn(blocks))
+			done := false
+			if rng.Intn(3) == 0 {
+				m.Write(n, b, func() { done = true })
+			} else {
+				m.Read(n, b, func() { done = true })
+			}
+			m.Engine.Run()
+			if !done {
+				t.Fatalf("%v step %d: op incomplete", s, step)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("%v step %d: %v", s, step, err)
 			}
 		}
 	}

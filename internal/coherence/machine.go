@@ -37,12 +37,8 @@ type Machine struct {
 	// transaction in flight; an idle block's queue goes to freeQueues.
 	pending    blocktab.Table[*blockQueue]
 	freeQueues []*blockQueue
-	// ops holds every processor's outstanding operations by (node, block),
-	// and opCount how many each node has.
-	ops     blocktab.Table[*pendingOp]
-	opCount []int32
-	// writeBufs tracks buffered writes per node (release consistency).
-	writeBufs []writeBuffer
+	// ops holds each node's outstanding operation, nil when it has none.
+	ops []*pendingOp
 	// homeOps holds the home-side context of dirty-block fetches, at most
 	// one per block (the per-block queue guarantees exclusivity).
 	homeOps blocktab.Table[*homeOp]
@@ -144,12 +140,8 @@ func (s *server) doCall(cost sim.Time, fn func(any, int32), arg any, i int32) {
 }
 
 // NewMachine builds a machine from params. The caller drives it through
-// Read/Write and the Engine. It refuses release consistency on a faulty
-// fabric: no checker has seen store buffers and fences under faults.
+// Read/Write and the Engine.
 func NewMachine(p Params) *Machine {
-	if p.Consistency == ReleaseConsistency && p.Fault != nil {
-		panic("coherence: Params.Consistency is ReleaseConsistency with a non-nil Params.Fault; release consistency runs only on a fault-free fabric")
-	}
 	var mesh *topology.Mesh
 	switch {
 	case p.MeshWidth > 0 && p.MeshHeight > 0:
@@ -167,7 +159,7 @@ func NewMachine(p Params) *Machine {
 		Params:  p,
 		Metrics: metrics.NewCollector(nodes),
 		homes:   directory.NewHomeMap(nodes),
-		opCount: make([]int32, nodes),
+		ops:     make([]*pendingOp, nodes),
 		caches:  make([]cache.Cache, nodes),
 		dirs:    make([]directory.Directory, nodes),
 		servers: make([]server, nodes),

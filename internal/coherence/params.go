@@ -13,26 +13,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Consistency selects the memory consistency model.
-type Consistency int
-
-const (
-	// SequentialConsistency blocks the processor on every miss; a write
-	// completes only after all invalidation acknowledgments arrive [13].
-	SequentialConsistency Consistency = iota
-	// ReleaseConsistency lets the processor continue past writes (store
-	// buffering); invalidations overlap computation and are only awaited
-	// at release points (Machine.Fence / barriers) [1].
-	ReleaseConsistency
-)
-
-func (c Consistency) String() string {
-	if c == ReleaseConsistency {
-		return "RC"
-	}
-	return "SC"
-}
-
 // Params configures a Machine. All times are 5 ns base cycles; the
 // defaults follow the paper's technology point (100 MHz processors,
 // 200 Mbyte/s links, 20 ns routers, 120 ns DRAM).
@@ -44,8 +24,6 @@ type Params struct {
 	MeshWidth, MeshHeight int
 	// Scheme selects the invalidation framework and grouping.
 	Scheme grouping.Scheme
-	// Consistency selects the memory model (default sequential).
-	Consistency Consistency
 	// Net carries the network timing/resource configuration.
 	Net network.Config
 
@@ -99,15 +77,13 @@ func DefaultParams(k int, scheme grouping.Scheme) Params {
 }
 
 // Variant names a machine that differs from DefaultParams in the parameters
-// the ablations vary (i-ack depth, consumption channels, VCT, and for
-// replays consistency). It is data, not code, so a sweep point that carries
+// the ablations vary (i-ack depth, consumption channels, VCT). It is data, not code, so a sweep point that carries
 // one can be serialised and fingerprinted. Every field's zero value means
 // DefaultParams' value: a nil or empty Variant is the default machine.
 type Variant struct {
-	IAckBuffers         int         `json:"iack_buffers,omitempty"`
-	ConsumptionChannels int         `json:"consumption_channels,omitempty"`
-	VCTDeferred         bool        `json:"vct_deferred,omitempty"`
-	Consistency         Consistency `json:"consistency,omitempty"`
+	IAckBuffers         int  `json:"iack_buffers,omitempty"`
+	ConsumptionChannels int  `json:"consumption_channels,omitempty"`
+	VCTDeferred         bool `json:"vct_deferred,omitempty"`
 }
 
 // Apply overrides p with the variant's non-zero fields. A nil variant
@@ -124,9 +100,6 @@ func (v *Variant) Apply(p *Params) {
 	}
 	if v.VCTDeferred {
 		p.Net.VCTDeferred = true
-	}
-	if v.Consistency != 0 {
-		p.Consistency = v.Consistency
 	}
 }
 

@@ -70,8 +70,8 @@ func (m *Machine) freeOp(op *pendingOp) {
 	}
 }
 
-// finishHit completes an operation that hit in the cache (or the store
-// buffer) at the end of its cache-access stage.
+// finishHit completes an operation that hit in the cache at the end of its
+// cache-access stage.
 //
 //simcheck:noalloc
 func (m *Machine) finishHit(n topology.NodeID, op *pendingOp) {
@@ -83,41 +83,35 @@ func (m *Machine) finishHit(n topology.NodeID, op *pendingOp) {
 	done()
 }
 
-// op returns node n's outstanding operation on block b, or nil.
+// op returns node n's outstanding operation if it is on block b, or nil.
 //
 //simcheck:noalloc
 func (m *Machine) op(n topology.NodeID, b directory.BlockID) *pendingOp {
-	op, _ := m.ops.Get(int32(n), uint64(b))
-	return op
+	if op := m.ops[n]; op != nil && op.block == b {
+		return op
+	}
+	return nil
 }
 
-// addOp records op as outstanding at node n. Under sequential consistency
-// a node has at most one; under release consistency one read plus any
-// number of buffered writes, each to a distinct block.
+// addOp records op as node n's outstanding operation. Under sequential
+// consistency a processor blocks on its miss, so a node has at most one: a
+// second, on any block, is a caller bug.
 //
 //simcheck:noalloc
 func (m *Machine) addOp(n topology.NodeID, op *pendingOp) {
-	if m.op(n, op.block) != nil {
-		panic(fmt.Sprintf("coherence: node %d issued a second operation on block %d", n, op.block))
+	if m.ops[n] != nil {
+		panic(fmt.Sprintf("coherence: node %d issued a second outstanding operation (block %d)", n, op.block))
 	}
-	if m.Params.Consistency == SequentialConsistency && m.opCount[n] != 0 {
-		panic(fmt.Sprintf("coherence: node %d issued a second outstanding operation under SC", n))
-	}
-	m.ops.Put(int32(n), uint64(op.block), op)
-	m.opCount[n]++
+	m.ops[n] = op
 }
 
+// removeOp clears node n's outstanding operation.
 //
 //simcheck:noalloc
-func (m *Machine) removeOp(n topology.NodeID, b directory.BlockID) {
-	m.ops.Delete(int32(n), uint64(b))
-	m.opCount[n]--
-}
+func (m *Machine) removeOp(n topology.NodeID) { m.ops[n] = nil }
 
 // Read performs a shared-memory read by node n of block b, invoking done
-// when the value is usable. Reads hit in Shared or Modified lines; under
-// release consistency a read of a block with a buffered write outstanding
-// by the same node is forwarded from the store buffer.
+// when the value is usable. Reads hit in Shared or Modified lines.
 //
 //simcheck:noalloc
 func (m *Machine) Read(n topology.NodeID, b directory.BlockID, done func()) {
@@ -147,98 +141,6 @@ func (m *Machine) Write(n topology.NodeID, b directory.BlockID, done func()) {
 	op := m.newOp()
 	op.block, op.write, op.issue, op.done, op.tok = b, true, uint64(issue), done, tok
 	m.server(n).doCall(m.Params.CacheAccess, m.fnWriteIssue, op, int32(n))
-}
-
-// WriteAsync performs a release-consistency write: issued fires as soon as
-// the write is buffered (the processor continues), while the ownership
-// acquisition and invalidation transaction proceed in the background. Use
-// Fence to await completion of all of a node's buffered writes. The
-// machine must be configured with ReleaseConsistency.
-func (m *Machine) WriteAsync(n topology.NodeID, b directory.BlockID, issued func()) {
-	if m.Params.Consistency != ReleaseConsistency {
-		panic("coherence: WriteAsync requires ReleaseConsistency")
-	}
-	issue := m.Engine.Now()
-	var tok uint64
-	if m.Rec != nil {
-		tok = m.newOpTok()
-		m.recOp(trace.KindOpIssue, trace.FlagWrite, n, tok, b)
-	}
-	// The write enters the store buffer at issue time, so a Fence posted in
-	// the same cycle already covers it.
-	m.pendingWrites(n).count++
-	m.server(n).do(m.Params.CacheAccess, func() {
-		if m.caches[n].Lookup(b, true) {
-			if m.Rec != nil {
-				m.recOp(trace.KindOpDone, trace.FlagHit, n, tok, b)
-			}
-			m.retireBufferedWrite(n)
-			issued()
-			return
-		}
-		if op := m.op(n, b); op != nil && op.write {
-			// Write coalesces into the already-buffered write to the block.
-			if m.Rec != nil {
-				m.recOp(trace.KindOpDone, trace.FlagHit, n, tok, b)
-			}
-			m.retireBufferedWrite(n)
-			issued()
-			return
-		}
-		if m.Rec != nil {
-			m.recOp(trace.KindOpMiss, trace.FlagWrite, n, tok, b)
-		}
-		hasCopy := m.caches[n].State(b) == cache.SharedLine
-		m.addOp(n, &pendingOp{block: b, write: true, issue: uint64(issue), done: func() {
-			m.retireBufferedWrite(n)
-		}, tok: tok})
-		m.server(n).do(m.Params.SendOccupancy, func() {
-			m.send(writeReq, n, m.Home(b), &msg{typ: writeReq, block: b, from: n, hasCopy: hasCopy, tok: tok})
-		})
-		issued()
-	})
-}
-
-// retireBufferedWrite removes one write from node n's store buffer and
-// resumes a waiting Fence when the buffer drains.
-func (m *Machine) retireBufferedWrite(n topology.NodeID) {
-	pw := m.pendingWrites(n)
-	if pw.count <= 0 {
-		panic("coherence: store buffer underflow")
-	}
-	pw.count--
-	if pw.count == 0 && pw.fence != nil {
-		resume := pw.fence
-		pw.fence = nil
-		resume()
-	}
-}
-
-// Fence blocks node n until every buffered write has been granted (a
-// release operation under release consistency).
-func (m *Machine) Fence(n topology.NodeID, done func()) {
-	pw := m.pendingWrites(n)
-	if pw.count == 0 {
-		done()
-		return
-	}
-	if pw.fence != nil {
-		panic("coherence: second concurrent Fence on one node")
-	}
-	pw.fence = done
-}
-
-// writeBuffer tracks a node's outstanding release-consistency writes.
-type writeBuffer struct {
-	count int
-	fence func()
-}
-
-func (m *Machine) pendingWrites(n topology.NodeID) *writeBuffer {
-	if m.writeBufs == nil {
-		m.writeBufs = make([]writeBuffer, m.Mesh.Nodes())
-	}
-	return &m.writeBufs[n]
 }
 
 // deliver is the network's delivery callback: it dispatches every worm
@@ -488,15 +390,6 @@ func (m *Machine) initHandlers() {
 		op := a.(*pendingOp)
 		n := topology.NodeID(i)
 		b := op.block
-		if prev := m.op(n, b); prev != nil && prev.write {
-			// Store-buffer forwarding: our own pending write holds the
-			// value. This must be checked before the cache: an upgrading
-			// write leaves the old Shared copy in place while buffered, and
-			// a read served from that line would see pre-write data —
-			// breaking same-location program order.
-			m.finishHit(n, op)
-			return
-		}
 		if m.caches[n].Lookup(b, false) {
 			m.finishHit(n, op)
 			return
@@ -702,7 +595,7 @@ func (m *Machine) initHandlers() {
 		if op == nil {
 			panic("coherence: reply for no outstanding operation")
 		}
-		m.removeOp(n, pm.block)
+		m.removeOp(n)
 		if op.squashed {
 			// The line was invalidated while this fill was in flight. The
 			// reply's data was serialized at the home before the

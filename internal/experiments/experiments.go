@@ -130,19 +130,17 @@ func burst(k int, s grouping.Scheme, d int, hs sweep.HotSpot, tune *coherence.Va
 	return sweep.Point{K: k, Scheme: s, D: d, Trials: 1, Seed: 1, HotSpot: &hs, Tune: tune}
 }
 
-// runApps replays each named application on each machine variant under each
-// scheme on the paper's 4x4 machine and returns each application's outcomes
-// variant-major (zero for a replay an interrupt skipped).
-func (l Lab) runApps(names []string, tunes []coherence.Variant, schemes []grouping.Scheme) [][]sweep.AppMeasures {
+// runApps replays each named application under each scheme on the paper's
+// 4x4 machine and returns each application's outcomes (zero for a replay an
+// interrupt skipped).
+func (l Lab) runApps(names []string, schemes []grouping.Scheme) [][]sweep.AppMeasures {
 	var pts []sweep.Point
 	for _, name := range names {
-		for _, tune := range tunes {
-			for _, s := range schemes {
-				pts = append(pts, appPoint(name, s, tune))
-			}
+		for _, s := range schemes {
+			pts = append(pts, appPoint(name, s))
 		}
 	}
-	n := len(tunes) * len(schemes)
+	n := len(schemes)
 	out := make([][]sweep.AppMeasures, len(names))
 	for i, r := range l.runSweep(pts) {
 		var a sweep.AppMeasures
@@ -155,9 +153,9 @@ func (l Lab) runApps(names []string, tunes []coherence.Variant, schemes []groupi
 }
 
 // appPoint is the replay of the named application under s on the paper's
-// 4x4 machine varied by tune.
-func appPoint(name string, s grouping.Scheme, tune coherence.Variant) sweep.Point {
-	return sweep.Point{K: 4, Scheme: s, Trials: 1, App: name, Tune: &tune}
+// 4x4 machine.
+func appPoint(name string, s grouping.Scheme) sweep.Point {
+	return sweep.Point{K: 4, Scheme: s, Trials: 1, App: name}
 }
 
 // mustBeFresh fails the figure with an error naming the stored replay p when
@@ -462,7 +460,7 @@ func (l Lab) Table6() *report.Table {
 	t := report.NewTable("Table 6: application characteristics (16 processors, UI-UA baseline)",
 		"application", "shared reads", "shared writes", "barriers",
 		"inval txns", "avg sharers", "max sharers", "exec cycles")
-	for i, cells := range l.runApps(apps.PaperNames, []coherence.Variant{{}}, []grouping.Scheme{grouping.UIUA}) {
+	for i, cells := range l.runApps(apps.PaperNames, []grouping.Scheme{grouping.UIUA}) {
 		a := cells[0]
 		t.Row(apps.PaperNames[i], a.Reads, a.Writes, a.Barriers, a.Invals, a.AvgSharers, a.MaxSharers, uint64(a.Time))
 	}
@@ -477,26 +475,13 @@ var AppSchemes = []grouping.Scheme{grouping.UIUA, grouping.MIUAEC, grouping.MIMA
 func (l Lab) FigApplications() *report.Table {
 	t := report.NewTable("E9: normalized application execution time (16 processors, 4x4 mesh)",
 		append(schemeCols([]string{"application"}, AppSchemes), "UI-UA cycles")...)
-	normalizedRows(t, apps.PaperNames, l.runApps(apps.PaperNames, []coherence.Variant{{}}, AppSchemes))
+	normalizedRows(t, apps.PaperNames, l.runApps(apps.PaperNames, AppSchemes))
 	return t
 }
 
 // pairSchemes are the unicast baseline and the best multidestination
-// framework, the pair E13 and E23 compare.
+// framework, the pair E23 compares.
 var pairSchemes = []grouping.Scheme{grouping.UIUA, grouping.MIMAEC}
-
-// FigConsistency renders E13: application execution time under sequential
-// versus release consistency for the baseline and the best
-// multidestination framework. Under RC, write (invalidation) latency hides
-// behind computation, so the framework gap narrows on latency — but the
-// occupancy and traffic savings of MI-MA remain.
-func (l Lab) FigConsistency() *report.Table {
-	t := report.NewTable("E13: consistency model x framework, normalized application execution time (16 processors)",
-		"application", "SC UI-UA", "SC MI-MA-ec", "RC UI-UA", "RC MI-MA-ec", "SC UI-UA cycles")
-	normalizedRows(t, apps.PaperNames, l.runApps(apps.PaperNames,
-		[]coherence.Variant{{}, {Consistency: coherence.ReleaseConsistency}}, pairSchemes))
-	return t
-}
 
 // invalSizeBuckets are the Weber/Gupta-style invalidation size classes.
 var invalSizeBuckets = []struct {
@@ -520,9 +505,9 @@ func (l Lab) FigInvalSizeDistribution() *report.Table {
 	}
 	cols = append(cols, "total txns")
 	t := report.NewTable("E17: invalidation size distribution (percent of transactions, 16 processors, UI-UA)", cols...)
-	for i, cells := range l.runApps(apps.PaperNames, []coherence.Variant{{}}, []grouping.Scheme{grouping.UIUA}) {
+	for i, cells := range l.runApps(apps.PaperNames, []grouping.Scheme{grouping.UIUA}) {
 		name, a := apps.PaperNames[i], cells[0]
-		mustBeFresh(appPoint(name, grouping.UIUA, coherence.Variant{}), a.Invals > 0 && len(a.Sharers) == 0,
+		mustBeFresh(appPoint(name, grouping.UIUA), a.Invals > 0 && len(a.Sharers) == 0,
 			fmt.Sprintf("has %d invalidations and no sharer histogram", a.Invals))
 		row := []any{name}
 		for _, b := range invalSizeBuckets {
@@ -573,7 +558,7 @@ func (l Lab) FigSharingDependence() *report.Table {
 	t := report.NewTable("E23: sharing degree vs multidestination gain (16 processors)",
 		"application", "avg sharers", "UI-UA cycles", "MI-MA-ec cycles", "gain %")
 	names := slices.Concat(apps.PaperNames, []string{"Jacobi"})
-	for i, cells := range l.runApps(names, []coherence.Variant{{}}, pairSchemes) {
+	for i, cells := range l.runApps(names, pairSchemes) {
 		ui, mm := cells[0], cells[1]
 		gain := 0.0
 		if ui.Time > 0 {

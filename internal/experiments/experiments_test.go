@@ -172,7 +172,6 @@ func TestAllExperimentsRender(t *testing.T) {
 		{"E10", func() *report.Table { return l.FigHotSpot(8, 8) }, len(HotSpotWriters)},
 		{"E11", func() *report.Table { return l.AblationPlacement(8, 8, 2) }, 5},
 		{"E12", func() *report.Table { return l.AblationConsumptionChannels(8, 8, 2) }, 4},
-		{"E13", l.FigConsistency, 3},
 		{"E17", l.FigInvalSizeDistribution, 3},
 	}
 	for _, tc := range cases {

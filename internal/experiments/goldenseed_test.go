@@ -97,7 +97,7 @@ func TestGoldenTablesSeed(t *testing.T) {
 // and the plain-point figures the seed suite does not render (placement,
 // mesh size).
 var cellGoldenNames = []string{"buffers", "hotspot", "homes", "cons", "occupancy",
-	"table6", "apps", "sharing", "invalsize", "consistency", "load",
+	"table6", "apps", "sharing", "invalsize", "load",
 	"table4", "table5", "congestion",
 	"placement", "meshsize"}
 

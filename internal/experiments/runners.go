@@ -29,7 +29,6 @@ var catalog = []struct {
 	{"placement", func(l Lab, k, d, trials int) *report.Table { return l.AblationPlacement(k, d, trials) }},
 	{"homes", func(l Lab, k, d, trials int) *report.Table { return l.FigHomePlacement(k, d, trials) }},
 	{"cons", func(l Lab, k, d, _ int) *report.Table { return l.AblationConsumptionChannels(k, d, 4) }},
-	{"consistency", func(l Lab, _, _, _ int) *report.Table { return l.FigConsistency() }},
 	{"invalsize", func(l Lab, _, _, _ int) *report.Table { return l.FigInvalSizeDistribution() }},
 	{"load", func(l Lab, k, _, _ int) *report.Table { return l.FigOfferedLoad(k) }},
 	{"sharing", func(l Lab, _, _, _ int) *report.Table { return l.FigSharingDependence() }},

@@ -18,7 +18,7 @@
 //
 //  3. A workload fuzzer (FuzzProtocol, FuzzProtocolFaults in the test
 //     files): native go-fuzz harnesses decode a byte corpus into (mesh,
-//     scheme, consistency, fault plan, op schedule), run the real machine
+//     scheme, chaos schedule, fault plan, op schedule), run the real machine
 //     through the harness (Run), and assert the SC checker, the coherence
 //     invariants (relaxed mid-flight, strict at quiescence) and a quiet
 //     liveness watchdog. cmd/oracle replays and minimizes corpus inputs

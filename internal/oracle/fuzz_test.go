@@ -22,19 +22,19 @@ func fuzzRound(t *testing.T, data []byte, allowFaults bool) {
 }
 
 // fuzzSeeds is the hand-picked seed corpus: each entry pins a regime the
-// fuzzer should start from (schemes x consistency x faults), with an op
-// tail dense in block-0 contention. The byte layout is documented on
-// DecodeRunConfig; each seed still sets the reserved byte 3, so the
-// corpus stays byte-for-byte what it was.
+// fuzzer should start from (schemes x faults), with an op tail dense in
+// block-0 contention. The byte layout is documented on DecodeRunConfig;
+// each seed still sets the reserved bytes 2 and 3, so the corpus stays
+// byte-for-byte what it was.
 func fuzzSeeds() [][]byte {
-	head := func(k, scheme, cons, reserved, seed byte) []byte {
-		return []byte{k, scheme, cons, reserved, seed, 0, 0x2a, 0x15}
+	head := func(k, scheme, reserved2, reserved3, seed byte) []byte {
+		return []byte{k, scheme, reserved2, reserved3, seed, 0, 0x2a, 0x15}
 	}
 	// Contention tail: every node hammers block 0 with a read/write mix,
 	// plus a spread of reads over blocks 1-5.
 	var tail []byte
 	for i := byte(0); i < 16; i++ {
-		tail = append(tail, 2+(i%3)*4, i)  // write/fence block (i%3)
+		tail = append(tail, 2+(i%3)*4, i)  // write block i%3
 		tail = append(tail, (i%6)<<2, i*7) // read block i%6
 	}
 	var seeds [][]byte
@@ -44,8 +44,8 @@ func fuzzSeeds() [][]byte {
 	return seeds
 }
 
-// FuzzProtocol fuzzes fault-free executions: mesh shape, scheme, SC or RC,
-// chaos schedule, and op order all come from the input bytes.
+// FuzzProtocol fuzzes fault-free executions: mesh shape, scheme, chaos
+// schedule, and op order all come from the input bytes.
 // Every execution must complete, quiesce, satisfy the global coherence
 // invariants, and record a history with a legal total order.
 func FuzzProtocol(f *testing.F) {

@@ -3,7 +3,6 @@ package oracle
 import (
 	"fmt"
 
-	"repro/internal/coherence"
 	"repro/internal/faults"
 	"repro/internal/grouping"
 	"repro/internal/sim"
@@ -16,12 +15,11 @@ const fuzzMaxOps = 40
 // DecodeRunConfig maps an arbitrary byte string onto a valid RunConfig,
 // the bridge between go test -fuzz and the harness. The mapping is total
 // on inputs of at least eight bytes (shorter inputs error), so the fuzzer
-// mutates machine shape, scheme, consistency model, fault plan, and op
-// schedule all at once. allowFaults gates the fault plan: fault-free
-// fuzzing also explores release consistency, while fault fuzzing stays
-// sequentially consistent (the fences the decoder would need are bytes
-// better spent on contention). Byte 3 is reserved and ignored, so every
-// corpus input keeps the meaning of its other bytes.
+// mutates machine shape, scheme, chaos schedule, fault plan, and op
+// schedule all at once. allowFaults gates the fault plan. Bytes 2 and 3
+// are reserved and ignored, so every corpus input keeps the meaning of its
+// other bytes. Each later pair of bytes is one operation: op codes 0 and 1
+// read, 2 and 3 write.
 func DecodeRunConfig(data []byte, allowFaults bool) (RunConfig, error) {
 	if len(data) < 8 {
 		return RunConfig{}, fmt.Errorf("oracle: fuzz input needs >= 8 bytes, got %d", len(data))
@@ -33,11 +31,6 @@ func DecodeRunConfig(data []byte, allowFaults bool) (RunConfig, error) {
 		Scheme:     grouping.AllSchemes[int(data[1])%len(grouping.AllSchemes)],
 		ChaosSeed:  uint64(data[4]) | uint64(data[5])<<8,
 		CheckEvery: 8,
-	}
-	rc := false
-	if !allowFaults && data[2]&1 == 1 {
-		rc = true
-		cfg.Consistency = coherence.ReleaseConsistency
 	}
 	if allowFaults {
 		cfg.Recovery = true
@@ -57,18 +50,8 @@ func DecodeRunConfig(data []byte, allowFaults bool) (RunConfig, error) {
 	for rest := data[8:]; len(rest) >= 2 && len(cfg.Ops) < fuzzMaxOps; rest = rest[2:] {
 		a, b := rest[0], rest[1]
 		op := Op{Node: int(b) % nodes, Block: int(a>>2) % 6}
-		switch a % 4 {
-		case 0, 1:
-			op.Kind = OpRead
-		case 2:
+		if a%4 >= 2 {
 			op.Kind = OpWrite
-		default:
-			if rc {
-				op.Kind = OpFence
-				op.Block = 0
-			} else {
-				op.Kind = OpWrite
-			}
 		}
 		cfg.Ops = append(cfg.Ops, op)
 	}

@@ -27,7 +27,6 @@ type Op struct {
 type RunConfig struct {
 	Width, Height int
 	Scheme        grouping.Scheme
-	Consistency   coherence.Consistency
 	// ChaosSeed, when nonzero, randomizes same-cycle event tie-breaking.
 	ChaosSeed uint64
 	// Fault, when non-nil, enables deterministic fault injection; recovery
@@ -55,8 +54,8 @@ func (c RunConfig) String() string {
 			c.Fault.DropRate, c.Fault.AckLossRate, c.Fault.LinkStallRate,
 			c.Fault.RouterSlowRate, c.Fault.Seed)
 	}
-	return fmt.Sprintf("%dx%d %v %v chaos=%d recovery=%v fault={%s} ops=%d",
-		c.Width, c.Height, c.Scheme, c.Consistency, c.ChaosSeed,
+	return fmt.Sprintf("%dx%d %v chaos=%d recovery=%v fault={%s} ops=%d",
+		c.Width, c.Height, c.Scheme, c.ChaosSeed,
 		c.Recovery, fault, len(c.Ops))
 }
 
@@ -78,7 +77,7 @@ func (r *RunResult) OK() bool { return len(r.Failures) == 0 }
 func (r *RunResult) Report() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "run %s\n", r.Config)
-	fmt.Fprintf(&sb, "  completed=%d cycles=%d po=%v\n", r.Completed, r.Cycles, r.History.PO)
+	fmt.Fprintf(&sb, "  completed=%d cycles=%d\n", r.Completed, r.Cycles)
 	blocks := make([]int, 0, len(r.History.Commit))
 	for b := range r.History.Commit {
 		blocks = append(blocks, b)
@@ -99,11 +98,10 @@ func (r *RunResult) Report() string {
 }
 
 // params is the machine cfg runs on: DefaultParams with cfg's shape, scheme,
-// consistency model, recovery and fault injector.
+// recovery and fault injector.
 func (cfg RunConfig) params() coherence.Params {
 	p := coherence.DefaultParams(cfg.Width, cfg.Scheme)
 	p.MeshWidth, p.MeshHeight = cfg.Width, cfg.Height
-	p.Consistency = cfg.Consistency
 	if cfg.Recovery {
 		p.Recovery = coherence.DefaultRecovery()
 		if cfg.MaxRetries > 0 {
@@ -126,7 +124,7 @@ func (cfg RunConfig) params() coherence.Params {
 // the write whose value each cached copy holds. After the run it checks
 // completion, quiescence, the strict global invariants, watchdog silence,
 // and finally that the recorded history admits a legal total order
-// (History.Check) under the configured consistency model.
+// (History.Check) under sequential consistency.
 //
 // The shadow's soundness rests on two machine properties: the simulation
 // engine executes each event atomically (a cache fill and its op-done
@@ -149,11 +147,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		if op.Node < 0 || op.Node >= nodes {
 			return nil, fmt.Errorf("oracle: op %d: node %d out of range", i, op.Node)
 		}
-		if op.Kind != OpFence && op.Block < 0 {
+		if op.Block < 0 {
 			return nil, fmt.Errorf("oracle: op %d: negative block", i)
-		}
-		if op.Kind == OpFence && cfg.Consistency != coherence.ReleaseConsistency {
-			return nil, fmt.Errorf("oracle: op %d: fence under sequential consistency", i)
 		}
 		perNode[op.Node] = append(perNode[op.Node], op)
 	}
@@ -175,13 +170,10 @@ func Run(cfg RunConfig) (*RunResult, error) {
 	}
 
 	// Shadow memory. ver[n][b] is the token whose value node n's valid
-	// copy of b holds; latest[b] the newest committed token; pending[n][b]
-	// node n's store buffer (RC write misses awaiting their grant).
+	// copy of b holds; latest[b] the newest committed token.
 	ver := make([]map[int]uint64, nodes)
-	pending := make([]map[int][]uint64, nodes)
 	for n := range ver {
 		ver[n] = make(map[int]uint64)
-		pending[n] = make(map[int][]uint64)
 	}
 	latest := make(map[int]uint64)
 	commit := make(map[int][]uint64)
@@ -225,15 +217,8 @@ func Run(cfg RunConfig) (*RunResult, error) {
 				// the owner's value, which is by definition the latest.
 				ver[n][blk] = latest[blk]
 			case cache.ModifiedLine:
-				// An ownership grant retires this node's buffered writes
-				// to the block in FIFO order.
-				for _, tok := range pending[n][blk] {
-					commitTok(n, blk, tok)
-				}
-				delete(pending[n], blk)
-				if _, ok := ver[n][blk]; !ok {
-					ver[n][blk] = latest[blk]
-				}
+				// An ownership grant: the write's done callback, run in
+				// the same event, records its token.
 			}
 		}
 	}
@@ -266,11 +251,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		case OpRead:
 			m.Read(node, b, func() {
 				var saw uint64
-				if ps := pending[n][blk]; len(ps) > 0 {
-					// Store-buffer forwarding: the read saw this node's
-					// youngest not-yet-committed write.
-					saw = ps[len(ps)-1]
-				} else if sv, ok := squashSaw[n][blk]; ok {
+				if sv, ok := squashSaw[n][blk]; ok {
 					// Squashed miss: the load consumed its fill without
 					// installing, ordered just before the squashing write.
 					saw = sv
@@ -285,30 +266,9 @@ func Run(cfg RunConfig) (*RunResult, error) {
 		case OpWrite:
 			tokCounter++
 			tok := tokCounter
-			if cfg.Consistency == coherence.ReleaseConsistency {
-				m.WriteAsync(node, b, func() {
-					if m.Cache(node).State(b) == cache.ModifiedLine {
-						// Write hit: committed on the spot. (A pending
-						// buffered write would have kept the line non-M.)
-						commitTok(n, blk, tok)
-					} else {
-						pending[n][blk] = append(pending[n][blk], tok)
-					}
-					streams[n] = append(streams[n], Obs{Kind: OpWrite, Block: blk, Tok: tok})
-					afterOp()
-					issue(n)
-				})
-				return
-			}
 			m.Write(node, b, func() {
 				commitTok(n, blk, tok)
 				streams[n] = append(streams[n], Obs{Kind: OpWrite, Block: blk, Tok: tok})
-				afterOp()
-				issue(n)
-			})
-		case OpFence:
-			m.Fence(node, func() {
-				streams[n] = append(streams[n], Obs{Kind: OpFence})
 				afterOp()
 				issue(n)
 			})
@@ -323,11 +283,7 @@ func Run(cfg RunConfig) (*RunResult, error) {
 
 	res.Completed = completed
 	res.Cycles = uint64(m.Engine.Now())
-	po := POFull
-	if cfg.Consistency == coherence.ReleaseConsistency {
-		po = POFence
-	}
-	res.History = &History{Streams: streams, Commit: commit, PO: po}
+	res.History = &History{Streams: streams, Commit: commit}
 
 	if w := m.Net.Wedged(len(cfg.Ops) - completed); w != nil {
 		fail("%v", w)

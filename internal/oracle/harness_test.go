@@ -3,7 +3,6 @@ package oracle
 import (
 	"testing"
 
-	"repro/internal/coherence"
 	"repro/internal/faults"
 	"repro/internal/grouping"
 	"repro/internal/sim"
@@ -11,9 +10,8 @@ import (
 
 // genOps builds a deterministic contention-heavy workload: every node
 // issues count operations over a small block set (block 0 is hot), writes
-// on roughly a third of them, with fences sprinkled in under release
-// consistency.
-func genOps(seed uint64, nodes, blocks, count int, fences bool) []Op {
+// on roughly a third of them.
+func genOps(seed uint64, nodes, blocks, count int) []Op {
 	rng := sim.NewRNG(seed)
 	var ops []Op
 	for i := 0; i < count; i++ {
@@ -22,14 +20,11 @@ func genOps(seed uint64, nodes, blocks, count int, fences bool) []Op {
 		if rng.Intn(3) == 0 {
 			b = 0
 		}
-		switch {
-		case fences && rng.Intn(8) == 0:
-			ops = append(ops, Op{Node: n, Kind: OpFence})
-		case rng.Intn(3) == 0:
-			ops = append(ops, Op{Node: n, Block: b, Kind: OpWrite})
-		default:
-			ops = append(ops, Op{Node: n, Block: b, Kind: OpRead})
+		kind := OpRead
+		if rng.Intn(3) == 0 {
+			kind = OpWrite
 		}
+		ops = append(ops, Op{Node: n, Block: b, Kind: kind})
 	}
 	return ops
 }
@@ -56,7 +51,7 @@ func TestRunChaosSchedules(t *testing.T) {
 				res, err := Run(RunConfig{
 					Width: 3, Height: 3, Scheme: s,
 					ChaosSeed:  seed,
-					Ops:        genOps(seed*31, 9, 6, 120, false),
+					Ops:        genOps(seed*31, 9, 6, 120),
 					CheckEvery: 10,
 				})
 				requireOK(t, res, err)
@@ -92,7 +87,7 @@ func TestRunFaultSchedules(t *testing.T) {
 						RouterSlowRate:   0.05,
 						RouterSlowCycles: 16,
 					},
-					Ops:        genOps(seed*77, 9, 6, 100, false),
+					Ops:        genOps(seed*77, 9, 6, 100),
 					CheckEvery: 10,
 					Watchdog:   true,
 				})
@@ -102,36 +97,13 @@ func TestRunFaultSchedules(t *testing.T) {
 	}
 }
 
-// TestRunReleaseConsistency exercises the store-buffer path: asynchronous
-// writes, coalescing, store-to-load forwarding, and fences, checked under
-// the weaker fence-only program order.
-func TestRunReleaseConsistency(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		seed := seed
-		t.Run("seed", func(t *testing.T) {
-			t.Parallel()
-			res, err := Run(RunConfig{
-				Width: 3, Height: 3, Scheme: grouping.MIMAECRC,
-				Consistency: coherence.ReleaseConsistency,
-				ChaosSeed:   seed,
-				Ops:         genOps(seed*13, 9, 6, 120, true),
-				CheckEvery:  10,
-			})
-			requireOK(t, res, err)
-			if res.History.PO != POFence {
-				t.Fatalf("release-consistency run checked under %v program order", res.History.PO)
-			}
-		})
-	}
-}
-
 // TestRunUnboundedCache runs the real machine on the 2x2 mesh the model
 // checker explores.
 func TestRunUnboundedCache(t *testing.T) {
 	res, err := Run(RunConfig{
 		Width: 2, Height: 2, Scheme: grouping.MIUAEC,
 		ChaosSeed: 5,
-		Ops:       genOps(99, 4, 4, 80, false),
+		Ops:       genOps(99, 4, 4, 80),
 	})
 	requireOK(t, res, err)
 }
@@ -151,7 +123,7 @@ func TestRunDeterministic(t *testing.T) {
 			LinkStallRate:   0.05,
 			LinkStallCycles: 32,
 		},
-		Ops:        genOps(1234, 9, 6, 90, false),
+		Ops:        genOps(1234, 9, 6, 90),
 		CheckEvery: 10,
 		Watchdog:   true,
 	}
@@ -178,7 +150,7 @@ func TestRunConfigValidation(t *testing.T) {
 		t.Error("out-of-range node accepted")
 	}
 	if _, err := Run(RunConfig{Width: 2, Height: 2, Scheme: grouping.UIUA,
-		Ops: []Op{{Node: 0, Kind: OpFence}}}); err == nil {
-		t.Error("fence under sequential consistency accepted")
+		Ops: []Op{{Node: 0, Block: -1, Kind: OpRead}}}); err == nil {
+		t.Error("negative block accepted")
 	}
 }

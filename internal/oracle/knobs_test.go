@@ -19,13 +19,9 @@ import (
 var (
 	// decodedKnobs are the fields DecodeRunConfig varies, so the fuzz
 	// targets and the harness's checkers see their non-default values.
-	// Params.Consistency and Params.Fault are never decoded together:
-	// coherence.NewMachine refuses release consistency with a fault
-	// injector, so no machine runs the pair the checkers have not seen.
 	decodedKnobs = []string{
 		"Params.MeshSize", "Params.MeshWidth", "Params.MeshHeight", "Params.Scheme",
-		"Params.Consistency", "Params.Recovery", "Params.Fault",
-		"Variant.Consistency",
+		"Params.Recovery", "Params.Fault",
 		"Fault.Seed", "Fault.DropRate", "Fault.AckLossRate", "Fault.LinkStallRate",
 		"Fault.LinkStallCycles", "Fault.RouterSlowRate", "Fault.RouterSlowCycles",
 	}

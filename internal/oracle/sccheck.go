@@ -13,42 +13,16 @@ const (
 	OpRead OpKind = iota
 	// OpWrite is a shared-memory store.
 	OpWrite
-	// OpFence awaits completion of the issuing node's buffered writes (a
-	// release point; meaningful under release consistency only).
-	OpFence
 	numOpKinds
 )
 
-var opKindNames = [numOpKinds]string{"read", "write", "fence"}
+var opKindNames = [numOpKinds]string{"read", "write"}
 
 func (k OpKind) String() string {
 	if k >= 0 && k < numOpKinds {
 		return opKindNames[k]
 	}
 	panic("oracle: unknown op kind")
-}
-
-// POMode selects how much program order the checker enforces.
-type POMode int
-
-const (
-	// POFull is sequential consistency: each node's operations are totally
-	// ordered among themselves.
-	POFull POMode = iota
-	// POFence is the release-consistency obligation: only same-location
-	// operations and fence barriers order a node's operations.
-	POFence
-)
-
-func (p POMode) String() string {
-	switch p {
-	case POFull:
-		return "full"
-	case POFence:
-		return "fence"
-	default:
-		panic("oracle: unknown PO mode")
-	}
 }
 
 // Obs is one completed memory operation as observed at its issuing node.
@@ -68,8 +42,6 @@ func (o Obs) String() string {
 		return fmt.Sprintf("read b%d saw %d", o.Block, o.Saw)
 	case OpWrite:
 		return fmt.Sprintf("write b%d tok %d", o.Block, o.Tok)
-	case OpFence:
-		return "fence"
 	default:
 		panic("oracle: unknown op kind")
 	}
@@ -83,14 +55,12 @@ type History struct {
 	Streams [][]Obs
 	// Commit maps each block to its write tokens in commit order.
 	Commit map[int][]uint64
-	// PO selects the program-order obligation (POFull for SC runs, POFence
-	// for release-consistency runs).
-	PO POMode
 }
 
-// Check verifies the history admits a legal total order per the selected
-// consistency obligation: writes serialize per block in commit order, and
-// every read observes the latest write ordered before it. With the write
+// Check verifies the history admits a legal total order under sequential
+// consistency: each node's operations keep program order, writes serialize
+// per block in commit order, and every read observes the latest write
+// ordered before it. With the write
 // order known, legality reduces to acyclicity of a constraint graph over
 // the operations — program-order edges, commit-chain edges, and for each
 // read an edge from the write it observed and an edge to that write's
@@ -163,38 +133,10 @@ func (h *History) Check() error {
 	adj := make([][]int32, len(verts))
 	edge := func(u, v int) { adj[u] = append(adj[u], int32(v)) }
 
-	// Program order.
+	// Program order: each node's operations are totally ordered.
 	for n, stream := range h.Streams {
-		switch h.PO {
-		case POFull:
-			for i := 1; i < len(stream); i++ {
-				edge(id(n, i-1), id(n, i))
-			}
-		case POFence:
-			lastFence := -1
-			var sinceFence []int
-			lastOnBlock := make(map[int]int)
-			for i, o := range stream {
-				v := id(n, i)
-				if lastFence >= 0 {
-					edge(lastFence, v)
-				}
-				if o.Kind == OpFence {
-					for _, u := range sinceFence {
-						edge(u, v)
-					}
-					sinceFence = sinceFence[:0]
-					lastFence = v
-					continue
-				}
-				if prev, ok := lastOnBlock[o.Block]; ok {
-					edge(prev, v)
-				}
-				lastOnBlock[o.Block] = v
-				sinceFence = append(sinceFence, v)
-			}
-		default:
-			panic("oracle: unknown PO mode")
+		for i := 1; i < len(stream); i++ {
+			edge(id(n, i-1), id(n, i))
 		}
 	}
 

@@ -15,7 +15,6 @@ func TestCheckLegalHistory(t *testing.T) {
 			{{Kind: OpRead, Block: 0, Saw: 2}},
 		},
 		Commit: map[int][]uint64{0: {1, 2}},
-		PO:     POFull,
 	}
 	if err := h.Check(); err != nil {
 		t.Fatalf("legal history rejected: %v", err)
@@ -32,7 +31,6 @@ func TestCheckRejectsIllegalHistory(t *testing.T) {
 			{{Kind: OpRead, Block: 0, Saw: 1}, {Kind: OpRead, Block: 0, Saw: 0}},
 		},
 		Commit: map[int][]uint64{0: {1}},
-		PO:     POFull,
 	}
 	err := h.Check()
 	if err == nil {
@@ -49,43 +47,17 @@ func TestCheckRejectsIllegalHistory(t *testing.T) {
 
 // TestCheckStoreBufferLitmus runs the classic store-buffer litmus test:
 // each node writes one block then reads the other, and both reads see the
-// initial value. Illegal under sequential consistency, legal under the
-// fence-only program order of release consistency (no fences separate the
-// write from the read).
+// initial value. Sequential consistency forbids the outcome.
 func TestCheckStoreBufferLitmus(t *testing.T) {
-	mk := func(po POMode) *History {
-		return &History{
-			Streams: [][]Obs{
-				{{Kind: OpWrite, Block: 0, Tok: 1}, {Kind: OpRead, Block: 1, Saw: 0}},
-				{{Kind: OpWrite, Block: 1, Tok: 2}, {Kind: OpRead, Block: 0, Saw: 0}},
-			},
-			Commit: map[int][]uint64{0: {1}, 1: {2}},
-			PO:     po,
-		}
-	}
-	if err := mk(POFull).Check(); err == nil {
-		t.Fatal("store-buffer outcome accepted under sequential consistency")
-	}
-	if err := mk(POFence).Check(); err != nil {
-		t.Fatalf("store-buffer outcome rejected under release consistency: %v", err)
-	}
-}
-
-// TestCheckFenceRestoresOrder verifies a fence between the write and the
-// read makes the store-buffer outcome illegal again under POFence.
-func TestCheckFenceRestoresOrder(t *testing.T) {
 	h := &History{
 		Streams: [][]Obs{
-			{{Kind: OpWrite, Block: 0, Tok: 1}, {Kind: OpFence},
-				{Kind: OpRead, Block: 1, Saw: 0}},
-			{{Kind: OpWrite, Block: 1, Tok: 2}, {Kind: OpFence},
-				{Kind: OpRead, Block: 0, Saw: 0}},
+			{{Kind: OpWrite, Block: 0, Tok: 1}, {Kind: OpRead, Block: 1, Saw: 0}},
+			{{Kind: OpWrite, Block: 1, Tok: 2}, {Kind: OpRead, Block: 0, Saw: 0}},
 		},
 		Commit: map[int][]uint64{0: {1}, 1: {2}},
-		PO:     POFence,
 	}
 	if err := h.Check(); err == nil {
-		t.Fatal("fenced store-buffer outcome accepted")
+		t.Fatal("store-buffer outcome accepted under sequential consistency")
 	}
 }
 
@@ -100,7 +72,6 @@ func TestCheckCoherenceViolation(t *testing.T) {
 			{{Kind: OpRead, Block: 0, Saw: 2}, {Kind: OpRead, Block: 0, Saw: 1}},
 		},
 		Commit: map[int][]uint64{0: {1, 2}},
-		PO:     POFull,
 	}
 	if err := h.Check(); err == nil {
 		t.Fatal("anti-commit-order reads accepted")
@@ -182,7 +153,6 @@ func TestCheckDeterministicError(t *testing.T) {
 				{{Kind: OpRead, Block: 0, Saw: 1}, {Kind: OpRead, Block: 0, Saw: 0}},
 			},
 			Commit: map[int][]uint64{0: {1}},
-			PO:     POFull,
 		}
 	}
 	a, b := mk().Check(), mk().Check()

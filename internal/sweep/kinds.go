@@ -61,13 +61,12 @@ type OccupancyMeasures struct {
 //   - a burst, replay or traffic run that is not one trial;
 //   - a negative offered load;
 //   - a burst, replay or traffic run with a field its runner ignores;
-//   - a Tune consistency field on a point that is not a replay;
 //   - an unknown application;
 //   - a replay whose programs do not fit the mesh;
 //   - sharers that do not fit the mesh;
 //   - a burst whose writers and homes cannot all be placed;
 //   - a home off the mesh;
-//   - a negative Tune field or an unknown consistency model.
+//   - a negative Tune field.
 func (p Point) Check() error {
 	kinds := 0
 	for _, set := range []bool{p.Home != nil, p.HotSpot != nil, p.App != "", p.OfferedLoad != 0} {
@@ -96,8 +95,6 @@ func (p Point) Check() error {
 		return fmt.Errorf("is a burst with chaos, faults or a Pattern, which a burst ignores")
 	case p.App != "" && (p.D != 0 || p.Pattern != 0 || p.Seed != 0 || p.ChaosSeed != 0 || p.Faults != nil):
 		return fmt.Errorf("is a replay with D, Pattern, Seed, chaos or faults, which a replay ignores")
-	case p.App == "" && v != nil && v.Consistency != 0:
-		return fmt.Errorf("sets a Tune consistency field but is not a replay")
 	case p.App != "" && !apps.Known(p.App):
 		return fmt.Errorf("names an unknown application %q", p.App)
 	case p.App != "" && p.K*p.K < apps.PublishedProcs:
@@ -111,9 +108,8 @@ func (p Point) Check() error {
 			p.HotSpot.Writers, p.D, p.K, p.K, p.K*p.K-p.D-1)
 	case p.Home != nil && (*p.Home < 0 || int(*p.Home) >= p.K*p.K):
 		return fmt.Errorf("has Home %d off the %dx%d mesh", *p.Home, p.K, p.K)
-	case v != nil && (min(v.IAckBuffers, v.ConsumptionChannels, int(v.Consistency)) < 0 ||
-		v.Consistency > coherence.ReleaseConsistency):
-		return fmt.Errorf("has a negative Tune field or an unknown consistency")
+	case v != nil && min(v.IAckBuffers, v.ConsumptionChannels) < 0:
+		return fmt.Errorf("has a negative Tune field")
 	}
 	return nil
 }

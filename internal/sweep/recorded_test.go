@@ -29,8 +29,8 @@ func TestRecordingIsNeutral(t *testing.T) {
 		"E27 occupancy burst": {K: 8, Scheme: grouping.UIUA, D: 6, Trials: 1, Seed: 1,
 			HotSpot: &HotSpot{Writers: 3, Occupancy: true}},
 		"LU replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU"},
-		"release-consistency LU replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU",
-			Tune: &coherence.Variant{Consistency: coherence.ReleaseConsistency}},
+		"LU replay on a VCT machine": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "LU",
+			Tune: &coherence.Variant{VCTDeferred: true}},
 		"E23 Jacobi replay": {K: 4, Scheme: grouping.MIMAEC, Trials: 1, App: "Jacobi"},
 		"E19 traffic":       {K: 8, Trials: 1, Seed: 1, OfferedLoad: 5},
 	} {

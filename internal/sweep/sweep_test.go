@@ -74,19 +74,15 @@ func TestRunValidatesPoints(t *testing.T) {
 		"scheme 9 (was ADAPT)":   func(p *Point) { p.Scheme = 9 },
 		"scheme 10 (was U-tree)": func(p *Point) { p.Scheme = 10 },
 		"a negative i-ack depth": func(p *Point) { p.Tune = &coherence.Variant{IAckBuffers: -1} },
-		"release consistency on an invalidation point": func(p *Point) {
-			p.Tune = &coherence.Variant{Consistency: coherence.ReleaseConsistency}
+		"a negative consumption-channel count": func(p *Point) {
+			p.Tune = &coherence.Variant{ConsumptionChannels: -1}
 		},
-		"release consistency on a burst": func(p *Point) {
-			p.Trials, p.HotSpot = 1, &HotSpot{Writers: 2}
-			p.Tune = &coherence.Variant{Consistency: coherence.ReleaseConsistency}
+		"a homed point with a negative i-ack depth": func(p *Point) {
+			p.Home, p.Tune = &corner, &coherence.Variant{IAckBuffers: -1}
 		},
-		"release consistency on a homed point": func(p *Point) {
-			p.Home, p.Tune = &corner, &coherence.Variant{Consistency: coherence.ReleaseConsistency}
-		},
-		"a replay under an unknown consistency": func(p *Point) {
+		"a replay with a negative i-ack depth": func(p *Point) {
 			p.Trials, p.D, p.Seed, p.App = 1, 0, 0, "LU"
-			p.Tune = &coherence.Variant{Consistency: coherence.ReleaseConsistency + 1}
+			p.Tune = &coherence.Variant{IAckBuffers: -1}
 		},
 		"a burst with no writers":                        func(p *Point) { p.Trials, p.HotSpot = 1, &HotSpot{} },
 		"a burst with more writers than the mesh places": func(p *Point) { p.Trials, p.HotSpot = 1, &HotSpot{Writers: 14} },

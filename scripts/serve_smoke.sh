@@ -3,7 +3,7 @@
 # serve-smoke CI job):
 #
 #   1. start the daemon with a data directory,
-#   2. run the E4 latency, E19 offered-load and E13 consistency experiments
+#   2. run the E4 latency, E19 offered-load and E9 application experiments
 #      through it and assert each table is byte-identical to an in-process
 #      run of the same dsmsimctl experiment command,
 #   3. repeat each request and assert the cached reply is byte-identical,
@@ -12,7 +12,7 @@
 #      persisted results, an empty jobs/ and nothing else in the data directory,
 #   6. run in-process experiments twice over one -data directory and assert
 #      identical tables with zero engine runs the second time (for E19, all 6
-#      points from the store; for E13, all 12; for E23, all 8 replays),
+#      points from the store; for E23, all 8 replays),
 #   7. start the daemon over that directory and assert it serves the same
 #      table with zero engine runs.
 set -euo pipefail
@@ -23,7 +23,7 @@ source "$(dirname "$0")/daemon.sh"
 echo "== starting daemon =="
 start_daemon -data "$work/data" -workers 4
 
-for exp in latency load consistency; do
+for exp in latency load apps; do
   echo "== $exp: experiment byte-identity (daemon vs in process) =="
   "$work/dsmsimctl" experiment -name "$exp" -k 8 -trials 2 >"$work/direct.txt" 2>/dev/null
   ctl experiment -name "$exp" -k 8 -trials 2 >"$work/served.txt"
@@ -66,7 +66,6 @@ rerun() {
 }
 rerun cons '0 run'
 rerun load '6 points from the store, 0 run' -k 8
-rerun consistency '12 points from the store, 0 run'
 rerun sharing '8 points from the store, 0 run'
 
 echo "== serve over the batch directory serves it with zero engine runs =="
